@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import log_softmax_rows
 from .tokenizer import EOS_ID, PAD_ID, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -134,14 +135,21 @@ class IdRegistry:
         return cls(ids=ids, rows=tuple(rows), generator_hash=generator_hash)
 
 
-def _step_logprobs(model, state, prefix: tuple[int, ...], cache: dict | None) -> np.ndarray:
-    if cache is None:
-        return model.next_token_logprobs(state, prefix)
-    hit = cache.get(prefix)
-    if hit is None:
-        hit = model.next_token_logprobs(state, prefix)
-        cache[prefix] = hit
-    return hit
+def _step_logprobs(model, state, prefixes: list[tuple[int, ...]],
+                   cache: dict | None) -> list[np.ndarray]:
+    """Next-token log-probabilities after each prefix. Prefixes missing from
+    `cache` are scored together in one `prefix_logits` call; models without
+    `prefix_logits` are asked one prefix at a time."""
+    cache = {} if cache is None else cache
+    missing = [p for p in prefixes if p not in cache]
+    if missing:
+        if hasattr(model, "prefix_logits"):
+            # copied rows: a view per row would keep its block array alive as well
+            rows = [row.copy() for row in log_softmax_rows(model.prefix_logits(state, missing))]
+        else:
+            rows = [model.next_token_logprobs(state, p) for p in missing]
+        cache.update(zip(missing, rows))
+    return [cache[p] for p in prefixes]
 
 
 def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
@@ -168,8 +176,9 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
             if not beams:
                 break
             candidates: list[tuple[float, tuple[int, ...], int]] = []
-            for seq, score in beams:
-                adjusted = _step_logprobs(model, state, seq, logprob_cache).copy()
+            step = _step_logprobs(model, state, [seq for seq, _ in beams], logprob_cache)
+            for (seq, score), logprobs in zip(beams, step):
+                adjusted = logprobs.copy()
                 adjusted[PAD_ID] = -np.inf
                 adjusted[UNK_ID] = -np.inf
                 if len(seq) < min_len:

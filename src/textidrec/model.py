@@ -5,6 +5,11 @@ Pre-norm transformer blocks, learned positional embeddings, and an output
 projection tied to the token embedding table. All math is float64; the same
 forward code runs training (trainable parameter wrappers) and inference
 (frozen wrappers, no graph construction).
+
+The decoder runs over a tree of rows: each row names its parent, sits at
+position = depth and attends only to its ancestors. A chain is ordinary
+causal decoding; a prefix tree scores many decoding prefixes in one pass
+(`prefix_logits`), which is how every constrained-decoding step is scored.
 """
 
 from __future__ import annotations
@@ -123,8 +128,31 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return (x @ pt[f"{prefix}_w1"] + pt[f"{prefix}_b1"]).gelu() @ pt[f"{prefix}_w2"] + pt[f"{prefix}_b2"]
 
 
-def _causal_mask(length: int) -> np.ndarray:
-    return np.triu(np.full((length, length), -1e30), k=1)
+# Rows per decoder pass in `prefix_logits`: bounds the (rows x rows)
+# attention matrices while large tries still take few passes.
+_PREFIX_BLOCK_ROWS = 512
+
+
+def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth of every row and the additive self-attention mask that lets a
+    row see only itself and its ancestors. Parents precede their children;
+    a root has parent -1. The chain parents[i] = i-1 gives the causal mask."""
+    n = len(parents)
+    depth = np.zeros(n, dtype=np.int64)
+    allowed = np.eye(n, dtype=bool)
+    for i, p in enumerate(parents):
+        if p >= 0:
+            if p >= i:
+                raise ValueError(f"row {i} has parent {p}; parents must precede their children")
+            depth[i] = depth[p] + 1
+            allowed[i] |= allowed[p]
+    return depth, np.where(allowed, 0.0, -1e30)
+
+
+def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class SequenceModel:
@@ -143,9 +171,6 @@ class SequenceModel:
         bound = 1.0 / math.sqrt(config.d_model)
         params = {name: rng.uniform(-bound, bound, size=shape) for name, shape in _param_shapes(config)}
         return cls(config, params)
-
-    def clone(self) -> "SequenceModel":
-        return SequenceModel(self.config, {k: v.copy() for k, v in self.params.items()})
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()
@@ -201,19 +226,26 @@ class SequenceModel:
         return self._encoder_core(x + pt["src_pos"][:length], pt)
 
     def decoder_all_logits(self, state: EncoderState, dec_input_ids,
-                           params: dict[str, Tensor] | None = None) -> Tensor:
-        """Next-token logits at every decoder position, causally masked.
+                           params: dict[str, Tensor] | None = None,
+                           parents=None) -> Tensor:
+        """Next-token logits at every decoder row.
 
-        `dec_input_ids` is the shifted target: start symbol (PAD) followed by
-        the previous gold tokens.
+        Row i holds token `dec_input_ids[i]` at position = its depth and
+        attends to itself and its ancestors under `parents` (one parent index
+        per row, -1 for a root, parents before children). The default chain
+        `parents[i] = i-1` is causal decoding of the shifted target: start
+        symbol (PAD) followed by the previous gold tokens.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
-        ids = [int(t) for t in dec_input_ids]
-        if len(ids) > cfg.max_tgt_len:
-            raise SequenceTooLong(f"target length {len(ids)} > max_tgt_len {cfg.max_tgt_len}")
-        x = pt["tok_emb"][np.array(ids)] + pt["tgt_pos"][: len(ids)]
-        mask = _causal_mask(len(ids))
+        ids = np.array([int(t) for t in dec_input_ids], dtype=np.int64)
+        parents = np.arange(len(ids)) - 1 if parents is None else np.asarray(parents, dtype=np.int64)
+        if parents.shape != ids.shape:
+            raise ValueError(f"{len(parents)} parents for {len(ids)} decoder rows")
+        depth, mask = _tree_layout(parents)
+        if len(ids) and depth.max() >= cfg.max_tgt_len:
+            raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
+        x = pt["tok_emb"][ids] + pt["tgt_pos"][depth]
         for i in range(cfg.layers):
             h = _layernorm(x, pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
             x = x + _attention(pt, f"dec{i}_self", h, h, cfg.heads, mask=mask)
@@ -224,6 +256,51 @@ class SequenceModel:
             x = x + _feed_forward(pt, f"dec{i}_ff", h)
         x = _layernorm(x, pt["dec_ln_g"], pt["dec_ln_b"])
         return x @ pt["tok_emb"].T
+
+    def prefix_logits(self, state: EncoderState, prefixes) -> np.ndarray:
+        """Next-token logits after each prefix, one row per prefix, in order
+        (inference path, frozen parameters).
+
+        The prefixes and all their ancestors form one tree that the decoder
+        scores with ancestor-only attention, in passes of at most
+        `_PREFIX_BLOCK_ROWS` rows (or one full prefix chain, if longer); each
+        pass carries the ancestors its prefixes need. Duplicates and prefixes
+        given without their ancestors are allowed.
+        """
+        prefixes = [tuple(int(t) for t in p) for p in prefixes]
+        for p in prefixes:
+            if len(p) >= self.config.max_tgt_len:
+                raise SequenceTooLong(f"prefix length {len(p)} >= max_tgt_len {self.config.max_tgt_len}")
+        out = np.empty((len(prefixes), self.config.vocab_size))
+        rows: dict[tuple[int, ...], int] = {}  # prefix -> row of the current block
+        tokens: list[int] = []
+        parents: list[int] = []
+        wanted: list[tuple[int, int]] = []  # (output index, block row)
+
+        def flush() -> None:
+            if wanted:
+                logits = self.decoder_all_logits(state, tokens, parents=parents).data
+                for index, row in wanted:
+                    out[index] = logits[row]
+            rows.clear()
+            tokens.clear()
+            parents.clear()
+            wanted.clear()
+
+        # lexicographic order walks the tree depth-first, so neighbours share ancestors
+        for index in sorted(range(len(prefixes)), key=prefixes.__getitem__):
+            p = prefixes[index]
+            missing = [k for k in range(len(p) + 1) if p[:k] not in rows]
+            if rows and len(rows) + len(missing) > _PREFIX_BLOCK_ROWS:
+                flush()
+                missing = list(range(len(p) + 1))
+            for k in missing:
+                rows[p[:k]] = len(tokens)
+                tokens.append(p[k - 1] if k else PAD_ID)
+                parents.append(rows[p[:k - 1]] if k else -1)
+            wanted.append((index, rows[p]))
+        flush()
+        return out
 
     def decoder_logits(self, state: EncoderState, prefix,
                        params: dict[str, Tensor] | None = None) -> Tensor:
@@ -253,9 +330,7 @@ class SequenceModel:
 
     def next_token_logprobs(self, state: EncoderState, prefix) -> np.ndarray:
         """Log-softmax over the vocabulary for the next token (inference path)."""
-        logits = self.decoder_logits(state, prefix).data
-        z = logits - logits.max()
-        return z - math.log(np.exp(z).sum())
+        return log_softmax_rows(self.prefix_logits(state, [prefix])[0])
 
 
 def expected_embedding(logits: Tensor, emb: Tensor) -> Tensor:

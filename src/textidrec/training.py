@@ -361,12 +361,13 @@ def alternate_train(split: corpus.SplitDataset, vocab: Vocabulary,
     examples = build_train_examples(split)
     item_text = dict(corpus.item_texts(split.items))
     items = corpus.item_texts(split.items)
+    user_ids = None
     for iteration in range(1, cfg.iterations + 1):
         if bundle.registry is None or bundle.registry.generator_hash != idgen.param_hash():
             log.info("iteration %d: allocating %d item IDs", iteration, len(items))
             bundle.registry = allocate_all(idgen, items, vocab, alloc_cfg)
-        user_ids = None
-        if cfg.use_user_id:
+        # after the first iteration, the refresh below already used this generator
+        if cfg.use_user_id and user_ids is None:
             user_ids = snapshot_user_ids(idgen, examples, item_text, vocab, alloc_cfg)
         idgen_losses = train_idgen_phase(bundle, split, cfg, vocab, bank, alloc_cfg, rng,
                                          user_ids=user_ids)
@@ -378,7 +379,8 @@ def alternate_train(split: corpus.SplitDataset, vocab: Vocabulary,
         bundle.iteration = iteration
         from .evaluation import evaluate  # local import, avoids a module cycle
 
-        valid_report = evaluate(bundle, split, ks=(10,), vocab=vocab, bank=bank, which="valid")
+        valid_report = evaluate(bundle, split, ks=(10,), vocab=vocab, bank=bank, which="valid",
+                                alloc_cfg=alloc_cfg)
         log.info("iteration %d: valid HR@10 %.4f", iteration, valid_report.hr[10])
         if out_dir is not None:
             iter_dir = Path(out_dir) / f"iter_{iteration}"

@@ -106,5 +106,21 @@ def vanilla_beam_search(model, src_ids, vocab, beam_width: int, max_len: int,
 
 
 @pytest.fixture
+def decoder_calls(monkeypatch) -> list[int]:
+    """Row count of every `SequenceModel.decoder_all_logits` call made while
+    the test runs."""
+    calls: list[int] = []
+    original = SequenceModel.decoder_all_logits
+
+    def counted(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        calls.append(out.data.shape[0])
+        return out
+
+    monkeypatch.setattr(SequenceModel, "decoder_all_logits", counted)
+    return calls
+
+
+@pytest.fixture
 def small_vocab() -> Vocabulary:
     return make_vocab(["red", "blue", "hat", "shoe", "green", "sock", "coat", "vest"])

@@ -37,6 +37,23 @@ def test_high_penalty_moves_second_group_off_the_top_token():
     assert out[1].text == "blue"
 
 
+def test_each_group_step_is_at_most_one_decoder_pass(decoder_calls):
+    vocab = make_vocab(WORDS[:8])
+    model = tiny_model(vocab_size=vocab.size, seed=2)
+    state = model.encode([3, 4])
+    groups, max_len = 2, 5
+    kwargs = dict(groups=groups, beams_per_group=3, lam=1.0, max_len=max_len, state=state)
+    uncached = diverse_beam_search(model, None, vocab, **kwargs)
+    assert 0 < len(decoder_calls) <= groups * max_len
+    decoder_calls.clear()
+    cache: dict = {}
+    assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
+    assert len(decoder_calls) <= groups * max_len
+    decoder_calls.clear()
+    assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
+    assert decoder_calls == []
+
+
 def test_single_group_equals_vanilla_beam_search():
     rng = np.random.default_rng(0)
     for trial in range(25):

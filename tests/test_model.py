@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import tiny_model
+from textidrec import model as model_module
 from textidrec.autograd import Tensor
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
                              ShapeMismatch, VocabularyMismatch, apply_update,
@@ -102,6 +104,78 @@ def test_decoder_prefix_sensitivity_and_capacity():
     assert not np.allclose(empty, extended)
     with pytest.raises(SequenceTooLong):
         model.decoder_logits(state, [5, 5, 5, 5])
+
+
+def test_explicit_chain_parents_equal_causal_decoding():
+    model = tiny_model(vocab_size=12, seed=3, layers=2)
+    state = model.encode([3, 4])
+    ids = [0, 5, 6, 7]
+    causal = model.decoder_all_logits(state, ids).data
+    chain = model.decoder_all_logits(state, ids, parents=[-1, 0, 1, 2]).data
+    assert np.array_equal(causal, chain)
+    with pytest.raises(ValueError):
+        model.decoder_all_logits(state, ids, parents=[-1, 2, 1, 2])
+
+
+def random_prefix_tree(rng: random.Random, vocab_size: int, n_seqs: int,
+                       max_len: int) -> list[tuple[int, ...]]:
+    """Every prefix of a few random token sequences, shuffled."""
+    seqs = [tuple(rng.randrange(vocab_size) for _ in range(rng.randint(0, max_len)))
+            for _ in range(n_seqs)]
+    prefixes = sorted({s[:k] for s in seqs for k in range(len(s) + 1)})
+    rng.shuffle(prefixes)
+    return prefixes
+
+
+def assert_rows_match_per_prefix(model, state, prefixes) -> None:
+    rows = model.prefix_logits(state, prefixes)
+    assert rows.shape == (len(prefixes), model.config.vocab_size)
+    for prefix, row in zip(prefixes, rows):
+        assert np.max(np.abs(row - model.decoder_logits(state, prefix).data)) < 1e-12
+
+
+@pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
+def test_prefix_logits_match_per_prefix_decoding(layers, heads):
+    rng = random.Random(10 * layers + heads)
+    model = tiny_model(vocab_size=11, seed=layers + heads, layers=layers, heads=heads)
+    state = model.encode([3, 4, 5, 6])
+    assert_rows_match_per_prefix(model, state, random_prefix_tree(rng, 11, 12, 6))
+
+
+def test_prefix_logits_with_empty_encoder_state():
+    model = tiny_model(vocab_size=11, seed=2)
+    state = model.encode([])
+    assert state.length == 0
+    assert_rows_match_per_prefix(model, state, random_prefix_tree(random.Random(1), 11, 6, 5))
+
+
+def test_prefix_logits_unordered_duplicated_and_without_ancestors():
+    model = tiny_model(vocab_size=11, seed=4)
+    state = model.encode([3, 7])
+    prefixes = [(5, 6, 7), (3,), (5, 6, 7), (), (8, 2), (3,)]
+    assert_rows_match_per_prefix(model, state, prefixes)
+    rows = model.prefix_logits(state, prefixes)
+    assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[1], rows[5])
+    assert model.prefix_logits(state, []).shape == (0, 11)
+
+
+def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 8)
+    model = tiny_model(vocab_size=11, seed=5, layers=2)
+    state = model.encode([3, 4])
+    prefixes = random_prefix_tree(random.Random(2), 11, 15, 6)
+    model.prefix_logits(state, prefixes)
+    tree_passes = list(decoder_calls)
+    assert len(tree_passes) > 1 and max(tree_passes) <= 8
+    assert_rows_match_per_prefix(model, state, prefixes)
+
+
+def test_prefix_logits_capacity():
+    model = tiny_model(vocab_size=12, max_tgt_len=4)
+    state = model.encode([3])
+    model.prefix_logits(state, [(5, 5, 5)])
+    with pytest.raises(SequenceTooLong):
+        model.prefix_logits(state, [(5,), (5, 5, 5, 5)])
 
 
 def test_sequence_nll_uniform_zero_weights():

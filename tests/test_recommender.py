@@ -191,6 +191,59 @@ def test_beam_search_tie_break_and_bounds():
         constrained_beam_search(model, empty_prompt(), trie, beam_width=1, top_n=2)
 
 
+def reference_rank(model, state, trie):
+    """Per-node walk: one `decoder_logits` call per inner trie node, the
+    constrained distribution renormalized over the node's children."""
+    results = []
+    stack = [(trie.root, (), 0.0)]
+    while stack:
+        node, prefix, score = stack.pop()
+        logits = model.decoder_logits(state, prefix).data
+        tokens = sorted(node.children)
+        sub = logits[tokens]
+        lse = sub.max() + math.log(np.exp(sub - sub.max()).sum())
+        for token, logit in zip(tokens, sub):
+            child = node.children[token]
+            if token == EOS_ID:
+                results.append((child.item_key, score + logit - lse))
+            else:
+                stack.append((child, prefix + (token,), score + logit - lse))
+    results.sort(key=lambda r: (-r[1], r[0]))
+    return results
+
+
+@pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
+def test_rank_all_matches_per_node_reference(layers, heads):
+    vocab = make_vocab(WORDS[:10])
+    rng = random.Random(layers * 10 + heads)
+    model = tiny_model(vocab_size=vocab.size, seed=heads, layers=layers, heads=heads)
+    texts = set()
+    while len(texts) < 12:
+        texts.add(" ".join(rng.choice(WORDS[:10]) for _ in range(rng.randint(1, 4))))
+    reg = registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))})
+    trie = build_trie(reg)
+    prompt = Prompt(tokens=(3, 5, 7), spans=())
+    state = model.encode(prompt.tokens)
+    ranked = rank_all(model, prompt, reg, trie, state=state)
+    reference = reference_rank(model, state, trie)
+    assert [k for k, _ in ranked] == [k for k, _ in reference]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(ranked, reference)) < 1e-12
+
+
+def test_rank_all_is_one_decoder_pass(decoder_calls):
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=3)
+    rng = random.Random(4)
+    texts = {" ".join(rng.choice(WORDS[:10]) for _ in range(3)) for _ in range(20)}
+    reg = registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))})
+    trie = build_trie(reg)
+    state = model.encode([3, 4])
+    decoder_calls.clear()
+    rank_all(model, empty_prompt(), reg, trie, state=state)
+    assert len(trie.prefixes) > 20
+    assert decoder_calls == [len(trie.prefixes)]
+
+
 def test_constrained_sampling_soundness():
     vocab = make_vocab(WORDS[:8])
     rng = random.Random(17)

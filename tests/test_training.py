@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from textidrec import corpus, synth
-from textidrec.allocator import AllocatorConfig, allocate_all
+from textidrec import corpus, evaluation, synth, training
+from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id
 from textidrec.autograd import Tensor
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
 from textidrec.model import AdamState, ModelConfig, SequenceModel, expected_embedding
@@ -27,11 +27,16 @@ def toy_world(n_users=6, n_items=4, seed=3, min_len=4, max_len=5):
     return split, vocab, bank
 
 
+def tiny_pair(vocab, seed=3, **model_kwargs):
+    """Untrained (recommender, generator) pair seeded `seed` and `seed + 1`."""
+    sizes = dict(d_model=16, layers=1, heads=2, ff_dim=32, max_src_len=128, max_tgt_len=12)
+    sizes.update(model_kwargs)
+    return (SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=seed, **sizes)),
+            SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=seed + 1, **sizes)))
+
+
 def fresh_bundle(split, vocab, seed=5, **model_kwargs):
-    defaults = dict(d_model=16, layers=1, heads=2, ff_dim=32, max_src_len=128, max_tgt_len=12)
-    defaults.update(model_kwargs)
-    rec = SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=seed, **defaults))
-    idgen = SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=seed + 1, **defaults))
+    rec, idgen = tiny_pair(vocab, seed, **model_kwargs)
     registry = allocate_all(idgen, corpus.item_texts(split.items), vocab,
                             AllocatorConfig(groups=4))
     return CheckpointBundle(rec=rec, rec_opt=AdamState(), idgen=idgen, idgen_opt=AdamState(),
@@ -196,10 +201,7 @@ def test_snapshot_user_ids_cached_per_history():
 
 def test_alternate_train_saves_iteration_bundles(tmp_path):
     split, vocab, bank = toy_world()
-    rec = SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=3, d_model=16, layers=1,
-                                         heads=2, ff_dim=32, max_src_len=128, max_tgt_len=12))
-    idgen = SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=4, d_model=16, layers=1,
-                                           heads=2, ff_dim=32, max_src_len=128, max_tgt_len=12))
+    rec, idgen = tiny_pair(vocab)
     cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1)
     bundle = alternate_train(split, vocab, rec, idgen, cfg, AllocatorConfig(groups=4), bank,
                              out_dir=tmp_path)
@@ -214,6 +216,40 @@ def test_alternate_train_saves_iteration_bundles(tmp_path):
     assert reloaded.idgen.param_hash() == bundle.idgen.param_hash()
     assert reloaded.registry.ids == bundle.registry.ids
     assert reloaded.iteration == 2
+
+
+def test_alternate_train_snapshots_user_ids_once_per_generator(monkeypatch):
+    split, vocab, bank = toy_world()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].param_hash())
+        return generate_user_id(*args, **kwargs)
+
+    monkeypatch.setattr(training, "generate_user_id", counted)
+    cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1)
+    alternate_train(split, vocab, *tiny_pair(vocab), cfg, AllocatorConfig(groups=4), bank)
+    histories = len({ex.history for ex in build_train_examples(split)})
+    # the warm-start generator, then one refresh after each generator phase
+    assert len(calls) == 3 * histories
+    assert len(set(calls)) == 3
+
+
+def test_validation_eval_uses_training_allocator_config(monkeypatch):
+    split, vocab, _ = toy_world()
+    bank = (Template(1, f"{USER_PLACEHOLDER} : {ITEM_PLACEHOLDER}"),) + default_bank()[1:]
+    alloc_cfg = AllocatorConfig(groups=3, beams_per_group=3, length_ranges=((2, 5), (5, 9)))
+    seen = []
+
+    def recording(model, texts, vocab, config):
+        seen.append(config)
+        return generate_user_id(model, texts, vocab, config)
+
+    monkeypatch.setattr(evaluation, "generate_user_id", recording)
+    cfg = TrainConfig(seed=3, iterations=1, rec_epochs_per_iter=1, idgen_epochs_per_iter=1)
+    alternate_train(split, vocab, *tiny_pair(vocab), cfg, alloc_cfg, bank)
+    assert len(seen) == len(split.valid)
+    assert all(config == alloc_cfg for config in seen)
 
 
 def test_use_user_id_false_restricts_templates():
