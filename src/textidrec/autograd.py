@@ -6,6 +6,11 @@ graph in reverse topological order and accumulates gradients into every
 tensor with `requires_grad`. Ops skip graph construction entirely when no
 input requires a gradient, so the same forward code serves training and
 inference.
+
+At the model's sizes each op's Python bookkeeping costs more than its numpy
+arithmetic, so ops are kept coarse: `layer_norm` is one op with an analytic
+backward, and `swapaxes`/`reshape` let attention run all heads as one
+batched matmul.
 """
 
 from __future__ import annotations
@@ -48,9 +53,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accum(self, grad: np.ndarray) -> None:
+        grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(grad, self.data.shape)
+            # a private copy: `grad` may be a read-only broadcast view or an
+            # array another node still holds
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     # -- graph construction -------------------------------------------------
 
@@ -142,11 +151,14 @@ class Tensor:
 
     # -- shape ops -----------------------------------------------------------
 
+    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
+        def bw(g, a=self):
+            a._accum(g.swapaxes(axis1, axis2))
+        return Tensor._op(self.data.swapaxes(axis1, axis2), (self,), bw)
+
     @property
     def T(self) -> "Tensor":
-        def bw(g, a=self):
-            a._accum(g.swapaxes(-1, -2))
-        return Tensor._op(self.data.swapaxes(-1, -2), (self,), bw)
+        return self.swapaxes(-1, -2)
 
     def reshape(self, *shape) -> "Tensor":
         old = self.data.shape
@@ -196,7 +208,7 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         x = self.data
-        inner = _GELU_C * (x + _GELU_A * x ** 3)
+        inner = _GELU_C * (x + _GELU_A * (x * x * x))
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
 
@@ -205,6 +217,26 @@ class Tensor:
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
             a._accum(g * local)
         return Tensor._op(out_data, (self,), bw)
+
+    def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float) -> "Tensor":
+        """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, as
+        one op; `gain` and `bias` have the width of that axis."""
+        x = self.data
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        std = (var + eps) ** 0.5
+        normed = centered / std
+
+        def bw(g, a=self, w=gain, b=bias):
+            if w.requires_grad:
+                w._accum(g * normed)
+            if b.requires_grad:
+                b._accum(g)
+            if a.requires_grad:
+                gn = g * w.data
+                a._accum((gn - gn.mean(axis=-1, keepdims=True)
+                          - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std)
+        return Tensor._op(normed * gain.data + bias.data, (self, gain, bias), bw)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         z = self.data - self.data.max(axis=axis, keepdims=True)

@@ -4,7 +4,9 @@ gradients, instantiated both as the ID generator and as the base recommender.
 Pre-norm transformer blocks, learned positional embeddings, and an output
 projection tied to the token embedding table. All math is float64; the same
 forward code runs training (trainable parameter wrappers) and inference
-(frozen wrappers, no graph construction).
+(frozen wrappers, no graph construction). Attention runs every head in one
+batched matmul over (heads, rows, dh) views and each layer norm is a single
+autograd op, so a pass builds few graph nodes whatever the head count.
 
 The decoder runs over a tree of rows: each row names its parent, sits at
 position = depth and attends only to its ancestors. A chain is ordinary
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, concat
+from .autograd import Tensor
 from .tokenizer import EOS_ID, PAD_ID
 
 
@@ -102,26 +104,23 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def _layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ((var + eps) ** 0.5) * gain + bias
+    return x.layer_norm(gain, bias, eps)
 
 
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
                heads: int, mask: np.ndarray | None = None) -> Tensor:
-    q = q_in @ pt[f"{prefix}_wq"]
-    k = kv_in @ pt[f"{prefix}_wk"]
-    v = kv_in @ pt[f"{prefix}_wv"]
-    dh = q.data.shape[-1] // heads
-    scale = 1.0 / math.sqrt(dh)
-    outs = []
-    for h in range(heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = (q[:, cols] @ k[:, cols].T) * scale
-        if mask is not None:
-            scores = scores + mask
-        outs.append(scores.softmax(axis=-1) @ v[:, cols])
-    return concat(outs, axis=1) @ pt[f"{prefix}_wo"]
+    """Multi-head attention with all heads in one batched matmul over
+    (heads, rows, dh) views of the projections."""
+    rows, width = q_in.data.shape[0], pt[f"{prefix}_wq"].data.shape[1]
+    keys, dh = kv_in.data.shape[0], width // heads
+    q = (q_in @ pt[f"{prefix}_wq"]).reshape(rows, heads, dh).swapaxes(0, 1)
+    k_t = (kv_in @ pt[f"{prefix}_wk"]).T.reshape(heads, dh, keys)
+    v = (kv_in @ pt[f"{prefix}_wv"]).reshape(keys, heads, dh).swapaxes(0, 1)
+    scores = (q @ k_t) * (1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = scores + mask
+    heads_out = scores.softmax(axis=-1) @ v
+    return heads_out.swapaxes(0, 1).reshape(rows, width) @ pt[f"{prefix}_wo"]
 
 
 def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -364,8 +363,12 @@ def apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | No
             grad = np.zeros_like(param)
         if grad.shape != param.shape:
             raise ShapeMismatch(f"gradient for {name!r} has shape {grad.shape}, expected {param.shape}")
-        m = state.m.setdefault(name, np.zeros_like(param))
-        v = state.v.setdefault(name, np.zeros_like(param))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(param)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(param)
         m *= beta1
         m += (1 - beta1) * grad
         v *= beta2

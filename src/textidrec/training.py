@@ -180,13 +180,14 @@ class _GradAccumulator:
         self.count = 0
 
     def add(self, grads: dict[str, np.ndarray | None]) -> None:
+        """Takes ownership of the arrays: they may be summed into in place."""
         for name, g in grads.items():
             if g is None:
                 continue
             if name in self.sums:
                 self.sums[name] += g
             else:
-                self.sums[name] = g.copy()
+                self.sums[name] = g
         self.count += 1
         if self.count >= self.batch_size:
             self.flush()
@@ -194,7 +195,10 @@ class _GradAccumulator:
     def flush(self) -> None:
         if self.count == 0:
             return
-        mean = {name: g / self.count for name, g in self.sums.items()}
+        if self.count == 1:
+            mean = self.sums  # x / 1 is exact
+        else:
+            mean = {name: g / self.count for name, g in self.sums.items()}
         apply_update(self.model.params, mean, self.opt, self.lr)
         self.sums = {}
         self.count = 0

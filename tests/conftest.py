@@ -122,5 +122,20 @@ def decoder_calls(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
+def autograd_ops(monkeypatch) -> list[int]:
+    """One-element counter of the `Tensor._op` calls (graph nodes built or
+    not) made while the test runs; reset it by assigning `[0] = 0`."""
+    count = [0]
+    original = Tensor._op
+
+    def counted(data, parents, backward):
+        count[0] += 1
+        return original(data, parents, backward)
+
+    monkeypatch.setattr(Tensor, "_op", staticmethod(counted))
+    return count
+
+
+@pytest.fixture
 def small_vocab() -> Vocabulary:
     return make_vocab(["red", "blue", "hat", "shoe", "green", "sock", "coat", "vest"])

@@ -21,17 +21,22 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 @pytest.mark.parametrize("op_name", ["matmul", "add_broadcast", "mul", "softmax",
                                      "log_softmax", "gelu", "getitem", "concat",
-                                     "mean", "pow", "div"])
+                                     "mean", "pow", "div", "swapaxes", "layer_norm"])
 def test_op_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     v = rng.normal(size=(4,))
+    w = rng.normal(size=(4,))
+    c = rng.normal(size=(2, 3, 4))
+    weights = rng.normal(size=(2, 3, 4))
 
     def build():
         ta = Tensor(a, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
         tv = Tensor(v, requires_grad=True)
+        tw = Tensor(w, requires_grad=True)
+        tc = Tensor(c, requires_grad=True)
         if op_name == "matmul":
             out = (ta @ tb).sum()
         elif op_name == "add_broadcast":
@@ -52,17 +57,64 @@ def test_op_gradients_match_finite_differences(op_name):
             out = (ta.mean(axis=-1, keepdims=True) * ta).sum()
         elif op_name == "pow":
             out = (((ta * ta) + 0.5) ** 0.5).sum()
+        elif op_name == "swapaxes":
+            out = ((tc.swapaxes(0, 1) @ tb).sum()
+                   + (tc.swapaxes(0, 2) * weights.swapaxes(0, 2)).sum())
+        elif op_name == "layer_norm":
+            out = (tc.layer_norm(tv, tw, 1e-6) * weights).sum()
         else:
             out = (ta / ((ta * ta) + 1.0)).sum()
-        return ta, tb, tv, out
+        return (ta, tb, tv, tw, tc), out
 
-    ta, tb, tv, out = build()
+    inputs, out = build()
     out.backward()
-    for tensor, arr in ((ta, a), (tb, b), (tv, v)):
+    for tensor, arr in zip(inputs, (a, b, v, w, c)):
         if tensor.grad is None:
             continue
-        fd = numeric_grad(lambda: build()[3].data.item(), arr)
+        fd = numeric_grad(lambda: build()[1].data.item(), arr)
         assert np.allclose(tensor.grad, fd, rtol=1e-5, atol=1e-7), op_name
+
+
+def composite_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer norm built from elementary ops: the reference for `layer_norm`."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / ((var + eps) ** 0.5) * gain + bias
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 8), (2, 3, 8)])
+def test_layer_norm_equals_composite(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape) * 3.0 + 1.0
+    gain, bias = rng.normal(size=shape[-1:]), rng.normal(size=shape[-1:])
+    weights = rng.normal(size=shape)
+    grads = []
+    for norm in (Tensor.layer_norm, composite_layer_norm):
+        tensors = [Tensor(arr, requires_grad=True) for arr in (x, gain, bias)]
+        out = norm(*tensors, 1e-6)
+        (out * weights).sum().backward()
+        grads.append((out.data, [t.grad for t in tensors]))
+    (fused, fused_grads), (reference, reference_grads) = grads
+    assert np.array_equal(fused, reference)
+    for got, want in zip(fused_grads, reference_grads):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_broadcast_operand_gets_grad_of_its_own_shape():
+    row = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True)
+    full = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    ((row + full) * 2.0).sum().backward()
+    assert row.grad.shape == (1, 3)
+    assert np.array_equal(row.grad, [[4.0, 4.0, 4.0]])
+    assert np.array_equal(full.grad, np.full((2, 3), 2.0))
+
+
+def test_first_gradient_write_does_not_alias_the_upstream_gradient():
+    x = Tensor(np.ones(3), requires_grad=True)
+    doubled = x + x  # x receives doubled.grad twice
+    (doubled * 1.0).sum().backward()
+    assert np.array_equal(doubled.grad, np.ones(3))
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_repeated_backward_is_idempotent():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import tiny_model
 from textidrec import model as model_module
-from textidrec.autograd import Tensor
+from textidrec.autograd import Tensor, concat
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
                              ShapeMismatch, VocabularyMismatch, apply_update,
                              expected_embedding, load_checkpoint, save_checkpoint)
@@ -115,6 +115,66 @@ def test_explicit_chain_parents_equal_causal_decoding():
     assert np.array_equal(causal, chain)
     with pytest.raises(ValueError):
         model.decoder_all_logits(state, ids, parents=[-1, 2, 1, 2])
+
+
+def per_head_attention(pt, prefix, q_in, kv_in, heads, mask=None):
+    """Reference multi-head attention: one slice, score and softmax per head."""
+    q = q_in @ pt[f"{prefix}_wq"]
+    k = kv_in @ pt[f"{prefix}_wk"]
+    v = kv_in @ pt[f"{prefix}_wv"]
+    dh = q.data.shape[-1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = (q[:, cols] @ k[:, cols].T) * (1.0 / math.sqrt(dh))
+        if mask is not None:
+            scores = scores + mask
+        outs.append(scores.softmax(axis=-1) @ v[:, cols])
+    return concat(outs, axis=1) @ pt[f"{prefix}_wo"]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["masked_self", "cross"])
+def test_batched_attention_matches_per_head_loop(heads, kind):
+    rng = np.random.default_rng(heads)
+    d, rows = 8, 5
+    keys = rows if kind == "masked_self" else 3
+    names = [f"att_w{x}" for x in "qkvo"]
+    arrays = {name: rng.normal(size=(d, d)) for name in names}
+    arrays["q_in"] = rng.normal(size=(rows, d))
+    arrays["kv_in"] = arrays["q_in"] if kind == "masked_self" else rng.normal(size=(keys, d))
+    mask = None
+    if kind == "masked_self":
+        _, mask = model_module._tree_layout(np.array([-1, 0, 1, 0, 3]))
+    weights = rng.normal(size=(rows, d))
+    results = []
+    for attention in (model_module._attention, per_head_attention):
+        pt = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+        kv_in = pt["q_in"] if kind == "masked_self" else pt["kv_in"]
+        out = attention(pt, "att", pt["q_in"], kv_in, heads, mask=mask)
+        (out * weights).sum().backward()
+        results.append((out.data, {name: t.grad for name, t in pt.items()}))
+    (batched, batched_grads), (reference, reference_grads) = results
+    assert batched.shape == (rows, d)
+    assert np.max(np.abs(batched - reference)) < 1e-12
+    for name, grad in reference_grads.items():
+        if grad is None:
+            assert batched_grads[name] is None, name
+        else:
+            assert np.max(np.abs(batched_grads[name] - grad)) < 1e-12, name
+
+
+def test_forward_pass_op_counts(autograd_ops):
+    """Guards the per-pass op budget at the default config: a per-head loop
+    or a composite layer norm would roughly double these counts."""
+    model = SequenceModel.init(ModelConfig(vocab_size=20))
+    for params in (None, model.trainable()):
+        autograd_ops[0] = 0
+        state = model.encode([3, 4, 5, 6, 7], params)
+        assert autograd_ops[0] <= 64
+        autograd_ops[0] = 0
+        model.decoder_all_logits(state, [0, 5, 6], params)
+        assert autograd_ops[0] <= 110
 
 
 def random_prefix_tree(rng: random.Random, vocab_size: int, n_seqs: int,

@@ -7,7 +7,8 @@ from textidrec import corpus, evaluation, synth, training
 from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id
 from textidrec.autograd import Tensor
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
-from textidrec.model import AdamState, ModelConfig, SequenceModel, expected_embedding
+from textidrec.model import (AdamState, ModelConfig, SequenceModel, apply_update,
+                             expected_embedding)
 from textidrec.prompting import ITEM_PLACEHOLDER, USER_PLACEHOLDER, Template, default_bank, render_prompt
 from textidrec.tokenizer import EOS_ID, build_vocab
 from textidrec.training import (CheckpointBundle, StaleRegistry, TrainConfig, TrainExample,
@@ -41,6 +42,29 @@ def fresh_bundle(split, vocab, seed=5, **model_kwargs):
                             AllocatorConfig(groups=4))
     return CheckpointBundle(rec=rec, rec_opt=AdamState(), idgen=idgen, idgen_opt=AdamState(),
                             registry=registry, vocab_hash=vocab.content_hash())
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_grad_accumulator_applies_the_batch_mean(batch_size):
+    rng = np.random.default_rng(batch_size)
+    model = SequenceModel.init(ModelConfig(vocab_size=6, d_model=4, layers=1, heads=1, ff_dim=4))
+    reference = {name: arr.copy() for name, arr in model.params.items()}
+    steps = [{name: rng.normal(size=arr.shape) for name, arr in model.params.items()}
+             for _ in range(4)]
+    steps[1]["tok_emb"] = None
+    accum = training._GradAccumulator(model, AdamState(), 0.01, batch_size)
+    for grads in steps:
+        accum.add({name: None if g is None else g.copy() for name, g in grads.items()})
+    accum.flush()
+    ref_opt = AdamState()
+    for lo in range(0, len(steps), batch_size):
+        batch = steps[lo:lo + batch_size]
+        mean = {}
+        for name in reference:
+            present = [g[name] for g in batch if g[name] is not None]
+            mean[name] = sum(present[1:], present[0].copy()) / len(batch) if present else None
+        apply_update(reference, mean, ref_opt, 0.01)
+    assert all(np.array_equal(model.params[name], reference[name]) for name in reference)
 
 
 def test_build_train_examples_expands_prefixes():
