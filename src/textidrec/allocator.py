@@ -5,7 +5,8 @@ Beams are partitioned into groups decoded sequentially; a group's candidate
 token is penalized by lambda times the number of times earlier groups chose
 that token at the same timestep (Hamming diversity). On full duplication the
 penalty escalates; when it tops out, the permissible length range advances
-and the penalty resets.
+and the penalty resets. Models provide `config`, `encode`, `prefix_logits`
+(the only step scorer) and `param_hash`.
 """
 
 from __future__ import annotations
@@ -138,16 +139,12 @@ class IdRegistry:
 def _step_logprobs(model, state, prefixes: list[tuple[int, ...]],
                    cache: dict | None) -> list[np.ndarray]:
     """Next-token log-probabilities after each prefix. Prefixes missing from
-    `cache` are scored together in one `prefix_logits` call; models without
-    `prefix_logits` are asked one prefix at a time."""
+    `cache` are scored together in one `prefix_logits` call."""
     cache = {} if cache is None else cache
     missing = [p for p in prefixes if p not in cache]
     if missing:
-        if hasattr(model, "prefix_logits"):
-            # copied rows: a view per row would keep its block array alive as well
-            rows = [row.copy() for row in log_softmax_rows(model.prefix_logits(state, missing))]
-        else:
-            rows = [model.next_token_logprobs(state, p) for p in missing]
+        # copied rows: a view per row would keep its block array alive as well
+        rows = [row.copy() for row in log_softmax_rows(model.prefix_logits(state, missing))]
         cache.update(zip(missing, rows))
     return [cache[p] for p in prefixes]
 
@@ -209,11 +206,10 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     return results
 
 
-def _decoder_capacity(model) -> int | None:
+def _decoder_capacity(model) -> int:
     """Longest ID the model can decode and score: max_tgt_len minus the EOS
     step consumed by teacher forcing."""
-    config = getattr(model, "config", None)
-    return None if config is None else config.max_tgt_len - 1
+    return model.config.max_tgt_len - 1
 
 
 def _ordinal_tokens(position: int, vocab_size: int) -> tuple[int, ...]:
@@ -244,7 +240,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     capacity = _decoder_capacity(model)
     usable_ranges = []
     for range_index, (lo, hi) in enumerate(config.length_ranges):
-        max_len = hi - 1 if capacity is None else min(hi - 1, capacity)
+        max_len = min(hi - 1, capacity)
         if lo <= max_len:
             usable_ranges.append((range_index, lo, max_len))
     if not usable_ranges:
@@ -297,11 +293,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
             attempt = 0
             while True:
                 suffix = _ordinal_tokens(position + attempt * len(items), vocab.size)
-                if capacity is not None and len(suffix) > capacity:
+                if len(suffix) > capacity:
                     raise IdSpaceExhausted(f"cannot disambiguate item {key!r} within "
                                            f"decoder capacity {capacity}")
-                keep = base if capacity is None else base[: capacity - len(suffix)]
-                tokens = keep + suffix
+                tokens = base[: capacity - len(suffix)] + suffix
                 if vocab.decode(tokens) not in taken:
                     break
                 attempt += 1
@@ -313,8 +308,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         taken.add(accepted.text)
         rows.append(AllocationRow(key=key, lam=accepted_lam, range_index=accepted_range))
 
-    registry = IdRegistry(ids=ids, rows=tuple(rows),
-                          generator_hash=getattr(model, "param_hash", lambda: None)())
+    registry = IdRegistry(ids=ids, rows=tuple(rows), generator_hash=model.param_hash())
     stats = registry.stats(lam_init=config.lam_init)
     if stats["fallback_count"]:
         log.warning("allocation used the ordinal fallback for %d items", int(stats["fallback_count"]))
@@ -334,10 +328,9 @@ def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,
     profile = "; ".join(history_texts)
     src = vocab.encode(profile, model.config.max_src_len)
     lo, hi = config.length_ranges[0]
-    capacity = _decoder_capacity(model)
-    max_len = hi - 1 if capacity is None else min(hi - 1, capacity)
+    max_len = min(hi - 1, _decoder_capacity(model))
     if lo > max_len:
-        raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {capacity}")
+        raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {max_len}")
     return diverse_beam_search(
         model, src, vocab,
         groups=1, beams_per_group=config.beams_per_group,

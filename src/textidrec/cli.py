@@ -225,10 +225,12 @@ def cmd_eval(args) -> int:
     bundle, vocab = CheckpointBundle.load(args.bundle)
     split = corpus.load_split(args.data)
     bank = _load_bank(args)
+    sections = _load_configs(args)
+    alloc_cfg = AllocatorConfig(**_dataclass_kwargs(AllocatorConfig, sections["allocator"]))
     beam_width = args.beam if args.beam and not args.exact else None
     report = evaluation.evaluate(bundle, split, vocab=vocab, bank=bank,
                                  normalize=not args.unnormalized_eq2,
-                                 beam_width=beam_width)
+                                 beam_width=beam_width, alloc_cfg=alloc_cfg)
     evaluation.save_report(report, args.out)
     print(_report_line(report))
     return EXIT_OK

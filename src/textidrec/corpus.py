@@ -77,6 +77,15 @@ class SplitDataset:
     valid: tuple[EvalPair, ...]
     test: tuple[EvalPair, ...]
 
+    def validate(self) -> None:
+        refs = [("train", log.user, log.items) for log in self.train]
+        refs += [(which, pair.user, pair.history + (pair.target,))
+                 for which in ("valid", "test") for pair in getattr(self, which)]
+        for which, user, keys in refs:
+            for key in keys:
+                if key not in self.items:
+                    raise DataFormatError(f"{which} entry for user {user!r} references unknown item {key!r}")
+
 
 @dataclass(frozen=True)
 class FusionSpec:
@@ -210,6 +219,23 @@ def _read_jsonl(path: Path) -> list[dict]:
     return rows
 
 
+def _read_items(path: Path) -> dict[str, ItemRecord]:
+    """The catalog in `items.jsonl`: one string `item` key and one
+    `metadata` object per row, keys unique."""
+    items: dict[str, ItemRecord] = {}
+    for row in _read_jsonl(path):
+        key = row.get("item") if isinstance(row, dict) else None
+        if not key or not isinstance(key, str):
+            raise DataFormatError(f"{path}: row without string 'item' field: {row!r}")
+        if key in items:
+            raise DataFormatError(f"{path}: duplicate item key {key!r}")
+        meta = row.get("metadata")
+        if not isinstance(meta, dict):
+            raise DataFormatError(f"{path}: item {key!r} has no 'metadata' object")
+        items[key] = ItemRecord(key=key, metadata=tuple((k, render_value(v)) for k, v in meta.items()))
+    return items
+
+
 def load_dataset(directory: str | Path, name: str | None = None) -> Dataset:
     """Load `items.jsonl` + `interactions.jsonl` from a directory.
 
@@ -222,15 +248,7 @@ def load_dataset(directory: str | Path, name: str | None = None) -> Dataset:
     for p in (items_path, inter_path):
         if not p.exists():
             raise FileNotFoundError(f"missing input file: {p}")
-    items: dict[str, ItemRecord] = {}
-    for row in _read_jsonl(items_path):
-        key = row.get("item")
-        if not key or not isinstance(key, str):
-            raise DataFormatError(f"{items_path}: row without string 'item' field: {row!r}")
-        if key in items:
-            raise DataFormatError(f"{items_path}: duplicate item key {key!r}")
-        meta = row.get("metadata", {})
-        items[key] = ItemRecord(key=key, metadata=tuple((k, render_value(v)) for k, v in meta.items()))
+    items = _read_items(items_path)
     logs = []
     for row in _read_jsonl(inter_path):
         user = row.get("user")
@@ -294,11 +312,7 @@ def load_split(directory: str | Path) -> SplitDataset:
     for fname in ("items.jsonl", "train.jsonl", "valid.jsonl", "test.jsonl"):
         if not (directory / fname).exists():
             raise FileNotFoundError(f"missing input file: {directory / fname}")
-    items: dict[str, ItemRecord] = {}
-    for row in _read_jsonl(directory / "items.jsonl"):
-        items[row["item"]] = ItemRecord(
-            key=row["item"], metadata=tuple((k, render_value(v)) for k, v in row["metadata"].items())
-        )
+    items = _read_items(directory / "items.jsonl")
     train = tuple(
         InteractionLog(user=row["user"], items=tuple(row["items"]))
         for row in _read_jsonl(directory / "train.jsonl")
@@ -311,7 +325,9 @@ def load_split(directory: str | Path) -> SplitDataset:
         )
     meta_path = directory / "dataset.json"
     name = json.loads(meta_path.read_text())["name"] if meta_path.exists() else directory.name
-    return SplitDataset(name=name, items=items, train=train, valid=pairs["valid"], test=pairs["test"])
+    split = SplitDataset(name=name, items=items, train=train, valid=pairs["valid"], test=pairs["test"])
+    split.validate()
+    return split
 
 
 def item_texts(items: dict[str, ItemRecord] | Iterable[ItemRecord]) -> list[tuple[str, str]]:

@@ -9,9 +9,10 @@ batched matmul over (heads, rows, dh) views and each layer norm is a single
 autograd op, so a pass builds few graph nodes whatever the head count.
 
 The decoder runs over a tree of rows: each row names its parent, sits at
-position = depth and attends only to its ancestors. A chain is ordinary
-causal decoding; a prefix tree scores many decoding prefixes in one pass
-(`prefix_logits`), which is how every constrained-decoding step is scored.
+position = depth and attends only to its ancestors. A chain is causal
+decoding (`sequence_nll`); a prefix tree scores many prefixes in one pass
+(`prefix_logits`, the only step scorer). Callers use four model members:
+`config`, `encode`, `prefix_logits` and `param_hash`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -190,39 +192,32 @@ class SequenceModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _encoder_core(self, x: Tensor, pt: dict[str, Tensor]) -> EncoderState:
+    def encode(self, src_ids, params: dict[str, Tensor] | None = None) -> EncoderState:
+        """Token embeddings plus positional embeddings through the encoder."""
+        pt = params if params is not None else self.frozen()
+        ids = np.array([int(t) for t in src_ids], dtype=np.int64)
+        return self.encode_embeddings(pt["tok_emb"][ids], pt)
+
+    def encode_embeddings(self, src_embs, params: dict[str, Tensor] | None = None) -> EncoderState:
+        """Same as `encode` but the token-embedding lookup is bypassed;
+        positional embeddings are still added."""
+        pt = params if params is not None else self.frozen()
         cfg = self.config
+        x = src_embs if isinstance(src_embs, Tensor) else Tensor(np.asarray(src_embs, dtype=np.float64))
+        length = x.data.shape[0]
+        if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
+            raise ShapeMismatch(f"expected (*, {cfg.d_model}) embeddings, got {x.data.shape}")
+        if length > cfg.max_src_len:
+            raise SequenceTooLong(f"source length {length} > max_src_len {cfg.max_src_len}")
+        if length == 0:
+            return EncoderState(ctx=Tensor(np.zeros((0, cfg.d_model))))
+        x = x + pt["src_pos"][:length]
         for i in range(cfg.layers):
             h = _layernorm(x, pt[f"enc{i}_ln1_g"], pt[f"enc{i}_ln1_b"])
             x = x + _attention(pt, f"enc{i}_self", h, h, cfg.heads)
             h = _layernorm(x, pt[f"enc{i}_ln2_g"], pt[f"enc{i}_ln2_b"])
             x = x + _feed_forward(pt, f"enc{i}_ff", h)
         return EncoderState(ctx=_layernorm(x, pt["enc_ln_g"], pt["enc_ln_b"]))
-
-    def encode(self, src_ids, params: dict[str, Tensor] | None = None) -> EncoderState:
-        """Token embeddings plus positional embeddings through the encoder."""
-        pt = params if params is not None else self.frozen()
-        ids = [int(t) for t in src_ids]
-        if len(ids) > self.config.max_src_len:
-            raise SequenceTooLong(f"source length {len(ids)} > max_src_len {self.config.max_src_len}")
-        if not ids:
-            return EncoderState(ctx=Tensor(np.zeros((0, self.config.d_model))))
-        x = pt["tok_emb"][np.array(ids)] + pt["src_pos"][: len(ids)]
-        return self._encoder_core(x, pt)
-
-    def encode_embeddings(self, src_embs, params: dict[str, Tensor] | None = None) -> EncoderState:
-        """Same as `encode` but the token-embedding lookup is bypassed;
-        positional embeddings are still added."""
-        pt = params if params is not None else self.frozen()
-        x = src_embs if isinstance(src_embs, Tensor) else Tensor(np.asarray(src_embs, dtype=np.float64))
-        length = x.data.shape[0]
-        if x.data.ndim != 2 or x.data.shape[1] != self.config.d_model:
-            raise ShapeMismatch(f"expected (*, {self.config.d_model}) embeddings, got {x.data.shape}")
-        if length > self.config.max_src_len:
-            raise SequenceTooLong(f"source length {length} > max_src_len {self.config.max_src_len}")
-        if length == 0:
-            return EncoderState(ctx=Tensor(np.zeros((0, self.config.d_model))))
-        return self._encoder_core(x + pt["src_pos"][:length], pt)
 
     def decoder_all_logits(self, state: EncoderState, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
@@ -267,9 +262,6 @@ class SequenceModel:
         given without their ancestors are allowed.
         """
         prefixes = [tuple(int(t) for t in p) for p in prefixes]
-        for p in prefixes:
-            if len(p) >= self.config.max_tgt_len:
-                raise SequenceTooLong(f"prefix length {len(p)} >= max_tgt_len {self.config.max_tgt_len}")
         out = np.empty((len(prefixes), self.config.vocab_size))
         rows: dict[tuple[int, ...], int] = {}  # prefix -> row of the current block
         tokens: list[int] = []
@@ -301,15 +293,6 @@ class SequenceModel:
         flush()
         return out
 
-    def decoder_logits(self, state: EncoderState, prefix,
-                       params: dict[str, Tensor] | None = None) -> Tensor:
-        """Logits for the next token after `prefix` (teacher-forced)."""
-        prefix = list(prefix)
-        if len(prefix) >= self.config.max_tgt_len:
-            raise SequenceTooLong(f"prefix length {len(prefix)} >= max_tgt_len {self.config.max_tgt_len}")
-        rows = self.decoder_all_logits(state, [PAD_ID] + prefix, params=params)
-        return rows[len(prefix)]
-
     def sequence_nll(self, state: EncoderState, target_ids,
                      params: dict[str, Tensor] | None = None) -> Tensor:
         """Teacher-forced negative log-likelihood summed over the target.
@@ -320,16 +303,10 @@ class SequenceModel:
         target = [int(t) for t in target_ids]
         if not target or target[-1] != EOS_ID:
             raise ValueError("target must be non-empty and end with EOS")
-        if len(target) > self.config.max_tgt_len:
-            raise SequenceTooLong(f"target length {len(target)} > max_tgt_len {self.config.max_tgt_len}")
         rows = self.decoder_all_logits(state, [PAD_ID] + target[:-1], params=params)
         logp = rows.log_softmax(axis=-1)
         picked = logp[(np.arange(len(target)), np.array(target))]
         return -picked.sum()
-
-    def next_token_logprobs(self, state: EncoderState, prefix) -> np.ndarray:
-        """Log-softmax over the vocabulary for the next token (inference path)."""
-        return log_softmax_rows(self.prefix_logits(state, [prefix])[0])
 
 
 def expected_embedding(logits: Tensor, emb: Tensor) -> Tensor:
@@ -399,7 +376,13 @@ def save_checkpoint(model: SequenceModel, opt: AdamState, vocab_hash: str, path:
 
 def load_checkpoint(path: str | Path,
                     expected_vocab_hash: str | None = None) -> tuple[SequenceModel, AdamState, str]:
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a readable checkpoint: {exc}") from exc
+    with data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"{path} is not a checkpoint: it has no __meta__ record")
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']} in {path}")

@@ -7,8 +7,8 @@ logits are masked to the trie's valid continuations and renormalized over
 that set (renormalization can be disabled for the masked-only variant).
 
 The step distributions of all inner trie nodes come from one table, built by
-scoring every inner node's prefix in a single tree-masked decoder pass
-(`SequenceModel.prefix_logits`); ranking, beam search, candidate scoring and
+one `prefix_logits` call (a single tree-masked decoder pass, the only model
+call besides `encode`); ranking, beam search, candidate scoring and
 single-step distributions all read that table, so their scores agree exactly.
 """
 
@@ -104,15 +104,8 @@ def valid_next(trie: PrefixTrie, prefix) -> set[int]:
 
 def _step_table(model, state, trie: PrefixTrie, normalize: bool) -> list[dict[int, float]]:
     """Log-probability of each valid child token at every inner trie node,
-    indexed by `TrieNode.row`: one `prefix_logits` call over the whole trie.
-
-    Models without `prefix_logits` are scored one prefix at a time through
-    `decoder_logits`.
-    """
-    if hasattr(model, "prefix_logits"):
-        logits = model.prefix_logits(state, trie.prefixes)
-    else:
-        logits = np.array([model.decoder_logits(state, p).data for p in trie.prefixes])
+    indexed by `TrieNode.row`: one `prefix_logits` call over the whole trie."""
+    logits = model.prefix_logits(state, trie.prefixes)
     rows, tokens = trie.edge_rows, trie.edge_tokens
     if normalize:
         scope = np.full_like(logits, -np.inf)

@@ -96,6 +96,9 @@ class CheckpointBundle:
         registry = None
         if (directory / "ids.tsv").exists():
             registry = IdRegistry.load_tsv(directory / "ids.tsv", vocab)
+            if registry.generator_hash != idgen.param_hash():
+                raise StaleRegistry(f"{directory / 'ids.tsv'} was not produced by the generator "
+                                    f"in {directory / 'idgen.ckpt'}")
         meta_path = directory / "bundle.json"
         iteration = json.loads(meta_path.read_text())["iteration"] if meta_path.exists() else 0
         bundle = cls(rec=rec, rec_opt=rec_opt, idgen=idgen, idgen_opt=idgen_opt,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from textidrec.autograd import Tensor
-from textidrec.model import ModelConfig, SequenceModel
+from textidrec.model import ModelConfig, SequenceModel, log_softmax_rows
 from textidrec.tokenizer import Vocabulary, build_vocab
 
 WORDS = ["alfa", "bravo", "coral", "delta", "echos", "fjord", "golfe", "hotel",
@@ -63,11 +63,12 @@ class ScriptedModel:
                 probs[token] = p
         return probs / probs.sum()
 
-    def decoder_logits(self, state, prefix, params=None) -> Tensor:
-        return Tensor(np.log(self._probs(prefix)))
-
-    def next_token_logprobs(self, state, prefix) -> np.ndarray:
+    def logits(self, state, prefix) -> np.ndarray:
+        """Next-token logits after one prefix; stubs override this hook."""
         return np.log(self._probs(prefix))
+
+    def prefix_logits(self, state, prefixes) -> np.ndarray:
+        return np.array([self.logits(state, p) for p in prefixes]).reshape(-1, self.vocab_size)
 
     def param_hash(self) -> str:
         return "scripted"
@@ -86,7 +87,7 @@ def vanilla_beam_search(model, src_ids, vocab, beam_width: int, max_len: int,
             break
         candidates = []
         for seq, score in beams:
-            logp = model.next_token_logprobs(state, seq)
+            logp = log_softmax_rows(model.prefix_logits(state, [seq]))[0]
             for token in range(len(logp)):
                 if token in (PAD_ID, UNK_ID):
                     continue

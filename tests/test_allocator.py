@@ -106,7 +106,7 @@ def test_allocate_distinct_dominant_tokens_no_escalation():
     texts = ["red", "blue", "hat", "shoe"]
 
     class PerSourceModel(ScriptedModel):
-        def next_token_logprobs(self, state, prefix):
+        def logits(self, state, prefix):
             tok = state.src[0]
             probs = np.full(self.vocab_size, 1e-9)
             if prefix:

@@ -1,8 +1,16 @@
 import json
 from pathlib import Path
 
-from textidrec.cli import main
+import numpy as np
+import pytest
+
+from textidrec import corpus, evaluation
+from textidrec.allocator import AllocatorConfig, allocate_all
+from textidrec.cli import _vocab_corpus, main
+from textidrec.model import AdamState, ModelConfig, SequenceModel
+from textidrec.prompting import default_bank
 from textidrec.tokenizer import build_vocab
+from textidrec.training import CheckpointBundle
 
 TINY_CONFIG = {
     "train": {"iterations": 1, "rec_epochs_per_iter": 2, "idgen_epochs_per_iter": 1},
@@ -20,6 +28,28 @@ def write_config(tmp_path: Path) -> Path:
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def untrained_bundle(tmp_path: Path) -> tuple[Path, Path]:
+    """An ingested synthetic split and a saved bundle of untrained models
+    whose registry comes from the bundled generator."""
+    raw, split_dir, final = tmp_path / "raw", tmp_path / "split", tmp_path / "final"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    assert run("ingest", "--data", raw, "--out", split_dir, "--k", 3) == 0
+    split = corpus.load_split(split_dir)
+    vocab = build_vocab(_vocab_corpus(split.items, default_bank()))
+    sizes = dict(TINY_CONFIG["model"], vocab_size=vocab.size)
+    rec, idgen = (SequenceModel.init(ModelConfig(seed=seed, **sizes)) for seed in (1, 2))
+    registry = allocate_all(idgen, corpus.item_texts(split.items), vocab, AllocatorConfig(groups=4))
+    CheckpointBundle(rec=rec, rec_opt=AdamState(), idgen=idgen, idgen_opt=AdamState(),
+                     registry=registry, vocab_hash=vocab.content_hash()).save(final, vocab=vocab)
+    return split_dir, final
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    return err
 
 
 def test_synth_and_ingest_idempotent(tmp_path):
@@ -142,3 +172,72 @@ def test_transfer_synth_writes_two_domains(tmp_path):
     items_a = [json.loads(l)["metadata"] for l in (out / "domain_a" / "items.jsonl").read_text().splitlines()]
     items_b = [json.loads(l)["metadata"] for l in (out / "domain_b" / "items.jsonl").read_text().splitlines()]
     assert items_a == items_b  # same texts, different keys
+
+
+def drop_first_metadata(split_dir: Path) -> None:
+    path = split_dir / "items.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    del rows[0]["metadata"]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+def retarget_first_test_pair(split_dir: Path) -> None:
+    path = split_dir / "test.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0]["target"] = "no-such-item"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("corrupt,expected", [(drop_first_metadata, "metadata"),
+                                              (retarget_first_test_pair, "no-such-item")])
+def test_eval_with_bad_split_exits_2(tmp_path, capsys, corrupt, expected):
+    split_dir, final = untrained_bundle(tmp_path)
+    corrupt(split_dir)
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    assert expected in one_line_error(capsys)
+
+
+def write_garbage(path: Path) -> None:
+    path.write_bytes(b"not a checkpoint at all" * 8)
+
+
+def write_npz_without_meta(path: Path) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"p:tok_emb": np.zeros((2, 2))})
+
+
+@pytest.mark.parametrize("corrupt", [write_garbage, write_npz_without_meta])
+def test_eval_with_corrupt_checkpoint_names_the_file(tmp_path, capsys, corrupt):
+    split_dir, final = untrained_bundle(tmp_path)
+    corrupt(final / "rec.ckpt")
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    err = one_line_error(capsys)
+    assert str(final / "rec.ckpt") in err and "checkpoint" in err
+
+
+def test_eval_with_registry_from_another_generator_exits_3(tmp_path, capsys):
+    split_dir, final = untrained_bundle(tmp_path)
+    ids = final / "ids.tsv"
+    header, rest = ids.read_text().split("\n", 1)
+    assert header.startswith("#generator_hash=")
+    ids.write_text("#generator_hash=" + "0" * 64 + "\n" + rest)
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 3
+    assert "ids.tsv" in one_line_error(capsys)
+
+
+def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
+    split_dir, final = untrained_bundle(tmp_path)
+    seen = {}
+
+    def fake_evaluate(bundle, split, **kwargs):
+        seen.update(kwargs)
+        return evaluation.EvalReport(dataset=split.name, mode="standard", user_count=0,
+                                     hr={}, ndcg={}, ranks=())
+
+    monkeypatch.setattr(evaluation, "evaluate", fake_evaluate)
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json",
+               "--config", write_config(tmp_path)) == 0
+    assert seen["alloc_cfg"] == AllocatorConfig(groups=4)

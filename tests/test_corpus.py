@@ -179,6 +179,18 @@ def test_load_dataset_rejects_unknown_item(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("fname,field", [("train", "items"), ("valid", "history"),
+                                         ("test", "target")])
+def test_load_split_rejects_unknown_references(tmp_path, fname, field):
+    save_split(leave_one_out_split(make_dataset({"u0": ["a", "b", "c", "d"]})), tmp_path)
+    path = tmp_path / f"{fname}.jsonl"
+    row = json.loads(path.read_text())
+    row[field] = "zzz" if field == "target" else ["zzz"]
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DataFormatError, match="zzz"):
+        load_split(tmp_path)
+
+
 def test_split_files_round_trip(tmp_path):
     ds = make_dataset({"u0": ["a", "b", "c", "d"], "u1": ["b", "a", "d", "c"]})
     split = leave_one_out_split(ds)

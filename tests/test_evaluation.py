@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_vocab
+from conftest import ScriptedModel, make_vocab
 from textidrec import corpus, synth
 from textidrec.allocator import AllocatorConfig, allocate_all
 from textidrec.evaluation import (EvalReport, RankResult, TargetMissing, aggregate,
@@ -116,29 +116,24 @@ def test_perfect_scorer_scores_one():
     keys = list(registry.ids)
     next_key = {keys[i]: keys[(i + 1) % len(keys)] for i in range(len(keys))}
 
-    class OracleModel:
-        config = bundle.rec.config
-
-        def encode(self, src_ids):
-            return tuple(src_ids)
-
-        def decoder_logits(self, state, prefix, params=None):
-            from textidrec.autograd import Tensor
+    class OracleModel(ScriptedModel):
+        def logits(self, state, prefix):
             logits = np.zeros(vocab.size)
-            last_history_token = state[-0:]  # unused; kept simple
             # find which item's ID ends the prompt
             for key, tid in registry.ids.items():
                 n = len(tid.tokens)
-                if tuple(state[len(state) - n:]) == tid.tokens:
+                if state.src[len(state.src) - n:] == tid.tokens:
                     want = registry.ids[next_key[key]]
                     path = want.tokens + (1,)
                     idx = len(prefix)
                     if idx < len(path) and tuple(prefix) == path[:idx]:
                         logits[path[idx]] = 50.0
                     break
-            return Tensor(logits)
+            return logits
 
-    bundle.rec = OracleModel()
+    oracle = OracleModel(vocab.size, {})
+    oracle.config = bundle.rec.config
+    bundle.rec = oracle
     # histories in this toy end right at the prompt tail only when the
     # template suffix is empty, so craft an item-only suffix-free template
     from textidrec.prompting import Template

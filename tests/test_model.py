@@ -10,8 +10,9 @@ from textidrec import model as model_module
 from textidrec.autograd import Tensor, concat
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
                              ShapeMismatch, VocabularyMismatch, apply_update,
-                             expected_embedding, load_checkpoint, save_checkpoint)
-from textidrec.tokenizer import EOS_ID
+                             expected_embedding, load_checkpoint, log_softmax_rows,
+                             save_checkpoint)
+from textidrec.tokenizer import EOS_ID, PAD_ID
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -49,8 +50,13 @@ def test_encode_deterministic_and_position_sensitive():
 def test_encode_empty_and_too_long():
     model = tiny_model(vocab_size=12, max_src_len=4)
     assert model.encode([]).length == 0
+    assert model.encode_embeddings(np.zeros((0, 16))).length == 0
+    assert model.encode([3, 3, 3, 3]).length == 4
+    assert model.encode_embeddings(np.zeros((4, 16))).length == 4
     with pytest.raises(SequenceTooLong):
         model.encode([3, 3, 3, 3, 3])
+    with pytest.raises(SequenceTooLong):
+        model.encode_embeddings(np.zeros((5, 16)))
 
 
 def test_encode_embeddings_equals_encode_on_gathered_rows():
@@ -85,10 +91,10 @@ def test_encode_embeddings_input_gradient_matches_fd():
         assert abs(fd - inp.grad[idx]) / max(abs(fd), abs(inp.grad[idx]), 1e-8) < 1e-4
 
 
-def test_decoder_logits_shape_and_normalization():
+def test_prefix_logits_shape_and_normalization():
     model = tiny_model(vocab_size=17)
     state = model.encode([3, 4, 5])
-    row = model.decoder_logits(state, [6]).data
+    row = model.prefix_logits(state, [[6]])[0]
     assert row.shape == (17,)
     assert np.all(np.isfinite(row))
     z = row - row.max()
@@ -99,11 +105,10 @@ def test_decoder_logits_shape_and_normalization():
 def test_decoder_prefix_sensitivity_and_capacity():
     model = tiny_model(vocab_size=12, max_tgt_len=4)
     state = model.encode([3])
-    empty = model.decoder_logits(state, []).data
-    extended = model.decoder_logits(state, [5]).data
+    empty, extended = model.prefix_logits(state, [[], [5]])
     assert not np.allclose(empty, extended)
     with pytest.raises(SequenceTooLong):
-        model.decoder_logits(state, [5, 5, 5, 5])
+        model.prefix_logits(state, [[5, 5, 5, 5]])
 
 
 def test_explicit_chain_parents_equal_causal_decoding():
@@ -191,7 +196,8 @@ def assert_rows_match_per_prefix(model, state, prefixes) -> None:
     rows = model.prefix_logits(state, prefixes)
     assert rows.shape == (len(prefixes), model.config.vocab_size)
     for prefix, row in zip(prefixes, rows):
-        assert np.max(np.abs(row - model.decoder_logits(state, prefix).data)) < 1e-12
+        causal = model.decoder_all_logits(state, (PAD_ID, *prefix)).data[-1]
+        assert np.max(np.abs(row - causal)) < 1e-12
 
 
 @pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
@@ -255,7 +261,7 @@ def test_sequence_nll_equals_product_of_step_probs():
     nll = model.sequence_nll(state, target).data.item()
     logp = 0.0
     for i, tok in enumerate(target):
-        step = model.next_token_logprobs(state, target[:i])
+        step = log_softmax_rows(model.prefix_logits(state, [target[:i]]))[0]
         logp += step[tok]
     assert abs(math.exp(-nll) - math.exp(logp)) < 1e-12
 
@@ -265,6 +271,14 @@ def test_sequence_nll_requires_eos():
     state = model.encode([3])
     with pytest.raises(ValueError):
         model.sequence_nll(state, [4, 5])
+
+
+def test_sequence_nll_length_boundary():
+    model = tiny_model(vocab_size=9, max_tgt_len=4)
+    state = model.encode([3])
+    assert np.isfinite(model.sequence_nll(state, [4, 5, 6, EOS_ID]).data.item())
+    with pytest.raises(SequenceTooLong):
+        model.sequence_nll(state, [4, 5, 6, 7, EOS_ID])
 
 
 def test_exhaustive_sequence_mass_is_one():
@@ -281,7 +295,7 @@ def test_exhaustive_sequence_mass_is_one():
     for body in itertools.product(non_eos, repeat=capacity):
         logp = 0.0
         for i, tok in enumerate(body):
-            logp += model.next_token_logprobs(state, list(body[:i]))[tok]
+            logp += log_softmax_rows(model.prefix_logits(state, [body[:i]]))[0][tok]
         total += math.exp(logp)
     assert abs(total - 1.0) < 1e-9
 

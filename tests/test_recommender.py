@@ -10,7 +10,7 @@ from textidrec.prompting import Prompt
 from textidrec.recommender import (DeadEnd, UnknownId, build_trie, constrained_beam_search,
                                    constrained_distribution, rank_all, score_candidate,
                                    valid_next)
-from textidrec.tokenizer import EOS_ID
+from textidrec.tokenizer import EOS_ID, PAD_ID
 
 
 def registry_from(vocab, texts_by_key: dict[str, str]) -> IdRegistry:
@@ -62,17 +62,16 @@ def test_constrained_distribution_matches_softmax_oracle():
     reg = registry_from(vocab, {"a": "red", "b": "blue", "c": "hat"})
     trie = build_trie(reg)
     rng = np.random.default_rng(3)
-    logits = rng.normal(size=vocab.size)
+    fixed = rng.normal(size=vocab.size)
 
     class FixedLogits(ScriptedModel):
-        def decoder_logits(self, state, prefix, params=None):
-            from textidrec.autograd import Tensor
-            return Tensor(logits)
+        def logits(self, state, prefix):
+            return fixed
 
     model = FixedLogits(vocab.size, {})
     dist = constrained_distribution(model, model.encode([3]), [], trie)
     tokens = sorted(valid_next(trie, []))
-    sub = np.exp(logits[tokens] - logits[tokens].max())
+    sub = np.exp(fixed[tokens] - fixed[tokens].max())
     expected = sub / sub.sum()
     for tok, p in zip(tokens, expected):
         assert abs(dist[tok] - p) < 1e-12
@@ -166,13 +165,12 @@ def test_rank_is_invariant_to_monotone_score_transform():
     reg = registry_from(vocab, {"a": "red", "b": "blue", "c": "hat"})
     trie = build_trie(reg)
     rng = np.random.default_rng(8)
-    logits = rng.normal(size=vocab.size)
+    fixed = rng.normal(size=vocab.size)
 
     def ranking(shift):
         class FixedLogits(ScriptedModel):
-            def decoder_logits(self, state, prefix, params=None):
-                from textidrec.autograd import Tensor
-                return Tensor(logits + shift)
+            def logits(self, state, prefix):
+                return fixed + shift
 
         model = FixedLogits(vocab.size, {})
         return [k for k, _ in rank_all(model, empty_prompt(), reg, trie)]
@@ -192,13 +190,13 @@ def test_beam_search_tie_break_and_bounds():
 
 
 def reference_rank(model, state, trie):
-    """Per-node walk: one `decoder_logits` call per inner trie node, the
+    """Per-node walk: one causal decoder pass per inner trie node, the
     constrained distribution renormalized over the node's children."""
     results = []
     stack = [(trie.root, (), 0.0)]
     while stack:
         node, prefix, score = stack.pop()
-        logits = model.decoder_logits(state, prefix).data
+        logits = model.decoder_all_logits(state, (PAD_ID, *prefix)).data[-1]
         tokens = sorted(node.children)
         sub = logits[tokens]
         lse = sub.max() + math.log(np.exp(sub - sub.max()).sum())
