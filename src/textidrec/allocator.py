@@ -1,19 +1,23 @@
 """Textual ID allocation: diverse beam search with an escalating diversity
 penalty assigns every item a short, unique, human-vocabulary ID.
 
-Beams are partitioned into groups decoded sequentially; a group's candidate
-token is penalized by lambda times the number of times earlier groups chose
-that token at the same timestep (Hamming diversity). On full duplication the
-penalty escalates; when it tops out, the permissible length range advances
-and the penalty resets. Models provide `config`, `encode`, `prefix_logits`
-(the only step scorer) and `param_hash`.
+Beams are partitioned into groups that advance in lockstep: at each timestep
+one scoring call covers every live beam of every group, then the groups pick
+their tokens in group order, each penalizing a candidate token by lambda
+times the number of times earlier groups chose it at this timestep (Hamming
+diversity). This equals decoding the groups one after another: a group's
+beams at step t are fixed when step t-1 ends, and only its penalty depends
+on what earlier groups pick at step t. On full duplication the penalty
+escalates; when it tops out, the permissible length range advances and the
+penalty resets. Models provide `config`, `encode`, `prefix_logits` (the only
+step scorer) and `param_hash`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from collections import Counter
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,16 +141,19 @@ class IdRegistry:
 
 
 def _step_logprobs(model, state, prefixes: list[tuple[int, ...]],
-                   cache: dict | None) -> list[np.ndarray]:
-    """Next-token log-probabilities after each prefix. Prefixes missing from
-    `cache` are scored together in one `prefix_logits` call."""
+                   cache: dict | None) -> np.ndarray:
+    """Next-token log-probabilities after each prefix, one row per prefix.
+
+    Prefixes missing from `cache` are scored together in one `prefix_logits`
+    call. The cache maps a prefix to (block, row) of that call's log-softmax
+    block, so each block is stored once rather than copied row by row.
+    """
     cache = {} if cache is None else cache
-    missing = [p for p in prefixes if p not in cache]
+    missing = list(dict.fromkeys(p for p in prefixes if p not in cache))
     if missing:
-        # copied rows: a view per row would keep its block array alive as well
-        rows = [row.copy() for row in log_softmax_rows(model.prefix_logits(state, missing))]
-        cache.update(zip(missing, rows))
-    return [cache[p] for p in prefixes]
+        block = log_softmax_rows(model.prefix_logits(state, missing))
+        cache.update((p, (block, row)) for row, p in enumerate(missing))
+    return np.stack([block[row] for block, row in map(cache.__getitem__, prefixes)])
 
 
 def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
@@ -158,58 +165,56 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     Group g's candidate token score is its log-probability minus `lam` times
     the number of times earlier groups selected that token at the same
     timestep. PAD and UNK are banned everywhere; EOS is banned while the
-    sequence is shorter than `min_len`.
+    sequence is shorter than `min_len`. All groups advance in lockstep: one
+    scoring call per timestep covers every live beam, then the groups pick
+    their tokens in order.
     """
-    if lam < 0 or max_len < 1 or min_len < 1:
-        raise ValueError("lam must be >= 0 and max_len/min_len >= 1")
+    if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
+        raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
     if state is None:
         state = model.encode(src_ids)
-    chosen_at: list[Counter] = [Counter() for _ in range(max_len)]
-    results: list[TextualId] = []
-    for g in range(groups):
-        beams: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-        completed: list[tuple[float, tuple[int, ...]]] = []
-        for t in range(max_len):
-            if not beams:
-                break
-            candidates: list[tuple[float, tuple[int, ...], int]] = []
-            step = _step_logprobs(model, state, [seq for seq, _ in beams], logprob_cache)
-            for (seq, score), logprobs in zip(beams, step):
-                adjusted = logprobs.copy()
-                adjusted[PAD_ID] = -np.inf
-                adjusted[UNK_ID] = -np.inf
-                if len(seq) < min_len:
-                    adjusted[EOS_ID] = -np.inf
-                if g > 0:
-                    for token, count in chosen_at[t].items():
-                        adjusted[token] -= lam * count
-                # stable argsort: equal scores resolve to the smaller token id
-                order = np.argsort(-adjusted, kind="stable")[:beams_per_group]
-                for token in order:
-                    if np.isfinite(adjusted[token]):
-                        candidates.append((score + adjusted[token], seq, int(token)))
+    beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
+    completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
+    beam_rows = np.arange(beams_per_group)[:, None]
+    for t in range(max_len):
+        if not any(beams):
+            break
+        stack = _step_logprobs(model, state, [seq for group in beams for seq, _ in group],
+                               logprob_cache)
+        stack[:, [PAD_ID, UNK_ID]] = -np.inf
+        if t < min_len:  # every live beam holds exactly t tokens
+            stack[:, EOS_ID] = -np.inf
+        counts = np.zeros(stack.shape[1])  # picks at step t by the groups done so far
+        row = 0
+        for g in range(groups):
+            if not beams[g]:
+                continue
+            n = len(beams[g])
+            adjusted = stack[row:row + n] - lam * counts
+            row += n
+            # stable argsort: equal scores resolve to the smaller token id
+            order = (-adjusted).argsort(axis=1, kind="stable")[:, :beams_per_group]
+            best = adjusted[beam_rows[:n], order].tolist()
+            candidates = [(score + value, seq, token)
+                          for (seq, score), values, tokens in zip(beams[g], best, order.tolist())
+                          for value, token in zip(values, tokens) if math.isfinite(value)]
             candidates.sort(key=lambda c: (-c[0], c[1] + (c[2],)))
-            selected = candidates[:beams_per_group]
-            beams = []
-            for total, seq, token in selected:
-                chosen_at[t][token] += 1
+            beams[g] = []
+            for total, seq, token in candidates[:beams_per_group]:
+                counts[token] += 1
                 if token == EOS_ID:
-                    completed.append((total, seq))
+                    completed[g].append((total, seq))
                 else:
-                    beams.append((seq + (token,), total))
-        completed.extend((score, seq) for seq, score in beams)  # hit max_len
-        if not completed:
+                    beams[g].append((seq + (token,), total))
+    results: list[TextualId] = []
+    for group_beams, done in zip(beams, completed):
+        done.extend((score, seq) for seq, score in group_beams)  # hit max_len
+        if not done:
             raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
-        completed.sort(key=lambda c: (-c[0], c[1]))
-        best = completed[0][1]
-        results.append(TextualId(tokens=best, text=vocab.decode(best)))
+        done.sort(key=lambda c: (-c[0], c[1]))
+        best_seq = done[0][1]
+        results.append(TextualId(tokens=best_seq, text=vocab.decode(best_seq)))
     return results
-
-
-def _decoder_capacity(model) -> int:
-    """Longest ID the model can decode and score: max_tgt_len minus the EOS
-    step consumed by teacher forcing."""
-    return model.config.max_tgt_len - 1
 
 
 def _ordinal_tokens(position: int, vocab_size: int) -> tuple[int, ...]:
@@ -237,7 +242,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     """
     if not items:
         raise ValueError("items must be non-empty")
-    capacity = _decoder_capacity(model)
+    capacity = model.config.max_tgt_len - 1  # teacher forcing spends one step on EOS
     usable_ranges = []
     for range_index, (lo, hi) in enumerate(config.length_ranges):
         max_len = min(hi - 1, capacity)
@@ -328,7 +333,7 @@ def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,
     profile = "; ".join(history_texts)
     src = vocab.encode(profile, model.config.max_src_len)
     lo, hi = config.length_ranges[0]
-    max_len = min(hi - 1, _decoder_capacity(model))
+    max_len = min(hi - 1, model.config.max_tgt_len - 1)  # one step is left for EOS
     if lo > max_len:
         raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {max_len}")
     return diverse_beam_search(

@@ -66,10 +66,12 @@ class Tensor:
     @staticmethod
     def _op(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+        for p in parents:  # a plain loop: cheaper than any() over a generator
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -221,9 +223,11 @@ class Tensor:
     def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float) -> "Tensor":
         """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, as
         one op; `gain` and `bias` have the width of that axis."""
+        # np.add.reduce(...) / n is what ndarray.mean computes, without its wrapper
         x = self.data
-        centered = x - x.mean(axis=-1, keepdims=True)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+        n = x.shape[-1]
+        centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
         std = (var + eps) ** 0.5
         normed = centered / std
 
@@ -234,8 +238,8 @@ class Tensor:
                 b._accum(g)
             if a.requires_grad:
                 gn = g * w.data
-                a._accum((gn - gn.mean(axis=-1, keepdims=True)
-                          - normed * (gn * normed).mean(axis=-1, keepdims=True)) / std)
+                a._accum((gn - np.add.reduce(gn, axis=-1, keepdims=True) / n
+                          - normed * (np.add.reduce(gn * normed, axis=-1, keepdims=True) / n)) / std)
         return Tensor._op(normed * gain.data + bias.data, (self, gain, bias), bw)
 
     def softmax(self, axis: int = -1) -> "Tensor":

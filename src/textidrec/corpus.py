@@ -53,7 +53,7 @@ class Dataset:
     def validate(self) -> None:
         for log in self.logs:
             for key in log.items:
-                if key not in self.items:
+                if not isinstance(key, str) or key not in self.items:
                     raise DataFormatError(f"log for user {log.user!r} references unknown item {key!r}")
 
 
@@ -83,7 +83,7 @@ class SplitDataset:
                  for which in ("valid", "test") for pair in getattr(self, which)]
         for which, user, keys in refs:
             for key in keys:
-                if key not in self.items:
+                if not isinstance(key, str) or key not in self.items:
                     raise DataFormatError(f"{which} entry for user {user!r} references unknown item {key!r}")
 
 
@@ -251,8 +251,7 @@ def load_dataset(directory: str | Path, name: str | None = None) -> Dataset:
     items = _read_items(items_path)
     logs = []
     for row in _read_jsonl(inter_path):
-        user = row.get("user")
-        seq = row.get("items")
+        user, seq = (row.get("user"), row.get("items")) if isinstance(row, dict) else (None, None)
         if not user or not isinstance(seq, list) or not seq:
             raise DataFormatError(f"{inter_path}: row needs 'user' and non-empty 'items': {row!r}")
         ts = row.get("timestamps")
@@ -307,6 +306,21 @@ def save_split(split: SplitDataset, directory: str | Path) -> None:
     (directory / "dataset.json").write_text(json.dumps({"name": split.name}) + "\n", encoding="utf-8")
 
 
+_SPLIT_FIELD_TYPES = {"items": list, "history": list, "target": str}
+
+
+def _split_rows(path: Path, *fields: str) -> list[dict]:
+    """The rows of a split file: JSON objects with a non-empty `user` and
+    each of `fields` (`items` and `history` lists, `target` a string)."""
+    rows = _read_jsonl(path)
+    for row in rows:
+        if not (isinstance(row, dict) and row.get("user")
+                and all(isinstance(row.get(f), _SPLIT_FIELD_TYPES[f]) for f in fields)):
+            wanted = ", ".join(map(repr, ("user", *fields)))
+            raise DataFormatError(f"{path}: row needs {wanted}: {row!r}")
+    return rows
+
+
 def load_split(directory: str | Path) -> SplitDataset:
     directory = Path(directory)
     for fname in ("items.jsonl", "train.jsonl", "valid.jsonl", "test.jsonl"):
@@ -315,13 +329,13 @@ def load_split(directory: str | Path) -> SplitDataset:
     items = _read_items(directory / "items.jsonl")
     train = tuple(
         InteractionLog(user=row["user"], items=tuple(row["items"]))
-        for row in _read_jsonl(directory / "train.jsonl")
+        for row in _split_rows(directory / "train.jsonl", "items")
     )
     pairs = {}
     for fname in ("valid", "test"):
         pairs[fname] = tuple(
             EvalPair(user=row["user"], history=tuple(row["history"]), target=row["target"])
-            for row in _read_jsonl(directory / f"{fname}.jsonl")
+            for row in _split_rows(directory / f"{fname}.jsonl", "history", "target")
         )
     meta_path = directory / "dataset.json"
     name = json.loads(meta_path.read_text())["name"] if meta_path.exists() else directory.name

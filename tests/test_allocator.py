@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import WORDS, ScriptedModel, make_vocab, tiny_model, vanilla_beam_search
 from textidrec.allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all,
                                  diverse_beam_search, generate_user_id)
-from textidrec.tokenizer import EOS_ID
+from textidrec.model import log_softmax_rows
+from textidrec.tokenizer import EOS_ID, PAD_ID, UNK_ID
 
 
 def token(vocab, word):
@@ -37,21 +40,104 @@ def test_high_penalty_moves_second_group_off_the_top_token():
     assert out[1].text == "blue"
 
 
-def test_each_group_step_is_at_most_one_decoder_pass(decoder_calls):
+def test_each_dbs_step_is_at_most_one_decoder_pass(decoder_calls):
     vocab = make_vocab(WORDS[:8])
     model = tiny_model(vocab_size=vocab.size, seed=2)
     state = model.encode([3, 4])
-    groups, max_len = 2, 5
-    kwargs = dict(groups=groups, beams_per_group=3, lam=1.0, max_len=max_len, state=state)
+    max_len = 5
+    kwargs = dict(groups=3, beams_per_group=3, lam=1.0, max_len=max_len, state=state)
     uncached = diverse_beam_search(model, None, vocab, **kwargs)
-    assert 0 < len(decoder_calls) <= groups * max_len
+    assert 0 < len(decoder_calls) <= max_len
     decoder_calls.clear()
     cache: dict = {}
     assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
-    assert len(decoder_calls) <= groups * max_len
+    assert len(decoder_calls) <= max_len
+    # the cache holds each pass's block once, not a copy per prefix
+    assert len({id(block) for block, _ in cache.values()}) == len(decoder_calls)
     decoder_calls.clear()
     assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
     assert decoder_calls == []
+
+
+def sequential_dbs(model, state, *, groups, beams_per_group, lam, max_len, min_len=1):
+    """Reference diverse beam search that decodes each group to the end before
+    the next one starts, one beam at a time (the allocator's loop before it
+    moved to lockstep). Returns each group's best token sequence."""
+    chosen_at = [Counter() for _ in range(max_len)]
+    results = []
+    for g in range(groups):
+        beams = [((), 0.0)]
+        completed = []
+        for t in range(max_len):
+            if not beams:
+                break
+            candidates = []
+            step = log_softmax_rows(model.prefix_logits(state, [seq for seq, _ in beams]))
+            for (seq, score), logprobs in zip(beams, step):
+                adjusted = logprobs.copy()
+                adjusted[PAD_ID] = -np.inf
+                adjusted[UNK_ID] = -np.inf
+                if len(seq) < min_len:
+                    adjusted[EOS_ID] = -np.inf
+                if g > 0:
+                    for tok, count in chosen_at[t].items():
+                        adjusted[tok] -= lam * count
+                for tok in np.argsort(-adjusted, kind="stable")[:beams_per_group]:
+                    if np.isfinite(adjusted[tok]):
+                        candidates.append((score + adjusted[tok], seq, int(tok)))
+            candidates.sort(key=lambda c: (-c[0], c[1] + (c[2],)))
+            beams = []
+            for total, seq, tok in candidates[:beams_per_group]:
+                chosen_at[t][tok] += 1
+                if tok == EOS_ID:
+                    completed.append((total, seq))
+                else:
+                    beams.append((seq + (tok,), total))
+        completed.extend((score, seq) for seq, score in beams)
+        completed.sort(key=lambda c: (-c[0], c[1]))
+        results.append(completed[0][1])
+    return results
+
+
+def assert_lockstep_equals_sequential(model, vocab, state, groups, beams_per_group):
+    shared: dict = {}
+    for lam in (0.0, 0.5, 3.0):
+        for min_len in (1, 3):
+            kwargs = dict(groups=groups, beams_per_group=beams_per_group, lam=lam,
+                          max_len=5, min_len=min_len)
+            reference = sequential_dbs(model, state, **kwargs)
+            for cache in (None, shared):
+                out = diverse_beam_search(model, None, vocab, state=state,
+                                          logprob_cache=cache, **kwargs)
+                assert [c.tokens for c in out] == reference, (kwargs, cache is None)
+
+
+@pytest.mark.parametrize("groups", [1, 3, 10])
+@pytest.mark.parametrize("beams_per_group", [1, 2, 3])
+def test_lockstep_dbs_equals_group_sequential_reference(groups, beams_per_group):
+    rng = np.random.default_rng(100 * groups + beams_per_group)
+    for _ in range(2):
+        vocab_size = int(rng.integers(6, 12))
+        vocab = make_vocab(WORDS[: vocab_size - 3])
+        model = tiny_model(vocab_size=vocab_size, seed=int(rng.integers(10_000)),
+                           d_model=8, heads=2, ff_dim=8, max_tgt_len=6)
+        state = model.encode(list(rng.integers(3, vocab_size, size=4)))
+        assert_lockstep_equals_sequential(model, vocab, state, groups, beams_per_group)
+
+
+@pytest.mark.parametrize("groups", [1, 3, 10])
+@pytest.mark.parametrize("beams_per_group", [1, 2, 3])
+def test_lockstep_dbs_equals_reference_on_exact_ties(groups, beams_per_group):
+    # unlisted prefixes are uniform, so most candidates tie exactly and only
+    # the tie order (smaller token, then smaller sequence) decides
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red, blue = token(vocab, "red"), token(vocab, "blue")
+    model = ScriptedModel(vocab.size, {
+        (): {red: 0.3, blue: 0.3, EOS_ID: 0.3},
+        (red,): {EOS_ID: 0.5, blue: 0.5},
+        (blue, red): {EOS_ID: 1.0},
+    })
+    assert_lockstep_equals_sequential(model, vocab, model.encode([3]), groups, beams_per_group)
 
 
 def test_single_group_equals_vanilla_beam_search():
@@ -80,6 +166,14 @@ def test_min_len_bans_early_eos():
     out = diverse_beam_search(model, [3], vocab, groups=1, beams_per_group=1,
                               lam=1.0, max_len=5, min_len=2)
     assert len(out[0].tokens) >= 2
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("inf"), float("nan")])
+def test_dbs_rejects_a_negative_or_non_finite_penalty(lam):
+    vocab = make_vocab(["red", "blue"])
+    with pytest.raises(ValueError, match="lam"):
+        diverse_beam_search(ScriptedModel(vocab.size, {}), [3], vocab, groups=2,
+                            beams_per_group=1, lam=lam, max_len=3)
 
 
 def test_allocate_escalates_on_duplicate_metadata():

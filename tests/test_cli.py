@@ -70,6 +70,16 @@ def test_ingest_missing_input_exits_2(tmp_path, capsys):
     assert "items.jsonl" in capsys.readouterr().err
 
 
+def test_ingest_non_object_interaction_row_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    with (raw / "interactions.jsonl").open("a") as fh:
+        fh.write('["u", "a"]\n')
+    capsys.readouterr()
+    assert run("ingest", "--data", raw, "--out", tmp_path / "split", "--k", 3) == 2
+    assert "interactions.jsonl" in one_line_error(capsys)
+
+
 def test_fuse_respects_cap_and_namespaces(tmp_path):
     for name in ("alpha", "beta"):
         assert run("synth", "--out", tmp_path / name, "--name", name,
@@ -188,8 +198,24 @@ def retarget_first_test_pair(split_dir: Path) -> None:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
-@pytest.mark.parametrize("corrupt,expected", [(drop_first_metadata, "metadata"),
-                                              (retarget_first_test_pair, "no-such-item")])
+def drop_field(fname: str, field: str):
+    def corrupt(split_dir: Path) -> None:
+        path = split_dir / f"{fname}.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        del rows[0][field]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    corrupt.__name__ = f"drop_{fname}_{field}"
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt,expected", [
+    (drop_first_metadata, "metadata"),
+    (retarget_first_test_pair, "no-such-item"),
+    (drop_field("train", "items"), "train.jsonl"),
+    (drop_field("train", "user"), "train.jsonl"),
+    (drop_field("valid", "history"), "valid.jsonl"),
+    (drop_field("test", "target"), "test.jsonl"),
+])
 def test_eval_with_bad_split_exits_2(tmp_path, capsys, corrupt, expected):
     split_dir, final = untrained_bundle(tmp_path)
     corrupt(split_dir)

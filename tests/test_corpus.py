@@ -191,6 +191,45 @@ def test_load_split_rejects_unknown_references(tmp_path, fname, field):
         load_split(tmp_path)
 
 
+@pytest.mark.parametrize("fname,field", [("train", "user"), ("train", "items"),
+                                         ("valid", "user"), ("valid", "history"),
+                                         ("test", "target")])
+def test_load_split_rejects_rows_missing_a_field(tmp_path, fname, field):
+    save_split(leave_one_out_split(make_dataset({"u0": ["a", "b", "c", "d"]})), tmp_path)
+    path = tmp_path / f"{fname}.jsonl"
+    row = json.loads(path.read_text())
+    del row[field]
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DataFormatError, match=f"{fname}.jsonl: row needs .*'{field}'"):
+        load_split(tmp_path)
+
+
+@pytest.mark.parametrize("fname,field", [("train", "items"), ("valid", "history")])
+def test_load_split_rejects_non_string_references(tmp_path, fname, field):
+    save_split(leave_one_out_split(make_dataset({"u0": ["a", "b", "c", "d"]})), tmp_path)
+    path = tmp_path / f"{fname}.jsonl"
+    row = json.loads(path.read_text())
+    row[field] = [["a"]]
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DataFormatError, match="unknown item"):
+        load_split(tmp_path)
+
+
+def test_load_dataset_rejects_non_string_item_references(tmp_path):
+    (tmp_path / "items.jsonl").write_text(json.dumps({"item": "a", "metadata": {}}) + "\n")
+    (tmp_path / "interactions.jsonl").write_text(json.dumps({"user": "u", "items": [["a"]]}) + "\n")
+    with pytest.raises(DataFormatError, match="unknown item"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("line", ['["u", "a"]', '"u"', "7", "null"])
+def test_load_dataset_rejects_non_object_rows(tmp_path, line):
+    (tmp_path / "items.jsonl").write_text(json.dumps({"item": "a", "metadata": {}}) + "\n")
+    (tmp_path / "interactions.jsonl").write_text(line + "\n")
+    with pytest.raises(DataFormatError, match="interactions.jsonl"):
+        load_dataset(tmp_path)
+
+
 def test_split_files_round_trip(tmp_path):
     ds = make_dataset({"u0": ["a", "b", "c", "d"], "u1": ["b", "a", "d", "c"]})
     split = leave_one_out_split(ds)
