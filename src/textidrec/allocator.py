@@ -49,13 +49,16 @@ class AllocatorConfig:
     lam_step: float = 1.0
     lam_max: float = 10.0
     length_ranges: tuple[tuple[int, int], ...] = ((1, 10), (10, 20))
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.groups < 1 or self.beams_per_group < 1:
             raise ValueError("groups and beams_per_group must be >= 1")
         if self.lam_init > self.lam_max:
             raise ValueError("lam_init must not exceed lam_max")
+        if self.lam_step <= 0:
+            raise ValueError("lam_step must be positive")
+        if not self.length_ranges:
+            raise ValueError("length_ranges must be non-empty")
         previous_hi = 0
         for lo, hi in self.length_ranges:
             if not (0 < lo < hi) or lo < previous_hi:
@@ -198,7 +201,7 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
             candidates = [(score + value, seq, token)
                           for (seq, score), values, tokens in zip(beams[g], best, order.tolist())
                           for value, token in zip(values, tokens) if math.isfinite(value)]
-            candidates.sort(key=lambda c: (-c[0], c[1] + (c[2],)))
+            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
             beams[g] = []
             for total, seq, token in candidates[:beams_per_group]:
                 counts[token] += 1
@@ -243,58 +246,44 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     if not items:
         raise ValueError("items must be non-empty")
     capacity = model.config.max_tgt_len - 1  # teacher forcing spends one step on EOS
-    usable_ranges = []
+    # the escalation ladder: every penalty of each length range that fits, in order
+    rungs: list[tuple[int, int, int, float]] = []  # (range_index, min_len, max_len, lam)
     for range_index, (lo, hi) in enumerate(config.length_ranges):
         max_len = min(hi - 1, capacity)
-        if lo <= max_len:
-            usable_ranges.append((range_index, lo, max_len))
-    if not usable_ranges:
+        lam = config.lam_init
+        while lo <= max_len and lam <= config.lam_max + 1e-12:
+            rungs.append((range_index, lo, max_len, lam))
+            lam += config.lam_step
+    if not rungs:
         raise ValueError(
             f"no length range fits the decoder capacity {capacity}: {config.length_ranges}"
         )
     ids: dict[str, TextualId] = {}
     rows: list[AllocationRow] = []
     taken: set[str] = set()
-    state_cache: dict[str, object] = {}
-    logprob_caches: dict[str, dict] = {}
-    dbs_cache: dict[tuple[str, float, int], list[TextualId]] = {}
+    # per distinct text: encoder state, logprob cache, rung -> DBS candidates
+    per_text: dict[str, tuple[object, dict, dict[int, list[TextualId]]]] = {}
 
     for position, (key, text) in enumerate(items):
         if key in ids:
             raise ValueError(f"duplicate item key {key!r} in allocation input")
-        if text not in state_cache:
-            state_cache[text] = model.encode(vocab.encode(text, model.config.max_src_len))
-            logprob_caches[text] = {}
-        accepted: TextualId | None = None
-        accepted_lam, accepted_range = config.lam_init, 0
-        last_candidates: list[TextualId] = []
-        for range_index, lo, max_len in usable_ranges:
-            lam = config.lam_init
-            while True:
-                cache_key = (text, lam, range_index)
-                candidates = dbs_cache.get(cache_key)
-                if candidates is None:
-                    candidates = diverse_beam_search(
-                        model, None, vocab,
-                        groups=config.groups, beams_per_group=config.beams_per_group,
-                        lam=lam, max_len=max_len, min_len=lo,
-                        state=state_cache[text], logprob_cache=logprob_caches[text],
-                    )
-                    dbs_cache[cache_key] = candidates
-                last_candidates = candidates
-                for cand in candidates:
-                    if cand.text not in taken:
-                        accepted, accepted_lam, accepted_range = cand, lam, range_index
-                        break
-                if accepted is not None:
-                    break
-                lam += config.lam_step
-                if lam > config.lam_max + 1e-12:
-                    break
+        if text not in per_text:
+            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
+        state, logprob_cache, by_rung = per_text[text]
+        for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
+            if rung not in by_rung:
+                by_rung[rung] = diverse_beam_search(
+                    model, None, vocab,
+                    groups=config.groups, beams_per_group=config.beams_per_group,
+                    lam=lam, max_len=max_len, min_len=lo,
+                    state=state, logprob_cache=logprob_cache,
+                )
+            accepted = next((c for c in by_rung[rung] if c.text not in taken), None)
             if accepted is not None:
+                row = AllocationRow(key=key, lam=lam, range_index=range_index)
                 break
-        if accepted is None:
-            base = last_candidates[0].tokens if last_candidates else ()
+        else:
+            base = by_rung[len(rungs) - 1][0].tokens
             attempt = 0
             while True:
                 suffix = _ordinal_tokens(position + attempt * len(items), vocab.size)
@@ -306,12 +295,12 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
                     break
                 attempt += 1
             accepted = TextualId(tokens=tokens, text=vocab.decode(tokens))
-            accepted_lam, accepted_range = config.lam_max, -1
+            row = AllocationRow(key=key, lam=config.lam_max, range_index=-1)
             log.warning("item %r exhausted all penalties and lengths; ordinal fallback ID %r",
                         key, accepted.text)
         ids[key] = accepted
         taken.add(accepted.text)
-        rows.append(AllocationRow(key=key, lam=accepted_lam, range_index=accepted_range))
+        rows.append(row)
 
     registry = IdRegistry(ids=ids, rows=tuple(rows), generator_hash=model.param_hash())
     stats = registry.stats(lam_init=config.lam_init)
@@ -322,6 +311,11 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     return registry
 
 
+def profile_source(history_texts: list[str], vocab: Vocabulary, max_src_len: int) -> list[int]:
+    """Generator source ids of a user profile: the history texts joined."""
+    return vocab.encode("; ".join(history_texts), max_src_len)
+
+
 def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,
                      config: AllocatorConfig) -> TextualId:
     """Generate a profile ID from the concatenated history texts.
@@ -330,8 +324,7 @@ def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,
     """
     if not history_texts:
         raise ValueError("history_texts must be non-empty")
-    profile = "; ".join(history_texts)
-    src = vocab.encode(profile, model.config.max_src_len)
+    src = profile_source(history_texts, vocab, model.config.max_src_len)
     lo, hi = config.length_ranges[0]
     max_len = min(hi - 1, model.config.max_tgt_len - 1)  # one step is left for EOS
     if lo > max_len:

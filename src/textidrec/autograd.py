@@ -196,18 +196,6 @@ class Tensor:
 
     # -- nonlinearities -------------------------------------------------------
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def bw(g, a=self):
-            a._accum(g * out_data)
-        return Tensor._op(out_data, (self,), bw)
-
-    def log(self) -> "Tensor":
-        def bw(g, a=self):
-            a._accum(g / a.data)
-        return Tensor._op(np.log(self.data), (self,), bw)
-
     def gelu(self) -> "Tensor":
         x = self.data
         inner = _GELU_C * (x + _GELU_A * (x * x * x))
@@ -220,7 +208,7 @@ class Tensor:
             a._accum(g * local)
         return Tensor._op(out_data, (self,), bw)
 
-    def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float) -> "Tensor":
+    def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-6) -> "Tensor":
         """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, as
         one op; `gain` and `bias` have the width of that axis."""
         # np.add.reduce(...) / n is what ndarray.mean computes, without its wrapper

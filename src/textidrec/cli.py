@@ -12,7 +12,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus, evaluation, synth
@@ -23,7 +24,7 @@ from .model import (ModelConfig, SequenceModel, SequenceTooLong, ShapeMismatch,
 from .prompting import (ITEM_PLACEHOLDER, USER_PLACEHOLDER, TemplateError, default_bank,
                         load_templates, save_templates)
 from .recommender import DeadEnd, DuplicateId, UnknownId
-from .tokenizer import build_vocab
+from .tokenizer import Vocabulary, build_vocab
 from .training import CheckpointBundle, StaleRegistry, TrainConfig, alternate_train
 
 log = logging.getLogger(__name__)
@@ -60,27 +61,58 @@ def _parse_config_file(path: str | Path) -> dict[str, dict]:
     unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise DataFormatError(f"{path}: unknown config sections {sorted(unknown)}")
+    for section, values in data.items():
+        if not isinstance(values, dict):
+            raise DataFormatError(f"{path}: config section {section!r} must be an object")
     return {section: dict(data.get(section, {})) for section in _SECTIONS}
 
 
-def _dataclass_kwargs(cls, overrides: dict) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise DataFormatError(f"unknown {cls.__name__} keys {sorted(unknown)}")
-    out = dict(overrides)
-    if "length_ranges" in out:
-        out["length_ranges"] = tuple(tuple(r) for r in out["length_ranges"])
-    return out
+def _typed(value, hint):
+    """`value` as the field type `hint`, or None when it has another type. A
+    float field takes an int; a tuple field takes a list of fitting items."""
+    if typing.get_origin(hint) is not tuple:
+        return value if type(value) is hint or (hint is float and type(value) is int) else None
+    args = typing.get_args(hint)
+    if isinstance(value, list) and args[-1] is Ellipsis:
+        args = (args[0],) * len(value)
+    if not isinstance(value, list) or len(value) != len(args):
+        return None
+    items = tuple(map(_typed, value, args))
+    return None if None in items else items
+
+
+def _config(build, sections: dict[str, dict], section: str, hints: dict | None = None, **fixed):
+    """Call `build` with one config section's values plus `fixed` (which take
+    precedence), typed by `hints` (default: `build`'s annotations). An unknown
+    key, a wrong-typed value or a value `build` rejects is a DataFormatError
+    naming the section."""
+    hints = hints or typing.get_type_hints(build)
+    kwargs = dict(fixed)
+    for key, value in sections[section].items():
+        if key not in hints:
+            raise DataFormatError(f"config section {section!r}: unknown key {key!r}")
+        hint = hints[key]
+        typed = _typed(value, hint)
+        if typed is None:
+            raise DataFormatError(f"config section {section!r}: {key} must be "
+                                  f"{hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
+        kwargs.setdefault(key, typed)
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise DataFormatError(f"config section {section!r}: {exc}") from exc
+
+
+def _build_vocab(sections: dict[str, dict], items: dict, bank) -> Vocabulary:
+    return _config(build_vocab, sections, "vocab", {"min_freq": int, "max_size": int},
+                   texts=_vocab_corpus(items, bank))
 
 
 def _load_configs(args) -> dict[str, dict]:
-    raw = _parse_config_file(args.config) if getattr(args, "config", None) else {
-        s: {} for s in _SECTIONS
-    }
+    config = getattr(args, "config", None)
+    raw = _parse_config_file(config) if config else {s: {} for s in _SECTIONS}
     if getattr(args, "seed", None) is not None:
         raw["train"]["seed"] = args.seed
-        raw["allocator"].setdefault("seed", args.seed)
         raw["model"].setdefault("seed", args.seed)
     if getattr(args, "no_user_id", False):
         raw["train"]["use_user_id"] = False
@@ -156,17 +188,13 @@ def cmd_train(args) -> int:
     split = corpus.load_split(args.data)
     bank = _load_bank(args)
     sections = _load_configs(args)
-    vocab_kwargs = sections["vocab"]
-    vocab = build_vocab(_vocab_corpus(split.items, bank),
-                        min_freq=int(vocab_kwargs.get("min_freq", 2)),
-                        max_size=int(vocab_kwargs.get("max_size", 8192)))
-    train_cfg = TrainConfig(**_dataclass_kwargs(TrainConfig, sections["train"]))
-    alloc_cfg = AllocatorConfig(**_dataclass_kwargs(AllocatorConfig, sections["allocator"]))
-    model_kwargs = _dataclass_kwargs(ModelConfig, sections["model"])
-    model_kwargs["vocab_size"] = vocab.size
-    base_seed = model_kwargs.pop("seed", train_cfg.seed)
-    rec = SequenceModel.init(ModelConfig(seed=base_seed, **model_kwargs))
-    idgen = SequenceModel.init(ModelConfig(seed=base_seed + 1, **model_kwargs))
+    vocab = _build_vocab(sections, split.items, bank)
+    train_cfg = _config(TrainConfig, sections, "train")
+    alloc_cfg = _config(AllocatorConfig, sections, "allocator")
+    sections["model"].setdefault("seed", train_cfg.seed)
+    model_cfg = _config(ModelConfig, sections, "model", vocab_size=vocab.size)
+    rec = SequenceModel.init(model_cfg)
+    idgen = SequenceModel.init(replace(model_cfg, seed=model_cfg.seed + 1))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,20 +218,15 @@ def _load_data_any(path: str | Path) -> tuple[dict, str]:
 
 def cmd_allocate(args) -> int:
     sections = _load_configs(args)
-    alloc_cfg = AllocatorConfig(**_dataclass_kwargs(AllocatorConfig, sections["allocator"]))
+    alloc_cfg = _config(AllocatorConfig, sections, "allocator")
     items, _ = _load_data_any(args.data)
     bank = _load_bank(args)
     if args.bundle:
         bundle, vocab = CheckpointBundle.load(args.bundle)
         model = bundle.idgen
     else:
-        vocab_kwargs = sections["vocab"]
-        vocab = build_vocab(_vocab_corpus(items, bank),
-                            min_freq=int(vocab_kwargs.get("min_freq", 2)),
-                            max_size=int(vocab_kwargs.get("max_size", 8192)))
-        model_kwargs = _dataclass_kwargs(ModelConfig, sections["model"])
-        model_kwargs["vocab_size"] = vocab.size
-        model = SequenceModel.init(ModelConfig(**model_kwargs))
+        vocab = _build_vocab(sections, items, bank)
+        model = SequenceModel.init(_config(ModelConfig, sections, "model", vocab_size=vocab.size))
     registry = allocate_all(model, corpus.item_texts(items), vocab, alloc_cfg)
     registry.save_tsv(args.out)
     stats = registry.stats(lam_init=alloc_cfg.lam_init)
@@ -221,16 +244,19 @@ def _report_line(report) -> str:
     return " ".join(parts)
 
 
+def _beam_width(args) -> int | None:
+    """Beam-limited ranking width, or None for exact full-catalog ranking."""
+    return args.beam if args.beam and not args.exact else None
+
+
 def cmd_eval(args) -> int:
     bundle, vocab = CheckpointBundle.load(args.bundle)
     split = corpus.load_split(args.data)
     bank = _load_bank(args)
-    sections = _load_configs(args)
-    alloc_cfg = AllocatorConfig(**_dataclass_kwargs(AllocatorConfig, sections["allocator"]))
-    beam_width = args.beam if args.beam and not args.exact else None
+    alloc_cfg = _config(AllocatorConfig, _load_configs(args), "allocator")
     report = evaluation.evaluate(bundle, split, vocab=vocab, bank=bank,
                                  normalize=not args.unnormalized_eq2,
-                                 beam_width=beam_width, alloc_cfg=alloc_cfg)
+                                 beam_width=_beam_width(args), alloc_cfg=alloc_cfg)
     evaluation.save_report(report, args.out)
     print(_report_line(report))
     return EXIT_OK
@@ -240,13 +266,11 @@ def cmd_zeroshot(args) -> int:
     bundle, vocab = CheckpointBundle.load(args.bundle)
     dataset = _drop_short_logs(corpus.filter_k_core(corpus.load_dataset(args.data), k=args.k))
     bank = _load_bank(args)
-    sections = _load_configs(args)
-    alloc_cfg = AllocatorConfig(**_dataclass_kwargs(AllocatorConfig, sections["allocator"]))
-    beam_width = args.beam if args.beam and not args.exact else None
+    alloc_cfg = _config(AllocatorConfig, _load_configs(args), "allocator")
     report = evaluation.zero_shot_evaluate(bundle, dataset, vocab=vocab, bank=bank,
                                            alloc_cfg=alloc_cfg,
                                            normalize=not args.unnormalized_eq2,
-                                           beam_width=beam_width)
+                                           beam_width=_beam_width(args))
     evaluation.save_report(report, args.out)
     print(_report_line(report))
     return EXIT_OK

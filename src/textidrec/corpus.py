@@ -273,12 +273,18 @@ def load_dataset(directory: str | Path, name: str | None = None) -> Dataset:
     return dataset
 
 
-def save_dataset(dataset: Dataset, directory: str | Path) -> None:
+def _save_items(items: dict[str, ItemRecord], directory: str | Path) -> Path:
+    """Create `directory` and write its items.jsonl; returns the directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with (directory / "items.jsonl").open("w", encoding="utf-8") as fh:
-        for rec in dataset.items.values():
+        for rec in items.values():
             fh.write(json.dumps({"item": rec.key, "metadata": dict(rec.metadata)}) + "\n")
+    return directory
+
+
+def save_dataset(dataset: Dataset, directory: str | Path) -> None:
+    directory = _save_items(dataset.items, directory)
     with (directory / "interactions.jsonl").open("w", encoding="utf-8") as fh:
         for log in dataset.logs:
             row = {"user": log.user, "items": list(log.items)}
@@ -288,11 +294,7 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
 
 
 def save_split(split: SplitDataset, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "items.jsonl").open("w", encoding="utf-8") as fh:
-        for rec in split.items.values():
-            fh.write(json.dumps({"item": rec.key, "metadata": dict(rec.metadata)}) + "\n")
+    directory = _save_items(split.items, directory)
     with (directory / "train.jsonl").open("w", encoding="utf-8") as fh:
         for log in split.train:
             fh.write(json.dumps({"user": log.user, "items": list(log.items)}) + "\n")

@@ -105,10 +105,6 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    return x.layer_norm(gain, bias, eps)
-
-
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
                heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Multi-head attention with all heads in one batched matmul over
@@ -213,11 +209,11 @@ class SequenceModel:
             return EncoderState(ctx=Tensor(np.zeros((0, cfg.d_model))))
         x = x + pt["src_pos"][:length]
         for i in range(cfg.layers):
-            h = _layernorm(x, pt[f"enc{i}_ln1_g"], pt[f"enc{i}_ln1_b"])
+            h = x.layer_norm(pt[f"enc{i}_ln1_g"], pt[f"enc{i}_ln1_b"])
             x = x + _attention(pt, f"enc{i}_self", h, h, cfg.heads)
-            h = _layernorm(x, pt[f"enc{i}_ln2_g"], pt[f"enc{i}_ln2_b"])
+            h = x.layer_norm(pt[f"enc{i}_ln2_g"], pt[f"enc{i}_ln2_b"])
             x = x + _feed_forward(pt, f"enc{i}_ff", h)
-        return EncoderState(ctx=_layernorm(x, pt["enc_ln_g"], pt["enc_ln_b"]))
+        return EncoderState(ctx=x.layer_norm(pt["enc_ln_g"], pt["enc_ln_b"]))
 
     def decoder_all_logits(self, state: EncoderState, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
@@ -241,14 +237,14 @@ class SequenceModel:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         x = pt["tok_emb"][ids] + pt["tgt_pos"][depth]
         for i in range(cfg.layers):
-            h = _layernorm(x, pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
+            h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
             x = x + _attention(pt, f"dec{i}_self", h, h, cfg.heads, mask=mask)
             if state.length > 0:
-                h = _layernorm(x, pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
+                h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
                 x = x + _attention(pt, f"dec{i}_cross", h, state.ctx, cfg.heads)
-            h = _layernorm(x, pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
+            h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
             x = x + _feed_forward(pt, f"dec{i}_ff", h)
-        x = _layernorm(x, pt["dec_ln_g"], pt["dec_ln_b"])
+        x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
         return x @ pt["tok_emb"].T
 
     def prefix_logits(self, state: EncoderState, prefixes) -> np.ndarray:
@@ -392,12 +388,23 @@ def load_checkpoint(path: str | Path,
                 f"checkpoint {path} was trained against vocabulary {vocab_hash[:12]}..., "
                 f"expected {expected_vocab_hash[:12]}..."
             )
+        config = ModelConfig(**meta["config"])
+        shapes = dict(_param_shapes(config))
         params, opt = {}, AdamState()
         opt.step = meta["adam_step"]
+        arrays = {"p": params, "m": opt.m, "v": opt.v}
         for key in data.files:
             if key == "__meta__":
                 continue
-            kind, name = key.split(":", 1)
-            {"p": params, "m": opt.m, "v": opt.v}[kind][name] = data[key].astype(np.float64)
-    model = SequenceModel(ModelConfig(**meta["config"]), params)
-    return model, opt, vocab_hash
+            kind, _, name = key.partition(":")
+            if kind not in arrays or name not in shapes:
+                raise ValueError(f"{path}: unexpected checkpoint entry {key!r}")
+            array = data[key]
+            if array.shape != shapes[name]:
+                raise ValueError(f"{path}: parameter {key!r} has shape {array.shape}, "
+                                 f"expected {shapes[name]}")
+            arrays[kind][name] = array.astype(np.float64)
+    missing = [name for name in shapes if name not in params]
+    if missing:
+        raise ValueError(f"{path}: missing parameter 'p:{missing[0]}'")
+    return SequenceModel(config, params), opt, vocab_hash

@@ -196,7 +196,7 @@ def constrained_beam_search(model, prompt, trie: PrefixTrie, beam_width: int,
         for prefix, score, node in beams:
             for token, lp in table[node.row].items():
                 candidates.append((score + lp, prefix, token, node.children[token]))
-        candidates.sort(key=lambda c: (-c[0], c[1] + (c[2],)))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         beams = []
         for total, prefix, token, child in candidates[:beam_width]:
             if token == EOS_ID:

@@ -1,10 +1,13 @@
 """Alternate training of the ID generator and the base recommender.
 
-Each iteration: allocate IDs with the current generator, train the generator
-for a few epochs against the frozen recommender through the differentiable
-expected-embedding path, refresh the ID registry, then train the recommender
-under teacher forcing with the ID snapshot frozen. Only one model's
-parameters change in any phase.
+`alternate_train` allocates item IDs with the warm-start generator and
+snapshots the user profile IDs once. Each iteration then trains the
+generator for a few epochs against the frozen recommender through the
+differentiable expected-embedding path and re-allocates the IDs, re-snapshots
+the user IDs, and trains the recommender under teacher forcing with the ID
+snapshot frozen. Both phases run the same epoch loop (`_train_epochs`) and
+differ only in the model they update and the per-example loss. Only one
+model's parameters change in any phase.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import corpus
-from .allocator import AllocatorConfig, IdRegistry, TextualId, allocate_all, generate_user_id
+from .allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all, generate_user_id,
+                        profile_source)
 from .autograd import Tensor, concat, stack_rows
 from .model import AdamState, SequenceModel, apply_update, expected_embedding, load_checkpoint, save_checkpoint
 from .prompting import Prompt, Template, render_prompt, sample_template
@@ -145,21 +150,6 @@ def snapshot_user_ids(idgen: SequenceModel, examples: list[TrainExample],
     return cache
 
 
-def _profile_text(history: tuple[str, ...], item_text: dict[str, str]) -> str:
-    return "; ".join(item_text[k] for k in history)
-
-
-def _rendered_history(prompt: Prompt, history: tuple[str, ...]) -> tuple[str, ...]:
-    """The prompt renderer drops oldest items whole, so the spans cover the
-    last n history items."""
-    n = sum(1 for s in prompt.spans if s.role == "history")
-    return history[len(history) - n:]
-
-
-def _target_tokens(registry: IdRegistry, target: str) -> list[int]:
-    return list(registry.ids[target].tokens) + [EOS_ID]
-
-
 def _sampling_bank(bank: tuple[Template, ...], cfg: TrainConfig) -> tuple[Template, ...]:
     """With user IDs disabled, only item-only templates can render."""
     if cfg.use_user_id:
@@ -168,10 +158,6 @@ def _sampling_bank(bank: tuple[Template, ...], cfg: TrainConfig) -> tuple[Templa
     if not usable:
         raise ValueError("use_user_id is false but every template has a user slot")
     return usable
-
-
-def _harvest_grads(pt: dict[str, Tensor]) -> dict[str, np.ndarray | None]:
-    return {name: t.grad for name, t in pt.items()}
 
 
 class _GradAccumulator:
@@ -207,6 +193,45 @@ class _GradAccumulator:
         self.count = 0
 
 
+def _train_epochs(bundle: CheckpointBundle, split: corpus.SplitDataset, cfg: TrainConfig,
+                  vocab: Vocabulary, bank: tuple[Template, ...], alloc_cfg: AllocatorConfig,
+                  rng: random.Random, user_ids: dict[tuple[str, ...], TextualId] | None,
+                  model: SequenceModel, opt: AdamState, lr: float, epochs: int,
+                  example_loss: Callable[..., Tensor], label: str) -> list[float]:
+    """The epoch loop of both phases. Per example: sample a template, render
+    the prompt against the frozen ID snapshot, backpropagate
+    `example_loss(pt, prompt, target_tokens, example, user_id)` through fresh
+    trainable wrappers `pt` of `model` and accumulate the gradients. Per
+    epoch: apply the remainder and record the mean loss. Only `model`'s
+    parameters change."""
+    _check_registry(bundle)
+    registry = bundle.registry
+    examples = build_train_examples(split)
+    if cfg.use_user_id and user_ids is None:
+        user_ids = snapshot_user_ids(bundle.idgen, examples, dict(corpus.item_texts(split.items)),
+                                     vocab, alloc_cfg)
+    sampling_bank = _sampling_bank(bank, cfg)
+    accum = _GradAccumulator(model, opt, lr, cfg.batch_size)
+    epoch_losses = []
+    for epoch in range(epochs):
+        total_nll = 0.0
+        for ex in examples:
+            template = sample_template(rng, sampling_bank)
+            uid = user_ids[ex.history] if cfg.use_user_id and template.has_user_slot else None
+            prompt = render_prompt(template, uid, [registry.ids[k] for k in ex.history],
+                                   vocab, max_src_len=bundle.rec.config.max_src_len)
+            pt = model.trainable()
+            target = list(registry.ids[ex.target].tokens) + [EOS_ID]
+            loss = example_loss(pt, prompt, target, ex, uid)
+            loss.backward()
+            accum.add({name: t.grad for name, t in pt.items()})
+            total_nll += loss.data.item()
+        accum.flush()
+        epoch_losses.append(total_nll / max(1, len(examples)))
+        log.info("%s epoch %d/%d: mean nll %.4f", label, epoch + 1, epochs, epoch_losses[-1])
+    return epoch_losses
+
+
 def train_recommender_phase(bundle: CheckpointBundle, split: corpus.SplitDataset,
                             cfg: TrainConfig, vocab: Vocabulary,
                             bank: tuple[Template, ...], alloc_cfg: AllocatorConfig,
@@ -214,36 +239,14 @@ def train_recommender_phase(bundle: CheckpointBundle, split: corpus.SplitDataset
                             user_ids: dict[tuple[str, ...], TextualId] | None = None) -> list[float]:
     """Teacher-forced NLL training of the recommender against the frozen ID
     snapshot; the ID generator is untouched. Returns per-epoch mean losses."""
-    _check_registry(bundle)
-    registry = bundle.registry
-    examples = build_train_examples(split)
-    item_text = dict(corpus.item_texts(split.items))
-    if cfg.use_user_id and user_ids is None:
-        user_ids = snapshot_user_ids(bundle.idgen, examples, item_text, vocab, alloc_cfg)
     rec = bundle.rec
-    sampling_bank = _sampling_bank(bank, cfg)
-    epoch_losses = []
-    for epoch in range(cfg.rec_epochs_per_iter):
-        accum = _GradAccumulator(rec, bundle.rec_opt, cfg.lr_rec, cfg.batch_size)
-        total_nll = 0.0
-        for ex in examples:
-            template = sample_template(rng, sampling_bank)
-            uid = None
-            if cfg.use_user_id and template.has_user_slot:
-                uid = user_ids[ex.history]
-            prompt = render_prompt(template, uid, [registry.ids[k] for k in ex.history],
-                                   vocab, max_src_len=rec.config.max_src_len)
-            pt = rec.trainable()
-            state = rec.encode(prompt.tokens, pt)
-            loss = rec.sequence_nll(state, _target_tokens(registry, ex.target), pt)
-            loss.backward()
-            accum.add(_harvest_grads(pt))
-            total_nll += loss.data.item()
-        accum.flush()
-        epoch_losses.append(total_nll / max(1, len(examples)))
-        log.info("recommender epoch %d/%d: mean nll %.4f",
-                 epoch + 1, cfg.rec_epochs_per_iter, epoch_losses[-1])
-    return epoch_losses
+
+    def example_loss(pt, prompt, target, ex, uid):
+        return rec.sequence_nll(rec.encode(prompt.tokens, pt), target, pt)
+
+    return _train_epochs(bundle, split, cfg, vocab, bank, alloc_cfg, rng, user_ids,
+                         rec, bundle.rec_opt, cfg.lr_rec, cfg.rec_epochs_per_iter,
+                         example_loss, "recommender")
 
 
 def expected_id_rows(idgen: SequenceModel, phi: dict[str, Tensor], src_ids,
@@ -307,50 +310,34 @@ def train_idgen_phase(bundle: CheckpointBundle, split: corpus.SplitDataset,
                       rng: random.Random,
                       user_ids: dict[tuple[str, ...], TextualId] | None = None) -> list[float]:
     """Train the ID generator against the frozen recommender, then refresh
-    the registry (and user-ID snapshot) with the updated generator."""
-    _check_registry(bundle)
-    registry = bundle.registry
-    examples = build_train_examples(split)
-    item_text = dict(corpus.item_texts(split.items))
-    if cfg.use_user_id and user_ids is None:
-        user_ids = snapshot_user_ids(bundle.idgen, examples, item_text, vocab, alloc_cfg)
+    the registry with the updated generator. Returns per-epoch mean losses."""
     idgen, rec = bundle.idgen, bundle.rec
-    sampling_bank = _sampling_bank(bank, cfg)
-    max_src = idgen.config.max_src_len
-    epoch_losses = []
-    for epoch in range(cfg.idgen_epochs_per_iter):
-        accum = _GradAccumulator(idgen, bundle.idgen_opt, cfg.lr_idgen, cfg.batch_size)
-        total_nll = 0.0
-        for ex in examples:
-            template = sample_template(rng, sampling_bank)
-            uid = None
-            if cfg.use_user_id and template.has_user_slot:
-                uid = user_ids[ex.history]
-            prompt = render_prompt(template, uid, [registry.ids[k] for k in ex.history],
-                                   vocab, max_src_len=rec.config.max_src_len)
-            rendered = _rendered_history(prompt, ex.history)
-            span_sources = []
-            for span in prompt.spans:
-                if span.role == "history":
-                    key = rendered[span.index]
-                    span_sources.append((vocab.encode(item_text[key], max_src),
-                                         registry.ids[key].tokens))
-                else:
-                    span_sources.append((vocab.encode(_profile_text(ex.history, item_text), max_src),
-                                         uid.tokens))
-            phi = idgen.trainable()
-            loss = idgen_example_loss(idgen, rec, prompt, span_sources,
-                                      _target_tokens(registry, ex.target), phi)
-            loss.backward()
-            accum.add(_harvest_grads(phi))
-            total_nll += loss.data.item()
-        accum.flush()
-        epoch_losses.append(total_nll / max(1, len(examples)))
-        log.info("id-generator epoch %d/%d: mean nll %.4f",
-                 epoch + 1, cfg.idgen_epochs_per_iter, epoch_losses[-1])
-    # asynchronous refresh: IDs are re-allocated with the updated generator
     items = corpus.item_texts(split.items)
-    bundle.registry = allocate_all(bundle.idgen, items, vocab, alloc_cfg)
+    item_text = dict(items)
+    max_src = idgen.config.max_src_len
+
+    def example_loss(phi, prompt, target, ex, uid):
+        """Each span's generator source: the item text for a history span,
+        the profile of the whole history for the user span. The renderer
+        drops the oldest items whole, so the history spans cover the last n."""
+        n = sum(1 for span in prompt.spans if span.role == "history")
+        rendered = ex.history[len(ex.history) - n:]
+        span_sources = []
+        for span in prompt.spans:
+            if span.role == "history":
+                key = rendered[span.index]
+                span_sources.append((vocab.encode(item_text[key], max_src),
+                                     bundle.registry.ids[key].tokens))
+            else:
+                span_sources.append((profile_source([item_text[k] for k in ex.history], vocab, max_src),
+                                     uid.tokens))
+        return idgen_example_loss(idgen, rec, prompt, span_sources, target, phi)
+
+    epoch_losses = _train_epochs(bundle, split, cfg, vocab, bank, alloc_cfg, rng, user_ids,
+                                 idgen, bundle.idgen_opt, cfg.lr_idgen, cfg.idgen_epochs_per_iter,
+                                 example_loss, "id-generator")
+    # asynchronous refresh: IDs are re-allocated with the updated generator
+    bundle.registry = allocate_all(idgen, items, vocab, alloc_cfg)
     return epoch_losses
 
 
@@ -359,26 +346,24 @@ def alternate_train(split: corpus.SplitDataset, vocab: Vocabulary,
                     cfg: TrainConfig, alloc_cfg: AllocatorConfig,
                     bank: tuple[Template, ...],
                     out_dir: str | Path | None = None) -> CheckpointBundle:
-    """Run the full alternation: per iteration, the generator phase first
-    (with an initial allocation from the warm-start generator), then the
-    recommender phase. Saves one bundle per iteration when out_dir is set."""
+    """Run the full alternation. The warm-start generator allocates the item
+    IDs and, with user IDs on, snapshots the profile IDs once; then each
+    iteration runs the generator phase (which re-allocates), re-snapshots the
+    user IDs with the updated generator, runs the recommender phase and the
+    validation eval. Saves one bundle per iteration when out_dir is set."""
     rng = random.Random(cfg.seed)
-    bundle = CheckpointBundle(rec=rec, rec_opt=AdamState(), idgen=idgen, idgen_opt=AdamState(),
-                              registry=None, vocab_hash=vocab.content_hash(), iteration=0)
     examples = build_train_examples(split)
-    item_text = dict(corpus.item_texts(split.items))
     items = corpus.item_texts(split.items)
-    user_ids = None
+    item_text = dict(items)
+    log.info("allocating %d item IDs", len(items))
+    bundle = CheckpointBundle(rec=rec, rec_opt=AdamState(), idgen=idgen, idgen_opt=AdamState(),
+                              registry=allocate_all(idgen, items, vocab, alloc_cfg),
+                              vocab_hash=vocab.content_hash(), iteration=0)
+    user_ids = (snapshot_user_ids(idgen, examples, item_text, vocab, alloc_cfg)
+                if cfg.use_user_id else None)
     for iteration in range(1, cfg.iterations + 1):
-        if bundle.registry is None or bundle.registry.generator_hash != idgen.param_hash():
-            log.info("iteration %d: allocating %d item IDs", iteration, len(items))
-            bundle.registry = allocate_all(idgen, items, vocab, alloc_cfg)
-        # after the first iteration, the refresh below already used this generator
-        if cfg.use_user_id and user_ids is None:
-            user_ids = snapshot_user_ids(idgen, examples, item_text, vocab, alloc_cfg)
         idgen_losses = train_idgen_phase(bundle, split, cfg, vocab, bank, alloc_cfg, rng,
                                          user_ids=user_ids)
-        # the registry (and generator) changed: refresh the user-ID snapshot
         if cfg.use_user_id:
             user_ids = snapshot_user_ids(idgen, examples, item_text, vocab, alloc_cfg)
         rec_losses = train_recommender_phase(bundle, split, cfg, vocab, bank, alloc_cfg, rng,

@@ -319,3 +319,9 @@ def test_config_validation():
         AllocatorConfig(length_ranges=((5, 3),))
     with pytest.raises(ValueError):
         AllocatorConfig(length_ranges=((1, 10), (5, 12)))
+
+
+@pytest.mark.parametrize("kwargs", [dict(lam_step=0.0), dict(lam_step=-1.0), dict(length_ranges=())])
+def test_config_rejects_a_ladder_that_cannot_climb(kwargs):
+    with pytest.raises(ValueError):
+        AllocatorConfig(**kwargs)

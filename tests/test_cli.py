@@ -267,3 +267,38 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json",
                "--config", write_config(tmp_path)) == 0
     assert seen["alloc_cfg"] == AllocatorConfig(groups=4)
+
+
+@pytest.mark.parametrize("config,section", [
+    ({"train": 5}, "train"),
+    ({"train": {"iterations": "3"}}, "train"),
+    ({"train": {"iterations": 0}}, "train"),
+    ({"allocator": {"length_ranges": 5}}, "allocator"),
+    ({"allocator": {"length_ranges": [[1, "10"]]}}, "allocator"),
+    ({"model": {"d_model": 16.5}}, "model"),
+    ({"vocab": {"min_freq": [2]}}, "vocab"),
+    # DBS is deterministic, so the allocator has no seed
+    ({"allocator": {"groups": 4, "seed": 1}}, "allocator"),
+])
+def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
+    raw, split = tmp_path / "raw", tmp_path / "split"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    assert run("ingest", "--data", raw, "--out", split, "--k", 3) == 0
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, **config}))
+    capsys.readouterr()
+    assert run("train", "--data", split, "--out", tmp_path / "r", "--config", cfg) == 2
+    assert f"'{section}'" in one_line_error(capsys)
+
+
+def test_eval_with_checkpoint_missing_a_parameter_exits_2(tmp_path, capsys):
+    split_dir, final = untrained_bundle(tmp_path)
+    path = final / "rec.ckpt"
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files if key != "p:dec_ln_g"}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    err = one_line_error(capsys)
+    assert str(path) in err and "dec_ln_g" in err

@@ -385,3 +385,29 @@ def test_checkpoint_round_trip(tmp_path):
     assert all(np.array_equal(loaded_opt.m[k], opt.m[k]) for k in opt.m)
     with pytest.raises(VocabularyMismatch):
         load_checkpoint(path, expected_vocab_hash="other")
+
+
+def rewrite_checkpoint(path, edit):
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda a: a.pop("p:dec_ln_g"), "dec_ln_g"),
+    (lambda a: a.update({"p:tok_emb": a["p:tok_emb"][:-1]}), "tok_emb"),
+    (lambda a: a.update({"m:enc_ln_b": np.zeros(3)}), "enc_ln_b"),
+    (lambda a: a.update({"p:extra": np.zeros(3)}), "extra"),
+], ids=["missing", "truncated", "optimizer_shape", "unknown"])
+def test_checkpoint_with_wrong_parameters_is_rejected(tmp_path, edit, named):
+    model = tiny_model(vocab_size=15, seed=9)
+    opt = AdamState()
+    apply_update(model.params, {}, opt, lr=1e-3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, opt, "vhash", path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=named) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from textidrec import corpus, evaluation, synth, training
+from textidrec import allocator, corpus, evaluation, synth, training
 from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id
 from textidrec.autograd import Tensor
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
@@ -283,3 +283,60 @@ def test_use_user_id_false_restricts_templates():
     losses = train_recommender_phase(bundle, split, cfg, vocab, bank,
                                      AllocatorConfig(groups=4), random.Random(2))
     assert len(losses) == 1
+
+
+def test_alternate_train_allocates_once_per_generator(monkeypatch):
+    split, vocab, bank = toy_world()
+    hashes = []
+
+    def counted(model, *args, **kwargs):
+        hashes.append(model.param_hash())
+        return allocate_all(model, *args, **kwargs)
+
+    monkeypatch.setattr(training, "allocate_all", counted)
+    cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1)
+    alternate_train(split, vocab, *tiny_pair(vocab), cfg, AllocatorConfig(groups=4), bank)
+    # the warm-start generator, then one refresh after each generator phase
+    assert len(hashes) == 3
+    assert len(set(hashes)) == 3
+
+
+def test_alternate_train_without_user_ids_generates_none(monkeypatch):
+    split, vocab, bank = toy_world()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate_user_id(*args, **kwargs)
+
+    monkeypatch.setattr(training, "generate_user_id", counted)
+    monkeypatch.setattr(evaluation, "generate_user_id", counted)
+    cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1,
+                      use_user_id=False)
+    alternate_train(split, vocab, *tiny_pair(vocab), cfg, AllocatorConfig(groups=4), bank)
+    assert calls == []
+
+
+def test_user_span_source_is_the_one_its_snapshot_id_came_from(monkeypatch):
+    split, vocab, bank = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    generated, trained = set(), set()
+
+    def recording_dbs(model, src_ids, *args, **kwargs):
+        results = real_dbs(model, src_ids, *args, **kwargs)
+        if src_ids is not None:  # generate_user_id; allocate_all passes an encoder state
+            generated.add((tuple(src_ids), results[0].tokens))
+        return results
+
+    def recording_loss(idgen, rec, prompt, span_sources, *args):
+        trained.update((tuple(src), tuple(anchor))
+                       for span, (src, anchor) in zip(prompt.spans, span_sources)
+                       if span.role == "user")
+        return idgen_example_loss(idgen, rec, prompt, span_sources, *args)
+
+    real_dbs = allocator.diverse_beam_search
+    monkeypatch.setattr(allocator, "diverse_beam_search", recording_dbs)
+    monkeypatch.setattr(training, "idgen_example_loss", recording_loss)
+    train_idgen_phase(bundle, split, TrainConfig(seed=1), vocab, bank,
+                      AllocatorConfig(groups=4), random.Random(3))
+    assert trained and trained <= generated
