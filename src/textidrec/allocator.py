@@ -88,18 +88,15 @@ class IdRegistry:
     rows: tuple[AllocationRow, ...]
     generator_hash: str | None = None
 
-    def stats(self, lam_init: float | None = None) -> dict[str, float]:
-        """Escalation fractions; `lam_init` defaults to the smallest recorded
-        penalty, which matches the allocation config whenever any item was
-        accepted on the first attempt.
+    def stats(self, lam_init: float) -> dict[str, float]:
+        """Escalation fractions against the allocation's first penalty `lam_init`.
 
         An item "escalated" if it was not accepted on the very first attempt
         (its accepted penalty exceeds lam_init, or it left the first length
         range, which implies the whole first penalty ladder failed).
         """
         n = max(1, len(self.rows))
-        floor = lam_init if lam_init is not None else min((r.lam for r in self.rows), default=0.0)
-        escalated = sum(1 for r in self.rows if r.lam > floor or r.range_index != 0)
+        escalated = sum(1 for r in self.rows if r.lam > lam_init or r.range_index != 0)
         extended = sum(1 for r in self.rows if r.range_index != 0)
         fallbacks = sum(1 for r in self.rows if r.fallback)
         return {

@@ -370,6 +370,30 @@ def save_checkpoint(model: SequenceModel, opt: AdamState, vocab_hash: str, path:
         np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
+_META_FIELDS = {"version": int, "vocab_hash": str, "config": dict, "adam_step": int}
+
+
+def _read_meta(path: str | Path, raw: bytes) -> dict:
+    """A checkpoint's meta record with its `config` built into a ModelConfig;
+    a malformed record is a ValueError naming the file."""
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable checkpoint meta record: {exc}") from exc
+    if not isinstance(meta, dict) or any(type(meta.get(k)) is not t for k, t in _META_FIELDS.items()):
+        raise ValueError(f"{path}: checkpoint meta record must be an object with "
+                         + ", ".join(f"{k} ({t.__name__})" for k, t in _META_FIELDS.items()))
+    if meta["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta['version']} in {path}")
+    try:
+        if any(type(v) is not int for v in meta["config"].values()):
+            raise TypeError("every model config value must be an int")
+        meta["config"] = ModelConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model config in checkpoint meta record: {exc}") from exc
+    return meta
+
+
 def load_checkpoint(path: str | Path,
                     expected_vocab_hash: str | None = None) -> tuple[SequenceModel, AdamState, str]:
     try:
@@ -379,16 +403,14 @@ def load_checkpoint(path: str | Path,
     with data:
         if "__meta__" not in data.files:
             raise ValueError(f"{path} is not a checkpoint: it has no __meta__ record")
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']} in {path}")
+        meta = _read_meta(path, bytes(data["__meta__"]))
         vocab_hash = meta["vocab_hash"]
         if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
             raise VocabularyMismatch(
                 f"checkpoint {path} was trained against vocabulary {vocab_hash[:12]}..., "
                 f"expected {expected_vocab_hash[:12]}..."
             )
-        config = ModelConfig(**meta["config"])
+        config = meta["config"]
         shapes = dict(_param_shapes(config))
         params, opt = {}, AdamState()
         opt.step = meta["adam_step"]

@@ -70,8 +70,8 @@ class Template:
 class Span:
     """Token positions [start, end) of one interpolated ID inside a prompt.
 
-    role is 'user' for the user-ID slot or 'history' with the chronological
-    index of the history item.
+    role is 'user' for the user-ID slot or 'history' with the item's
+    position in the `item_ids` passed to `render_prompt`.
     """
 
     role: str
@@ -136,15 +136,18 @@ def render_prompt(template: Template, user_id: TextualId | None, item_ids: list[
                   max_history: int = 20) -> Prompt:
     """Interpolate IDs into the template and record each ID's token span.
 
-    History items are joined with ', ' in chronological order. When the
-    prompt exceeds `max_src_len`, whole oldest history items are dropped;
-    a span is never split.
+    History items are joined with ', ' in chronological order. Only the last
+    `max_history` are rendered, and when the prompt exceeds `max_src_len`,
+    whole oldest history items are dropped; a span is never split. A history
+    span's index is its item's position in `item_ids`.
     """
     if not item_ids:
         raise EmptyHistory("item_ids must be non-empty")
+    if max_history < 1:
+        raise ValueError("max_history must be >= 1")
     if template.has_user_slot and user_id is None:
         raise MissingUserId(f"template {template.id} requires a user ID")
-    history = list(item_ids)[-max_history:]
+    first = max(0, len(item_ids) - max_history)
     sep_tokens = vocab.encode(",")
     segments = _split_segments(template.text)
 
@@ -157,18 +160,18 @@ def render_prompt(template: Template, user_id: TextualId | None, item_ids: list[
                 tokens.extend(user_id.tokens)
                 spans.append(Span("user", 0, start, len(tokens)))
             elif segment == ITEM_PLACEHOLDER:
-                for j, tid in enumerate(history):
-                    if j > 0:
+                for j in range(first, len(item_ids)):
+                    if j > first:
                         tokens.extend(sep_tokens)
                     start = len(tokens)
-                    tokens.extend(tid.tokens)
+                    tokens.extend(item_ids[j].tokens)
                     spans.append(Span("history", j, start, len(tokens)))
             else:
                 tokens.extend(vocab.encode(segment))
         if max_src_len is None or len(tokens) <= max_src_len:
             return Prompt(tokens=tuple(tokens), spans=tuple(spans))
-        if len(history) <= 1:
+        if first == len(item_ids) - 1:
             raise SequenceTooLong(
                 f"prompt needs {len(tokens)} tokens with a single history item; limit is {max_src_len}"
             )
-        history = history[1:]
+        first += 1

@@ -92,6 +92,10 @@ def build_vocab(texts: Iterable[str], min_freq: int = 2, max_size: int = 8192) -
     lexicographic tie-break, truncated to `max_size` - 3 to leave room for
     the specials. Construction is independent of text ordering.
     """
+    if max_size < len(SPECIAL_TOKENS):
+        raise ValueError(f"max_size must be >= {len(SPECIAL_TOKENS)} (the special tokens)")
+    if min_freq < 1:
+        raise ValueError("min_freq must be >= 1")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(tokenize(text))

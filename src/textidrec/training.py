@@ -6,8 +6,9 @@ generator for a few epochs against the frozen recommender through the
 differentiable expected-embedding path and re-allocates the IDs, re-snapshots
 the user IDs, and trains the recommender under teacher forcing with the ID
 snapshot frozen. Both phases run the same epoch loop (`_train_epochs`) and
-differ only in the model they update and the per-example loss. Only one
-model's parameters change in any phase.
+differ only in the model they update and the per-example loss. Each batch of
+`TrainConfig.batch_size` examples is one graph, one backward and one Adam
+step on the mean loss. Only one model's parameters change in any phase.
 """
 
 from __future__ import annotations
@@ -75,15 +76,14 @@ class CheckpointBundle:
     vocab_hash: str
     iteration: int = 0
 
-    def save(self, directory: str | Path, vocab: Vocabulary | None = None) -> None:
+    def save(self, directory: str | Path, vocab: Vocabulary) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         save_checkpoint(self.rec, self.rec_opt, self.vocab_hash, directory / "rec.ckpt")
         save_checkpoint(self.idgen, self.idgen_opt, self.vocab_hash, directory / "idgen.ckpt")
         if self.registry is not None:
             self.registry.save_tsv(directory / "ids.tsv")
-        if vocab is not None:
-            vocab.save_tsv(directory / "vocab.tsv")
+        vocab.save_tsv(directory / "vocab.tsv")
         (directory / "bundle.json").write_text(
             json.dumps({"iteration": self.iteration}, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -160,50 +160,19 @@ def _sampling_bank(bank: tuple[Template, ...], cfg: TrainConfig) -> tuple[Templa
     return usable
 
 
-class _GradAccumulator:
-    """Sums per-example gradients and applies the mean every `batch_size`."""
-
-    def __init__(self, model: SequenceModel, opt: AdamState, lr: float, batch_size: int):
-        self.model, self.opt, self.lr, self.batch_size = model, opt, lr, batch_size
-        self.sums: dict[str, np.ndarray] = {}
-        self.count = 0
-
-    def add(self, grads: dict[str, np.ndarray | None]) -> None:
-        """Takes ownership of the arrays: they may be summed into in place."""
-        for name, g in grads.items():
-            if g is None:
-                continue
-            if name in self.sums:
-                self.sums[name] += g
-            else:
-                self.sums[name] = g
-        self.count += 1
-        if self.count >= self.batch_size:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.count == 0:
-            return
-        if self.count == 1:
-            mean = self.sums  # x / 1 is exact
-        else:
-            mean = {name: g / self.count for name, g in self.sums.items()}
-        apply_update(self.model.params, mean, self.opt, self.lr)
-        self.sums = {}
-        self.count = 0
-
-
 def _train_epochs(bundle: CheckpointBundle, split: corpus.SplitDataset, cfg: TrainConfig,
                   vocab: Vocabulary, bank: tuple[Template, ...], alloc_cfg: AllocatorConfig,
                   rng: random.Random, user_ids: dict[tuple[str, ...], TextualId] | None,
                   model: SequenceModel, opt: AdamState, lr: float, epochs: int,
                   example_loss: Callable[..., Tensor], label: str) -> list[float]:
-    """The epoch loop of both phases. Per example: sample a template, render
-    the prompt against the frozen ID snapshot, backpropagate
-    `example_loss(pt, prompt, target_tokens, example, user_id)` through fresh
-    trainable wrappers `pt` of `model` and accumulate the gradients. Per
-    epoch: apply the remainder and record the mean loss. Only `model`'s
-    parameters change."""
+    """The epoch loop of both phases. Each batch of `cfg.batch_size`
+    examples is one graph on fresh trainable wrappers `pt` of `model`: per
+    example, sample a template, render the prompt against the frozen ID
+    snapshot and build `example_loss(pt, prompt, target_tokens, example,
+    user_id)`; then one backward through the summed losses and one Adam step
+    with the batch's mean gradient. A short last batch is applied at the end
+    of its epoch. Records each epoch's mean loss. Only `model`'s parameters
+    change."""
     _check_registry(bundle)
     registry = bundle.registry
     examples = build_train_examples(split)
@@ -211,22 +180,27 @@ def _train_epochs(bundle: CheckpointBundle, split: corpus.SplitDataset, cfg: Tra
         user_ids = snapshot_user_ids(bundle.idgen, examples, dict(corpus.item_texts(split.items)),
                                      vocab, alloc_cfg)
     sampling_bank = _sampling_bank(bank, cfg)
-    accum = _GradAccumulator(model, opt, lr, cfg.batch_size)
     epoch_losses = []
     for epoch in range(epochs):
         total_nll = 0.0
-        for ex in examples:
-            template = sample_template(rng, sampling_bank)
-            uid = user_ids[ex.history] if cfg.use_user_id and template.has_user_slot else None
-            prompt = render_prompt(template, uid, [registry.ids[k] for k in ex.history],
-                                   vocab, max_src_len=bundle.rec.config.max_src_len)
+        for lo in range(0, len(examples), cfg.batch_size):
+            batch = examples[lo:lo + cfg.batch_size]
             pt = model.trainable()
-            target = list(registry.ids[ex.target].tokens) + [EOS_ID]
-            loss = example_loss(pt, prompt, target, ex, uid)
-            loss.backward()
-            accum.add({name: t.grad for name, t in pt.items()})
-            total_nll += loss.data.item()
-        accum.flush()
+            batch_loss = None
+            for ex in batch:
+                template = sample_template(rng, sampling_bank)
+                uid = user_ids[ex.history] if cfg.use_user_id and template.has_user_slot else None
+                prompt = render_prompt(template, uid, [registry.ids[k] for k in ex.history],
+                                       vocab, max_src_len=bundle.rec.config.max_src_len)
+                target = list(registry.ids[ex.target].tokens) + [EOS_ID]
+                loss = example_loss(pt, prompt, target, ex, uid)
+                total_nll += loss.data.item()
+                batch_loss = loss if batch_loss is None else batch_loss + loss
+            batch_loss.backward()
+            grads = {name: t.grad for name, t in pt.items()}
+            if len(batch) > 1:
+                grads = {name: g / len(batch) for name, g in grads.items() if g is not None}
+            apply_update(model.params, grads, opt, lr)
         epoch_losses.append(total_nll / max(1, len(examples)))
         log.info("%s epoch %d/%d: mean nll %.4f", label, epoch + 1, epochs, epoch_losses[-1])
     return epoch_losses
@@ -318,14 +292,11 @@ def train_idgen_phase(bundle: CheckpointBundle, split: corpus.SplitDataset,
 
     def example_loss(phi, prompt, target, ex, uid):
         """Each span's generator source: the item text for a history span,
-        the profile of the whole history for the user span. The renderer
-        drops the oldest items whole, so the history spans cover the last n."""
-        n = sum(1 for span in prompt.spans if span.role == "history")
-        rendered = ex.history[len(ex.history) - n:]
+        the profile of the whole history for the user span."""
         span_sources = []
         for span in prompt.spans:
             if span.role == "history":
-                key = rendered[span.index]
+                key = ex.history[span.index]
                 span_sources.append((vocab.encode(item_text[key], max_src),
                                      bundle.registry.ids[key].tokens))
             else:

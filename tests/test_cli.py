@@ -279,6 +279,8 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     ({"vocab": {"min_freq": [2]}}, "vocab"),
     # DBS is deterministic, so the allocator has no seed
     ({"allocator": {"groups": 4, "seed": 1}}, "allocator"),
+    ({"vocab": {"max_size": 2}}, "vocab"),
+    ({"vocab": {"min_freq": 0}}, "vocab"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"
@@ -302,3 +304,19 @@ def test_eval_with_checkpoint_missing_a_parameter_exits_2(tmp_path, capsys):
     assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
     err = one_line_error(capsys)
     assert str(path) in err and "dec_ln_g" in err
+
+
+def test_eval_with_bad_checkpoint_meta_exits_2(tmp_path, capsys):
+    split_dir, final = untrained_bundle(tmp_path)
+    path = final / "rec.ckpt"
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    meta["config"]["dropout"] = 1
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    err = one_line_error(capsys)
+    assert str(path) in err and "dropout" in err

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -395,12 +396,29 @@ def rewrite_checkpoint(path, edit):
         np.savez(fh, **arrays)
 
 
+def edit_meta(edit):
+    """An array edit that applies `edit` to the decoded meta record."""
+    def apply(arrays):
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        edit(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    return apply
+
+
 @pytest.mark.parametrize("edit,named", [
     (lambda a: a.pop("p:dec_ln_g"), "dec_ln_g"),
     (lambda a: a.update({"p:tok_emb": a["p:tok_emb"][:-1]}), "tok_emb"),
     (lambda a: a.update({"m:enc_ln_b": np.zeros(3)}), "enc_ln_b"),
     (lambda a: a.update({"p:extra": np.zeros(3)}), "extra"),
-], ids=["missing", "truncated", "optimizer_shape", "unknown"])
+    (edit_meta(lambda m: m["config"].update(dropout=1)), "dropout"),
+    (edit_meta(lambda m: m.pop("adam_step")), "adam_step"),
+    (edit_meta(lambda m: m["config"].update(d_model="16")), "int"),
+    (edit_meta(lambda m: m["config"].update(heads=3)), "divisible"),
+    (edit_meta(lambda m: m.update(config=[1, 2])), "config"),
+    (edit_meta(lambda m: m.clear()), "version"),
+], ids=["missing", "truncated", "optimizer_shape", "unknown", "meta_unknown_config_key",
+        "meta_no_adam_step", "meta_string_d_model", "meta_bad_heads", "meta_config_list",
+        "meta_empty"])
 def test_checkpoint_with_wrong_parameters_is_rejected(tmp_path, edit, named):
     model = tiny_model(vocab_size=15, seed=9)
     opt = AdamState()
@@ -411,3 +429,4 @@ def test_checkpoint_with_wrong_parameters_is_rejected(tmp_path, edit, named):
     with pytest.raises(ValueError, match=named) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+

@@ -110,7 +110,7 @@ def test_truncation_drops_oldest_whole_items():
     assert len(prompt.tokens) <= 6
     # spans stay whole and ordered
     assert all(s.end > s.start for s in prompt.spans)
-    assert [s.index for s in prompt.spans] == [0, 1, 2]
+    assert [s.index for s in prompt.spans] == [1, 2, 3]
 
 
 def test_truncation_respects_max_history():
@@ -119,6 +119,8 @@ def test_truncation_respects_max_history():
     ids = [tid(vocab, ("wa", "wb", "wc", "wd")[i % 4]) for i in range(30)]
     prompt = render_prompt(template, None, ids, vocab, max_history=5)
     assert sum(1 for s in prompt.spans if s.role == "history") == 5
+    with pytest.raises(ValueError, match="max_history"):
+        render_prompt(template, None, ids, vocab, max_history=0)
 
 
 def test_truncation_failure_raises():

@@ -89,3 +89,16 @@ def test_max_size_cap():
     texts = [" ".join(f"w{i}" for i in range(100))] * 2
     vocab = build_vocab(texts, min_freq=2, max_size=10)
     assert vocab.size == 10
+
+
+def test_max_size_three_holds_only_the_specials():
+    assert build_vocab(["a b c d e"] * 3, max_size=3).size == 3
+
+
+@pytest.mark.parametrize("kwargs,named", [
+    ({"max_size": 2}, "max_size"),
+    ({"min_freq": 0}, "min_freq"),
+])
+def test_build_vocab_rejects_bad_limits(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        build_vocab(["a b c d e"] * 3, **kwargs)

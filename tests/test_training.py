@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,8 @@ from textidrec.autograd import Tensor
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, apply_update,
                              expected_embedding)
-from textidrec.prompting import ITEM_PLACEHOLDER, USER_PLACEHOLDER, Template, default_bank, render_prompt
+from textidrec.prompting import (ITEM_PLACEHOLDER, USER_PLACEHOLDER, Template, default_bank, render_prompt,
+                                 sample_template)
 from textidrec.tokenizer import EOS_ID, build_vocab
 from textidrec.training import (CheckpointBundle, StaleRegistry, TrainConfig, TrainExample,
                                 alternate_train, build_train_examples, idgen_example_loss,
@@ -44,27 +46,55 @@ def fresh_bundle(split, vocab, seed=5, **model_kwargs):
                             registry=registry, vocab_hash=vocab.content_hash())
 
 
-@pytest.mark.parametrize("batch_size", [1, 2])
-def test_grad_accumulator_applies_the_batch_mean(batch_size):
-    rng = np.random.default_rng(batch_size)
-    model = SequenceModel.init(ModelConfig(vocab_size=6, d_model=4, layers=1, heads=1, ff_dim=4))
-    reference = {name: arr.copy() for name, arr in model.params.items()}
-    steps = [{name: rng.normal(size=arr.shape) for name, arr in model.params.items()}
-             for _ in range(4)]
-    steps[1]["tok_emb"] = None
-    accum = training._GradAccumulator(model, AdamState(), 0.01, batch_size)
-    for grads in steps:
-        accum.add({name: None if g is None else g.copy() for name, g in grads.items()})
-    accum.flush()
-    ref_opt = AdamState()
-    for lo in range(0, len(steps), batch_size):
-        batch = steps[lo:lo + batch_size]
-        mean = {}
-        for name in reference:
-            present = [g[name] for g in batch if g[name] is not None]
-            mean[name] = sum(present[1:], present[0].copy()) / len(batch) if present else None
-        apply_update(reference, mean, ref_opt, 0.01)
-    assert all(np.array_equal(model.params[name], reference[name]) for name in reference)
+def reference_recommender_phase(bundle, split, cfg, vocab, bank, alloc_cfg, rng):
+    """The recommender phase as per-example graphs: one backward per example,
+    the batch's gradients summed and divided by its length, then one Adam
+    step per batch."""
+    rec, registry = bundle.rec, bundle.registry
+    examples = build_train_examples(split)
+    user_ids = snapshot_user_ids(bundle.idgen, examples, dict(corpus.item_texts(split.items)),
+                                 vocab, alloc_cfg)
+    for _ in range(cfg.rec_epochs_per_iter):
+        for lo in range(0, len(examples), cfg.batch_size):
+            batch = examples[lo:lo + cfg.batch_size]
+            sums = {}
+            for ex in batch:
+                template = sample_template(rng, bank)
+                uid = user_ids[ex.history] if template.has_user_slot else None
+                prompt = render_prompt(template, uid, [registry.ids[k] for k in ex.history],
+                                       vocab, max_src_len=rec.config.max_src_len)
+                pt = rec.trainable()
+                target = list(registry.ids[ex.target].tokens) + [EOS_ID]
+                rec.sequence_nll(rec.encode(prompt.tokens, pt), target, pt).backward()
+                for name, t in pt.items():
+                    if t.grad is not None:
+                        sums[name] = sums[name] + t.grad if name in sums else t.grad
+            apply_update(rec.params, {name: g / len(batch) for name, g in sums.items()},
+                         bundle.rec_opt, cfg.lr_rec)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_batch_step_matches_per_example_gradient_mean(monkeypatch, batch_size):
+    split, vocab, bank = toy_world()
+    alloc_cfg = AllocatorConfig(groups=4)
+    cfg = TrainConfig(seed=1, rec_epochs_per_iter=2, batch_size=batch_size)
+    bundle, reference = fresh_bundle(split, vocab), fresh_bundle(split, vocab)
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(None)
+        return apply_update(*args, **kwargs)
+
+    monkeypatch.setattr(training, "apply_update", counted)
+    train_recommender_phase(bundle, split, cfg, vocab, bank, alloc_cfg, random.Random(5))
+    reference_recommender_phase(reference, split, cfg, vocab, bank, alloc_cfg, random.Random(5))
+    n = len(build_train_examples(split))
+    assert len(steps) == cfg.rec_epochs_per_iter * math.ceil(n / batch_size)
+    for name, param in bundle.rec.params.items():
+        if batch_size == 1:
+            assert np.array_equal(param, reference.rec.params[name]), name
+        else:
+            assert np.max(np.abs(param - reference.rec.params[name])) <= 1e-12, name
 
 
 def test_build_train_examples_expands_prefixes():
@@ -340,3 +370,31 @@ def test_user_span_source_is_the_one_its_snapshot_id_came_from(monkeypatch):
     train_idgen_phase(bundle, split, TrainConfig(seed=1), vocab, bank,
                       AllocatorConfig(groups=4), random.Random(3))
     assert trained and trained <= generated
+
+
+def test_history_span_sources_follow_the_rendered_items(monkeypatch):
+    split, vocab, _ = toy_world(min_len=6, max_len=6)
+    bundle = fresh_bundle(split, vocab)
+    longest = max(len(tid.tokens) for tid in bundle.registry.ids.values())
+    # "go", two IDs and a separator fit; a third history item is dropped
+    bundle.rec = SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=5, d_model=16, layers=1,
+                                                heads=2, ff_dim=32, max_src_len=2 + 2 * longest,
+                                                max_tgt_len=12))
+    by_tokens = {tid.tokens: key for key, tid in bundle.registry.ids.items()}
+    item_text = dict(corpus.item_texts(split.items))
+    max_src = bundle.idgen.config.max_src_len
+    indexes = []
+
+    def recording_loss(idgen, rec, prompt, span_sources, *args):
+        history = [(span, src) for span, src in zip(prompt.spans, span_sources) if span.role == "history"]
+        indexes.append([span.index for span, _ in history])
+        for span, (src, anchor) in history:
+            key = by_tokens[prompt.tokens[span.start:span.end]]
+            assert tuple(anchor) == bundle.registry.ids[key].tokens
+            assert src == vocab.encode(item_text[key], max_src)
+        return idgen_example_loss(idgen, rec, prompt, span_sources, *args)
+
+    monkeypatch.setattr(training, "idgen_example_loss", recording_loss)
+    train_idgen_phase(bundle, split, TrainConfig(seed=1), vocab, (Template(1, "go {item_ids}"),),
+                      AllocatorConfig(groups=4), random.Random(3))
+    assert [1, 2] in indexes  # a three-item history rendered without its oldest item
