@@ -11,6 +11,11 @@ At the model's sizes each op's Python bookkeeping costs more than its numpy
 arithmetic, so ops are kept coarse: `layer_norm` is one op with an analytic
 backward, and `swapaxes`/`reshape` let attention run all heads as one
 batched matmul.
+
+Gradients are shared, not copied: a node's first incoming gradient is stored
+as given, so a `.grad` may be an array another node also holds, a view of
+one, or a read-only broadcast. A `.grad` must never be written in place;
+later contributions are added out of place.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_F64 = np.dtype(np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -54,24 +62,28 @@ class Tensor:
 
     def _accum(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(grad, self.data.shape)
-        if self.grad is None:
-            # a private copy: `grad` may be a read-only broadcast view or an
-            # array another node still holds
-            self.grad = np.array(grad, dtype=np.float64)
-        else:
-            self.grad += grad
+        # never in place: the stored array may be shared or read-only
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- graph construction -------------------------------------------------
 
     @staticmethod
     def _op(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        out = Tensor(data)
+        # built without __init__: an op's result is almost always a float64 array already
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        out = object.__new__(Tensor)
+        out.data = data
+        out.grad = None
         for p in parents:  # a plain loop: cheaper than any() over a generator
             if p.requires_grad:
                 out.requires_grad = True
                 out._parents = parents
                 out._backward = backward
-                break
+                return out
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
         return out
 
     # -- arithmetic ----------------------------------------------------------

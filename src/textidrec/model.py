@@ -13,6 +13,10 @@ position = depth and attends only to its ancestors. A chain is causal
 decoding (`sequence_nll`); a prefix tree scores many prefixes in one pass
 (`prefix_logits`, the only step scorer). Callers use four model members:
 `config`, `encode`, `prefix_logits` and `param_hash`.
+
+A model's parameters are views of one float64 buffer and `AdamState` lays
+its moments out the same way, so an Adam step is a few in-place numpy passes
+over that buffer rather than a handful of temporaries per parameter.
 """
 
 from __future__ import annotations
@@ -133,17 +137,32 @@ _PREFIX_BLOCK_ROWS = 512
 def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Depth of every row and the additive self-attention mask that lets a
     row see only itself and its ancestors. Parents precede their children;
-    a root has parent -1. The chain parents[i] = i-1 gives the causal mask."""
+    a root has a negative parent.
+
+    Every row climbs its ancestor chain one level per numpy pass, so a tree
+    takes as many passes as it is deep."""
     n = len(parents)
+    late = np.flatnonzero(parents >= np.arange(n))
+    if late.size:
+        i = late[0]
+        raise ValueError(f"row {i} has parent {parents[i]}; parents must precede their children")
     depth = np.zeros(n, dtype=np.int64)
     allowed = np.eye(n, dtype=bool)
-    for i, p in enumerate(parents):
-        if p >= 0:
-            if p >= i:
-                raise ValueError(f"row {i} has parent {p}; parents must precede their children")
-            depth[i] = depth[p] + 1
-            allowed[i] |= allowed[p]
+    rows = np.flatnonzero(parents >= 0)
+    anc = parents[rows]
+    while rows.size:
+        allowed[rows, anc] = True
+        depth[rows] += 1
+        anc = parents[anc]
+        climbing = anc >= 0
+        rows, anc = rows[climbing], anc[climbing]
     return depth, np.where(allowed, 0.0, -1e30)
+
+
+def _chain_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_tree_layout` of the chain parents[i] = i-1: the causal mask, built
+    directly (the walk is slower on a chain than this)."""
+    return np.arange(n), np.where(np.tri(n, dtype=bool), 0.0, -1e30)
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -152,12 +171,45 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _buffer_of(arrays: dict[str, np.ndarray]) -> np.ndarray | None:
+    """The flat float64 buffer that `arrays` fill, back to back in order, as
+    C-contiguous views; None when they do not."""
+    views = list(arrays.values())
+    flat = views[0].base if views else None
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+            and flat.flags.c_contiguous):
+        return None
+    at = flat.ctypes.data
+    for view in views:
+        if view.base is not flat or view.ctypes.data != at or not view.flags.c_contiguous:
+            return None
+        at += view.nbytes
+    return flat if at == flat.ctypes.data + flat.nbytes else None
+
+
+def _pack(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`arrays` as views that fill one float64 buffer, in order: kept when
+    they already do (as `SequenceModel.init` draws them), else copied into a
+    new buffer."""
+    if _buffer_of(arrays) is not None:
+        return dict(arrays)
+    flat = np.empty(sum(np.size(a) for a in arrays.values()))
+    packed, lo = {}, 0
+    for name, array in arrays.items():
+        view = flat[lo:lo + np.size(array)].reshape(np.shape(array))
+        view[...] = array
+        packed[name] = view
+        lo += view.size
+    return packed
+
+
 class SequenceModel:
-    """Encoder-decoder over a shared vocabulary; parameters in a flat dict."""
+    """Encoder-decoder over a shared vocabulary. `params` maps each name to
+    a view of one flat buffer (see `_pack`)."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
-        self.params = params
+        self.params = _pack(params)
         self._frozen: dict[str, Tensor] | None = None
 
     @classmethod
@@ -166,7 +218,13 @@ class SequenceModel:
         in (-1/sqrt(d_model), 1/sqrt(d_model))."""
         rng = np.random.default_rng(config.seed)
         bound = 1.0 / math.sqrt(config.d_model)
-        params = {name: rng.uniform(-bound, bound, size=shape) for name, shape in _param_shapes(config)}
+        shapes = _param_shapes(config)
+        # one draw gives the same stream as one draw per parameter, in order
+        flat = rng.uniform(-bound, bound, size=sum(math.prod(shape) for _, shape in shapes))
+        params, lo = {}, 0
+        for name, shape in shapes:
+            params[name] = flat[lo:lo + math.prod(shape)].reshape(shape)
+            lo += math.prod(shape)
         return cls(config, params)
 
     def param_hash(self) -> str:
@@ -229,10 +287,13 @@ class SequenceModel:
         pt = params if params is not None else self.frozen()
         cfg = self.config
         ids = np.array([int(t) for t in dec_input_ids], dtype=np.int64)
-        parents = np.arange(len(ids)) - 1 if parents is None else np.asarray(parents, dtype=np.int64)
-        if parents.shape != ids.shape:
-            raise ValueError(f"{len(parents)} parents for {len(ids)} decoder rows")
-        depth, mask = _tree_layout(parents)
+        if parents is None:
+            depth, mask = _chain_layout(len(ids))
+        else:
+            parents = np.asarray(parents, dtype=np.int64)
+            if parents.shape != ids.shape:
+                raise ValueError(f"{len(parents)} parents for {len(ids)} decoder rows")
+            depth, mask = _tree_layout(parents)
         if len(ids) and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         x = pt["tok_emb"][ids] + pt["tgt_pos"][depth]
@@ -312,43 +373,149 @@ def expected_embedding(logits: Tensor, emb: Tensor) -> Tensor:
     return (probs @ emb).reshape(-1)
 
 
+def expected_embedding_rows(logits: Tensor, emb: Tensor) -> Tensor:
+    """`expected_embedding` of every row of (L, V) logits, stacked to (L, d),
+    as one graph node.
+
+    Row by row it runs the numpy expressions of the per-row op chain, so its
+    values and gradients equal `stack_rows` over per-row `expected_embedding`
+    bit for bit; one (L, V) @ (V, d) product would not, as BLAS sums it in
+    another order."""
+    table = emb.data
+    probs = []
+    for row in logits.data:
+        z = row.reshape(1, -1)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        probs.append(e / e.sum(axis=-1, keepdims=True))
+    out = np.concatenate([p @ table for p in probs], axis=0)
+
+    def bw(g, a=logits, b=emb):
+        g = np.ascontiguousarray(g)
+        g_logits = np.empty(a.data.shape)
+        for i, y in enumerate(probs):
+            g_row = g[i:i + 1]
+            if a.requires_grad:
+                g_y = g_row @ table.swapaxes(-1, -2)
+                g_logits[i] = (g_y - (g_y * y).sum(axis=-1, keepdims=True)) * y
+            if b.requires_grad:
+                b._accum(y.swapaxes(-1, -2) @ g_row)
+        if a.requires_grad:
+            a._accum(g_logits)
+    return Tensor._op(out, (logits, emb), bw)
+
+
 # -- optimizer -----------------------------------------------------------------
+
+# Elements per in-place Adam pass: bounds the scratch arrays while a
+# default-size model still takes only a few passes per step.
+_ADAM_CHUNK = 32768
 
 
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    From the first step on, `m` and `v` hold views laid out like the
+    parameters they follow (see `apply_update`); moments loaded from a
+    checkpoint are copied into that layout then."""
 
     def __init__(self) -> None:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
+        self._layout: _AdamLayout | None = None
+
+
+class _AdamLayout:
+    """The runs of one parameter dict and the moment buffers that mirror
+    them. Parameters that fill one buffer (`_buffer_of`, as a
+    `SequenceModel`'s do) are one run; otherwise each parameter is a run of
+    its own. Each run is updated in chunks of at most `_ADAM_CHUNK`
+    elements; a chunk's `pieces` say which parameter slice fills which part
+    of its gradient."""
+
+    def __init__(self, params: dict[str, np.ndarray], state: AdamState, chunk: int):
+        self.params = tuple(params.values())
+        flat = _buffer_of(params)
+        if flat is not None:
+            runs = [(flat, list(params))]
+        else:
+            for name, param in params.items():
+                if not param.flags.c_contiguous:  # reshape(-1) would copy it, losing the update
+                    raise ValueError(f"parameter {name!r} is not a C-contiguous array")
+            runs = [(param.reshape(-1), [name]) for name, param in params.items()]
+        self.runs = []  # (param flat, m flat, v flat, [(lo, hi, pieces)])
+        m_views, v_views = {}, {}
+        for flat, members in runs:
+            m_flat, v_flat = np.zeros(flat.size), np.zeros(flat.size)
+            spans, lo = [], 0
+            for name in members:
+                shape, hi = params[name].shape, lo + params[name].size
+                m_views[name] = m_flat[lo:hi].reshape(shape)
+                v_views[name] = v_flat[lo:hi].reshape(shape)
+                if name in state.m:
+                    m_views[name][...] = state.m[name]
+                if name in state.v:
+                    v_views[name][...] = state.v[name]
+                spans.append((name, lo, hi))
+                lo = hi
+            chunks = []
+            for c_lo in range(0, flat.size, chunk):
+                c_hi = min(c_lo + chunk, flat.size)
+                pieces = [(name, max(lo, c_lo) - lo, min(hi, c_hi) - lo, max(lo, c_lo) - c_lo)
+                          for name, lo, hi in spans if lo < c_hi and hi > c_lo]
+                chunks.append((c_lo, c_hi, pieces))
+            self.runs.append((flat, m_flat, v_flat, chunks))
+        state.m, state.v = m_views, v_views
+        self.scratch = np.empty((2, min(chunk, max((f.size for f, *_ in self.runs), default=0))))
+
+    def fits(self, params: dict[str, np.ndarray]) -> bool:
+        return len(params) == len(self.params) and all(
+            a is b for a, b in zip(params.values(), self.params))
 
 
 def apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | None],
                  state: AdamState, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place Adam step; absent gradients count as zero."""
-    state.step += 1
-    t = state.step
+    """One in-place Adam step; absent gradients count as zero.
+
+    Each chunk of each parameter run copies its gradients into scratch and
+    runs the textbook expressions in place, in the order a per-parameter
+    update would (`m = beta1*m + (1-beta1)*g`, `v = beta2*v + (1-beta2)*g*g`,
+    `p -= lr*m_hat / (sqrt(v_hat) + eps)`), so the result is the same bits
+    without a full-size temporary."""
     for name, param in params.items():
         grad = grads.get(name)
-        if grad is None:
-            grad = np.zeros_like(param)
-        if grad.shape != param.shape:
+        if grad is not None and grad.shape != param.shape:
             raise ShapeMismatch(f"gradient for {name!r} has shape {grad.shape}, expected {param.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(param)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(param)
-        m *= beta1
-        m += (1 - beta1) * grad
-        v *= beta2
-        v += (1 - beta2) * grad * grad
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    if state._layout is None or not state._layout.fits(params):
+        state._layout = _AdamLayout(params, state, _ADAM_CHUNK)
+    layout = state._layout
+    state.step += 1
+    c1, c2 = 1 - beta1 ** state.step, 1 - beta2 ** state.step
+    for flat, m_flat, v_flat, chunks in layout.runs:
+        for lo, hi, pieces in chunks:
+            g, a = layout.scratch[0, :hi - lo], layout.scratch[1, :hi - lo]
+            for name, start, stop, at in pieces:
+                grad = grads.get(name)
+                if grad is None:
+                    g[at:at + stop - start] = 0.0
+                else:
+                    g[at:at + stop - start] = grad.reshape(-1)[start:stop]
+            p, m, v = flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1 - beta1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, beta2, out=v)
+            np.multiply(g, 1 - beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(m, c1, out=a)      # m_hat
+            np.multiply(a, lr, out=a)    # lr * m_hat
+            np.divide(v, c2, out=g)      # v_hat
+            np.sqrt(g, out=g)
+            np.add(g, eps, out=g)
+            np.divide(a, g, out=a)
+            np.subtract(p, a, out=p)
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -26,7 +26,8 @@ from . import corpus
 from .allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all, generate_user_id,
                         profile_source)
 from .autograd import Tensor, concat, stack_rows
-from .model import AdamState, SequenceModel, apply_update, expected_embedding, load_checkpoint, save_checkpoint
+from .model import (AdamState, SequenceModel, apply_update, expected_embedding_rows, load_checkpoint,
+                    save_checkpoint)
 from .prompting import Prompt, Template, render_prompt, sample_template
 from .tokenizer import EOS_ID, PAD_ID, Vocabulary
 
@@ -105,10 +106,22 @@ class CheckpointBundle:
                 raise StaleRegistry(f"{directory / 'ids.tsv'} was not produced by the generator "
                                     f"in {directory / 'idgen.ckpt'}")
         meta_path = directory / "bundle.json"
-        iteration = json.loads(meta_path.read_text())["iteration"] if meta_path.exists() else 0
+        iteration = _read_bundle_iteration(meta_path) if meta_path.exists() else 0
         bundle = cls(rec=rec, rec_opt=rec_opt, idgen=idgen, idgen_opt=idgen_opt,
                      registry=registry, vocab_hash=expected, iteration=iteration)
         return bundle, vocab
+
+
+def _read_bundle_iteration(path: Path) -> int:
+    """The iteration recorded in `bundle.json`; a malformed record is a
+    ValueError naming the file."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable bundle record: {exc}") from exc
+    if not isinstance(record, dict) or type(record.get("iteration")) is not int:
+        raise ValueError(f"{path}: bundle record must be an object with an int iteration")
+    return record["iteration"]
 
 
 def build_train_examples(split: corpus.SplitDataset) -> list[TrainExample]:
@@ -224,30 +237,33 @@ def train_recommender_phase(bundle: CheckpointBundle, split: corpus.SplitDataset
 
 
 def expected_id_rows(idgen: SequenceModel, phi: dict[str, Tensor], src_ids,
-                     anchor_tokens, rec_emb: Tensor) -> list[Tensor]:
+                     anchor_tokens, rec_emb: Tensor) -> Tensor:
     """Teacher-force the generator along an ID's snapshot tokens and convert
     each position's logits into an expected embedding under the recommender's
-    table. Differentiable w.r.t. the generator parameters."""
+    table: one (len(anchor), d) row per token. Differentiable w.r.t. the
+    generator parameters."""
     anchor = list(anchor_tokens)
     state = idgen.encode(src_ids, phi)
     rows = idgen.decoder_all_logits(state, [PAD_ID] + anchor[:-1], phi)
-    return [expected_embedding(rows[i], rec_emb) for i in range(len(anchor))]
+    return expected_embedding_rows(rows, rec_emb)
 
 
-def splice_embeddings(prompt: Prompt, replacements: dict[int, list[Tensor]],
+def splice_embeddings(prompt: Prompt, replacements: dict[int, Tensor | list[Tensor]],
                       tok_emb: Tensor) -> Tensor:
     """Encoder input matrix for the prompt with every span's token embeddings
-    replaced by the given rows; other positions gather from `tok_emb`."""
+    replaced by the given rows, a (span length, d) tensor or a list of 1-D
+    rows; other positions gather from `tok_emb`."""
     tokens = np.array(prompt.tokens)
     pieces: list[Tensor] = []
     pos = 0
     for si, span in enumerate(prompt.spans):
         rows = replacements[si]
-        if len(rows) != span.end - span.start:
-            raise ValueError(f"span {si} covers {span.end - span.start} tokens, got {len(rows)} rows")
+        count = rows.data.shape[0] if isinstance(rows, Tensor) else len(rows)
+        if count != span.end - span.start:
+            raise ValueError(f"span {si} covers {span.end - span.start} tokens, got {count} rows")
         if span.start > pos:
             pieces.append(tok_emb[tokens[pos:span.start]])
-        pieces.append(stack_rows(rows))
+        pieces.append(rows if isinstance(rows, Tensor) else stack_rows(rows))
         pos = span.end
     if pos < len(tokens):
         pieces.append(tok_emb[tokens[pos:]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from textidrec.autograd import Tensor, concat, stack_rows
+from textidrec.model import expected_embedding_rows
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -21,7 +22,8 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 @pytest.mark.parametrize("op_name", ["matmul", "add_broadcast", "mul", "softmax",
                                      "log_softmax", "gelu", "getitem", "concat",
-                                     "mean", "pow", "div", "swapaxes", "layer_norm"])
+                                     "mean", "pow", "div", "swapaxes", "layer_norm",
+                                     "expected_embedding_rows"])
 def test_op_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
     a = rng.normal(size=(3, 4))
@@ -62,6 +64,8 @@ def test_op_gradients_match_finite_differences(op_name):
                    + (tc.swapaxes(0, 2) * weights.swapaxes(0, 2)).sum())
         elif op_name == "layer_norm":
             out = (tc.layer_norm(tv, tw, 1e-6) * weights).sum()
+        elif op_name == "expected_embedding_rows":
+            out = (expected_embedding_rows(ta, tb) * weights[0, :, :2]).sum()
         else:
             out = (ta / ((ta * ta) + 1.0)).sum()
         return (ta, tb, tv, tw, tc), out
@@ -115,6 +119,17 @@ def test_first_gradient_write_does_not_alias_the_upstream_gradient():
     (doubled * 1.0).sum().backward()
     assert np.array_equal(doubled.grad, np.ones(3))
     assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_shared_upstream_gradient_is_never_written_in_place():
+    x = Tensor(np.ones(3), requires_grad=True)
+    left, right = x.reshape(3), x.reshape(3)
+    total = left + right  # `left` and `right` receive the same gradient array
+    (total * np.array([1.0, 2.0, 3.0])).sum().backward()
+    assert left.grad is right.grad
+    for shared in (total.grad, left.grad):
+        assert np.array_equal(shared, [1.0, 2.0, 3.0])
+    assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
 
 
 def test_repeated_backward_is_idempotent():

@@ -320,3 +320,12 @@ def test_eval_with_bad_checkpoint_meta_exits_2(tmp_path, capsys):
     assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
     err = one_line_error(capsys)
     assert str(path) in err and "dropout" in err
+
+
+@pytest.mark.parametrize("record", ["{}", "[1]", '{"iteration": "2"}', "{not json"])
+def test_eval_with_bad_bundle_record_exits_2(tmp_path, capsys, record):
+    split_dir, final = untrained_bundle(tmp_path)
+    (final / "bundle.json").write_text(record)
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    assert str(final / "bundle.json") in one_line_error(capsys)

@@ -8,11 +8,11 @@ import pytest
 
 from conftest import tiny_model
 from textidrec import model as model_module
-from textidrec.autograd import Tensor, concat
+from textidrec.autograd import Tensor, concat, stack_rows
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
                              ShapeMismatch, VocabularyMismatch, apply_update,
-                             expected_embedding, load_checkpoint, log_softmax_rows,
-                             save_checkpoint)
+                             expected_embedding, expected_embedding_rows, load_checkpoint,
+                             log_softmax_rows, save_checkpoint)
 from textidrec.tokenizer import EOS_ID, PAD_ID
 
 
@@ -121,6 +121,63 @@ def test_explicit_chain_parents_equal_causal_decoding():
     assert np.array_equal(causal, chain)
     with pytest.raises(ValueError):
         model.decoder_all_logits(state, ids, parents=[-1, 2, 1, 2])
+
+
+def loop_tree_layout(parents):
+    """The row loop `_tree_layout` replaced: the reference for its depth and mask."""
+    n = len(parents)
+    depth = np.zeros(n, dtype=np.int64)
+    allowed = np.eye(n, dtype=bool)
+    for i, p in enumerate(parents):
+        if p >= 0:
+            if p >= i:
+                raise ValueError(f"row {i} has parent {p}; parents must precede their children")
+            depth[i] = depth[p] + 1
+            allowed[i] |= allowed[p]
+    return depth, np.where(allowed, 0.0, -1e30)
+
+
+def random_forest(rng, n: int, p_chain: float) -> np.ndarray:
+    """Parents of n rows: a few roots; each other row continues the previous
+    row's path with probability `p_chain`, else branches off any earlier row."""
+    parents = np.full(n, -1, dtype=np.int64)
+    for i in range(1, n):
+        draw = rng.random()
+        if draw < p_chain:
+            parents[i] = i - 1
+        elif draw < 0.95:
+            parents[i] = rng.integers(0, i)
+    return parents
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 333, 512])
+@pytest.mark.parametrize("p_chain", [0.0, 0.6, 0.9])
+def test_tree_layout_matches_row_loop(n, p_chain):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        parents = random_forest(rng, n, p_chain)
+        depth, mask = model_module._tree_layout(parents)
+        want_depth, want_mask = loop_tree_layout(parents)
+        assert np.array_equal(depth, want_depth)
+        assert np.array_equal(mask, want_mask)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 24])
+def test_chain_layout_is_the_tree_layout_of_a_chain(n):
+    chain = np.arange(n) - 1
+    for depth, mask in (model_module._chain_layout(n), model_module._tree_layout(chain)):
+        want_depth, want_mask = loop_tree_layout(chain)
+        assert np.array_equal(depth, want_depth)
+        assert np.array_equal(mask, want_mask)
+
+
+@pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 0, 3, 1], [-1, 2, 1, 2]])
+def test_tree_layout_rejects_parent_after_child(parents):
+    with pytest.raises(ValueError) as want:
+        loop_tree_layout(parents)
+    with pytest.raises(ValueError) as got:
+        model_module._tree_layout(np.array(parents))
+    assert str(got.value) == str(want.value)
 
 
 def per_head_attention(pt, prefix, q_in, kv_in, heads, mask=None):
@@ -338,6 +395,97 @@ def test_expected_embedding_matches_dense_oracle_and_hull():
     assert np.allclose(out, oracle, atol=1e-12)
     assert np.all(out <= emb.max(axis=0) + 1e-12)
     assert np.all(out >= emb.min(axis=0) - 1e-12)
+
+
+def per_row_expected_embeddings(logits: Tensor, emb: Tensor) -> Tensor:
+    """One op chain per row: the reference for `expected_embedding_rows`."""
+    return stack_rows([expected_embedding(logits[i], emb) for i in range(logits.data.shape[0])])
+
+
+@pytest.mark.parametrize("length", [1, 2, 9])
+@pytest.mark.parametrize("vocab_size", [38, 517])
+def test_expected_embedding_rows_equals_per_row_chain(length, vocab_size):
+    rng = np.random.default_rng(length * 1000 + vocab_size)
+    logits = rng.normal(size=(length, vocab_size)) * 4.0
+    emb = rng.normal(size=(vocab_size, 16))
+    w_rows, w_cols = rng.normal(size=(length, 16)), rng.normal(size=(16, length))
+    results = []
+    for build in (expected_embedding_rows, per_row_expected_embeddings):
+        t_logits, t_emb = Tensor(logits, requires_grad=True), Tensor(emb, requires_grad=True)
+        out = build(t_logits, t_emb)
+        # a C-ordered and a transposed upstream gradient
+        ((out * w_rows).sum() + (out.T * w_cols).sum()).backward()
+        results.append((out.data, t_logits.grad, t_emb.grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def reference_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam step `apply_update` replaced: the reference for
+    its bits. `state` holds plain `m`/`v` dicts and `step`."""
+    state.step += 1
+    t = state.step
+    for name, param in params.items():
+        grad = grads.get(name)
+        if grad is None:
+            grad = np.zeros_like(param)
+        m = state.m.setdefault(name, np.zeros_like(param))
+        v = state.v.setdefault(name, np.zeros_like(param))
+        m *= beta1
+        m += (1 - beta1) * grad
+        v *= beta2
+        v += (1 - beta2) * grad * grad
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_model_parameters_are_views_of_one_buffer():
+    model = tiny_model(vocab_size=15, seed=9)
+    arrays = list(model.params.values())
+    buffer = arrays[0].base
+    assert buffer is not None and buffer.size == sum(a.size for a in arrays)
+    assert all(a.base is buffer and a.flags.c_contiguous for a in arrays)
+    unpacked = {k: v.copy() for k, v in model.params.items()}
+    repacked = SequenceModel(model.config, unpacked)
+    assert repacked.param_hash() == model.param_hash()
+    assert all(a.base is repacked.params["tok_emb"].base for a in repacked.params.values())
+    # views that do not fill their buffer are copied into one of their own
+    part = model_module._pack({k: model.params[k] for k in list(model.params)[1:]})
+    assert all(a.base is not buffer and a.base.size == sum(p.size for p in part.values())
+               for a in part.values())
+
+
+def test_apply_update_matches_per_parameter_reference(monkeypatch, tmp_path):
+    """Packed model, plain dict and reference loop agree bit for bit over 4
+    steps with absent gradients, parameters larger than one chunk, and a
+    checkpoint reload halfway."""
+    monkeypatch.setattr(model_module, "_ADAM_CHUNK", 100)
+    model = tiny_model(vocab_size=15, seed=9)
+    assert model.params["tok_emb"].size > 100
+    plain = {k: v.copy() for k, v in model.params.items()}
+    ref = {k: v.copy() for k, v in model.params.items()}
+    opt, plain_opt = AdamState(), AdamState()
+    ref_opt = AdamState()  # its plain dicts serve the reference loop
+    rng = np.random.default_rng(0)
+    names = list(model.params)
+    for step in range(4):
+        grads = {name: rng.normal(size=p.shape) for i, (name, p) in enumerate(model.params.items())
+                 if (i + step) % 3}
+        apply_update(model.params, grads, opt, lr=1e-2)
+        apply_update(plain, grads, plain_opt, lr=1e-2)
+        reference_adam(ref, grads, ref_opt, lr=1e-2)
+        if step == 1:
+            save_checkpoint(model, opt, "vhash", tmp_path / "half.ckpt")
+            model, opt, _ = load_checkpoint(tmp_path / "half.ckpt")
+            assert all(opt.m[k].base is None for k in opt.m)  # loaded moments are separate arrays
+    assert opt.step == plain_opt.step == ref_opt.step == 4
+    for name in names:
+        for got in ((model.params, opt.m, opt.v), (plain, plain_opt.m, plain_opt.v)):
+            for arrays, want in zip(got, (ref, ref_opt.m, ref_opt.v)):
+                assert np.array_equal(arrays[name], want[name]), name
+    m_buffer = opt.m[names[0]].base
+    assert all(opt.m[k].base is m_buffer for k in names)
 
 
 def test_adam_zero_grad_is_identity_and_deterministic():

@@ -6,13 +6,13 @@ import pytest
 
 from textidrec import allocator, corpus, evaluation, synth, training
 from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id
-from textidrec.autograd import Tensor
+from textidrec.autograd import Tensor, stack_rows
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, apply_update,
                              expected_embedding)
 from textidrec.prompting import (ITEM_PLACEHOLDER, USER_PLACEHOLDER, Template, default_bank, render_prompt,
                                  sample_template)
-from textidrec.tokenizer import EOS_ID, build_vocab
+from textidrec.tokenizer import EOS_ID, PAD_ID, build_vocab
 from textidrec.training import (CheckpointBundle, StaleRegistry, TrainConfig, TrainExample,
                                 alternate_train, build_train_examples, idgen_example_loss,
                                 snapshot_user_ids, splice_embeddings,
@@ -242,6 +242,58 @@ def test_idgen_loss_gradient_reaches_generator_only():
     loss = idgen_example_loss(bundle.idgen, bundle.rec, prompt, span_sources, target, phi)
     loss.backward()
     assert any(t.grad is not None and np.any(t.grad != 0) for t in phi.values())
+
+
+def per_row_expected_id_rows(idgen, phi, src_ids, anchor_tokens, rec_emb):
+    """`expected_id_rows` as one op chain per anchor token: the reference path."""
+    anchor = list(anchor_tokens)
+    rows = idgen.decoder_all_logits(idgen.encode(src_ids, phi), [PAD_ID] + anchor[:-1], phi)
+    return [expected_embedding(rows[i], rec_emb) for i in range(len(anchor))]
+
+
+def test_expected_id_rows_matches_per_row_path_with_fewer_ops(monkeypatch, autograd_ops):
+    split, vocab, bank = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    registry = bundle.registry
+    keys = list(registry.ids)
+    prompt = render_prompt(Template(1, "go {item_ids} stop"), None,
+                           [registry.ids[k] for k in keys[:3]], vocab)
+    item_text = dict(corpus.item_texts(split.items))
+    span_sources = [(vocab.encode(item_text[k], 64), registry.ids[k].tokens) for k in keys[:3]]
+    target = list(registry.ids[keys[3]].tokens) + [EOS_ID]
+    results = []
+    for rows_fn in (training.expected_id_rows, per_row_expected_id_rows):
+        monkeypatch.setattr(training, "expected_id_rows", rows_fn)
+        phi = bundle.idgen.trainable()
+        autograd_ops[0] = 0
+        loss = idgen_example_loss(bundle.idgen, bundle.rec, prompt, span_sources, target, phi)
+        ops = autograd_ops[0]
+        loss.backward()
+        results.append((ops, loss.data, {k: t.grad for k, t in phi.items()}))
+    (ops, loss, grads), (ref_ops, ref_loss, ref_grads) = results
+    anchor_tokens = sum(len(anchor) for _, anchor in span_sources)
+    assert ref_ops - ops >= 4 * anchor_tokens
+    assert np.array_equal(loss, ref_loss)
+    for name, grad in ref_grads.items():
+        assert (grad is None) == (grads[name] is None), name
+        assert grad is None or np.array_equal(grads[name], grad), name
+
+
+def test_splice_embeddings_takes_a_span_tensor_or_rows():
+    split, vocab, bank = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    registry = bundle.registry
+    prompt = render_prompt(Template(1, "go {item_ids} stop"), None,
+                           [registry.ids[k] for k in list(registry.ids)[:2]], vocab)
+    emb = bundle.rec.frozen()["tok_emb"]
+    as_rows = {si: [emb[int(t)] for t in prompt.tokens[span.start:span.end]]
+               for si, span in enumerate(prompt.spans)}
+    as_tensors = {si: stack_rows(rows) for si, rows in as_rows.items()}
+    assert np.array_equal(splice_embeddings(prompt, as_rows, emb).data,
+                          splice_embeddings(prompt, as_tensors, emb).data)
+    as_tensors[0] = stack_rows(as_rows[0][:-1])
+    with pytest.raises(ValueError, match="span 0"):
+        splice_embeddings(prompt, as_tensors, emb)
 
 
 def test_snapshot_user_ids_cached_per_history():
