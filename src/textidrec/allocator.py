@@ -124,20 +124,57 @@ class IdRegistry:
 
     @classmethod
     def load_tsv(cls, path: str | Path, vocab: Vocabulary) -> "IdRegistry":
+        """Read what `save_tsv` writes. A row that is not four tab-separated
+        fields, repeats a key or an ID text, has an ID text that is empty,
+        holds a word outside `vocab` or does not decode back to itself, or
+        has a non-finite `lam` or a `range_index` below -1 is a ValueError
+        naming the file and the line."""
         ids: dict[str, TextualId] = {}
         rows: list[AllocationRow] = []
+        lines_of: dict[tuple[str, str], int] = {}  # ("key" or "ID text", value) -> its line
         generator_hash: str | None = None
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             if not line:
                 continue
             if line.startswith("#generator_hash="):
                 value = line.split("=", 1)[1]
                 generator_hash = None if value == "-" else value
                 continue
-            key, text, lam, range_index = line.split("\t")
-            ids[key] = TextualId(tokens=tuple(vocab.encode(text)), text=text)
-            rows.append(AllocationRow(key=key, lam=float(lam), range_index=int(range_index)))
+            try:
+                tid, row = _registry_row(line.split("\t"), vocab)
+                for kind, value in (("key", row.key), ("ID text", tid.text)):
+                    if (kind, value) in lines_of:
+                        raise ValueError(f"{kind} {value!r} already on line {lines_of[kind, value]}")
+                    lines_of[kind, value] = number
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
+            ids[row.key] = tid
+            rows.append(row)
         return cls(ids=ids, rows=tuple(rows), generator_hash=generator_hash)
+
+
+def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, AllocationRow]:
+    """One `ids.tsv` row, checked; a ValueError says what is wrong with it."""
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 tab-separated fields (key, ID text, lam, range_index), "
+                         f"got {len(fields)}")
+    key, text, lam, range_index = fields
+    tokens = tuple(vocab.encode(text))
+    if not tokens:
+        raise ValueError(f"empty ID text for key {key!r}")
+    if UNK_ID in tokens:
+        raise ValueError(f"ID text {text!r} has a word outside the vocabulary")
+    if vocab.decode(tokens) != text:
+        raise ValueError(f"ID text {text!r} does not decode back to itself ({vocab.decode(tokens)!r})")
+    try:
+        lam_value, index = float(lam), int(range_index)
+    except ValueError:
+        raise ValueError(f"lam {lam!r} must be a float and range_index {range_index!r} an int") from None
+    if not math.isfinite(lam_value):
+        raise ValueError(f"lam {lam!r} is not finite")
+    if index < -1:
+        raise ValueError(f"range_index {index} is below -1")
+    return TextualId(tokens=tokens, text=text), AllocationRow(key=key, lam=lam_value, range_index=index)
 
 
 def _step_logprobs(model, state, prefixes: list[tuple[int, ...]],

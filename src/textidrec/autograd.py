@@ -9,8 +9,9 @@ inference.
 
 At the model's sizes each op's Python bookkeeping costs more than its numpy
 arithmetic, so ops are kept coarse: `layer_norm` is one op with an analytic
-backward, and `swapaxes`/`reshape` let attention run all heads as one
-batched matmul.
+backward. `gelu` and `softmax` return an array together with its
+vector-Jacobian product, so `Tensor.gelu`, `Tensor.softmax` and fused
+multi-op nodes built elsewhere run the same expressions.
 
 Gradients are shared, not copied: a node's first incoming gradient is stored
 as given, so a `.grad` may be an array another node also holds, a view of
@@ -27,6 +28,28 @@ import numpy as np
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _F64 = np.dtype(np.float64)
+
+
+def gelu(x: np.ndarray):
+    """GELU (tanh form) of `x` and the map from an upstream gradient to the
+    gradient with respect to `x`."""
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+
+    def vjp(g):
+        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner)
+    return 0.5 * x * (1.0 + t), vjp
+
+
+def softmax(x: np.ndarray, axis: int = -1):
+    """Softmax of `x` along `axis` and the map from an upstream gradient to
+    the gradient with respect to `x`."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+    return y, vjp
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -209,16 +232,11 @@ class Tensor:
     # -- nonlinearities -------------------------------------------------------
 
     def gelu(self) -> "Tensor":
-        x = self.data
-        inner = _GELU_C * (x + _GELU_A * (x * x * x))
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        out, vjp = gelu(self.data)
 
         def bw(g, a=self):
-            d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
-            a._accum(g * local)
-        return Tensor._op(out_data, (self,), bw)
+            a._accum(vjp(g))
+        return Tensor._op(out, (self,), bw)
 
     def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-6) -> "Tensor":
         """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, as
@@ -243,12 +261,10 @@ class Tensor:
         return Tensor._op(normed * gain.data + bias.data, (self, gain, bias), bw)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        z = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y, vjp = softmax(self.data, axis)
 
         def bw(g, a=self):
-            a._accum((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+            a._accum(vjp(g))
         return Tensor._op(y, (self,), bw)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":

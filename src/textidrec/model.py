@@ -4,9 +4,9 @@ gradients, instantiated both as the ID generator and as the base recommender.
 Pre-norm transformer blocks, learned positional embeddings, and an output
 projection tied to the token embedding table. All math is float64; the same
 forward code runs training (trainable parameter wrappers) and inference
-(frozen wrappers, no graph construction). Attention runs every head in one
-batched matmul over (heads, rows, dh) views and each layer norm is a single
-autograd op, so a pass builds few graph nodes whatever the head count.
+(frozen wrappers, no graph construction). Each attention block (all heads
+in one batched matmul), each feed-forward block and each layer norm is one
+graph node, so a pass builds few nodes whatever the head count.
 
 The decoder runs over a tree of rows: each row names its parent, sits at
 position = depth and attends only to its ancestors. A chain is causal
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, gelu, softmax
 from .tokenizer import EOS_ID, PAD_ID
 
 
@@ -111,22 +111,80 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
                heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention with all heads in one batched matmul over
-    (heads, rows, dh) views of the projections."""
-    rows, width = q_in.data.shape[0], pt[f"{prefix}_wq"].data.shape[1]
+    """Multi-head attention as one graph node, all heads in one batched
+    matmul over (heads, rows, dh) views of the projections.
+
+    Forward and backward run the numpy expressions, array layouts and
+    requires_grad skips of the op chain it stands for (projections, scaled
+    per-head scores plus mask, softmax, weighted values, output
+    projection), so values and gradients are that chain's bits. The inputs
+    get their contributions in the chain's order: Q, then K, then V."""
+    wq, wk, wv, wo = (pt[name] for name in _attention_names(prefix))
+    rows, width = q_in.data.shape[0], wq.data.shape[1]
     keys, dh = kv_in.data.shape[0], width // heads
-    q = (q_in @ pt[f"{prefix}_wq"]).reshape(rows, heads, dh).swapaxes(0, 1)
-    k_t = (kv_in @ pt[f"{prefix}_wk"]).T.reshape(heads, dh, keys)
-    v = (kv_in @ pt[f"{prefix}_wv"]).reshape(keys, heads, dh).swapaxes(0, 1)
-    scores = (q @ k_t) * (1.0 / math.sqrt(dh))
+    scale = 1.0 / math.sqrt(dh)
+    q = (q_in.data @ wq.data).reshape(rows, heads, dh).swapaxes(0, 1)
+    k_t = (kv_in.data @ wk.data).T.reshape(heads, dh, keys)
+    v = (kv_in.data @ wv.data).reshape(keys, heads, dh).swapaxes(0, 1)
+    scores = (q @ k_t) * scale
     if mask is not None:
         scores = scores + mask
-    heads_out = scores.softmax(axis=-1) @ v
-    return heads_out.swapaxes(0, 1).reshape(rows, width) @ pt[f"{prefix}_wo"]
+    probs, softmax_vjp = softmax(scores)
+    joined = (probs @ v).swapaxes(0, 1).reshape(rows, width)
+
+    def bw(g):
+        need_q = q_in.requires_grad or wq.requires_grad
+        need_k = kv_in.requires_grad or wk.requires_grad
+        need_v = kv_in.requires_grad or wv.requires_grad
+        if wo.requires_grad:
+            wo._accum(joined.swapaxes(-1, -2) @ g)
+        if not (need_q or need_k or need_v):
+            return
+        g_heads = (g @ wo.data.swapaxes(-1, -2)).reshape(rows, heads, dh).swapaxes(0, 1)
+        if need_q or need_k:
+            g_scores = softmax_vjp(g_heads @ v.swapaxes(-1, -2)) * scale
+        if need_q:
+            g_q = (g_scores @ k_t.swapaxes(-1, -2)).swapaxes(0, 1).reshape(rows, width)
+            if q_in.requires_grad:
+                q_in._accum(g_q @ wq.data.swapaxes(-1, -2))
+            if wq.requires_grad:
+                wq._accum(q_in.data.swapaxes(-1, -2) @ g_q)
+        if need_k:
+            g_k = (q.swapaxes(-1, -2) @ g_scores).reshape(width, keys).swapaxes(-1, -2)
+            if kv_in.requires_grad:
+                kv_in._accum(g_k @ wk.data.swapaxes(-1, -2))
+            if wk.requires_grad:
+                wk._accum(kv_in.data.swapaxes(-1, -2) @ g_k)
+        if need_v:
+            g_v = (probs.swapaxes(-1, -2) @ g_heads).swapaxes(0, 1).reshape(keys, width)
+            if kv_in.requires_grad:
+                kv_in._accum(g_v @ wv.data.swapaxes(-1, -2))
+            if wv.requires_grad:
+                wv._accum(kv_in.data.swapaxes(-1, -2) @ g_v)
+    return Tensor._op(joined @ wo.data, (q_in, kv_in, wq, wk, wv, wo), bw)
 
 
 def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return (x @ pt[f"{prefix}_w1"] + pt[f"{prefix}_b1"]).gelu() @ pt[f"{prefix}_w2"] + pt[f"{prefix}_b2"]
+    """`gelu(x @ w1 + b1) @ w2 + b2` as one graph node that runs the numpy
+    expressions of that op chain, forward and backward."""
+    w1, b1, w2, b2 = (pt[f"{prefix}_{name}"] for name in ("w1", "b1", "w2", "b2"))
+    hidden, gelu_vjp = gelu(x.data @ w1.data + b1.data)
+
+    def bw(g):
+        if b2.requires_grad:
+            b2._accum(g)
+        if w2.requires_grad:
+            w2._accum(hidden.swapaxes(-1, -2) @ g)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        g_pre = gelu_vjp(g @ w2.data.swapaxes(-1, -2))
+        if b1.requires_grad:
+            b1._accum(g_pre)
+        if x.requires_grad:
+            x._accum(g_pre @ w1.data.swapaxes(-1, -2))
+        if w1.requires_grad:
+            w1._accum(x.data.swapaxes(-1, -2) @ g_pre)
+    return Tensor._op(hidden @ w2.data + b2.data, (x, w1, b1, w2, b2), bw)
 
 
 # Rows per decoder pass in `prefix_logits`: bounds the (rows x rows)
@@ -382,21 +440,16 @@ def expected_embedding_rows(logits: Tensor, emb: Tensor) -> Tensor:
     bit for bit; one (L, V) @ (V, d) product would not, as BLAS sums it in
     another order."""
     table = emb.data
-    probs = []
-    for row in logits.data:
-        z = row.reshape(1, -1)
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        probs.append(e / e.sum(axis=-1, keepdims=True))
-    out = np.concatenate([p @ table for p in probs], axis=0)
+    probs = [softmax(row.reshape(1, -1)) for row in logits.data]
+    out = np.concatenate([y @ table for y, _ in probs], axis=0)
 
     def bw(g, a=logits, b=emb):
         g = np.ascontiguousarray(g)
         g_logits = np.empty(a.data.shape)
-        for i, y in enumerate(probs):
+        for i, (y, vjp) in enumerate(probs):
             g_row = g[i:i + 1]
             if a.requires_grad:
-                g_y = g_row @ table.swapaxes(-1, -2)
-                g_logits[i] = (g_y - (g_y * y).sum(axis=-1, keepdims=True)) * y
+                g_logits[i] = vjp(g_row @ table.swapaxes(-1, -2))
             if b.requires_grad:
                 b._accum(y.swapaxes(-1, -2) @ g_row)
         if a.requires_grad:

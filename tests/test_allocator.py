@@ -260,6 +260,18 @@ def test_allocate_fallback_is_recorded_not_silent(caplog):
     assert any(row.fallback for row in registry.rows)
 
 
+def test_registry_with_fallback_ids_round_trips(tmp_path):
+    vocab = make_vocab(["red", "blue"])
+    model = tiny_model(vocab_size=vocab.size, seed=1)
+    cfg = AllocatorConfig(groups=2, beams_per_group=2, lam_max=2.0, length_ranges=((1, 3),))
+    registry = allocate_all(model, [(f"k{i}", "red blue") for i in range(8)], vocab, cfg)
+    assert any(row.fallback for row in registry.rows)
+    path = tmp_path / "ids.tsv"
+    registry.save_tsv(path)
+    loaded = IdRegistry.load_tsv(path, vocab)
+    assert loaded.ids == registry.ids and loaded.rows == registry.rows
+
+
 def test_registry_tsv_round_trip_bit_exact(tmp_path):
     vocab = make_vocab(WORDS[:12])
     model = tiny_model(vocab_size=vocab.size, seed=5)
@@ -275,6 +287,33 @@ def test_registry_tsv_round_trip_bit_exact(tmp_path):
     assert loaded.stats(lam_init=1.0) == registry.stats(lam_init=1.0)
     loaded.save_tsv(path)
     assert path.read_bytes() == first_bytes
+
+
+@pytest.mark.parametrize("row,reason", [
+    ("k0\tdelta\t1.0\t0", "key 'k0' already on line 2"),
+    ("k2\talfa bravo\t1.0\t0", "ID text 'alfa bravo' already on line 2"),
+    ("k2\tdelta zulu\t1.0\t0", "outside the vocabulary"),
+    ("k2\t<unk>\t1.0\t0", "outside the vocabulary"),
+    ("k2\t\t1.0\t0", "empty ID text"),
+    ("k2\tDelta\t1.0\t0", "does not decode back"),
+    ("k2\tdelta  echos\t1.0\t0", "does not decode back"),
+    ("k2\tdelta <eos>\t1.0\t0", "does not decode back"),
+    ("k2\tdelta\t1.0", "expected 4 tab-separated fields"),
+    ("k2\tdelta\t1.0\t0\t0", "expected 4 tab-separated fields"),
+    ("k2 delta 1.0 0", "expected 4 tab-separated fields"),
+    ("k2\tdelta\tbig\t0", "must be a float"),
+    ("k2\tdelta\t1.0\t0.5", "an int"),
+    ("k2\tdelta\tnan\t0", "not finite"),
+    ("k2\tdelta\t-inf\t0", "not finite"),
+    ("k2\tdelta\t1.0\t-2", "below -1"),
+])
+def test_registry_load_rejects_a_corrupt_row_naming_file_and_line(tmp_path, row, reason):
+    vocab = make_vocab(WORDS[:6])
+    path = tmp_path / "ids.tsv"
+    path.write_text(f"#generator_hash=-\nk0\talfa bravo\t1.0\t0\nk1\tcoral\t2.0\t-1\n{row}\n")
+    with pytest.raises(ValueError) as caught:
+        IdRegistry.load_tsv(path, vocab)
+    assert str(caught.value).startswith(f"{path}:4: ") and reason in str(caught.value)
 
 
 def test_registry_content_hash_tracks_id_changes():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from textidrec.autograd import Tensor, concat, stack_rows
-from textidrec.model import expected_embedding_rows
+from textidrec.model import _attention, _chain_layout, _feed_forward, expected_embedding_rows
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -23,7 +23,7 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 @pytest.mark.parametrize("op_name", ["matmul", "add_broadcast", "mul", "softmax",
                                      "log_softmax", "gelu", "getitem", "concat",
                                      "mean", "pow", "div", "swapaxes", "layer_norm",
-                                     "expected_embedding_rows"])
+                                     "expected_embedding_rows", "attention", "feed_forward"])
 def test_op_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
     a = rng.normal(size=(3, 4))
@@ -32,6 +32,7 @@ def test_op_gradients_match_finite_differences(op_name):
     w = rng.normal(size=(4,))
     c = rng.normal(size=(2, 3, 4))
     weights = rng.normal(size=(2, 3, 4))
+    s = rng.normal(size=(4, 4, 4))
 
     def build():
         ta = Tensor(a, requires_grad=True)
@@ -39,6 +40,7 @@ def test_op_gradients_match_finite_differences(op_name):
         tv = Tensor(v, requires_grad=True)
         tw = Tensor(w, requires_grad=True)
         tc = Tensor(c, requires_grad=True)
+        ts = Tensor(s, requires_grad=True)
         if op_name == "matmul":
             out = (ta @ tb).sum()
         elif op_name == "add_broadcast":
@@ -66,13 +68,20 @@ def test_op_gradients_match_finite_differences(op_name):
             out = (tc.layer_norm(tv, tw, 1e-6) * weights).sum()
         elif op_name == "expected_embedding_rows":
             out = (expected_embedding_rows(ta, tb) * weights[0, :, :2]).sum()
+        elif op_name == "attention":
+            pt = {f"att_w{x}": ts[i] for i, x in enumerate("qkvo")}
+            out = ((_attention(pt, "att", ta, ta, 2, mask=_chain_layout(3)[1]) * weights[0]).sum()
+                   + (_attention(pt, "att", ta, tc.reshape(6, 4), 2) * weights[1]).sum())
+        elif op_name == "feed_forward":
+            pt = {"ff_w1": ts[0], "ff_b1": tv, "ff_w2": ts[1], "ff_b2": tw}
+            out = (_feed_forward(pt, "ff", ta) * weights[0]).sum()
         else:
             out = (ta / ((ta * ta) + 1.0)).sum()
-        return (ta, tb, tv, tw, tc), out
+        return (ta, tb, tv, tw, tc, ts), out
 
     inputs, out = build()
     out.backward()
-    for tensor, arr in zip(inputs, (a, b, v, w, c)):
+    for tensor, arr in zip(inputs, (a, b, v, w, c, s)):
         if tensor.grad is None:
             continue
         fd = numeric_grad(lambda: build()[1].data.item(), arr)

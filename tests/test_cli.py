@@ -329,3 +329,27 @@ def test_eval_with_bad_bundle_record_exits_2(tmp_path, capsys, record):
     capsys.readouterr()
     assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
     assert str(final / "bundle.json") in one_line_error(capsys)
+
+
+def duplicate_first_row(lines: list[str]) -> list[str]:
+    return lines + [lines[1]]
+
+
+def unknown_word_in_first_row(lines: list[str]) -> list[str]:
+    key, text, lam, range_index = lines[1].split("\t")
+    return [lines[0], "\t".join((key, text + " qwertyzzz", lam, range_index))] + lines[2:]
+
+
+@pytest.mark.parametrize("corrupt,line,reason", [
+    (duplicate_first_row, None, "already on line 2"),
+    (unknown_word_in_first_row, 2, "outside the vocabulary"),
+])
+def test_eval_with_corrupt_registry_exits_2(tmp_path, capsys, corrupt, line, reason):
+    split_dir, final = untrained_bundle(tmp_path)
+    ids = final / "ids.tsv"
+    lines = corrupt(ids.read_text().splitlines())
+    ids.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    err = one_line_error(capsys)
+    assert f"{ids}:{line or len(lines)}: " in err and reason in err
