@@ -169,8 +169,26 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _read_manifest(path: str | Path) -> dict:
+    """A fusion manifest: an object with a non-empty `sources` list of
+    dataset paths and optional int `k`, `user_cap` and `seed`."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{path}: manifest must be a JSON object")
+    sources = manifest.get("sources")
+    if not (isinstance(sources, list) and sources and all(isinstance(s, str) for s in sources)):
+        raise DataFormatError(f"{path}: 'sources' must be a non-empty list of dataset paths")
+    for key in ("k", "user_cap", "seed"):
+        if key in manifest and type(manifest[key]) is not int:
+            raise DataFormatError(f"{path}: {key!r} must be an int, got {manifest[key]!r}")
+    return manifest
+
+
 def cmd_fuse(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_manifest(args.manifest)
     sources = []
     for entry in manifest["sources"]:
         source = corpus.load_dataset(entry)

@@ -11,12 +11,13 @@ graph node, so a pass builds few nodes whatever the head count.
 The decoder runs over a tree of rows: each row names its parent, sits at
 position = depth and attends only to its ancestors. A chain is causal
 decoding (`sequence_nll`); a prefix tree scores many prefixes in one pass
-(`prefix_logits`, the only step scorer). Callers use four model members:
-`config`, `encode`, `prefix_logits` and `param_hash`.
+(`prefix_logits`, the only step scorer) against the context rows that
+`encode` returns. Callers use four model members: `config`, `encode`,
+`prefix_logits` and `param_hash`.
 
-A model's parameters are views of one float64 buffer and `AdamState` lays
-its moments out the same way, so an Adam step is a few in-place numpy passes
-over that buffer rather than a handful of temporaries per parameter.
+There is one parameter layout: `_views` lays a model's parameters out back
+to back in one float64 buffer and `AdamState`'s moments in two buffers like
+it, so an Adam step is a few in-place numpy passes over whole buffers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import zipfile
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -66,17 +68,6 @@ class ModelConfig:
         for name in ("vocab_size", "d_model", "layers", "heads", "ff_dim", "max_src_len", "max_tgt_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass
-class EncoderState:
-    """Per-position context vectors for one source sequence (no padding)."""
-
-    ctx: Tensor
-
-    @property
-    def length(self) -> int:
-        return self.ctx.data.shape[0]
 
 
 def _attention_names(prefix: str) -> list[str]:
@@ -229,9 +220,20 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Views of `flat` with the given (name, shape) pairs, back to back in
+    order: the one layout of a model's parameters and of Adam's moments."""
+    views, lo = {}, 0
+    for name, shape in shapes:
+        hi = lo + math.prod(shape)
+        views[name] = flat[lo:hi].reshape(shape)
+        lo = hi
+    return views
+
+
 def _buffer_of(arrays: dict[str, np.ndarray]) -> np.ndarray | None:
-    """The flat float64 buffer that `arrays` fill, back to back in order, as
-    C-contiguous views; None when they do not."""
+    """The flat float64 buffer whose `_views` `arrays` are, found by address
+    (3x faster than building the views to compare); None when they are not."""
     views = list(arrays.values())
     flat = views[0].base if views else None
     if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
@@ -246,24 +248,21 @@ def _buffer_of(arrays: dict[str, np.ndarray]) -> np.ndarray | None:
 
 
 def _pack(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """`arrays` as views that fill one float64 buffer, in order: kept when
-    they already do (as `SequenceModel.init` draws them), else copied into a
-    new buffer."""
+    """`arrays` as `_views` of one float64 buffer: kept when they already are
+    (as `SequenceModel.init` draws them), else copied into a new buffer."""
     if _buffer_of(arrays) is not None:
         return dict(arrays)
-    flat = np.empty(sum(np.size(a) for a in arrays.values()))
-    packed, lo = {}, 0
+    packed = _views(np.empty(sum(np.size(a) for a in arrays.values())),
+                    [(name, np.shape(a)) for name, a in arrays.items()])
     for name, array in arrays.items():
-        view = flat[lo:lo + np.size(array)].reshape(np.shape(array))
-        view[...] = array
-        packed[name] = view
-        lo += view.size
+        packed[name][...] = array
     return packed
 
 
 class SequenceModel:
     """Encoder-decoder over a shared vocabulary. `params` maps each name to
-    a view of one flat buffer (see `_pack`)."""
+    a view of one flat buffer (see `_views`); other arrays are copied into
+    one (`_pack`)."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
@@ -279,11 +278,7 @@ class SequenceModel:
         shapes = _param_shapes(config)
         # one draw gives the same stream as one draw per parameter, in order
         flat = rng.uniform(-bound, bound, size=sum(math.prod(shape) for _, shape in shapes))
-        params, lo = {}, 0
-        for name, shape in shapes:
-            params[name] = flat[lo:lo + math.prod(shape)].reshape(shape)
-            lo += math.prod(shape)
-        return cls(config, params)
+        return cls(config, _views(flat, shapes))
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()
@@ -304,13 +299,13 @@ class SequenceModel:
 
     # -- forward -------------------------------------------------------------
 
-    def encode(self, src_ids, params: dict[str, Tensor] | None = None) -> EncoderState:
-        """Token embeddings plus positional embeddings through the encoder."""
+    def encode(self, src_ids, params: dict[str, Tensor] | None = None) -> Tensor:
+        """Token plus positional embeddings through the encoder: one context row per position."""
         pt = params if params is not None else self.frozen()
         ids = np.array([int(t) for t in src_ids], dtype=np.int64)
         return self.encode_embeddings(pt["tok_emb"][ids], pt)
 
-    def encode_embeddings(self, src_embs, params: dict[str, Tensor] | None = None) -> EncoderState:
+    def encode_embeddings(self, src_embs, params: dict[str, Tensor] | None = None) -> Tensor:
         """Same as `encode` but the token-embedding lookup is bypassed;
         positional embeddings are still added."""
         pt = params if params is not None else self.frozen()
@@ -322,25 +317,26 @@ class SequenceModel:
         if length > cfg.max_src_len:
             raise SequenceTooLong(f"source length {length} > max_src_len {cfg.max_src_len}")
         if length == 0:
-            return EncoderState(ctx=Tensor(np.zeros((0, cfg.d_model))))
+            return Tensor(np.zeros((0, cfg.d_model)))
         x = x + pt["src_pos"][:length]
         for i in range(cfg.layers):
             h = x.layer_norm(pt[f"enc{i}_ln1_g"], pt[f"enc{i}_ln1_b"])
             x = x + _attention(pt, f"enc{i}_self", h, h, cfg.heads)
             h = x.layer_norm(pt[f"enc{i}_ln2_g"], pt[f"enc{i}_ln2_b"])
             x = x + _feed_forward(pt, f"enc{i}_ff", h)
-        return EncoderState(ctx=x.layer_norm(pt["enc_ln_g"], pt["enc_ln_b"]))
+        return x.layer_norm(pt["enc_ln_g"], pt["enc_ln_b"])
 
-    def decoder_all_logits(self, state: EncoderState, dec_input_ids,
+    def decoder_all_logits(self, ctx: Tensor, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
                            parents=None) -> Tensor:
         """Next-token logits at every decoder row.
 
-        Row i holds token `dec_input_ids[i]` at position = its depth and
-        attends to itself and its ancestors under `parents` (one parent index
-        per row, -1 for a root, parents before children). The default chain
-        `parents[i] = i-1` is causal decoding of the shifted target: start
-        symbol (PAD) followed by the previous gold tokens.
+        Row i holds token `dec_input_ids[i]` at position = its depth, attends
+        to the context rows `ctx` (from `encode`) and to itself and its
+        ancestors under `parents` (one parent index per row, -1 for a root,
+        parents before children). The default chain `parents[i] = i-1` is
+        causal decoding of the shifted target: start symbol (PAD) followed by
+        the previous gold tokens.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
@@ -358,15 +354,15 @@ class SequenceModel:
         for i in range(cfg.layers):
             h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
             x = x + _attention(pt, f"dec{i}_self", h, h, cfg.heads, mask=mask)
-            if state.length > 0:
+            if ctx.data.shape[0] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
-                x = x + _attention(pt, f"dec{i}_cross", h, state.ctx, cfg.heads)
+                x = x + _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
             x = x + _feed_forward(pt, f"dec{i}_ff", h)
         x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
         return x @ pt["tok_emb"].T
 
-    def prefix_logits(self, state: EncoderState, prefixes) -> np.ndarray:
+    def prefix_logits(self, ctx: Tensor, prefixes) -> np.ndarray:
         """Next-token logits after each prefix, one row per prefix, in order
         (inference path, frozen parameters).
 
@@ -385,7 +381,7 @@ class SequenceModel:
 
         def flush() -> None:
             if wanted:
-                logits = self.decoder_all_logits(state, tokens, parents=parents).data
+                logits = self.decoder_all_logits(ctx, tokens, parents=parents).data
                 for index, row in wanted:
                     out[index] = logits[row]
             rows.clear()
@@ -408,7 +404,7 @@ class SequenceModel:
         flush()
         return out
 
-    def sequence_nll(self, state: EncoderState, target_ids,
+    def sequence_nll(self, ctx: Tensor, target_ids,
                      params: dict[str, Tensor] | None = None) -> Tensor:
         """Teacher-forced negative log-likelihood summed over the target.
 
@@ -418,7 +414,7 @@ class SequenceModel:
         target = [int(t) for t in target_ids]
         if not target or target[-1] != EOS_ID:
             raise ValueError("target must be non-empty and end with EOS")
-        rows = self.decoder_all_logits(state, [PAD_ID] + target[:-1], params=params)
+        rows = self.decoder_all_logits(ctx, [PAD_ID] + target[:-1], params=params)
         logp = rows.log_softmax(axis=-1)
         picked = logp[(np.arange(len(target)), np.array(target))]
         return -picked.sum()
@@ -467,108 +463,87 @@ _ADAM_CHUNK = 32768
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    From the first step on, `m` and `v` hold views laid out like the
-    parameters they follow (see `apply_update`); moments loaded from a
-    checkpoint are copied into that layout then."""
+    From the first step on, `m` and `v` are `_views` of two buffers laid out
+    like the parameter buffer they follow (see `apply_update`); moments
+    loaded from a checkpoint are copied into that layout then."""
 
     def __init__(self) -> None:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
-        self._layout: _AdamLayout | None = None
+        # the layout of the last params: their views (matched by identity), the
+        # parameter, m, v and (2, chunk) scratch buffers, and per chunk of at
+        # most `_ADAM_CHUNK` elements which gradient slice fills which part
+        self._params: tuple[np.ndarray, ...] = ()
+        self._buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._chunks: list[tuple[int, int, list[tuple[str, int, int, int]]]] = []
 
-
-class _AdamLayout:
-    """The runs of one parameter dict and the moment buffers that mirror
-    them. Parameters that fill one buffer (`_buffer_of`, as a
-    `SequenceModel`'s do) are one run; otherwise each parameter is a run of
-    its own. Each run is updated in chunks of at most `_ADAM_CHUNK`
-    elements; a chunk's `pieces` say which parameter slice fills which part
-    of its gradient."""
-
-    def __init__(self, params: dict[str, np.ndarray], state: AdamState, chunk: int):
-        self.params = tuple(params.values())
+    def _lay_out(self, params: dict[str, np.ndarray]) -> None:
         flat = _buffer_of(params)
-        if flat is not None:
-            runs = [(flat, list(params))]
-        else:
-            for name, param in params.items():
-                if not param.flags.c_contiguous:  # reshape(-1) would copy it, losing the update
-                    raise ValueError(f"parameter {name!r} is not a C-contiguous array")
-            runs = [(param.reshape(-1), [name]) for name, param in params.items()]
-        self.runs = []  # (param flat, m flat, v flat, [(lo, hi, pieces)])
-        m_views, v_views = {}, {}
-        for flat, members in runs:
-            m_flat, v_flat = np.zeros(flat.size), np.zeros(flat.size)
-            spans, lo = [], 0
-            for name in members:
-                shape, hi = params[name].shape, lo + params[name].size
-                m_views[name] = m_flat[lo:hi].reshape(shape)
-                v_views[name] = v_flat[lo:hi].reshape(shape)
-                if name in state.m:
-                    m_views[name][...] = state.m[name]
-                if name in state.v:
-                    v_views[name][...] = state.v[name]
-                spans.append((name, lo, hi))
-                lo = hi
-            chunks = []
-            for c_lo in range(0, flat.size, chunk):
-                c_hi = min(c_lo + chunk, flat.size)
-                pieces = [(name, max(lo, c_lo) - lo, min(hi, c_hi) - lo, max(lo, c_lo) - c_lo)
-                          for name, lo, hi in spans if lo < c_hi and hi > c_lo]
-                chunks.append((c_lo, c_hi, pieces))
-            self.runs.append((flat, m_flat, v_flat, chunks))
-        state.m, state.v = m_views, v_views
-        self.scratch = np.empty((2, min(chunk, max((f.size for f, *_ in self.runs), default=0))))
-
-    def fits(self, params: dict[str, np.ndarray]) -> bool:
-        return len(params) == len(self.params) and all(
-            a is b for a, b in zip(params.values(), self.params))
+        if flat is None:
+            raise ValueError("apply_update needs parameters that are the views of one "
+                             "float64 buffer, as SequenceModel.params are")
+        shapes = [(name, param.shape) for name, param in params.items()]
+        m_flat, v_flat = np.zeros(flat.size), np.zeros(flat.size)
+        m, v = _views(m_flat, shapes), _views(v_flat, shapes)
+        for views, held in ((m, self.m), (v, self.v)):
+            for name in views.keys() & held.keys():
+                views[name][...] = held[name]
+        ends = [0, *accumulate(param.size for param in params.values())]
+        spans = list(zip(params, ends, ends[1:]))
+        chunks = []
+        for c_lo in range(0, flat.size, _ADAM_CHUNK):
+            c_hi = min(c_lo + _ADAM_CHUNK, flat.size)
+            pieces = [(name, max(lo, c_lo) - lo, min(hi, c_hi) - lo, max(lo, c_lo) - c_lo)
+                      for name, lo, hi in spans if lo < c_hi and hi > c_lo]
+            chunks.append((c_lo, c_hi, pieces))
+        self.m, self.v, self._params, self._chunks = m, v, tuple(params.values()), chunks
+        self._buffers = (flat, m_flat, v_flat, np.empty((2, min(_ADAM_CHUNK, flat.size))))
 
 
 def apply_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray | None],
                  state: AdamState, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place Adam step; absent gradients count as zero.
+    """One in-place Adam step; absent gradients count as zero. `params` must
+    be the `_views` of one buffer (a ValueError, state untouched, otherwise).
 
-    Each chunk of each parameter run copies its gradients into scratch and
-    runs the textbook expressions in place, in the order a per-parameter
-    update would (`m = beta1*m + (1-beta1)*g`, `v = beta2*v + (1-beta2)*g*g`,
+    Each chunk of the buffer copies its gradients into scratch and runs the
+    textbook expressions in place, in the order a per-parameter update
+    would (`m = beta1*m + (1-beta1)*g`, `v = beta2*v + (1-beta2)*g*g`,
     `p -= lr*m_hat / (sqrt(v_hat) + eps)`), so the result is the same bits
     without a full-size temporary."""
     for name, param in params.items():
         grad = grads.get(name)
         if grad is not None and grad.shape != param.shape:
             raise ShapeMismatch(f"gradient for {name!r} has shape {grad.shape}, expected {param.shape}")
-    if state._layout is None or not state._layout.fits(params):
-        state._layout = _AdamLayout(params, state, _ADAM_CHUNK)
-    layout = state._layout
+    if len(params) != len(state._params) or any(a is not b for a, b in zip(params.values(), state._params)):
+        state._lay_out(params)
     state.step += 1
     c1, c2 = 1 - beta1 ** state.step, 1 - beta2 ** state.step
-    for flat, m_flat, v_flat, chunks in layout.runs:
-        for lo, hi, pieces in chunks:
-            g, a = layout.scratch[0, :hi - lo], layout.scratch[1, :hi - lo]
-            for name, start, stop, at in pieces:
-                grad = grads.get(name)
-                if grad is None:
-                    g[at:at + stop - start] = 0.0
-                else:
-                    g[at:at + stop - start] = grad.reshape(-1)[start:stop]
-            p, m, v = flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-            np.multiply(m, beta1, out=m)
-            np.multiply(g, 1 - beta1, out=a)
-            np.add(m, a, out=m)
-            np.multiply(v, beta2, out=v)
-            np.multiply(g, 1 - beta2, out=a)
-            np.multiply(a, g, out=a)
-            np.add(v, a, out=v)
-            np.divide(m, c1, out=a)      # m_hat
-            np.multiply(a, lr, out=a)    # lr * m_hat
-            np.divide(v, c2, out=g)      # v_hat
-            np.sqrt(g, out=g)
-            np.add(g, eps, out=g)
-            np.divide(a, g, out=a)
-            np.subtract(p, a, out=p)
+    flat, m_flat, v_flat, scratch = state._buffers
+    for lo, hi, pieces in state._chunks:
+        g, a = scratch[0, :hi - lo], scratch[1, :hi - lo]
+        for name, start, stop, at in pieces:
+            grad = grads.get(name)
+            if grad is None:
+                g[at:at + stop - start] = 0.0
+            else:
+                g[at:at + stop - start] = grad.reshape(-1)[start:stop]
+        p, m, v = flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, 1 - beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, 1 - beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, c1, out=a)      # m_hat
+        np.multiply(a, lr, out=a)    # lr * m_hat
+        np.divide(v, c2, out=g)      # v_hat
+        np.sqrt(g, out=g)
+        np.add(g, eps, out=g)
+        np.divide(a, g, out=a)
+        np.subtract(p, a, out=p)
 
 
 # -- checkpoints -----------------------------------------------------------------

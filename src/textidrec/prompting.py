@@ -91,15 +91,29 @@ def default_bank() -> tuple[Template, ...]:
 
 
 def load_templates(path: str | Path) -> tuple[Template, ...]:
-    """Load `id<TAB>text` lines; the bank must hold exactly 10 templates."""
-    bank = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    """Load `id<TAB>text` lines; the bank must hold exactly 10 templates with
+    distinct integer ids. A bad line is a TemplateError `<path>:<line>: ...`."""
+    bank, seen = [], set()
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        ident, text = line.split("\t", 1)
-        bank.append(Template(int(ident), text))
+        ident, tab, text = line.partition("\t")
+        try:
+            if not tab:
+                raise TemplateError(f"expected id<TAB>text, got {line!r}")
+            try:
+                ident = int(ident)
+            except ValueError:
+                raise TemplateError(f"template id must be an integer, got {ident!r}") from None
+            if ident in seen:
+                raise TemplateError(f"duplicate template id {ident}")
+            bank.append(Template(ident, text))
+        except TemplateError as exc:
+            raise TemplateError(f"{path}:{n}: {exc}") from None
+        seen.add(ident)
     if len(bank) != TEMPLATE_BANK_SIZE:
-        raise TemplateError(f"template bank must hold exactly {TEMPLATE_BANK_SIZE} entries, got {len(bank)}")
+        raise TemplateError(f"{path}: template bank must hold exactly {TEMPLATE_BANK_SIZE} entries, "
+                            f"got {len(bank)}")
     return tuple(bank)
 
 

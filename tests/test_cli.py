@@ -137,6 +137,39 @@ def test_eval_with_mismatched_vocab_exits_3(tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("manifest,reason", [
+    ('{}', "'sources'"),
+    ('[1]', "object"),
+    ('{"sources": "nope"}', "'sources'"),
+    ('{"sources": []}', "'sources'"),
+    ('{"sources": ["alpha", 3]}', "'sources'"),
+    ('{"sources": ["alpha"], "k": "3"}', "'k'"),
+    ('{"sources": ["alpha"], "user_cap": 2.5}', "'user_cap'"),
+    ('{"sources": ["alpha"], "seed": true}', "'seed'"),
+    ('{"sources": [', "invalid JSON"),
+], ids=["empty_object", "list", "string_sources", "no_sources", "non_string_source",
+        "string_k", "float_user_cap", "bool_seed", "truncated"])
+def test_fuse_with_bad_manifest_exits_2(tmp_path, capsys, manifest, reason):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    capsys.readouterr()
+    assert run("fuse", "--manifest", path, "--out", tmp_path / "fused") == 2
+    err = one_line_error(capsys)
+    assert str(path) in err and reason in err
+    assert not (tmp_path / "fused").exists()
+
+
+def test_train_with_bad_template_bank_exits_2_naming_the_line(tmp_path, capsys):
+    raw, split = tmp_path / "raw", tmp_path / "split"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    assert run("ingest", "--data", raw, "--out", split, "--k", 3) == 0
+    bank = tmp_path / "templates.txt"
+    bank.write_text("".join(f"{t.id}\t{t.text}\n" for t in default_bank()).replace("\t", " ", 1))
+    capsys.readouterr()
+    assert run("train", "--data", split, "--out", tmp_path / "r", "--templates", bank) == 2
+    assert one_line_error(capsys).startswith(f"error: {bank}:1: expected id<TAB>text")
+
+
 def test_allocate_from_fresh_model(tmp_path):
     raw = tmp_path / "raw"
     assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0

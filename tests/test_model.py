@@ -41,19 +41,19 @@ def test_config_validation():
 
 def test_encode_deterministic_and_position_sensitive():
     model = tiny_model(vocab_size=12, seed=2)
-    a = model.encode([3, 4]).ctx.data
-    b = model.encode([3, 4]).ctx.data
+    a = model.encode([3, 4]).data
+    b = model.encode([3, 4]).data
     assert np.array_equal(a, b)
-    swapped = model.encode([4, 3]).ctx.data
+    swapped = model.encode([4, 3]).data
     assert not np.allclose(a, swapped)
 
 
 def test_encode_empty_and_too_long():
     model = tiny_model(vocab_size=12, max_src_len=4)
-    assert model.encode([]).length == 0
-    assert model.encode_embeddings(np.zeros((0, 16))).length == 0
-    assert model.encode([3, 3, 3, 3]).length == 4
-    assert model.encode_embeddings(np.zeros((4, 16))).length == 4
+    assert model.encode([]).data.shape[0] == 0
+    assert model.encode_embeddings(np.zeros((0, 16))).data.shape[0] == 0
+    assert model.encode([3, 3, 3, 3]).data.shape[0] == 4
+    assert model.encode_embeddings(np.zeros((4, 16))).data.shape[0] == 4
     with pytest.raises(SequenceTooLong):
         model.encode([3, 3, 3, 3, 3])
     with pytest.raises(SequenceTooLong):
@@ -64,8 +64,8 @@ def test_encode_embeddings_equals_encode_on_gathered_rows():
     model = tiny_model(vocab_size=12, seed=7)
     ids = [3, 5, 7]
     gathered = model.params["tok_emb"][np.array(ids)]
-    via_tokens = model.encode(ids).ctx.data
-    via_embs = model.encode_embeddings(gathered).ctx.data
+    via_tokens = model.encode(ids).data
+    via_embs = model.encode_embeddings(gathered).data
     assert np.array_equal(via_tokens, via_embs)
 
 
@@ -402,7 +402,7 @@ def test_prefix_logits_match_per_prefix_decoding(layers, heads):
 def test_prefix_logits_with_empty_encoder_state():
     model = tiny_model(vocab_size=11, seed=2)
     state = model.encode([])
-    assert state.length == 0
+    assert state.data.shape[0] == 0
     assert_rows_match_per_prefix(model, state, random_prefix_tree(random.Random(1), 11, 6, 5))
 
 
@@ -590,15 +590,14 @@ def test_model_parameters_are_views_of_one_buffer():
 
 
 def test_apply_update_matches_per_parameter_reference(monkeypatch, tmp_path):
-    """Packed model, plain dict and reference loop agree bit for bit over 4
-    steps with absent gradients, parameters larger than one chunk, and a
-    checkpoint reload halfway."""
+    """Packed model and reference loop agree bit for bit over 4 steps with
+    absent gradients, parameters larger than one chunk, and a checkpoint
+    reload halfway."""
     monkeypatch.setattr(model_module, "_ADAM_CHUNK", 100)
     model = tiny_model(vocab_size=15, seed=9)
     assert model.params["tok_emb"].size > 100
-    plain = {k: v.copy() for k, v in model.params.items()}
     ref = {k: v.copy() for k, v in model.params.items()}
-    opt, plain_opt = AdamState(), AdamState()
+    opt = AdamState()
     ref_opt = AdamState()  # its plain dicts serve the reference loop
     rng = np.random.default_rng(0)
     names = list(model.params)
@@ -606,28 +605,59 @@ def test_apply_update_matches_per_parameter_reference(monkeypatch, tmp_path):
         grads = {name: rng.normal(size=p.shape) for i, (name, p) in enumerate(model.params.items())
                  if (i + step) % 3}
         apply_update(model.params, grads, opt, lr=1e-2)
-        apply_update(plain, grads, plain_opt, lr=1e-2)
         reference_adam(ref, grads, ref_opt, lr=1e-2)
         if step == 1:
             save_checkpoint(model, opt, "vhash", tmp_path / "half.ckpt")
             model, opt, _ = load_checkpoint(tmp_path / "half.ckpt")
             assert all(opt.m[k].base is None for k in opt.m)  # loaded moments are separate arrays
-    assert opt.step == plain_opt.step == ref_opt.step == 4
+    assert opt.step == ref_opt.step == 4
     for name in names:
-        for got in ((model.params, opt.m, opt.v), (plain, plain_opt.m, plain_opt.v)):
-            for arrays, want in zip(got, (ref, ref_opt.m, ref_opt.v)):
-                assert np.array_equal(arrays[name], want[name]), name
+        for arrays, want in zip((model.params, opt.m, opt.v), (ref, ref_opt.m, ref_opt.v)):
+            assert np.array_equal(arrays[name], want[name]), name
     m_buffer = opt.m[names[0]].base
     assert all(opt.m[k].base is m_buffer for k in names)
 
 
+def test_apply_update_builds_the_layout_once():
+    model = tiny_model(vocab_size=15, seed=9)
+    opt = AdamState()
+    apply_update(model.params, {}, opt, lr=1e-3)
+    first_m, first_v = dict(opt.m), dict(opt.v)
+    apply_update(model.params, {"tok_emb": np.ones_like(model.params["tok_emb"])}, opt, lr=1e-3)
+    assert all(opt.m[k] is first_m[k] and opt.v[k] is first_v[k] for k in model.params)
+    assert opt.step == 2 and np.all(opt.m["tok_emb"] != 0)
+
+
+@pytest.mark.parametrize("pick", [
+    lambda params: {k: v.copy() for k, v in params.items()},
+    lambda params: dict(list(params.items())[1:]),
+    lambda params: dict(reversed(params.items())),
+    lambda params: {**params, "tok_emb": params["tok_emb"].copy()},
+], ids=["separate_arrays", "part_of_the_buffer", "out_of_order", "one_copied_view"])
+def test_apply_update_rejects_arrays_outside_one_buffer(pick):
+    model = tiny_model(vocab_size=15, seed=9)
+    opt = AdamState()
+    apply_update(model.params, {}, opt, lr=1e-3)
+    step, m = opt.step, dict(opt.m)
+    params = pick(model.params)
+    before = {k: v.copy() for k, v in params.items()}
+    grads = {k: np.ones_like(v) for k, v in params.items()}
+    with pytest.raises(ValueError, match="one float64 buffer"):
+        apply_update(params, grads, opt, lr=1e-3)
+    assert opt.step == step and opt.m.keys() == m.keys()
+    assert all(opt.m[k] is m[k] for k in m)
+    assert all(np.array_equal(params[k], before[k]) for k in params)
+    with pytest.raises(ValueError, match="one float64 buffer"):
+        apply_update(params, grads, AdamState(), lr=1e-3)
+
+
 def test_adam_zero_grad_is_identity_and_deterministic():
-    params = {"w": np.array([1.0, -2.0])}
+    params = model_module._pack({"w": np.array([1.0, -2.0])})
     state = AdamState()
     apply_update(params, {"w": np.zeros(2)}, state, lr=0.1)
     assert np.array_equal(params["w"], [1.0, -2.0])
-    p1, s1 = {"w": np.array([0.5, 0.5])}, AdamState()
-    p2, s2 = {"w": np.array([0.5, 0.5])}, AdamState()
+    p1, s1 = model_module._pack({"w": np.array([0.5, 0.5])}), AdamState()
+    p2, s2 = model_module._pack({"w": np.array([0.5, 0.5])}), AdamState()
     for _ in range(3):
         apply_update(p1, {"w": np.array([0.1, -0.2])}, s1, lr=0.01)
         apply_update(p2, {"w": np.array([0.1, -0.2])}, s2, lr=0.01)
@@ -637,7 +667,7 @@ def test_adam_zero_grad_is_identity_and_deterministic():
 def test_adam_single_step_matches_hand_computation():
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     grad = 0.3
-    params = {"x": np.array([2.0])}
+    params = model_module._pack({"x": np.array([2.0])})
     apply_update(params, {"x": np.array([grad])}, AdamState(), lr=lr)
     m_hat = (1 - b1) * grad / (1 - b1)
     v_hat = (1 - b2) * grad * grad / (1 - b2)
@@ -647,7 +677,7 @@ def test_adam_single_step_matches_hand_computation():
 
 def test_adam_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        apply_update({"w": np.zeros(3)}, {"w": np.zeros(4)}, AdamState(), lr=0.1)
+        apply_update(model_module._pack({"w": np.zeros(3)}), {"w": np.zeros(4)}, AdamState(), lr=0.1)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -139,3 +139,22 @@ def test_bank_file_round_trip(tmp_path):
     path.write_text("1\tjust {item_ids}\n")
     with pytest.raises(TemplateError):
         load_templates(path)
+
+
+def bank_lines() -> list[str]:
+    return [f"{t.id}\t{t.text}" for t in default_bank()]
+
+
+@pytest.mark.parametrize("lines,line,reason", [
+    (bank_lines()[:2] + ["3 no tab {item_ids}"] + bank_lines()[3:], 3, "expected id<TAB>text"),
+    (bank_lines()[:2] + ["three\t{item_ids}"] + bank_lines()[3:], 3,
+     "template id must be an integer, got 'three'"),
+    ([f"1\t{t.text}" for t in default_bank()], 2, "duplicate template id 1"),
+    (bank_lines()[:4] + ["5\tno slot"] + bank_lines()[5:], 5, "{item_ids}"),
+], ids=["missing_tab", "non_integer_id", "duplicated_id", "no_item_slot"])
+def test_bank_file_with_a_bad_line_names_it(tmp_path, lines, line, reason):
+    path = tmp_path / "templates.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TemplateError) as info:
+        load_templates(path)
+    assert str(info.value).startswith(f"{path}:{line}: ") and reason in str(info.value)
