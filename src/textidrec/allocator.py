@@ -11,6 +11,17 @@ on what earlier groups pick at step t. On full duplication the penalty
 escalates; when it tops out, the permissible length range advances and the
 penalty resets. Models provide `config`, `encode`, `prefix_logits` (the only
 step scorer) and `param_hash`.
+
+Each scored prefix is ranked once. The logprob cache keeps, per prefix, its
+`width = min(V, groups * beams_per_group + 1)` best next tokens (log-probs as
+float64, ids as int32), best first, equal log-probs in token order, PAD and
+UNK ranked as -inf. A beam walks this list, penalizing as it goes, and stops
+once it has seen `beams_per_group` unpenalized tokens; it keeps the best
+`beams_per_group` of what it walked. That equals a stable argsort of the
+whole penalized row: a penalty only lowers a value, so every token past the
+stop ranks after the last unpenalized token seen. At most `beams_per_group *
+(groups - 1)` tokens carry a penalty and EOS may be banned, so the list
+always holds enough unpenalized tokens.
 """
 
 from __future__ import annotations
@@ -177,20 +188,35 @@ def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, Allo
     return TextualId(tokens=tokens, text=text), AllocationRow(key=key, lam=lam_value, range_index=index)
 
 
-def _step_logprobs(model, state, prefixes: list[tuple[int, ...]],
-                   cache: dict | None) -> np.ndarray:
-    """Next-token log-probabilities after each prefix, one row per prefix.
+def _ranked_steps(model, state, prefixes: list[tuple[int, ...]], cache: dict | None,
+                  width: int) -> list[tuple[memoryview, memoryview]]:
+    """Each prefix's `width` best next tokens as (log-probs, token ids), best
+    first, equal log-probs in token order, PAD and UNK ranked as -inf.
 
     Prefixes missing from `cache` are scored together in one `prefix_logits`
-    call. The cache maps a prefix to (block, row) of that call's log-softmax
-    block, so each block is stored once rather than copied row by row.
+    call and ranked by one stable argsort. The cache maps a prefix to
+    ((log-probs, ids, kept), row) of that call's ranked block: flat float64
+    and int32 buffers holding `kept` tokens per row, stored once per block
+    rather than row by row, and read through memoryviews, which yield Python
+    numbers without a conversion per row.
     """
     cache = {} if cache is None else cache
     missing = list(dict.fromkeys(p for p in prefixes if p not in cache))
     if missing:
         block = log_softmax_rows(model.prefix_logits(state, missing))
-        cache.update((p, (block, row)) for row, p in enumerate(missing))
-    return np.stack([block[row] for block, row in map(cache.__getitem__, prefixes)])
+        block[:, [PAD_ID, UNK_ID]] = -np.inf
+        order = (-block).argsort(axis=1, kind="stable")[:, :width]
+        ranked = (memoryview(np.take_along_axis(block, order, axis=1).ravel()),
+                  memoryview(order.astype(np.int32).ravel()), order.shape[1])
+        cache.update((p, (ranked, row)) for row, p in enumerate(missing))
+    rows = []
+    for (values, tokens, kept), row in map(cache.__getitem__, prefixes):
+        if kept < width:
+            raise ValueError(f"logprob_cache holds the {kept} best tokens per prefix; "
+                             f"this search needs {width}")
+        lo = row * kept
+        rows.append((values[lo:lo + width], tokens[lo:lo + width]))
+    return rows
 
 
 def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
@@ -204,45 +230,57 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     timestep. PAD and UNK are banned everywhere; EOS is banned while the
     sequence is shorter than `min_len`. All groups advance in lockstep: one
     scoring call per timestep covers every live beam, then the groups pick
-    their tokens in order.
+    their tokens in order. A `logprob_cache` filled by a search that kept
+    fewer ranked tokens per prefix than this one needs is a ValueError.
     """
     if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
         raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
     if state is None:
         state = model.encode(src_ids)
+    # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
+    # EOS may be banned: one more than that leaves every beam its top-k (module doc)
+    width = min(model.config.vocab_size, groups * beams_per_group + 1)
     beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
     completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
-    beam_rows = np.arange(beams_per_group)[:, None]
     for t in range(max_len):
         if not any(beams):
             break
-        stack = _step_logprobs(model, state, [seq for group in beams for seq, _ in group],
-                               logprob_cache)
-        stack[:, [PAD_ID, UNK_ID]] = -np.inf
-        if t < min_len:  # every live beam holds exactly t tokens
-            stack[:, EOS_ID] = -np.inf
-        counts = np.zeros(stack.shape[1])  # picks at step t by the groups done so far
-        row = 0
+        ranked = iter(_ranked_steps(model, state, [seq for group in beams for seq, _ in group],
+                                    logprob_cache, width))
+        counts: dict[int, int] = {}  # picks at step t by the groups done so far
+        # token -> lam * count; EOS is banned while every live beam (all t long) is short
+        penalty = {EOS_ID: math.inf} if t < min_len else {}
+        cost_of = penalty.get
         for g in range(groups):
             if not beams[g]:
                 continue
-            n = len(beams[g])
-            adjusted = stack[row:row + n] - lam * counts
-            row += n
-            # stable argsort: equal scores resolve to the smaller token id
-            order = (-adjusted).argsort(axis=1, kind="stable")[:, :beams_per_group]
-            best = adjusted[beam_rows[:n], order].tolist()
-            candidates = [(score + value, seq, token)
-                          for (seq, score), values, tokens in zip(beams[g], best, order.tolist())
-                          for value, token in zip(values, tokens) if math.isfinite(value)]
-            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+            # sort keys as plain tuples: (-value, token) per beam, (-total, seq, token)
+            # per group; negation is exact, so -(-x) gives back x bit for bit
+            candidates = []
+            for (seq, score), (values, tokens) in zip(beams[g], ranked):
+                picks, free = [], 0  # (-penalized value, token); unpenalized ones seen
+                for value, token in zip(values, tokens):
+                    cost = cost_of(token)
+                    if cost is None:
+                        picks.append((-value, token))
+                        free += 1
+                        if free == beams_per_group:
+                            break
+                    else:
+                        picks.append((-(value - cost), token))
+                if free < len(picks):
+                    picks.sort()
+                candidates += [(-(score - negative), seq, token)
+                               for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
+            candidates.sort()
             beams[g] = []
-            for total, seq, token in candidates[:beams_per_group]:
-                counts[token] += 1
+            for negative, seq, token in candidates[:beams_per_group]:
+                counts[token] = counts.get(token, 0) + 1
+                penalty[token] = lam * counts[token]
                 if token == EOS_ID:
-                    completed[g].append((total, seq))
+                    completed[g].append((-negative, seq))
                 else:
-                    beams[g].append((seq + (token,), total))
+                    beams[g].append((seq + (token,), -negative))
     results: list[TextualId] = []
     for group_beams, done in zip(beams, completed):
         done.extend((score, seq) for seq, score in group_beams)  # hit max_len

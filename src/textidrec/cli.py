@@ -42,7 +42,10 @@ def _parse_config_file(path: str | Path) -> dict[str, dict]:
     lines with dotted keys (train.lr_rec=0.001)."""
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     else:
         data: dict[str, dict] = {}
         for n, line in enumerate(text.splitlines(), start=1):

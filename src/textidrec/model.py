@@ -248,8 +248,8 @@ def _buffer_of(arrays: dict[str, np.ndarray]) -> np.ndarray | None:
 
 
 def _pack(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """`arrays` as `_views` of one float64 buffer: kept when they already are
-    (as `SequenceModel.init` draws them), else copied into a new buffer."""
+    """`arrays` as `_views` of one float64 buffer: kept when they already are,
+    else copied into a new buffer."""
     if _buffer_of(arrays) is not None:
         return dict(arrays)
     packed = _views(np.empty(sum(np.size(a) for a in arrays.values())),
@@ -278,7 +278,9 @@ class SequenceModel:
         shapes = _param_shapes(config)
         # one draw gives the same stream as one draw per parameter, in order
         flat = rng.uniform(-bound, bound, size=sum(math.prod(shape) for _, shape in shapes))
-        return cls(config, _views(flat, shapes))
+        model = cls(config, {})  # the views below need no packing check
+        model.params = _views(flat, shapes)
+        return model
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()

@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import WORDS, ScriptedModel, make_vocab, tiny_model, vanilla_beam_search
+from textidrec import allocator
 from textidrec.allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all,
                                  diverse_beam_search, generate_user_id)
 from textidrec.model import log_softmax_rows
@@ -99,22 +101,92 @@ def sequential_dbs(model, state, *, groups, beams_per_group, lam, max_len, min_l
     return results
 
 
-def assert_lockstep_equals_sequential(model, vocab, state, groups, beams_per_group):
+def _reference_step_logprobs(model, state, prefixes, cache):
+    """The allocator's step scorer before it ranked each block once: full
+    log-softmax rows, cached as (block, row)."""
+    cache = {} if cache is None else cache
+    missing = list(dict.fromkeys(p for p in prefixes if p not in cache))
+    if missing:
+        block = log_softmax_rows(model.prefix_logits(state, missing))
+        cache.update((p, (block, row)) for row, p in enumerate(missing))
+    return np.stack([block[row] for block, row in map(cache.__getitem__, prefixes)])
+
+
+def reference_dbs(model, src_ids, vocab, *, groups, beams_per_group, lam, max_len,
+                  min_len=1, state=None, logprob_cache=None):
+    """Lockstep diverse beam search as it was before ranked candidate lists:
+    every group re-sorts its full penalized rows by a stable argsort at
+    every step. The reference the ranked-list search must equal."""
+    if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
+        raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
+    if state is None:
+        state = model.encode(src_ids)
+    beams = [[((), 0.0)] for _ in range(groups)]
+    completed = [[] for _ in range(groups)]
+    beam_rows = np.arange(beams_per_group)[:, None]
+    for t in range(max_len):
+        if not any(beams):
+            break
+        stack = _reference_step_logprobs(model, state, [seq for group in beams for seq, _ in group],
+                                         logprob_cache)
+        stack[:, [PAD_ID, UNK_ID]] = -np.inf
+        if t < min_len:  # every live beam holds exactly t tokens
+            stack[:, EOS_ID] = -np.inf
+        counts = np.zeros(stack.shape[1])  # picks at step t by the groups done so far
+        row = 0
+        for g in range(groups):
+            if not beams[g]:
+                continue
+            n = len(beams[g])
+            adjusted = stack[row:row + n] - lam * counts
+            row += n
+            # stable argsort: equal scores resolve to the smaller token id
+            order = (-adjusted).argsort(axis=1, kind="stable")[:, :beams_per_group]
+            best = adjusted[beam_rows[:n], order].tolist()
+            candidates = [(score + value, seq, token)
+                          for (seq, score), values, tokens in zip(beams[g], best, order.tolist())
+                          for value, token in zip(values, tokens) if math.isfinite(value)]
+            candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+            beams[g] = []
+            for total, seq, token in candidates[:beams_per_group]:
+                counts[token] += 1
+                if token == EOS_ID:
+                    completed[g].append((total, seq))
+                else:
+                    beams[g].append((seq + (token,), total))
+    results = []
+    for group_beams, done in zip(beams, completed):
+        done.extend((score, seq) for seq, score in group_beams)  # hit max_len
+        if not done:
+            raise allocator.IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
+        done.sort(key=lambda c: (-c[0], c[1]))
+        best_seq = done[0][1]
+        results.append(TextualId(tokens=best_seq, text=vocab.decode(best_seq)))
+    return results
+
+
+def assert_dbs_equals_references(model, vocab, state, groups, beams_per_group, max_len=5):
+    """DBS equals `reference_dbs` (IDs) and `sequential_dbs` (token sequences)
+    over a grid of penalties and minimum lengths, with and without a shared
+    logprob cache."""
     shared: dict = {}
     for lam in (0.0, 0.5, 3.0):
         for min_len in (1, 3):
             kwargs = dict(groups=groups, beams_per_group=beams_per_group, lam=lam,
-                          max_len=5, min_len=min_len)
-            reference = sequential_dbs(model, state, **kwargs)
+                          max_len=max_len, min_len=min_len)
+            reference = reference_dbs(model, None, vocab, state=state, **kwargs)
+            assert [c.tokens for c in reference] == sequential_dbs(model, state, **kwargs), kwargs
             for cache in (None, shared):
                 out = diverse_beam_search(model, None, vocab, state=state,
                                           logprob_cache=cache, **kwargs)
-                assert [c.tokens for c in out] == reference, (kwargs, cache is None)
+                assert out == reference, (kwargs, cache is None)
 
 
 @pytest.mark.parametrize("groups", [1, 3, 10])
 @pytest.mark.parametrize("beams_per_group", [1, 2, 3])
 def test_lockstep_dbs_equals_group_sequential_reference(groups, beams_per_group):
+    # 6 to 11 tokens: wider than the ranked list of groups * beams_per_group + 1
+    # at groups 1, narrower at groups 10
     rng = np.random.default_rng(100 * groups + beams_per_group)
     for _ in range(2):
         vocab_size = int(rng.integers(6, 12))
@@ -122,7 +194,7 @@ def test_lockstep_dbs_equals_group_sequential_reference(groups, beams_per_group)
         model = tiny_model(vocab_size=vocab_size, seed=int(rng.integers(10_000)),
                            d_model=8, heads=2, ff_dim=8, max_tgt_len=6)
         state = model.encode(list(rng.integers(3, vocab_size, size=4)))
-        assert_lockstep_equals_sequential(model, vocab, state, groups, beams_per_group)
+        assert_dbs_equals_references(model, vocab, state, groups, beams_per_group)
 
 
 @pytest.mark.parametrize("groups", [1, 3, 10])
@@ -137,7 +209,55 @@ def test_lockstep_dbs_equals_reference_on_exact_ties(groups, beams_per_group):
         (red,): {EOS_ID: 0.5, blue: 0.5},
         (blue, red): {EOS_ID: 1.0},
     })
-    assert_lockstep_equals_sequential(model, vocab, model.encode([3]), groups, beams_per_group)
+    assert_dbs_equals_references(model, vocab, model.encode([3]), groups, beams_per_group)
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+def test_ranked_dbs_equals_reference_with_fewer_finite_tokens_than_beams(groups):
+    # every prefix allows one word and EOS: with EOS banned (min_len 3) a
+    # beam has one finite candidate, fewer than beams_per_group
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red = token(vocab, "red")
+
+    class OneWordModel(ScriptedModel):
+        def logits(self, state, prefix):
+            out = np.full(self.vocab_size, -np.inf)
+            out[[red, EOS_ID]] = [0.0, -1.0 * len(prefix)]
+            return out
+
+    model = OneWordModel(vocab.size, {})
+    assert_dbs_equals_references(model, vocab, model.encode([3]), groups, 3)
+
+
+def test_a_cache_ranked_narrower_than_the_search_needs_is_refused():
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=4, d_model=8, heads=2, ff_dim=8)
+    state = model.encode([3, 4])
+    kwargs = dict(lam=1.0, max_len=4, state=state)
+    cache: dict = {}
+    narrow = diverse_beam_search(model, None, vocab, groups=1, beams_per_group=1,
+                                 logprob_cache=cache, **kwargs)
+    with pytest.raises(ValueError, match="logprob_cache"):
+        diverse_beam_search(model, None, vocab, groups=3, beams_per_group=2,
+                            logprob_cache=cache, **kwargs)
+    # a wider cache serves a narrower search with the same picks
+    wide: dict = {}
+    diverse_beam_search(model, None, vocab, groups=3, beams_per_group=2, logprob_cache=wide, **kwargs)
+    assert diverse_beam_search(model, None, vocab, groups=1, beams_per_group=1,
+                               logprob_cache=wide, **kwargs) == narrow
+
+
+def test_allocation_equals_one_built_on_reference_dbs(monkeypatch):
+    vocab = make_vocab(WORDS[:5])
+    model = tiny_model(vocab_size=vocab.size, seed=3)
+    cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
+    texts = [f"{WORDS[i]} {WORDS[i + 1]}" for i in range(3)]
+    items = [(f"k{i}", texts[i % 3]) for i in range(60)]
+    registry = allocate_all(model, items, vocab, cfg)
+    assert any(row.fallback for row in registry.rows)
+    monkeypatch.setattr(allocator, "diverse_beam_search", reference_dbs)
+    reference = allocate_all(model, items, vocab, cfg)
+    assert registry.ids == reference.ids and registry.rows == reference.rows
 
 
 def test_single_group_equals_vanilla_beam_search():

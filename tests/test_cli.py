@@ -205,6 +205,17 @@ def test_unknown_config_section_exits_2(tmp_path, capsys):
     assert run("train", "--data", split, "--out", tmp_path / "r", "--config", cfg) == 2
 
 
+def test_invalid_json_config_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "truncated.json"
+    cfg.write_text('{"train": {')
+    raw, split = tmp_path / "raw", tmp_path / "split"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    assert run("ingest", "--data", raw, "--out", split, "--k", 3) == 0
+    capsys.readouterr()
+    assert run("train", "--data", split, "--out", tmp_path / "r", "--config", cfg) == 2
+    assert f"{cfg}: invalid JSON (" in one_line_error(capsys)
+
+
 def test_transfer_synth_writes_two_domains(tmp_path):
     out = tmp_path / "pair"
     assert run("synth", "--out", out, "--mode", "transfer", "--items", 8,

@@ -618,6 +618,19 @@ def test_apply_update_matches_per_parameter_reference(monkeypatch, tmp_path):
     assert all(opt.m[k].base is m_buffer for k in names)
 
 
+def test_init_params_are_views_of_one_buffer_that_apply_update_accepts():
+    cfg = ModelConfig(vocab_size=15, d_model=8, heads=2, ff_dim=8, seed=3)
+    model = SequenceModel.init(cfg)
+    flat = next(iter(model.params.values())).base
+    assert flat.ndim == 1 and flat.size == sum(v.size for v in model.params.values())
+    assert all(v.base is flat for v in model.params.values())
+    packed = SequenceModel(cfg, {k: v.copy() for k, v in model.params.items()})
+    assert model.param_hash() == packed.param_hash()
+    apply_update(model.params, {k: np.ones_like(v) for k, v in model.params.items()},
+                 AdamState(), lr=1e-3)
+    assert model.param_hash() != packed.param_hash()
+
+
 def test_apply_update_builds_the_layout_once():
     model = tiny_model(vocab_size=15, seed=9)
     opt = AdamState()
