@@ -22,6 +22,14 @@ whole penalized row: a penalty only lowers a value, so every token past the
 stop ranks after the last unpenalized token seen. At most `beams_per_group *
 (groups - 1)` tokens carry a penalty and EOS may be banned, so the list
 always holds enough unpenalized tokens.
+
+Each search scores its steps through one decoder memo (see `model.py`): a
+step decodes only its new prefixes, attending to the rows of earlier steps,
+instead of every prefix's ancestors again. The memo lives for one
+`diverse_beam_search` call. It is not kept per text in `allocate_all`,
+though the logprob cache is: across alloc-dup's 100 texts that would hold
+about 19 MB of float64 rows, and a per-call memo already saves almost all
+the decoding a per-text one would.
 """
 
 from __future__ import annotations
@@ -189,21 +197,22 @@ def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, Allo
 
 
 def _ranked_steps(model, state, prefixes: list[tuple[int, ...]], cache: dict | None,
-                  width: int) -> list[tuple[memoryview, memoryview]]:
+                  width: int, memo: dict) -> list[tuple[memoryview, memoryview]]:
     """Each prefix's `width` best next tokens as (log-probs, token ids), best
     first, equal log-probs in token order, PAD and UNK ranked as -inf.
 
     Prefixes missing from `cache` are scored together in one `prefix_logits`
-    call and ranked by one stable argsort. The cache maps a prefix to
-    ((log-probs, ids, kept), row) of that call's ranked block: flat float64
-    and int32 buffers holding `kept` tokens per row, stored once per block
-    rather than row by row, and read through memoryviews, which yield Python
-    numbers without a conversion per row.
+    call against the search's decoder `memo` and ranked by one stable
+    argsort. The cache maps a prefix to ((log-probs, ids, kept), row) of
+    that call's ranked block: flat float64 and int32 buffers holding `kept`
+    tokens per row, stored once per block rather than row by row, and read
+    through memoryviews, which yield Python numbers without a conversion per
+    row.
     """
     cache = {} if cache is None else cache
     missing = list(dict.fromkeys(p for p in prefixes if p not in cache))
     if missing:
-        block = log_softmax_rows(model.prefix_logits(state, missing))
+        block = log_softmax_rows(model.prefix_logits(state, missing, memo))
         block[:, [PAD_ID, UNK_ID]] = -np.inf
         order = (-block).argsort(axis=1, kind="stable")[:, :width]
         ranked = (memoryview(np.take_along_axis(block, order, axis=1).ravel()),
@@ -240,13 +249,14 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
     # EOS may be banned: one more than that leaves every beam its top-k (module doc)
     width = min(model.config.vocab_size, groups * beams_per_group + 1)
+    memo: dict = {}  # the decoder rows of this search's prefixes (module doc)
     beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
     completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
     for t in range(max_len):
         if not any(beams):
             break
         ranked = iter(_ranked_steps(model, state, [seq for group in beams for seq, _ in group],
-                                    logprob_cache, width))
+                                    logprob_cache, width, memo))
         counts: dict[int, int] = {}  # picks at step t by the groups done so far
         # token -> lam * count; EOS is banned while every live beam (all t long) is short
         penalty = {EOS_ID: math.inf} if t < min_len else {}

@@ -15,6 +15,15 @@ decoding (`sequence_nll`); a prefix tree scores many prefixes in one pass
 `encode` returns. Callers use four model members: `config`, `encode`,
 `prefix_logits` and `param_hash`.
 
+`prefix_logits` takes an optional memo for incremental decoding: a dict
+the caller keeps for one context and unchanged parameters, mapping each
+prefix decoded against it to that row's self-attention input (the
+layer-normed `h`) at every decoder layer, stored once per pass. A pass then
+decodes only prefixes the memo lacks; their memo ancestors' inputs are
+gathered and put in front of the pass's own as the keys and values of each
+layer's self-attention, in the same `decoder_all_logits`. Without a memo
+every call decodes exactly as before.
+
 There is one parameter layout: `_views` lays a model's parameters out back
 to back in one float64 buffer and `AdamState`'s moments in two buffers like
 it, so an Adam step is a few in-place numpy passes over whole buffers.
@@ -32,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, gelu, softmax
+from .autograd import Tensor, concat, gelu, softmax
 from .tokenizer import EOS_ID, PAD_ID
 
 
@@ -330,7 +339,7 @@ class SequenceModel:
 
     def decoder_all_logits(self, ctx: Tensor, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
-                           parents=None) -> Tensor:
+                           parents=None, past=None) -> Tensor:
         """Next-token logits at every decoder row.
 
         Row i holds token `dec_input_ids[i]` at position = its depth, attends
@@ -339,11 +348,22 @@ class SequenceModel:
         parents before children). The default chain `parents[i] = i-1` is
         causal decoding of the shifted target: start symbol (PAD) followed by
         the previous gold tokens.
+
+        `past = (depth, mask, earlier)` replaces `parents` when the rows also
+        attend to m rows that earlier passes decoded (`prefix_logits` with a
+        memo): `depth` is each row's position, `earlier` one (m, d_model)
+        array per layer with those rows' self-attention inputs, and the
+        additive (rows, m + rows) `mask` covers them, then the pass's own
+        rows. The pass replaces each `earlier[i]` by the rows layer i attended
+        to, the m earlier ones followed by its own.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
         ids = np.array([int(t) for t in dec_input_ids], dtype=np.int64)
-        if parents is None:
+        earlier = None
+        if past is not None:
+            depth, mask, earlier = past
+        elif parents is None:
             depth, mask = _chain_layout(len(ids))
         else:
             parents = np.asarray(parents, dtype=np.int64)
@@ -355,7 +375,11 @@ class SequenceModel:
         x = pt["tok_emb"][ids] + pt["tgt_pos"][depth]
         for i in range(cfg.layers):
             h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
-            x = x + _attention(pt, f"dec{i}_self", h, h, cfg.heads, mask=mask)
+            kv = h
+            if earlier is not None:
+                kv = concat([Tensor(earlier[i]), h])
+                earlier[i] = kv.data
+            x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
             if ctx.data.shape[0] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
                 x = x + _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads)
@@ -364,7 +388,7 @@ class SequenceModel:
         x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
         return x @ pt["tok_emb"].T
 
-    def prefix_logits(self, ctx: Tensor, prefixes) -> np.ndarray:
+    def prefix_logits(self, ctx: Tensor, prefixes, memo: dict | None = None) -> np.ndarray:
         """Next-token logits after each prefix, one row per prefix, in order
         (inference path, frozen parameters).
 
@@ -373,8 +397,20 @@ class SequenceModel:
         `_PREFIX_BLOCK_ROWS` rows (or one full prefix chain, if longer); each
         pass carries the ancestors its prefixes need. Duplicates and prefixes
         given without their ancestors are allowed.
+
+        `memo` is a dict the caller owns, valid for one `ctx` and unchanged
+        parameters; only this method fills it. It maps every prefix decoded
+        against it to (h, the parent prefix's entry or None), where `h` is
+        the row's self-attention input at every decoder layer, a (layers, 1,
+        d_model) view of its pass's block: each pass stores one block. With
+        a memo a pass decodes only the given prefixes and the ancestors the
+        memo lacks; each row attends to its memo ancestors through their
+        stored inputs (`decoder_all_logits`' `past`). A call that raises
+        leaves the memo as it was.
         """
         prefixes = [tuple(int(t) for t in p) for p in prefixes]
+        if memo is not None:
+            return self._memo_prefix_logits(ctx, prefixes, memo)
         out = np.empty((len(prefixes), self.config.vocab_size))
         rows: dict[tuple[int, ...], int] = {}  # prefix -> row of the current block
         tokens: list[int] = []
@@ -405,6 +441,81 @@ class SequenceModel:
             wanted.append((index, rows[p]))
         flush()
         return out
+
+    def _memo_prefix_logits(self, ctx: Tensor, prefixes: list[tuple[int, ...]],
+                            memo: dict) -> np.ndarray:
+        """`prefix_logits` against `memo`: the given prefixes and their
+        ancestors missing from it, in lexicographic order (ancestors first),
+        in passes of at most `_PREFIX_BLOCK_ROWS` rows. A row attends to the
+        chain of its nearest memo ancestor (its anchor), found by following
+        parent links, then to its ancestors in the pass and itself."""
+        cfg = self.config
+        todo = set(prefixes)
+        for p in prefixes:
+            k = len(p) - 1
+            while k >= 0 and p[:k] not in memo and p[:k] not in todo:
+                todo.add(p[:k])
+                k -= 1
+        order = sorted(todo)
+        logits = [np.empty((0, cfg.vocab_size))]  # per pass
+        added: list[tuple[int, ...]] = []
+        try:
+            for lo in range(0, len(order), _PREFIX_BLOCK_ROWS):
+                rows = order[lo:lo + _PREFIX_BLOCK_ROWS]
+                # per row: its anchor's memo entry (None for none) and its
+                # ancestors in the pass followed by itself
+                anchors: list[tuple | None] = []
+                chains: list[list[int]] = []
+                index: dict[tuple[int, ...], int] = {}
+                for j, p in enumerate(rows):
+                    entry = memo.get(p[:-1]) if p else None
+                    if p and entry is None:
+                        i = index[p[:-1]]
+                        anchors.append(anchors[i])
+                        chains.append(chains[i] + [j])
+                    else:
+                        anchors.append(entry)
+                        chains.append([j])
+                    index[p] = j
+                # the memo rows of the anchors' chains, root first, each once
+                chain_of: dict[int, list[int]] = {id(None): []}  # id(entry) -> columns
+                earlier: list[np.ndarray] = []
+                for anchor in anchors:
+                    if id(anchor) in chain_of:
+                        continue
+                    path, entry = [], anchor
+                    while id(entry) not in chain_of:
+                        path.append(entry)
+                        entry = entry[1]
+                    cols = chain_of[id(entry)]
+                    for entry in reversed(path):
+                        cols = chain_of[id(entry)] = cols + [len(earlier)]
+                        earlier.append(entry[0])
+                m, n = len(earlier), len(rows)
+                seen_rows: list[int] = []
+                seen_cols: list[int] = []
+                for j, (anchor, chain) in enumerate(zip(anchors, chains)):
+                    cols = chain_of[id(anchor)] + [m + i for i in chain]
+                    seen_rows += [j] * len(cols)
+                    seen_cols += cols
+                mask = np.full((n, m + n), -1e30)
+                mask[seen_rows, seen_cols] = 0.0
+                kv = list(np.concatenate(earlier, axis=1) if earlier
+                          else np.empty((cfg.layers, 0, cfg.d_model)))
+                logits.append(self.decoder_all_logits(
+                    ctx, [p[-1] if p else PAD_ID for p in rows],
+                    past=(np.array([len(p) for p in rows]), mask, kv)).data)
+                block = np.stack([layer[m:] for layer in kv])
+                for j, p in enumerate(rows):
+                    if p not in memo:
+                        memo[p] = (block[:, j:j + 1], memo[p[:-1]] if p else None)
+                        added.append(p)
+        except BaseException:
+            for p in added:
+                del memo[p]
+            raise
+        row_of = {p: j for j, p in enumerate(order)}
+        return np.concatenate(logits)[[row_of[p] for p in prefixes]]
 
     def sequence_nll(self, ctx: Tensor, target_ids,
                      params: dict[str, Tensor] | None = None) -> Tensor:

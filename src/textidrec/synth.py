@@ -53,6 +53,8 @@ def _cyclic_logs(user_prefix: str, n_users: int, n_items: int, rng: random.Rando
                  item_key_of_index) -> tuple[InteractionLog, ...]:
     """Walks of random length; start positions rotate round-robin so every
     transition gets even coverage across users."""
+    if n_users < 1:
+        raise ValueError(f"a synthetic dataset needs at least 1 user, got {n_users}")
     logs = []
     for u in range(n_users):
         length = rng.randint(min_len, max_len)

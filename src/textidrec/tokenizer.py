@@ -72,13 +72,26 @@ class Vocabulary:
 
     @classmethod
     def load_tsv(cls, path: str | Path) -> "Vocabulary":
+        """Read what `save_tsv` writes. A row without a tab, with an id that
+        is not the next integer, or with a token already read is a
+        ValueError naming the file and the line."""
         tokens: list[str] = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line_of: dict[str, int] = {}  # token -> its line
+        for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             if not line:
                 continue
-            tok, idx = line.split("\t")
-            if int(idx) != len(tokens):
-                raise ValueError(f"non-contiguous id {idx} in {path}")
+            tok, tab, idx = line.partition("\t")
+            if not tab:
+                raise ValueError(f"{path}:{number}: expected a token, a tab and its id")
+            try:
+                value = int(idx)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: id {idx!r} is not an integer") from None
+            if value != len(tokens):
+                raise ValueError(f"{path}:{number}: non-contiguous id {value}, expected {len(tokens)}")
+            if tok in line_of:
+                raise ValueError(f"{path}:{number}: token {tok!r} already on line {line_of[tok]}")
+            line_of[tok] = number
             tokens.append(tok)
         if tuple(tokens[:3]) != SPECIAL_TOKENS:
             raise ValueError(f"{path} does not start with the special tokens")

@@ -61,6 +61,18 @@ def test_each_dbs_step_is_at_most_one_decoder_pass(decoder_calls):
     assert decoder_calls == []
 
 
+def test_each_dbs_pass_after_step_0_decodes_at_most_the_beams(decoder_calls):
+    # the search's memo holds every earlier step's rows, so a pass decodes
+    # only the live beams' new prefixes
+    vocab = make_vocab(WORDS[:8])
+    model = tiny_model(vocab_size=vocab.size, seed=2, layers=2)
+    groups, beams_per_group = 3, 3
+    diverse_beam_search(model, [3, 4], vocab, groups=groups, beams_per_group=beams_per_group,
+                        lam=1.0, max_len=8, min_len=6)
+    assert decoder_calls[0] == 1 and len(decoder_calls) == 8
+    assert max(decoder_calls[1:]) <= groups * beams_per_group
+
+
 def sequential_dbs(model, state, *, groups, beams_per_group, lam, max_len, min_len=1):
     """Reference diverse beam search that decodes each group to the end before
     the next one starts, one beam at a time (the allocator's loop before it

@@ -228,6 +228,25 @@ def test_transfer_synth_writes_two_domains(tmp_path):
     assert items_a == items_b  # same texts, different keys
 
 
+@pytest.mark.parametrize("mode,users", [("single", 0), ("single", -3), ("transfer", 0)])
+def test_synth_without_users_exits_2(tmp_path, capsys, mode, users):
+    out = tmp_path / "raw"
+    assert run("synth", "--out", out, "--mode", mode, "--users", users, "--items", 6) == 2
+    assert f"at least 1 user, got {users}" in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_eval_with_a_repeated_vocabulary_token_exits_2(tmp_path, capsys):
+    split_dir, final = untrained_bundle(tmp_path)
+    path = final / "vocab.tsv"
+    lines = path.read_text().splitlines()
+    lines[4] = lines[3].split("\t")[0] + "\t4"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    assert f"{path}:5: token " in one_line_error(capsys)
+
+
 def drop_first_metadata(split_dir: Path) -> None:
     path = split_dir / "items.jsonl"
     rows = [json.loads(line) for line in path.read_text().splitlines()]

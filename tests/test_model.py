@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -383,8 +384,8 @@ def random_prefix_tree(rng: random.Random, vocab_size: int, n_seqs: int,
     return prefixes
 
 
-def assert_rows_match_per_prefix(model, state, prefixes) -> None:
-    rows = model.prefix_logits(state, prefixes)
+def assert_rows_match_per_prefix(model, state, prefixes, rows=None) -> None:
+    rows = model.prefix_logits(state, prefixes) if rows is None else rows
     assert rows.shape == (len(prefixes), model.config.vocab_size)
     for prefix, row in zip(prefixes, rows):
         causal = model.decoder_all_logits(state, (PAD_ID, *prefix)).data[-1]
@@ -425,6 +426,73 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     tree_passes = list(decoder_calls)
     assert len(tree_passes) > 1 and max(tree_passes) <= 8
     assert_rows_match_per_prefix(model, state, prefixes)
+
+
+def grow_through_memo(model, ctx, rng: random.Random, steps: int = 5):
+    """Scores prefix trees grown step by step through one memo. Each call
+    extends some earlier prefixes and repeats one, holds a duplicate, and
+    adds a prefix given without its ancestors; every row must equal the
+    memo-less and the per-prefix causal rows. Returns the memo."""
+    memo: dict = {}
+    asked = [()]
+    vocab_size = model.config.vocab_size
+    for _ in range(steps):
+        prefixes = [p + (rng.randrange(vocab_size),) for p in rng.sample(asked, min(3, len(asked)))]
+        prefixes += [rng.choice(asked), prefixes[0]]
+        prefixes.append(tuple(rng.randrange(vocab_size) for _ in range(rng.randint(2, 4))))
+        rows = model.prefix_logits(ctx, prefixes, memo)
+        assert np.max(np.abs(rows - model.prefix_logits(ctx, prefixes))) < 1e-12
+        assert_rows_match_per_prefix(model, ctx, prefixes, rows)
+        assert all(p[:k] in memo for p in prefixes for k in range(len(p) + 1))
+        asked += prefixes
+    return memo
+
+
+@pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
+@pytest.mark.parametrize("source", [[3, 4, 5, 6], []])
+def test_memo_rows_match_memo_less_and_per_prefix_decoding(layers, heads, source):
+    model = tiny_model(vocab_size=11, seed=layers + heads, layers=layers, heads=heads)
+    memo = grow_through_memo(model, model.encode(source), random.Random(10 * layers + heads))
+    assert all(h.shape == (layers, 1, 16) for h, _ in memo.values())
+    assert memo[()][1] is None and all(memo[p][1] is memo[p[:-1]] for p in memo if p)
+
+
+def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 4)
+    model = tiny_model(vocab_size=11, seed=5, layers=2)
+    ctx = model.encode([3, 4])
+    prefixes = random_prefix_tree(random.Random(2), 11, 15, 6)
+    memo: dict = {}
+    model.prefix_logits(ctx, prefixes[:3], memo)
+    blocks = len(decoder_calls)
+    decoder_calls.clear()
+    rows = model.prefix_logits(ctx, prefixes, memo)
+    # later passes attend to rows that earlier passes of the same call stored;
+    # every prefix is asked for, so each is decoded once, and the ones the
+    # memo already held are not stored again
+    assert len(decoder_calls) > 2 and max(decoder_calls) <= 4
+    assert sum(decoder_calls) == len(prefixes) == len(memo)
+    # one block per pass, shared by the rows it stored
+    per_block = Counter(id(h.base) for h, _ in memo.values())
+    assert len(per_block) <= blocks + len(decoder_calls) and max(per_block.values()) <= 4
+    assert len(per_block) < len(memo)
+    assert np.max(np.abs(rows - model.prefix_logits(ctx, prefixes))) < 1e-12
+    assert_rows_match_per_prefix(model, ctx, prefixes, rows)
+
+
+def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 2)
+    model = tiny_model(vocab_size=12, max_tgt_len=4)
+    ctx = model.encode([3])
+    memo: dict = {}
+    model.prefix_logits(ctx, [(6,)], memo)
+    before = dict(memo)
+    decoder_calls.clear()
+    # passes of (5,) (5, 5), then (5, 5, 5) (5, 5, 5, 5): the second one is too long
+    with pytest.raises(SequenceTooLong):
+        model.prefix_logits(ctx, [(5, 5, 5, 5), (7,)], memo)
+    assert decoder_calls == [2]
+    assert list(memo) == list(before) and all(memo[p] is before[p] for p in before)
 
 
 def test_prefix_logits_capacity():

@@ -102,3 +102,24 @@ def test_max_size_three_holds_only_the_specials():
 def test_build_vocab_rejects_bad_limits(kwargs, named):
     with pytest.raises(ValueError, match=named):
         build_vocab(["a b c d e"] * 3, **kwargs)
+
+
+def repeat_previous_token(lines: list[str], i: int) -> str:
+    return f"{lines[i - 1].split(chr(9))[0]}\t{i}"
+
+
+@pytest.mark.parametrize("corrupt,reason", [
+    (repeat_previous_token, "already on line 4"),
+    (lambda lines, i: lines[i].replace("\t", ""), "expected a token, a tab and its id"),
+    (lambda lines, i: lines[i].split("\t")[0] + "\tfour", "id 'four' is not an integer"),
+    (lambda lines, i: lines[i].split("\t")[0] + "\t7", "non-contiguous id 7, expected 4"),
+])
+def test_tsv_with_a_bad_row_names_file_and_line(tmp_path, corrupt, reason):
+    path = tmp_path / "vocab.tsv"
+    build_vocab(["red hat shoe red hat shoe"]).save_tsv(path)
+    lines = path.read_text().splitlines()
+    lines[4] = corrupt(lines, 4)  # id 4, the second word, on line 5
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        Vocabulary.load_tsv(path)
+    assert str(info.value).startswith(f"{path}:5: ") and reason in str(info.value)
