@@ -8,21 +8,21 @@ forward code runs training (trainable parameter wrappers) and inference
 in one batched matmul), each feed-forward block and each layer norm is one
 graph node, so a pass builds few nodes whatever the head count.
 
-The decoder runs over a tree of rows: each row names its parent, sits at
-position = depth and attends only to its ancestors. A chain is causal
-decoding (`sequence_nll`); a prefix tree scores many prefixes in one pass
+The decoder runs over a tree of rows: each row sits at position = depth
+and attends only to its ancestors. A chain is causal decoding
+(`sequence_nll`); a prefix tree scores many prefixes in one pass
 (`prefix_logits`, the only step scorer) against the context rows that
 `encode` returns. Callers use four model members: `config`, `encode`,
 `prefix_logits` and `param_hash`.
 
-`prefix_logits` takes an optional memo for incremental decoding: a dict
-the caller keeps for one context and unchanged parameters, mapping each
-prefix decoded against it to that row's self-attention input (the
-layer-normed `h`) at every decoder layer, stored once per pass. A pass then
-decodes only prefixes the memo lacks; their memo ancestors' inputs are
-gathered and put in front of the pass's own as the keys and values of each
-layer's self-attention, in the same `decoder_all_logits`. Without a memo
-every call decodes exactly as before.
+`prefix_logits` decodes incrementally through a memo: a dict the caller
+may keep for one context and unchanged parameters (else the call uses a
+throwaway one), mapping each prefix decoded against it to that row's
+self-attention input (the layer-normed `h`) at every decoder layer, stored
+once per pass. A pass decodes only prefixes the memo lacks; their memo
+ancestors' inputs are gathered and put in front of the pass's own as the
+keys and values of each layer's self-attention, in the one
+`decoder_all_logits`.
 
 There is one parameter layout: `_views` lays a model's parameters out back
 to back in one float64 buffer and `AdamState`'s moments in two buffers like
@@ -195,7 +195,8 @@ _PREFIX_BLOCK_ROWS = 512
 def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Depth of every row and the additive self-attention mask that lets a
     row see only itself and its ancestors. Parents precede their children;
-    a root has a negative parent.
+    a root has a negative parent. `prefix_logits` lays out each pass's own
+    rows with it (a row whose parent is in the memo is a root here).
 
     Every row climbs its ancestor chain one level per numpy pass, so a tree
     takes as many passes as it is deep."""
@@ -339,46 +340,39 @@ class SequenceModel:
 
     def decoder_all_logits(self, ctx: Tensor, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
-                           parents=None, past=None) -> Tensor:
+                           past=None, keep: np.ndarray | None = None) -> Tensor:
         """Next-token logits at every decoder row.
 
-        Row i holds token `dec_input_ids[i]` at position = its depth, attends
-        to the context rows `ctx` (from `encode`) and to itself and its
-        ancestors under `parents` (one parent index per row, -1 for a root,
-        parents before children). The default chain `parents[i] = i-1` is
-        causal decoding of the shifted target: start symbol (PAD) followed by
-        the previous gold tokens.
+        Without `past` the rows are a chain: causal decoding of the shifted
+        target, start symbol (PAD) followed by the previous gold tokens. Every
+        row attends to the context rows `ctx` (from `encode`).
 
-        `past = (depth, mask, earlier)` replaces `parents` when the rows also
-        attend to m rows that earlier passes decoded (`prefix_logits` with a
-        memo): `depth` is each row's position, `earlier` one (m, d_model)
-        array per layer with those rows' self-attention inputs, and the
-        additive (rows, m + rows) `mask` covers them, then the pass's own
-        rows. The pass replaces each `earlier[i]` by the rows layer i attended
-        to, the m earlier ones followed by its own.
+        `past = (depth, mask, earlier)` lays the rows out as a tree
+        (`prefix_logits`): row i sits at position `depth[i]`, and the additive
+        (rows, m + rows) `mask` says which of m earlier rows and of the pass's
+        own rows it attends to. `earlier` is None (m = 0) or a (layers, m,
+        d_model) array of rows that earlier passes decoded: their
+        self-attention inputs, which go in front of the pass's own as the keys
+        and values of each layer's self-attention.
+
+        `keep`, if given, is a (layers, rows, d_model) array that receives the
+        pass's own rows' self-attention inputs (the `earlier` of later passes).
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
         ids = np.array([int(t) for t in dec_input_ids], dtype=np.int64)
-        earlier = None
-        if past is not None:
-            depth, mask, earlier = past
-        elif parents is None:
-            depth, mask = _chain_layout(len(ids))
+        if past is None:
+            (depth, mask), earlier = _chain_layout(len(ids)), None
         else:
-            parents = np.asarray(parents, dtype=np.int64)
-            if parents.shape != ids.shape:
-                raise ValueError(f"{len(parents)} parents for {len(ids)} decoder rows")
-            depth, mask = _tree_layout(parents)
+            depth, mask, earlier = past
         if len(ids) and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         x = pt["tok_emb"][ids] + pt["tgt_pos"][depth]
         for i in range(cfg.layers):
             h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
-            kv = h
-            if earlier is not None:
-                kv = concat([Tensor(earlier[i]), h])
-                earlier[i] = kv.data
+            if keep is not None:
+                keep[i] = h.data
+            kv = h if earlier is None else concat([Tensor(earlier[i]), h])
             x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
             if ctx.data.shape[0] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
@@ -390,66 +384,26 @@ class SequenceModel:
 
     def prefix_logits(self, ctx: Tensor, prefixes, memo: dict | None = None) -> np.ndarray:
         """Next-token logits after each prefix, one row per prefix, in order
-        (inference path, frozen parameters).
-
-        The prefixes and all their ancestors form one tree that the decoder
-        scores with ancestor-only attention, in passes of at most
-        `_PREFIX_BLOCK_ROWS` rows (or one full prefix chain, if longer); each
-        pass carries the ancestors its prefixes need. Duplicates and prefixes
-        given without their ancestors are allowed.
+        (inference path, frozen parameters). Duplicates and prefixes given
+        without their ancestors are allowed.
 
         `memo` is a dict the caller owns, valid for one `ctx` and unchanged
-        parameters; only this method fills it. It maps every prefix decoded
-        against it to (h, the parent prefix's entry or None), where `h` is
-        the row's self-attention input at every decoder layer, a (layers, 1,
-        d_model) view of its pass's block: each pass stores one block. With
-        a memo a pass decodes only the given prefixes and the ancestors the
-        memo lacks; each row attends to its memo ancestors through their
-        stored inputs (`decoder_all_logits`' `past`). A call that raises
-        leaves the memo as it was.
+        parameters; only this method fills it, and a call that raises leaves
+        it as it was. It maps every prefix decoded against it to (h, the
+        parent prefix's entry or None), where `h` is the row's self-attention
+        input at every decoder layer, a (layers, 1, d_model) view of the one
+        block its pass stored. Without one, a throwaway memo serves the call.
+
+        A call decodes the given prefixes and their ancestors that the memo
+        lacks, in lexicographic order (ancestors first, and neighbours share
+        them), in passes of at most `_PREFIX_BLOCK_ROWS` rows. A row attends
+        to itself, to its ancestors in the pass, and through their stored
+        inputs to the chain of its nearest memo ancestor (its anchor), which
+        includes rows that earlier passes of the same call stored.
         """
-        prefixes = [tuple(int(t) for t in p) for p in prefixes]
-        if memo is not None:
-            return self._memo_prefix_logits(ctx, prefixes, memo)
-        out = np.empty((len(prefixes), self.config.vocab_size))
-        rows: dict[tuple[int, ...], int] = {}  # prefix -> row of the current block
-        tokens: list[int] = []
-        parents: list[int] = []
-        wanted: list[tuple[int, int]] = []  # (output index, block row)
-
-        def flush() -> None:
-            if wanted:
-                logits = self.decoder_all_logits(ctx, tokens, parents=parents).data
-                for index, row in wanted:
-                    out[index] = logits[row]
-            rows.clear()
-            tokens.clear()
-            parents.clear()
-            wanted.clear()
-
-        # lexicographic order walks the tree depth-first, so neighbours share ancestors
-        for index in sorted(range(len(prefixes)), key=prefixes.__getitem__):
-            p = prefixes[index]
-            missing = [k for k in range(len(p) + 1) if p[:k] not in rows]
-            if rows and len(rows) + len(missing) > _PREFIX_BLOCK_ROWS:
-                flush()
-                missing = list(range(len(p) + 1))
-            for k in missing:
-                rows[p[:k]] = len(tokens)
-                tokens.append(p[k - 1] if k else PAD_ID)
-                parents.append(rows[p[:k - 1]] if k else -1)
-            wanted.append((index, rows[p]))
-        flush()
-        return out
-
-    def _memo_prefix_logits(self, ctx: Tensor, prefixes: list[tuple[int, ...]],
-                            memo: dict) -> np.ndarray:
-        """`prefix_logits` against `memo`: the given prefixes and their
-        ancestors missing from it, in lexicographic order (ancestors first),
-        in passes of at most `_PREFIX_BLOCK_ROWS` rows. A row attends to the
-        chain of its nearest memo ancestor (its anchor), found by following
-        parent links, then to its ancestors in the pass and itself."""
+        memo = {} if memo is None else memo
         cfg = self.config
+        prefixes = [tuple(int(t) for t in p) for p in prefixes]
         todo = set(prefixes)
         for p in prefixes:
             k = len(p) - 1
@@ -457,64 +411,70 @@ class SequenceModel:
                 todo.add(p[:k])
                 k -= 1
         order = sorted(todo)
+        row_of: dict[tuple[int, ...], int] = {}  # prefix -> its row in `order`
         logits = [np.empty((0, cfg.vocab_size))]  # per pass
         added: list[tuple[int, ...]] = []
         try:
             for lo in range(0, len(order), _PREFIX_BLOCK_ROWS):
                 rows = order[lo:lo + _PREFIX_BLOCK_ROWS]
-                # per row: its anchor's memo entry (None for none) and its
-                # ancestors in the pass followed by itself
-                anchors: list[tuple | None] = []
-                chains: list[list[int]] = []
-                index: dict[tuple[int, ...], int] = {}
+                # per row: its parent in the pass (-1 for none) and its pass
+                # root, the first row of its chain in the pass, whose anchor
+                # it shares
+                parents: list[int] = []
+                roots: list[int] = []
+                anchors: dict[int, tuple | None] = {}  # pass root -> anchor's entry
                 for j, p in enumerate(rows):
                     entry = memo.get(p[:-1]) if p else None
                     if p and entry is None:
-                        i = index[p[:-1]]
-                        anchors.append(anchors[i])
-                        chains.append(chains[i] + [j])
+                        parents.append(row_of[p[:-1]] - lo)
+                        roots.append(roots[parents[-1]])
                     else:
-                        anchors.append(entry)
-                        chains.append([j])
-                    index[p] = j
+                        parents.append(-1)
+                        roots.append(j)
+                        anchors[j] = entry
+                    row_of[p] = lo + j
                 # the memo rows of the anchors' chains, root first, each once
                 chain_of: dict[int, list[int]] = {id(None): []}  # id(entry) -> columns
                 earlier: list[np.ndarray] = []
-                for anchor in anchors:
-                    if id(anchor) in chain_of:
-                        continue
-                    path, entry = [], anchor
-                    while id(entry) not in chain_of:
-                        path.append(entry)
-                        entry = entry[1]
-                    cols = chain_of[id(entry)]
-                    for entry in reversed(path):
-                        cols = chain_of[id(entry)] = cols + [len(earlier)]
-                        earlier.append(entry[0])
-                m, n = len(earlier), len(rows)
                 seen_rows: list[int] = []
                 seen_cols: list[int] = []
-                for j, (anchor, chain) in enumerate(zip(anchors, chains)):
-                    cols = chain_of[id(anchor)] + [m + i for i in chain]
+                for j, anchor in anchors.items():
+                    if id(anchor) not in chain_of:
+                        path, entry = [], anchor
+                        while id(entry) not in chain_of:
+                            path.append(entry)
+                            entry = entry[1]
+                        cols = chain_of[id(entry)]
+                        for entry in reversed(path):
+                            cols = chain_of[id(entry)] = cols + [len(earlier)]
+                            earlier.append(entry[0])
+                    cols = chain_of[id(anchor)]
                     seen_rows += [j] * len(cols)
                     seen_cols += cols
-                mask = np.full((n, m + n), -1e30)
-                mask[seen_rows, seen_cols] = 0.0
-                kv = list(np.concatenate(earlier, axis=1) if earlier
-                          else np.empty((cfg.layers, 0, cfg.d_model)))
+                mask = _tree_layout(np.array(parents))[1]
+                if earlier:  # a row sees its root's memo rows, then its ancestors in the pass
+                    memo_mask = np.full((len(rows), len(earlier)), -1e30)
+                    memo_mask[seen_rows, seen_cols] = 0.0
+                    mask = np.concatenate([memo_mask[roots], mask], axis=1)
+                keep = np.empty((cfg.layers, len(rows), cfg.d_model))
                 logits.append(self.decoder_all_logits(
                     ctx, [p[-1] if p else PAD_ID for p in rows],
-                    past=(np.array([len(p) for p in rows]), mask, kv)).data)
-                block = np.stack([layer[m:] for layer in kv])
-                for j, p in enumerate(rows):
-                    if p not in memo:
-                        memo[p] = (block[:, j:j + 1], memo[p[:-1]] if p else None)
+                    past=(np.array([len(p) for p in rows]), mask,
+                          np.concatenate(earlier, axis=1) if earlier else None),
+                    keep=keep).data)
+                entries: list[tuple] = []  # per row: its memo entry
+                # iterating yields each row's (layers, 1, d_model) view of `keep`
+                for j, (p, h) in enumerate(zip(rows, keep.swapaxes(0, 1)[:, :, None])):
+                    entry = memo.get(p)
+                    if entry is None:
+                        up = entries[parents[j]] if parents[j] >= 0 else anchors[j]
+                        entry = memo[p] = (h, up)
                         added.append(p)
+                    entries.append(entry)
         except BaseException:
             for p in added:
                 del memo[p]
             raise
-        row_of = {p: j for j, p in enumerate(order)}
         return np.concatenate(logits)[[row_of[p] for p in prefixes]]
 
     def sequence_nll(self, ctx: Tensor, target_ids,

@@ -118,10 +118,11 @@ def test_explicit_chain_parents_equal_causal_decoding():
     state = model.encode([3, 4])
     ids = [0, 5, 6, 7]
     causal = model.decoder_all_logits(state, ids).data
-    chain = model.decoder_all_logits(state, ids, parents=[-1, 0, 1, 2]).data
+    depth, mask = model_module._tree_layout(np.array([-1, 0, 1, 2]))
+    chain = model.decoder_all_logits(state, ids, past=(depth, mask, None)).data
     assert np.array_equal(causal, chain)
     with pytest.raises(ValueError):
-        model.decoder_all_logits(state, ids, parents=[-1, 2, 1, 2])
+        model_module._tree_layout(np.array([-1, 2, 1, 2]))
 
 
 def loop_tree_layout(parents):
