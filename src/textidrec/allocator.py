@@ -30,6 +30,22 @@ instead of every prefix's ancestors again. The memo lives for one
 though the logprob cache is: across alloc-dup's 100 texts that would hold
 about 19 MB of float64 rows, and a per-call memo already saves almost all
 the decoding a per-text one would.
+
+A search that kept no penalized token answers every higher penalty of its
+length range. Call a search penalty-free when, in every beam of every group
+at every step, the best `beams_per_group` walked picks are all unpenalized
+tokens. The same search at any lam' >= lam then returns the same candidates:
+- a penalty is `lam * count`, so raising lam only lowers a penalized value,
+  and float rounding keeps that monotone;
+- which tokens carry a penalty depends on the counts, not on lam, so the
+  walk stops after the same unpenalized tokens;
+- the penalized picks keep sorting after them (equal values still break ties
+  by token), so every beam keeps the same candidates with the same totals;
+- so every group picks the same tokens, and the counts that later groups see
+  are the same.
+`diverse_beam_search` marks such a result `penalty_free`, and `allocate_all`
+answers every later rung of that length range with it instead of searching
+again. The check costs nothing when no beam walked a penalized token.
 """
 
 from __future__ import annotations
@@ -72,6 +88,11 @@ class AllocatorConfig:
     def __post_init__(self) -> None:
         if self.groups < 1 or self.beams_per_group < 1:
             raise ValueError("groups and beams_per_group must be >= 1")
+        # an infinite lam_max would make the escalation ladder endless
+        if not all(map(math.isfinite, (self.lam_init, self.lam_step, self.lam_max))):
+            raise ValueError("lam_init, lam_step and lam_max must be finite")
+        if self.lam_init < 0:
+            raise ValueError("lam_init must be >= 0")
         if self.lam_init > self.lam_max:
             raise ValueError("lam_init must not exceed lam_max")
         if self.lam_step <= 0:
@@ -228,10 +249,18 @@ def _ranked_steps(model, state, prefixes: list[tuple[int, ...]], cache: dict | N
     return rows
 
 
+class Candidates(list):
+    """One TextualId per group, in group order: a plain list, plus whether the
+    search kept no penalized token, so that every higher lam returns the same
+    list (module doc)."""
+
+    penalty_free = False
+
+
 def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
                         beams_per_group: int, lam: float, max_len: int,
                         min_len: int = 1, state=None,
-                        logprob_cache: dict | None = None) -> list[TextualId]:
+                        logprob_cache: dict | None = None) -> Candidates:
     """Return one candidate per group, in group order (possibly duplicates).
 
     Group g's candidate token score is its log-probability minus `lam` times
@@ -241,6 +270,7 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     scoring call per timestep covers every live beam, then the groups pick
     their tokens in order. A `logprob_cache` filled by a search that kept
     fewer ranked tokens per prefix than this one needs is a ValueError.
+    The result is `penalty_free` when no beam kept a penalized token.
     """
     if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
         raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
@@ -252,6 +282,7 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     memo: dict = {}  # the decoder rows of this search's prefixes (module doc)
     beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
     completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
+    penalty_free = True  # no beam has kept a penalized token so far
     for t in range(max_len):
         if not any(beams):
             break
@@ -280,6 +311,8 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
                         picks.append((-(value - cost), token))
                 if free < len(picks):
                     picks.sort()
+                    if penalty_free:
+                        penalty_free = all(cost_of(token) is None for _, token in picks[:beams_per_group])
                 candidates += [(-(score - negative), seq, token)
                                for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
             candidates.sort()
@@ -291,14 +324,18 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
                     completed[g].append((-negative, seq))
                 else:
                     beams[g].append((seq + (token,), -negative))
-    results: list[TextualId] = []
+    results = Candidates()
+    results.penalty_free = penalty_free
+    decoded: dict[tuple[int, ...], TextualId] = {}  # groups often agree under duplication
     for group_beams, done in zip(beams, completed):
         done.extend((score, seq) for seq, score in group_beams)  # hit max_len
         if not done:
             raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
         done.sort(key=lambda c: (-c[0], c[1]))
         best_seq = done[0][1]
-        results.append(TextualId(tokens=best_seq, text=vocab.decode(best_seq)))
+        if best_seq not in decoded:
+            decoded[best_seq] = TextualId(tokens=best_seq, text=vocab.decode(best_seq))
+        results.append(decoded[best_seq])
     return results
 
 
@@ -322,8 +359,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     """Allocate a unique textual ID for every (item_key, flattened_text).
 
     Items are processed in input order; each starts at (lam_init, first
-    length range) and escalates on full duplication. The ordinal fallback is
-    recorded per item and logged, never silent.
+    length range) and escalates on full duplication. A rung whose previous
+    rung of the same length range was answered by a `penalty_free` search
+    takes that search's candidates instead of searching again (module doc).
+    The ordinal fallback is recorded per item and logged, never silent.
     """
     if not items:
         raise ValueError("items must be non-empty")
@@ -345,6 +384,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     taken: set[str] = set()
     # per distinct text: encoder state, logprob cache, rung -> DBS candidates
     per_text: dict[str, tuple[object, dict, dict[int, list[TextualId]]]] = {}
+    searches = answered = 0  # rungs searched; rungs answered by a penalty-free search
 
     for position, (key, text) in enumerate(items):
         if key in ids:
@@ -354,12 +394,19 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         state, logprob_cache, by_rung = per_text[text]
         for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
             if rung not in by_rung:
-                by_rung[rung] = diverse_beam_search(
-                    model, None, vocab,
-                    groups=config.groups, beams_per_group=config.beams_per_group,
-                    lam=lam, max_len=max_len, min_len=lo,
-                    state=state, logprob_cache=logprob_cache,
-                )
+                # items climb the ladder in order, so the rung below was reached
+                below = by_rung.get(rung - 1)
+                if getattr(below, "penalty_free", False) and rungs[rung - 1][0] == range_index:
+                    by_rung[rung] = below
+                    answered += 1
+                else:
+                    by_rung[rung] = diverse_beam_search(
+                        model, None, vocab,
+                        groups=config.groups, beams_per_group=config.beams_per_group,
+                        lam=lam, max_len=max_len, min_len=lo,
+                        state=state, logprob_cache=logprob_cache,
+                    )
+                    searches += 1
             accepted = next((c for c in by_rung[rung] if c.text not in taken), None)
             if accepted is not None:
                 row = AllocationRow(key=key, lam=lam, range_index=range_index)
@@ -388,8 +435,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     stats = registry.stats(lam_init=config.lam_init)
     if stats["fallback_count"]:
         log.warning("allocation used the ordinal fallback for %d items", int(stats["fallback_count"]))
-    log.info("allocated %d ids: %.2f%% needed lambda escalation, %.2f%% needed length extension",
-             len(ids), 100 * stats["fraction_lambda_escalated"], 100 * stats["fraction_length_extended"])
+    log.info("allocated %d ids: %.2f%% needed lambda escalation, %.2f%% needed length extension; "
+             "%d searches, %d rungs answered by a penalty-free search",
+             len(ids), 100 * stats["fraction_lambda_escalated"], 100 * stats["fraction_length_extended"],
+             searches, answered)
     return registry
 
 

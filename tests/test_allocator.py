@@ -272,6 +272,132 @@ def test_allocation_equals_one_built_on_reference_dbs(monkeypatch):
     assert registry.ids == reference.ids and registry.rows == reference.rows
 
 
+PENALTY_GRID = (0.0, 0.5, 1.0, 2.0, 3.5, 10.0, 40.0, 100.0)
+TWO_LETTER_WORDS = [a + b for a in "abcdefg" for b in "abcdefg"]
+
+
+def penalty_free_searches(model, vocab, state, groups, beams_per_group, max_len=5):
+    """Run DBS over PENALTY_GRID for min_len 1 and 3. Every penalty-free result
+    must equal the search at each higher penalty of the grid; returns how many
+    results were penalty-free."""
+    found = 0
+    for min_len in (1, 3):
+        kwargs = dict(groups=groups, beams_per_group=beams_per_group, max_len=max_len,
+                      min_len=min_len, state=state)
+        by_lam = [diverse_beam_search(model, None, vocab, lam=lam, **kwargs) for lam in PENALTY_GRID]
+        for i, out in enumerate(by_lam):
+            if out.penalty_free:
+                found += 1
+                for lam, higher in zip(PENALTY_GRID[i + 1:], by_lam[i + 1:]):
+                    assert higher == out, (PENALTY_GRID[i], lam, kwargs)
+    return found
+
+
+@pytest.mark.parametrize("groups", [2, 3, 10])
+@pytest.mark.parametrize("beams_per_group", [1, 2, 3])
+def test_a_penalty_free_search_equals_every_higher_penalty(groups, beams_per_group):
+    # a search is penalty-free only if each group's first step finds
+    # beams_per_group words no earlier group picked: 1 to 8 words to spare
+    rng = np.random.default_rng(1000 + 10 * groups + beams_per_group)
+    found = 0
+    for _ in range(2):
+        vocab_size = int(rng.integers(groups * beams_per_group + 4, groups * beams_per_group + 12))
+        vocab = make_vocab(TWO_LETTER_WORDS[: vocab_size - 3])
+        model = tiny_model(vocab_size=vocab_size, seed=int(rng.integers(10_000)),
+                           d_model=8, heads=2, ff_dim=8, max_tgt_len=6)
+        state = model.encode(list(rng.integers(3, vocab_size, size=4)))
+        found += penalty_free_searches(model, vocab, state, groups, beams_per_group)
+    assert found > 0
+
+
+@pytest.mark.parametrize("groups", [2, 3, 10])
+@pytest.mark.parametrize("beams_per_group", [1, 2, 3])
+def test_a_penalty_free_search_equals_every_higher_penalty_on_exact_ties(groups, beams_per_group):
+    # the exact-ties model, with a word to spare for every beam of every group
+    vocab = make_vocab(["red", "blue", "hat", "shoe"] + TWO_LETTER_WORDS[: groups * beams_per_group])
+    red, blue = token(vocab, "red"), token(vocab, "blue")
+    model = ScriptedModel(vocab.size, {
+        (): {red: 0.3, blue: 0.3, EOS_ID: 0.3},
+        (red,): {EOS_ID: 0.5, blue: 0.5},
+        (blue, red): {EOS_ID: 1.0},
+    })
+    assert penalty_free_searches(model, vocab, model.encode([3]), groups, beams_per_group) > 0
+
+
+def counting(monkeypatch, search):
+    """Make `allocate_all` call `search` through a wrapper; returns the list of
+    each call's (state, min_len, result)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        calls.append((kwargs["state"], kwargs["min_len"], result))
+        return result
+
+    monkeypatch.setattr(allocator, "diverse_beam_search", counted)
+    return calls
+
+
+def test_a_kept_penalized_token_makes_allocation_search_the_next_rung(monkeypatch):
+    # at lam 1 group 1 still prefers the penalized "red" (log 0.8 - 1 > log 0.2);
+    # at lam 2 it moves to "blue", and the groups end at different steps
+    vocab = make_vocab(["red", "blue", "hat"])
+    red, blue, hat = token(vocab, "red"), token(vocab, "blue"), token(vocab, "hat")
+    model = ScriptedModel(vocab.size, {
+        (): {red: 0.8, blue: 0.2},
+        (red,): {hat: 1.0},
+        (red, hat): {EOS_ID: 1.0},
+        (blue,): {EOS_ID: 1.0},
+    })
+    kwargs = dict(groups=2, beams_per_group=1, max_len=3)
+    at_1 = diverse_beam_search(model, [3], vocab, lam=1.0, **kwargs)
+    at_2 = diverse_beam_search(model, [3], vocab, lam=2.0, **kwargs)
+    assert [c.text for c in at_1] == ["red hat", "red hat"] and not at_1.penalty_free
+    assert [c.text for c in at_2] == ["red hat", "blue"] and at_2.penalty_free
+
+    cfg = AllocatorConfig(groups=2, beams_per_group=1, lam_max=4.0, length_ranges=((1, 3),))
+    items = [("a", "red hat"), ("b", "red hat"), ("c", "red hat")]
+    calls = counting(monkeypatch, diverse_beam_search)
+    registry = allocate_all(model, items, vocab, cfg)
+    # lam 1 kept a penalized token, lam 2 did not: lam 3 and 4 take lam 2's candidates
+    assert [call[2] for call in calls] == [at_1, at_2]
+    assert [registry.ids[k].text for k, _ in items[:2]] == ["red hat", "blue"]
+    assert registry.rows[1].lam == 2.0 and registry.rows[2].fallback
+    calls = counting(monkeypatch, reference_dbs)
+    reference = allocate_all(model, items, vocab, cfg)
+    assert len(calls) == 4
+    assert registry.ids == reference.ids and registry.rows == reference.rows
+
+
+def test_duplicated_texts_search_each_length_range_reached_once(monkeypatch, caplog):
+    vocab = make_vocab(WORDS[:6])
+    model = tiny_model(vocab_size=vocab.size, seed=3)
+    cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
+    texts = [f"{WORDS[i]} {WORDS[i + 1]}" for i in range(3)]
+    items = [(f"k{i}", texts[i % 3]) for i in range(30)]
+    calls = counting(monkeypatch, diverse_beam_search)
+    with caplog.at_level("INFO", logger="textidrec.allocator"):
+        registry = allocate_all(model, items, vocab, cfg)
+    assert all(result.penalty_free for _, _, result in calls)
+    searched = [(id(state), min_len) for state, min_len, _ in calls]
+    assert len(searched) == len(set(searched))
+    # a text reached every range up to the highest one any of its items used;
+    # a fallback item used them all
+    last = len(cfg.length_ranges) - 1
+    reached = {}
+    for (_, text), row in zip(items, registry.rows):
+        reached[text] = max(reached.get(text, 0), last if row.fallback else row.range_index)
+    assert len(calls) == sum(top + 1 for top in reached.values())
+    assert reached[texts[0]] == last  # the ladder was climbed
+
+    ladder = counting(monkeypatch, reference_dbs)
+    reference = allocate_all(model, items, vocab, cfg)
+    assert registry.ids == reference.ids and registry.rows == reference.rows
+    assert len(ladder) > len(calls)
+    assert (f"{len(calls)} searches, {len(ladder) - len(calls)} rungs answered by a "
+            f"penalty-free search") in caplog.text
+
+
 def test_single_group_equals_vanilla_beam_search():
     rng = np.random.default_rng(0)
     for trial in range(25):
@@ -496,3 +622,16 @@ def test_config_validation():
 def test_config_rejects_a_ladder_that_cannot_climb(kwargs):
     with pytest.raises(ValueError):
         AllocatorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,reason", [
+    *((dict(lam_max=value), "finite") for value in (math.inf, math.nan)),
+    *((dict(lam_step=value), "finite") for value in (math.inf, math.nan)),
+    *((dict(lam_init=value), "finite") for value in (math.inf, math.nan)),
+    (dict(lam_init=-1.0), "lam_init must be >= 0"),
+])
+def test_config_rejects_a_non_finite_or_negative_penalty(kwargs, reason):
+    # an infinite lam_max would give allocate_all an endless ladder
+    with pytest.raises(ValueError, match=reason):
+        AllocatorConfig(**kwargs)
+    assert AllocatorConfig(lam_init=0.0).lam_init == 0.0

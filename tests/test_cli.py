@@ -182,6 +182,19 @@ def test_allocate_from_fresh_model(tmp_path):
     assert len(set(texts)) == 6
 
 
+def test_allocate_with_an_infinite_penalty_cap_exits_2(tmp_path, capsys):
+    # JSON's Infinity parses to a float; an endless escalation ladder must be
+    # refused before allocation starts
+    raw = tmp_path / "raw"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"allocator": {"lam_max": Infinity}}')
+    capsys.readouterr()
+    assert run("allocate", "--data", raw, "--out", tmp_path / "ids.tsv", "--config", cfg) == 2
+    assert "config section 'allocator': " in one_line_error(capsys)
+    assert not (tmp_path / "ids.tsv").exists()
+
+
 def test_key_value_config_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
