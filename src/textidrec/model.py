@@ -24,6 +24,22 @@ ancestors' inputs are gathered and put in front of the pass's own as the
 keys and values of each layer's self-attention, in the one
 `decoder_all_logits`.
 
+The context enters the decoder only at layer 0's cross-attention, so what a
+pass computes before it (its head: the tree layout, the embeddings and
+layer 0's self-attention block) is the same for every context. Each model
+keeps one head slot, and only memo-less `prefix_logits` calls (a ranking
+scores a trie that way) read or fill it; calls with a memo never touch it.
+The slot holds the plan of the call that filled it (per pass: token ids,
+depths, mask and the rows of its earlier columns; the row of each prefix),
+each row's layer-0 self-attention input and its rows after layer 0's
+self-attention block. A later memo-less call reuses it when it is keyed
+the same, by the config, `_PREFIX_BLOCK_ROWS` and the prefixes by value,
+and when the raw bytes of every `_HEAD_PARAMS` array equal the copies the
+slot holds: its passes then start at layer 0's cross-attention, each still
+one `decoder_all_logits` call, and give the same bits. Any other memo-less
+call recomputes and, unless it raises, replaces the slot. At the default
+config a 143-row trie's slot is about 0.5 MB.
+
 There is one parameter layout: `_views` lays a model's parameters out back
 to back in one float64 buffer and `AdamState`'s moments in two buffers like
 it, so an Adam step is a few in-place numpy passes over whole buffers.
@@ -191,6 +207,25 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 # attention matrices while large tries still take few passes.
 _PREFIX_BLOCK_ROWS = 512
 
+# The parameters a decoder pass reads before layer 0's cross-attention.
+_HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_names("dec0_self"))
+
+
+@dataclass
+class _HeadSlot:
+    """The user-independent head of one memo-less `prefix_logits` call (see
+    the module doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, prefixes);
+    `weights` the (shape, raw bytes) of each `_HEAD_PARAMS` array; `passes`
+    per pass (first row, token ids, depths, mask, rows of its earlier
+    columns or None); `head` the kept `keep[0]` and `keep[layers]` of every
+    row; `pick` the row of each prefix."""
+
+    key: tuple
+    weights: list[tuple]
+    passes: list[tuple]
+    head: np.ndarray
+    pick: np.ndarray
+
 
 def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Depth of every row and the additive self-attention mask that lets a
@@ -216,6 +251,14 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         climbing = anc >= 0
         rows, anc = rows[climbing], anc[climbing]
     return depth, np.where(allowed, 0.0, -1e30)
+
+
+def _roots_mask(n: int) -> np.ndarray:
+    """The mask of `_tree_layout` over n roots (every parent negative): the
+    identity, built directly."""
+    mask = np.full((n, n), -1e30)
+    np.fill_diagonal(mask, 0.0)
+    return mask
 
 
 def _chain_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,6 +321,7 @@ class SequenceModel:
         self.config = config
         self.params = _pack(params)
         self._frozen: dict[str, Tensor] | None = None
+        self._head_slot: _HeadSlot | None = None  # see the module doc
 
     @classmethod
     def init(cls, config: ModelConfig) -> "SequenceModel":
@@ -340,7 +384,8 @@ class SequenceModel:
 
     def decoder_all_logits(self, ctx: Tensor, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
-                           past=None, keep: np.ndarray | None = None) -> Tensor:
+                           past=None, keep: np.ndarray | None = None,
+                           head: np.ndarray | None = None) -> Tensor:
         """Next-token logits at every decoder row.
 
         Without `past` the rows are a chain: causal decoding of the shifted
@@ -355,8 +400,16 @@ class SequenceModel:
         self-attention inputs, which go in front of the pass's own as the keys
         and values of each layer's self-attention.
 
-        `keep`, if given, is a (layers, rows, d_model) array that receives the
-        pass's own rows' self-attention inputs (the `earlier` of later passes).
+        `keep`, if given, is a (layers + 1, rows, d_model) array that receives
+        the pass's own rows' self-attention input at every layer (the
+        `earlier` of later passes), then the rows after layer 0's
+        self-attention block: the pass's head, which depends on the rows,
+        `past` and the embedding and layer-0 self-attention parameters, but
+        not on `ctx`.
+
+        `head`, if given, is the kept head of a pass over the same rows and
+        `past` under the same such parameters: the pass starts at layer 0's
+        cross-attention, and `keep[0]` and `keep[layers]` are left as they are.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
@@ -367,13 +420,16 @@ class SequenceModel:
             depth, mask, earlier = past
         if len(ids) and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
-        x = pt["tok_emb"][ids] + pt["tgt_pos"][depth]
+        x = pt["tok_emb"][ids] + pt["tgt_pos"][depth] if head is None else Tensor(head)
         for i in range(cfg.layers):
-            h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
-            if keep is not None:
-                keep[i] = h.data
-            kv = h if earlier is None else concat([Tensor(earlier[i]), h])
-            x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
+            if i or head is None:
+                h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
+                if keep is not None:
+                    keep[i] = h.data
+                kv = h if earlier is None else concat([Tensor(earlier[i]), h])
+                x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
+                if i == 0 and keep is not None:
+                    keep[cfg.layers] = x.data
             if ctx.data.shape[0] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
                 x = x + _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads)
@@ -392,7 +448,8 @@ class SequenceModel:
         it as it was. It maps every prefix decoded against it to (h, the
         parent prefix's entry or None), where `h` is the row's self-attention
         input at every decoder layer, a (layers, 1, d_model) view of the one
-        block its pass stored. Without one, a throwaway memo serves the call.
+        block its pass stored. Without one, a throwaway memo serves the call,
+        and the call reuses or refills the model's head slot (module doc).
 
         A call decodes the given prefixes and their ancestors that the memo
         lacks, in lexicographic order (ancestors first, and neighbours share
@@ -401,9 +458,19 @@ class SequenceModel:
         inputs to the chain of its nearest memo ancestor (its anchor), which
         includes rows that earlier passes of the same call stored.
         """
-        memo = {} if memo is None else memo
         cfg = self.config
-        prefixes = [tuple(int(t) for t in p) for p in prefixes]
+        prefixes = list(map(tuple, prefixes))
+        fill = memo is None  # a memo-less call reuses or refills the head slot
+        if fill:
+            pt = self.frozen()
+            weights = [(pt[name].data.shape, pt[name].data.tobytes()) for name in _HEAD_PARAMS]
+            slot = self._head_slot
+            # prefixes equal by value to the slot's int tuples convert to them
+            if (slot is not None and slot.key == (cfg, _PREFIX_BLOCK_ROWS, prefixes)
+                    and slot.weights == weights):
+                return self._replay_head(ctx, slot)
+        prefixes = [tuple(map(int, p)) for p in prefixes]
+        memo = {} if memo is None else memo
         todo = set(prefixes)
         for p in prefixes:
             k = len(p) - 1
@@ -414,6 +481,10 @@ class SequenceModel:
         row_of: dict[tuple[int, ...], int] = {}  # prefix -> its row in `order`
         logits = [np.empty((0, cfg.vocab_size))]  # per pass
         added: list[tuple[int, ...]] = []
+        if fill:  # the slot's plan and head; a memo entry's row in `order`
+            passes: list[tuple] = []
+            head = np.empty((2, len(order), cfg.d_model))
+            entry_row: dict[int, int] = {}
         try:
             for lo in range(0, len(order), _PREFIX_BLOCK_ROWS):
                 rows = order[lo:lo + _PREFIX_BLOCK_ROWS]
@@ -433,9 +504,9 @@ class SequenceModel:
                         roots.append(j)
                         anchors[j] = entry
                     row_of[p] = lo + j
-                # the memo rows of the anchors' chains, root first, each once
+                # the memo entries of the anchors' chains, root first, each once
                 chain_of: dict[int, list[int]] = {id(None): []}  # id(entry) -> columns
-                earlier: list[np.ndarray] = []
+                earlier: list[tuple] = []
                 seen_rows: list[int] = []
                 seen_cols: list[int] = []
                 for j, anchor in anchors.items():
@@ -447,35 +518,63 @@ class SequenceModel:
                         cols = chain_of[id(entry)]
                         for entry in reversed(path):
                             cols = chain_of[id(entry)] = cols + [len(earlier)]
-                            earlier.append(entry[0])
+                            earlier.append(entry)
                     cols = chain_of[id(anchor)]
                     seen_rows += [j] * len(cols)
                     seen_cols += cols
-                mask = _tree_layout(np.array(parents))[1]
+                if len(anchors) < len(rows):
+                    mask = _tree_layout(np.array(parents))[1]
+                else:  # roots only, as in every DBS step after the first
+                    mask = _roots_mask(len(rows))
                 if earlier:  # a row sees its root's memo rows, then its ancestors in the pass
                     memo_mask = np.full((len(rows), len(earlier)), -1e30)
                     memo_mask[seen_rows, seen_cols] = 0.0
                     mask = np.concatenate([memo_mask[roots], mask], axis=1)
-                keep = np.empty((cfg.layers, len(rows), cfg.d_model))
+                ids = [p[-1] if p else PAD_ID for p in rows]
+                depth = np.array([len(p) for p in rows])
+                keep = np.empty((cfg.layers + 1, len(rows), cfg.d_model))
                 logits.append(self.decoder_all_logits(
-                    ctx, [p[-1] if p else PAD_ID for p in rows],
-                    past=(np.array([len(p) for p in rows]), mask,
-                          np.concatenate(earlier, axis=1) if earlier else None),
+                    ctx, ids, past=(depth, mask,
+                                    np.concatenate([e[0] for e in earlier], axis=1) if earlier else None),
                     keep=keep).data)
+                if fill:
+                    cols = np.array([entry_row[id(e)] for e in earlier]) if earlier else None
+                    passes.append((lo, ids, depth, mask, cols))
+                    head[:, lo:lo + len(rows)] = keep[[0, -1]]
                 entries: list[tuple] = []  # per row: its memo entry
                 # iterating yields each row's (layers, 1, d_model) view of `keep`
-                for j, (p, h) in enumerate(zip(rows, keep.swapaxes(0, 1)[:, :, None])):
+                for j, (p, h) in enumerate(zip(rows, keep[:cfg.layers].swapaxes(0, 1)[:, :, None])):
                     entry = memo.get(p)
                     if entry is None:
                         up = entries[parents[j]] if parents[j] >= 0 else anchors[j]
                         entry = memo[p] = (h, up)
                         added.append(p)
+                        if fill:
+                            entry_row[id(entry)] = lo + j
                     entries.append(entry)
         except BaseException:
             for p in added:
                 del memo[p]
             raise
-        return np.concatenate(logits)[[row_of[p] for p in prefixes]]
+        pick = np.array([row_of[p] for p in prefixes], dtype=np.intp)
+        if fill:
+            self._head_slot = _HeadSlot((cfg, _PREFIX_BLOCK_ROWS, prefixes), weights, passes, head, pick)
+        return np.concatenate(logits)[pick]
+
+    def _replay_head(self, ctx: Tensor, slot: "_HeadSlot") -> np.ndarray:
+        """`prefix_logits` of the slot's prefixes against `ctx`, each pass
+        starting from its kept head: the same passes, with the same bits,
+        as the call that filled the slot."""
+        cfg = self.config
+        keep = np.empty((cfg.layers + 1, slot.head.shape[1], cfg.d_model))
+        keep[[0, -1]] = slot.head
+        logits = [np.empty((0, cfg.vocab_size))]
+        for lo, ids, depth, mask, cols in slot.passes:
+            block = keep[:, lo:lo + len(ids)]
+            earlier = None if cols is None else keep[:cfg.layers, cols]
+            logits.append(self.decoder_all_logits(ctx, ids, past=(depth, mask, earlier),
+                                                  keep=block, head=block[-1]).data)
+        return np.concatenate(logits)[slot.pick]
 
     def sequence_nll(self, ctx: Tensor, target_ids,
                      params: dict[str, Tensor] | None = None) -> Tensor:

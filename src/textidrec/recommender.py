@@ -10,6 +10,9 @@ The step distributions of all inner trie nodes come from one table, built by
 one `prefix_logits` call (a single tree-masked decoder pass, the only model
 call besides `encode`); ranking, beam search, candidate scoring and
 single-step distributions all read that table, so their scores agree exactly.
+Every user ranked against the same trie and unchanged weights after the
+first reuses the trie's layout and decoder head (the model's head slot, see
+`model.py`): only the part of the pass that reads the user's prompt runs.
 """
 
 from __future__ import annotations

@@ -29,6 +29,13 @@ def tiny_model(vocab_size: int, seed: int = 0, d_model: int = 16, layers: int = 
     ))
 
 
+def cold_copy(model: SequenceModel) -> SequenceModel:
+    """A deep copy of `model` built anew from its parameters, so its head
+    slot is empty: its first memo-less `prefix_logits` call decodes every
+    pass from the embeddings."""
+    return SequenceModel(model.config, {name: array.copy() for name, array in model.params.items()})
+
+
 class ScriptedState:
     def __init__(self, src):
         self.src = tuple(src)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,12 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ScriptedModel, make_vocab
+from conftest import ScriptedModel, cold_copy, make_vocab
 from textidrec import corpus, synth
 from textidrec.allocator import AllocatorConfig, allocate_all
 from textidrec.evaluation import (EvalReport, RankResult, TargetMissing, aggregate,
                                   evaluate, metric_at_k, save_report, zero_shot_evaluate)
-from textidrec.model import AdamState, ModelConfig, SequenceModel, VocabularyMismatch
+from textidrec.model import (AdamState, ModelConfig, SequenceModel, VocabularyMismatch,
+                             apply_update)
 from textidrec.prompting import ITEM_PLACEHOLDER, USER_PLACEHOLDER, default_bank
 from textidrec.tokenizer import build_vocab
 from textidrec.training import CheckpointBundle
@@ -91,6 +93,20 @@ def test_evaluate_deterministic_and_valid_split():
     one = evaluate(bundle, split, vocab=vocab, bank=bank, which="valid")
     two = evaluate(bundle, split, vocab=vocab, bank=bank, which="valid")
     assert one == two
+
+
+def test_evaluate_after_an_update_equals_evaluate_on_a_fresh_copy():
+    # every user after the first reuses the trie's decoder head; an Adam step
+    # on the recommender must refill it, not serve the old head's bits
+    bundle, split, vocab, bank = small_world()
+    first = evaluate(bundle, split, vocab=vocab, bank=bank)
+    rng = np.random.default_rng(0)
+    grads = {name: rng.normal(size=param.shape) for name, param in bundle.rec.params.items()}
+    apply_update(bundle.rec.params, grads, bundle.rec_opt, lr=0.5)
+    again = evaluate(bundle, split, vocab=vocab, bank=bank)
+    fresh = dataclasses.replace(bundle, rec=cold_copy(bundle.rec))
+    assert again == evaluate(fresh, split, vocab=vocab, bank=bank)
+    assert again != first
 
 
 def test_evaluate_target_missing():

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import tiny_model
+from conftest import cold_copy, tiny_model
 from textidrec import model as model_module
 from textidrec.autograd import Tensor, concat, stack_rows
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
@@ -171,6 +171,14 @@ def test_chain_layout_is_the_tree_layout_of_a_chain(n):
         want_depth, want_mask = loop_tree_layout(chain)
         assert np.array_equal(depth, want_depth)
         assert np.array_equal(mask, want_mask)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 24])
+def test_roots_mask_is_the_tree_layout_mask_of_roots(n):
+    roots = np.full(n, -1)
+    want_mask = loop_tree_layout(roots)[1]
+    assert np.array_equal(model_module._roots_mask(n), want_mask)
+    assert np.array_equal(model_module._tree_layout(roots)[1], want_mask)
 
 
 @pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 0, 3, 1], [-1, 2, 1, 2]])
@@ -494,6 +502,155 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
         model.prefix_logits(ctx, [(5, 5, 5, 5), (7,)], memo)
     assert decoder_calls == [2]
     assert list(memo) == list(before) and all(memo[p] is before[p] for p in before)
+
+
+# -- the head slot: memo-less calls reuse the user-independent head -------------
+
+
+def cold_logits(model, ctx, prefixes) -> np.ndarray:
+    twin = cold_copy(model)
+    assert twin._head_slot is None
+    return twin.prefix_logits(ctx, prefixes)
+
+
+def slot_model_and_tree(layers: int = 2, seed: int = 6):
+    model = tiny_model(vocab_size=11, seed=seed, layers=layers)
+    return model, random_prefix_tree(random.Random(seed), 11, 12, 6)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_head_slot_serves_other_contexts_with_the_cold_bits(layers, autograd_ops):
+    model, prefixes = slot_model_and_tree(layers)
+    contexts = [model.encode(src) for src in ([3, 4, 5], [7], [], [9, 9, 2, 5, 6])]
+    model.prefix_logits(contexts[0], prefixes)
+    slot = model._head_slot
+    for ctx in contexts + contexts[::-1]:
+        autograd_ops[0] = 0
+        rows = model.prefix_logits(ctx, prefixes)
+        hit_ops = autograd_ops[0]
+        assert model._head_slot is slot
+        autograd_ops[0] = 0
+        assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+        # a hit skips the head's ops: two lookups and their sum, then layer
+        # 0's layer norm, self-attention and residual sum
+        assert autograd_ops[0] - hit_ops == 6
+
+
+@pytest.mark.parametrize("name", ["tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", "dec0_self_wq",
+                                  "dec0_self_wk", "dec0_self_wv", "dec0_self_wo"])
+def test_an_in_place_change_to_a_head_array_forces_a_recompute(name):
+    model, prefixes = slot_model_and_tree()
+    ctx = model.encode([3, 4, 5])
+    model.prefix_logits(ctx, prefixes)
+    slot = model._head_slot
+    model.params[name].reshape(-1)[1] += 0.25
+    rows = model.prefix_logits(ctx, prefixes)
+    assert model._head_slot is not slot
+    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+    # bytes, not values: -0.0 == 0.0, yet the slot is refilled
+    model.params[name].reshape(-1)[1] = 0.0
+    model.prefix_logits(ctx, prefixes)
+    slot = model._head_slot
+    model.params[name].reshape(-1)[1] = -0.0
+    rows = model.prefix_logits(ctx, prefixes)
+    assert model._head_slot is not slot
+    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+
+
+@pytest.mark.parametrize("name", ["dec0_cross_wq", "dec0_cross_wo", "dec0_ln2_g", "dec0_ln3_b",
+                                  "dec0_ff_w1", "dec1_ln1_g", "dec1_self_wk", "dec1_cross_wv",
+                                  "dec1_ff_b2", "dec_ln_g", "dec_ln_b"])
+def test_an_in_place_change_to_a_tail_array_is_seen_at_once(name):
+    model, prefixes = slot_model_and_tree()
+    ctx = model.encode([3, 4, 5])
+    before = model.prefix_logits(ctx, prefixes)
+    slot = model._head_slot
+    model.params[name].reshape(-1)[1] += 0.25
+    rows = model.prefix_logits(ctx, prefixes)
+    assert model._head_slot is slot
+    assert not np.array_equal(rows, before)
+    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+
+
+def test_head_slot_keys_prefixes_by_value():
+    model, _ = slot_model_and_tree()
+    ctx = model.encode([3, 4])
+    prefixes = [[5, 6, 7], [3], [], [8, 2, 2]]
+    first = model.prefix_logits(ctx, prefixes)
+    slot = model._head_slot
+    # equal prefixes as a new object, as tuples and as numpy ints hit the slot
+    for same in ([list(p) for p in prefixes], [tuple(p) for p in prefixes],
+                 [np.array(p, dtype=np.int64) for p in prefixes]):
+        assert np.array_equal(model.prefix_logits(ctx, same), first)
+        assert model._head_slot is slot
+    # the list passed once and then mutated is not a stale hit
+    prefixes[0][2] = 4
+    prefixes[3].append(9)
+    rows = model.prefix_logits(ctx, prefixes)
+    assert model._head_slot is not slot
+    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+    assert np.array_equal(rows[1:3], first[1:3]) and not np.array_equal(rows[0], first[0])
+
+
+def test_a_too_deep_prefix_leaves_the_head_slot_usable(monkeypatch):
+    model = tiny_model(vocab_size=12, max_tgt_len=4)
+    ctx = model.encode([3])
+    prefixes = [(5, 5), (6,), (7, 1, 2)]
+    model.prefix_logits(ctx, prefixes)
+    slot = model._head_slot
+    for block_rows in (512, 2):
+        monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+        with pytest.raises(SequenceTooLong):
+            model.prefix_logits(ctx, [(5, 5, 5, 5), (7,)])
+        assert model._head_slot is slot
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 512)
+    other = model.encode([4, 8])
+    assert np.array_equal(model.prefix_logits(other, prefixes), cold_logits(model, other, prefixes))
+    assert model._head_slot is slot
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_head_slot_covers_tries_larger_than_one_pass(monkeypatch, decoder_calls, layers):
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 8)
+    model, _ = slot_model_and_tree(layers)
+    prefixes = random_prefix_tree(random.Random(3), 11, 15, 6)
+    contexts = [model.encode(src) for src in ([3, 4], [5, 6, 7], [])]
+    model.prefix_logits(contexts[0], prefixes)
+    slot, cold_passes = model._head_slot, list(decoder_calls)
+    assert len(cold_passes) > 2 and len(slot.passes) == len(cold_passes)
+    for ctx in contexts:
+        decoder_calls.clear()
+        rows = model.prefix_logits(ctx, prefixes)
+        assert model._head_slot is slot and decoder_calls == cold_passes
+        assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+        assert_rows_match_per_prefix(model, ctx, prefixes, rows)
+    # the plan depends on the pass size, so another size refills the slot
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 5)
+    rows = model.prefix_logits(contexts[1], prefixes)
+    assert model._head_slot is not slot
+    assert np.array_equal(rows, cold_logits(model, contexts[1], prefixes))
+
+
+def test_head_slot_with_no_prefixes():
+    model, _ = slot_model_and_tree()
+    ctx = model.encode([3])
+    assert model.prefix_logits(ctx, []).shape == (0, 11)
+    slot = model._head_slot
+    assert model.prefix_logits(ctx, []).shape == (0, 11)
+    assert model._head_slot is slot
+
+
+def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
+    model, prefixes = slot_model_and_tree()
+    ctx = model.encode([3, 4])
+    rows = model.prefix_logits(ctx, prefixes)
+    slot = model._head_slot
+    assert np.array_equal(model.prefix_logits(ctx, prefixes, {}), rows)
+    assert np.max(np.abs(model.prefix_logits(ctx, prefixes[:4], {}) - rows[:4])) < 1e-12
+    assert model._head_slot is slot
+    fresh = tiny_model(vocab_size=11, seed=6, layers=2)
+    fresh.prefix_logits(ctx, prefixes, {})
+    assert fresh._head_slot is None
 
 
 def test_prefix_logits_capacity():

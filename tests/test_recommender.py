@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import WORDS, ScriptedModel, make_vocab, tiny_model
+from conftest import WORDS, ScriptedModel, cold_copy, make_vocab, tiny_model
 from textidrec.allocator import IdRegistry, TextualId
 from textidrec.prompting import Prompt
 from textidrec.recommender import (DeadEnd, UnknownId, build_trie, constrained_beam_search,
@@ -240,6 +240,31 @@ def test_rank_all_is_one_decoder_pass(decoder_calls):
     rank_all(model, empty_prompt(), reg, trie, state=state)
     assert len(trie.prefixes) > 20
     assert decoder_calls == [len(trie.prefixes)]
+
+
+def test_scorers_after_rank_all_equal_their_cold_results():
+    # rank_all fills the model's head slot for the trie; the other scorers
+    # then read it, and must give what a model without one gives
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=5, layers=2)
+    rng = random.Random(6)
+    texts = {" ".join(rng.choice(WORDS[:10]) for _ in range(rng.randint(1, 4))) for _ in range(15)}
+    reg = registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))})
+    trie = build_trie(reg)
+    tid = reg.ids["k3"]
+    prompts = [Prompt(tokens=(3, 5, 7), spans=()), Prompt(tokens=(4, 4), spans=()), empty_prompt()]
+
+    def scores(m, prompt):
+        return (score_candidate(m, prompt, tid, trie),
+                constrained_distribution(m, m.encode(prompt.tokens), tid.tokens[:1], trie),
+                constrained_distribution(m, m.encode(prompt.tokens), (), trie, normalize=False),
+                constrained_beam_search(m, prompt, trie, beam_width=4, top_n=3))
+
+    for prompt in prompts:
+        rank_all(model, prompt, reg, trie)
+        warm = scores(model, prompt)
+        assert warm == scores(cold_copy(model), prompt)
+        assert rank_all(model, prompt, reg, trie) == rank_all(cold_copy(model), prompt, reg, trie)
 
 
 def test_constrained_sampling_soundness():
