@@ -40,6 +40,13 @@ one `decoder_all_logits` call, and give the same bits. Any other memo-less
 call recomputes and, unless it raises, replaces the slot. At the default
 config a 143-row trie's slot is about 0.5 MB.
 
+`packed_logits` runs several teacher-forced (source, decoder input) pairs
+as one pass: the sources back to back as segments of one `encode`, each
+restarting at position 0 and attending only within itself, and the decoder
+inputs as a forest of chains whose cross-attention is masked to their own
+segment (`ctx_mask`). The generator phase of training runs every ID span
+of an example that way.
+
 There is one parameter layout: `_views` lays a model's parameters out back
 to back in one float64 buffer and `AdamState`'s moments in two buffers like
 it, so an Adam step is a few in-place numpy passes over whole buffers.
@@ -215,13 +222,13 @@ _HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_na
 class _HeadSlot:
     """The user-independent head of one memo-less `prefix_logits` call (see
     the module doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, prefixes);
-    `weights` the (shape, raw bytes) of each `_HEAD_PARAMS` array; `passes`
-    per pass (first row, token ids, depths, mask, rows of its earlier
-    columns or None); `head` the kept `keep[0]` and `keep[layers]` of every
-    row; `pick` the row of each prefix."""
+    `weights` a copy of each `_HEAD_PARAMS` array as the filling call read
+    it; `passes` per pass (first row, token ids, depths, mask, rows of its
+    earlier columns or None); `head` the kept `keep[0]` and `keep[layers]`
+    of every row; `pick` the row of each prefix."""
 
     key: tuple
-    weights: list[tuple]
+    weights: list[np.ndarray]
     passes: list[tuple]
     head: np.ndarray
     pick: np.ndarray
@@ -259,6 +266,20 @@ def _roots_mask(n: int) -> np.ndarray:
     mask = np.full((n, n), -1e30)
     np.fill_diagonal(mask, 0.0)
     return mask
+
+
+def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's position within its segment (from 0) and its segment's
+    index, for segments of the given lengths laid back to back."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return np.arange(seg.size) - np.repeat(np.cumsum(lengths) - lengths, lengths), seg
+
+
+def _same_segment(q_seg: np.ndarray, k_seg: np.ndarray) -> np.ndarray:
+    """The additive mask that lets each query row see only the key rows of
+    its own segment."""
+    return np.where(q_seg[:, None] == k_seg, 0.0, -1e30)
 
 
 def _chain_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,29 +376,42 @@ class SequenceModel:
 
     # -- forward -------------------------------------------------------------
 
-    def encode(self, src_ids, params: dict[str, Tensor] | None = None) -> Tensor:
-        """Token plus positional embeddings through the encoder: one context row per position."""
+    def encode(self, src_ids, params: dict[str, Tensor] | None = None,
+               segments=None) -> Tensor:
+        """Token plus positional embeddings through the encoder: one context
+        row per position. `segments` as in `encode_embeddings`."""
         pt = params if params is not None else self.frozen()
         ids = np.array([int(t) for t in src_ids], dtype=np.int64)
-        return self.encode_embeddings(pt["tok_emb"][ids], pt)
+        return self.encode_embeddings(pt["tok_emb"][ids], pt, segments)
 
-    def encode_embeddings(self, src_embs, params: dict[str, Tensor] | None = None) -> Tensor:
+    def encode_embeddings(self, src_embs, params: dict[str, Tensor] | None = None,
+                          segments=None) -> Tensor:
         """Same as `encode` but the token-embedding lookup is bypassed;
-        positional embeddings are still added."""
+        positional embeddings are still added.
+
+        `segments`, if given, are the lengths of several sources packed back
+        to back in the rows (`packed_logits`): each segment restarts at
+        position 0, attends only to its own rows and is held to
+        `max_src_len` on its own."""
         pt = params if params is not None else self.frozen()
         cfg = self.config
         x = src_embs if isinstance(src_embs, Tensor) else Tensor(np.asarray(src_embs, dtype=np.float64))
         length = x.data.shape[0]
         if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
             raise ShapeMismatch(f"expected (*, {cfg.d_model}) embeddings, got {x.data.shape}")
-        if length > cfg.max_src_len:
-            raise SequenceTooLong(f"source length {length} > max_src_len {cfg.max_src_len}")
+        longest = length if segments is None else max(segments, default=0)
+        if longest > cfg.max_src_len:
+            raise SequenceTooLong(f"source length {longest} > max_src_len {cfg.max_src_len}")
         if length == 0:
             return Tensor(np.zeros((0, cfg.d_model)))
-        x = x + pt["src_pos"][:length]
+        if segments is None:
+            x, mask = x + pt["src_pos"][:length], None
+        else:
+            pos, seg = _segments(segments)
+            x, mask = x + pt["src_pos"][pos], _same_segment(seg, seg)
         for i in range(cfg.layers):
             h = x.layer_norm(pt[f"enc{i}_ln1_g"], pt[f"enc{i}_ln1_b"])
-            x = x + _attention(pt, f"enc{i}_self", h, h, cfg.heads)
+            x = x + _attention(pt, f"enc{i}_self", h, h, cfg.heads, mask=mask)
             h = x.layer_norm(pt[f"enc{i}_ln2_g"], pt[f"enc{i}_ln2_b"])
             x = x + _feed_forward(pt, f"enc{i}_ff", h)
         return x.layer_norm(pt["enc_ln_g"], pt["enc_ln_b"])
@@ -385,7 +419,8 @@ class SequenceModel:
     def decoder_all_logits(self, ctx: Tensor, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
                            past=None, keep: np.ndarray | None = None,
-                           head: np.ndarray | None = None) -> Tensor:
+                           head: np.ndarray | None = None,
+                           ctx_mask: np.ndarray | None = None) -> Tensor:
         """Next-token logits at every decoder row.
 
         Without `past` the rows are a chain: causal decoding of the shifted
@@ -393,9 +428,9 @@ class SequenceModel:
         row attends to the context rows `ctx` (from `encode`).
 
         `past = (depth, mask, earlier)` lays the rows out as a tree
-        (`prefix_logits`): row i sits at position `depth[i]`, and the additive
-        (rows, m + rows) `mask` says which of m earlier rows and of the pass's
-        own rows it attends to. `earlier` is None (m = 0) or a (layers, m,
+        (`prefix_logits`) or a forest (`packed_logits`): row i sits at
+        position `depth[i]`, and the additive (rows, m + rows) `mask` says
+        which of m earlier rows and of the pass's own rows it attends to. `earlier` is None (m = 0) or a (layers, m,
         d_model) array of rows that earlier passes decoded: their
         self-attention inputs, which go in front of the pass's own as the keys
         and values of each layer's self-attention.
@@ -410,6 +445,10 @@ class SequenceModel:
         `head`, if given, is the kept head of a pass over the same rows and
         `past` under the same such parameters: the pass starts at layer 0's
         cross-attention, and `keep[0]` and `keep[layers]` are left as they are.
+
+        `ctx_mask`, if given, is an additive (rows, context rows) mask on the
+        cross-attention (`packed_logits`). A row it lets see no context row
+        gets no cross-attention, as every row does when `ctx` has no rows.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
@@ -418,6 +457,7 @@ class SequenceModel:
             (depth, mask), earlier = _chain_layout(len(ids)), None
         else:
             depth, mask, earlier = past
+        sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
         if len(ids) and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         x = pt["tok_emb"][ids] + pt["tgt_pos"][depth] if head is None else Tensor(head)
@@ -432,7 +472,8 @@ class SequenceModel:
                     keep[cfg.layers] = x.data
             if ctx.data.shape[0] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
-                x = x + _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads)
+                cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask)
+                x = x + (cross if sees is None or sees.all() else cross * sees)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
             x = x + _feed_forward(pt, f"dec{i}_ff", h)
         x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
@@ -463,11 +504,12 @@ class SequenceModel:
         fill = memo is None  # a memo-less call reuses or refills the head slot
         if fill:
             pt = self.frozen()
-            weights = [(pt[name].data.shape, pt[name].data.tobytes()) for name in _HEAD_PARAMS]
             slot = self._head_slot
-            # prefixes equal by value to the slot's int tuples convert to them
+            # prefixes equal by value to the slot's int tuples convert to them;
+            # weights compare as uint64 views, so bytes, not values (0.0 != -0.0)
             if (slot is not None and slot.key == (cfg, _PREFIX_BLOCK_ROWS, prefixes)
-                    and slot.weights == weights):
+                    and all(np.array_equal(kept.view(np.uint64), pt[name].data.view(np.uint64))
+                            for name, kept in zip(_HEAD_PARAMS, slot.weights))):
                 return self._replay_head(ctx, slot)
         prefixes = [tuple(map(int, p)) for p in prefixes]
         memo = {} if memo is None else memo
@@ -558,6 +600,7 @@ class SequenceModel:
             raise
         pick = np.array([row_of[p] for p in prefixes], dtype=np.intp)
         if fill:
+            weights = [pt[name].data.copy() for name in _HEAD_PARAMS]
             self._head_slot = _HeadSlot((cfg, _PREFIX_BLOCK_ROWS, prefixes), weights, passes, head, pick)
         return np.concatenate(logits)[pick]
 
@@ -590,6 +633,38 @@ class SequenceModel:
         logp = rows.log_softmax(axis=-1)
         picked = logp[(np.arange(len(target)), np.array(target))]
         return -picked.sum()
+
+    def packed_logits(self, pairs, params: dict[str, Tensor] | None = None) -> Tensor:
+        """Next-token logits at every decoder row of several (source ids,
+        decoder input ids) pairs, stacked in pair order: for each pair what
+        `decoder_all_logits(encode(source), decoder input)` gives it alone,
+        up to summation order (bit for bit for a pack of one pair).
+
+        The pairs are packed in order, at most `_PREFIX_BLOCK_ROWS` source
+        rows to a pack (a longer source fills a pack alone). A pack is one
+        `encode` of its sources back to back, one segment per pair, and one
+        `decoder_all_logits` of its decoder inputs back to back, laid out as
+        a forest of one chain per pair whose cross-attention is masked to
+        the pair's own segment; so each length limit holds per pair."""
+        pt = params if params is not None else self.frozen()
+        packs: list[list[tuple]] = []
+        size = 0
+        for src, dec in pairs:
+            if not packs or size + len(src) > _PREFIX_BLOCK_ROWS:
+                packs.append([])
+                size = 0
+            packs[-1].append((src, dec))
+            size += len(src)
+        logits = []
+        for pack in packs:
+            src_lengths = [len(src) for src, _ in pack]
+            depth, seg = _segments([len(dec) for _, dec in pack])
+            mask = np.where((seg[:, None] == seg) & np.tri(len(seg), dtype=bool), 0.0, -1e30)
+            ctx = self.encode([t for src, _ in pack for t in src], pt, segments=src_lengths)
+            logits.append(self.decoder_all_logits(
+                ctx, [t for _, dec in pack for t in dec], pt, past=(depth, mask, None),
+                ctx_mask=_same_segment(seg, _segments(src_lengths)[1])))
+        return logits[0] if len(logits) == 1 else concat(logits)
 
 
 def expected_embedding(logits: Tensor, emb: Tensor) -> Tensor:

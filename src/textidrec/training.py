@@ -9,6 +9,18 @@ snapshot frozen. Both phases run the same epoch loop (`_train_epochs`) and
 differ only in the model they update and the per-example loss. Each batch of
 `TrainConfig.batch_size` examples is one graph, one backward and one Adam
 step on the mean loss. Only one model's parameters change in any phase.
+
+The generator phase runs all ID spans of an example (its history items and
+the user span) as one packed generator pass (`expected_id_rows`): one
+`encode` over the spans' sources back to back, one segment per span, with
+positions restarting at 0 and self-attention masked to the segment; one
+teacher-forced decoder pass over the shifted snapshot IDs as a forest of
+chains, cross-attention masked to the span's own segment (none for an empty
+source); and one expected-embedding op over the stacked logits, of which
+each span takes its slice. A pack holds at most `_PREFIX_BLOCK_ROWS` source
+rows and spills into another past that. A one-span example is a pack of one
+and gives the bits of a separate pass; more spans agree with separate passes
+up to summation order (within 1e-12).
 """
 
 from __future__ import annotations
@@ -16,7 +28,9 @@ from __future__ import annotations
 import json
 import logging
 import random
+import shutil
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -78,16 +92,40 @@ class CheckpointBundle:
     iteration: int = 0
 
     def save(self, directory: str | Path, vocab: Vocabulary) -> None:
+        """Write the bundle into a temporary sibling of `directory`, then
+        rename it into place: a save that fails leaves no partial bundle,
+        and a bundle already at `directory` is replaced only by a complete
+        one."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(self.rec, self.rec_opt, self.vocab_hash, directory / "rec.ckpt")
-        save_checkpoint(self.idgen, self.idgen_opt, self.vocab_hash, directory / "idgen.ckpt")
-        if self.registry is not None:
-            self.registry.save_tsv(directory / "ids.tsv")
-        vocab.save_tsv(directory / "vocab.tsv")
-        (directory / "bundle.json").write_text(
-            json.dumps({"iteration": self.iteration}, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        staging = directory.with_name(f".{directory.name}.partial")
+        retired = directory.with_name(f".{directory.name}.old")
+        if retired.exists() and not directory.exists():  # a save killed between its renames
+            retired.rename(directory)
+        for leftover in (staging, retired):
+            shutil.rmtree(leftover, ignore_errors=True)
+        staging.mkdir(parents=True)
+        try:
+            save_checkpoint(self.rec, self.rec_opt, self.vocab_hash, staging / "rec.ckpt")
+            save_checkpoint(self.idgen, self.idgen_opt, self.vocab_hash, staging / "idgen.ckpt")
+            if self.registry is not None:
+                self.registry.save_tsv(staging / "ids.tsv")
+            vocab.save_tsv(staging / "vocab.tsv")
+            (staging / "bundle.json").write_text(
+                json.dumps({"iteration": self.iteration}, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            if directory.exists():
+                directory.rename(retired)
+                try:
+                    staging.rename(directory)
+                except OSError:
+                    retired.rename(directory)
+                    raise
+                shutil.rmtree(retired)
+            else:
+                staging.rename(directory)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
 
     @classmethod
     def load(cls, directory: str | Path) -> tuple["CheckpointBundle", Vocabulary]:
@@ -236,16 +274,19 @@ def train_recommender_phase(bundle: CheckpointBundle, split: corpus.SplitDataset
                          example_loss, "recommender")
 
 
-def expected_id_rows(idgen: SequenceModel, phi: dict[str, Tensor], src_ids,
-                     anchor_tokens, rec_emb: Tensor) -> Tensor:
-    """Teacher-force the generator along an ID's snapshot tokens and convert
-    each position's logits into an expected embedding under the recommender's
-    table: one (len(anchor), d) row per token. Differentiable w.r.t. the
-    generator parameters."""
-    anchor = list(anchor_tokens)
-    state = idgen.encode(src_ids, phi)
-    rows = idgen.decoder_all_logits(state, [PAD_ID] + anchor[:-1], phi)
-    return expected_embedding_rows(rows, rec_emb)
+def expected_id_rows(idgen: SequenceModel, phi: dict[str, Tensor],
+                     span_sources: list[tuple[list[int], tuple[int, ...]]],
+                     rec_emb: Tensor) -> Tensor:
+    """Teacher-force the generator along every span's snapshot ID tokens
+    and convert each position's logits into an expected embedding under the
+    recommender's table: one row per anchor token, the spans' rows back to
+    back in order. All spans run as one packed pass
+    (`SequenceModel.packed_logits`: one segment per span, a second pack only
+    past `_PREFIX_BLOCK_ROWS` source rows) and one `expected_embedding_rows`.
+    Differentiable w.r.t. the generator parameters."""
+    logits = idgen.packed_logits([(src, [PAD_ID] + list(anchor)[:-1]) for src, anchor in span_sources],
+                                 phi)
+    return expected_embedding_rows(logits, rec_emb)
 
 
 def splice_embeddings(prompt: Prompt, replacements: dict[int, Tensor | list[Tensor]],
@@ -278,17 +319,18 @@ def idgen_example_loss(idgen: SequenceModel, rec: SequenceModel, prompt: Prompt,
     level by the generator's expected embeddings.
 
     `span_sources[i]` is the (generator source ids, snapshot anchor tokens)
-    pair for prompt.spans[i]. Gradients reach only the generator parameters;
-    the recommender's are frozen.
+    pair for prompt.spans[i]; all of them run as one packed generator pass
+    (`expected_id_rows`), and each span takes its slice of the stacked rows.
+    Gradients reach only the generator parameters; the recommender's are
+    frozen.
     """
     omega = rec.frozen()
     emb = omega["tok_emb"]
     if phi is None:
         phi = idgen.trainable()
-    replacements = {
-        si: expected_id_rows(idgen, phi, src, anchor, emb)
-        for si, (src, anchor) in enumerate(span_sources)
-    }
+    rows = expected_id_rows(idgen, phi, span_sources, emb)
+    ends = list(accumulate(len(anchor) for _, anchor in span_sources))
+    replacements = {si: rows[lo:hi] for si, (lo, hi) in enumerate(zip([0] + ends, ends))}
     spliced = splice_embeddings(prompt, replacements, emb)
     state = rec.encode_embeddings(spliced, omega)
     return rec.sequence_nll(state, target_tokens, omega)

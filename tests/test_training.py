@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from textidrec import allocator, corpus, evaluation, synth, training
-from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id
+from textidrec import model as model_module
+from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id, profile_source
 from textidrec.autograd import Tensor, stack_rows
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
-from textidrec.model import (AdamState, ModelConfig, SequenceModel, apply_update,
+from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong, apply_update,
                              expected_embedding)
 from textidrec.prompting import (ITEM_PLACEHOLDER, USER_PLACEHOLDER, Template, default_bank, render_prompt,
                                  sample_template)
@@ -244,39 +245,161 @@ def test_idgen_loss_gradient_reaches_generator_only():
     assert any(t.grad is not None and np.any(t.grad != 0) for t in phi.values())
 
 
-def per_row_expected_id_rows(idgen, phi, src_ids, anchor_tokens, rec_emb):
-    """`expected_id_rows` as one op chain per anchor token: the reference path."""
-    anchor = list(anchor_tokens)
-    rows = idgen.decoder_all_logits(idgen.encode(src_ids, phi), [PAD_ID] + anchor[:-1], phi)
-    return [expected_embedding(rows[i], rec_emb) for i in range(len(anchor))]
+def per_span_example_loss(idgen, rec, prompt, span_sources, target, phi):
+    """`idgen_example_loss` with one generator `encode` and one
+    teacher-forced decoder pass per span, and one expected-embedding op
+    chain per anchor token: the reference path for the packed pass."""
+    omega = rec.frozen()
+    emb = omega["tok_emb"]
+    replacements = {}
+    for si, (src, anchor) in enumerate(span_sources):
+        anchor = list(anchor)
+        rows = idgen.decoder_all_logits(idgen.encode(src, phi), [PAD_ID] + anchor[:-1], phi)
+        replacements[si] = [expected_embedding(rows[i], emb) for i in range(len(anchor))]
+    spliced = splice_embeddings(prompt, replacements, emb)
+    return rec.sequence_nll(rec.encode_embeddings(spliced, omega), target, omega)
 
 
-def test_expected_id_rows_matches_per_row_path_with_fewer_ops(monkeypatch, autograd_ops):
-    split, vocab, bank = toy_world()
-    bundle = fresh_bundle(split, vocab)
+def example_inputs(bundle, split, vocab, n_items, user=False):
+    """A prompt over the registry's first `n_items` items (and their
+    profile's user ID), its span sources as the generator phase builds them,
+    and the next item's ID as the target."""
     registry = bundle.registry
     keys = list(registry.ids)
-    prompt = render_prompt(Template(1, "go {item_ids} stop"), None,
-                           [registry.ids[k] for k in keys[:3]], vocab)
     item_text = dict(corpus.item_texts(split.items))
-    span_sources = [(vocab.encode(item_text[k], 64), registry.ids[k].tokens) for k in keys[:3]]
-    target = list(registry.ids[keys[3]].tokens) + [EOS_ID]
-    results = []
-    for rows_fn in (training.expected_id_rows, per_row_expected_id_rows):
-        monkeypatch.setattr(training, "expected_id_rows", rows_fn)
-        phi = bundle.idgen.trainable()
-        autograd_ops[0] = 0
-        loss = idgen_example_loss(bundle.idgen, bundle.rec, prompt, span_sources, target, phi)
-        ops = autograd_ops[0]
-        loss.backward()
-        results.append((ops, loss.data, {k: t.grad for k, t in phi.items()}))
-    (ops, loss, grads), (ref_ops, ref_loss, ref_grads) = results
-    anchor_tokens = sum(len(anchor) for _, anchor in span_sources)
-    assert ref_ops - ops >= 4 * anchor_tokens
-    assert np.array_equal(loss, ref_loss)
+    texts = [item_text[k] for k in keys[:n_items]]
+    max_src = bundle.idgen.config.max_src_len
+    uid = generate_user_id(bundle.idgen, texts, vocab, AllocatorConfig(groups=4)) if user else None
+    text = f"{USER_PLACEHOLDER} likes {ITEM_PLACEHOLDER} stop" if user else f"go {ITEM_PLACEHOLDER} stop"
+    prompt = render_prompt(Template(1, text), uid, [registry.ids[k] for k in keys[:n_items]], vocab)
+    span_sources = [(vocab.encode(item_text[keys[span.index]], max_src), registry.ids[keys[span.index]].tokens)
+                    if span.role == "history" else (profile_source(texts, vocab, max_src), uid.tokens)
+                    for span in prompt.spans]
+    return prompt, span_sources, list(registry.ids[keys[n_items]].tokens) + [EOS_ID]
+
+
+def loss_and_grads(loss_fn, bundle, prompt, span_sources, target):
+    phi = bundle.idgen.trainable()
+    loss = loss_fn(bundle.idgen, bundle.rec, prompt, span_sources, target, phi)
+    loss.backward()
+    return loss.data.item(), {name: t.grad for name, t in phi.items()}
+
+
+def assert_close_to_per_span(bundle, prompt, span_sources, target, tol=1e-12):
+    loss, grads = loss_and_grads(idgen_example_loss, bundle, prompt, span_sources, target)
+    ref_loss, ref_grads = loss_and_grads(per_span_example_loss, bundle, prompt, span_sources, target)
+    assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+    scale = max(np.max(np.abs(g)) for g in ref_grads.values() if g is not None)
     for name, grad in ref_grads.items():
         assert (grad is None) == (grads[name] is None), name
-        assert grad is None or np.array_equal(grads[name], grad), name
+        assert grad is None or np.max(np.abs(grads[name] - grad)) <= tol * scale, name
+
+
+def test_expected_id_rows_matches_per_row_path_with_fewer_ops(autograd_ops):
+    split, vocab, bank = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    for n_items in (1, 3):
+        prompt, span_sources, target = example_inputs(bundle, split, vocab, n_items)
+        results = []
+        for loss_fn in (idgen_example_loss, per_span_example_loss):
+            phi = bundle.idgen.trainable()
+            autograd_ops[0] = 0
+            loss = loss_fn(bundle.idgen, bundle.rec, prompt, span_sources, target, phi)
+            ops = autograd_ops[0]
+            loss.backward()
+            results.append((ops, loss.data, {k: t.grad for k, t in phi.items()}))
+        (ops, loss, grads), (ref_ops, ref_loss, ref_grads) = results
+        anchor_tokens = sum(len(anchor) for _, anchor in span_sources)
+        assert ref_ops - ops >= 4 * anchor_tokens
+        # one span is a pack of one: the per-span path's bits. Packed spans
+        # add masked keys to softmax sums and stack matmul rows, so they
+        # agree within 1e-12
+        if n_items == 1:
+            assert np.array_equal(loss, ref_loss)
+        else:
+            assert abs(loss.item() - ref_loss.item()) <= 1e-12 * abs(ref_loss.item())
+        scale = max(np.max(np.abs(g)) for g in ref_grads.values() if g is not None)
+        for name, grad in ref_grads.items():
+            assert (grad is None) == (grads[name] is None), name
+            if grad is not None and n_items == 1:
+                assert np.array_equal(grads[name], grad), name
+            elif grad is not None:
+                assert np.max(np.abs(grads[name] - grad)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("n_items,user", [(2, False), (3, False), (2, True), (3, True)])
+def test_packed_pass_matches_per_span_path(n_items, user, decoder_calls):
+    split, vocab, _ = toy_world()
+    bundle = fresh_bundle(split, vocab, layers=2)
+    prompt, span_sources, target = example_inputs(bundle, split, vocab, n_items, user)
+    assert len(span_sources) == n_items + user
+    decoder_calls.clear()
+    assert_close_to_per_span(bundle, prompt, span_sources, target)
+    # the packed loss decodes all spans in one generator pass, the reference
+    # one pass per span; each then runs the recommender's pass
+    assert len(decoder_calls) == 2 + len(span_sources) + 1
+
+
+def test_a_span_with_an_empty_source_gets_no_cross_attention():
+    split, vocab, _ = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    prompt, span_sources, target = example_inputs(bundle, split, vocab, 3, user=True)
+    for at in (0, 2):
+        emptied = list(span_sources)
+        emptied[at] = ([], emptied[at][1])
+        assert_close_to_per_span(bundle, prompt, emptied, target)
+    # a one-span example with an empty source is still a pack of one
+    prompt, span_sources, target = example_inputs(bundle, split, vocab, 1)
+    emptied = [([], span_sources[0][1])]
+    assert (loss_and_grads(idgen_example_loss, bundle, prompt, emptied, target)[0]
+            == loss_and_grads(per_span_example_loss, bundle, prompt, emptied, target)[0])
+
+
+@pytest.mark.parametrize("cap", [1, 12, 20])
+def test_a_lower_pack_cap_spills_into_more_packs(monkeypatch, decoder_calls, cap):
+    split, vocab, _ = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    prompt, span_sources, target = example_inputs(bundle, split, vocab, 3, user=True)
+    lengths = [len(src) for src, _ in span_sources]
+    packs, size = 0, 0
+    for length in lengths:
+        if not packs or size + length > cap:
+            packs, size = packs + 1, 0
+        size += length
+    assert 1 < packs
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", cap)
+    assert_close_to_per_span(bundle, prompt, span_sources, target)
+    decoder_calls.clear()
+    loss_and_grads(idgen_example_loss, bundle, prompt, span_sources, target)
+    assert len(decoder_calls) == packs + 1
+
+
+def test_length_limits_hold_per_span():
+    split, vocab, _ = toy_world()
+    rec, idgen = tiny_pair(vocab, max_src_len=6, max_tgt_len=4)
+    phi, emb = idgen.trainable(), rec.frozen()["tok_emb"]
+    sources = [[5, 6, 7, 8, 9, 10], [4] * 6, [7, 7, 7, 7]]
+    anchors = [(5, 6, 7, 8), (9, 9, 9, 9), (4, 5, 6, 7)]
+    # three sources of 16 rows and anchors of 12 rows fit limits of 6 and 4
+    rows = training.expected_id_rows(idgen, phi, list(zip(sources, anchors)), emb)
+    assert rows.data.shape == (12, emb.data.shape[1])
+    with pytest.raises(SequenceTooLong):
+        training.expected_id_rows(idgen, phi, list(zip(sources[:2] + [[4] * 7], anchors)), emb)
+    with pytest.raises(SequenceTooLong):
+        training.expected_id_rows(idgen, phi, list(zip(sources, anchors[:2] + [(4,) * 5])), emb)
+
+
+def test_generator_ops_do_not_grow_with_the_span_count(autograd_ops):
+    split, vocab, _ = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    emb = bundle.rec.frozen()["tok_emb"]
+    counts = []
+    for n_items in (1, 3):
+        span_sources = example_inputs(bundle, split, vocab, n_items)[1]
+        autograd_ops[0] = 0
+        training.expected_id_rows(bundle.idgen, bundle.idgen.trainable(), span_sources, emb)
+        counts.append(autograd_ops[0])
+    assert counts[1] <= counts[0] + 2
 
 
 def test_splice_embeddings_takes_a_span_tensor_or_rows():
@@ -450,3 +573,46 @@ def test_history_span_sources_follow_the_rendered_items(monkeypatch):
     train_idgen_phase(bundle, split, TrainConfig(seed=1), vocab, (Template(1, "go {item_ids}"),),
                       AllocatorConfig(groups=4), random.Random(3))
     assert [1, 2] in indexes  # a three-item history rendered without its oldest item
+
+
+def test_a_failed_save_leaves_no_partial_bundle_and_keeps_the_earlier_one(monkeypatch, tmp_path):
+    split, vocab, _ = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    real_save = training.save_checkpoint
+    calls = []
+
+    def failing_second_save(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_save(*args)
+
+    def contents(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    target = tmp_path / "bundle"
+    monkeypatch.setattr(training, "save_checkpoint", failing_second_save)
+    with pytest.raises(OSError, match="disk full"):
+        bundle.save(target, vocab)
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(training, "save_checkpoint", real_save)
+    bundle.save(target, vocab)
+    earlier = contents(target)
+    bundle.iteration = 7
+    calls.clear()
+    monkeypatch.setattr(training, "save_checkpoint", failing_second_save)
+    with pytest.raises(OSError, match="disk full"):
+        bundle.save(target, vocab)
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+    assert contents(target) == earlier
+    # a save killed between its two renames left only the retired bundle
+    target.rename(tmp_path / ".bundle.old")
+    calls.clear()
+    with pytest.raises(OSError, match="disk full"):
+        bundle.save(target, vocab)
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+    assert contents(target) == earlier
+    monkeypatch.setattr(training, "save_checkpoint", real_save)
+    bundle.save(target, vocab)
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+    assert CheckpointBundle.load(target)[0].iteration == 7
