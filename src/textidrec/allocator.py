@@ -9,8 +9,8 @@ diversity). This equals decoding the groups one after another: a group's
 beams at step t are fixed when step t-1 ends, and only its penalty depends
 on what earlier groups pick at step t. On full duplication the penalty
 escalates; when it tops out, the permissible length range advances and the
-penalty resets. Models provide `config`, `encode`, `prefix_logits` (the only
-step scorer) and `param_hash`.
+penalty resets. Models provide `config`, `encode`, `wave_logits` (the step
+scorer) and `param_hash`.
 
 Each scored prefix is ranked once. The logprob cache keeps, per prefix, its
 `width = min(V, groups * beams_per_group + 1)` best next tokens (log-probs as
@@ -23,13 +23,30 @@ stop ranks after the last unpenalized token seen. At most `beams_per_group *
 (groups - 1)` tokens carry a penalty and EOS may be banned, so the list
 always holds enough unpenalized tokens.
 
-Each search scores its steps through one decoder memo (see `model.py`): a
-step decodes only its new prefixes, attending to the rows of earlier steps,
-instead of every prefix's ancestors again. The memo lives for one
-`diverse_beam_search` call. It is not kept per text in `allocate_all`,
-though the logprob cache is: across alloc-dup's 100 texts that would hold
-about 19 MB of float64 rows, and a per-call memo already saves almost all
-the decoding a per-text one would.
+Searches run as waves. A wave is a list of searches, each against its own
+encoder state and logprob cache, run in lanes: consecutive searches whose
+steps hold at most `_LANE_ROWS` rows advance in lockstep through one
+`DecodeCache` (see `model.py`), and each step decodes the new prefixes of
+the whole lane in one `wave_logits` call, in passes of at most
+`_WAVE_ROWS` rows. A prefix the logprob cache already ranked is not
+decoded; when a descendant needs it, it is decoded then, before the
+descendant. The lane bound keeps a lane's decode state small next to the
+logprob caches, where one lane over a whole wave would hold every row of
+every search of the wave at once. `diverse_beam_search` is a wave of one
+search, so there is one search loop.
+
+`allocate_all` forms waves only of searches it will certainly run, so each
+text's searches, their order and their count are those of the one-item-
+at-a-time ladder. Before the first item, one wave runs the first rung of
+every distinct text, which the text's first item needs. When an item needs
+the first rung of a later length range r, one wave runs it for that item's
+text and for every other text u that has not run it, whose range below r
+was answered by one penalty-free result, and that has more items left than
+that result has candidates not yet taken: `taken` only grows, and each
+item of u accepts at most one of those candidates, so by pigeonhole some
+item of u falls through to rung r. Every other search runs on demand as a
+wave of one. The log line counts the waves, their sizes and the on-demand
+searches.
 
 A search that kept no penalized token answers every higher penalty of its
 length range. Call a search penalty-free when, in every beam of every group
@@ -53,15 +70,20 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import log_softmax_rows
+from .model import _WAVE_ROWS, DecodeCache, log_softmax_rows
 from .tokenizer import EOS_ID, PAD_ID, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
+
+# Rows per step of one lockstep lane of a wave: a few `_WAVE_ROWS` decoder
+# passes, while the lane's `DecodeCache` stays small next to the logprob caches.
+_LANE_ROWS = 2 * _WAVE_ROWS
 
 
 class IdSpaceExhausted(RuntimeError):
@@ -217,36 +239,17 @@ def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, Allo
     return TextualId(tokens=tokens, text=text), AllocationRow(key=key, lam=lam_value, range_index=index)
 
 
-def _ranked_steps(model, state, prefixes: list[tuple[int, ...]], cache: dict | None,
-                  width: int, memo: dict) -> list[tuple[memoryview, memoryview]]:
-    """Each prefix's `width` best next tokens as (log-probs, token ids), best
-    first, equal log-probs in token order, PAD and UNK ranked as -inf.
-
-    Prefixes missing from `cache` are scored together in one `prefix_logits`
-    call against the search's decoder `memo` and ranked by one stable
-    argsort. The cache maps a prefix to ((log-probs, ids, kept), row) of
-    that call's ranked block: flat float64 and int32 buffers holding `kept`
-    tokens per row, stored once per block rather than row by row, and read
+def _ranked(logits: np.ndarray, width: int) -> tuple[memoryview, memoryview, int]:
+    """Each row's `width` best next tokens, best first, equal log-probs in
+    token order, PAD and UNK ranked as -inf: flat float64 log-probs and
+    int32 token ids, `kept` per row, ranked by one stable argsort and read
     through memoryviews, which yield Python numbers without a conversion per
-    row.
-    """
-    cache = {} if cache is None else cache
-    missing = list(dict.fromkeys(p for p in prefixes if p not in cache))
-    if missing:
-        block = log_softmax_rows(model.prefix_logits(state, missing, memo))
-        block[:, [PAD_ID, UNK_ID]] = -np.inf
-        order = (-block).argsort(axis=1, kind="stable")[:, :width]
-        ranked = (memoryview(np.take_along_axis(block, order, axis=1).ravel()),
-                  memoryview(order.astype(np.int32).ravel()), order.shape[1])
-        cache.update((p, (ranked, row)) for row, p in enumerate(missing))
-    rows = []
-    for (values, tokens, kept), row in map(cache.__getitem__, prefixes):
-        if kept < width:
-            raise ValueError(f"logprob_cache holds the {kept} best tokens per prefix; "
-                             f"this search needs {width}")
-        lo = row * kept
-        rows.append((values[lo:lo + width], tokens[lo:lo + width]))
-    return rows
+    row."""
+    block = log_softmax_rows(logits)
+    block[:, [PAD_ID, UNK_ID]] = -np.inf
+    order = (-block).argsort(axis=1, kind="stable")[:, :width]
+    return (memoryview(np.take_along_axis(block, order, axis=1).ravel()),
+            memoryview(order.astype(np.int32).ravel()), order.shape[1])
 
 
 class Candidates(list):
@@ -255,6 +258,180 @@ class Candidates(list):
     list (module doc)."""
 
     penalty_free = False
+
+
+class _Search:
+    """One diverse beam search against the encoder state `state`, advanced
+    a step at a time by `_run_lane`.
+
+    A beam is (prefix, score, anchor): the anchor is the (row, length) of
+    the longest of the prefix's ancestors and itself that its lane's
+    `DecodeCache` holds, None while it holds none. A prefix whose ranked
+    list the logprob cache `cache` already holds is not decoded, so the
+    rows between a beam's anchor and its prefix are decoded only when a
+    descendant needs them, and kept in `ancestors`. `cache` maps a prefix
+    to ((log-probs, ids, kept), row) of a `_ranked` block."""
+
+    def __init__(self, state, cache: dict | None, *, groups: int, beams_per_group: int,
+                 lam: float, max_len: int, min_len: int, vocab_size: int):
+        if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
+            raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
+        self.state, self.cache = state, {} if cache is None else cache
+        self.ancestors: dict[tuple[int, ...], int] = {}  # rows decoded for a descendant alone
+        self.beams_per_group, self.lam, self.max_len, self.min_len = beams_per_group, lam, max_len, min_len
+        # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
+        # EOS may be banned: one more than that leaves every beam its top-k (module doc)
+        self.width = min(vocab_size, groups * beams_per_group + 1)
+        self.beams: list[list[tuple]] = [[((), 0.0, None)] for _ in range(groups)]
+        self.completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
+        self.penalty_free = True  # no beam has kept a penalized token so far
+        self.t = 0
+
+    def live(self) -> bool:
+        return self.t < self.max_len and any(self.beams)
+
+    def missing(self) -> dict[tuple[int, ...], tuple[int, int] | None]:
+        """The live prefixes the logprob cache lacks, with their anchors."""
+        anchors = {seq: anchor for group in self.beams for seq, _, anchor in group}
+        return {seq: anchor for seq, anchor in anchors.items() if seq not in self.cache}
+
+    def step(self, rows: dict[tuple[int, ...], int]) -> None:
+        """Step t: every group picks its beams, in group order, from the ranked
+        lists of its beams' prefixes; `rows` holds the lane rows of the
+        prefixes decoded at this step."""
+        beams, lam, beams_per_group, width = self.beams, self.lam, self.beams_per_group, self.width
+        ranked = []
+        for seq, _, _ in (beam for group in beams for beam in group):
+            (values, tokens, kept), row = self.cache[seq]
+            if kept < width:
+                raise ValueError(f"logprob_cache holds the {kept} best tokens per prefix; "
+                                 f"this search needs {width}")
+            ranked.append((values[row * kept:row * kept + width], tokens[row * kept:row * kept + width]))
+        ranked = iter(ranked)
+        counts: dict[int, int] = {}  # picks at step t by the groups done so far
+        # token -> lam * count; EOS is banned while every live beam (all t long) is short
+        penalty = {EOS_ID: math.inf} if self.t < self.min_len else {}
+        cost_of = penalty.get
+        for g, group in enumerate(beams):
+            if not group:
+                continue
+            # sort keys as plain tuples: (-value, token) per beam, (-total, seq, token)
+            # per group; negation is exact, so -(-x) gives back x bit for bit
+            candidates = []
+            for (seq, score, anchor), (values, tokens) in zip(group, ranked):
+                if seq in rows:
+                    anchor = (rows[seq], self.t)
+                picks, free = [], 0  # (-penalized value, token); unpenalized ones seen
+                for value, token in zip(values, tokens):
+                    cost = cost_of(token)
+                    if cost is None:
+                        picks.append((-value, token))
+                        free += 1
+                        if free == beams_per_group:
+                            break
+                    else:
+                        picks.append((-(value - cost), token))
+                if free < len(picks):
+                    picks.sort()
+                    if self.penalty_free:
+                        self.penalty_free = all(cost_of(token) is None for _, token in picks[:beams_per_group])
+                candidates += [(-(score - negative), seq, token, anchor)
+                               for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
+            candidates.sort()  # (seq, token) is unique, so anchors are never compared
+            beams[g] = []
+            for negative, seq, token, anchor in candidates[:beams_per_group]:
+                counts[token] = counts.get(token, 0) + 1
+                penalty[token] = lam * counts[token]
+                if token == EOS_ID:
+                    self.completed[g].append((-negative, seq))
+                else:
+                    beams[g].append((seq + (token,), -negative, anchor))
+        self.t += 1
+
+    def result(self, vocab: Vocabulary) -> Candidates:
+        results = Candidates()
+        results.penalty_free = self.penalty_free
+        decoded: dict[tuple[int, ...], TextualId] = {}  # groups often agree under duplication
+        for group_beams, done in zip(self.beams, self.completed):
+            done = done + [(score, seq) for seq, score, _ in group_beams]  # hit max_len
+            if not done:
+                raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
+            done.sort(key=lambda c: (-c[0], c[1]))
+            best_seq = done[0][1]
+            if best_seq not in decoded:
+                decoded[best_seq] = TextualId(tokens=best_seq, text=vocab.decode(best_seq))
+            results.append(decoded[best_seq])
+        return results
+
+
+def _run_lane(model, lane: list[_Search]) -> int:
+    """Run the searches of `lane` in lockstep to their ends, each against its
+    own context in one `DecodeCache`: a step decodes the new prefixes of
+    every live search (with any ancestors a prefix needs that the cache
+    lacks) in one `wave_logits` call and ranks them, in blocks of at most
+    `_WAVE_ROWS` rows, into the searches' logprob caches. Returns the
+    decoder passes it ran."""
+    # a search decodes at most one row per beam and step, and the empty prefix
+    state = DecodeCache([s.state for s in lane],
+                        room=sum(1 + len(s.beams) * s.beams_per_group * (s.max_len - 1) for s in lane))
+    width = max(s.width for s in lane)
+    while True:
+        live = [(i, s) for i, s in enumerate(lane) if s.live()]
+        if not live:
+            return state.passes
+        requests, wanted, rows = [], [], []  # wanted: (search, prefix, request) to rank
+        for i, s in live:
+            got: dict[tuple[int, ...], int] = {}  # prefix -> its row, for this step
+            rows.append(got)
+            for seq, anchor in s.missing().items():
+                up, start = (-1, 0) if anchor is None else (anchor[0], anchor[1] + 1)
+                for length in range(len(seq) - 1, start - 1, -1):  # an ancestor decoded since
+                    if seq[:length] in s.ancestors:
+                        up, start = s.ancestors[seq[:length]], length + 1
+                        break
+                for length in range(start, len(seq) + 1):  # undecoded ancestors, then seq
+                    prefix = seq[:length]
+                    if prefix not in got:
+                        got[prefix] = state.size + len(requests)
+                        requests.append((i, prefix, up))
+                        if length < len(seq):
+                            s.ancestors[prefix] = got[prefix]
+                    up = got[prefix]
+                wanted.append((s, seq, up - state.size))
+        if requests:
+            logits = model.wave_logits(state, requests)
+            for lo in range(0, len(wanted), _WAVE_ROWS):
+                chunk = wanted[lo:lo + _WAVE_ROWS]
+                block = _ranked(logits[[at for _, _, at in chunk]], width)
+                for row, (s, seq, _) in enumerate(chunk):
+                    s.cache[seq] = (block, row)
+        for (_, s), got in zip(live, rows):
+            s.step(got)
+
+
+def _run_wave(model, searches: list[_Search], vocab: Vocabulary) -> tuple[list[Candidates], int]:
+    """Run `searches`, whose logprob caches are distinct dicts, as one wave:
+    in lanes of consecutive searches whose steps hold at most `_LANE_ROWS`
+    rows, each lane in lockstep (`_run_lane`). Returns each search's
+    candidates and the decoder passes the wave ran. A wave that raises
+    leaves every logprob cache as it was: it only adds entries, and a dict
+    keeps them in insertion order."""
+    sizes = {id(s.cache): len(s.cache) for s in searches}
+    if len(sizes) < len(searches):
+        raise ValueError("the searches of one wave need distinct logprob caches")
+    passes, lo = 0, 0
+    try:
+        while lo < len(searches):
+            rows = len(searches[lo].beams) * searches[lo].beams_per_group  # rows per step at most
+            lane = searches[lo:lo + max(1, _LANE_ROWS // rows)]
+            passes += _run_lane(model, lane)
+            lo += len(lane)
+        return [s.result(vocab) for s in searches], passes
+    except BaseException:
+        for s in searches:
+            for prefix in list(s.cache)[sizes[id(s.cache)]:]:
+                del s.cache[prefix]
+        raise
 
 
 def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
@@ -270,73 +447,14 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     scoring call per timestep covers every live beam, then the groups pick
     their tokens in order. A `logprob_cache` filled by a search that kept
     fewer ranked tokens per prefix than this one needs is a ValueError.
-    The result is `penalty_free` when no beam kept a penalized token.
+    The result is `penalty_free` when no beam kept a penalized token. This
+    is a wave of one search (`_run_wave`).
     """
-    if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
-        raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
+    search = _Search(state, logprob_cache, groups=groups, beams_per_group=beams_per_group, lam=lam,
+                     max_len=max_len, min_len=min_len, vocab_size=model.config.vocab_size)
     if state is None:
-        state = model.encode(src_ids)
-    # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
-    # EOS may be banned: one more than that leaves every beam its top-k (module doc)
-    width = min(model.config.vocab_size, groups * beams_per_group + 1)
-    memo: dict = {}  # the decoder rows of this search's prefixes (module doc)
-    beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
-    completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
-    penalty_free = True  # no beam has kept a penalized token so far
-    for t in range(max_len):
-        if not any(beams):
-            break
-        ranked = iter(_ranked_steps(model, state, [seq for group in beams for seq, _ in group],
-                                    logprob_cache, width, memo))
-        counts: dict[int, int] = {}  # picks at step t by the groups done so far
-        # token -> lam * count; EOS is banned while every live beam (all t long) is short
-        penalty = {EOS_ID: math.inf} if t < min_len else {}
-        cost_of = penalty.get
-        for g in range(groups):
-            if not beams[g]:
-                continue
-            # sort keys as plain tuples: (-value, token) per beam, (-total, seq, token)
-            # per group; negation is exact, so -(-x) gives back x bit for bit
-            candidates = []
-            for (seq, score), (values, tokens) in zip(beams[g], ranked):
-                picks, free = [], 0  # (-penalized value, token); unpenalized ones seen
-                for value, token in zip(values, tokens):
-                    cost = cost_of(token)
-                    if cost is None:
-                        picks.append((-value, token))
-                        free += 1
-                        if free == beams_per_group:
-                            break
-                    else:
-                        picks.append((-(value - cost), token))
-                if free < len(picks):
-                    picks.sort()
-                    if penalty_free:
-                        penalty_free = all(cost_of(token) is None for _, token in picks[:beams_per_group])
-                candidates += [(-(score - negative), seq, token)
-                               for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
-            candidates.sort()
-            beams[g] = []
-            for negative, seq, token in candidates[:beams_per_group]:
-                counts[token] = counts.get(token, 0) + 1
-                penalty[token] = lam * counts[token]
-                if token == EOS_ID:
-                    completed[g].append((-negative, seq))
-                else:
-                    beams[g].append((seq + (token,), -negative))
-    results = Candidates()
-    results.penalty_free = penalty_free
-    decoded: dict[tuple[int, ...], TextualId] = {}  # groups often agree under duplication
-    for group_beams, done in zip(beams, completed):
-        done.extend((score, seq) for seq, score in group_beams)  # hit max_len
-        if not done:
-            raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
-        done.sort(key=lambda c: (-c[0], c[1]))
-        best_seq = done[0][1]
-        if best_seq not in decoded:
-            decoded[best_seq] = TextualId(tokens=best_seq, text=vocab.decode(best_seq))
-        results.append(decoded[best_seq])
-    return results
+        search.state = model.encode(src_ids)
+    return _run_wave(model, [search], vocab)[0][0]
 
 
 def _ordinal_tokens(position: int, vocab_size: int) -> tuple[int, ...]:
@@ -361,8 +479,12 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     Items are processed in input order; each starts at (lam_init, first
     length range) and escalates on full duplication. A rung whose previous
     rung of the same length range was answered by a `penalty_free` search
-    takes that search's candidates instead of searching again (module doc).
-    The ordinal fallback is recorded per item and logged, never silent.
+    takes that search's candidates instead of searching again. Searches
+    whose need is certain run together as waves (module doc): the first
+    rung of every distinct text before the first item, and the first rung
+    of a later range for every text the pigeonhole rule says will need it;
+    any other search runs on demand as a wave of one. The ordinal fallback
+    is recorded per item and logged, never silent.
     """
     if not items:
         raise ValueError("items must be non-empty")
@@ -379,34 +501,60 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         raise ValueError(
             f"no length range fits the decoder capacity {capacity}: {config.length_ranges}"
         )
+    first_rung = {}  # range_index -> its first rung
+    for rung, (range_index, *_) in enumerate(rungs):
+        first_rung.setdefault(range_index, rung)
     ids: dict[str, TextualId] = {}
     rows: list[AllocationRow] = []
     taken: set[str] = set()
     # per distinct text: encoder state, logprob cache, rung -> DBS candidates
-    per_text: dict[str, tuple[object, dict, dict[int, list[TextualId]]]] = {}
-    searches = answered = 0  # rungs searched; rungs answered by a penalty-free search
+    per_text: dict[str, tuple[object, dict, dict[int, Candidates]]] = {}
+    for _, text in items:
+        if text not in per_text:
+            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
+    left = Counter(text for _, text in items)  # items not yet processed, per text
+    waves: list[int] = []  # searches per wave
+    on_demand = answered = 0  # searches run alone; rungs answered by a penalty-free search
 
+    def search(texts: list[str], rung: int) -> None:
+        """Run `rung` for each of `texts` as one wave."""
+        _, lo, max_len, lam = rungs[rung]
+        found, _ = _run_wave(model, [
+            _Search(per_text[text][0], per_text[text][1], groups=config.groups,
+                    beams_per_group=config.beams_per_group, lam=lam, max_len=max_len, min_len=lo,
+                    vocab_size=model.config.vocab_size)
+            for text in texts], vocab)
+        for text, candidates in zip(texts, found):
+            per_text[text][2][rung] = candidates
+
+    search(list(per_text), 0)
+    waves.append(len(per_text))
     for position, (key, text) in enumerate(items):
         if key in ids:
             raise ValueError(f"duplicate item key {key!r} in allocation input")
-        if text not in per_text:
-            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
-        state, logprob_cache, by_rung = per_text[text]
+        left[text] -= 1
+        by_rung = per_text[text][2]
         for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
             if rung not in by_rung:
                 # items climb the ladder in order, so the rung below was reached
-                below = by_rung.get(rung - 1)
-                if getattr(below, "penalty_free", False) and rungs[rung - 1][0] == range_index:
+                below = by_rung[rung - 1]
+                if below.penalty_free and rungs[rung - 1][0] == range_index:
                     by_rung[rung] = below
                     answered += 1
+                elif rung == first_rung[range_index]:
+                    # a text whose range below was answered by one penalty-free search
+                    # with fewer untaken candidates than items left will need this rung
+                    below_first = first_rung[rungs[rung - 1][0]]
+                    wave = [text] + [
+                        other for other, (_, _, got) in per_text.items()
+                        if other != text and rung not in got and below_first in got
+                        and got[below_first].penalty_free
+                        and left[other] > len({c.text for c in got[below_first]} - taken)]
+                    search(wave, rung)
+                    waves.append(len(wave))
                 else:
-                    by_rung[rung] = diverse_beam_search(
-                        model, None, vocab,
-                        groups=config.groups, beams_per_group=config.beams_per_group,
-                        lam=lam, max_len=max_len, min_len=lo,
-                        state=state, logprob_cache=logprob_cache,
-                    )
-                    searches += 1
+                    search([text], rung)
+                    on_demand += 1
             accepted = next((c for c in by_rung[rung] if c.text not in taken), None)
             if accepted is not None:
                 row = AllocationRow(key=key, lam=lam, range_index=range_index)
@@ -436,9 +584,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     if stats["fallback_count"]:
         log.warning("allocation used the ordinal fallback for %d items", int(stats["fallback_count"]))
     log.info("allocated %d ids: %.2f%% needed lambda escalation, %.2f%% needed length extension; "
-             "%d searches, %d rungs answered by a penalty-free search",
+             "%d searches, %d rungs answered by a penalty-free search; %d waves of %s searches, "
+             "%d searches on demand",
              len(ids), 100 * stats["fraction_lambda_escalated"], 100 * stats["fraction_length_extended"],
-             searches, answered)
+             sum(waves) + on_demand, answered, len(waves), "/".join(map(str, waves)), on_demand)
     return registry
 
 
@@ -447,21 +596,29 @@ def profile_source(history_texts: list[str], vocab: Vocabulary, max_src_len: int
     return vocab.encode("; ".join(history_texts), max_src_len)
 
 
-def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,
-                     config: AllocatorConfig) -> TextualId:
-    """Generate a profile ID from the concatenated history texts.
+def generate_user_ids(model, histories: list[list[str]], vocab: Vocabulary,
+                      config: AllocatorConfig) -> tuple[list[TextualId], int]:
+    """A profile ID for each user history (its texts, concatenated), in
+    order, all generated as one wave; and the decoder passes the wave ran.
 
     User IDs are not registered for uniqueness; two users may share one.
     """
-    if not history_texts:
+    if not all(histories):
         raise ValueError("history_texts must be non-empty")
-    src = profile_source(history_texts, vocab, model.config.max_src_len)
     lo, hi = config.length_ranges[0]
     max_len = min(hi - 1, model.config.max_tgt_len - 1)  # one step is left for EOS
     if lo > max_len:
         raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {max_len}")
-    return diverse_beam_search(
-        model, src, vocab,
-        groups=1, beams_per_group=config.beams_per_group,
-        lam=config.lam_init, max_len=max_len, min_len=lo,
-    )[0]
+    found, passes = _run_wave(model, [
+        _Search(model.encode(profile_source(texts, vocab, model.config.max_src_len)), None, groups=1,
+                beams_per_group=config.beams_per_group, lam=config.lam_init, max_len=max_len,
+                min_len=lo, vocab_size=model.config.vocab_size)
+        for texts in histories], vocab)
+    return [candidates[0] for candidates in found], passes
+
+
+def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,
+                     config: AllocatorConfig) -> TextualId:
+    """Generate a profile ID from the concatenated history texts: a wave of
+    one (`generate_user_ids`)."""
+    return generate_user_ids(model, [history_texts], vocab, config)[0][0]

@@ -11,34 +11,43 @@ graph node, so a pass builds few nodes whatever the head count.
 The decoder runs over a tree of rows: each row sits at position = depth
 and attends only to its ancestors. A chain is causal decoding
 (`sequence_nll`); a prefix tree scores many prefixes in one pass
-(`prefix_logits`, the only step scorer) against the context rows that
-`encode` returns. Callers use four model members: `config`, `encode`,
-`prefix_logits` and `param_hash`.
+(`prefix_logits`) against the context rows that `encode` returns; a wave
+of searches scores each step's new prefixes, every one against its own
+context (`wave_logits`). Callers use five model members: `config`,
+`encode`, `prefix_logits` (ranking), `wave_logits` (beam search) and
+`param_hash`.
 
-`prefix_logits` decodes incrementally through a memo: a dict the caller
-may keep for one context and unchanged parameters (else the call uses a
-throwaway one), mapping each prefix decoded against it to that row's
-self-attention input (the layer-normed `h`) at every decoder layer, stored
-once per pass. A pass decodes only prefixes the memo lacks; their memo
-ancestors' inputs are gathered and put in front of the pass's own as the
-keys and values of each layer's self-attention, in the one
-`decoder_all_logits`.
+`prefix_logits` decodes a trie: every given prefix and all its ancestors,
+in lexicographic order, in passes of at most `_PREFIX_BLOCK_ROWS` rows,
+each row attending to its ancestors through a dense tree mask, and to its
+ancestors in earlier passes through their kept self-attention inputs (the
+layer-normed `h` of every decoder layer). The context enters the decoder
+only at layer 0's cross-attention, so what a pass computes before it (its
+head: the tree layout, the embeddings and layer 0's self-attention block)
+is the same for every context. Each model keeps one head slot, which
+`prefix_logits` reads or fills and nothing else touches. The slot holds the
+plan of the call that filled it (per pass: token ids, depths, mask and the
+rows of its earlier columns; the row of each prefix), each row's layer-0
+self-attention input and its rows after layer 0's self-attention block. A
+later call reuses it when it is keyed the same, by the config,
+`_PREFIX_BLOCK_ROWS` and the prefixes by value, and when the raw bytes of
+every `_HEAD_PARAMS` array equal the copies the slot holds: its passes then
+start at layer 0's cross-attention, each still one `decoder_all_logits`
+call, and give the same bits. Any other call recomputes and, unless it
+raises, replaces the slot. At the default config a 143-row trie's slot is
+about 0.5 MB.
 
-The context enters the decoder only at layer 0's cross-attention, so what a
-pass computes before it (its head: the tree layout, the embeddings and
-layer 0's self-attention block) is the same for every context. Each model
-keeps one head slot, and only memo-less `prefix_logits` calls (a ranking
-scores a trie that way) read or fill it; calls with a memo never touch it.
-The slot holds the plan of the call that filled it (per pass: token ids,
-depths, mask and the rows of its earlier columns; the row of each prefix),
-each row's layer-0 self-attention input and its rows after layer 0's
-self-attention block. A later memo-less call reuses it when it is keyed
-the same, by the config, `_PREFIX_BLOCK_ROWS` and the prefixes by value,
-and when the raw bytes of every `_HEAD_PARAMS` array equal the copies the
-slot holds: its passes then start at layer 0's cross-attention, each still
-one `decoder_all_logits` call, and give the same bits. Any other memo-less
-call recomputes and, unless it raises, replaces the slot. At the default
-config a 143-row trie's slot is about 0.5 MB.
+`wave_logits` decodes through a `DecodeCache`, the decode state of
+searches that advance in lockstep, one context each. The cache keeps each
+decoded row's parent and its self-attention input at every layer. A call
+decodes its rows by depth, ancestors first, in passes of at most
+`_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
+ancestor chain, gathered from the cache for that pass, and itself: no
+dense mask over the other rows. Its cross-attention is grouped by context:
+the pass's contexts, padded to the longest, are one batch, so a row reads
+only its own (a row of an empty context reads none). A pass thus costs its
+rows times their depth plus the longest context among them, whatever else
+the searches hold.
 
 `packed_logits` runs several teacher-forced (source, decoder input) pairs
 as one pass: the sources back to back as segments of one `encode`, each
@@ -135,7 +144,10 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
                heads: int, mask: np.ndarray | None = None) -> Tensor:
     """Multi-head attention as one graph node, all heads in one batched
-    matmul over (heads, rows, dh) views of the projections.
+    matmul over (heads, rows, dh) views of the projections. Inputs may carry
+    leading batch axes, (..., rows, d) and (..., keys, d): each batch entry
+    attends only to its own keys, and `mask` broadcasts onto the
+    (..., heads, rows, keys) scores.
 
     Forward and backward run the numpy expressions, array layouts and
     requires_grad skips of the op chain it stands for (projections, scaled
@@ -143,17 +155,18 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
     projection), so values and gradients are that chain's bits. The inputs
     get their contributions in the chain's order: Q, then K, then V."""
     wq, wk, wv, wo = (pt[name] for name in _attention_names(prefix))
-    rows, width = q_in.data.shape[0], wq.data.shape[1]
-    keys, dh = kv_in.data.shape[0], width // heads
+    *lead, rows, _ = q_in.data.shape
+    width = wq.data.shape[1]
+    keys, dh = kv_in.data.shape[-2], width // heads
     scale = 1.0 / math.sqrt(dh)
-    q = (q_in.data @ wq.data).reshape(rows, heads, dh).swapaxes(0, 1)
-    k_t = (kv_in.data @ wk.data).T.reshape(heads, dh, keys)
-    v = (kv_in.data @ wv.data).reshape(keys, heads, dh).swapaxes(0, 1)
+    q = (q_in.data @ wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
+    k_t = (kv_in.data @ wk.data).swapaxes(-1, -2).reshape(*lead, heads, dh, keys)
+    v = (kv_in.data @ wv.data).reshape(*lead, keys, heads, dh).swapaxes(-2, -3)
     scores = (q @ k_t) * scale
     if mask is not None:
         scores = scores + mask
     probs, softmax_vjp = softmax(scores)
-    joined = (probs @ v).swapaxes(0, 1).reshape(rows, width)
+    joined = (probs @ v).swapaxes(-2, -3).reshape(*lead, rows, width)
 
     def bw(g):
         need_q = q_in.requires_grad or wq.requires_grad
@@ -163,23 +176,23 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
             wo._accum(joined.swapaxes(-1, -2) @ g)
         if not (need_q or need_k or need_v):
             return
-        g_heads = (g @ wo.data.swapaxes(-1, -2)).reshape(rows, heads, dh).swapaxes(0, 1)
+        g_heads = (g @ wo.data.swapaxes(-1, -2)).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
         if need_q or need_k:
             g_scores = softmax_vjp(g_heads @ v.swapaxes(-1, -2)) * scale
         if need_q:
-            g_q = (g_scores @ k_t.swapaxes(-1, -2)).swapaxes(0, 1).reshape(rows, width)
+            g_q = (g_scores @ k_t.swapaxes(-1, -2)).swapaxes(-2, -3).reshape(*lead, rows, width)
             if q_in.requires_grad:
                 q_in._accum(g_q @ wq.data.swapaxes(-1, -2))
             if wq.requires_grad:
                 wq._accum(q_in.data.swapaxes(-1, -2) @ g_q)
         if need_k:
-            g_k = (q.swapaxes(-1, -2) @ g_scores).reshape(width, keys).swapaxes(-1, -2)
+            g_k = (q.swapaxes(-1, -2) @ g_scores).reshape(*lead, width, keys).swapaxes(-1, -2)
             if kv_in.requires_grad:
                 kv_in._accum(g_k @ wk.data.swapaxes(-1, -2))
             if wk.requires_grad:
                 wk._accum(kv_in.data.swapaxes(-1, -2) @ g_k)
         if need_v:
-            g_v = (probs.swapaxes(-1, -2) @ g_heads).swapaxes(0, 1).reshape(keys, width)
+            g_v = (probs.swapaxes(-1, -2) @ g_heads).swapaxes(-2, -3).reshape(*lead, keys, width)
             if kv_in.requires_grad:
                 kv_in._accum(g_v @ wv.data.swapaxes(-1, -2))
             if wv.requires_grad:
@@ -214,18 +227,21 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 # attention matrices while large tries still take few passes.
 _PREFIX_BLOCK_ROWS = 512
 
+# Rows per decoder pass in `wave_logits`: bounds each pass's gathered
+# ancestor chains and padded contexts, which set the peak memory of a wave.
+_WAVE_ROWS = 128
+
 # The parameters a decoder pass reads before layer 0's cross-attention.
 _HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_names("dec0_self"))
 
 
 @dataclass
 class _HeadSlot:
-    """The user-independent head of one memo-less `prefix_logits` call (see
-    the module doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, prefixes);
-    `weights` a copy of each `_HEAD_PARAMS` array as the filling call read
-    it; `passes` per pass (first row, token ids, depths, mask, rows of its
-    earlier columns or None); `head` the kept `keep[0]` and `keep[layers]`
-    of every row; `pick` the row of each prefix."""
+    """The user-independent head of one `prefix_logits` call (see the module
+    doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, prefixes); `weights` a
+    copy of each `_HEAD_PARAMS` array as the filling call read it; `passes`
+    the call's plan (`_trie_passes`); `head` the kept `keep[0]` and
+    `keep[layers]` of every row; `pick` the row of each prefix."""
 
     key: tuple
     weights: list[np.ndarray]
@@ -238,7 +254,7 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Depth of every row and the additive self-attention mask that lets a
     row see only itself and its ancestors. Parents precede their children;
     a root has a negative parent. `prefix_logits` lays out each pass's own
-    rows with it (a row whose parent is in the memo is a root here).
+    rows with it (a row whose parent is in an earlier pass is a root here).
 
     Every row climbs its ancestor chain one level per numpy pass, so a tree
     takes as many passes as it is deep."""
@@ -260,12 +276,87 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth, np.where(allowed, 0.0, -1e30)
 
 
-def _roots_mask(n: int) -> np.ndarray:
-    """The mask of `_tree_layout` over n roots (every parent negative): the
-    identity, built directly."""
-    mask = np.full((n, n), -1e30)
-    np.fill_diagonal(mask, 0.0)
-    return mask
+def _trie_passes(order: list[tuple[int, ...]], parent: np.ndarray) -> list[tuple]:
+    """The passes of a `prefix_logits` call over `order`, prefixes sorted
+    with all their ancestors (`parent` is each one's row, -1 for the empty
+    prefix): per pass of at most `_PREFIX_BLOCK_ROWS` rows, (first row,
+    token ids, depths, mask, rows of its earlier columns or None).
+
+    A pass row attends to its ancestors in the pass (`_tree_layout`) and,
+    through the columns in front of them, to the ancestors of its pass root
+    that earlier passes decoded, in row order."""
+    passes = []
+    for lo in range(0, len(order), _PREFIX_BLOCK_ROWS):
+        rows = order[lo:lo + _PREFIX_BLOCK_ROWS]
+        up = parent[lo:lo + len(rows)]
+        inner = np.where(up >= lo, up - lo, -1)  # the parent in the pass, or -1
+        mask = _tree_layout(inner)[1]
+        cols = None
+        seen_rows, seen_cols = [], []
+        roots = np.flatnonzero((inner < 0) & (up >= 0))  # pass roots with earlier ancestors
+        anc = up[roots]
+        while roots.size:
+            seen_rows.append(roots)
+            seen_cols.append(anc)
+            anc = parent[anc]
+            roots, anc = roots[anc >= 0], anc[anc >= 0]
+        if seen_rows:
+            cols, at = np.unique(np.concatenate(seen_cols), return_inverse=True)
+            seen = np.full((len(rows), len(cols)), -1e30)
+            seen[np.concatenate(seen_rows), at] = 0.0
+            root = np.arange(len(rows))  # each row's pass root, whose earlier rows it sees
+            while (inner[root] >= 0).any():
+                root = np.where(inner[root] >= 0, inner[root], root)
+            mask = np.concatenate([seen[root], mask], axis=1)
+        ids = [p[-1] if p else PAD_ID for p in rows]
+        passes.append((lo, ids, np.array([len(p) for p in rows]), mask, cols))
+    return passes
+
+
+def _grouped_contexts(contexts: list[Tensor], counts, d_model: int):
+    """Cross-attention inputs for rows that sit back to back by context,
+    `counts[c]` rows for context c: the contexts stacked into one (contexts,
+    keys, d_model) batch padded to the longest, the additive mask that hides
+    the padding (None without any), the index that lays the rows out as
+    (contexts, slots) queries padded to the most rows any context has, the
+    slot of each row in that layout flattened, and whether each row's
+    context has rows (a row of an empty context gets no cross-attention)."""
+    counts = np.asarray(counts)
+    lengths = np.array([c.data.shape[0] for c in contexts])
+    keys, slots = lengths.max(), counts.max()
+    used = np.arange(slots) < counts[:, None]
+    queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
+    pieces = []
+    for c, length in zip(contexts, lengths):
+        pieces.append(c)
+        if length < keys:
+            pieces.append(Tensor(np.zeros((keys - length, d_model))))
+    batch = concat(pieces).reshape(len(contexts), keys, d_model)
+    mask = None
+    if (lengths < keys).any():
+        mask = np.where(np.arange(keys) < lengths[:, None], 0.0, -1e30)[:, None, None, :]
+    return batch, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None]
+
+
+class DecodeCache:
+    """The decoder rows of a group of searches that advance in lockstep,
+    each decoding against its own context (`SequenceModel.wave_logits`).
+
+    The k-th prefix decoded through the cache is row k. A row keeps its
+    parent row (-1 for the empty prefix) and its self-attention input at
+    every decoder layer, which its descendants attend to. The cache is valid
+    for its contexts and unchanged parameters: only `wave_logits` fills it,
+    and a call that raises leaves it as it was. `room` sizes the row store
+    up front (a cache that needs more grows it); `size` and `passes` count
+    the rows decoded and the decoder passes run."""
+
+    def __init__(self, contexts, room: int = 0):
+        self.contexts = list(contexts)
+        self.room = room
+        self.size = 0
+        self.passes = 0
+        self.inputs: np.ndarray | None = None  # (layers, room, d_model)
+        self.parent = np.empty(0, dtype=np.int64)
 
 
 def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -416,11 +507,11 @@ class SequenceModel:
             x = x + _feed_forward(pt, f"enc{i}_ff", h)
         return x.layer_norm(pt["enc_ln_g"], pt["enc_ln_b"])
 
-    def decoder_all_logits(self, ctx: Tensor, dec_input_ids,
+    def decoder_all_logits(self, ctx, dec_input_ids,
                            params: dict[str, Tensor] | None = None,
                            past=None, keep: np.ndarray | None = None,
                            head: np.ndarray | None = None,
-                           ctx_mask: np.ndarray | None = None) -> Tensor:
+                           ctx_mask: np.ndarray | None = None, ctx_rows=None) -> Tensor:
         """Next-token logits at every decoder row.
 
         Without `past` the rows are a chain: causal decoding of the shifted
@@ -430,17 +521,21 @@ class SequenceModel:
         `past = (depth, mask, earlier)` lays the rows out as a tree
         (`prefix_logits`) or a forest (`packed_logits`): row i sits at
         position `depth[i]`, and the additive (rows, m + rows) `mask` says
-        which of m earlier rows and of the pass's own rows it attends to. `earlier` is None (m = 0) or a (layers, m,
-        d_model) array of rows that earlier passes decoded: their
-        self-attention inputs, which go in front of the pass's own as the keys
-        and values of each layer's self-attention.
+        which of m earlier rows and of the pass's own rows it attends to.
+        `earlier` is None (m = 0) or a (layers, m, d_model) array of rows
+        that earlier passes decoded: their self-attention inputs, which go in
+        front of the pass's own as the keys and values of each layer's
+        self-attention. With `mask` None, `earlier` is instead a (layers,
+        rows, k, d_model) array of each row's own k ancestors, root first
+        (`wave_logits`): a row attends to them and itself, and to no other
+        row of the pass.
 
-        `keep`, if given, is a (layers + 1, rows, d_model) array that receives
-        the pass's own rows' self-attention input at every layer (the
-        `earlier` of later passes), then the rows after layer 0's
-        self-attention block: the pass's head, which depends on the rows,
-        `past` and the embedding and layer-0 self-attention parameters, but
-        not on `ctx`.
+        `keep`, if given, receives the pass's own rows' self-attention input
+        at every layer in `keep[:layers]` (the `earlier` of later passes). A
+        (layers + 1, rows, d_model) `keep` also receives in `keep[layers]`
+        the rows after layer 0's self-attention block: the pass's head, which
+        depends on the rows, `past` and the embedding and layer-0
+        self-attention parameters, but not on `ctx`.
 
         `head`, if given, is the kept head of a pass over the same rows and
         `past` under the same such parameters: the pass starts at layer 0's
@@ -449,175 +544,169 @@ class SequenceModel:
         `ctx_mask`, if given, is an additive (rows, context rows) mask on the
         cross-attention (`packed_logits`). A row it lets see no context row
         gets no cross-attention, as every row does when `ctx` has no rows.
+
+        `ctx_rows`, if given, makes `ctx` a list of contexts and says how many
+        rows, back to back in order, attend to each (`wave_logits`): the
+        cross-attention runs as one batch over the contexts, so a row reads
+        only its own context (`_grouped_contexts`).
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
         ids = np.array([int(t) for t in dec_input_ids], dtype=np.int64)
+        rows = len(ids)
         if past is None:
-            (depth, mask), earlier = _chain_layout(len(ids)), None
+            (depth, mask), earlier = _chain_layout(rows), None
         else:
             depth, mask, earlier = past
-        sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
-        if len(ids) and depth.max() >= cfg.max_tgt_len:
+        if rows and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
+        queries = slot_of = None
+        if ctx_rows is None:
+            sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
+        else:
+            ctx, ctx_mask, queries, slot_of, sees = _grouped_contexts(ctx, ctx_rows, cfg.d_model)
         x = pt["tok_emb"][ids] + pt["tgt_pos"][depth] if head is None else Tensor(head)
         for i in range(cfg.layers):
             if i or head is None:
                 h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
                 if keep is not None:
                     keep[i] = h.data
-                kv = h if earlier is None else concat([Tensor(earlier[i]), h])
-                x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
-                if i == 0 and keep is not None:
+                if mask is None:  # each row's own chain, a batch of one query per row
+                    q = h.reshape(rows, 1, cfg.d_model)
+                    kv = concat([Tensor(earlier[i]), q], axis=1)
+                    x = x + _attention(pt, f"dec{i}_self", q, kv, cfg.heads).reshape(rows, cfg.d_model)
+                else:
+                    kv = h if earlier is None else concat([Tensor(earlier[i]), h])
+                    x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
+                if i == 0 and keep is not None and len(keep) > cfg.layers:
                     keep[cfg.layers] = x.data
-            if ctx.data.shape[0] > 0:
+            if ctx.data.shape[-2] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
-                cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask)
+                if queries is None:
+                    cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask)
+                else:
+                    cross = _attention(pt, f"dec{i}_cross", h[queries], ctx, cfg.heads, mask=ctx_mask)
+                    cross = cross.reshape(-1, cfg.d_model)[slot_of]
                 x = x + (cross if sees is None or sees.all() else cross * sees)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
             x = x + _feed_forward(pt, f"dec{i}_ff", h)
         x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
         return x @ pt["tok_emb"].T
 
-    def prefix_logits(self, ctx: Tensor, prefixes, memo: dict | None = None) -> np.ndarray:
+    def prefix_logits(self, ctx: Tensor, prefixes) -> np.ndarray:
         """Next-token logits after each prefix, one row per prefix, in order
         (inference path, frozen parameters). Duplicates and prefixes given
         without their ancestors are allowed.
 
-        `memo` is a dict the caller owns, valid for one `ctx` and unchanged
-        parameters; only this method fills it, and a call that raises leaves
-        it as it was. It maps every prefix decoded against it to (h, the
-        parent prefix's entry or None), where `h` is the row's self-attention
-        input at every decoder layer, a (layers, 1, d_model) view of the one
-        block its pass stored. Without one, a throwaway memo serves the call,
-        and the call reuses or refills the model's head slot (module doc).
-
-        A call decodes the given prefixes and their ancestors that the memo
-        lacks, in lexicographic order (ancestors first, and neighbours share
-        them), in passes of at most `_PREFIX_BLOCK_ROWS` rows. A row attends
-        to itself, to its ancestors in the pass, and through their stored
-        inputs to the chain of its nearest memo ancestor (its anchor), which
-        includes rows that earlier passes of the same call stored.
+        A call decodes the given prefixes and all their ancestors, in
+        lexicographic order (ancestors first, and neighbours share them), in
+        passes of at most `_PREFIX_BLOCK_ROWS` rows (`_trie_passes`). A row
+        attends to itself, to its ancestors in the pass, and through their
+        kept inputs to its ancestors in earlier passes. The call reuses or
+        refills the model's head slot (module doc).
         """
         cfg = self.config
         prefixes = list(map(tuple, prefixes))
-        fill = memo is None  # a memo-less call reuses or refills the head slot
-        if fill:
-            pt = self.frozen()
-            slot = self._head_slot
-            # prefixes equal by value to the slot's int tuples convert to them;
-            # weights compare as uint64 views, so bytes, not values (0.0 != -0.0)
-            if (slot is not None and slot.key == (cfg, _PREFIX_BLOCK_ROWS, prefixes)
-                    and all(np.array_equal(kept.view(np.uint64), pt[name].data.view(np.uint64))
-                            for name, kept in zip(_HEAD_PARAMS, slot.weights))):
-                return self._replay_head(ctx, slot)
-        prefixes = [tuple(map(int, p)) for p in prefixes]
-        memo = {} if memo is None else memo
-        todo = set(prefixes)
-        for p in prefixes:
-            k = len(p) - 1
-            while k >= 0 and p[:k] not in memo and p[:k] not in todo:
-                todo.add(p[:k])
-                k -= 1
-        order = sorted(todo)
-        row_of: dict[tuple[int, ...], int] = {}  # prefix -> its row in `order`
-        logits = [np.empty((0, cfg.vocab_size))]  # per pass
-        added: list[tuple[int, ...]] = []
-        if fill:  # the slot's plan and head; a memo entry's row in `order`
-            passes: list[tuple] = []
-            head = np.empty((2, len(order), cfg.d_model))
-            entry_row: dict[int, int] = {}
-        try:
-            for lo in range(0, len(order), _PREFIX_BLOCK_ROWS):
-                rows = order[lo:lo + _PREFIX_BLOCK_ROWS]
-                # per row: its parent in the pass (-1 for none) and its pass
-                # root, the first row of its chain in the pass, whose anchor
-                # it shares
-                parents: list[int] = []
-                roots: list[int] = []
-                anchors: dict[int, tuple | None] = {}  # pass root -> anchor's entry
-                for j, p in enumerate(rows):
-                    entry = memo.get(p[:-1]) if p else None
-                    if p and entry is None:
-                        parents.append(row_of[p[:-1]] - lo)
-                        roots.append(roots[parents[-1]])
-                    else:
-                        parents.append(-1)
-                        roots.append(j)
-                        anchors[j] = entry
-                    row_of[p] = lo + j
-                # the memo entries of the anchors' chains, root first, each once
-                chain_of: dict[int, list[int]] = {id(None): []}  # id(entry) -> columns
-                earlier: list[tuple] = []
-                seen_rows: list[int] = []
-                seen_cols: list[int] = []
-                for j, anchor in anchors.items():
-                    if id(anchor) not in chain_of:
-                        path, entry = [], anchor
-                        while id(entry) not in chain_of:
-                            path.append(entry)
-                            entry = entry[1]
-                        cols = chain_of[id(entry)]
-                        for entry in reversed(path):
-                            cols = chain_of[id(entry)] = cols + [len(earlier)]
-                            earlier.append(entry)
-                    cols = chain_of[id(anchor)]
-                    seen_rows += [j] * len(cols)
-                    seen_cols += cols
-                if len(anchors) < len(rows):
-                    mask = _tree_layout(np.array(parents))[1]
-                else:  # roots only, as in every DBS step after the first
-                    mask = _roots_mask(len(rows))
-                if earlier:  # a row sees its root's memo rows, then its ancestors in the pass
-                    memo_mask = np.full((len(rows), len(earlier)), -1e30)
-                    memo_mask[seen_rows, seen_cols] = 0.0
-                    mask = np.concatenate([memo_mask[roots], mask], axis=1)
-                ids = [p[-1] if p else PAD_ID for p in rows]
-                depth = np.array([len(p) for p in rows])
-                keep = np.empty((cfg.layers + 1, len(rows), cfg.d_model))
-                logits.append(self.decoder_all_logits(
-                    ctx, ids, past=(depth, mask,
-                                    np.concatenate([e[0] for e in earlier], axis=1) if earlier else None),
-                    keep=keep).data)
-                if fill:
-                    cols = np.array([entry_row[id(e)] for e in earlier]) if earlier else None
-                    passes.append((lo, ids, depth, mask, cols))
-                    head[:, lo:lo + len(rows)] = keep[[0, -1]]
-                entries: list[tuple] = []  # per row: its memo entry
-                # iterating yields each row's (layers, 1, d_model) view of `keep`
-                for j, (p, h) in enumerate(zip(rows, keep[:cfg.layers].swapaxes(0, 1)[:, :, None])):
-                    entry = memo.get(p)
-                    if entry is None:
-                        up = entries[parents[j]] if parents[j] >= 0 else anchors[j]
-                        entry = memo[p] = (h, up)
-                        added.append(p)
-                        if fill:
-                            entry_row[id(entry)] = lo + j
-                    entries.append(entry)
-        except BaseException:
-            for p in added:
-                del memo[p]
-            raise
-        pick = np.array([row_of[p] for p in prefixes], dtype=np.intp)
-        if fill:
-            weights = [pt[name].data.copy() for name in _HEAD_PARAMS]
-            self._head_slot = _HeadSlot((cfg, _PREFIX_BLOCK_ROWS, prefixes), weights, passes, head, pick)
-        return np.concatenate(logits)[pick]
-
-    def _replay_head(self, ctx: Tensor, slot: "_HeadSlot") -> np.ndarray:
-        """`prefix_logits` of the slot's prefixes against `ctx`, each pass
-        starting from its kept head: the same passes, with the same bits,
-        as the call that filled the slot."""
-        cfg = self.config
+        pt = self.frozen()
+        slot = self._head_slot
+        # prefixes equal by value to the slot's int tuples convert to them;
+        # weights compare as uint64 views, so bytes, not values (0.0 != -0.0)
+        hit = (slot is not None and slot.key == (cfg, _PREFIX_BLOCK_ROWS, prefixes)
+               and all(np.array_equal(kept.view(np.uint64), pt[name].data.view(np.uint64))
+                       for name, kept in zip(_HEAD_PARAMS, slot.weights)))
+        if not hit:
+            prefixes = [tuple(map(int, p)) for p in prefixes]
+            todo = set(prefixes)
+            for p in prefixes:
+                k = len(p) - 1
+                while k >= 0 and p[:k] not in todo:
+                    todo.add(p[:k])
+                    k -= 1
+            order = sorted(todo)
+            row_of = {p: i for i, p in enumerate(order)}
+            parent = np.array([row_of[p[:-1]] if p else -1 for p in order], dtype=np.int64)
+            slot = _HeadSlot((cfg, _PREFIX_BLOCK_ROWS, prefixes), [pt[name].data.copy() for name in _HEAD_PARAMS],
+                             _trie_passes(order, parent), np.empty((2, len(order), cfg.d_model)),
+                             np.array([row_of[p] for p in prefixes], dtype=np.intp))
         keep = np.empty((cfg.layers + 1, slot.head.shape[1], cfg.d_model))
-        keep[[0, -1]] = slot.head
+        if hit:
+            keep[[0, -1]] = slot.head
         logits = [np.empty((0, cfg.vocab_size))]
         for lo, ids, depth, mask, cols in slot.passes:
             block = keep[:, lo:lo + len(ids)]
             earlier = None if cols is None else keep[:cfg.layers, cols]
-            logits.append(self.decoder_all_logits(ctx, ids, past=(depth, mask, earlier),
-                                                  keep=block, head=block[-1]).data)
+            logits.append(self.decoder_all_logits(ctx, ids, past=(depth, mask, earlier), keep=block,
+                                                  head=block[-1] if hit else None).data)
+        if not hit:
+            slot.head[...] = keep[[0, -1]]
+            self._head_slot = slot
         return np.concatenate(logits)[slot.pick]
+
+    def wave_logits(self, cache: DecodeCache, requests) -> np.ndarray:
+        """Next-token logits for each (context index, prefix, parent row)
+        request, one row each, in order (inference path, frozen parameters):
+        the logits after `prefix` against `cache.contexts[context index]`.
+        The parent row is the cache row of the prefix without its last token
+        (-1 for the empty prefix), decoded by an earlier call or earlier in
+        this one; request k becomes row `cache.size + k`.
+
+        The rows are decoded by depth, ancestors first, in passes of at most
+        `_WAVE_ROWS` rows of one depth, grouped by context. In a pass a row's
+        self-attention reads its own ancestor chain, gathered from the cache
+        for the pass alone, and its cross-attention its own context: a pass
+        costs its rows times (depth + the longest context among them),
+        whatever else the wave holds. The head slot is neither read nor
+        written.
+        """
+        cfg = self.config
+        n = len(requests)
+        logits = np.empty((n, cfg.vocab_size))
+        if not n:
+            return logits
+        context = np.array([c for c, _, _ in requests], dtype=np.int64)
+        depth = np.array([len(p) for _, p, _ in requests], dtype=np.int64)
+        ids = np.array([p[-1] if p else PAD_ID for _, p, _ in requests], dtype=np.int64)
+        ups = np.array([up for _, _, up in requests], dtype=np.int64)
+        rows = cache.size + np.arange(n)
+        if depth.max() >= cfg.max_tgt_len:
+            raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
+        if ((ups < 0) != (depth == 0)).any() or (ups >= rows).any():
+            raise ValueError("a parent row must be an earlier row, and -1 exactly for the empty prefix")
+        inputs, parent = cache.inputs, cache.parent
+        if inputs is None or rows[-1] >= inputs.shape[1]:  # grow into new arrays: the cache keeps its own
+            room = max(cache.room, cache.size + n, 2 * cache.size)
+            inputs, parent = np.empty((cfg.layers, room, cfg.d_model)), np.empty(room, dtype=np.int64)
+            if cache.size:
+                inputs[:, :cache.size] = cache.inputs[:, :cache.size]
+                parent[:cache.size] = cache.parent[:cache.size]
+        parent[rows] = ups  # rows past `cache.size` stay unseen until the call returns
+        passes = 0
+        order = np.lexsort((context, depth))  # by depth, then context, then request
+        for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
+            k = depth[level[0]]
+            for lo in range(0, len(level), _WAVE_ROWS):
+                sel = level[lo:lo + _WAVE_ROWS]
+                chain = np.empty((len(sel), k), dtype=np.int64)
+                up = ups[sel]
+                for j in range(k - 1, -1, -1):
+                    if (up < 0).any():
+                        raise ValueError("a parent row's chain is shorter than its prefix")
+                    chain[:, j] = up
+                    up = parent[up]
+                if (up >= 0).any():
+                    raise ValueError("a parent row's chain is longer than its prefix")
+                groups, counts = np.unique(context[sel], return_counts=True)
+                keep = np.empty((cfg.layers, len(sel), cfg.d_model))
+                out = self.decoder_all_logits([cache.contexts[c] for c in groups], ids[sel],
+                                              past=(depth[sel], None, inputs[:, chain]), keep=keep,
+                                              ctx_rows=counts)
+                inputs[:, rows[sel]] = keep
+                logits[sel] = out.data
+                passes += 1
+        cache.inputs, cache.parent = inputs, parent
+        cache.size += n
+        cache.passes += passes
+        return logits
 
     def sequence_nll(self, ctx: Tensor, target_ids,
                      params: dict[str, Tensor] | None = None) -> Tensor:

@@ -10,6 +10,9 @@ differ only in the model they update and the per-example loss. Each batch of
 `TrainConfig.batch_size` examples is one graph, one backward and one Adam
 step on the mean loss. Only one model's parameters change in any phase.
 
+The user-ID snapshot generates the profile IDs of every distinct history
+as one wave of searches (`allocator.generate_user_ids`).
+
 The generator phase runs all ID spans of an example (its history items and
 the user span) as one packed generator pass (`expected_id_rows`): one
 `encode` over the spans' sources back to back, one segment per span, with
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import corpus
-from .allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all, generate_user_id,
+from .allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all, generate_user_ids,
                         profile_source)
 from .autograd import Tensor, concat, stack_rows
 from .model import (AdamState, SequenceModel, apply_update, expected_embedding_rows, load_checkpoint,
@@ -192,13 +195,13 @@ def snapshot_user_ids(idgen: SequenceModel, examples: list[TrainExample],
                       item_text: dict[str, str], vocab: Vocabulary,
                       alloc_cfg: AllocatorConfig) -> dict[tuple[str, ...], TextualId]:
     """Profile IDs for every distinct example history, generated with the
-    current (frozen) generator. Part of the ID snapshot for the phase."""
-    cache: dict[tuple[str, ...], TextualId] = {}
-    for ex in examples:
-        if ex.history not in cache:
-            texts = [item_text[k] for k in ex.history]
-            cache[ex.history] = generate_user_id(idgen, texts, vocab, alloc_cfg)
-    return cache
+    current (frozen) generator as one wave (`generate_user_ids`). Part of
+    the ID snapshot for the phase."""
+    histories = list(dict.fromkeys(ex.history for ex in examples))
+    ids, passes = generate_user_ids(idgen, [[item_text[k] for k in history] for history in histories],
+                                    vocab, alloc_cfg)
+    log.info("user IDs for %d histories: 1 wave, %d decoder passes", len(histories), passes)
+    return dict(zip(histories, ids))
 
 
 def _sampling_bank(bank: tuple[Template, ...], cfg: TrainConfig) -> tuple[Template, ...]:

@@ -74,8 +74,11 @@ class ScriptedModel:
         """Next-token logits after one prefix; stubs override this hook."""
         return np.log(self._probs(prefix))
 
-    def prefix_logits(self, state, prefixes, memo=None) -> np.ndarray:
+    def prefix_logits(self, state, prefixes) -> np.ndarray:
         return np.array([self.logits(state, p) for p in prefixes]).reshape(-1, self.vocab_size)
+
+    def wave_logits(self, cache, requests) -> np.ndarray:
+        return np.array([self.logits(cache.contexts[c], p) for c, p, _ in requests]).reshape(-1, self.vocab_size)
 
     def param_hash(self) -> str:
         return "scripted"

@@ -8,7 +8,8 @@ from conftest import WORDS, ScriptedModel, make_vocab, tiny_model, vanilla_beam_
 from textidrec import allocator
 from textidrec.allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all,
                                  diverse_beam_search, generate_user_id)
-from textidrec.model import log_softmax_rows
+from textidrec import model as model_module
+from textidrec.model import SequenceTooLong, log_softmax_rows
 from textidrec.tokenizer import EOS_ID, PAD_ID, UNK_ID
 
 
@@ -259,7 +260,95 @@ def test_a_cache_ranked_narrower_than_the_search_needs_is_refused():
                                logprob_cache=wide, **kwargs) == narrow
 
 
-def test_allocation_equals_one_built_on_reference_dbs(monkeypatch):
+def reference_ladder(model, items, vocab, cfg, search=diverse_beam_search):
+    """`allocate_all` as a sequential ladder, the way it ran before waves:
+    each item climbs the rungs in order, and a rung is searched with `search`
+    when an item first reaches it for its text, unless the rung below, of
+    the same length range, was answered by a `penalty_free` search. Returns
+    the registry and the (text, rung) searched, in order."""
+    capacity = model.config.max_tgt_len - 1
+    rungs = []
+    for range_index, (lo, hi) in enumerate(cfg.length_ranges):
+        lam = cfg.lam_init
+        while lo <= min(hi - 1, capacity) and lam <= cfg.lam_max + 1e-12:
+            rungs.append((range_index, lo, min(hi - 1, capacity), lam))
+            lam += cfg.lam_step
+    ids, rows, taken, per_text, searched = {}, [], set(), {}, []
+    for position, (key, text) in enumerate(items):
+        if text not in per_text:
+            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
+        state, cache, by_rung = per_text[text]
+        for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
+            if rung not in by_rung:
+                below = by_rung.get(rung - 1)
+                if getattr(below, "penalty_free", False) and rungs[rung - 1][0] == range_index:
+                    by_rung[rung] = below
+                else:
+                    by_rung[rung] = search(model, None, vocab, groups=cfg.groups,
+                                           beams_per_group=cfg.beams_per_group, lam=lam, max_len=max_len,
+                                           min_len=lo, state=state, logprob_cache=cache)
+                    searched.append((text, rung))
+            accepted = next((c for c in by_rung[rung] if c.text not in taken), None)
+            if accepted is not None:
+                row = allocator.AllocationRow(key, lam, range_index)
+                break
+        else:
+            base, attempt = by_rung[len(rungs) - 1][0].tokens, 0
+            while True:
+                suffix = allocator._ordinal_tokens(position + attempt * len(items), vocab.size)
+                tokens = base[: capacity - len(suffix)] + suffix
+                if vocab.decode(tokens) not in taken:
+                    break
+                attempt += 1
+            accepted = TextualId(tokens=tokens, text=vocab.decode(tokens))
+            row = allocator.AllocationRow(key, cfg.lam_max, -1)
+        ids[key] = accepted
+        taken.add(accepted.text)
+        rows.append(row)
+    return IdRegistry(ids=ids, rows=tuple(rows)), searched
+
+
+def recorded_waves(monkeypatch, items):
+    """Make `allocate_all` record its waves: per wave, the (text, min_len,
+    lam, candidates) of each search, texts told apart by encoder state (the
+    first wave holds every distinct text, in order of first appearance)."""
+    waves, text_of = [], {}
+    texts = list(dict.fromkeys(text for _, text in items))
+    real = allocator._run_wave
+
+    def recording(model, searches, vocab):
+        found, passes = real(model, searches, vocab)
+        if not waves:
+            text_of.update((id(s.state), text) for s, text in zip(searches, texts))
+        waves.append([(text_of[id(s.state)], s.min_len, s.lam, c) for s, c in zip(searches, found)])
+        return found, passes
+
+    monkeypatch.setattr(allocator, "_run_wave", recording)
+    return waves
+
+
+def rungs_searched(waves, cfg, model) -> list[tuple[str, int]]:
+    """(text, rung) of each recorded search, in order."""
+    capacity = model.config.max_tgt_len - 1
+    rung_of, rung = {}, 0
+    for lo, hi in cfg.length_ranges:
+        lam = cfg.lam_init
+        while lo <= min(hi - 1, capacity) and lam <= cfg.lam_max + 1e-12:
+            rung_of[lo, lam] = rung
+            rung += 1
+            lam += cfg.lam_step
+    return [(text, rung_of[min_len, lam]) for wave in waves for text, min_len, lam, _ in wave]
+
+
+def assert_searches_follow_the_ladder(searched, ladder):
+    """The same (text, rung) searches as the sequential ladder, and each
+    text's in the same order."""
+    assert sorted(searched) == sorted(ladder)
+    for text in {t for t, _ in ladder}:
+        assert [r for t, r in searched if t == text] == [r for t, r in ladder if t == text]
+
+
+def test_allocation_equals_one_built_on_reference_dbs():
     vocab = make_vocab(WORDS[:5])
     model = tiny_model(vocab_size=vocab.size, seed=3)
     cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
@@ -267,8 +356,7 @@ def test_allocation_equals_one_built_on_reference_dbs(monkeypatch):
     items = [(f"k{i}", texts[i % 3]) for i in range(60)]
     registry = allocate_all(model, items, vocab, cfg)
     assert any(row.fallback for row in registry.rows)
-    monkeypatch.setattr(allocator, "diverse_beam_search", reference_dbs)
-    reference = allocate_all(model, items, vocab, cfg)
+    reference, _ = reference_ladder(model, items, vocab, cfg, search=reference_dbs)
     assert registry.ids == reference.ids and registry.rows == reference.rows
 
 
@@ -324,20 +412,6 @@ def test_a_penalty_free_search_equals_every_higher_penalty_on_exact_ties(groups,
     assert penalty_free_searches(model, vocab, model.encode([3]), groups, beams_per_group) > 0
 
 
-def counting(monkeypatch, search):
-    """Make `allocate_all` call `search` through a wrapper; returns the list of
-    each call's (state, min_len, result)."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        result = search(*args, **kwargs)
-        calls.append((kwargs["state"], kwargs["min_len"], result))
-        return result
-
-    monkeypatch.setattr(allocator, "diverse_beam_search", counted)
-    return calls
-
-
 def test_a_kept_penalized_token_makes_allocation_search_the_next_rung(monkeypatch):
     # at lam 1 group 1 still prefers the penalized "red" (log 0.8 - 1 > log 0.2);
     # at lam 2 it moves to "blue", and the groups end at different steps
@@ -357,15 +431,14 @@ def test_a_kept_penalized_token_makes_allocation_search_the_next_rung(monkeypatc
 
     cfg = AllocatorConfig(groups=2, beams_per_group=1, lam_max=4.0, length_ranges=((1, 3),))
     items = [("a", "red hat"), ("b", "red hat"), ("c", "red hat")]
-    calls = counting(monkeypatch, diverse_beam_search)
+    reference, ladder = reference_ladder(model, items, vocab, cfg, search=reference_dbs)
+    waves = recorded_waves(monkeypatch, items)
     registry = allocate_all(model, items, vocab, cfg)
     # lam 1 kept a penalized token, lam 2 did not: lam 3 and 4 take lam 2's candidates
-    assert [call[2] for call in calls] == [at_1, at_2]
+    assert [c for wave in waves for *_, c in wave] == [at_1, at_2]
     assert [registry.ids[k].text for k, _ in items[:2]] == ["red hat", "blue"]
     assert registry.rows[1].lam == 2.0 and registry.rows[2].fallback
-    calls = counting(monkeypatch, reference_dbs)
-    reference = allocate_all(model, items, vocab, cfg)
-    assert len(calls) == 4
+    assert len(ladder) == 4
     assert registry.ids == reference.ids and registry.rows == reference.rows
 
 
@@ -375,11 +448,13 @@ def test_duplicated_texts_search_each_length_range_reached_once(monkeypatch, cap
     cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
     texts = [f"{WORDS[i]} {WORDS[i + 1]}" for i in range(3)]
     items = [(f"k{i}", texts[i % 3]) for i in range(30)]
-    calls = counting(monkeypatch, diverse_beam_search)
+    reference, ladder = reference_ladder(model, items, vocab, cfg, search=reference_dbs)
+    waves = recorded_waves(monkeypatch, items)
     with caplog.at_level("INFO", logger="textidrec.allocator"):
         registry = allocate_all(model, items, vocab, cfg)
-    assert all(result.penalty_free for _, _, result in calls)
-    searched = [(id(state), min_len) for state, min_len, _ in calls]
+    calls = [search for wave in waves for search in wave]
+    assert all(result.penalty_free for *_, result in calls)
+    searched = [(text, min_len) for text, min_len, _, _ in calls]
     assert len(searched) == len(set(searched))
     # a text reached every range up to the highest one any of its items used;
     # a fallback item used them all
@@ -390,12 +465,137 @@ def test_duplicated_texts_search_each_length_range_reached_once(monkeypatch, cap
     assert len(calls) == sum(top + 1 for top in reached.values())
     assert reached[texts[0]] == last  # the ladder was climbed
 
-    ladder = counting(monkeypatch, reference_dbs)
-    reference = allocate_all(model, items, vocab, cfg)
     assert registry.ids == reference.ids and registry.rows == reference.rows
     assert len(ladder) > len(calls)
     assert (f"{len(calls)} searches, {len(ladder) - len(calls)} rungs answered by a "
             f"penalty-free search") in caplog.text
+
+
+def test_allocation_runs_the_searches_of_the_sequential_ladder(monkeypatch, caplog):
+    # four texts of eight items each over three length ranges: the first
+    # wave holds every text's first rung, and a later range's wave holds
+    # every text the pigeonhole rule says will need it
+    vocab = make_vocab(WORDS[:6])
+    model = tiny_model(vocab_size=vocab.size, seed=3)
+    cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=2.0,
+                          length_ranges=((1, 3), (3, 5), (5, 7)))
+    texts = [f"{WORDS[i]} {WORDS[i + 1]}" for i in range(4)]
+    items = [(f"k{i}", texts[i % 4]) for i in range(32)]
+    reference, ladder = reference_ladder(model, items, vocab, cfg)
+    waves = recorded_waves(monkeypatch, items)
+    with caplog.at_level("INFO", logger="textidrec.allocator"):
+        registry = allocate_all(model, items, vocab, cfg)
+    assert registry.ids == reference.ids and registry.rows == reference.rows
+    assert_searches_follow_the_ladder(rungs_searched(waves, cfg, model), ladder)
+    assert [text for text, *_ in waves[0]] == texts
+    assert any(len(wave) > 1 for wave in waves[1:])
+    sizes = "/".join(str(len(wave)) for wave in waves if len(wave) > 1 or wave is waves[0])
+    assert f"waves of {sizes} searches" in caplog.text
+
+
+def test_allocation_follows_the_ladder_when_the_first_rung_keeps_a_penalty(monkeypatch):
+    # every text's first rung keeps a penalized token, so its second rung is
+    # searched on demand, one text at a time, as the ladder does
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red, blue, hat = token(vocab, "red"), token(vocab, "blue"), token(vocab, "hat")
+    model = ScriptedModel(vocab.size, {
+        (): {red: 0.8, blue: 0.2},
+        (red,): {hat: 1.0},
+        (red, hat): {EOS_ID: 1.0},
+        (blue,): {EOS_ID: 1.0},
+    })
+    cfg = AllocatorConfig(groups=2, beams_per_group=1, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
+    items = [(f"k{i}{text}", text) for i in range(3) for text in ("red hat", "blue shoe", "hat")]
+    reference, ladder = reference_ladder(model, items, vocab, cfg)
+    waves = recorded_waves(monkeypatch, items)
+    registry = allocate_all(model, items, vocab, cfg)
+    assert not any(c.penalty_free for *_, c in waves[0])
+    assert registry.ids == reference.ids and registry.rows == reference.rows
+    assert_searches_follow_the_ladder(rungs_searched(waves, cfg, model), ladder)
+
+
+def run_wave(model, vocab, states, caches=None, **kwargs):
+    """One `_run_wave` over a search per encoder state; returns the
+    candidates and the decoder passes."""
+    caches = caches or [None] * len(states)
+    return allocator._run_wave(model, [allocator._Search(state, cache, vocab_size=model.config.vocab_size,
+                                                         **kwargs)
+                                       for state, cache in zip(states, caches)], vocab)
+
+
+def assert_wave_equals_separate_searches(model, vocab, states, **kwargs):
+    found, _ = run_wave(model, vocab, states, **kwargs)
+    for state, candidates in zip(states, found):
+        alone = diverse_beam_search(model, None, vocab, state=state, **kwargs)
+        assert candidates == alone and candidates.penalty_free == alone.penalty_free, kwargs
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_a_wave_equals_separate_searches(layers):
+    # sources of different lengths, one of them empty
+    rng = np.random.default_rng(layers)
+    for _ in range(2):
+        vocab_size = int(rng.integers(8, 14))
+        vocab = make_vocab(WORDS[: vocab_size - 3])
+        model = tiny_model(vocab_size=vocab_size, seed=int(rng.integers(10_000)), layers=layers,
+                           d_model=8, heads=2, ff_dim=8, max_tgt_len=7)
+        states = [model.encode(list(rng.integers(3, vocab_size, size=n))) for n in (4, 1, 0, 7, 2)]
+        for groups, beams_per_group in ((1, 2), (3, 2), (4, 1)):
+            for lam, min_len in ((0.5, 1), (3.0, 3)):
+                assert_wave_equals_separate_searches(model, vocab, states, groups=groups,
+                                                     beams_per_group=beams_per_group, lam=lam,
+                                                     max_len=5, min_len=min_len)
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_a_wave_equals_separate_searches_on_exact_ties(groups):
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red, blue = token(vocab, "red"), token(vocab, "blue")
+
+    class PerSourceTies(ScriptedModel):
+        """The exact-ties table, read backwards after the source's first token."""
+
+        def logits(self, state, prefix):
+            return super().logits(state, prefix[::-1] if prefix[:1] == state.src[:1] else prefix)
+
+    model = PerSourceTies(vocab.size, {
+        (): {red: 0.3, blue: 0.3, EOS_ID: 0.3},
+        (red,): {EOS_ID: 0.5, blue: 0.5},
+        (blue, red): {EOS_ID: 1.0},
+    })
+    states = [model.encode(src) for src in ([red], [blue], [3], [])]
+    for lam, min_len in ((0.0, 1), (1.0, 2), (5.0, 1)):
+        assert_wave_equals_separate_searches(model, vocab, states, groups=groups, beams_per_group=2,
+                                             lam=lam, max_len=4, min_len=min_len)
+
+
+def test_the_row_bound_changes_the_passes_not_the_results(monkeypatch):
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=7, layers=2)
+    states = [model.encode(src) for src in ([3, 4], [5], [6, 7, 8, 9], [])]
+    kwargs = dict(groups=3, beams_per_group=2, lam=1.0, max_len=6, min_len=2)
+    found, passes = run_wave(model, vocab, states, **kwargs)
+    for bound in (1, 7):
+        monkeypatch.setattr(model_module, "_WAVE_ROWS", bound)
+        again, more = run_wave(model, vocab, states, **kwargs)
+        assert again == found and [c.penalty_free for c in again] == [c.penalty_free for c in found]
+        assert more > passes
+
+
+def test_a_wave_that_raises_leaves_every_logprob_cache_as_it_was():
+    vocab = make_vocab(WORDS[:8])
+    model = tiny_model(vocab_size=vocab.size, seed=2, max_tgt_len=5)
+    states = [model.encode(src) for src in ([3, 4], [5, 6, 7])]
+    kwargs = dict(groups=2, beams_per_group=2, lam=1.0)
+    caches = [{}, {}]
+    run_wave(model, vocab, states, caches, max_len=3, min_len=1, **kwargs)
+    before = [dict(cache) for cache in caches]
+    assert all(before)
+    # EOS banned to the end: the beams reach the decoder's capacity
+    with pytest.raises(SequenceTooLong):
+        run_wave(model, vocab, states, caches, max_len=7, min_len=7, **kwargs)
+    for cache, kept in zip(caches, before):
+        assert list(cache) == list(kept) and all(cache[p] is kept[p] for p in kept)
 
 
 def test_single_group_equals_vanilla_beam_search():

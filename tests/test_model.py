@@ -175,10 +175,11 @@ def test_chain_layout_is_the_tree_layout_of_a_chain(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 24])
 def test_roots_mask_is_the_tree_layout_mask_of_roots(n):
+    # a pass of roots only: each row sees itself alone
     roots = np.full(n, -1)
     want_mask = loop_tree_layout(roots)[1]
-    assert np.array_equal(model_module._roots_mask(n), want_mask)
     assert np.array_equal(model_module._tree_layout(roots)[1], want_mask)
+    assert np.array_equal(want_mask, np.where(np.eye(n, dtype=bool), 0.0, -1e30))
 
 
 @pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 0, 3, 1], [-1, 2, 1, 2]])
@@ -235,6 +236,38 @@ def test_batched_attention_matches_per_head_loop(heads, kind):
             assert batched_grads[name] is None, name
         else:
             assert np.max(np.abs(batched_grads[name] - grad)) < 1e-12, name
+
+
+@pytest.mark.parametrize("trainable", ["all", "inputs", "none"])
+def test_attention_over_leading_axes_equals_one_call_per_entry(trainable):
+    # each batch entry attends only to its own keys, under its own mask; the
+    # weights' gradients sum over the entries
+    rng = np.random.default_rng(len(trainable))
+    d, heads = 8, 2
+    arrays = {f"att_w{x}": rng.normal(size=(d, d)) for x in "qkvo"}
+    arrays["q_in"] = rng.normal(size=(3, 2, d))
+    arrays["kv_in"] = rng.normal(size=(3, 5, d))
+    mask = np.where(np.arange(5) < np.array([5, 3, 1])[:, None], 0.0, -1e30)[:, None, None, :]
+    upstream = rng.normal(size=(3, 2, d))
+
+    def attend(arrays, mask, upstream):
+        pt = {name: Tensor(arr, requires_grad=TRAINABLE[trainable](name)) for name, arr in arrays.items()}
+        out = model_module._attention(pt, "att", pt["q_in"], pt["kv_in"], heads, mask=mask)
+        if out.requires_grad:
+            (out * upstream).sum().backward()
+        return out.data, {name: t.grad for name, t in pt.items()}
+
+    out, grads = attend(arrays, mask, upstream)
+    entries = [attend(dict(arrays, q_in=arrays["q_in"][b], kv_in=arrays["kv_in"][b]), mask[b, 0], upstream[b])
+               for b in range(3)]
+    assert np.max(np.abs(out - np.stack([entry_out for entry_out, _ in entries]))) < 1e-12
+    for name, grad in grads.items():
+        parts = [entry_grads[name] for _, entry_grads in entries]
+        if grad is None:
+            assert all(part is None for part in parts), name
+        else:
+            want = np.stack(parts) if name in ("q_in", "kv_in") else sum(parts)
+            assert np.max(np.abs(grad - want)) < 1e-12, name
 
 
 def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None):
@@ -437,71 +470,132 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     assert_rows_match_per_prefix(model, state, prefixes)
 
 
-def grow_through_memo(model, ctx, rng: random.Random, steps: int = 5):
-    """Scores prefix trees grown step by step through one memo. Each call
-    extends some earlier prefixes and repeats one, holds a duplicate, and
-    adds a prefix given without its ancestors; every row must equal the
-    memo-less and the per-prefix causal rows. Returns the memo."""
-    memo: dict = {}
-    asked = [()]
+def cache_requests(cache, rows: dict, asked) -> list[tuple]:
+    """`wave_logits` requests for the (context, prefix) pairs in `asked`, in
+    order, each preceded by its ancestors that `rows` lacks; `rows` maps
+    (context, prefix) to its cache row and is updated (a prefix asked again
+    gets a new row)."""
+    requests = []
+    for c, prefix in asked:
+        for k in range(len(prefix) + 1):
+            if k == len(prefix) or (c, prefix[:k]) not in rows:
+                up = rows[c, prefix[:k - 1]] if k else -1
+                rows[c, prefix[:k]] = cache.size + len(requests)
+                requests.append((c, prefix[:k], up))
+    return requests
+
+
+def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
+    """Scores prefix trees grown step by step against several contexts
+    through one decode cache. Each call extends some earlier prefixes of
+    each context and repeats one, holds a duplicate, and adds a prefix
+    given without its ancestors (which the call decodes first); every row
+    must equal the memo-less and the per-prefix causal rows. Returns the
+    cache and each (context, prefix)'s latest row."""
+    cache = model_module.DecodeCache(contexts)
+    rows: dict = {}
+    asked = {c: [()] for c in range(len(contexts))}
     vocab_size = model.config.vocab_size
     for _ in range(steps):
-        prefixes = [p + (rng.randrange(vocab_size),) for p in rng.sample(asked, min(3, len(asked)))]
-        prefixes += [rng.choice(asked), prefixes[0]]
-        prefixes.append(tuple(rng.randrange(vocab_size) for _ in range(rng.randint(2, 4))))
-        rows = model.prefix_logits(ctx, prefixes, memo)
-        assert np.max(np.abs(rows - model.prefix_logits(ctx, prefixes))) < 1e-12
-        assert_rows_match_per_prefix(model, ctx, prefixes, rows)
-        assert all(p[:k] in memo for p in prefixes for k in range(len(p) + 1))
-        asked += prefixes
-    return memo
+        wanted = []
+        for c, seen in asked.items():
+            prefixes = [p + (rng.randrange(vocab_size),) for p in rng.sample(seen, min(3, len(seen)))]
+            prefixes += [rng.choice(seen), prefixes[0]]
+            prefixes.append(tuple(rng.randrange(vocab_size) for _ in range(rng.randint(2, 4))))
+            seen += prefixes
+            wanted += [(c, p) for p in prefixes]
+        before = cache.size
+        requests = cache_requests(cache, rows, wanted)
+        logits = model.wave_logits(cache, requests)
+        assert cache.size == before + len(requests) and logits.shape == (len(requests), vocab_size)
+        for (c, prefix, _), row in zip(requests, logits):
+            ctx = contexts[c]
+            assert np.max(np.abs(row - model.prefix_logits(ctx, [prefix])[0])) < 1e-12
+            assert_rows_match_per_prefix(model, ctx, [prefix], row[None])
+    return cache, rows
 
 
 @pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
 @pytest.mark.parametrize("source", [[3, 4, 5, 6], []])
 def test_memo_rows_match_memo_less_and_per_prefix_decoding(layers, heads, source):
+    # the decode cache that replaced the per-search memo: one context here
     model = tiny_model(vocab_size=11, seed=layers + heads, layers=layers, heads=heads)
-    memo = grow_through_memo(model, model.encode(source), random.Random(10 * layers + heads))
-    assert all(h.shape == (layers, 1, 16) for h, _ in memo.values())
-    assert memo[()][1] is None and all(memo[p][1] is memo[p[:-1]] for p in memo if p)
+    cache, rows = grow_through_cache(model, [model.encode(source)], random.Random(10 * layers + heads))
+    assert cache.inputs.shape[0] == layers and cache.inputs.shape[2] == 16
+    for (_, prefix), row in rows.items():  # each row's parent chain is as long as its prefix
+        for _ in prefix:
+            row = cache.parent[row]
+            assert row >= 0
+        assert cache.parent[row] == -1
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("sources", [[[3, 4, 5, 6]], [[3, 4, 5, 6], [7]],
+                                     [[9, 2], [], [5, 5, 5, 5, 5, 6]],
+                                     [[3], [4, 4, 8, 9, 10], [], [6, 7]]])
+def test_wave_rows_match_memo_less_decoding_over_several_contexts(layers, sources):
+    # rows of contexts of different lengths, an empty one among them, share
+    # passes; each row reads only its own context and its own ancestors
+    model = tiny_model(vocab_size=11, seed=layers, layers=layers, heads=2)
+    contexts = [model.encode(src) for src in sources]
+    grow_through_cache(model, contexts, random.Random(len(sources) + 10 * layers))
 
 
 def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
-    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 4)
+    # a wave pass holds at most `_WAVE_ROWS` rows of one depth
+    monkeypatch.setattr(model_module, "_WAVE_ROWS", 4)
     model = tiny_model(vocab_size=11, seed=5, layers=2)
-    ctx = model.encode([3, 4])
-    prefixes = random_prefix_tree(random.Random(2), 11, 15, 6)
-    memo: dict = {}
-    model.prefix_logits(ctx, prefixes[:3], memo)
-    blocks = len(decoder_calls)
-    decoder_calls.clear()
-    rows = model.prefix_logits(ctx, prefixes, memo)
-    # later passes attend to rows that earlier passes of the same call stored;
-    # every prefix is asked for, so each is decoded once, and the ones the
-    # memo already held are not stored again
-    assert len(decoder_calls) > 2 and max(decoder_calls) <= 4
-    assert sum(decoder_calls) == len(prefixes) == len(memo)
-    # one block per pass, shared by the rows it stored
-    per_block = Counter(id(h.base) for h, _ in memo.values())
-    assert len(per_block) <= blocks + len(decoder_calls) and max(per_block.values()) <= 4
-    assert len(per_block) < len(memo)
-    assert np.max(np.abs(rows - model.prefix_logits(ctx, prefixes))) < 1e-12
-    assert_rows_match_per_prefix(model, ctx, prefixes, rows)
+    contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
+    cache, rows = model_module.DecodeCache(contexts), {}
+    asked = [(c, p) for c in (0, 1) for p in random_prefix_tree(random.Random(2 + c), 11, 8, 5)]
+    requests = cache_requests(cache, rows, asked)
+    logits = model.wave_logits(cache, requests)
+    depths = Counter(len(p) for _, p, _ in requests)
+    assert decoder_calls == [min(4, n - lo) for _, n in sorted(depths.items()) for lo in range(0, n, 4)]
+    assert cache.passes == len(decoder_calls) > len(depths) and cache.size == len(requests)
+    for (c, prefix, _), row in zip(requests, logits):
+        assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
 
 
 def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
-    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 2)
+    monkeypatch.setattr(model_module, "_WAVE_ROWS", 2)
     model = tiny_model(vocab_size=12, max_tgt_len=4)
-    ctx = model.encode([3])
-    memo: dict = {}
-    model.prefix_logits(ctx, [(6,)], memo)
-    before = dict(memo)
+    contexts = [model.encode([3]), model.encode([4, 5])]
+    cache, rows = model_module.DecodeCache(contexts), {}
+    model.wave_logits(cache, cache_requests(cache, rows, [(0, (6,)), (1, (6, 7))]))
+    size, passes, inputs, parent = cache.size, cache.passes, cache.inputs, cache.parent
+    stored = inputs[:, :size].copy(), parent[:size].copy()
+
+    def unchanged():
+        assert (cache.size, cache.passes) == (size, passes)
+        assert cache.inputs is inputs and cache.parent is parent
+        assert np.array_equal(inputs[:, :size], stored[0]) and np.array_equal(parent[:size], stored[1])
+
     decoder_calls.clear()
-    # passes of (5,) (5, 5), then (5, 5, 5) (5, 5, 5, 5): the second one is too long
-    with pytest.raises(SequenceTooLong):
-        model.prefix_logits(ctx, [(5, 5, 5, 5), (7,)], memo)
-    assert decoder_calls == [2]
-    assert list(memo) == list(before) and all(memo[p] is before[p] for p in before)
+    with pytest.raises(SequenceTooLong):  # checked before any pass
+        model.wave_logits(cache, [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 1, 2), -1)])
+    assert decoder_calls == []
+    unchanged()
+    with pytest.raises(ValueError, match="chain"):  # a parent of the wrong depth
+        model.wave_logits(cache, [(0, (6, 1, 2), rows[0, (6,)])])
+    unchanged()
+    # a pass that raises after the first one has stored its rows
+    original = SequenceModel.decoder_all_logits
+
+    def second_pass_fails(self, *args, **kwargs):
+        if decoder_calls:
+            raise RuntimeError("pass failed")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SequenceModel, "decoder_all_logits", second_pass_fails)
+    requests = [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 2), rows[1, (6, 7)]), (1, (8,), rows[1, ()])]
+    with pytest.raises(RuntimeError):
+        model.wave_logits(cache, requests)
+    assert decoder_calls == [1]
+    unchanged()
+    monkeypatch.setattr(SequenceModel, "decoder_all_logits", original)
+    for (c, prefix, _), row in zip(requests, model.wave_logits(cache, requests)):
+        assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
 
 
 # -- the head slot: memo-less calls reuse the user-independent head -------------
@@ -641,16 +735,17 @@ def test_head_slot_with_no_prefixes():
 
 
 def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
+    # wave calls, which replaced the memo calls, leave the slot alone
     model, prefixes = slot_model_and_tree()
     ctx = model.encode([3, 4])
     rows = model.prefix_logits(ctx, prefixes)
     slot = model._head_slot
-    assert np.array_equal(model.prefix_logits(ctx, prefixes, {}), rows)
-    assert np.max(np.abs(model.prefix_logits(ctx, prefixes[:4], {}) - rows[:4])) < 1e-12
+    for twin in (model, tiny_model(vocab_size=11, seed=6, layers=2)):
+        cache, at = model_module.DecodeCache([ctx]), {}
+        wave = twin.wave_logits(cache, cache_requests(cache, at, [(0, p) for p in prefixes]))
+        assert np.max(np.abs(wave[[at[0, p] for p in prefixes]] - rows)) < 1e-12
     assert model._head_slot is slot
-    fresh = tiny_model(vocab_size=11, seed=6, layers=2)
-    fresh.prefix_logits(ctx, prefixes, {})
-    assert fresh._head_slot is None
+    assert twin._head_slot is None
 
 
 def test_prefix_logits_capacity():

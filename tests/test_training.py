@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from textidrec import allocator, corpus, evaluation, synth, training
+from textidrec import corpus, evaluation, synth, training
 from textidrec import model as model_module
-from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id, profile_source
+from textidrec.allocator import (AllocatorConfig, allocate_all, generate_user_id, generate_user_ids,
+                                 profile_source)
 from textidrec.autograd import Tensor, stack_rows
 from textidrec.corpus import Dataset, InteractionLog, ItemRecord
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong, apply_update,
@@ -428,6 +429,27 @@ def test_snapshot_user_ids_cached_per_history():
     assert set(snap) == {ex.history for ex in examples}
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_snapshot_user_ids_equal_per_history_generate_user_id(perturbed, caplog):
+    # one wave over every distinct history gives each history the ID a search
+    # of its own gives it, on a fresh and on a perturbed generator
+    split, vocab, bank = toy_world()
+    bundle = fresh_bundle(split, vocab)
+    if perturbed:
+        rng = np.random.default_rng(5)
+        for array in bundle.idgen.params.values():
+            array += rng.normal(scale=0.05, size=array.shape)
+    examples = build_train_examples(split)
+    item_text = dict(corpus.item_texts(split.items))
+    cfg = AllocatorConfig(groups=4, beams_per_group=3)
+    with caplog.at_level("INFO", logger="textidrec.training"):
+        snap = snapshot_user_ids(bundle.idgen, examples, item_text, vocab, cfg)
+    assert list(snap) == list(dict.fromkeys(ex.history for ex in examples))
+    for history, uid in snap.items():
+        assert uid == generate_user_id(bundle.idgen, [item_text[k] for k in history], vocab, cfg)
+    assert f"user IDs for {len(snap)} histories: 1 wave" in caplog.text
+
+
 def test_alternate_train_saves_iteration_bundles(tmp_path):
     split, vocab, bank = toy_world()
     rec, idgen = tiny_pair(vocab)
@@ -451,17 +473,17 @@ def test_alternate_train_snapshots_user_ids_once_per_generator(monkeypatch):
     split, vocab, bank = toy_world()
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].param_hash())
-        return generate_user_id(*args, **kwargs)
+    def counted(model, histories, *args, **kwargs):  # one wave per snapshot
+        calls.append((model.param_hash(), len(histories)))
+        return generate_user_ids(model, histories, *args, **kwargs)
 
-    monkeypatch.setattr(training, "generate_user_id", counted)
+    monkeypatch.setattr(training, "generate_user_ids", counted)
     cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1)
     alternate_train(split, vocab, *tiny_pair(vocab), cfg, AllocatorConfig(groups=4), bank)
     histories = len({ex.history for ex in build_train_examples(split)})
     # the warm-start generator, then one refresh after each generator phase
-    assert len(calls) == 3 * histories
-    assert len(set(calls)) == 3
+    assert [n for _, n in calls] == [histories] * 3
+    assert len({h for h, _ in calls}) == 3
 
 
 def test_validation_eval_uses_training_allocator_config(monkeypatch):
@@ -514,7 +536,11 @@ def test_alternate_train_without_user_ids_generates_none(monkeypatch):
         calls.append(args)
         return generate_user_id(*args, **kwargs)
 
-    monkeypatch.setattr(training, "generate_user_id", counted)
+    def counted_wave(*args, **kwargs):
+        calls.append(args)
+        return generate_user_ids(*args, **kwargs)
+
+    monkeypatch.setattr(training, "generate_user_ids", counted_wave)
     monkeypatch.setattr(evaluation, "generate_user_id", counted)
     cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1,
                       use_user_id=False)
@@ -527,11 +553,11 @@ def test_user_span_source_is_the_one_its_snapshot_id_came_from(monkeypatch):
     bundle = fresh_bundle(split, vocab)
     generated, trained = set(), set()
 
-    def recording_dbs(model, src_ids, *args, **kwargs):
-        results = real_dbs(model, src_ids, *args, **kwargs)
-        if src_ids is not None:  # generate_user_id; allocate_all passes an encoder state
-            generated.add((tuple(src_ids), results[0].tokens))
-        return results
+    def recording_wave(model, histories, vocab, config):
+        ids, passes = generate_user_ids(model, histories, vocab, config)
+        generated.update((tuple(profile_source(texts, vocab, model.config.max_src_len)), uid.tokens)
+                         for texts, uid in zip(histories, ids))
+        return ids, passes
 
     def recording_loss(idgen, rec, prompt, span_sources, *args):
         trained.update((tuple(src), tuple(anchor))
@@ -539,8 +565,7 @@ def test_user_span_source_is_the_one_its_snapshot_id_came_from(monkeypatch):
                        if span.role == "user")
         return idgen_example_loss(idgen, rec, prompt, span_sources, *args)
 
-    real_dbs = allocator.diverse_beam_search
-    monkeypatch.setattr(allocator, "diverse_beam_search", recording_dbs)
+    monkeypatch.setattr(training, "generate_user_ids", recording_wave)
     monkeypatch.setattr(training, "idgen_example_loss", recording_loss)
     train_idgen_phase(bundle, split, TrainConfig(seed=1), vocab, bank,
                       AllocatorConfig(groups=4), random.Random(3))
