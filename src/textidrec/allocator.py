@@ -25,14 +25,17 @@ always holds enough unpenalized tokens.
 
 Searches run as waves. A wave is a list of searches, each against its own
 encoder state and logprob cache, run in lanes: consecutive searches whose
-steps hold at most `_LANE_ROWS` rows advance in lockstep through one
+decode state fits in `_LANE_BYTES` advance in lockstep through one
 `DecodeCache` (see `model.py`), and each step decodes the new prefixes of
 the whole lane in one `wave_logits` call, in passes of at most
-`_WAVE_ROWS` rows. A prefix the logprob cache already ranked is not
-decoded; when a descendant needs it, it is decoded then, before the
-descendant. The lane bound keeps a lane's decode state small next to the
-logprob caches, where one lane over a whole wave would hold every row of
-every search of the wave at once. `diverse_beam_search` is a wave of one
+`_WAVE_ROWS` rows, ranking each pass's rows as its logits return. A prefix
+the logprob cache already ranked is not decoded; when a descendant needs
+it, it is decoded then, before the descendant, and its logits are not
+wanted (a one-layer model gives it no pass). A cache row holds no float
+of layer 0 (its input is kept once per (token, depth)), so a one-layer
+generator's wave of a few thousand searches is one lane; the bound keeps
+a deeper model's lane, whose rows hold the inputs of every later layer,
+small next to the logprob caches. `diverse_beam_search` is a wave of one
 search, so there is one search loop.
 
 `allocate_all` forms waves only of searches it will certainly run, so each
@@ -76,14 +79,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _WAVE_ROWS, DecodeCache, log_softmax_rows
+from .model import DecodeCache, log_softmax_rows
 from .tokenizer import EOS_ID, PAD_ID, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
 
-# Rows per step of one lockstep lane of a wave: a few `_WAVE_ROWS` decoder
-# passes, while the lane's `DecodeCache` stays small next to the logprob caches.
-_LANE_ROWS = 2 * _WAVE_ROWS
+# Bytes of per-row decode state one lockstep lane of a wave may hold (its
+# searches' rows times `DecodeCache.row_bytes`): about what a lane of 12
+# default searches of a two-layer generator held when rows kept layer 0 too.
+_LANE_BYTES = 4 << 20
 
 
 class IdSpaceExhausted(RuntimeError):
@@ -290,6 +294,11 @@ class _Search:
     def live(self) -> bool:
         return self.t < self.max_len and any(self.beams)
 
+    def room(self) -> int:
+        """The rows the search decodes at most: one per beam and step, and
+        the empty prefix."""
+        return 1 + len(self.beams) * self.beams_per_group * (self.max_len - 1)
+
     def missing(self) -> dict[tuple[int, ...], tuple[int, int] | None]:
         """The live prefixes the logprob cache lacks, with their anchors."""
         anchors = {seq: anchor for group in self.beams for seq, _, anchor in group}
@@ -364,22 +373,21 @@ class _Search:
         return results
 
 
-def _run_lane(model, lane: list[_Search]) -> int:
+def _run_lane(model, lane: list[_Search]) -> DecodeCache:
     """Run the searches of `lane` in lockstep to their ends, each against its
-    own context in one `DecodeCache`: a step decodes the new prefixes of
-    every live search (with any ancestors a prefix needs that the cache
-    lacks) in one `wave_logits` call and ranks them, in blocks of at most
-    `_WAVE_ROWS` rows, into the searches' logprob caches. Returns the
-    decoder passes it ran."""
-    # a search decodes at most one row per beam and step, and the empty prefix
-    state = DecodeCache([s.state for s in lane],
-                        room=sum(1 + len(s.beams) * s.beams_per_group * (s.max_len - 1) for s in lane))
+    own context in one `DecodeCache`, and return the cache: a step decodes
+    the new prefixes of every live search (with any ancestors a prefix needs
+    that the cache lacks, whose logits are not wanted) in one `wave_logits`
+    call, ranking each pass's rows into the searches' logprob caches as its
+    logits return."""
+    state = DecodeCache([s.state for s in lane], room=sum(s.room() for s in lane))
     width = max(s.width for s in lane)
     while True:
         live = [(i, s) for i, s in enumerate(lane) if s.live()]
         if not live:
-            return state.passes
-        requests, wanted, rows = [], [], []  # wanted: (search, prefix, request) to rank
+            return state
+        requests, rows = [], []
+        wanted: dict[int, tuple[_Search, tuple[int, ...]]] = {}  # request -> (search, prefix) to rank
         for i, s in live:
             got: dict[tuple[int, ...], int] = {}  # prefix -> its row, for this step
             rows.append(got)
@@ -397,36 +405,55 @@ def _run_lane(model, lane: list[_Search]) -> int:
                         if length < len(seq):
                             s.ancestors[prefix] = got[prefix]
                     up = got[prefix]
-                wanted.append((s, seq, up - state.size))
+                wanted[up - state.size] = (s, seq)
         if requests:
-            logits = model.wave_logits(state, requests)
-            for lo in range(0, len(wanted), _WAVE_ROWS):
-                chunk = wanted[lo:lo + _WAVE_ROWS]
-                block = _ranked(logits[[at for _, _, at in chunk]], width)
-                for row, (s, seq, _) in enumerate(chunk):
+            to_rank = np.zeros(len(requests), dtype=bool)
+            to_rank[list(wanted)] = True
+
+            def rank(indices: np.ndarray, logits: np.ndarray) -> None:
+                block = _ranked(logits, width)
+                for row, at in enumerate(indices.tolist()):
+                    s, seq = wanted[at]
                     s.cache[seq] = (block, row)
+
+            model.wave_logits(state, requests, rank, to_rank)
         for (_, s), got in zip(live, rows):
             s.step(got)
 
 
-def _run_wave(model, searches: list[_Search], vocab: Vocabulary) -> tuple[list[Candidates], int]:
+@dataclass(frozen=True)
+class WaveStats:
+    """What a wave ran: its lanes, decoder passes and layer-0 table entries
+    (summed over its lanes)."""
+
+    lanes: int
+    passes: int
+    entries: int
+
+
+def _run_wave(model, searches: list[_Search], vocab: Vocabulary) -> tuple[list[Candidates], WaveStats]:
     """Run `searches`, whose logprob caches are distinct dicts, as one wave:
-    in lanes of consecutive searches whose steps hold at most `_LANE_ROWS`
-    rows, each lane in lockstep (`_run_lane`). Returns each search's
-    candidates and the decoder passes the wave ran. A wave that raises
-    leaves every logprob cache as it was: it only adds entries, and a dict
-    keeps them in insertion order."""
+    in lanes of consecutive searches whose rows (`_Search.room`) hold at
+    most `_LANE_BYTES` of decode state (a search too large for it is a lane
+    of its own), each lane in lockstep (`_run_lane`). Returns each search's
+    candidates and what the wave ran. A wave that raises leaves every
+    logprob cache as it was: it only adds entries, and a dict keeps them in
+    insertion order."""
     sizes = {id(s.cache): len(s.cache) for s in searches}
     if len(sizes) < len(searches):
         raise ValueError("the searches of one wave need distinct logprob caches")
-    passes, lo = 0, 0
+    limit = _LANE_BYTES // DecodeCache.row_bytes(model.config)
+    lanes = passes = entries = lo = 0
     try:
         while lo < len(searches):
-            rows = len(searches[lo].beams) * searches[lo].beams_per_group  # rows per step at most
-            lane = searches[lo:lo + max(1, _LANE_ROWS // rows)]
-            passes += _run_lane(model, lane)
-            lo += len(lane)
-        return [s.result(vocab) for s in searches], passes
+            hi, rows = lo + 1, searches[lo].room()
+            while hi < len(searches) and rows + searches[hi].room() <= limit:
+                rows += searches[hi].room()
+                hi += 1
+            state = _run_lane(model, searches[lo:hi])
+            lanes, passes, entries = lanes + 1, passes + state.passes, entries + len(state.entry_of)
+            lo = hi
+        return [s.result(vocab) for s in searches], WaveStats(lanes, passes, entries)
     except BaseException:
         for s in searches:
             for prefix in list(s.cache)[sizes[id(s.cache)]:]:
@@ -513,22 +540,22 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         if text not in per_text:
             per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
     left = Counter(text for _, text in items)  # items not yet processed, per text
-    waves: list[int] = []  # searches per wave
+    waves: list[tuple[int, WaveStats]] = []  # (searches, what it ran) per wave
     on_demand = answered = 0  # searches run alone; rungs answered by a penalty-free search
 
-    def search(texts: list[str], rung: int) -> None:
+    def search(texts: list[str], rung: int) -> WaveStats:
         """Run `rung` for each of `texts` as one wave."""
         _, lo, max_len, lam = rungs[rung]
-        found, _ = _run_wave(model, [
+        found, stats = _run_wave(model, [
             _Search(per_text[text][0], per_text[text][1], groups=config.groups,
                     beams_per_group=config.beams_per_group, lam=lam, max_len=max_len, min_len=lo,
                     vocab_size=model.config.vocab_size)
             for text in texts], vocab)
         for text, candidates in zip(texts, found):
             per_text[text][2][rung] = candidates
+        return stats
 
-    search(list(per_text), 0)
-    waves.append(len(per_text))
+    waves.append((len(per_text), search(list(per_text), 0)))
     for position, (key, text) in enumerate(items):
         if key in ids:
             raise ValueError(f"duplicate item key {key!r} in allocation input")
@@ -550,8 +577,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
                         if other != text and rung not in got and below_first in got
                         and got[below_first].penalty_free
                         and left[other] > len({c.text for c in got[below_first]} - taken)]
-                    search(wave, rung)
-                    waves.append(len(wave))
+                    waves.append((len(wave), search(wave, rung)))
                 else:
                     search([text], rung)
                     on_demand += 1
@@ -583,11 +609,16 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     stats = registry.stats(lam_init=config.lam_init)
     if stats["fallback_count"]:
         log.warning("allocation used the ordinal fallback for %d items", int(stats["fallback_count"]))
+    def per_wave(values) -> str:
+        return "/".join(map(str, values))
+
     log.info("allocated %d ids: %.2f%% needed lambda escalation, %.2f%% needed length extension; "
-             "%d searches, %d rungs answered by a penalty-free search; %d waves of %s searches, "
-             "%d searches on demand",
+             "%d searches, %d rungs answered by a penalty-free search; %d waves of %s searches "
+             "in %s lanes, %s decoder passes, %s layer-0 table entries; %d searches on demand",
              len(ids), 100 * stats["fraction_lambda_escalated"], 100 * stats["fraction_length_extended"],
-             sum(waves) + on_demand, answered, len(waves), "/".join(map(str, waves)), on_demand)
+             sum(n for n, _ in waves) + on_demand, answered, len(waves), per_wave(n for n, _ in waves),
+             per_wave(ran.lanes for _, ran in waves), per_wave(ran.passes for _, ran in waves),
+             per_wave(ran.entries for _, ran in waves), on_demand)
     return registry
 
 
@@ -597,9 +628,9 @@ def profile_source(history_texts: list[str], vocab: Vocabulary, max_src_len: int
 
 
 def generate_user_ids(model, histories: list[list[str]], vocab: Vocabulary,
-                      config: AllocatorConfig) -> tuple[list[TextualId], int]:
+                      config: AllocatorConfig) -> tuple[list[TextualId], WaveStats]:
     """A profile ID for each user history (its texts, concatenated), in
-    order, all generated as one wave; and the decoder passes the wave ran.
+    order, all generated as one wave; and what the wave ran.
 
     User IDs are not registered for uniqueness; two users may share one.
     """
@@ -609,12 +640,12 @@ def generate_user_ids(model, histories: list[list[str]], vocab: Vocabulary,
     max_len = min(hi - 1, model.config.max_tgt_len - 1)  # one step is left for EOS
     if lo > max_len:
         raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {max_len}")
-    found, passes = _run_wave(model, [
+    found, ran = _run_wave(model, [
         _Search(model.encode(profile_source(texts, vocab, model.config.max_src_len)), None, groups=1,
                 beams_per_group=config.beams_per_group, lam=config.lam_init, max_len=max_len,
                 min_len=lo, vocab_size=model.config.vocab_size)
         for texts in histories], vocab)
-    return [candidates[0] for candidates in found], passes
+    return [candidates[0] for candidates in found], ran
 
 
 def generate_user_id(model, history_texts: list[str], vocab: Vocabulary,

@@ -2,7 +2,9 @@
 zero-shot protocol (frozen models, fresh ID allocation on unseen data).
 
 Ranking is exact by default (every registered item scored under constrained
-decoding); beam-limited ranking is available for speed comparisons.
+decoding); beam-limited ranking is available for speed comparisons. When the
+evaluation template has a user slot, the profile IDs of the distinct
+histories are generated first, as one wave (`generate_user_ids`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus
-from .allocator import AllocatorConfig, IdRegistry, allocate_all, generate_user_id
+from .allocator import AllocatorConfig, IdRegistry, allocate_all, generate_user_ids
 from .model import VocabularyMismatch
 from .prompting import Template, render_prompt
 from .recommender import build_trie, constrained_beam_search, rank_all
@@ -75,13 +77,17 @@ def _rank_pairs(bundle, registry: IdRegistry, pairs, vocab: Vocabulary,
     template = _eval_template(bank)
     catalog_size = len(registry.ids)
     rec = bundle.rec
+    user_ids = {}
+    if template.has_user_slot:  # one wave over the distinct histories
+        histories = list(dict.fromkeys(pair.history for pair in pairs))
+        ids, _ = generate_user_ids(bundle.idgen, [[item_text[k] for k in history] for history in histories],
+                                   vocab, alloc_cfg)
+        user_ids = dict(zip(histories, ids))
     results = []
     for pair in pairs:
         if pair.target not in registry.ids:
             raise TargetMissing(f"target {pair.target!r} has no registered ID")
-        uid = None
-        if template.has_user_slot:
-            uid = generate_user_id(bundle.idgen, [item_text[k] for k in pair.history], vocab, alloc_cfg)
+        uid = user_ids.get(pair.history)
         prompt = render_prompt(template, uid, [registry.ids[k] for k in pair.history],
                                vocab, max_src_len=rec.config.max_src_len)
         if beam_width is not None:

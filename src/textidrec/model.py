@@ -39,15 +39,21 @@ about 0.5 MB.
 
 `wave_logits` decodes through a `DecodeCache`, the decode state of
 searches that advance in lockstep, one context each. The cache keeps each
-decoded row's parent and its self-attention input at every layer. A call
-decodes its rows by depth, ancestors first, in passes of at most
-`_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
-ancestor chain, gathered from the cache for that pass, and itself: no
-dense mask over the other rows. Its cross-attention is grouped by context:
-the pass's contexts, padded to the longest, are one batch, so a row reads
-only its own (a row of an empty context reads none). A pass thus costs its
-rows times their depth plus the longest context among them, whatever else
-the searches hold.
+decoded row's parent and its self-attention input at every layer after
+the first. Layer 0's input is the layer-normed sum of the row's token and
+position embeddings, so it depends only on the row's (token, depth): the
+cache holds it once per pair seen, in its layer-0 table, and a row keeps
+only its entry there. A one-layer model's cache thus keeps no float per
+row, and a row whose logits the caller does not want (an ancestor decoded
+only for its descendants) takes no pass unless it is the first of its
+pair. A call decodes its rows by depth, ancestors first, in passes of at
+most `_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
+ancestor chain, gathered from the cache (layer 0's from the table) for
+that pass, and itself: no dense mask over the other rows. Its
+cross-attention is grouped by context: the pass's contexts, padded to the
+longest, are one batch, so a row reads only its own (a row of an empty
+context reads none). A pass thus costs its rows times their depth plus the
+longest context among them, whatever else the searches hold.
 
 `packed_logits` runs several teacher-forced (source, decoder input) pairs
 as one pass: the sources back to back as segments of one `encode`, each
@@ -343,20 +349,35 @@ class DecodeCache:
     each decoding against its own context (`SequenceModel.wave_logits`).
 
     The k-th prefix decoded through the cache is row k. A row keeps its
-    parent row (-1 for the empty prefix) and its self-attention input at
-    every decoder layer, which its descendants attend to. The cache is valid
-    for its contexts and unchanged parameters: only `wave_logits` fills it,
-    and a call that raises leaves it as it was. `room` sizes the row store
-    up front (a cache that needs more grows it); `size` and `passes` count
-    the rows decoded and the decoder passes run."""
+    parent row (-1 for the empty prefix), its entry in the layer-0 table
+    and its self-attention input at every decoder layer after the first,
+    which its descendants attend to. The layer-0 table holds one
+    self-attention input per (token, depth) pair seen (a row's token is its
+    prefix's last, PAD for the empty prefix; its depth the prefix's
+    length), taken from the pass that first decoded the pair; `entry_of`
+    maps a pair to its entry and `entry_depth` gives each entry's depth.
+    The cache is valid for its contexts and unchanged parameters: only
+    `wave_logits` fills it, and a call that raises leaves it as it was.
+    `room` sizes the row store up front (a cache that needs more grows it);
+    `size` and `passes` count the rows held and the decoder passes run."""
 
     def __init__(self, contexts, room: int = 0):
         self.contexts = list(contexts)
         self.room = room
         self.size = 0
         self.passes = 0
-        self.inputs: np.ndarray | None = None  # (layers, room, d_model)
         self.parent = np.empty(0, dtype=np.int64)
+        self.entry = np.empty(0, dtype=np.int64)  # each row's layer-0 table entry
+        self.inputs: np.ndarray | None = None  # (layers - 1, room, d_model)
+        self.entry_of: dict[tuple[int, int], int] = {}  # (token, depth) -> its entry
+        self.layer0: np.ndarray | None = None  # (entries, d_model), past len(entry_of) unused
+        self.entry_depth = np.empty(0, dtype=np.int64)  # each entry's depth
+
+    @staticmethod
+    def row_bytes(config: ModelConfig) -> int:
+        """Bytes a cache keeps per row for a model of `config`: its parent,
+        its table entry and its inputs at layers after the first."""
+        return 8 * (2 + (config.layers - 1) * config.d_model)
 
 
 def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -525,8 +546,8 @@ class SequenceModel:
         `earlier` is None (m = 0) or a (layers, m, d_model) array of rows
         that earlier passes decoded: their self-attention inputs, which go in
         front of the pass's own as the keys and values of each layer's
-        self-attention. With `mask` None, `earlier` is instead a (layers,
-        rows, k, d_model) array of each row's own k ancestors, root first
+        self-attention. With `mask` None, `earlier` instead holds per layer
+        a (rows, k, d_model) array of each row's own k ancestors, root first
         (`wave_logits`): a row attends to them and itself, and to no other
         row of the pass.
 
@@ -642,10 +663,10 @@ class SequenceModel:
             self._head_slot = slot
         return np.concatenate(logits)[slot.pick]
 
-    def wave_logits(self, cache: DecodeCache, requests) -> np.ndarray:
+    def wave_logits(self, cache: DecodeCache, requests, on_pass, wanted=None) -> None:
         """Next-token logits for each (context index, prefix, parent row)
-        request, one row each, in order (inference path, frozen parameters):
-        the logits after `prefix` against `cache.contexts[context index]`.
+        request (inference path, frozen parameters): the logits after
+        `prefix` against `cache.contexts[context index]`.
         The parent row is the cache row of the prefix without its last token
         (-1 for the empty prefix), decoded by an earlier call or earlier in
         this one; request k becomes row `cache.size + k`.
@@ -655,14 +676,24 @@ class SequenceModel:
         self-attention reads its own ancestor chain, gathered from the cache
         for the pass alone, and its cross-attention its own context: a pass
         costs its rows times (depth + the longest context among them),
-        whatever else the wave holds. The head slot is neither read nor
-        written.
+        whatever else the wave holds. A (token, depth) pair new to the cache
+        gets a layer-0 table entry, filled from the pass that decodes it
+        first. The head slot is neither read nor written.
+
+        Each pass's logits go to `on_pass(indices, logits)` as the pass
+        returns, `indices` those of its rows' requests, one logits row each:
+        the (requests, V) array of a whole call is never built. `wanted`, a
+        boolean per request (all true without it), says whose logits go
+        out. A row whose logits are not wanted is decoded only as far as its
+        descendants need: a one-layer model's row keeps nothing a pass
+        computes but its layer-0 input, so such a row takes a pass only when
+        it is the first of a (token, depth) pair new to the cache.
         """
         cfg = self.config
         n = len(requests)
-        logits = np.empty((n, cfg.vocab_size))
         if not n:
-            return logits
+            return
+        wanted = np.ones(n, dtype=bool) if wanted is None else np.asarray(wanted, dtype=bool)
         context = np.array([c for c, _, _ in requests], dtype=np.int64)
         depth = np.array([len(p) for _, p, _ in requests], dtype=np.int64)
         ids = np.array([p[-1] if p else PAD_ID for _, p, _ in requests], dtype=np.int64)
@@ -672,41 +703,79 @@ class SequenceModel:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         if ((ups < 0) != (depth == 0)).any() or (ups >= rows).any():
             raise ValueError("a parent row must be an earlier row, and -1 exactly for the empty prefix")
-        inputs, parent = cache.inputs, cache.parent
-        if inputs is None or rows[-1] >= inputs.shape[1]:  # grow into new arrays: the cache keeps its own
+        # a parent one level up makes every chain as long as its prefix (by induction
+        # over the rows the cache holds), so the passes walk chains unchecked
+        up_depth = np.full(n, -1)
+        inner, outer = ups >= cache.size, (ups >= 0) & (ups < cache.size)
+        up_depth[inner] = depth[ups[inner] - cache.size]
+        up_depth[outer] = cache.entry_depth[cache.entry[ups[outer]]]
+        if (up_depth != depth - 1).any():
+            raise ValueError("a parent row's chain must be one shorter than its prefix")
+        # rows and table entries past what the cache holds stay unseen until the
+        # call returns; a store that is too small grows into new arrays
+        parent, entry, inputs = cache.parent, cache.entry, cache.inputs
+        table, entry_depth = cache.layer0, cache.entry_depth
+        if rows[-1] >= len(parent):
             room = max(cache.room, cache.size + n, 2 * cache.size)
-            inputs, parent = np.empty((cfg.layers, room, cfg.d_model)), np.empty(room, dtype=np.int64)
+            parent, entry = np.empty(room, dtype=np.int64), np.empty(room, dtype=np.int64)
+            inputs = np.empty((cfg.layers - 1, room, cfg.d_model))
             if cache.size:
-                inputs[:, :cache.size] = cache.inputs[:, :cache.size]
                 parent[:cache.size] = cache.parent[:cache.size]
-        parent[rows] = ups  # rows past `cache.size` stay unseen until the call returns
-        passes = 0
+                entry[:cache.size] = cache.entry[:cache.size]
+                inputs[:, :cache.size] = cache.inputs[:, :cache.size]
+        parent[rows] = ups
         order = np.lexsort((context, depth))  # by depth, then context, then request
-        for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
+        # each row's table entry; a (token, depth) pair new to the cache gets the next one
+        keys, key_of = np.unique(depth * cfg.vocab_size + ids, return_inverse=True)
+        known, fresh = len(cache.entry_of), {}
+        slots = np.empty(len(keys), dtype=np.int64)
+        for u, key in enumerate(keys.tolist()):
+            pair = (key % cfg.vocab_size, key // cfg.vocab_size)
+            slot = cache.entry_of.get(pair)
+            if slot is None:
+                slot = fresh[pair] = known + len(fresh)
+            slots[u] = slot
+        entry[rows] = slots[key_of]
+        fills = np.zeros(n, dtype=bool)  # the request that first decodes each new pair
+        if fresh:
+            fills[order[np.unique(key_of[order], return_index=True)[1]][slots >= known]] = True
+            if known + len(fresh) > len(entry_depth):
+                size = max(known + len(fresh), 2 * known)
+                table, entry_depth = np.empty((size, cfg.d_model)), np.empty(size, dtype=np.int64)
+                if known:
+                    table[:known], entry_depth[:known] = cache.layer0[:known], cache.entry_depth[:known]
+            entry_depth[known:known + len(fresh)] = [d for _, d in fresh]
+        run = order[wanted[order] | fills[order]] if cfg.layers == 1 else order  # the rows to decode
+        passes = 0
+        for level in np.split(run, np.flatnonzero(np.diff(depth[run])) + 1) if run.size else ():
             k = depth[level[0]]
             for lo in range(0, len(level), _WAVE_ROWS):
                 sel = level[lo:lo + _WAVE_ROWS]
                 chain = np.empty((len(sel), k), dtype=np.int64)
                 up = ups[sel]
                 for j in range(k - 1, -1, -1):
-                    if (up < 0).any():
-                        raise ValueError("a parent row's chain is shorter than its prefix")
                     chain[:, j] = up
                     up = parent[up]
-                if (up >= 0).any():
-                    raise ValueError("a parent row's chain is longer than its prefix")
                 groups, counts = np.unique(context[sel], return_counts=True)
                 keep = np.empty((cfg.layers, len(sel), cfg.d_model))
                 out = self.decoder_all_logits([cache.contexts[c] for c in groups], ids[sel],
-                                              past=(depth[sel], None, inputs[:, chain]), keep=keep,
-                                              ctx_rows=counts)
-                inputs[:, rows[sel]] = keep
-                logits[sel] = out.data
+                                              past=(depth[sel], None, [table[entry[chain]], *inputs[:, chain]]),
+                                              keep=keep, ctx_rows=counts)
+                first = fills[sel]
+                if first.any():
+                    table[entry[rows[sel[first]]]] = keep[0, first]
+                inputs[:, rows[sel]] = keep[1:]
+                goes = wanted[sel]
+                if goes.all():
+                    on_pass(sel, out.data)
+                elif goes.any():
+                    on_pass(sel[goes], out.data[goes])
                 passes += 1
-        cache.inputs, cache.parent = inputs, parent
+        cache.parent, cache.entry, cache.inputs = parent, entry, inputs
+        cache.layer0, cache.entry_depth = table, entry_depth
+        cache.entry_of.update(fresh)
         cache.size += n
         cache.passes += passes
-        return logits
 
     def sequence_nll(self, ctx: Tensor, target_ids,
                      params: dict[str, Tensor] | None = None) -> Tensor:

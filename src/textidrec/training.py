@@ -198,9 +198,10 @@ def snapshot_user_ids(idgen: SequenceModel, examples: list[TrainExample],
     current (frozen) generator as one wave (`generate_user_ids`). Part of
     the ID snapshot for the phase."""
     histories = list(dict.fromkeys(ex.history for ex in examples))
-    ids, passes = generate_user_ids(idgen, [[item_text[k] for k in history] for history in histories],
-                                    vocab, alloc_cfg)
-    log.info("user IDs for %d histories: 1 wave, %d decoder passes", len(histories), passes)
+    ids, ran = generate_user_ids(idgen, [[item_text[k] for k in history] for history in histories],
+                                 vocab, alloc_cfg)
+    log.info("user IDs for %d histories: 1 wave, %d lanes, %d decoder passes, %d layer-0 table entries",
+             len(histories), ran.lanes, ran.passes, ran.entries)
     return dict(zip(histories, ids))
 
 

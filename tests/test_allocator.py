@@ -579,7 +579,30 @@ def test_the_row_bound_changes_the_passes_not_the_results(monkeypatch):
         monkeypatch.setattr(model_module, "_WAVE_ROWS", bound)
         again, more = run_wave(model, vocab, states, **kwargs)
         assert again == found and [c.penalty_free for c in again] == [c.penalty_free for c in found]
-        assert more > passes
+        assert more.passes > passes.passes
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_one_search_per_lane_changes_the_lanes_not_the_results(monkeypatch, caplog, layers):
+    # the lane bound forced down to one search per lane: the same candidates,
+    # penalty_free flags and registry as one lane per wave
+    vocab = make_vocab(WORDS[:8])
+    model = tiny_model(vocab_size=vocab.size, seed=11, layers=layers)
+    states = [model.encode(src) for src in ([3, 4], [5], [6, 7, 8, 9], [], [4, 3])]
+    kwargs = dict(groups=3, beams_per_group=2, lam=1.0, max_len=6, min_len=2)
+    cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=2.0, length_ranges=((1, 3), (3, 6)))
+    items = [(f"k{i}", f"{WORDS[i % 3]} {WORDS[i % 3 + 1]}") for i in range(24)]
+    found, whole = run_wave(model, vocab, states, **kwargs)
+    registry = allocate_all(model, items, vocab, cfg)
+    assert whole.lanes == 1 and whole.entries > 0
+    monkeypatch.setattr(allocator, "_LANE_BYTES", 1)
+    again, lanes = run_wave(model, vocab, states, **kwargs)
+    assert again == found and [c.penalty_free for c in again] == [c.penalty_free for c in found]
+    assert lanes.lanes == len(states) and lanes.passes > whole.passes and lanes.entries > whole.entries
+    with caplog.at_level("INFO", logger="textidrec.allocator"):
+        alone = allocate_all(model, items, vocab, cfg)
+    assert alone.ids == registry.ids and alone.rows == registry.rows
+    assert "waves of 3/" in caplog.text and "searches in 3/" in caplog.text
 
 
 def test_a_wave_that_raises_leaves_every_logprob_cache_as_it_was():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import ScriptedModel, cold_copy, make_vocab
-from textidrec import corpus, synth
-from textidrec.allocator import AllocatorConfig, allocate_all
+from textidrec import corpus, evaluation, synth
+from textidrec.allocator import AllocatorConfig, allocate_all, generate_user_id
 from textidrec.evaluation import (EvalReport, RankResult, TargetMissing, aggregate,
                                   evaluate, metric_at_k, save_report, zero_shot_evaluate)
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, VocabularyMismatch,
                              apply_update)
-from textidrec.prompting import ITEM_PLACEHOLDER, USER_PLACEHOLDER, default_bank
+from textidrec.prompting import ITEM_PLACEHOLDER, USER_PLACEHOLDER, Template, default_bank, render_prompt
+from textidrec.recommender import build_trie, rank_all
 from textidrec.tokenizer import build_vocab
 from textidrec.training import CheckpointBundle
 
@@ -107,6 +108,33 @@ def test_evaluate_after_an_update_equals_evaluate_on_a_fresh_copy():
     fresh = dataclasses.replace(bundle, rec=cold_copy(bundle.rec))
     assert again == evaluate(fresh, split, vocab=vocab, bank=bank)
     assert again != first
+
+
+def test_eval_user_ids_are_one_wave_and_rank_as_per_pair_ids(monkeypatch):
+    # template 1 with a user slot: one wave generates the IDs of the distinct
+    # histories, and every rank equals the one a per-pair search gives
+    bundle, split, vocab, bank = small_world()
+    user_template = next(t for t in bank if t.has_user_slot)
+    bank = (Template(1, user_template.text),) + tuple(t for t in bank if t.id != 1)
+    cfg = AllocatorConfig(groups=3, beams_per_group=2)
+    waves = []
+    wave = evaluation.generate_user_ids
+
+    def recording(model, histories, vocab, config):
+        waves.append(len(histories))
+        return wave(model, histories, vocab, config)
+
+    monkeypatch.setattr(evaluation, "generate_user_ids", recording)
+    report = evaluate(bundle, split, vocab=vocab, bank=bank, alloc_cfg=cfg)
+    assert waves == [len({pair.history for pair in split.test})] and waves[0] > 1
+    item_text, trie = dict(corpus.item_texts(split.items)), build_trie(bundle.registry)
+    assert len(report.ranks) == len(split.test)
+    for pair, result in zip(split.test, report.ranks):
+        uid = generate_user_id(bundle.idgen, [item_text[k] for k in pair.history], vocab, cfg)
+        prompt = render_prompt(bank[0], uid, [bundle.registry.ids[k] for k in pair.history], vocab,
+                               max_src_len=bundle.rec.config.max_src_len)
+        ranked = rank_all(bundle.rec, prompt, bundle.registry, trie)
+        assert result.rank == next(i for i, (key, _) in enumerate(ranked) if key == pair.target) + 1
 
 
 def test_evaluate_target_missing():

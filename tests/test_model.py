@@ -470,6 +470,18 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     assert_rows_match_per_prefix(model, state, prefixes)
 
 
+def wave_rows(model, cache, requests) -> np.ndarray:
+    """The logits `wave_logits` passes out for `requests`, in request order
+    (NaN for a request it never passed out)."""
+    rows = np.full((len(requests), model.config.vocab_size), np.nan)
+
+    def on_pass(indices, logits):
+        rows[indices] = logits
+
+    model.wave_logits(cache, requests, on_pass)
+    return rows
+
+
 def cache_requests(cache, rows: dict, asked) -> list[tuple]:
     """`wave_logits` requests for the (context, prefix) pairs in `asked`, in
     order, each preceded by its ancestors that `rows` lacks; `rows` maps
@@ -506,7 +518,7 @@ def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
             wanted += [(c, p) for p in prefixes]
         before = cache.size
         requests = cache_requests(cache, rows, wanted)
-        logits = model.wave_logits(cache, requests)
+        logits = wave_rows(model, cache, requests)
         assert cache.size == before + len(requests) and logits.shape == (len(requests), vocab_size)
         for (c, prefix, _), row in zip(requests, logits):
             ctx = contexts[c]
@@ -521,7 +533,14 @@ def test_memo_rows_match_memo_less_and_per_prefix_decoding(layers, heads, source
     # the decode cache that replaced the per-search memo: one context here
     model = tiny_model(vocab_size=11, seed=layers + heads, layers=layers, heads=heads)
     cache, rows = grow_through_cache(model, [model.encode(source)], random.Random(10 * layers + heads))
-    assert cache.inputs.shape[0] == layers and cache.inputs.shape[2] == 16
+    # a row keeps its inputs at the layers after the first; layer 0's are kept
+    # once per (token, depth) in the table, which a row names by its entry
+    assert cache.inputs.shape[0] == layers - 1 and cache.inputs.shape[2] == 16
+    assert cache.layer0.shape[0] >= len(cache.entry_of) and cache.layer0.shape[1] == 16
+    assert sorted(cache.entry_of.values()) == list(range(len(cache.entry_of)))
+    assert set(cache.entry_of) == {(prefix[-1] if prefix else PAD_ID, len(prefix)) for _, prefix in rows}
+    for (_, prefix), row in rows.items():
+        assert cache.entry[row] == cache.entry_of[prefix[-1] if prefix else PAD_ID, len(prefix)]
     for (_, prefix), row in rows.items():  # each row's parent chain is as long as its prefix
         for _ in prefix:
             row = cache.parent[row]
@@ -541,6 +560,75 @@ def test_wave_rows_match_memo_less_decoding_over_several_contexts(layers, source
     grow_through_cache(model, contexts, random.Random(len(sources) + 10 * layers))
 
 
+def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
+    """Each layer-0 table entry, as uint64, equals the layer-0 input that a
+    memo-less `prefix_logits` pass computes for its (token, depth)."""
+    pairs = list(cache.entry_of)
+    # a prefix per (token, depth) pair: depth - 1 filler tokens, then the token
+    prefixes = [(3,) * (depth - 1) + (token,) if depth else () for token, depth in pairs]
+    twin = cold_copy(model)
+    twin.prefix_logits(ctx, prefixes)
+    slot = twin._head_slot  # its kept `keep[0]`: every trie row's layer-0 input
+    kept = slot.head[0][slot.pick]
+    table = cache.layer0[[cache.entry_of[pair] for pair in pairs]]
+    assert np.array_equal(table.view(np.uint64), kept.view(np.uint64))
+    assert [cache.entry_depth[cache.entry_of[pair]] for pair in pairs] == [depth for _, depth in pairs]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_layer0_table_holds_the_inputs_a_memo_less_pass_computes(layers):
+    model = tiny_model(vocab_size=11, seed=3 + layers, layers=layers, heads=2)
+    contexts = [model.encode([3, 4, 5]), model.encode([6]), model.encode([])]
+    cache, _ = grow_through_cache(model, contexts, random.Random(20 + layers))
+    assert len(cache.entry_of) > 10
+    assert_table_holds_memo_less_inputs(model, cache, contexts[0])
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
+    # only wanted rows' logits go out; a one-layer model decodes an unwanted
+    # row only when it is the first of a new (token, depth) pair, and later
+    # rows attend through it all the same
+    model = tiny_model(vocab_size=11, seed=7, layers=layers)
+    contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
+    cache, rows, rng = model_module.DecodeCache(contexts), {}, random.Random(layers)
+    skipped = 0
+    for _ in range(4):
+        asked = {(c, tuple(rng.randrange(11) for _ in range(rng.randint(1, 5)))) for c in (0, 1) for _ in range(4)}
+        requests = cache_requests(cache, rows, sorted(asked))
+        wanted = np.array([(c, prefix) in asked for c, prefix, _ in requests])
+        fresh = {(p[-1] if p else PAD_ID, len(p)) for _, p, _ in requests} - set(cache.entry_of)
+        got = {}
+
+        def on_pass(indices, logits):
+            assert not set(indices.tolist()) & set(got)
+            got.update(zip(indices.tolist(), logits))
+
+        decoder_calls.clear()
+        model.wave_logits(cache, requests, on_pass, wanted)
+        decoded = sum(decoder_calls)
+        if layers == 1:
+            assert wanted.sum() <= decoded <= wanted.sum() + len(fresh)
+        else:
+            assert decoded == len(requests)
+        skipped += len(requests) - decoded
+        assert sorted(got) == np.flatnonzero(wanted).tolist()
+        for k, row in got.items():
+            c, prefix, _ = requests[k]
+            assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
+    assert (skipped > 0) == (layers == 1)
+    assert_table_holds_memo_less_inputs(model, cache, contexts[0])
+
+
+def test_a_one_layer_cache_keeps_no_float_per_row():
+    model = tiny_model(vocab_size=11, seed=2, layers=1)
+    cache, _ = grow_through_cache(model, [model.encode([3, 4]), model.encode([5])], random.Random(4))
+    assert cache.inputs.nbytes == 0 and cache.size > len(cache.entry_of)
+    assert cache.parent.dtype == cache.entry.dtype == np.int64
+    assert model_module.DecodeCache.row_bytes(model.config) == 16  # its parent and its entry
+    assert model_module.DecodeCache.row_bytes(tiny_model(vocab_size=11, layers=3).config) == 16 + 2 * 16 * 8
+
+
 def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
     # a wave pass holds at most `_WAVE_ROWS` rows of one depth
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 4)
@@ -549,7 +637,7 @@ def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
     cache, rows = model_module.DecodeCache(contexts), {}
     asked = [(c, p) for c in (0, 1) for p in random_prefix_tree(random.Random(2 + c), 11, 8, 5)]
     requests = cache_requests(cache, rows, asked)
-    logits = model.wave_logits(cache, requests)
+    logits = wave_rows(model, cache, requests)
     depths = Counter(len(p) for _, p, _ in requests)
     assert decoder_calls == [min(4, n - lo) for _, n in sorted(depths.items()) for lo in range(0, n, 4)]
     assert cache.passes == len(decoder_calls) > len(depths) and cache.size == len(requests)
@@ -558,26 +646,29 @@ def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
 
 
 def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
+    # two layers: a row keeps layer 1's input, the table layer 0's
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 2)
-    model = tiny_model(vocab_size=12, max_tgt_len=4)
+    model = tiny_model(vocab_size=12, max_tgt_len=4, layers=2)
     contexts = [model.encode([3]), model.encode([4, 5])]
     cache, rows = model_module.DecodeCache(contexts), {}
-    model.wave_logits(cache, cache_requests(cache, rows, [(0, (6,)), (1, (6, 7))]))
-    size, passes, inputs, parent = cache.size, cache.passes, cache.inputs, cache.parent
-    stored = inputs[:, :size].copy(), parent[:size].copy()
+    wave_rows(model, cache, cache_requests(cache, rows, [(0, (6,)), (1, (6, 7))]))
+    size, passes, entries = cache.size, cache.passes, dict(cache.entry_of)
+    arrays = inputs, parent, entry, layer0 = cache.inputs, cache.parent, cache.entry, cache.layer0
+    stored = inputs[:, :size].copy(), parent[:size].copy(), entry[:size].copy(), layer0[:len(entries)].copy()
 
     def unchanged():
-        assert (cache.size, cache.passes) == (size, passes)
-        assert cache.inputs is inputs and cache.parent is parent
-        assert np.array_equal(inputs[:, :size], stored[0]) and np.array_equal(parent[:size], stored[1])
+        assert (cache.size, cache.passes, cache.entry_of) == (size, passes, entries)
+        assert all(a is b for a, b in zip((cache.inputs, cache.parent, cache.entry, cache.layer0), arrays))
+        now = inputs[:, :size], parent[:size], entry[:size], layer0[:len(entries)]
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(now, stored))
 
     decoder_calls.clear()
     with pytest.raises(SequenceTooLong):  # checked before any pass
-        model.wave_logits(cache, [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 1, 2), -1)])
+        wave_rows(model, cache, [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 1, 2), -1)])
     assert decoder_calls == []
     unchanged()
     with pytest.raises(ValueError, match="chain"):  # a parent of the wrong depth
-        model.wave_logits(cache, [(0, (6, 1, 2), rows[0, (6,)])])
+        wave_rows(model, cache, [(0, (6, 1, 2), rows[0, (6,)])])
     unchanged()
     # a pass that raises after the first one has stored its rows
     original = SequenceModel.decoder_all_logits
@@ -590,11 +681,11 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", second_pass_fails)
     requests = [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 2), rows[1, (6, 7)]), (1, (8,), rows[1, ()])]
     with pytest.raises(RuntimeError):
-        model.wave_logits(cache, requests)
+        wave_rows(model, cache, requests)
     assert decoder_calls == [1]
     unchanged()
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", original)
-    for (c, prefix, _), row in zip(requests, model.wave_logits(cache, requests)):
+    for (c, prefix, _), row in zip(requests, wave_rows(model, cache, requests)):
         assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
 
 
@@ -742,7 +833,7 @@ def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
     slot = model._head_slot
     for twin in (model, tiny_model(vocab_size=11, seed=6, layers=2)):
         cache, at = model_module.DecodeCache([ctx]), {}
-        wave = twin.wave_logits(cache, cache_requests(cache, at, [(0, p) for p in prefixes]))
+        wave = wave_rows(twin, cache, cache_requests(cache, at, [(0, p) for p in prefixes]))
         assert np.max(np.abs(wave[[at[0, p] for p in prefixes]] - rows)) < 1e-12
     assert model._head_slot is slot
     assert twin._head_slot is None

@@ -492,15 +492,15 @@ def test_validation_eval_uses_training_allocator_config(monkeypatch):
     alloc_cfg = AllocatorConfig(groups=3, beams_per_group=3, length_ranges=((2, 5), (5, 9)))
     seen = []
 
-    def recording(model, texts, vocab, config):
-        seen.append(config)
-        return generate_user_id(model, texts, vocab, config)
+    def recording(model, histories, vocab, config):
+        seen.append((config, len(histories)))
+        return generate_user_ids(model, histories, vocab, config)
 
-    monkeypatch.setattr(evaluation, "generate_user_id", recording)
+    monkeypatch.setattr(evaluation, "generate_user_ids", recording)
     cfg = TrainConfig(seed=3, iterations=1, rec_epochs_per_iter=1, idgen_epochs_per_iter=1)
     alternate_train(split, vocab, *tiny_pair(vocab), cfg, alloc_cfg, bank)
-    assert len(seen) == len(split.valid)
-    assert all(config == alloc_cfg for config in seen)
+    # one wave over the distinct validation histories
+    assert seen == [(alloc_cfg, len({pair.history for pair in split.valid}))]
 
 
 def test_use_user_id_false_restricts_templates():
@@ -532,16 +532,12 @@ def test_alternate_train_without_user_ids_generates_none(monkeypatch):
     split, vocab, bank = toy_world()
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return generate_user_id(*args, **kwargs)
-
     def counted_wave(*args, **kwargs):
         calls.append(args)
         return generate_user_ids(*args, **kwargs)
 
     monkeypatch.setattr(training, "generate_user_ids", counted_wave)
-    monkeypatch.setattr(evaluation, "generate_user_id", counted)
+    monkeypatch.setattr(evaluation, "generate_user_ids", counted_wave)
     cfg = TrainConfig(seed=3, iterations=2, rec_epochs_per_iter=1, idgen_epochs_per_iter=1,
                       use_user_id=False)
     alternate_train(split, vocab, *tiny_pair(vocab), cfg, AllocatorConfig(groups=4), bank)
