@@ -26,12 +26,12 @@ always holds enough unpenalized tokens.
 Searches run as waves. A wave is a list of searches, each against its own
 encoder state and logprob cache, run in lanes: consecutive searches whose
 decode state fits in `_LANE_BYTES` advance in lockstep through one
-`DecodeCache` (see `model.py`), and each step decodes the new prefixes of
-the whole lane in one `wave_logits` call, in passes of at most
-`_WAVE_ROWS` rows, ranking each pass's rows as its logits return. A prefix
-the logprob cache already ranked is not decoded; when a descendant needs
-it, it is decoded then, before the descendant, and its logits are not
-wanted (a one-layer model gives it no pass). A cache row holds no float
+`DecodeCache` (see `model.py`), and each step asks one `wave_logits` call
+for the prefixes that the lane's logprob caches lack, ranking each pass's
+rows as its logits return. A prefix the logprob cache already ranked is
+not asked for; the `DecodeCache` decodes it when a descendant needs it, as
+an ancestor whose logits go nowhere (a one-layer model gives it no pass
+unless it is the first of its (token, depth) pair). A cache row holds no float
 of layer 0 (its input is kept once per (token, depth)), so a one-layer
 generator's wave of a few thousand searches is one lane; the bound keeps
 a deeper model's lane, whose rows hold the inputs of every later layer,
@@ -266,27 +266,20 @@ class Candidates(list):
 
 class _Search:
     """One diverse beam search against the encoder state `state`, advanced
-    a step at a time by `_run_lane`.
-
-    A beam is (prefix, score, anchor): the anchor is the (row, length) of
-    the longest of the prefix's ancestors and itself that its lane's
-    `DecodeCache` holds, None while it holds none. A prefix whose ranked
-    list the logprob cache `cache` already holds is not decoded, so the
-    rows between a beam's anchor and its prefix are decoded only when a
-    descendant needs them, and kept in `ancestors`. `cache` maps a prefix
-    to ((log-probs, ids, kept), row) of a `_ranked` block."""
+    a step at a time by `_run_lane`. A beam is (prefix, score). `cache`,
+    the logprob cache, maps a prefix to ((log-probs, ids, kept), row) of a
+    `_ranked` block; a prefix it already holds is not decoded again."""
 
     def __init__(self, state, cache: dict | None, *, groups: int, beams_per_group: int,
                  lam: float, max_len: int, min_len: int, vocab_size: int):
         if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
             raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
         self.state, self.cache = state, {} if cache is None else cache
-        self.ancestors: dict[tuple[int, ...], int] = {}  # rows decoded for a descendant alone
         self.beams_per_group, self.lam, self.max_len, self.min_len = beams_per_group, lam, max_len, min_len
         # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
         # EOS may be banned: one more than that leaves every beam its top-k (module doc)
         self.width = min(vocab_size, groups * beams_per_group + 1)
-        self.beams: list[list[tuple]] = [[((), 0.0, None)] for _ in range(groups)]
+        self.beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
         self.completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
         self.penalty_free = True  # no beam has kept a penalized token so far
         self.t = 0
@@ -299,18 +292,17 @@ class _Search:
         the empty prefix."""
         return 1 + len(self.beams) * self.beams_per_group * (self.max_len - 1)
 
-    def missing(self) -> dict[tuple[int, ...], tuple[int, int] | None]:
-        """The live prefixes the logprob cache lacks, with their anchors."""
-        anchors = {seq: anchor for group in self.beams for seq, _, anchor in group}
-        return {seq: anchor for seq, anchor in anchors.items() if seq not in self.cache}
+    def missing(self) -> list[tuple[int, ...]]:
+        """The live prefixes the logprob cache lacks, each once, in beam order."""
+        return [seq for seq in dict.fromkeys(seq for group in self.beams for seq, _ in group)
+                if seq not in self.cache]
 
-    def step(self, rows: dict[tuple[int, ...], int]) -> None:
+    def step(self) -> None:
         """Step t: every group picks its beams, in group order, from the ranked
-        lists of its beams' prefixes; `rows` holds the lane rows of the
-        prefixes decoded at this step."""
+        lists of its beams' prefixes."""
         beams, lam, beams_per_group, width = self.beams, self.lam, self.beams_per_group, self.width
         ranked = []
-        for seq, _, _ in (beam for group in beams for beam in group):
+        for seq, _ in (beam for group in beams for beam in group):
             (values, tokens, kept), row = self.cache[seq]
             if kept < width:
                 raise ValueError(f"logprob_cache holds the {kept} best tokens per prefix; "
@@ -327,9 +319,7 @@ class _Search:
             # sort keys as plain tuples: (-value, token) per beam, (-total, seq, token)
             # per group; negation is exact, so -(-x) gives back x bit for bit
             candidates = []
-            for (seq, score, anchor), (values, tokens) in zip(group, ranked):
-                if seq in rows:
-                    anchor = (rows[seq], self.t)
+            for (seq, score), (values, tokens) in zip(group, ranked):
                 picks, free = [], 0  # (-penalized value, token); unpenalized ones seen
                 for value, token in zip(values, tokens):
                     cost = cost_of(token)
@@ -344,17 +334,17 @@ class _Search:
                     picks.sort()
                     if self.penalty_free:
                         self.penalty_free = all(cost_of(token) is None for _, token in picks[:beams_per_group])
-                candidates += [(-(score - negative), seq, token, anchor)
+                candidates += [(-(score - negative), seq, token)
                                for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
-            candidates.sort()  # (seq, token) is unique, so anchors are never compared
+            candidates.sort()
             beams[g] = []
-            for negative, seq, token, anchor in candidates[:beams_per_group]:
+            for negative, seq, token in candidates[:beams_per_group]:
                 counts[token] = counts.get(token, 0) + 1
                 penalty[token] = lam * counts[token]
                 if token == EOS_ID:
                     self.completed[g].append((-negative, seq))
                 else:
-                    beams[g].append((seq + (token,), -negative, anchor))
+                    beams[g].append((seq + (token,), -negative))
         self.t += 1
 
     def result(self, vocab: Vocabulary) -> Candidates:
@@ -362,7 +352,7 @@ class _Search:
         results.penalty_free = self.penalty_free
         decoded: dict[tuple[int, ...], TextualId] = {}  # groups often agree under duplication
         for group_beams, done in zip(self.beams, self.completed):
-            done = done + [(score, seq) for seq, score, _ in group_beams]  # hit max_len
+            done = done + [(score, seq) for seq, score in group_beams]  # hit max_len
             if not done:
                 raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
             done.sort(key=lambda c: (-c[0], c[1]))
@@ -375,50 +365,27 @@ class _Search:
 
 def _run_lane(model, lane: list[_Search]) -> DecodeCache:
     """Run the searches of `lane` in lockstep to their ends, each against its
-    own context in one `DecodeCache`, and return the cache: a step decodes
-    the new prefixes of every live search (with any ancestors a prefix needs
-    that the cache lacks, whose logits are not wanted) in one `wave_logits`
-    call, ranking each pass's rows into the searches' logprob caches as its
-    logits return."""
+    own context in one `DecodeCache`, and return the cache: a step asks for
+    the prefixes that every live search's logprob cache lacks in one
+    `wave_logits` call, ranking each pass's rows into the logprob caches as
+    its logits return."""
     state = DecodeCache([s.state for s in lane], room=sum(s.room() for s in lane))
     width = max(s.width for s in lane)
     while True:
         live = [(i, s) for i, s in enumerate(lane) if s.live()]
         if not live:
             return state
-        requests, rows = [], []
-        wanted: dict[int, tuple[_Search, tuple[int, ...]]] = {}  # request -> (search, prefix) to rank
-        for i, s in live:
-            got: dict[tuple[int, ...], int] = {}  # prefix -> its row, for this step
-            rows.append(got)
-            for seq, anchor in s.missing().items():
-                up, start = (-1, 0) if anchor is None else (anchor[0], anchor[1] + 1)
-                for length in range(len(seq) - 1, start - 1, -1):  # an ancestor decoded since
-                    if seq[:length] in s.ancestors:
-                        up, start = s.ancestors[seq[:length]], length + 1
-                        break
-                for length in range(start, len(seq) + 1):  # undecoded ancestors, then seq
-                    prefix = seq[:length]
-                    if prefix not in got:
-                        got[prefix] = state.size + len(requests)
-                        requests.append((i, prefix, up))
-                        if length < len(seq):
-                            s.ancestors[prefix] = got[prefix]
-                    up = got[prefix]
-                wanted[up - state.size] = (s, seq)
-        if requests:
-            to_rank = np.zeros(len(requests), dtype=bool)
-            to_rank[list(wanted)] = True
+        requests = [(i, seq) for i, s in live for seq in s.missing()]
 
-            def rank(indices: np.ndarray, logits: np.ndarray) -> None:
-                block = _ranked(logits, width)
-                for row, at in enumerate(indices.tolist()):
-                    s, seq = wanted[at]
-                    s.cache[seq] = (block, row)
+        def rank(indices: np.ndarray, logits: np.ndarray) -> None:
+            block = _ranked(logits, width)
+            for row, at in enumerate(indices.tolist()):
+                i, seq = requests[at]
+                lane[i].cache[seq] = (block, row)
 
-            model.wave_logits(state, requests, rank, to_rank)
-        for (_, s), got in zip(live, rows):
-            s.step(got)
+        model.wave_logits(state, requests, rank)
+        for _, s in live:
+            s.step()
 
 
 @dataclass(frozen=True)
@@ -515,6 +482,11 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     """
     if not items:
         raise ValueError("items must be non-empty")
+    keys: set[str] = set()
+    for key, _ in items:
+        if key in keys:
+            raise ValueError(f"duplicate item key {key!r} in allocation input")
+        keys.add(key)
     capacity = model.config.max_tgt_len - 1  # teacher forcing spends one step on EOS
     # the escalation ladder: every penalty of each length range that fits, in order
     rungs: list[tuple[int, int, int, float]] = []  # (range_index, min_len, max_len, lam)
@@ -557,8 +529,6 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
 
     waves.append((len(per_text), search(list(per_text), 0)))
     for position, (key, text) in enumerate(items):
-        if key in ids:
-            raise ValueError(f"duplicate item key {key!r} in allocation input")
         left[text] -= 1
         by_rung = per_text[text][2]
         for rung, (range_index, lo, max_len, lam) in enumerate(rungs):

@@ -373,8 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("IDGEN_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("IDGEN_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # a name it does not know maps to a str
+        print(f"error: IDGEN_LOG: unknown log level {level!r}", file=sys.stderr)
+        return EXIT_INPUT
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -38,16 +38,17 @@ raises, replaces the slot. At the default config a 143-row trie's slot is
 about 0.5 MB.
 
 `wave_logits` decodes through a `DecodeCache`, the decode state of
-searches that advance in lockstep, one context each. The cache keeps each
-decoded row's parent and its self-attention input at every layer after
-the first. Layer 0's input is the layer-normed sum of the row's token and
-position embeddings, so it depends only on the row's (token, depth): the
-cache holds it once per pair seen, in its layer-0 table, and a row keeps
-only its entry there. A one-layer model's cache thus keeps no float per
-row, and a row whose logits the caller does not want (an ancestor decoded
-only for its descendants) takes no pass unless it is the first of its
-pair. A call decodes its rows by depth, ancestors first, in passes of at
-most `_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
+searches that advance in lockstep, one context each. A caller asks for
+(context, prefix) pairs; the cache knows which row holds each prefix, and
+decodes first any ancestor it lacks. It keeps each decoded row's parent
+and its self-attention input at every layer after the first. Layer 0's
+input is the layer-normed sum of the row's token and position embeddings,
+so it depends only on the row's (token, depth): the cache holds it once
+per pair seen, in its layer-0 table, and a row keeps only its entry there.
+A one-layer model's cache thus keeps no float per row, and an ancestor
+decoded only for its descendants takes no pass unless it is the first of
+its pair. A call decodes its rows by depth, ancestors first, in passes of
+at most `_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
 ancestor chain, gathered from the cache (layer 0's from the table) for
 that pass, and itself: no dense mask over the other rows. Its
 cross-attention is grouped by context: the pass's contexts, padded to the
@@ -115,6 +116,8 @@ class ModelConfig:
         for name in ("vocab_size", "d_model", "layers", "heads", "ff_dim", "max_src_len", "max_tgt_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:  # numpy's generator rejects it, without naming the input
+            raise ValueError("seed must be >= 0")
 
 
 def _attention_names(prefix: str) -> list[str]:
@@ -348,35 +351,36 @@ class DecodeCache:
     """The decoder rows of a group of searches that advance in lockstep,
     each decoding against its own context (`SequenceModel.wave_logits`).
 
-    The k-th prefix decoded through the cache is row k. A row keeps its
-    parent row (-1 for the empty prefix), its entry in the layer-0 table
-    and its self-attention input at every decoder layer after the first,
-    which its descendants attend to. The layer-0 table holds one
+    The k-th prefix decoded through the cache is row k; `row_of[c]` maps
+    each prefix decoded against context c to its latest row. A row keeps
+    its parent row (-1 for the empty prefix), its entry in the layer-0
+    table and its self-attention input at every decoder layer after the
+    first, which its descendants attend to. The layer-0 table holds one
     self-attention input per (token, depth) pair seen (a row's token is its
     prefix's last, PAD for the empty prefix; its depth the prefix's
     length), taken from the pass that first decoded the pair; `entry_of`
-    maps a pair to its entry and `entry_depth` gives each entry's depth.
-    The cache is valid for its contexts and unchanged parameters: only
-    `wave_logits` fills it, and a call that raises leaves it as it was.
-    `room` sizes the row store up front (a cache that needs more grows it);
-    `size` and `passes` count the rows held and the decoder passes run."""
+    maps a pair to its entry. The cache is valid for its contexts and
+    unchanged parameters: only `wave_logits` fills it, and a call that
+    raises leaves it as it was. `room` sizes the row store up front (a
+    cache that needs more grows it); `size` and `passes` count the rows
+    held and the decoder passes run."""
 
     def __init__(self, contexts, room: int = 0):
         self.contexts = list(contexts)
         self.room = room
         self.size = 0
         self.passes = 0
+        self.row_of: list[dict[tuple[int, ...], int]] = [{} for _ in self.contexts]
         self.parent = np.empty(0, dtype=np.int64)
         self.entry = np.empty(0, dtype=np.int64)  # each row's layer-0 table entry
         self.inputs: np.ndarray | None = None  # (layers - 1, room, d_model)
         self.entry_of: dict[tuple[int, int], int] = {}  # (token, depth) -> its entry
         self.layer0: np.ndarray | None = None  # (entries, d_model), past len(entry_of) unused
-        self.entry_depth = np.empty(0, dtype=np.int64)  # each entry's depth
 
     @staticmethod
     def row_bytes(config: ModelConfig) -> int:
-        """Bytes a cache keeps per row for a model of `config`: its parent,
-        its table entry and its inputs at layers after the first."""
+        """Bytes a cache's row store keeps per row for a model of `config`:
+        its parent, its table entry and its inputs at layers after the first."""
         return 8 * (2 + (config.layers - 1) * config.d_model)
 
 
@@ -663,58 +667,53 @@ class SequenceModel:
             self._head_slot = slot
         return np.concatenate(logits)[slot.pick]
 
-    def wave_logits(self, cache: DecodeCache, requests, on_pass, wanted=None) -> None:
-        """Next-token logits for each (context index, prefix, parent row)
-        request (inference path, frozen parameters): the logits after
-        `prefix` against `cache.contexts[context index]`.
-        The parent row is the cache row of the prefix without its last token
-        (-1 for the empty prefix), decoded by an earlier call or earlier in
-        this one; request k becomes row `cache.size + k`.
+    def wave_logits(self, cache: DecodeCache, requests, on_pass) -> None:
+        """Next-token logits for each (context index, prefix) request
+        (inference path, frozen parameters): the logits after `prefix`
+        against `cache.contexts[context index]`.
+
+        Each request becomes a new cache row, whose parent is the latest row
+        of the prefix without its last token in the same context. The
+        ancestors of a request that the cache does not hold are decoded
+        first, as rows of their own whose logits go nowhere: a one-layer
+        model's row keeps nothing a pass computes but its layer-0 input, so
+        such a row takes a pass only when it is the first of a (token, depth)
+        pair new to the cache.
 
         The rows are decoded by depth, ancestors first, in passes of at most
-        `_WAVE_ROWS` rows of one depth, grouped by context. In a pass a row's
-        self-attention reads its own ancestor chain, gathered from the cache
-        for the pass alone, and its cross-attention its own context: a pass
-        costs its rows times (depth + the longest context among them),
-        whatever else the wave holds. A (token, depth) pair new to the cache
-        gets a layer-0 table entry, filled from the pass that decodes it
-        first. The head slot is neither read nor written.
+        `_WAVE_ROWS` rows of one depth, grouped by context, each row reading
+        only its own ancestor chain and context (module doc). A (token, depth)
+        pair new to the cache gets a layer-0 table entry, filled from the pass
+        that decodes it first. The head slot is neither read nor written.
 
         Each pass's logits go to `on_pass(indices, logits)` as the pass
-        returns, `indices` those of its rows' requests, one logits row each:
-        the (requests, V) array of a whole call is never built. `wanted`, a
-        boolean per request (all true without it), says whose logits go
-        out. A row whose logits are not wanted is decoded only as far as its
-        descendants need: a one-layer model's row keeps nothing a pass
-        computes but its layer-0 input, so such a row takes a pass only when
-        it is the first of a (token, depth) pair new to the cache.
+        returns, `indices` the requests its rows answer, one logits row each:
+        the (requests, V) array of a whole call is never built.
         """
         cfg = self.config
-        n = len(requests)
-        if not n:
+        if not len(requests):
             return
-        wanted = np.ones(n, dtype=bool) if wanted is None else np.asarray(wanted, dtype=bool)
-        context = np.array([c for c, _, _ in requests], dtype=np.int64)
-        depth = np.array([len(p) for _, p, _ in requests], dtype=np.int64)
-        ids = np.array([p[-1] if p else PAD_ID for _, p, _ in requests], dtype=np.int64)
-        ups = np.array([up for _, _, up in requests], dtype=np.int64)
+        # the call's rows: per request, the ancestors that neither the cache nor
+        # an earlier request holds, shallowest first, then the request itself
+        latest: dict[tuple[int, tuple[int, ...]], int] = {}  # (context, prefix) -> its row in this call
+        layout = []  # per row: context, depth, token, parent row, request (-1 for an ancestor)
+        for k, (c, prefix) in enumerate(requests):
+            prefix, held = tuple(prefix), cache.row_of[c]
+            length, up = len(prefix), -1  # walk up to the deepest ancestor held
+            while length and (up := latest.get((c, prefix[:length - 1]), held.get(prefix[:length - 1], -1))) < 0:
+                length -= 1
+            for length in range(length, len(prefix) + 1):
+                token = prefix[length - 1] if length else PAD_ID
+                layout.append((c, length, token, up, k if length == len(prefix) else -1))
+                up = latest[c, prefix[:length]] = cache.size + len(layout) - 1
+        n = len(layout)
+        context, depth, ids, ups, asked = np.array(layout, dtype=np.int64).T
         rows = cache.size + np.arange(n)
         if depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
-        if ((ups < 0) != (depth == 0)).any() or (ups >= rows).any():
-            raise ValueError("a parent row must be an earlier row, and -1 exactly for the empty prefix")
-        # a parent one level up makes every chain as long as its prefix (by induction
-        # over the rows the cache holds), so the passes walk chains unchecked
-        up_depth = np.full(n, -1)
-        inner, outer = ups >= cache.size, (ups >= 0) & (ups < cache.size)
-        up_depth[inner] = depth[ups[inner] - cache.size]
-        up_depth[outer] = cache.entry_depth[cache.entry[ups[outer]]]
-        if (up_depth != depth - 1).any():
-            raise ValueError("a parent row's chain must be one shorter than its prefix")
         # rows and table entries past what the cache holds stay unseen until the
         # call returns; a store that is too small grows into new arrays
-        parent, entry, inputs = cache.parent, cache.entry, cache.inputs
-        table, entry_depth = cache.layer0, cache.entry_depth
+        parent, entry, inputs, table = cache.parent, cache.entry, cache.inputs, cache.layer0
         if rows[-1] >= len(parent):
             room = max(cache.room, cache.size + n, 2 * cache.size)
             parent, entry = np.empty(room, dtype=np.int64), np.empty(room, dtype=np.int64)
@@ -724,7 +723,7 @@ class SequenceModel:
                 entry[:cache.size] = cache.entry[:cache.size]
                 inputs[:, :cache.size] = cache.inputs[:, :cache.size]
         parent[rows] = ups
-        order = np.lexsort((context, depth))  # by depth, then context, then request
+        order = np.lexsort((context, depth))  # by depth, then context, then row
         # each row's table entry; a (token, depth) pair new to the cache gets the next one
         keys, key_of = np.unique(depth * cfg.vocab_size + ids, return_inverse=True)
         known, fresh = len(cache.entry_of), {}
@@ -736,15 +735,14 @@ class SequenceModel:
                 slot = fresh[pair] = known + len(fresh)
             slots[u] = slot
         entry[rows] = slots[key_of]
-        fills = np.zeros(n, dtype=bool)  # the request that first decodes each new pair
+        fills = np.zeros(n, dtype=bool)  # the row that first decodes each new pair
         if fresh:
             fills[order[np.unique(key_of[order], return_index=True)[1]][slots >= known]] = True
-            if known + len(fresh) > len(entry_depth):
-                size = max(known + len(fresh), 2 * known)
-                table, entry_depth = np.empty((size, cfg.d_model)), np.empty(size, dtype=np.int64)
+            if table is None or known + len(fresh) > len(table):
+                table = np.empty((max(known + len(fresh), 2 * known), cfg.d_model))
                 if known:
-                    table[:known], entry_depth[:known] = cache.layer0[:known], cache.entry_depth[:known]
-            entry_depth[known:known + len(fresh)] = [d for _, d in fresh]
+                    table[:known] = cache.layer0[:known]
+        wanted = asked >= 0
         run = order[wanted[order] | fills[order]] if cfg.layers == 1 else order  # the rows to decode
         passes = 0
         for level in np.split(run, np.flatnonzero(np.diff(depth[run])) + 1) if run.size else ():
@@ -767,13 +765,14 @@ class SequenceModel:
                 inputs[:, rows[sel]] = keep[1:]
                 goes = wanted[sel]
                 if goes.all():
-                    on_pass(sel, out.data)
+                    on_pass(asked[sel], out.data)
                 elif goes.any():
-                    on_pass(sel[goes], out.data[goes])
+                    on_pass(asked[sel[goes]], out.data[goes])
                 passes += 1
-        cache.parent, cache.entry, cache.inputs = parent, entry, inputs
-        cache.layer0, cache.entry_depth = table, entry_depth
+        cache.parent, cache.entry, cache.inputs, cache.layer0 = parent, entry, inputs, table
         cache.entry_of.update(fresh)
+        for (c, prefix), row in latest.items():
+            cache.row_of[c][prefix] = row
         cache.size += n
         cache.passes += passes
 

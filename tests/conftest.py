@@ -77,10 +77,9 @@ class ScriptedModel:
     def prefix_logits(self, state, prefixes) -> np.ndarray:
         return np.array([self.logits(state, p) for p in prefixes]).reshape(-1, self.vocab_size)
 
-    def wave_logits(self, cache, requests, on_pass, wanted=None) -> None:
-        indices = np.arange(len(requests)) if wanted is None else np.flatnonzero(wanted)
-        on_pass(indices, np.array([self.logits(cache.contexts[requests[k][0]], requests[k][1])
-                                   for k in indices]).reshape(-1, self.vocab_size))
+    def wave_logits(self, cache, requests, on_pass) -> None:
+        on_pass(np.arange(len(requests)),
+                np.array([self.logits(cache.contexts[c], p) for c, p in requests]).reshape(-1, self.vocab_size))
 
     def param_hash(self) -> str:
         return "scripted"

@@ -348,13 +348,26 @@ def assert_searches_follow_the_ladder(searched, ladder):
         assert [r for t, r in searched if t == text] == [r for t, r in ladder if t == text]
 
 
-def test_allocation_equals_one_built_on_reference_dbs():
+@pytest.mark.parametrize("layers", [1, 2])
+def test_allocation_equals_one_built_on_reference_dbs(layers):
+    # later rungs reuse a text's logprob cache, so their lanes decode
+    # ancestors they never ranked: rows that, past layer 0, a deeper
+    # generator keeps and attends through
     vocab = make_vocab(WORDS[:5])
-    model = tiny_model(vocab_size=vocab.size, seed=3)
+    model = tiny_model(vocab_size=vocab.size, seed=3, layers=layers)
     cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
     texts = [f"{WORDS[i]} {WORDS[i + 1]}" for i in range(3)]
     items = [(f"k{i}", texts[i % 3]) for i in range(60)]
+    ancestors, wave_logits = [], model.wave_logits
+
+    def counted(cache, requests, on_pass):
+        before = cache.size
+        wave_logits(cache, requests, on_pass)
+        ancestors.append(cache.size - before - len(requests))
+
+    model.wave_logits = counted
     registry = allocate_all(model, items, vocab, cfg)
+    assert sum(ancestors) > 0
     assert any(row.fallback for row in registry.rows)
     reference, _ = reference_ladder(model, items, vocab, cfg, search=reference_dbs)
     assert registry.ids == reference.ids and registry.rows == reference.rows
@@ -697,6 +710,15 @@ def test_allocate_distinct_dominant_tokens_no_escalation():
     stats = registry.stats(lam_init=1.0)
     assert stats["fraction_lambda_escalated"] == 0.0
     assert stats["fraction_length_extended"] == 0.0
+
+
+def test_a_repeated_item_key_is_refused_before_any_search(decoder_calls):
+    vocab = make_vocab(WORDS[:8])
+    model = tiny_model(vocab_size=vocab.size, seed=2)
+    items = [("a", "alfa bravo"), ("b", "coral delta"), ("b", "echos fjord"), ("a", "golfe hotel")]
+    with pytest.raises(ValueError, match="duplicate item key 'b'"):
+        allocate_all(model, items, vocab, AllocatorConfig(groups=2))
+    assert decoder_calls == []
 
 
 def test_allocate_output_is_unique_and_complete():

@@ -357,6 +357,7 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     ({"allocator": {"groups": 4, "seed": 1}}, "allocator"),
     ({"vocab": {"max_size": 2}}, "vocab"),
     ({"vocab": {"min_freq": 0}}, "vocab"),
+    ({"model": {"seed": -1}}, "model"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"
@@ -367,6 +368,18 @@ def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, conf
     capsys.readouterr()
     assert run("train", "--data", split, "--out", tmp_path / "r", "--config", cfg) == 2
     assert f"'{section}'" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("level", ["verbose", "10"])
+def test_unknown_log_level_exits_2_with_one_line(tmp_path, capsys, monkeypatch, level):
+    monkeypatch.setenv("IDGEN_LOG", level)
+    out = tmp_path / "raw"
+    argv = ["synth", "--out", out, "--users", 10, "--items", 6]
+    assert run(*argv) == 2
+    assert one_line_error(capsys) == f"error: IDGEN_LOG: unknown log level {level!r}\n"
+    assert not out.exists()
+    monkeypatch.setenv("IDGEN_LOG", "warn")  # a known name, in any case
+    assert run(*argv) == 0 and out.exists()
 
 
 def test_eval_with_checkpoint_missing_a_parameter_exits_2(tmp_path, capsys):

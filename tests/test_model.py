@@ -38,6 +38,8 @@ def test_config_validation():
         ModelConfig(vocab_size=10, d_model=10, heads=4)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=0)
+    with pytest.raises(ValueError, match="seed"):
+        ModelConfig(vocab_size=10, seed=-1)
 
 
 def test_encode_deterministic_and_position_sensitive():
@@ -471,8 +473,8 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
 
 
 def wave_rows(model, cache, requests) -> np.ndarray:
-    """The logits `wave_logits` passes out for `requests`, in request order
-    (NaN for a request it never passed out)."""
+    """The logits `wave_logits` passes out for the (context, prefix)
+    `requests`, in request order (NaN for a request it never passed out)."""
     rows = np.full((len(requests), model.config.vocab_size), np.nan)
 
     def on_pass(indices, logits):
@@ -482,19 +484,9 @@ def wave_rows(model, cache, requests) -> np.ndarray:
     return rows
 
 
-def cache_requests(cache, rows: dict, asked) -> list[tuple]:
-    """`wave_logits` requests for the (context, prefix) pairs in `asked`, in
-    order, each preceded by its ancestors that `rows` lacks; `rows` maps
-    (context, prefix) to its cache row and is updated (a prefix asked again
-    gets a new row)."""
-    requests = []
-    for c, prefix in asked:
-        for k in range(len(prefix) + 1):
-            if k == len(prefix) or (c, prefix[:k]) not in rows:
-                up = rows[c, prefix[:k - 1]] if k else -1
-                rows[c, prefix[:k]] = cache.size + len(requests)
-                requests.append((c, prefix[:k], up))
-    return requests
+def held_rows(cache) -> dict:
+    """Each (context, prefix) the cache holds, mapped to its latest row."""
+    return {(c, prefix): row for c, rows in enumerate(cache.row_of) for prefix, row in rows.items()}
 
 
 def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
@@ -502,29 +494,34 @@ def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
     through one decode cache. Each call extends some earlier prefixes of
     each context and repeats one, holds a duplicate, and adds a prefix
     given without its ancestors (which the call decodes first); every row
-    must equal the memo-less and the per-prefix causal rows. Returns the
-    cache and each (context, prefix)'s latest row."""
+    must equal the memo-less and the per-prefix causal rows, and each asked
+    prefix's latest row is one the call added. Returns the cache and each
+    (context, prefix)'s latest row."""
     cache = model_module.DecodeCache(contexts)
-    rows: dict = {}
     asked = {c: [()] for c in range(len(contexts))}
     vocab_size = model.config.vocab_size
     for _ in range(steps):
-        wanted = []
+        requests = []
         for c, seen in asked.items():
             prefixes = [p + (rng.randrange(vocab_size),) for p in rng.sample(seen, min(3, len(seen)))]
             prefixes += [rng.choice(seen), prefixes[0]]
             prefixes.append(tuple(rng.randrange(vocab_size) for _ in range(rng.randint(2, 4))))
             seen += prefixes
-            wanted += [(c, p) for p in prefixes]
-        before = cache.size
-        requests = cache_requests(cache, rows, wanted)
+            requests += [(c, p) for p in prefixes]
+        before, held = cache.size, held_rows(cache)
         logits = wave_rows(model, cache, requests)
-        assert cache.size == before + len(requests) and logits.shape == (len(requests), vocab_size)
-        for (c, prefix, _), row in zip(requests, logits):
+        rows = held_rows(cache)
+        ancestors = {(c, p[:k]) for c, p in requests for k in range(len(p))}
+        assert set(rows) == set(held) | set(requests) | ancestors
+        # a row per request, and at most one per ancestor the cache lacked
+        assert len(requests) <= cache.size - before <= len(requests) + len(ancestors - set(held))
+        assert all(rows[c, p] >= before for c, p in requests)
+        assert not np.isnan(logits).any()
+        for (c, prefix), row in zip(requests, logits):
             ctx = contexts[c]
             assert np.max(np.abs(row - model.prefix_logits(ctx, [prefix])[0])) < 1e-12
             assert_rows_match_per_prefix(model, ctx, [prefix], row[None])
-    return cache, rows
+    return cache, held_rows(cache)
 
 
 @pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
@@ -572,7 +569,6 @@ def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
     kept = slot.head[0][slot.pick]
     table = cache.layer0[[cache.entry_of[pair] for pair in pairs]]
     assert np.array_equal(table.view(np.uint64), kept.view(np.uint64))
-    assert [cache.entry_depth[cache.entry_of[pair]] for pair in pairs] == [depth for _, depth in pairs]
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -586,35 +582,34 @@ def test_layer0_table_holds_the_inputs_a_memo_less_pass_computes(layers):
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
-    # only wanted rows' logits go out; a one-layer model decodes an unwanted
-    # row only when it is the first of a new (token, depth) pair, and later
-    # rows attend through it all the same
+    # only asked rows' logits go out; a one-layer model decodes an ancestor
+    # the cache adds only when it is the first of a new (token, depth) pair,
+    # and later rows attend through it all the same
     model = tiny_model(vocab_size=11, seed=7, layers=layers)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
-    cache, rows, rng = model_module.DecodeCache(contexts), {}, random.Random(layers)
+    cache, rng = model_module.DecodeCache(contexts), random.Random(layers)
     skipped = 0
     for _ in range(4):
-        asked = {(c, tuple(rng.randrange(11) for _ in range(rng.randint(1, 5)))) for c in (0, 1) for _ in range(4)}
-        requests = cache_requests(cache, rows, sorted(asked))
-        wanted = np.array([(c, prefix) in asked for c, prefix, _ in requests])
-        fresh = {(p[-1] if p else PAD_ID, len(p)) for _, p, _ in requests} - set(cache.entry_of)
-        got = {}
+        asked = sorted({(c, tuple(rng.randrange(11) for _ in range(rng.randint(1, 5))))
+                        for c in (0, 1) for _ in range(4)})
+        before, entries, got = cache.size, len(cache.entry_of), {}
 
         def on_pass(indices, logits):
             assert not set(indices.tolist()) & set(got)
             got.update(zip(indices.tolist(), logits))
 
         decoder_calls.clear()
-        model.wave_logits(cache, requests, on_pass, wanted)
-        decoded = sum(decoder_calls)
+        model.wave_logits(cache, asked, on_pass)
+        decoded, added = sum(decoder_calls), cache.size - before
+        assert added > len(asked)  # random prefixes lack ancestors
         if layers == 1:
-            assert wanted.sum() <= decoded <= wanted.sum() + len(fresh)
+            assert len(asked) <= decoded <= len(asked) + len(cache.entry_of) - entries
         else:
-            assert decoded == len(requests)
-        skipped += len(requests) - decoded
-        assert sorted(got) == np.flatnonzero(wanted).tolist()
+            assert decoded == added
+        skipped += added - decoded
+        assert sorted(got) == list(range(len(asked)))
         for k, row in got.items():
-            c, prefix, _ = requests[k]
+            c, prefix = asked[k]
             assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
     assert (skipped > 0) == (layers == 1)
     assert_table_holds_memo_less_inputs(model, cache, contexts[0])
@@ -630,18 +625,18 @@ def test_a_one_layer_cache_keeps_no_float_per_row():
 
 
 def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
-    # a wave pass holds at most `_WAVE_ROWS` rows of one depth
+    # a wave pass holds at most `_WAVE_ROWS` rows of one depth; each tree is
+    # asked for ancestors first, so the cache adds no row of its own
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 4)
     model = tiny_model(vocab_size=11, seed=5, layers=2)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
-    cache, rows = model_module.DecodeCache(contexts), {}
-    asked = [(c, p) for c in (0, 1) for p in random_prefix_tree(random.Random(2 + c), 11, 8, 5)]
-    requests = cache_requests(cache, rows, asked)
+    cache = model_module.DecodeCache(contexts)
+    requests = [(c, p) for c in (0, 1) for p in sorted(random_prefix_tree(random.Random(2 + c), 11, 8, 5))]
     logits = wave_rows(model, cache, requests)
-    depths = Counter(len(p) for _, p, _ in requests)
+    depths = Counter(len(p) for _, p in requests)
     assert decoder_calls == [min(4, n - lo) for _, n in sorted(depths.items()) for lo in range(0, n, 4)]
     assert cache.passes == len(decoder_calls) > len(depths) and cache.size == len(requests)
-    for (c, prefix, _), row in zip(requests, logits):
+    for (c, prefix), row in zip(requests, logits):
         assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
 
 
@@ -650,27 +645,25 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 2)
     model = tiny_model(vocab_size=12, max_tgt_len=4, layers=2)
     contexts = [model.encode([3]), model.encode([4, 5])]
-    cache, rows = model_module.DecodeCache(contexts), {}
-    wave_rows(model, cache, cache_requests(cache, rows, [(0, (6,)), (1, (6, 7))]))
-    size, passes, entries = cache.size, cache.passes, dict(cache.entry_of)
+    cache = model_module.DecodeCache(contexts)
+    wave_rows(model, cache, [(0, (6,)), (1, (6, 7))])
+    size, passes, entries, held = cache.size, cache.passes, dict(cache.entry_of), held_rows(cache)
     arrays = inputs, parent, entry, layer0 = cache.inputs, cache.parent, cache.entry, cache.layer0
     stored = inputs[:, :size].copy(), parent[:size].copy(), entry[:size].copy(), layer0[:len(entries)].copy()
 
     def unchanged():
-        assert (cache.size, cache.passes, cache.entry_of) == (size, passes, entries)
+        assert (cache.size, cache.passes, cache.entry_of, held_rows(cache)) == (size, passes, entries, held)
         assert all(a is b for a, b in zip((cache.inputs, cache.parent, cache.entry, cache.layer0), arrays))
         now = inputs[:, :size], parent[:size], entry[:size], layer0[:len(entries)]
         assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(now, stored))
 
     decoder_calls.clear()
     with pytest.raises(SequenceTooLong):  # checked before any pass
-        wave_rows(model, cache, [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 1, 2), -1)])
+        wave_rows(model, cache, [(0, (6, 1)), (1, (6, 7, 1, 2))])
     assert decoder_calls == []
     unchanged()
-    with pytest.raises(ValueError, match="chain"):  # a parent of the wrong depth
-        wave_rows(model, cache, [(0, (6, 1, 2), rows[0, (6,)])])
-    unchanged()
-    # a pass that raises after the first one has stored its rows
+    # a pass that raises after the first one has stored its rows, among them
+    # an ancestor that no request names
     original = SequenceModel.decoder_all_logits
 
     def second_pass_fails(self, *args, **kwargs):
@@ -679,14 +672,15 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", second_pass_fails)
-    requests = [(0, (6, 1), rows[0, (6,)]), (1, (6, 7, 2), rows[1, (6, 7)]), (1, (8,), rows[1, ()])]
+    requests = [(0, (6, 1)), (1, (6, 7, 2)), (1, (8,)), (0, (9, 2))]
     with pytest.raises(RuntimeError):
         wave_rows(model, cache, requests)
-    assert decoder_calls == [1]
+    assert decoder_calls == [2]  # (8,) and the ancestor (9,)
     unchanged()
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", original)
-    for (c, prefix, _), row in zip(requests, wave_rows(model, cache, requests)):
+    for (c, prefix), row in zip(requests, wave_rows(model, cache, requests)):
         assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
+    assert (0, (9,)) in held_rows(cache)
 
 
 # -- the head slot: memo-less calls reuse the user-independent head -------------
@@ -832,9 +826,8 @@ def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
     rows = model.prefix_logits(ctx, prefixes)
     slot = model._head_slot
     for twin in (model, tiny_model(vocab_size=11, seed=6, layers=2)):
-        cache, at = model_module.DecodeCache([ctx]), {}
-        wave = wave_rows(twin, cache, cache_requests(cache, at, [(0, p) for p in prefixes]))
-        assert np.max(np.abs(wave[[at[0, p] for p in prefixes]] - rows)) < 1e-12
+        wave = wave_rows(twin, model_module.DecodeCache([ctx]), [(0, p) for p in prefixes])
+        assert np.max(np.abs(wave - rows)) < 1e-12
     assert model._head_slot is slot
     assert twin._head_slot is None
 
