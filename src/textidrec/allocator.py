@@ -12,31 +12,54 @@ escalates; when it tops out, the permissible length range advances and the
 penalty resets. Models provide `config`, `encode`, `wave_logits` (the step
 scorer) and `param_hash`.
 
-Each scored prefix is ranked once. The logprob cache keeps, per prefix, its
-`width = min(V, groups * beams_per_group + 1)` best next tokens (log-probs as
-float64, ids as int32), best first, equal log-probs in token order, PAD and
-UNK ranked as -inf. A beam walks this list, penalizing as it goes, and stops
-once it has seen `beams_per_group` unpenalized tokens; it keeps the best
-`beams_per_group` of what it walked. That equals a stable argsort of the
-whole penalized row: a penalty only lowers a value, so every token past the
-stop ranks after the last unpenalized token seen. At most `beams_per_group *
-(groups - 1)` tokens carry a penalty and EOS may be banned, so the list
-always holds enough unpenalized tokens.
+Prefixes are node ids. The logprob cache (`LogprobCache`) is a prefix
+trie (`PrefixTrie`, see `model.py`) with a root per text or history: a node
+is its parent node plus one token. Each scored node is ranked once: the
+cache keeps, per node, its `width = min(V, groups * beams_per_group + 1)`
+best next tokens (log-probs as float64, ids as int32), best first, equal
+log-probs in token order, PAD and UNK ranked as -inf, as rows of (nodes,
+width) arrays, and beside them the child node each ranked token leads to,
+made when a beam first picks it. A beam is a (node, total) pair, so no
+prefix tuple is built while a search runs.
+
+A beam keeps the best `beams_per_group` of its `width` ranked tokens by
+(-penalized value, token). That equals a stable argsort of the whole
+penalized row: at most `beams_per_group * (groups - 1)` tokens carry a
+penalty and EOS may be banned, so the list holds `beams_per_group`
+unpenalized tokens, and a token past the last of them has a value no
+higher, a larger token on an equal value, and a penalty that only lowers
+it. (Stopping there, as a walk down the list would, keeps the same picks.)
 
 Searches run as waves. A wave is a list of searches, each against its own
-encoder state and logprob cache, run in lanes: consecutive searches whose
+encoder state and trie, run in lanes: consecutive searches of equal
+settings (groups, beams per group, lam, lengths, logprob cache) whose
 decode state fits in `_LANE_BYTES` advance in lockstep through one
-`DecodeCache` (see `model.py`), and each step asks one `wave_logits` call
-for the prefixes that the lane's logprob caches lack, ranking each pass's
-rows as its logits return. A prefix the logprob cache already ranked is
-not asked for; the `DecodeCache` decodes it when a descendant needs it, as
-an ancestor whose logits go nowhere (a one-layer model gives it no pass
-unless it is the first of its (token, depth) pair). A cache row holds no float
-of layer 0 (its input is kept once per (token, depth)), so a one-layer
-generator's wave of a few thousand searches is one lane; the bound keeps
-a deeper model's lane, whose rows hold the inputs of every later layer,
-small next to the logprob caches. `diverse_beam_search` is a wave of one
-search, so there is one search loop.
+`DecodeCache` (see `model.py`). A lane holds its beams as (searches,
+groups, beams_per_group) arrays of nodes, totals, liveness and each beam's
+lexicographic rank in its group. A step asks one `wave_logits` call for the
+live nodes the logprob cache has not ranked, as (search, node) rows, and
+ranks each pass's rows into the cache as its logits return. Then each
+group, in group order, picks for every search of the lane at once, in a few
+array operations:
+- gather its beams' ranked values and tokens, (searches, beams, width);
+- subtract the penalties gathered at those tokens, from a (searches, V)
+  array of lam times the picks of the groups before it, EOS at +inf while
+  t < min_len;
+- keep each beam's best `beams_per_group` by (-penalized value, token);
+- keep each search's best `beams_per_group` of those by (-total, prefix,
+  token). All of a group's beams have one length, so a prefix compares as
+  its beam's rank, and a new beam's rank follows from its parent's rank and
+  its token;
+- count the picks into the penalties; an EOS pick completes its beam.
+Absent or finished beams are masked. A node the logprob cache already
+ranked is not asked for; the `DecodeCache` decodes it when a descendant
+needs it, as an ancestor whose logits go nowhere (a one-layer model gives
+it no pass unless it is the first of its (token, depth) pair). A cache row
+holds no float of layer 0 (its input is kept once per (token, depth)), so a
+one-layer generator's wave of a few thousand searches is one lane; the
+bound keeps a deeper model's lane, whose rows hold the inputs of every
+later layer, small next to the logprob cache. `diverse_beam_search` is a
+wave of one search, so there is one search loop.
 
 `allocate_all` forms waves only of searches it will certainly run, so each
 text's searches, their order and their count are those of the one-item-
@@ -53,19 +76,20 @@ searches.
 
 A search that kept no penalized token answers every higher penalty of its
 length range. Call a search penalty-free when, in every beam of every group
-at every step, the best `beams_per_group` walked picks are all unpenalized
-tokens. The same search at any lam' >= lam then returns the same candidates:
+at every step, the best `beams_per_group` picks are all outside the penalty
+set (a banned EOS counts as in it). The same search at any lam' >= lam then
+returns the same candidates:
 - a penalty is `lam * count`, so raising lam only lowers a penalized value,
   and float rounding keeps that monotone;
-- which tokens carry a penalty depends on the counts, not on lam, so the
-  walk stops after the same unpenalized tokens;
-- the penalized picks keep sorting after them (equal values still break ties
-  by token), so every beam keeps the same candidates with the same totals;
+- which tokens carry a penalty depends on the counts, not on lam;
+- the penalized tokens keep sorting after the unpenalized picks (equal
+  values still break ties by token), so every beam keeps the same
+  candidates with the same totals;
 - so every group picks the same tokens, and the counts that later groups see
   are the same.
 `diverse_beam_search` marks such a result `penalty_free`, and `allocate_all`
 answers every later rung of that length range with it instead of searching
-again. The check costs nothing when no beam walked a penalized token.
+again.
 """
 
 from __future__ import annotations
@@ -79,10 +103,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecodeCache, log_softmax_rows
-from .tokenizer import EOS_ID, PAD_ID, UNK_ID, Vocabulary
+from .model import DecodeCache, PrefixTrie, _grown, log_softmax_rows
+from .tokenizer import EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
+
+# Penalties per length range (rungs of the escalation ladder) an
+# AllocatorConfig may ask for: items climb the ladder one rung at a time.
+_MAX_PENALTIES = 1000
 
 # Bytes of per-row decode state one lockstep lane of a wave may hold (its
 # searches' rows times `DecodeCache.row_bytes`): about what a lane of 12
@@ -123,6 +151,13 @@ class AllocatorConfig:
             raise ValueError("lam_init must not exceed lam_max")
         if self.lam_step <= 0:
             raise ValueError("lam_step must be positive")
+        # counted, not built: `penalties` climbs by repeated addition, which stops
+        # advancing once lam_step is at most half a unit in the last place of lam
+        top = self.lam_max + 1e-12
+        if self.lam_step <= math.ulp(top) / 2:
+            raise ValueError(f"lam_step {self.lam_step} is too small to advance lam up to lam_max {self.lam_max}")
+        if (top - self.lam_init) / self.lam_step >= _MAX_PENALTIES:
+            raise ValueError(f"lam_init, lam_step and lam_max give over {_MAX_PENALTIES} penalties per length range")
         if not self.length_ranges:
             raise ValueError("length_ranges must be non-empty")
         previous_hi = 0
@@ -130,6 +165,14 @@ class AllocatorConfig:
             if not (0 < lo < hi) or lo < previous_hi:
                 raise ValueError(f"length ranges must be increasing and disjoint: {self.length_ranges}")
             previous_hi = hi
+
+    def penalties(self) -> list[float]:
+        """The penalties of one length range's rungs, in order: lam_init, then
+        each previous one plus lam_step, while not above lam_max."""
+        lams = [self.lam_init]
+        while lams[-1] + self.lam_step <= self.lam_max + 1e-12:
+            lams.append(lams[-1] + self.lam_step)
+        return lams
 
 
 @dataclass(frozen=True)
@@ -243,17 +286,95 @@ def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, Allo
     return TextualId(tokens=tokens, text=text), AllocationRow(key=key, lam=lam_value, range_index=index)
 
 
-def _ranked(logits: np.ndarray, width: int) -> tuple[memoryview, memoryview, int]:
+def _ranked(logits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's `width` best next tokens, best first, equal log-probs in
-    token order, PAD and UNK ranked as -inf: flat float64 log-probs and
-    int32 token ids, `kept` per row, ranked by one stable argsort and read
-    through memoryviews, which yield Python numbers without a conversion per
-    row."""
+    token order, PAD and UNK ranked as -inf: (rows, width) float64 log-probs
+    and int32 token ids, ranked by one stable argsort."""
     block = log_softmax_rows(logits)
     block[:, [PAD_ID, UNK_ID]] = -np.inf
     order = (-block).argsort(axis=1, kind="stable")[:, :width]
-    return (memoryview(np.take_along_axis(block, order, axis=1).ravel()),
-            memoryview(order.astype(np.int32).ravel()), order.shape[1])
+    return np.take_along_axis(block, order, axis=1), order.astype(np.int32)
+
+
+class LogprobCache(PrefixTrie):
+    """The logprob cache: the prefix trie of every text (or history)
+    searched, each under its own root, and the ranked next tokens of every
+    node a search has scored, each ranked once and shared by every search of
+    its text. Ranked node k is row `row[k]` (-1 until ranked) of `values`
+    and `tokens`, its `width` best next tokens as `_ranked` gives them
+    (`width` is set by the first search); `child[row[k], j]` is the node
+    that extends k by `tokens[row[k], j]` (-1 until a beam picks it), so a
+    beam's pick names its node without a lookup by prefix."""
+
+    def __init__(self):
+        super().__init__()
+        self.width: int | None = None
+        self.rows = 0
+        self.row = np.empty(0, dtype=np.int64)
+
+    def fit(self, width: int) -> None:
+        """Make sure the rows rank at least `width` tokens: the first search
+        sets the width."""
+        if self.width is None:
+            self.width = width
+            self.values = np.empty((0, width))
+            self.tokens = np.empty((0, width), dtype=np.int32)
+            self.child = np.empty((0, width), dtype=np.int32)
+        elif self.width < width:
+            raise ValueError(f"logprob_cache holds the {self.width} best tokens per prefix; "
+                             f"this search needs {width}")
+
+    def _reserve(self, size: int) -> None:
+        super()._reserve(size)
+        if len(self.row) < len(self.parent):
+            self.row = _grown(self.row, len(self.parent), self.size)
+
+    def add(self, parents, tokens) -> np.ndarray:
+        ids = super().add(parents, tokens)
+        self.row[ids] = -1
+        return ids
+
+    def new_root(self) -> int:
+        return int(self.add([-1], [PAD_ID])[0])
+
+    def reserve(self, rows: int) -> None:
+        """Room for `rows` ranked rows: a lane reserves what it may add up
+        front, so the row store is not copied while the lane grows it."""
+        if rows > len(self.values):
+            room = max(rows, 2 * len(self.values))
+            self.values, self.tokens, self.child = (_grown(a, room, self.rows)
+                                                    for a in (self.values, self.tokens, self.child))
+
+    def store(self, nodes: np.ndarray, values: np.ndarray, tokens: np.ndarray) -> None:
+        """Keep the ranked rows `values`, `tokens` as those of `nodes`."""
+        rows = np.arange(self.rows, self.rows + len(nodes))
+        self.reserve(self.rows + len(nodes))
+        self.values[rows], self.tokens[rows], self.child[rows] = values, tokens, -1
+        self.row[nodes] = rows
+        self.rows += len(nodes)
+
+    def children(self, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The node that extends each of `nodes` (ranked, and each (node, at)
+        pair distinct) by its ranked token at position `at`, added if new."""
+        rows = self.row[nodes]
+        found = self.child[rows, at]
+        new = found < 0
+        if new.any():
+            rows, at = rows[new], at[new]
+            found[new] = self.child[rows, at] = self.add(nodes[new], self.tokens[rows, at])
+        return found
+
+    def mark(self) -> tuple[int, int]:
+        return self.size, self.rows
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Forget every node and ranked row added since `mark` was taken."""
+        size, rows = mark
+        ranked = self.row[:size]
+        ranked[ranked >= rows] = -1
+        children = self.child[:rows]
+        children[children >= size] = -1
+        self.size, self.rows = size, rows
 
 
 class Candidates(list):
@@ -265,127 +386,160 @@ class Candidates(list):
 
 
 class _Search:
-    """One diverse beam search against the encoder state `state`, advanced
-    a step at a time by `_run_lane`. A beam is (prefix, score). `cache`,
-    the logprob cache, maps a prefix to ((log-probs, ids, kept), row) of a
-    `_ranked` block; a prefix it already holds is not decoded again."""
+    """One diverse beam search against the encoder state `state`, over the
+    trie under `root` in the logprob cache `cache`; `_Lane` runs it."""
 
-    def __init__(self, state, cache: dict | None, *, groups: int, beams_per_group: int,
+    def __init__(self, state, cache: LogprobCache, root: int, *, groups: int, beams_per_group: int,
                  lam: float, max_len: int, min_len: int, vocab_size: int):
         if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
             raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
-        self.state, self.cache = state, {} if cache is None else cache
-        self.beams_per_group, self.lam, self.max_len, self.min_len = beams_per_group, lam, max_len, min_len
+        self.state, self.cache, self.root = state, cache, root
+        self.groups, self.beams_per_group = groups, beams_per_group
+        self.lam, self.max_len, self.min_len, self.vocab_size = lam, max_len, min_len, vocab_size
         # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
         # EOS may be banned: one more than that leaves every beam its top-k (module doc)
         self.width = min(vocab_size, groups * beams_per_group + 1)
-        self.beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(groups)]
-        self.completed: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(groups)]
-        self.penalty_free = True  # no beam has kept a penalized token so far
-        self.t = 0
+        cache.fit(self.width)
 
-    def live(self) -> bool:
-        return self.t < self.max_len and any(self.beams)
+    def settings(self) -> tuple:
+        """What the searches of one lane share."""
+        return (id(self.cache), self.groups, self.beams_per_group, self.lam, self.min_len, self.max_len,
+                self.vocab_size)
 
     def room(self) -> int:
         """The rows the search decodes at most: one per beam and step, and
-        the empty prefix."""
-        return 1 + len(self.beams) * self.beams_per_group * (self.max_len - 1)
+        the root."""
+        return 1 + self.groups * self.beams_per_group * (self.max_len - 1)
 
-    def missing(self) -> list[tuple[int, ...]]:
-        """The live prefixes the logprob cache lacks, each once, in beam order."""
-        return [seq for seq in dict.fromkeys(seq for group in self.beams for seq, _ in group)
-                if seq not in self.cache]
+
+class _Lane:
+    """Searches of equal settings and one logprob cache, run in lockstep as
+    arrays (module doc). Beam b of group g of search s is node[s, g, b] with
+    total score[s, g, b] where live[s, g, b]; rank[s, g, b] is its prefix's
+    place in lexicographic order among its group's beams. `done` gathers
+    the completions, per group step: (searches, group, totals, nodes)."""
+
+    def __init__(self, searches: list[_Search]):
+        first = searches[0]
+        self.searches, self.cache = searches, first.cache
+        self.lam, self.min_len, self.max_len, self.width = first.lam, first.min_len, first.max_len, first.width
+        self.vocab_size = first.vocab_size
+        shape = (len(searches), first.groups, first.beams_per_group)
+        self.node = np.empty(shape, dtype=np.int64)
+        self.node[...] = np.array([s.root for s in searches])[:, None, None]
+        self.score = np.zeros(shape)
+        self.live = np.zeros(shape, dtype=bool)
+        self.live[:, :, 0] = True
+        self.rank = np.zeros(shape, dtype=np.int64)
+        self.penalty_free = np.ones(len(searches), dtype=bool)  # no kept top pick was penalized
+        self.done: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
+        self.t = 0
+
+    def missing(self) -> np.ndarray:
+        """(search, node) of each live beam whose node the logprob cache has
+        not ranked, each once, in beam order."""
+        at = np.flatnonzero(self.live)
+        nodes = self.node.ravel()[at]
+        first = np.sort(np.unique(nodes, return_index=True)[1])
+        at, nodes = at[first], nodes[first]
+        lacking = self.cache.row[nodes] < 0
+        return np.stack([at[lacking] // self.live[0].size, nodes[lacking]], axis=1)
 
     def step(self) -> None:
-        """Step t: every group picks its beams, in group order, from the ranked
-        lists of its beams' prefixes."""
-        beams, lam, beams_per_group, width = self.beams, self.lam, self.beams_per_group, self.width
-        ranked = []
-        for seq, _ in (beam for group in beams for beam in group):
-            (values, tokens, kept), row = self.cache[seq]
-            if kept < width:
-                raise ValueError(f"logprob_cache holds the {kept} best tokens per prefix; "
-                                 f"this search needs {width}")
-            ranked.append((values[row * kept:row * kept + width], tokens[row * kept:row * kept + width]))
-        ranked = iter(ranked)
-        counts: dict[int, int] = {}  # picks at step t by the groups done so far
-        # token -> lam * count; EOS is banned while every live beam (all t long) is short
-        penalty = {EOS_ID: math.inf} if self.t < self.min_len else {}
-        cost_of = penalty.get
-        for g, group in enumerate(beams):
-            if not group:
-                continue
-            # sort keys as plain tuples: (-value, token) per beam, (-total, seq, token)
-            # per group; negation is exact, so -(-x) gives back x bit for bit
-            candidates = []
-            for (seq, score), (values, tokens) in zip(group, ranked):
-                picks, free = [], 0  # (-penalized value, token); unpenalized ones seen
-                for value, token in zip(values, tokens):
-                    cost = cost_of(token)
-                    if cost is None:
-                        picks.append((-value, token))
-                        free += 1
-                        if free == beams_per_group:
-                            break
-                    else:
-                        picks.append((-(value - cost), token))
-                if free < len(picks):
-                    picks.sort()
-                    if self.penalty_free:
-                        self.penalty_free = all(cost_of(token) is None for _, token in picks[:beams_per_group])
-                candidates += [(-(score - negative), seq, token)
-                               for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
-            candidates.sort()
-            beams[g] = []
-            for negative, seq, token in candidates[:beams_per_group]:
-                counts[token] = counts.get(token, 0) + 1
-                penalty[token] = lam * counts[token]
-                if token == EOS_ID:
-                    self.completed[g].append((-negative, seq))
-                else:
-                    beams[g].append((seq + (token,), -negative))
+        """Step t: every group picks its beams, in group order, from the
+        ranked rows of its beams' nodes, all searches at once."""
+        cache, lam = self.cache, self.lam
+        searches, groups, beams = self.node.shape
+        k = min(beams, self.width)
+        s3, b3, s2 = np.arange(searches)[:, None, None], np.arange(beams)[:, None], np.arange(searches)[:, None]
+        rows = np.where(self.live, cache.row[self.node], 0)
+        values, tokens = cache.values[rows, :self.width], cache.tokens[rows, :self.width]
+        # per search: picks at step t by the groups done so far, lam times that count
+        # (the penalty), and the penalty set; EOS is banned while every live beam is short
+        counts = np.zeros((searches, self.vocab_size))
+        penalty = np.zeros((searches, self.vocab_size))
+        marked = np.zeros((searches, self.vocab_size), dtype=bool)
+        if self.t < self.min_len:
+            penalty[:, EOS_ID], marked[:, EOS_ID] = np.inf, True
+        for g in np.flatnonzero(self.live.any(axis=(0, 2))).tolist():
+            live = self.live[:, g]
+            # each beam's best k by (-penalized value, token)
+            token = tokens[:, g]
+            value = values[:, g] - penalty[s3, token]
+            at = np.lexsort((token, -value))[..., :k]
+            value, token = value[s3, b3, at], token[s3, b3, at]
+            if self.penalty_free.any():
+                self.penalty_free &= ~(marked[s3, token] & live[..., None]).any(axis=(1, 2))
+            # the group's best beams_per_group by (-total, prefix, token)
+            total = (self.score[:, g, :, None] + value).reshape(searches, -1)
+            finite = (live[..., None] & np.isfinite(value)).reshape(searches, -1)
+            token, at = token.reshape(searches, -1), at.reshape(searches, -1)
+            pick = np.lexsort((token, np.repeat(self.rank[:, g], k, axis=1),
+                               np.where(finite, -total, np.inf)))[:, :beams]
+            ok, token, total, at, beam = finite[s2, pick], token[s2, pick], total[s2, pick], at[s2, pick], pick // k
+            parent = self.node[s2, g, beam]
+            chosen, token_of = np.nonzero(ok)[0], token[ok]
+            np.add.at(counts, (chosen, token_of), 1)
+            penalty[chosen, token_of] = lam * counts[chosen, token_of]
+            marked[chosen, token_of] = True
+            ended = ok & (token == EOS_ID)
+            if EOS_ID in token_of:
+                self.done.append((np.nonzero(ended)[0], g, total[ended], parent[ended]))
+            grows = ok ^ ended
+            parent[grows] = cache.children(parent[grows], at[grows])
+            # the new beams' lexicographic order: by their parents', then by token
+            self.rank[s2, g, np.lexsort((token, self.rank[s2, g, beam], ~grows))] = np.arange(beams)
+            self.node[:, g], self.score[:, g], self.live[:, g] = parent, total, grows
         self.t += 1
 
-    def result(self, vocab: Vocabulary) -> Candidates:
-        results = Candidates()
-        results.penalty_free = self.penalty_free
-        decoded: dict[tuple[int, ...], TextualId] = {}  # groups often agree under duplication
-        for group_beams, done in zip(self.beams, self.completed):
-            done = done + [(score, seq) for seq, score in group_beams]  # hit max_len
-            if not done:
-                raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
-            done.sort(key=lambda c: (-c[0], c[1]))
-            best_seq = done[0][1]
-            if best_seq not in decoded:
-                decoded[best_seq] = TextualId(tokens=best_seq, text=vocab.decode(best_seq))
-            results.append(decoded[best_seq])
+    def run(self, model) -> DecodeCache:
+        """Step the searches to their ends, each against its own context in
+        one `DecodeCache`, and return the cache: a step asks for the nodes
+        that the logprob cache lacks in one `wave_logits` call, ranking
+        each pass's rows into the cache as its logits return."""
+        cache, room = self.cache, sum(s.room() for s in self.searches)
+        cache.reserve(cache.rows + room)
+        state = DecodeCache([s.state for s in self.searches], cache, room=room)
+        while self.t < self.max_len and self.live.any():
+            requests = self.missing()
+
+            def rank(indices: np.ndarray, logits: np.ndarray) -> None:
+                cache.store(requests[indices, 1], *_ranked(logits, cache.width))
+
+            model.wave_logits(state, requests, rank)
+            self.step()
+        return state
+
+    def results(self, vocab: Vocabulary) -> list[Candidates]:
+        """Each search's candidates: per group, its best completion by
+        (-total, prefix), the beams that reached max_len included."""
+        searches, groups, _ = self.node.shape
+        search, group, _ = np.nonzero(self.live)
+        done = self.done + [(search, group, self.score[self.live], self.node[self.live])]
+        search = np.concatenate([d[0] for d in done])
+        group = np.concatenate([np.broadcast_to(d[1], d[0].shape) for d in done])
+        total, node = np.concatenate([d[2] for d in done]), np.concatenate([d[3] for d in done])
+        key = search * groups + group
+        order = np.lexsort((-total, key))
+        key, total, node = key[order], total[order], node[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        if len(first) < searches * groups:
+            raise IdSpaceExhausted("no decodable token: vocabulary has no usable entries")
+        best = node[first]
+        # equal best totals: the smaller prefix wins
+        ends = np.r_[first[1:], len(key)]
+        for i in np.flatnonzero((ends > first + 1) & (total[np.minimum(first + 1, len(key) - 1)] == total[first])):
+            ties = node[first[i]:ends[i]][total[first[i]:ends[i]] == total[first[i]]]
+            prefixes = self.cache.prefixes(ties)
+            best[i] = ties[prefixes.index(min(prefixes))]
+        unique, inverse = np.unique(best, return_inverse=True)
+        ids = [TextualId(tokens=p, text=vocab.decode(p)) for p in self.cache.prefixes(unique)]
+        results = []
+        for s in range(searches):
+            candidates = Candidates(ids[i] for i in inverse[s * groups:(s + 1) * groups].tolist())
+            candidates.penalty_free = bool(self.penalty_free[s])
+            results.append(candidates)
         return results
-
-
-def _run_lane(model, lane: list[_Search]) -> DecodeCache:
-    """Run the searches of `lane` in lockstep to their ends, each against its
-    own context in one `DecodeCache`, and return the cache: a step asks for
-    the prefixes that every live search's logprob cache lacks in one
-    `wave_logits` call, ranking each pass's rows into the logprob caches as
-    its logits return."""
-    state = DecodeCache([s.state for s in lane], room=sum(s.room() for s in lane))
-    width = max(s.width for s in lane)
-    while True:
-        live = [(i, s) for i, s in enumerate(lane) if s.live()]
-        if not live:
-            return state
-        requests = [(i, seq) for i, s in live for seq in s.missing()]
-
-        def rank(indices: np.ndarray, logits: np.ndarray) -> None:
-            block = _ranked(logits, width)
-            for row, at in enumerate(indices.tolist()):
-                i, seq = requests[at]
-                lane[i].cache[seq] = (block, row)
-
-        model.wave_logits(state, requests, rank)
-        for _, s in live:
-            s.step()
 
 
 @dataclass(frozen=True)
@@ -399,39 +553,41 @@ class WaveStats:
 
 
 def _run_wave(model, searches: list[_Search], vocab: Vocabulary) -> tuple[list[Candidates], WaveStats]:
-    """Run `searches`, whose logprob caches are distinct dicts, as one wave:
-    in lanes of consecutive searches whose rows (`_Search.room`) hold at
-    most `_LANE_BYTES` of decode state (a search too large for it is a lane
-    of its own), each lane in lockstep (`_run_lane`). Returns each search's
-    candidates and what the wave ran. A wave that raises leaves every
-    logprob cache as it was: it only adds entries, and a dict keeps them in
-    insertion order."""
-    sizes = {id(s.cache): len(s.cache) for s in searches}
-    if len(sizes) < len(searches):
-        raise ValueError("the searches of one wave need distinct logprob caches")
+    """Run `searches`, each over a trie of its own, as one wave: in lanes of
+    consecutive searches of equal settings (`_Search.settings`) whose rows
+    (`_Search.room`) hold at most `_LANE_BYTES` of decode state (a search
+    too large for it is a lane of its own), each lane in lockstep
+    (`_Lane`). Returns each search's candidates and what the wave ran. A
+    wave that raises leaves every logprob cache as it was."""
+    if len({(id(s.cache), s.root) for s in searches}) < len(searches):
+        raise ValueError("the searches of one wave need distinct tries")
+    caches = {id(s.cache): s.cache for s in searches}
+    marks = {key: cache.mark() for key, cache in caches.items()}
     limit = _LANE_BYTES // DecodeCache.row_bytes(model.config)
-    lanes = passes = entries = lo = 0
+    found, lanes, passes, entries, lo = [], 0, 0, 0, 0
     try:
         while lo < len(searches):
             hi, rows = lo + 1, searches[lo].room()
-            while hi < len(searches) and rows + searches[hi].room() <= limit:
+            while (hi < len(searches) and searches[hi].settings() == searches[lo].settings()
+                   and rows + searches[hi].room() <= limit):
                 rows += searches[hi].room()
                 hi += 1
-            state = _run_lane(model, searches[lo:hi])
+            lane = _Lane(searches[lo:hi])
+            state = lane.run(model)
+            found += lane.results(vocab)
             lanes, passes, entries = lanes + 1, passes + state.passes, entries + len(state.entry_of)
             lo = hi
-        return [s.result(vocab) for s in searches], WaveStats(lanes, passes, entries)
+        return found, WaveStats(lanes, passes, entries)
     except BaseException:
-        for s in searches:
-            for prefix in list(s.cache)[sizes[id(s.cache)]:]:
-                del s.cache[prefix]
+        for key, cache in caches.items():
+            cache.rollback(marks[key])
         raise
 
 
 def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
                         beams_per_group: int, lam: float, max_len: int,
                         min_len: int = 1, state=None,
-                        logprob_cache: dict | None = None) -> Candidates:
+                        logprob_cache: LogprobCache | None = None) -> Candidates:
     """Return one candidate per group, in group order (possibly duplicates).
 
     Group g's candidate token score is its log-probability minus `lam` times
@@ -439,13 +595,16 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     timestep. PAD and UNK are banned everywhere; EOS is banned while the
     sequence is shorter than `min_len`. All groups advance in lockstep: one
     scoring call per timestep covers every live beam, then the groups pick
-    their tokens in order. A `logprob_cache` filled by a search that kept
-    fewer ranked tokens per prefix than this one needs is a ValueError.
-    The result is `penalty_free` when no beam kept a penalized token. This
-    is a wave of one search (`_run_wave`).
+    their tokens in order. A given `logprob_cache` holds one text's trie,
+    under its first root (added when the cache is empty); one whose first
+    search kept fewer ranked tokens per prefix than this one needs is a
+    ValueError. The result is `penalty_free` when no beam kept a penalized
+    token. This is a wave of one search (`_run_wave`).
     """
-    search = _Search(state, logprob_cache, groups=groups, beams_per_group=beams_per_group, lam=lam,
-                     max_len=max_len, min_len=min_len, vocab_size=model.config.vocab_size)
+    cache = LogprobCache() if logprob_cache is None else logprob_cache
+    search = _Search(state, cache, 0 if cache.size else cache.new_root(), groups=groups,
+                     beams_per_group=beams_per_group, lam=lam, max_len=max_len, min_len=min_len,
+                     vocab_size=model.config.vocab_size)
     if state is None:
         search.state = model.encode(src_ids)
     return _run_wave(model, [search], vocab)[0][0]
@@ -454,8 +613,6 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
 def _ordinal_tokens(position: int, vocab_size: int) -> tuple[int, ...]:
     """Encode an item's position as non-special token ids (base vocab-3)."""
     usable = vocab_size - 3
-    if usable <= 0:
-        raise IdSpaceExhausted("vocabulary has no non-special tokens for the ordinal fallback")
     digits = []
     remaining = position
     while True:
@@ -482,6 +639,9 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     """
     if not items:
         raise ValueError("items must be non-empty")
+    if vocab.size - len(SPECIAL_TOKENS) < 2:  # the ordinal fallback counts in base (usable tokens)
+        raise ValueError(f"config section 'vocab': the vocabulary has {vocab.size - len(SPECIAL_TOKENS)} "
+                         f"usable tokens and ID allocation needs at least 2 (raise max_size or lower min_freq)")
     keys: set[str] = set()
     for key, _ in items:
         if key in keys:
@@ -492,10 +652,8 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     rungs: list[tuple[int, int, int, float]] = []  # (range_index, min_len, max_len, lam)
     for range_index, (lo, hi) in enumerate(config.length_ranges):
         max_len = min(hi - 1, capacity)
-        lam = config.lam_init
-        while lo <= max_len and lam <= config.lam_max + 1e-12:
-            rungs.append((range_index, lo, max_len, lam))
-            lam += config.lam_step
+        if lo <= max_len:
+            rungs += [(range_index, lo, max_len, lam) for lam in config.penalties()]
     if not rungs:
         raise ValueError(
             f"no length range fits the decoder capacity {capacity}: {config.length_ranges}"
@@ -506,11 +664,12 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     ids: dict[str, TextualId] = {}
     rows: list[AllocationRow] = []
     taken: set[str] = set()
-    # per distinct text: encoder state, logprob cache, rung -> DBS candidates
-    per_text: dict[str, tuple[object, dict, dict[int, Candidates]]] = {}
+    # per distinct text: encoder state, root of its trie, rung -> DBS candidates
+    cache = LogprobCache()
+    per_text: dict[str, tuple[object, int, dict[int, Candidates]]] = {}
     for _, text in items:
         if text not in per_text:
-            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
+            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), cache.new_root(), {})
     left = Counter(text for _, text in items)  # items not yet processed, per text
     waves: list[tuple[int, WaveStats]] = []  # (searches, what it ran) per wave
     on_demand = answered = 0  # searches run alone; rungs answered by a penalty-free search
@@ -519,7 +678,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         """Run `rung` for each of `texts` as one wave."""
         _, lo, max_len, lam = rungs[rung]
         found, stats = _run_wave(model, [
-            _Search(per_text[text][0], per_text[text][1], groups=config.groups,
+            _Search(per_text[text][0], cache, per_text[text][1], groups=config.groups,
                     beams_per_group=config.beams_per_group, lam=lam, max_len=max_len, min_len=lo,
                     vocab_size=model.config.vocab_size)
             for text in texts], vocab)
@@ -569,8 +728,8 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
                 attempt += 1
             accepted = TextualId(tokens=tokens, text=vocab.decode(tokens))
             row = AllocationRow(key=key, lam=config.lam_max, range_index=-1)
-            log.warning("item %r exhausted all penalties and lengths; ordinal fallback ID %r",
-                        key, accepted.text)
+            log.debug("item %r exhausted all penalties and lengths; ordinal fallback ID %r",
+                      key, accepted.text)
         ids[key] = accepted
         taken.add(accepted.text)
         rows.append(row)
@@ -610,8 +769,10 @@ def generate_user_ids(model, histories: list[list[str]], vocab: Vocabulary,
     max_len = min(hi - 1, model.config.max_tgt_len - 1)  # one step is left for EOS
     if lo > max_len:
         raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {max_len}")
+    cache = LogprobCache()
     found, ran = _run_wave(model, [
-        _Search(model.encode(profile_source(texts, vocab, model.config.max_src_len)), None, groups=1,
+        _Search(model.encode(profile_source(texts, vocab, model.config.max_src_len)), cache,
+                cache.new_root(), groups=1,
                 beams_per_group=config.beams_per_group, lam=config.lam_init, max_len=max_len,
                 min_len=lo, vocab_size=model.config.vocab_size)
         for texts in histories], vocab)

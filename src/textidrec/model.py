@@ -38,13 +38,16 @@ raises, replaces the slot. At the default config a 143-row trie's slot is
 about 0.5 MB.
 
 `wave_logits` decodes through a `DecodeCache`, the decode state of
-searches that advance in lockstep, one context each. A caller asks for
-(context, prefix) pairs; the cache knows which row holds each prefix, and
-decodes first any ancestor it lacks. It keeps each decoded row's parent
-and its self-attention input at every layer after the first. Layer 0's
-input is the layer-normed sum of the row's token and position embeddings,
-so it depends only on the row's (token, depth): the cache holds it once
-per pair seen, in its layer-0 table, and a row keeps only its entry there.
+searches that advance in lockstep, one context each. Their prefixes are
+the nodes of a `PrefixTrie`, which names each by an integer id and keeps
+every node's parent, token and depth in arrays. A caller asks for
+(context, node) rows of an int array; the cache maps each node to the row
+that holds it, and decodes first any ancestor it lacks. It keeps each
+decoded row's parent and its self-attention input at every layer after the
+first. Layer 0's input is the layer-normed sum of the row's token and
+position embeddings, so it depends only on the row's (token, depth): the
+cache holds it once per pair seen, in its layer-0 table, and a row keeps
+only its entry there.
 A one-layer model's cache thus keeps no float per row, and an ancestor
 decoded only for its descendants takes no pass unless it is the first of
 its pair. A call decodes its rows by depth, ancestors first, in passes of
@@ -347,30 +350,85 @@ def _grouped_contexts(contexts: list[Tensor], counts, d_model: int):
     return batch, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None]
 
 
+def _grown(array: np.ndarray, room: int, used: int) -> np.ndarray:
+    """A new array of `room` rows that starts with the first `used` rows of
+    `array` (the rest is left unset, so untouched pages take no memory)."""
+    out = np.empty((room,) + array.shape[1:], dtype=array.dtype)
+    out[:used] = array[:used]
+    return out
+
+
+class PrefixTrie:
+    """Token prefixes named by integer node ids. Node k is its parent node
+    `parent[k]` extended by `token[k]`, at `depth[k]`; a root (parent -1,
+    token PAD, depth 0) is an empty prefix. Each text or history that a
+    search decodes from gets a root of its own, so a node names one prefix
+    of one text. Nodes are only appended; the first `size` are in use."""
+
+    def __init__(self):
+        self.size = 0
+        self.parent = np.empty(0, dtype=np.int64)
+        self.token = np.empty(0, dtype=np.int64)
+        self.depth = np.empty(0, dtype=np.int64)
+
+    def _reserve(self, size: int) -> None:
+        """Room for `size` nodes: the node arrays grow by doubling."""
+        if size > len(self.parent):
+            room = max(size, 2 * len(self.parent))
+            self.parent, self.token, self.depth = (_grown(a, room, self.size)
+                                                   for a in (self.parent, self.token, self.depth))
+
+    def add(self, parents, tokens) -> np.ndarray:
+        """A new node per (parent, token), parent -1 (token PAD) for a root;
+        returns their ids."""
+        parents = np.asarray(parents, dtype=np.int64)
+        ids = np.arange(self.size, self.size + len(parents))
+        self._reserve(self.size + len(ids))
+        self.parent[ids] = parents
+        self.token[ids] = tokens
+        self.depth[ids] = np.where(parents >= 0, self.depth[parents] + 1, 0)
+        self.size += len(ids)
+        return ids
+
+    def prefixes(self, nodes) -> list[tuple[int, ...]]:
+        """The token prefix of each node."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        depth = self.depth[nodes]
+        tokens = np.zeros((len(nodes), depth.max(initial=0)), dtype=np.int64)
+        up = nodes.copy()
+        for d in range(tokens.shape[1] - 1, -1, -1):
+            deep = depth > d
+            tokens[deep, d] = self.token[up[deep]]
+            up[deep] = self.parent[up[deep]]
+        return [tuple(row[:n]) for row, n in zip(tokens.tolist(), depth.tolist())]
+
+
 class DecodeCache:
     """The decoder rows of a group of searches that advance in lockstep,
-    each decoding against its own context (`SequenceModel.wave_logits`).
+    each decoding against its own context (`SequenceModel.wave_logits`),
+    their prefixes named by the nodes of `trie`.
 
-    The k-th prefix decoded through the cache is row k; `row_of[c]` maps
-    each prefix decoded against context c to its latest row. A row keeps
-    its parent row (-1 for the empty prefix), its entry in the layer-0
-    table and its self-attention input at every decoder layer after the
-    first, which its descendants attend to. The layer-0 table holds one
-    self-attention input per (token, depth) pair seen (a row's token is its
-    prefix's last, PAD for the empty prefix; its depth the prefix's
-    length), taken from the pass that first decoded the pair; `entry_of`
-    maps a pair to its entry. The cache is valid for its contexts and
-    unchanged parameters: only `wave_logits` fills it, and a call that
-    raises leaves it as it was. `room` sizes the row store up front (a
-    cache that needs more grows it); `size` and `passes` count the rows
-    held and the decoder passes run."""
+    Each row decodes one node against one context, and `row_of[node]` is
+    the node's latest row (-1 for none, past its end too): a node is
+    decoded against one context only, so each context's prefixes hang
+    under roots of their own. A row keeps its parent row (-1 for a root),
+    its entry in the layer-0 table and its self-attention input at every
+    decoder layer after the first, which its descendants attend to. The
+    layer-0 table holds one self-attention input per (token, depth) pair
+    seen (a row's node's token and depth), taken from the pass that first
+    decoded the pair; `entry_of` maps a pair to its entry. The cache is
+    valid for its contexts, its trie and unchanged parameters: only
+    `wave_logits` fills it, and a call that raises leaves it as it was.
+    `room` sizes the row store up front (a cache that needs more grows it);
+    `size` and `passes` count the rows held and the decoder passes run."""
 
-    def __init__(self, contexts, room: int = 0):
+    def __init__(self, contexts, trie: PrefixTrie, room: int = 0):
         self.contexts = list(contexts)
+        self.trie = trie
         self.room = room
         self.size = 0
         self.passes = 0
-        self.row_of: list[dict[tuple[int, ...], int]] = [{} for _ in self.contexts]
+        self.row_of = np.empty(0, dtype=np.int64)
         self.parent = np.empty(0, dtype=np.int64)
         self.entry = np.empty(0, dtype=np.int64)  # each row's layer-0 table entry
         self.inputs: np.ndarray | None = None  # (layers - 1, room, d_model)
@@ -668,49 +726,75 @@ class SequenceModel:
         return np.concatenate(logits)[slot.pick]
 
     def wave_logits(self, cache: DecodeCache, requests, on_pass) -> None:
-        """Next-token logits for each (context index, prefix) request
-        (inference path, frozen parameters): the logits after `prefix`
-        against `cache.contexts[context index]`.
+        """Next-token logits for each request, an (n, 2) int array of
+        (context index, node) rows (inference path, frozen parameters): the
+        logits after the node's prefix in `cache.trie` against
+        `cache.contexts[context index]`.
 
         Each request becomes a new cache row, whose parent is the latest row
-        of the prefix without its last token in the same context. The
-        ancestors of a request that the cache does not hold are decoded
-        first, as rows of their own whose logits go nowhere: a one-layer
-        model's row keeps nothing a pass computes but its layer-0 input, so
-        such a row takes a pass only when it is the first of a (token, depth)
-        pair new to the cache.
+        of the node's parent. The ancestors that no row holds are decoded
+        first, each once, as rows of their own whose logits go nowhere: a
+        one-layer model's row keeps nothing a pass computes but its layer-0
+        input, so such a row takes a pass only when it is the first of a
+        (token, depth) pair new to the cache.
 
         The rows are decoded by depth, ancestors first, in passes of at most
         `_WAVE_ROWS` rows of one depth, grouped by context, each row reading
-        only its own ancestor chain and context (module doc). A (token, depth)
-        pair new to the cache gets a layer-0 table entry, filled from the pass
-        that decodes it first. The head slot is neither read nor written.
+        only its own ancestor chain and context (module doc); rows of one
+        depth and context keep request order, an ancestor taking the place
+        of the first request that needs it. A (token, depth) pair new to the
+        cache gets a layer-0 table entry, filled from the pass that decodes
+        it first. The head slot is neither read nor written.
 
         Each pass's logits go to `on_pass(indices, logits)` as the pass
         returns, `indices` the requests its rows answer, one logits row each:
         the (requests, V) array of a whole call is never built.
         """
-        cfg = self.config
+        cfg, trie = self.config, cache.trie
+        requests = np.asarray(requests, dtype=np.int64).reshape(-1, 2)
         if not len(requests):
             return
-        # the call's rows: per request, the ancestors that neither the cache nor
-        # an earlier request holds, shallowest first, then the request itself
-        latest: dict[tuple[int, tuple[int, ...]], int] = {}  # (context, prefix) -> its row in this call
-        layout = []  # per row: context, depth, token, parent row, request (-1 for an ancestor)
-        for k, (c, prefix) in enumerate(requests):
-            prefix, held = tuple(prefix), cache.row_of[c]
-            length, up = len(prefix), -1  # walk up to the deepest ancestor held
-            while length and (up := latest.get((c, prefix[:length - 1]), held.get(prefix[:length - 1], -1))) < 0:
-                length -= 1
-            for length in range(length, len(prefix) + 1):
-                token = prefix[length - 1] if length else PAD_ID
-                layout.append((c, length, token, up, k if length == len(prefix) else -1))
-                up = latest[c, prefix[:length]] = cache.size + len(layout) - 1
-        n = len(layout)
-        context, depth, ids, ups, asked = np.array(layout, dtype=np.int64).T
-        rows = cache.size + np.arange(n)
+        if len(cache.row_of) < trie.size:
+            used = len(cache.row_of)
+            cache.row_of = _grown(cache.row_of, max(trie.size, 2 * used), used)
+            cache.row_of[used:] = -1
+        nodes, context, asked = requests[:, 1], requests[:, 0], np.arange(len(requests))
+        depth = trie.depth[nodes]  # no ancestor is deeper
         if depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
+        # `row_of` names this call's rows while they are laid out, and takes them
+        # for good only once every pass has run
+        row_of = cache.row_of
+        held = row_of[nodes]
+        row_of[nodes] = cache.size + asked
+        # the ancestors that no row holds, climbing from each request to a held one
+        up, need, found, needed_by = trie.parent[nodes], asked, [], []
+        while True:
+            up, need = up[up >= 0], need[up >= 0]
+            lacking = row_of[up] < 0
+            up, need = up[lacking], need[lacking]
+            if not up.size:
+                break
+            found.append(up)
+            needed_by.append(need)
+            up = trie.parent[up]
+        if found:
+            # each once, in the order of the first request that needs it
+            need = np.concatenate(needed_by)
+            by_need = np.argsort(need, kind="stable")
+            missing = np.concatenate(found)[by_need]
+            first = np.sort(np.unique(missing, return_index=True)[1])
+            row_of[missing[first]] = cache.size + len(nodes) + np.arange(len(first))
+            nodes = np.concatenate([nodes, missing[first]])
+            context = np.concatenate([context, requests[need[by_need][first], 0]])
+            asked = np.concatenate([asked, np.full(len(first), -1)])
+            held = np.concatenate([held, np.full(len(first), -1)])
+        n = len(nodes)
+        depth, ids = trie.depth[nodes], trie.token[nodes]
+        rows = cache.size + np.arange(n)
+        ups = trie.parent[nodes]
+        ups = np.where(ups >= 0, row_of[ups], -1)  # each row's parent row
+        row_of[nodes] = held
         # rows and table entries past what the cache holds stay unseen until the
         # call returns; a store that is too small grows into new arrays
         parent, entry, inputs, table = cache.parent, cache.entry, cache.inputs, cache.layer0
@@ -771,8 +855,7 @@ class SequenceModel:
                 passes += 1
         cache.parent, cache.entry, cache.inputs, cache.layer0 = parent, entry, inputs, table
         cache.entry_of.update(fresh)
-        for (c, prefix), row in latest.items():
-            cache.row_of[c][prefix] = row
+        row_of[nodes] = rows
         cache.size += n
         cache.passes += passes
 

@@ -78,8 +78,10 @@ class ScriptedModel:
         return np.array([self.logits(state, p) for p in prefixes]).reshape(-1, self.vocab_size)
 
     def wave_logits(self, cache, requests, on_pass) -> None:
+        prefixes = cache.trie.prefixes([node for _, node in requests])
         on_pass(np.arange(len(requests)),
-                np.array([self.logits(cache.contexts[c], p) for c, p in requests]).reshape(-1, self.vocab_size))
+                np.array([self.logits(cache.contexts[c], p)
+                          for (c, _), p in zip(requests, prefixes)]).reshape(-1, self.vocab_size))
 
     def param_hash(self) -> str:
         return "scripted"

@@ -1,15 +1,18 @@
+import hashlib
+import logging
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import WORDS, ScriptedModel, make_vocab, tiny_model, vanilla_beam_search
-from textidrec import allocator
+from textidrec import allocator, corpus, prompting, synth, tokenizer, training
 from textidrec.allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all,
                                  diverse_beam_search, generate_user_id)
 from textidrec import model as model_module
-from textidrec.model import SequenceTooLong, log_softmax_rows
+from textidrec.model import ModelConfig, SequenceModel, SequenceTooLong, log_softmax_rows
 from textidrec.tokenizer import EOS_ID, PAD_ID, UNK_ID
 
 
@@ -52,11 +55,11 @@ def test_each_dbs_step_is_at_most_one_decoder_pass(decoder_calls):
     uncached = diverse_beam_search(model, None, vocab, **kwargs)
     assert 0 < len(decoder_calls) <= max_len
     decoder_calls.clear()
-    cache: dict = {}
+    cache = allocator.LogprobCache()
     assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
     assert len(decoder_calls) <= max_len
-    # the cache holds each pass's block once, not a copy per prefix
-    assert len({id(block) for block, _ in cache.values()}) == len(decoder_calls)
+    # the cache ranks each decoded row once, into its one row store
+    assert cache.rows == sum(decoder_calls)
     decoder_calls.clear()
     assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
     assert decoder_calls == []
@@ -182,7 +185,7 @@ def assert_dbs_equals_references(model, vocab, state, groups, beams_per_group, m
     """DBS equals `reference_dbs` (IDs) and `sequential_dbs` (token sequences)
     over a grid of penalties and minimum lengths, with and without a shared
     logprob cache."""
-    shared: dict = {}
+    shared = allocator.LogprobCache()
     for lam in (0.0, 0.5, 3.0):
         for min_len in (1, 3):
             kwargs = dict(groups=groups, beams_per_group=beams_per_group, lam=lam,
@@ -225,6 +228,177 @@ def test_lockstep_dbs_equals_reference_on_exact_ties(groups, beams_per_group):
     assert_dbs_equals_references(model, vocab, model.encode([3]), groups, beams_per_group)
 
 
+class ReferenceSearch:
+    """One diverse beam search stepped the way `allocator` did before its
+    step ran as array operations over a lane: each beam walks its ranked
+    list in Python, with a penalty dict and tuple sort keys, and stops once
+    it has seen `beams_per_group` unpenalized tokens. A beam is (prefix,
+    score). `cache` maps a prefix to ((log-probs, ids, kept), row) of a
+    ranked block. The reference `_Lane.step` must equal."""
+
+    def __init__(self, cache: dict, *, groups, beams_per_group, lam, max_len, min_len, vocab_size):
+        self.cache = cache
+        self.beams_per_group, self.lam, self.max_len, self.min_len = beams_per_group, lam, max_len, min_len
+        self.width = min(vocab_size, groups * beams_per_group + 1)
+        self.beams = [[((), 0.0)] for _ in range(groups)]
+        self.completed = [[] for _ in range(groups)]
+        self.penalty_free = True  # no beam has kept a penalized token so far
+        self.t = 0
+
+    def live(self) -> bool:
+        return self.t < self.max_len and any(self.beams)
+
+    def missing(self) -> list[tuple[int, ...]]:
+        """The live prefixes the cache lacks, each once, in beam order."""
+        return [seq for seq in dict.fromkeys(seq for group in self.beams for seq, _ in group)
+                if seq not in self.cache]
+
+    def step(self) -> None:
+        beams, lam, beams_per_group, width = self.beams, self.lam, self.beams_per_group, self.width
+        ranked = []
+        for seq, _ in (beam for group in beams for beam in group):
+            (values, tokens, kept), row = self.cache[seq]
+            ranked.append((values[row * kept:row * kept + width], tokens[row * kept:row * kept + width]))
+        ranked = iter(ranked)
+        counts = {}  # picks at step t by the groups done so far
+        # token -> lam * count; EOS is banned while every live beam (all t long) is short
+        penalty = {EOS_ID: math.inf} if self.t < self.min_len else {}
+        cost_of = penalty.get
+        for g, group in enumerate(beams):
+            if not group:
+                continue
+            candidates = []
+            for (seq, score), (values, tokens) in zip(group, ranked):
+                picks, free = [], 0  # (-penalized value, token); unpenalized ones seen
+                for value, token in zip(values, tokens):
+                    cost = cost_of(token)
+                    if cost is None:
+                        picks.append((-value, token))
+                        free += 1
+                        if free == beams_per_group:
+                            break
+                    else:
+                        picks.append((-(value - cost), token))
+                if free < len(picks):
+                    picks.sort()
+                    if self.penalty_free:
+                        self.penalty_free = all(cost_of(token) is None for _, token in picks[:beams_per_group])
+                candidates += [(-(score - negative), seq, token)
+                               for negative, token in picks[:beams_per_group] if math.isfinite(negative)]
+            candidates.sort()
+            beams[g] = []
+            for negative, seq, token in candidates[:beams_per_group]:
+                counts[token] = counts.get(token, 0) + 1
+                penalty[token] = lam * counts[token]
+                if token == EOS_ID:
+                    self.completed[g].append((-negative, seq))
+                else:
+                    beams[g].append((seq + (token,), -negative))
+        self.t += 1
+
+
+def random_ranked_row(rng: random.Random, vocab_size: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ranked row as `allocator._ranked` lays one out, of values drawn
+    from a few levels so that many tie; a tenth of the rows are all -inf."""
+    levels = [-np.inf] if rng.random() < 0.1 else [-np.inf, -3.0, -2.0, -1.5, -1.0, -1.0, -0.5]
+    row = np.array([rng.choice(levels) for _ in range(vocab_size)])
+    row[[PAD_ID, UNK_ID]] = -np.inf
+    order = (-row).argsort(kind="stable")[:width]
+    return row[order], order.astype(np.int32)
+
+
+def assert_lane_steps_like_the_reference(block_of, searches, **kwargs):
+    """Step a `_Lane` of `searches` searches and as many `ReferenceSearch`es
+    on the ranked rows `block_of(search, prefix)` gives, and compare after
+    every step: each group's beams and completions (prefixes, and totals as
+    bits) and `penalty_free`."""
+    cache = allocator.LogprobCache()
+    lane = allocator._Lane([allocator._Search(None, cache, cache.new_root(), **kwargs) for _ in range(searches)])
+    references = [ReferenceSearch({}, **kwargs) for _ in range(searches)]
+    blocks = {}
+
+    def block(s, prefix):
+        if (s, prefix) not in blocks:
+            blocks[s, prefix] = block_of(s, prefix)
+        return blocks[s, prefix]
+
+    while lane.t < lane.max_len and lane.live.any():
+        requests = lane.missing()
+        ranked = [block(s, prefix) for s, prefix in zip(requests[:, 0].tolist(), cache.prefixes(requests[:, 1]))]
+        if ranked:
+            cache.store(requests[:, 1], np.stack([v for v, _ in ranked]), np.stack([t for _, t in ranked]))
+        lane.step()
+        for s, reference in enumerate(references):
+            if reference.live():
+                for prefix in reference.missing():
+                    values, tokens = block(s, prefix)
+                    reference.cache[prefix] = ((values.tolist(), tokens.tolist(), len(values)), 0)
+                reference.step()
+        groups, beams = lane.node.shape[1:]
+        for s, reference in enumerate(references):
+            assert bool(lane.penalty_free[s]) == reference.penalty_free, kwargs
+            for g in range(groups):
+                live = [b for b in range(beams) if lane.live[s, g, b]]
+                got = list(zip(cache.prefixes(lane.node[s, g, live]), [x.hex() for x in lane.score[s, g, live]]))
+                assert got == [(seq, score.hex()) for seq, score in reference.beams[g]], kwargs
+                done = [(float(total).hex(), prefix) for searched, group, totals, nodes in lane.done if group == g
+                        for total, prefix in zip(totals[searched == s], cache.prefixes(nodes[searched == s]))]
+                assert done == [(score.hex(), seq) for score, seq in reference.completed[g]], kwargs
+    assert not any(reference.live() for reference in references)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_array_step_equals_the_reference_step_on_random_ranked_rows(seed):
+    # ties, all -inf rows, lam 0, EOS bans (min_len up to 3) and groups whose
+    # beams all ended, over lanes of one to three searches
+    rng = random.Random(seed)
+    for _ in range(30):
+        vocab_size, groups, beams_per_group = rng.randint(5, 12), rng.randint(1, 4), rng.randint(1, 3)
+        width = min(vocab_size, groups * beams_per_group + 1)
+        assert_lane_steps_like_the_reference(
+            lambda s, prefix: random_ranked_row(rng, vocab_size, width), rng.randint(1, 3), groups=groups,
+            beams_per_group=beams_per_group, lam=rng.choice([0.0, 0.5, 1.0, 3.0]), max_len=rng.randint(1, 5),
+            min_len=rng.randint(1, 3), vocab_size=vocab_size)
+
+
+@pytest.mark.parametrize("groups", [1, 3, 10])
+def test_the_array_step_equals_the_reference_step_on_exact_ties(groups):
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red, blue = token(vocab, "red"), token(vocab, "blue")
+    model = ScriptedModel(vocab.size, {
+        (): {red: 0.3, blue: 0.3, EOS_ID: 0.3},
+        (red,): {EOS_ID: 0.5, blue: 0.5},
+        (blue, red): {EOS_ID: 1.0},
+    })
+    for beams_per_group in (1, 2, 3):
+        width = min(vocab.size, groups * beams_per_group + 1)
+        for lam, min_len in ((0.0, 1), (1.0, 2), (5.0, 1)):
+            assert_lane_steps_like_the_reference(
+                lambda s, prefix: tuple(a[0] for a in allocator._ranked(model.logits(None, prefix)[None], width)),
+                2, groups=groups, beams_per_group=beams_per_group, lam=lam, max_len=4, min_len=min_len,
+                vocab_size=vocab.size)
+
+
+def test_every_ranked_token_gives_the_picks_of_the_walk():
+    # the walk stops after beams_per_group unpenalized tokens; every token past
+    # that point has a value no higher, a larger token on an equal value, and
+    # a penalty never raises it, so sorting all `width` of them keeps the same
+    rng = random.Random(0)
+    for _ in range(3000):
+        vocab_size, beams_per_group = rng.randint(3, 12), rng.randint(1, 4)
+        values, tokens = random_ranked_row(rng, vocab_size, rng.randint(1, vocab_size))
+        penalty = {t: rng.choice([0.0, 0.5, 1.0, 2.0, math.inf])
+                   for t in rng.sample(range(vocab_size), rng.randint(0, vocab_size))}
+        picks, free = [], 0
+        for value, t in zip(values.tolist(), tokens.tolist()):
+            picks.append((-(value - penalty[t]) if t in penalty else -value, t))
+            free += t not in penalty
+            if free == beams_per_group:
+                break
+        every = sorted((-(value - penalty.get(t, 0.0)), t) for value, t in zip(values.tolist(), tokens.tolist()))
+        assert sorted(picks)[:beams_per_group] == every[:beams_per_group]
+
+
 @pytest.mark.parametrize("groups", [1, 4])
 def test_ranked_dbs_equals_reference_with_fewer_finite_tokens_than_beams(groups):
     # every prefix allows one word and EOS: with EOS banned (min_len 3) a
@@ -247,14 +421,14 @@ def test_a_cache_ranked_narrower_than_the_search_needs_is_refused():
     model = tiny_model(vocab_size=vocab.size, seed=4, d_model=8, heads=2, ff_dim=8)
     state = model.encode([3, 4])
     kwargs = dict(lam=1.0, max_len=4, state=state)
-    cache: dict = {}
+    cache = allocator.LogprobCache()
     narrow = diverse_beam_search(model, None, vocab, groups=1, beams_per_group=1,
                                  logprob_cache=cache, **kwargs)
     with pytest.raises(ValueError, match="logprob_cache"):
         diverse_beam_search(model, None, vocab, groups=3, beams_per_group=2,
                             logprob_cache=cache, **kwargs)
     # a wider cache serves a narrower search with the same picks
-    wide: dict = {}
+    wide = allocator.LogprobCache()
     diverse_beam_search(model, None, vocab, groups=3, beams_per_group=2, logprob_cache=wide, **kwargs)
     assert diverse_beam_search(model, None, vocab, groups=1, beams_per_group=1,
                                logprob_cache=wide, **kwargs) == narrow
@@ -276,7 +450,8 @@ def reference_ladder(model, items, vocab, cfg, search=diverse_beam_search):
     ids, rows, taken, per_text, searched = {}, [], set(), {}, []
     for position, (key, text) in enumerate(items):
         if text not in per_text:
-            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), {}, {})
+            cache = allocator.LogprobCache() if search is diverse_beam_search else {}
+            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), cache, {})
         state, cache, by_rung = per_text[text]
         for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
             if rung not in by_rung:
@@ -527,13 +702,15 @@ def test_allocation_follows_the_ladder_when_the_first_rung_keeps_a_penalty(monke
     assert_searches_follow_the_ladder(rungs_searched(waves, cfg, model), ladder)
 
 
-def run_wave(model, vocab, states, caches=None, **kwargs):
-    """One `_run_wave` over a search per encoder state; returns the
-    candidates and the decoder passes."""
-    caches = caches or [None] * len(states)
-    return allocator._run_wave(model, [allocator._Search(state, cache, vocab_size=model.config.vocab_size,
+def run_wave(model, vocab, states, cache=None, **kwargs):
+    """One `_run_wave` over a search per encoder state, their tries under
+    the first roots of `cache` (a new logprob cache by default); returns the
+    candidates and what the wave ran."""
+    cache = allocator.LogprobCache() if cache is None else cache
+    roots = range(len(states)) if cache.size else [cache.new_root() for _ in states]
+    return allocator._run_wave(model, [allocator._Search(state, cache, root, vocab_size=model.config.vocab_size,
                                                          **kwargs)
-                                       for state, cache in zip(states, caches)], vocab)
+                                       for state, root in zip(states, roots)], vocab)
 
 
 def assert_wave_equals_separate_searches(model, vocab, states, **kwargs):
@@ -623,15 +800,20 @@ def test_a_wave_that_raises_leaves_every_logprob_cache_as_it_was():
     model = tiny_model(vocab_size=vocab.size, seed=2, max_tgt_len=5)
     states = [model.encode(src) for src in ([3, 4], [5, 6, 7])]
     kwargs = dict(groups=2, beams_per_group=2, lam=1.0)
-    caches = [{}, {}]
-    run_wave(model, vocab, states, caches, max_len=3, min_len=1, **kwargs)
-    before = [dict(cache) for cache in caches]
-    assert all(before)
+    cache = allocator.LogprobCache()
+    run_wave(model, vocab, states, cache, max_len=3, min_len=1, **kwargs)
+
+    def held():
+        size, rows = cache.mark()
+        return (size, rows, *(a[:size].tobytes() for a in (cache.parent, cache.token, cache.depth, cache.row)),
+                *(a[:rows].tobytes() for a in (cache.values, cache.tokens, cache.child)))
+
+    before = held()
+    assert before[1] > 0
     # EOS banned to the end: the beams reach the decoder's capacity
     with pytest.raises(SequenceTooLong):
-        run_wave(model, vocab, states, caches, max_len=7, min_len=7, **kwargs)
-    for cache, kept in zip(caches, before):
-        assert list(cache) == list(kept) and all(cache[p] is kept[p] for p in kept)
+        run_wave(model, vocab, states, cache, max_len=7, min_len=7, **kwargs)
+    assert held() == before
 
 
 def test_single_group_equals_vanilla_beam_search():
@@ -761,6 +943,9 @@ def test_allocate_fallback_is_recorded_not_silent(caplog):
     assert stats["fallback_count"] > 0
     assert any("fallback" in record.message for record in caplog.records)
     assert any(row.fallback for row in registry.rows)
+    # one summary line; the per-item lines stay below WARNING
+    assert [record.getMessage() for record in caplog.records if record.levelno >= logging.WARNING] == [
+        f"allocation used the ordinal fallback for {int(stats['fallback_count'])} items"]
 
 
 def test_registry_with_fallback_ids_round_trips(tmp_path):
@@ -863,10 +1048,18 @@ def test_config_validation():
         AllocatorConfig(length_ranges=((1, 10), (5, 12)))
 
 
-@pytest.mark.parametrize("kwargs", [dict(lam_step=0.0), dict(lam_step=-1.0), dict(length_ranges=())])
+@pytest.mark.parametrize("kwargs", [
+    dict(lam_step=0.0), dict(lam_step=-1.0), dict(length_ranges=()),
+    # lam + lam_step == lam: the ladder would never reach lam_max
+    dict(lam_init=1e17, lam_max=1e17), dict(lam_init=1e308, lam_max=1e308),
+    dict(lam_init=1e17, lam_max=1e17 + 64),
+    # a ladder too long to climb: 9e9 rungs, and 1001
+    dict(lam_step=1e-9), dict(lam_init=0.0, lam_max=1000.0),
+])
 def test_config_rejects_a_ladder_that_cannot_climb(kwargs):
     with pytest.raises(ValueError):
         AllocatorConfig(**kwargs)
+    assert len(AllocatorConfig(lam_init=0.0, lam_max=999.0).penalties()) == 1000
 
 
 @pytest.mark.parametrize("kwargs,reason", [
@@ -880,3 +1073,43 @@ def test_config_rejects_a_non_finite_or_negative_penalty(kwargs, reason):
     with pytest.raises(ValueError, match=reason):
         AllocatorConfig(**kwargs)
     assert AllocatorConfig(lam_init=0.0).lam_init == 0.0
+
+
+# Recorded before the beam search ran as array operations over node ids, so
+# that a last-bit change in the search fails here and not only in the
+# benchmark's digests: per (shuffle seed, generator layers), the registry of
+# alloc-dup's small input set (40 items sharing 4 texts), and the user-ID
+# snapshot of criterion 8's cyclic set under an untrained generator.
+PINNED_REGISTRIES = {
+    (1, 1): "99dde44863762f01093347d80b233b5c57d2d2b44a2bc7fa278814925bde865d",
+    (1, 2): "9db1c620eef8284c0aaaa1b716c119a07ab848bcb166398d6f36ef90d49f6d20",
+    (5, 1): "b7ef166b9639f7beb5d315b4c7e35e15ac9e60f7558ff8658db78d76f718e2c9",
+    (5, 2): "41c4992c1d6e49bf21067ac9ca62305e3e4ae863c44e3f03c64d23e83d945e98",
+}
+PINNED_USER_IDS = "59eab364314b8247b5d6f2f2de883ae427b17a512a56eaefadc6addd008311a9"
+
+
+@pytest.mark.parametrize("seed,layers", list(PINNED_REGISTRIES))
+def test_allocation_keeps_its_pinned_bits(seed, layers):
+    items = synth.duplicated_metadata_items(n_items=40, n_distinct=4)
+    random.Random(seed).shuffle(items)
+    vocab = tokenizer.build_vocab([text for _, text in items])
+    model = SequenceModel.init(ModelConfig(vocab_size=vocab.size, d_model=32, layers=layers, heads=2, ff_dim=64,
+                                           max_src_len=64, max_tgt_len=24, seed=5))
+    registry = allocate_all(model, items, vocab, AllocatorConfig())
+    assert registry.content_hash() == PINNED_REGISTRIES[seed, layers]
+
+
+def test_user_ids_keep_their_pinned_bits():
+    split = corpus.leave_one_out_split(corpus.filter_k_core(synth.cyclic_dataset(), k=5))
+    texts = [corpus.flatten_metadata(record) for record in split.items.values()]
+    texts += [template.text.replace(prompting.ITEM_PLACEHOLDER, " ").replace(prompting.USER_PLACEHOLDER, " ")
+              for template in prompting.default_bank()]
+    vocab = tokenizer.build_vocab(texts)
+    idgen = SequenceModel.init(ModelConfig(vocab_size=vocab.size, seed=14))
+    ids = training.snapshot_user_ids(idgen, training.build_train_examples(split),
+                                     dict(corpus.item_texts(split.items)), vocab, AllocatorConfig())
+    digest = hashlib.sha256()
+    for history, tid in ids.items():
+        digest.update(repr((history, tid.text)).encode())
+    assert len(ids) == 48 and digest.hexdigest() == PINNED_USER_IDS

@@ -1,9 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import textidrec
 from textidrec import corpus, evaluation
 from textidrec.allocator import AllocatorConfig, allocate_all
 from textidrec.cli import _vocab_corpus, main
@@ -192,6 +197,28 @@ def test_allocate_with_an_infinite_penalty_cap_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run("allocate", "--data", raw, "--out", tmp_path / "ids.tsv", "--config", cfg) == 2
     assert "config section 'allocator': " in one_line_error(capsys)
+    assert not (tmp_path / "ids.tsv").exists()
+
+
+def _capped_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_allocate_with_under_two_usable_tokens_exits_2(tmp_path, max_size):
+    # one usable token made the ordinal fallback count in base 1 without end,
+    # and none exited 4; the run goes in a subprocess, under a memory cap
+    # and a timeout, so a loop that does not end fails the test instead
+    raw = tmp_path / "raw"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "vocab": {"max_size": max_size}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(textidrec.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "textidrec", "allocate", "--data", str(raw),
+                           "--out", str(tmp_path / "ids.tsv"), "--config", str(cfg)],
+                          capture_output=True, text=True, timeout=120, env=env, preexec_fn=_capped_memory)
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "config section 'vocab': " in done.stderr
     assert not (tmp_path / "ids.tsv").exists()
 
 

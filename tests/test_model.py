@@ -472,6 +472,29 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     assert_rows_match_per_prefix(model, state, prefixes)
 
 
+class NamedTrie(model_module.PrefixTrie):
+    """A prefix trie that names each (context, prefix) pair by a node, each
+    context's prefixes under a root of their own."""
+
+    def __init__(self):
+        super().__init__()
+        self.node_of: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def node(self, c: int, prefix: tuple[int, ...]) -> int:
+        if (c, prefix) not in self.node_of:
+            parent = self.node(c, prefix[:-1]) if prefix else -1
+            self.node_of[c, prefix] = int(self.add([parent], [prefix[-1] if prefix else PAD_ID])[0])
+        return self.node_of[c, prefix]
+
+    def requests(self, pairs) -> np.ndarray:
+        """The (context, node) request of each (context, prefix) pair."""
+        return np.array([(c, self.node(c, tuple(p))) for c, p in pairs], dtype=np.int64).reshape(-1, 2)
+
+
+def decode_cache(contexts) -> model_module.DecodeCache:
+    return model_module.DecodeCache(contexts, NamedTrie())
+
+
 def wave_rows(model, cache, requests) -> np.ndarray:
     """The logits `wave_logits` passes out for the (context, prefix)
     `requests`, in request order (NaN for a request it never passed out)."""
@@ -480,13 +503,14 @@ def wave_rows(model, cache, requests) -> np.ndarray:
     def on_pass(indices, logits):
         rows[indices] = logits
 
-    model.wave_logits(cache, requests, on_pass)
+    model.wave_logits(cache, cache.trie.requests(requests), on_pass)
     return rows
 
 
 def held_rows(cache) -> dict:
     """Each (context, prefix) the cache holds, mapped to its latest row."""
-    return {(c, prefix): row for c, rows in enumerate(cache.row_of) for prefix, row in rows.items()}
+    return {pair: int(cache.row_of[node]) for pair, node in cache.trie.node_of.items()
+            if node < len(cache.row_of) and cache.row_of[node] >= 0}
 
 
 def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
@@ -497,7 +521,7 @@ def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
     must equal the memo-less and the per-prefix causal rows, and each asked
     prefix's latest row is one the call added. Returns the cache and each
     (context, prefix)'s latest row."""
-    cache = model_module.DecodeCache(contexts)
+    cache = decode_cache(contexts)
     asked = {c: [()] for c in range(len(contexts))}
     vocab_size = model.config.vocab_size
     for _ in range(steps):
@@ -587,7 +611,7 @@ def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
     # and later rows attend through it all the same
     model = tiny_model(vocab_size=11, seed=7, layers=layers)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
-    cache, rng = model_module.DecodeCache(contexts), random.Random(layers)
+    cache, rng = decode_cache(contexts), random.Random(layers)
     skipped = 0
     for _ in range(4):
         asked = sorted({(c, tuple(rng.randrange(11) for _ in range(rng.randint(1, 5))))
@@ -599,7 +623,7 @@ def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
             got.update(zip(indices.tolist(), logits))
 
         decoder_calls.clear()
-        model.wave_logits(cache, asked, on_pass)
+        model.wave_logits(cache, cache.trie.requests(asked), on_pass)
         decoded, added = sum(decoder_calls), cache.size - before
         assert added > len(asked)  # random prefixes lack ancestors
         if layers == 1:
@@ -630,7 +654,7 @@ def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 4)
     model = tiny_model(vocab_size=11, seed=5, layers=2)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
-    cache = model_module.DecodeCache(contexts)
+    cache = decode_cache(contexts)
     requests = [(c, p) for c in (0, 1) for p in sorted(random_prefix_tree(random.Random(2 + c), 11, 8, 5))]
     logits = wave_rows(model, cache, requests)
     depths = Counter(len(p) for _, p in requests)
@@ -645,7 +669,7 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 2)
     model = tiny_model(vocab_size=12, max_tgt_len=4, layers=2)
     contexts = [model.encode([3]), model.encode([4, 5])]
-    cache = model_module.DecodeCache(contexts)
+    cache = decode_cache(contexts)
     wave_rows(model, cache, [(0, (6,)), (1, (6, 7))])
     size, passes, entries, held = cache.size, cache.passes, dict(cache.entry_of), held_rows(cache)
     arrays = inputs, parent, entry, layer0 = cache.inputs, cache.parent, cache.entry, cache.layer0
@@ -826,7 +850,7 @@ def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
     rows = model.prefix_logits(ctx, prefixes)
     slot = model._head_slot
     for twin in (model, tiny_model(vocab_size=11, seed=6, layers=2)):
-        wave = wave_rows(twin, model_module.DecodeCache([ctx]), [(0, p) for p in prefixes])
+        wave = wave_rows(twin, decode_cache([ctx]), [(0, p) for p in prefixes])
         assert np.max(np.abs(wave - rows)) < 1e-12
     assert model._head_slot is slot
     assert twin._head_slot is None
