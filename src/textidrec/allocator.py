@@ -12,9 +12,10 @@ escalates; when it tops out, the permissible length range advances and the
 penalty resets. Models provide `config`, `encode`, `wave_logits` (the step
 scorer) and `param_hash`.
 
-Prefixes are node ids. The logprob cache (`LogprobCache`) is a prefix
-trie (`PrefixTrie`, see `model.py`) with a root per text or history: a node
-is its parent node plus one token. Each scored node is ranked once: the
+Prefixes are node ids. The logprob cache (`LogprobCache`) is a decode
+cache (`DecodeCache`, see `model.py`) with a root per text or history,
+holding its encoder state: a node is its parent node plus one token, and
+keeps its decoder state once decoded. Each scored node is ranked once: the
 cache keeps, per node, its `width = min(V, groups * beams_per_group + 1)`
 best next tokens (log-probs as float64, ids as int32), best first, equal
 log-probs in token order, PAD and UNK ranked as -inf, as rows of (nodes,
@@ -30,17 +31,15 @@ unpenalized tokens, and a token past the last of them has a value no
 higher, a larger token on an equal value, and a penalty that only lowers
 it. (Stopping there, as a walk down the list would, keeps the same picks.)
 
-Searches run as waves. A wave is a list of searches, each against its own
-encoder state and trie, run in lanes: consecutive searches of equal
-settings (groups, beams per group, lam, lengths, logprob cache) whose
-decode state fits in `_LANE_BYTES` advance in lockstep through one
-`DecodeCache` (see `model.py`). A lane holds its beams as (searches,
-groups, beams_per_group) arrays of nodes, totals, liveness and each beam's
-lexicographic rank in its group. A step asks one `wave_logits` call for the
-live nodes the logprob cache has not ranked, as (search, node) rows, and
-ranks each pass's rows into the cache as its logits return. Then each
-group, in group order, picks for every search of the lane at once, in a few
-array operations:
+Searches run as waves. A wave is one search over each of a list of tries
+of one logprob cache, all with one set of settings (groups, beams per
+group, lam, lengths), advancing in lockstep (`_Lane`). A wave holds its
+beams as (searches, groups, beams_per_group) arrays of nodes, totals,
+liveness and each beam's lexicographic rank in its group. A step asks one
+`wave_logits` call for the live nodes the logprob cache has not ranked,
+and ranks each pass's rows into the cache as its logits return. Then each
+group, in group order, picks for every search of the wave at once, in a
+few array operations:
 - gather its beams' ranked values and tokens, (searches, beams, width);
 - subtract the penalties gathered at those tokens, from a (searches, V)
   array of lam times the picks of the groups before it, EOS at +inf while
@@ -52,14 +51,10 @@ array operations:
   its token;
 - count the picks into the penalties; an EOS pick completes its beam.
 Absent or finished beams are masked. A node the logprob cache already
-ranked is not asked for; the `DecodeCache` decodes it when a descendant
-needs it, as an ancestor whose logits go nowhere (a one-layer model gives
-it no pass unless it is the first of its (token, depth) pair). A cache row
-holds no float of layer 0 (its input is kept once per (token, depth)), so a
-one-layer generator's wave of a few thousand searches is one lane; the
-bound keeps a deeper model's lane, whose rows hold the inputs of every
-later layer, small next to the logprob cache. `diverse_beam_search` is a
-wave of one search, so there is one search loop.
+ranked is not asked for, and a node asked for has a ranked parent: the
+cache decoded that parent, in this wave or an earlier one, and kept its
+state, so a wave decodes only the nodes it ranks. `diverse_beam_search` is
+a wave of one search, so there is one search loop.
 
 `allocate_all` forms waves only of searches it will certainly run, so each
 text's searches, their order and their count are those of the one-item-
@@ -103,7 +98,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecodeCache, PrefixTrie, _grown, log_softmax_rows
+from .model import DecodeCache, _grown, log_softmax_rows
 from .tokenizer import EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -112,10 +107,10 @@ log = logging.getLogger(__name__)
 # AllocatorConfig may ask for: items climb the ladder one rung at a time.
 _MAX_PENALTIES = 1000
 
-# Bytes of per-row decode state one lockstep lane of a wave may hold (its
-# searches' rows times `DecodeCache.row_bytes`): about what a lane of 12
-# default searches of a two-layer generator held when rows kept layer 0 too.
-_LANE_BYTES = 4 << 20
+# Beams per search (groups * beams_per_group) an AllocatorConfig may ask for:
+# a wave holds every beam of its searches, and ranks each node's best
+# groups * beams_per_group + 1 tokens.
+_MAX_BEAMS = 1000
 
 
 class IdSpaceExhausted(RuntimeError):
@@ -142,6 +137,8 @@ class AllocatorConfig:
     def __post_init__(self) -> None:
         if self.groups < 1 or self.beams_per_group < 1:
             raise ValueError("groups and beams_per_group must be >= 1")
+        if self.groups * self.beams_per_group > _MAX_BEAMS:
+            raise ValueError(f"groups * beams_per_group must be at most {_MAX_BEAMS}")
         # an infinite lam_max would make the escalation ladder endless
         if not all(map(math.isfinite, (self.lam_init, self.lam_step, self.lam_max))):
             raise ValueError("lam_init, lam_step and lam_max must be finite")
@@ -296,15 +293,18 @@ def _ranked(logits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(block, order, axis=1), order.astype(np.int32)
 
 
-class LogprobCache(PrefixTrie):
+class LogprobCache(DecodeCache):
     """The logprob cache: the prefix trie of every text (or history)
-    searched, each under its own root, and the ranked next tokens of every
-    node a search has scored, each ranked once and shared by every search of
-    its text. Ranked node k is row `row[k]` (-1 until ranked) of `values`
-    and `tokens`, its `width` best next tokens as `_ranked` gives them
-    (`width` is set by the first search); `child[row[k], j]` is the node
-    that extends k by `tokens[row[k], j]` (-1 until a beam picks it), so a
-    beam's pick names its node without a lookup by prefix."""
+    searched, each under its own root with its encoder state, whose nodes
+    keep their decoder state (`DecodeCache`), and the ranked next tokens of
+    every node a search has scored, each ranked once and shared by every
+    search of its text. Ranked node k is row `row[k]` (-1 until ranked) of
+    `values` and `tokens`, its `width` best next tokens as `_ranked` gives
+    them (`width` is set by the first search); `child[row[k], j]` is the
+    node that extends k by `tokens[row[k], j]` (-1 until a beam picks it),
+    so a beam's pick names its node without a lookup by prefix."""
+
+    _NODE_ARRAYS = DecodeCache._NODE_ARRAYS + ("row",)
 
     def __init__(self):
         super().__init__()
@@ -324,22 +324,14 @@ class LogprobCache(PrefixTrie):
             raise ValueError(f"logprob_cache holds the {self.width} best tokens per prefix; "
                              f"this search needs {width}")
 
-    def _reserve(self, size: int) -> None:
-        super()._reserve(size)
-        if len(self.row) < len(self.parent):
-            self.row = _grown(self.row, len(self.parent), self.size)
-
     def add(self, parents, tokens) -> np.ndarray:
         ids = super().add(parents, tokens)
         self.row[ids] = -1
         return ids
 
-    def new_root(self) -> int:
-        return int(self.add([-1], [PAD_ID])[0])
-
     def reserve(self, rows: int) -> None:
-        """Room for `rows` ranked rows: a lane reserves what it may add up
-        front, so the row store is not copied while the lane grows it."""
+        """Room for `rows` ranked rows: a wave reserves what it may add up
+        front, so the row store is not copied while the wave grows it."""
         if rows > len(self.values):
             room = max(rows, 2 * len(self.values))
             self.values, self.tokens, self.child = (_grown(a, room, self.rows)
@@ -364,16 +356,21 @@ class LogprobCache(PrefixTrie):
             found[new] = self.child[rows, at] = self.add(nodes[new], self.tokens[rows, at])
         return found
 
-    def mark(self) -> tuple[int, int]:
-        return self.size, self.rows
+    def mark(self) -> tuple[int, int, int]:
+        return self.size, self.rows, len(self.entry_of)
 
-    def rollback(self, mark: tuple[int, int]) -> None:
-        """Forget every node and ranked row added since `mark` was taken."""
-        size, rows = mark
+    def rollback(self, mark: tuple[int, int, int]) -> None:
+        """Forget every node, ranked row and table entry added since `mark`
+        was taken, and the decoder state of the nodes ranked since: a wave
+        ranks every node it decodes."""
+        size, rows, entries = mark
         ranked = self.row[:size]
-        ranked[ranked >= rows] = -1
+        undone = ranked >= rows
+        ranked[undone] = -1
+        self.entry[:size][undone] = -1
         children = self.child[:rows]
         children[children >= size] = -1
+        self.entry_of = dict(list(self.entry_of.items())[:entries])
         self.size, self.rows = size, rows
 
 
@@ -385,65 +382,41 @@ class Candidates(list):
     penalty_free = False
 
 
-class _Search:
-    """One diverse beam search against the encoder state `state`, over the
-    trie under `root` in the logprob cache `cache`; `_Lane` runs it."""
+class _Lane:
+    """The diverse beam searches of one wave, one over the trie under each
+    of `roots` in the logprob cache `cache`, with one set of settings, run in
+    lockstep as arrays (module doc). Beam b of group g of search s is
+    node[s, g, b] with total score[s, g, b] where live[s, g, b]; rank[s, g,
+    b] is its prefix's place in lexicographic order among its group's
+    beams. `done` gathers the completions, per group step: (searches,
+    group, totals, nodes)."""
 
-    def __init__(self, state, cache: LogprobCache, root: int, *, groups: int, beams_per_group: int,
-                 lam: float, max_len: int, min_len: int, vocab_size: int):
+    def __init__(self, cache: LogprobCache, roots, *, groups: int, beams_per_group: int, lam: float,
+                 max_len: int, min_len: int, vocab_size: int):
         if not 0 <= lam < np.inf or max_len < 1 or min_len < 1:
             raise ValueError("lam must be finite and >= 0, and max_len/min_len >= 1")
-        self.state, self.cache, self.root = state, cache, root
-        self.groups, self.beams_per_group = groups, beams_per_group
-        self.lam, self.max_len, self.min_len, self.vocab_size = lam, max_len, min_len, vocab_size
+        self.cache, self.lam, self.min_len, self.max_len, self.vocab_size = cache, lam, min_len, max_len, vocab_size
         # earlier groups penalize at most beams_per_group * (groups - 1) tokens, and
         # EOS may be banned: one more than that leaves every beam its top-k (module doc)
         self.width = min(vocab_size, groups * beams_per_group + 1)
         cache.fit(self.width)
-
-    def settings(self) -> tuple:
-        """What the searches of one lane share."""
-        return (id(self.cache), self.groups, self.beams_per_group, self.lam, self.min_len, self.max_len,
-                self.vocab_size)
-
-    def room(self) -> int:
-        """The rows the search decodes at most: one per beam and step, and
-        the root."""
-        return 1 + self.groups * self.beams_per_group * (self.max_len - 1)
-
-
-class _Lane:
-    """Searches of equal settings and one logprob cache, run in lockstep as
-    arrays (module doc). Beam b of group g of search s is node[s, g, b] with
-    total score[s, g, b] where live[s, g, b]; rank[s, g, b] is its prefix's
-    place in lexicographic order among its group's beams. `done` gathers
-    the completions, per group step: (searches, group, totals, nodes)."""
-
-    def __init__(self, searches: list[_Search]):
-        first = searches[0]
-        self.searches, self.cache = searches, first.cache
-        self.lam, self.min_len, self.max_len, self.width = first.lam, first.min_len, first.max_len, first.width
-        self.vocab_size = first.vocab_size
-        shape = (len(searches), first.groups, first.beams_per_group)
+        shape = (len(roots), groups, beams_per_group)
         self.node = np.empty(shape, dtype=np.int64)
-        self.node[...] = np.array([s.root for s in searches])[:, None, None]
+        self.node[...] = np.asarray(roots, dtype=np.int64)[:, None, None]
         self.score = np.zeros(shape)
         self.live = np.zeros(shape, dtype=bool)
         self.live[:, :, 0] = True
         self.rank = np.zeros(shape, dtype=np.int64)
-        self.penalty_free = np.ones(len(searches), dtype=bool)  # no kept top pick was penalized
+        self.penalty_free = np.ones(len(roots), dtype=bool)  # no kept top pick was penalized
         self.done: list[tuple[np.ndarray, int, np.ndarray, np.ndarray]] = []
         self.t = 0
 
     def missing(self) -> np.ndarray:
-        """(search, node) of each live beam whose node the logprob cache has
-        not ranked, each once, in beam order."""
-        at = np.flatnonzero(self.live)
-        nodes = self.node.ravel()[at]
-        first = np.sort(np.unique(nodes, return_index=True)[1])
-        at, nodes = at[first], nodes[first]
-        lacking = self.cache.row[nodes] < 0
-        return np.stack([at[lacking] // self.live[0].size, nodes[lacking]], axis=1)
+        """The live beams' nodes that the logprob cache has not ranked, each
+        once, in beam order."""
+        nodes = self.node[self.live]
+        nodes = nodes[np.sort(np.unique(nodes, return_index=True)[1])]
+        return nodes[self.cache.row[nodes] < 0]
 
     def step(self) -> None:
         """Step t: every group picks its beams, in group order, from the
@@ -492,23 +465,22 @@ class _Lane:
             self.node[:, g], self.score[:, g], self.live[:, g] = parent, total, grows
         self.t += 1
 
-    def run(self, model) -> DecodeCache:
-        """Step the searches to their ends, each against its own context in
-        one `DecodeCache`, and return the cache: a step asks for the nodes
-        that the logprob cache lacks in one `wave_logits` call, ranking
-        each pass's rows into the cache as its logits return."""
-        cache, room = self.cache, sum(s.room() for s in self.searches)
-        cache.reserve(cache.rows + room)
-        state = DecodeCache([s.state for s in self.searches], cache, room=room)
+    def run(self, model) -> None:
+        """Step the searches to their ends: a step asks for the nodes that
+        the logprob cache lacks in one `wave_logits` call, ranking each
+        pass's rows into the cache as its logits return."""
+        cache = self.cache
+        searches, groups, beams = self.node.shape
+        # the rows the searches rank at most: one per beam and step, and each root
+        cache.reserve(cache.rows + searches * (1 + groups * beams * (self.max_len - 1)))
         while self.t < self.max_len and self.live.any():
-            requests = self.missing()
+            nodes = self.missing()
 
             def rank(indices: np.ndarray, logits: np.ndarray) -> None:
-                cache.store(requests[indices, 1], *_ranked(logits, cache.width))
+                cache.store(nodes[indices], *_ranked(logits, cache.width))
 
-            model.wave_logits(state, requests, rank)
+            model.wave_logits(cache, nodes, rank)
             self.step()
-        return state
 
     def results(self, vocab: Vocabulary) -> list[Candidates]:
         """Each search's candidates: per group, its best completion by
@@ -544,43 +516,28 @@ class _Lane:
 
 @dataclass(frozen=True)
 class WaveStats:
-    """What a wave ran: its lanes, decoder passes and layer-0 table entries
-    (summed over its lanes)."""
+    """What a wave ran: its decoder passes and the layer-0 table entries it
+    added."""
 
-    lanes: int
     passes: int
     entries: int
 
 
-def _run_wave(model, searches: list[_Search], vocab: Vocabulary) -> tuple[list[Candidates], WaveStats]:
-    """Run `searches`, each over a trie of its own, as one wave: in lanes of
-    consecutive searches of equal settings (`_Search.settings`) whose rows
-    (`_Search.room`) hold at most `_LANE_BYTES` of decode state (a search
-    too large for it is a lane of its own), each lane in lockstep
-    (`_Lane`). Returns each search's candidates and what the wave ran. A
-    wave that raises leaves every logprob cache as it was."""
-    if len({(id(s.cache), s.root) for s in searches}) < len(searches):
+def _run_wave(model, cache: LogprobCache, roots: list[int], vocab: Vocabulary,
+              **settings) -> tuple[list[Candidates], WaveStats]:
+    """Run a search over the trie under each of `roots` of `cache`, all with
+    `settings` (groups, beams_per_group, lam, max_len, min_len), as one wave
+    in lockstep (`_Lane`). Returns each search's candidates and what the
+    wave ran. A wave that raises leaves the logprob cache as it was."""
+    if len(set(roots)) < len(roots):
         raise ValueError("the searches of one wave need distinct tries")
-    caches = {id(s.cache): s.cache for s in searches}
-    marks = {key: cache.mark() for key, cache in caches.items()}
-    limit = _LANE_BYTES // DecodeCache.row_bytes(model.config)
-    found, lanes, passes, entries, lo = [], 0, 0, 0, 0
+    lane = _Lane(cache, roots, vocab_size=model.config.vocab_size, **settings)
+    mark, passes = cache.mark(), cache.passes
     try:
-        while lo < len(searches):
-            hi, rows = lo + 1, searches[lo].room()
-            while (hi < len(searches) and searches[hi].settings() == searches[lo].settings()
-                   and rows + searches[hi].room() <= limit):
-                rows += searches[hi].room()
-                hi += 1
-            lane = _Lane(searches[lo:hi])
-            state = lane.run(model)
-            found += lane.results(vocab)
-            lanes, passes, entries = lanes + 1, passes + state.passes, entries + len(state.entry_of)
-            lo = hi
-        return found, WaveStats(lanes, passes, entries)
+        lane.run(model)
+        return lane.results(vocab), WaveStats(cache.passes - passes, len(cache.entry_of) - mark[2])
     except BaseException:
-        for key, cache in caches.items():
-            cache.rollback(marks[key])
+        cache.rollback(mark)
         raise
 
 
@@ -596,18 +553,17 @@ def diverse_beam_search(model, src_ids, vocab: Vocabulary, *, groups: int,
     sequence is shorter than `min_len`. All groups advance in lockstep: one
     scoring call per timestep covers every live beam, then the groups pick
     their tokens in order. A given `logprob_cache` holds one text's trie,
-    under its first root (added when the cache is empty); one whose first
-    search kept fewer ranked tokens per prefix than this one needs is a
-    ValueError. The result is `penalty_free` when no beam kept a penalized
+    under its first root, which is added with the text's encoder state when
+    the cache is empty (a later call searches against that state); one whose
+    first search kept fewer ranked tokens per prefix than this one needs is
+    a ValueError. The result is `penalty_free` when no beam kept a penalized
     token. This is a wave of one search (`_run_wave`).
     """
     cache = LogprobCache() if logprob_cache is None else logprob_cache
-    search = _Search(state, cache, 0 if cache.size else cache.new_root(), groups=groups,
-                     beams_per_group=beams_per_group, lam=lam, max_len=max_len, min_len=min_len,
-                     vocab_size=model.config.vocab_size)
-    if state is None:
-        search.state = model.encode(src_ids)
-    return _run_wave(model, [search], vocab)[0][0]
+    if not cache.size:
+        cache.new_root(model.encode(src_ids) if state is None else state)
+    return _run_wave(model, cache, [0], vocab, groups=groups, beams_per_group=beams_per_group, lam=lam,
+                     max_len=max_len, min_len=min_len)[0][0]
 
 
 def _ordinal_tokens(position: int, vocab_size: int) -> tuple[int, ...]:
@@ -664,12 +620,13 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     ids: dict[str, TextualId] = {}
     rows: list[AllocationRow] = []
     taken: set[str] = set()
-    # per distinct text: encoder state, root of its trie, rung -> DBS candidates
+    # per distinct text: the root of its trie, which holds its encoder state, and
+    # rung -> DBS candidates
     cache = LogprobCache()
-    per_text: dict[str, tuple[object, int, dict[int, Candidates]]] = {}
+    per_text: dict[str, tuple[int, dict[int, Candidates]]] = {}
     for _, text in items:
         if text not in per_text:
-            per_text[text] = (model.encode(vocab.encode(text, model.config.max_src_len)), cache.new_root(), {})
+            per_text[text] = (cache.new_root(model.encode(vocab.encode(text, model.config.max_src_len))), {})
     left = Counter(text for _, text in items)  # items not yet processed, per text
     waves: list[tuple[int, WaveStats]] = []  # (searches, what it ran) per wave
     on_demand = answered = 0  # searches run alone; rungs answered by a penalty-free search
@@ -677,19 +634,16 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     def search(texts: list[str], rung: int) -> WaveStats:
         """Run `rung` for each of `texts` as one wave."""
         _, lo, max_len, lam = rungs[rung]
-        found, stats = _run_wave(model, [
-            _Search(per_text[text][0], cache, per_text[text][1], groups=config.groups,
-                    beams_per_group=config.beams_per_group, lam=lam, max_len=max_len, min_len=lo,
-                    vocab_size=model.config.vocab_size)
-            for text in texts], vocab)
+        found, stats = _run_wave(model, cache, [per_text[text][0] for text in texts], vocab, groups=config.groups,
+                                 beams_per_group=config.beams_per_group, lam=lam, max_len=max_len, min_len=lo)
         for text, candidates in zip(texts, found):
-            per_text[text][2][rung] = candidates
+            per_text[text][1][rung] = candidates
         return stats
 
     waves.append((len(per_text), search(list(per_text), 0)))
     for position, (key, text) in enumerate(items):
         left[text] -= 1
-        by_rung = per_text[text][2]
+        by_rung = per_text[text][1]
         for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
             if rung not in by_rung:
                 # items climb the ladder in order, so the rung below was reached
@@ -702,7 +656,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
                     # with fewer untaken candidates than items left will need this rung
                     below_first = first_rung[rungs[rung - 1][0]]
                     wave = [text] + [
-                        other for other, (_, _, got) in per_text.items()
+                        other for other, (_, got) in per_text.items()
                         if other != text and rung not in got and below_first in got
                         and got[below_first].penalty_free
                         and left[other] > len({c.text for c in got[below_first]} - taken)]
@@ -742,12 +696,11 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         return "/".join(map(str, values))
 
     log.info("allocated %d ids: %.2f%% needed lambda escalation, %.2f%% needed length extension; "
-             "%d searches, %d rungs answered by a penalty-free search; %d waves of %s searches "
-             "in %s lanes, %s decoder passes, %s layer-0 table entries; %d searches on demand",
+             "%d searches, %d rungs answered by a penalty-free search; %d waves of %s searches, "
+             "%s decoder passes, %s new layer-0 table entries; %d searches on demand",
              len(ids), 100 * stats["fraction_lambda_escalated"], 100 * stats["fraction_length_extended"],
              sum(n for n, _ in waves) + on_demand, answered, len(waves), per_wave(n for n, _ in waves),
-             per_wave(ran.lanes for _, ran in waves), per_wave(ran.passes for _, ran in waves),
-             per_wave(ran.entries for _, ran in waves), on_demand)
+             per_wave(ran.passes for _, ran in waves), per_wave(ran.entries for _, ran in waves), on_demand)
     return registry
 
 
@@ -770,12 +723,10 @@ def generate_user_ids(model, histories: list[list[str]], vocab: Vocabulary,
     if lo > max_len:
         raise ValueError(f"length range {(lo, hi)} does not fit the decoder capacity {max_len}")
     cache = LogprobCache()
-    found, ran = _run_wave(model, [
-        _Search(model.encode(profile_source(texts, vocab, model.config.max_src_len)), cache,
-                cache.new_root(), groups=1,
-                beams_per_group=config.beams_per_group, lam=config.lam_init, max_len=max_len,
-                min_len=lo, vocab_size=model.config.vocab_size)
-        for texts in histories], vocab)
+    roots = [cache.new_root(model.encode(profile_source(texts, vocab, model.config.max_src_len)))
+             for texts in histories]
+    found, ran = _run_wave(model, cache, roots, vocab, groups=1, beams_per_group=config.beams_per_group,
+                           lam=config.lam_init, max_len=max_len, min_len=lo)
     return [candidates[0] for candidates in found], ran
 
 

@@ -394,6 +394,10 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # numpy names the allocation that failed, in one line
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}; "
+              f"a smaller model or allocator config in --config may fit", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive
         log.exception("unexpected failure")
         print(f"internal error: {exc}", file=sys.stderr)

@@ -37,27 +37,26 @@ call, and give the same bits. Any other call recomputes and, unless it
 raises, replaces the slot. At the default config a 143-row trie's slot is
 about 0.5 MB.
 
-`wave_logits` decodes through a `DecodeCache`, the decode state of
-searches that advance in lockstep, one context each. Their prefixes are
-the nodes of a `PrefixTrie`, which names each by an integer id and keeps
-every node's parent, token and depth in arrays. A caller asks for
-(context, node) rows of an int array; the cache maps each node to the row
-that holds it, and decodes first any ancestor it lacks. It keeps each
-decoded row's parent and its self-attention input at every layer after the
-first. Layer 0's input is the layer-normed sum of the row's token and
-position embeddings, so it depends only on the row's (token, depth): the
-cache holds it once per pair seen, in its layer-0 table, and a row keeps
-only its entry there.
-A one-layer model's cache thus keeps no float per row, and an ancestor
-decoded only for its descendants takes no pass unless it is the first of
-its pair. A call decodes its rows by depth, ancestors first, in passes of
-at most `_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
-ancestor chain, gathered from the cache (layer 0's from the table) for
-that pass, and itself: no dense mask over the other rows. Its
-cross-attention is grouped by context: the pass's contexts, padded to the
-longest, are one batch, so a row reads only its own (a row of an empty
-context reads none). A pass thus costs its rows times their depth plus the
-longest context among them, whatever else the searches hold.
+`wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie`, which
+names each prefix by an integer id and keeps every node's parent, token and
+depth in arrays, whose roots each carry a context and whose nodes keep
+their decoder state for the life of the cache. Searches that advance in
+lockstep ask for their beams' nodes, as an int array, once each node's
+parent is decoded. A decoded node keeps its self-attention input at every
+layer after the first. Layer 0's input is the layer-normed sum of the
+node's token and position embeddings, so it depends only on the node's
+(token, depth): the cache holds it once per pair seen, in its layer-0
+table, and a node keeps only its entry there, so a one-layer model's cache
+keeps no float per node. A call decodes its nodes by depth, in passes of at
+most `_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
+ancestor chain, gathered from the cache (layer 0's from the table) for that
+pass, and itself: no dense mask over the other rows. Its cross-attention is
+grouped by context: the pass's contexts, padded to the longest, are one
+batch, so a row reads only its own (a row of an empty context reads none).
+A pass thus costs its rows times their depth plus the longest context among
+them, whatever else the cache holds. A row's outputs do not depend on
+which other rows share its pass, so a node decoded by one wave serves every
+later wave of the cache with the same bits.
 
 `packed_logits` runs several teacher-forced (source, decoder input) pairs
 as one pass: the sources back to back as segments of one `encode`, each
@@ -363,7 +362,10 @@ class PrefixTrie:
     `parent[k]` extended by `token[k]`, at `depth[k]`; a root (parent -1,
     token PAD, depth 0) is an empty prefix. Each text or history that a
     search decodes from gets a root of its own, so a node names one prefix
-    of one text. Nodes are only appended; the first `size` are in use."""
+    of one text. Nodes are only appended; the first `size` are in use, and
+    every array named in `_NODE_ARRAYS` holds one entry per node."""
+
+    _NODE_ARRAYS = ("parent", "token", "depth")
 
     def __init__(self):
         self.size = 0
@@ -375,8 +377,8 @@ class PrefixTrie:
         """Room for `size` nodes: the node arrays grow by doubling."""
         if size > len(self.parent):
             room = max(size, 2 * len(self.parent))
-            self.parent, self.token, self.depth = (_grown(a, room, self.size)
-                                                   for a in (self.parent, self.token, self.depth))
+            for name in self._NODE_ARRAYS:
+                setattr(self, name, _grown(getattr(self, name), room, self.size))
 
     def add(self, parents, tokens) -> np.ndarray:
         """A new node per (parent, token), parent -1 (token PAD) for a root;
@@ -403,43 +405,47 @@ class PrefixTrie:
         return [tuple(row[:n]) for row, n in zip(tokens.tolist(), depth.tolist())]
 
 
-class DecodeCache:
-    """The decoder rows of a group of searches that advance in lockstep,
-    each decoding against its own context (`SequenceModel.wave_logits`),
-    their prefixes named by the nodes of `trie`.
+class DecodeCache(PrefixTrie):
+    """A prefix trie whose nodes keep their decoder state
+    (`SequenceModel.wave_logits`). Each root decodes against the context it
+    was made with (`new_root`), and so does every node under it:
+    `context[k]` indexes `contexts`.
 
-    Each row decodes one node against one context, and `row_of[node]` is
-    the node's latest row (-1 for none, past its end too): a node is
-    decoded against one context only, so each context's prefixes hang
-    under roots of their own. A row keeps its parent row (-1 for a root),
-    its entry in the layer-0 table and its self-attention input at every
-    decoder layer after the first, which its descendants attend to. The
-    layer-0 table holds one self-attention input per (token, depth) pair
-    seen (a row's node's token and depth), taken from the pass that first
-    decoded the pair; `entry_of` maps a pair to its entry. The cache is
-    valid for its contexts, its trie and unchanged parameters: only
-    `wave_logits` fills it, and a call that raises leaves it as it was.
-    `room` sizes the row store up front (a cache that needs more grows it);
-    `size` and `passes` count the rows held and the decoder passes run."""
+    A decoded node keeps its entry in the layer-0 table (`entry[k]`, -1
+    until decoded) and its self-attention input at every decoder layer after
+    the first (`inputs[k]`, (layers - 1, d_model)), which its descendants
+    attend to. The layer-0 table holds one self-attention input per (token,
+    depth) pair seen, taken from a pass that decoded the pair; `entry_of`
+    maps a pair to its entry. The state is valid for unchanged
+    parameters and lasts as long as the cache: only `wave_logits` fills it,
+    and a call that raises leaves it as it was. `passes` counts the decoder
+    passes run."""
 
-    def __init__(self, contexts, trie: PrefixTrie, room: int = 0):
-        self.contexts = list(contexts)
-        self.trie = trie
-        self.room = room
-        self.size = 0
-        self.passes = 0
-        self.row_of = np.empty(0, dtype=np.int64)
-        self.parent = np.empty(0, dtype=np.int64)
-        self.entry = np.empty(0, dtype=np.int64)  # each row's layer-0 table entry
-        self.inputs: np.ndarray | None = None  # (layers - 1, room, d_model)
+    _NODE_ARRAYS = PrefixTrie._NODE_ARRAYS + ("context", "entry", "inputs")
+
+    def __init__(self):
+        super().__init__()
+        self.contexts: list[Tensor] = []
+        self.context = np.empty(0, dtype=np.int64)
+        self.entry = np.empty(0, dtype=np.int64)
+        self.inputs = np.empty((0, 0, 0))  # (nodes, layers - 1, d_model) from the first call on
         self.entry_of: dict[tuple[int, int], int] = {}  # (token, depth) -> its entry
         self.layer0: np.ndarray | None = None  # (entries, d_model), past len(entry_of) unused
+        self.passes = 0
 
-    @staticmethod
-    def row_bytes(config: ModelConfig) -> int:
-        """Bytes a cache's row store keeps per row for a model of `config`:
-        its parent, its table entry and its inputs at layers after the first."""
-        return 8 * (2 + (config.layers - 1) * config.d_model)
+    def add(self, parents, tokens) -> np.ndarray:
+        ids = super().add(parents, tokens)
+        up = self.parent[ids]
+        self.context[ids] = np.where(up >= 0, self.context[up], -1)
+        self.entry[ids] = -1
+        return ids
+
+    def new_root(self, context: Tensor) -> int:
+        """A root whose nodes decode against `context` (from `encode`)."""
+        root = int(self.add([-1], [PAD_ID])[0])
+        self.context[root] = len(self.contexts)
+        self.contexts.append(context)
+        return root
 
 
 def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -725,90 +731,40 @@ class SequenceModel:
             self._head_slot = slot
         return np.concatenate(logits)[slot.pick]
 
-    def wave_logits(self, cache: DecodeCache, requests, on_pass) -> None:
-        """Next-token logits for each request, an (n, 2) int array of
-        (context index, node) rows (inference path, frozen parameters): the
-        logits after the node's prefix in `cache.trie` against
-        `cache.contexts[context index]`.
+    def wave_logits(self, cache: DecodeCache, nodes, on_pass) -> None:
+        """Next-token logits after each of `nodes`, a 1-D int array of node
+        ids of `cache` (inference path, frozen parameters), each against its
+        root's context. Every node's parent must be decoded already: anything
+        else is a ValueError, raised before any pass.
 
-        Each request becomes a new cache row, whose parent is the latest row
-        of the node's parent. The ancestors that no row holds are decoded
-        first, each once, as rows of their own whose logits go nowhere: a
-        one-layer model's row keeps nothing a pass computes but its layer-0
-        input, so such a row takes a pass only when it is the first of a
-        (token, depth) pair new to the cache.
-
-        The rows are decoded by depth, ancestors first, in passes of at most
-        `_WAVE_ROWS` rows of one depth, grouped by context, each row reading
-        only its own ancestor chain and context (module doc); rows of one
-        depth and context keep request order, an ancestor taking the place
-        of the first request that needs it. A (token, depth) pair new to the
-        cache gets a layer-0 table entry, filled from the pass that decodes
-        it first. The head slot is neither read nor written.
+        The nodes are decoded by depth in passes of at most `_WAVE_ROWS` rows
+        of one depth, grouped by context, each row reading only its own
+        ancestor chain and context (module doc); rows of one depth and
+        context keep the given order. A (token, depth) pair new to the cache
+        gets a layer-0 table entry, written by the passes that decode it (a
+        row's outputs do not depend on its pass, so they write the same
+        bits). The head slot is neither read nor written.
 
         Each pass's logits go to `on_pass(indices, logits)` as the pass
-        returns, `indices` the requests its rows answer, one logits row each:
-        the (requests, V) array of a whole call is never built.
+        returns, `indices` the positions in `nodes` its rows answer, one
+        logits row each: the (n, V) array of a whole call is never built.
+        The cache takes the nodes' state only once every pass has run.
         """
-        cfg, trie = self.config, cache.trie
-        requests = np.asarray(requests, dtype=np.int64).reshape(-1, 2)
-        if not len(requests):
+        cfg = self.config
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.ndim != 1 or ((nodes < 0) | (nodes >= cache.size)).any():
+            raise ValueError("nodes must be a 1-D array of the cache's node ids")
+        if not len(nodes):
             return
-        if len(cache.row_of) < trie.size:
-            used = len(cache.row_of)
-            cache.row_of = _grown(cache.row_of, max(trie.size, 2 * used), used)
-            cache.row_of[used:] = -1
-        nodes, context, asked = requests[:, 1], requests[:, 0], np.arange(len(requests))
-        depth = trie.depth[nodes]  # no ancestor is deeper
+        up = cache.parent[nodes]
+        orphan = (up >= 0) & (cache.entry[up] < 0)
+        if orphan.any():
+            raise ValueError(f"node {nodes[orphan][0]} has a parent that is not decoded")
+        depth, ids, context = cache.depth[nodes], cache.token[nodes], cache.context[nodes]
         if depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
-        # `row_of` names this call's rows while they are laid out, and takes them
-        # for good only once every pass has run
-        row_of = cache.row_of
-        held = row_of[nodes]
-        row_of[nodes] = cache.size + asked
-        # the ancestors that no row holds, climbing from each request to a held one
-        up, need, found, needed_by = trie.parent[nodes], asked, [], []
-        while True:
-            up, need = up[up >= 0], need[up >= 0]
-            lacking = row_of[up] < 0
-            up, need = up[lacking], need[lacking]
-            if not up.size:
-                break
-            found.append(up)
-            needed_by.append(need)
-            up = trie.parent[up]
-        if found:
-            # each once, in the order of the first request that needs it
-            need = np.concatenate(needed_by)
-            by_need = np.argsort(need, kind="stable")
-            missing = np.concatenate(found)[by_need]
-            first = np.sort(np.unique(missing, return_index=True)[1])
-            row_of[missing[first]] = cache.size + len(nodes) + np.arange(len(first))
-            nodes = np.concatenate([nodes, missing[first]])
-            context = np.concatenate([context, requests[need[by_need][first], 0]])
-            asked = np.concatenate([asked, np.full(len(first), -1)])
-            held = np.concatenate([held, np.full(len(first), -1)])
-        n = len(nodes)
-        depth, ids = trie.depth[nodes], trie.token[nodes]
-        rows = cache.size + np.arange(n)
-        ups = trie.parent[nodes]
-        ups = np.where(ups >= 0, row_of[ups], -1)  # each row's parent row
-        row_of[nodes] = held
-        # rows and table entries past what the cache holds stay unseen until the
-        # call returns; a store that is too small grows into new arrays
-        parent, entry, inputs, table = cache.parent, cache.entry, cache.inputs, cache.layer0
-        if rows[-1] >= len(parent):
-            room = max(cache.room, cache.size + n, 2 * cache.size)
-            parent, entry = np.empty(room, dtype=np.int64), np.empty(room, dtype=np.int64)
-            inputs = np.empty((cfg.layers - 1, room, cfg.d_model))
-            if cache.size:
-                parent[:cache.size] = cache.parent[:cache.size]
-                entry[:cache.size] = cache.entry[:cache.size]
-                inputs[:, :cache.size] = cache.inputs[:, :cache.size]
-        parent[rows] = ups
-        order = np.lexsort((context, depth))  # by depth, then context, then row
-        # each row's table entry; a (token, depth) pair new to the cache gets the next one
+        order = np.lexsort((context, depth))  # by depth, then context, then given order
+        # each node's table entry; a (token, depth) pair new to the cache gets the next one
         keys, key_of = np.unique(depth * cfg.vocab_size + ids, return_inverse=True)
         known, fresh = len(cache.entry_of), {}
         slots = np.empty(len(keys), dtype=np.int64)
@@ -818,45 +774,41 @@ class SequenceModel:
             if slot is None:
                 slot = fresh[pair] = known + len(fresh)
             slots[u] = slot
-        entry[rows] = slots[key_of]
-        fills = np.zeros(n, dtype=bool)  # the row that first decodes each new pair
-        if fresh:
-            fills[order[np.unique(key_of[order], return_index=True)[1]][slots >= known]] = True
-            if table is None or known + len(fresh) > len(table):
-                table = np.empty((max(known + len(fresh), 2 * known), cfg.d_model))
-                if known:
-                    table[:known] = cache.layer0[:known]
-        wanted = asked >= 0
-        run = order[wanted[order] | fills[order]] if cfg.layers == 1 else order  # the rows to decode
+        entry = slots[key_of]
+        # table entries past what the cache holds, and the inputs of undecoded
+        # nodes, stay unseen until the call returns (a decoded node asked for
+        # again is rewritten with the same bits); a table that is too small, and
+        # the input store at the first call, are new arrays
+        table, inputs = cache.layer0, cache.inputs
+        if fresh and (table is None or known + len(fresh) > len(table)):
+            table = np.empty((max(known + len(fresh), 2 * known), cfg.d_model))
+            if known:
+                table[:known] = cache.layer0[:known]
+        if inputs.shape[1:] != (cfg.layers - 1, cfg.d_model):
+            inputs = np.empty((len(cache.parent), cfg.layers - 1, cfg.d_model))
         passes = 0
-        for level in np.split(run, np.flatnonzero(np.diff(depth[run])) + 1) if run.size else ():
+        for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
             k = depth[level[0]]
             for lo in range(0, len(level), _WAVE_ROWS):
                 sel = level[lo:lo + _WAVE_ROWS]
-                chain = np.empty((len(sel), k), dtype=np.int64)
-                up = ups[sel]
+                chain = np.empty((len(sel), k), dtype=np.int64)  # each row's ancestors, root first
+                up = cache.parent[nodes[sel]]
                 for j in range(k - 1, -1, -1):
                     chain[:, j] = up
-                    up = parent[up]
+                    up = cache.parent[up]
                 groups, counts = np.unique(context[sel], return_counts=True)
                 keep = np.empty((cfg.layers, len(sel), cfg.d_model))
+                earlier = [table[cache.entry[chain]], *np.moveaxis(inputs[chain], 2, 0)]
                 out = self.decoder_all_logits([cache.contexts[c] for c in groups], ids[sel],
-                                              past=(depth[sel], None, [table[entry[chain]], *inputs[:, chain]]),
-                                              keep=keep, ctx_rows=counts)
-                first = fills[sel]
-                if first.any():
-                    table[entry[rows[sel[first]]]] = keep[0, first]
-                inputs[:, rows[sel]] = keep[1:]
-                goes = wanted[sel]
-                if goes.all():
-                    on_pass(asked[sel], out.data)
-                elif goes.any():
-                    on_pass(asked[sel[goes]], out.data[goes])
+                                              past=(depth[sel], None, earlier), keep=keep, ctx_rows=counts)
+                new = entry[sel] >= known  # rows of pairs this call adds write their entry
+                table[entry[sel[new]]] = keep[0, new]
+                inputs[nodes[sel]] = np.moveaxis(keep[1:], 0, 1)
+                on_pass(sel, out.data)
                 passes += 1
-        cache.parent, cache.entry, cache.inputs, cache.layer0 = parent, entry, inputs, table
+        cache.layer0, cache.inputs = table, inputs
+        cache.entry[nodes] = entry
         cache.entry_of.update(fresh)
-        row_of[nodes] = rows
-        cache.size += n
         cache.passes += passes
 
     def sequence_nll(self, ctx: Tensor, target_ids,

@@ -200,8 +200,8 @@ def snapshot_user_ids(idgen: SequenceModel, examples: list[TrainExample],
     histories = list(dict.fromkeys(ex.history for ex in examples))
     ids, ran = generate_user_ids(idgen, [[item_text[k] for k in history] for history in histories],
                                  vocab, alloc_cfg)
-    log.info("user IDs for %d histories: 1 wave, %d lanes, %d decoder passes, %d layer-0 table entries",
-             len(histories), ran.lanes, ran.passes, ran.entries)
+    log.info("user IDs for %d histories: 1 wave, %d decoder passes, %d layer-0 table entries",
+             len(histories), ran.passes, ran.entries)
     return dict(zip(histories, ids))
 
 

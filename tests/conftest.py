@@ -77,11 +77,10 @@ class ScriptedModel:
     def prefix_logits(self, state, prefixes) -> np.ndarray:
         return np.array([self.logits(state, p) for p in prefixes]).reshape(-1, self.vocab_size)
 
-    def wave_logits(self, cache, requests, on_pass) -> None:
-        prefixes = cache.trie.prefixes([node for _, node in requests])
-        on_pass(np.arange(len(requests)),
+    def wave_logits(self, cache, nodes, on_pass) -> None:
+        on_pass(np.arange(len(nodes)),
                 np.array([self.logits(cache.contexts[c], p)
-                          for (c, _), p in zip(requests, prefixes)]).reshape(-1, self.vocab_size))
+                          for c, p in zip(cache.context[nodes], cache.prefixes(nodes))]).reshape(-1, self.vocab_size))
 
     def param_hash(self) -> str:
         return "scripted"

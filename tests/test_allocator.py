@@ -313,7 +313,7 @@ def assert_lane_steps_like_the_reference(block_of, searches, **kwargs):
     every step: each group's beams and completions (prefixes, and totals as
     bits) and `penalty_free`."""
     cache = allocator.LogprobCache()
-    lane = allocator._Lane([allocator._Search(None, cache, cache.new_root(), **kwargs) for _ in range(searches)])
+    lane = allocator._Lane(cache, [cache.new_root(None) for _ in range(searches)], **kwargs)
     references = [ReferenceSearch({}, **kwargs) for _ in range(searches)]
     blocks = {}
 
@@ -323,10 +323,10 @@ def assert_lane_steps_like_the_reference(block_of, searches, **kwargs):
         return blocks[s, prefix]
 
     while lane.t < lane.max_len and lane.live.any():
-        requests = lane.missing()
-        ranked = [block(s, prefix) for s, prefix in zip(requests[:, 0].tolist(), cache.prefixes(requests[:, 1]))]
+        nodes = lane.missing()
+        ranked = [block(s, prefix) for s, prefix in zip(cache.context[nodes].tolist(), cache.prefixes(nodes))]
         if ranked:
-            cache.store(requests[:, 1], np.stack([v for v, _ in ranked]), np.stack([t for _, t in ranked]))
+            cache.store(nodes, np.stack([v for v, _ in ranked]), np.stack([t for _, t in ranked]))
         lane.step()
         for s, reference in enumerate(references):
             if reference.live():
@@ -350,7 +350,7 @@ def assert_lane_steps_like_the_reference(block_of, searches, **kwargs):
 @pytest.mark.parametrize("seed", range(4))
 def test_the_array_step_equals_the_reference_step_on_random_ranked_rows(seed):
     # ties, all -inf rows, lam 0, EOS bans (min_len up to 3) and groups whose
-    # beams all ended, over lanes of one to three searches
+    # beams all ended, over waves of one to three searches
     rng = random.Random(seed)
     for _ in range(30):
         vocab_size, groups, beams_per_group = rng.randint(5, 12), rng.randint(1, 4), rng.randint(1, 3)
@@ -485,17 +485,18 @@ def reference_ladder(model, items, vocab, cfg, search=diverse_beam_search):
 
 def recorded_waves(monkeypatch, items):
     """Make `allocate_all` record its waves: per wave, the (text, min_len,
-    lam, candidates) of each search, texts told apart by encoder state (the
-    first wave holds every distinct text, in order of first appearance)."""
+    lam, candidates) of each search, texts told apart by the roots of their
+    tries (the first wave holds every distinct text, in order of first
+    appearance)."""
     waves, text_of = [], {}
     texts = list(dict.fromkeys(text for _, text in items))
     real = allocator._run_wave
 
-    def recording(model, searches, vocab):
-        found, passes = real(model, searches, vocab)
+    def recording(model, cache, roots, vocab, **settings):
+        found, passes = real(model, cache, roots, vocab, **settings)
         if not waves:
-            text_of.update((id(s.state), text) for s, text in zip(searches, texts))
-        waves.append([(text_of[id(s.state)], s.min_len, s.lam, c) for s, c in zip(searches, found)])
+            text_of.update(zip(roots, texts))
+        waves.append([(text_of[root], settings["min_len"], settings["lam"], c) for root, c in zip(roots, found)])
         return found, passes
 
     monkeypatch.setattr(allocator, "_run_wave", recording)
@@ -525,24 +526,28 @@ def assert_searches_follow_the_ladder(searched, ladder):
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_allocation_equals_one_built_on_reference_dbs(layers):
-    # later rungs reuse a text's logprob cache, so their lanes decode
-    # ancestors they never ranked: rows that, past layer 0, a deeper
-    # generator keeps and attends through
+    # later rungs reuse a text's logprob cache, whose nodes keep their
+    # decoder state, so their waves extend nodes that an earlier wave
+    # decoded: nodes whose inputs past layer 0 a deeper generator attends
+    # through
     vocab = make_vocab(WORDS[:5])
     model = tiny_model(vocab_size=vocab.size, seed=3, layers=layers)
     cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=3.0, length_ranges=((1, 3), (3, 5)))
     texts = [f"{WORDS[i]} {WORDS[i + 1]}" for i in range(3)]
     items = [(f"k{i}", texts[i % 3]) for i in range(60)]
-    ancestors, wave_logits = [], model.wave_logits
+    extended, asked, wave_logits = [], set(), model.wave_logits
 
-    def counted(cache, requests, on_pass):
-        before = cache.size
-        wave_logits(cache, requests, on_pass)
-        ancestors.append(cache.size - before - len(requests))
+    def counted(cache, nodes, on_pass):
+        # a parent below the root that the previous step did not ask for was
+        # decoded by an earlier wave
+        nonlocal asked
+        extended.extend(u for u in cache.parent[nodes].tolist() if u >= 0 and cache.depth[u] and u not in asked)
+        asked = set(nodes.tolist())
+        wave_logits(cache, nodes, on_pass)
 
     model.wave_logits = counted
     registry = allocate_all(model, items, vocab, cfg)
-    assert sum(ancestors) > 0
+    assert extended
     assert any(row.fallback for row in registry.rows)
     reference, _ = reference_ladder(model, items, vocab, cfg, search=reference_dbs)
     assert registry.ids == reference.ids and registry.rows == reference.rows
@@ -707,10 +712,8 @@ def run_wave(model, vocab, states, cache=None, **kwargs):
     the first roots of `cache` (a new logprob cache by default); returns the
     candidates and what the wave ran."""
     cache = allocator.LogprobCache() if cache is None else cache
-    roots = range(len(states)) if cache.size else [cache.new_root() for _ in states]
-    return allocator._run_wave(model, [allocator._Search(state, cache, root, vocab_size=model.config.vocab_size,
-                                                         **kwargs)
-                                       for state, root in zip(states, roots)], vocab)
+    roots = list(range(len(states))) if cache.size else [cache.new_root(state) for state in states]
+    return allocator._run_wave(model, cache, roots, vocab, **kwargs)
 
 
 def assert_wave_equals_separate_searches(model, vocab, states, **kwargs):
@@ -773,26 +776,32 @@ def test_the_row_bound_changes_the_passes_not_the_results(monkeypatch):
 
 
 @pytest.mark.parametrize("layers", [1, 2])
-def test_one_search_per_lane_changes_the_lanes_not_the_results(monkeypatch, caplog, layers):
-    # the lane bound forced down to one search per lane: the same candidates,
-    # penalty_free flags and registry as one lane per wave
+def test_a_second_wave_decodes_only_the_nodes_it_asks_for(layers, decoder_calls):
+    # a second wave over tries that an earlier wave ranked starts from their
+    # decoded nodes: each call decodes one row per node asked, and the wave
+    # returns what the same searches return on fresh logprob caches
     vocab = make_vocab(WORDS[:8])
     model = tiny_model(vocab_size=vocab.size, seed=11, layers=layers)
     states = [model.encode(src) for src in ([3, 4], [5], [6, 7, 8, 9], [], [4, 3])]
-    kwargs = dict(groups=3, beams_per_group=2, lam=1.0, max_len=6, min_len=2)
-    cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=2.0, length_ranges=((1, 3), (3, 6)))
-    items = [(f"k{i}", f"{WORDS[i % 3]} {WORDS[i % 3 + 1]}") for i in range(24)]
-    found, whole = run_wave(model, vocab, states, **kwargs)
-    registry = allocate_all(model, items, vocab, cfg)
-    assert whole.lanes == 1 and whole.entries > 0
-    monkeypatch.setattr(allocator, "_LANE_BYTES", 1)
-    again, lanes = run_wave(model, vocab, states, **kwargs)
-    assert again == found and [c.penalty_free for c in again] == [c.penalty_free for c in found]
-    assert lanes.lanes == len(states) and lanes.passes > whole.passes and lanes.entries > whole.entries
-    with caplog.at_level("INFO", logger="textidrec.allocator"):
-        alone = allocate_all(model, items, vocab, cfg)
-    assert alone.ids == registry.ids and alone.rows == registry.rows
-    assert "waves of 3/" in caplog.text and "searches in 3/" in caplog.text
+    cache = allocator.LogprobCache()
+    run_wave(model, vocab, states, cache, groups=3, beams_per_group=2, lam=1.0, max_len=3, min_len=1)
+    kwargs = dict(groups=3, beams_per_group=2, lam=3.0, max_len=6, min_len=2)
+    rows, wave_logits = [], model.wave_logits
+
+    def counted(cache, nodes, on_pass):
+        decoded = np.count_nonzero(cache.entry[:cache.size] >= 0)
+        decoder_calls.clear()
+        wave_logits(cache, nodes, on_pass)
+        rows.append((len(nodes), sum(decoder_calls), np.count_nonzero(cache.entry[:cache.size] >= 0) - decoded))
+
+    model.wave_logits = counted
+    found, ran = run_wave(model, vocab, states, cache, **kwargs)
+    assert all(asked == decoded == added for asked, decoded, added in rows)
+    assert sum(asked for asked, _, _ in rows) > 0 and ran.passes == sum(n > 0 for n, _, _ in rows)
+    model.wave_logits = wave_logits
+    fresh, alone = run_wave(model, vocab, states, **kwargs)
+    assert found == fresh and [c.penalty_free for c in found] == [c.penalty_free for c in fresh]
+    assert alone.passes > ran.passes
 
 
 def test_a_wave_that_raises_leaves_every_logprob_cache_as_it_was():
@@ -804,8 +813,10 @@ def test_a_wave_that_raises_leaves_every_logprob_cache_as_it_was():
     run_wave(model, vocab, states, cache, max_len=3, min_len=1, **kwargs)
 
     def held():
-        size, rows = cache.mark()
-        return (size, rows, *(a[:size].tobytes() for a in (cache.parent, cache.token, cache.depth, cache.row)),
+        size, rows, entries = cache.mark()
+        return (size, rows, list(cache.entry_of.items()), cache.layer0[:entries].tobytes(),
+                *(a[:size].tobytes() for a in (cache.parent, cache.token, cache.depth, cache.row, cache.context,
+                                               cache.entry)),
                 *(a[:rows].tobytes() for a in (cache.values, cache.tokens, cache.child)))
 
     before = held()

@@ -204,21 +204,36 @@ def _capped_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("max_size", [3, 4])
-def test_allocate_with_under_two_usable_tokens_exits_2(tmp_path, max_size):
-    # one usable token made the ordinal fallback count in base 1 without end,
-    # and none exited 4; the run goes in a subprocess, under a memory cap
-    # and a timeout, so a loop that does not end fails the test instead
+def allocate_capped(tmp_path: Path, config: dict) -> subprocess.CompletedProcess:
+    """`allocate` on a small synth set with `config`, in a subprocess under
+    a memory cap and a timeout, so a loop that does not end or a run that
+    eats memory fails the test instead of the machine."""
     raw = tmp_path / "raw"
     assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**TINY_CONFIG, "vocab": {"max_size": max_size}}))
+    cfg.write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=str(Path(textidrec.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "textidrec", "allocate", "--data", str(raw),
+    return subprocess.run([sys.executable, "-m", "textidrec", "allocate", "--data", str(raw),
                            "--out", str(tmp_path / "ids.tsv"), "--config", str(cfg)],
                           capture_output=True, text=True, timeout=120, env=env, preexec_fn=_capped_memory)
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_allocate_with_under_two_usable_tokens_exits_2(tmp_path, max_size):
+    # one usable token made the ordinal fallback count in base 1 without end,
+    # and none exited 4
+    done = allocate_capped(tmp_path, {**TINY_CONFIG, "vocab": {"max_size": max_size}})
     assert done.returncode == 2, done.stderr
     assert len(done.stderr.splitlines()) == 1 and "config section 'vocab': " in done.stderr
+    assert not (tmp_path / "ids.tsv").exists()
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    # a generator of 24 (4096, 4096) matrices does not fit under the cap: it
+    # used to exit 4 with a traceback
+    done = allocate_capped(tmp_path, {**TINY_CONFIG, "model": {"d_model": 4096, "heads": 1}})
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: out of memory")
     assert not (tmp_path / "ids.tsv").exists()
 
 
@@ -385,6 +400,9 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     ({"vocab": {"max_size": 2}}, "vocab"),
     ({"vocab": {"min_freq": 0}}, "vocab"),
     ({"model": {"seed": -1}}, "model"),
+    # 100 000 beams per search ran past a minute; a billion ran out of memory
+    ({"allocator": {"groups": 100000}}, "allocator"),
+    ({"allocator": {"groups": 1000000000}}, "allocator"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"

@@ -472,56 +472,72 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     assert_rows_match_per_prefix(model, state, prefixes)
 
 
-class NamedTrie(model_module.PrefixTrie):
-    """A prefix trie that names each (context, prefix) pair by a node, each
-    context's prefixes under a root of their own."""
+class NamedTrie(model_module.DecodeCache):
+    """A decode cache that names each (context, prefix) pair by a node, each
+    context's prefixes under a root of their own, which carries the
+    context."""
 
-    def __init__(self):
+    def __init__(self, contexts):
         super().__init__()
+        self.given = list(contexts)
         self.node_of: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def node(self, c: int, prefix: tuple[int, ...]) -> int:
         if (c, prefix) not in self.node_of:
-            parent = self.node(c, prefix[:-1]) if prefix else -1
-            self.node_of[c, prefix] = int(self.add([parent], [prefix[-1] if prefix else PAD_ID])[0])
+            if prefix:
+                node = int(self.add([self.node(c, prefix[:-1])], [prefix[-1]])[0])
+            else:
+                node = self.new_root(self.given[c])
+            self.node_of[c, prefix] = node
         return self.node_of[c, prefix]
 
-    def requests(self, pairs) -> np.ndarray:
-        """The (context, node) request of each (context, prefix) pair."""
-        return np.array([(c, self.node(c, tuple(p))) for c, p in pairs], dtype=np.int64).reshape(-1, 2)
+    def nodes(self, pairs) -> np.ndarray:
+        """The node of each (context, prefix) pair."""
+        return np.array([self.node(c, tuple(p)) for c, p in pairs], dtype=np.int64)
 
-
-def decode_cache(contexts) -> model_module.DecodeCache:
-    return model_module.DecodeCache(contexts, NamedTrie())
+    def decoded(self) -> set:
+        """Each (context, prefix) whose node is decoded."""
+        return {pair for pair, node in self.node_of.items() if self.entry[node] >= 0}
 
 
 def wave_rows(model, cache, requests) -> np.ndarray:
-    """The logits `wave_logits` passes out for the (context, prefix)
-    `requests`, in request order (NaN for a request it never passed out)."""
+    """The logits one `wave_logits` call passes out for the (context,
+    prefix) `requests`, in request order (NaN for a request it never passed
+    out)."""
     rows = np.full((len(requests), model.config.vocab_size), np.nan)
 
     def on_pass(indices, logits):
         rows[indices] = logits
 
-    model.wave_logits(cache, cache.trie.requests(requests), on_pass)
+    model.wave_logits(cache, cache.nodes(requests), on_pass)
     return rows
 
 
-def held_rows(cache) -> dict:
-    """Each (context, prefix) the cache holds, mapped to its latest row."""
-    return {pair: int(cache.row_of[node]) for pair, node in cache.trie.node_of.items()
-            if node < len(cache.row_of) and cache.row_of[node] >= 0}
+def wave_rows_by_depth(model, cache, requests) -> np.ndarray:
+    """`wave_rows` of requests that hold every ancestor the cache has not
+    decoded, one call per depth, shallowest first."""
+    rows = np.full((len(requests), model.config.vocab_size), np.nan)
+    for depth in sorted({len(p) for _, p in requests}):
+        at = [i for i, (_, p) in enumerate(requests) if len(p) == depth]
+        rows[at] = wave_rows(model, cache, [requests[i] for i in at])
+    return rows
+
+
+def decode_ancestors(model, cache, requests) -> None:
+    """Decode every ancestor of `requests` that the cache has not decoded,
+    one call per depth, shallowest first."""
+    held = cache.decoded()
+    wave_rows_by_depth(model, cache, sorted({(c, p[:k]) for c, p in requests for k in range(len(p))} - held))
 
 
 def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
     """Scores prefix trees grown step by step against several contexts
     through one decode cache. Each call extends some earlier prefixes of
     each context and repeats one, holds a duplicate, and adds a prefix
-    given without its ancestors (which the call decodes first); every row
-    must equal the memo-less and the per-prefix causal rows, and each asked
-    prefix's latest row is one the call added. Returns the cache and each
-    (context, prefix)'s latest row."""
-    cache = decode_cache(contexts)
+    whose ancestors earlier calls decode; every row must equal the
+    memo-less and the per-prefix causal rows, and a call decodes exactly
+    the nodes it is asked for. Returns the cache."""
+    cache = NamedTrie(contexts)
     asked = {c: [()] for c in range(len(contexts))}
     vocab_size = model.config.vocab_size
     for _ in range(steps):
@@ -532,20 +548,16 @@ def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
             prefixes.append(tuple(rng.randrange(vocab_size) for _ in range(rng.randint(2, 4))))
             seen += prefixes
             requests += [(c, p) for p in prefixes]
-        before, held = cache.size, held_rows(cache)
+        decode_ancestors(model, cache, requests)
+        held = cache.decoded()
         logits = wave_rows(model, cache, requests)
-        rows = held_rows(cache)
-        ancestors = {(c, p[:k]) for c, p in requests for k in range(len(p))}
-        assert set(rows) == set(held) | set(requests) | ancestors
-        # a row per request, and at most one per ancestor the cache lacked
-        assert len(requests) <= cache.size - before <= len(requests) + len(ancestors - set(held))
-        assert all(rows[c, p] >= before for c, p in requests)
+        assert cache.decoded() == held | set(requests)
         assert not np.isnan(logits).any()
         for (c, prefix), row in zip(requests, logits):
             ctx = contexts[c]
             assert np.max(np.abs(row - model.prefix_logits(ctx, [prefix])[0])) < 1e-12
             assert_rows_match_per_prefix(model, ctx, [prefix], row[None])
-    return cache, held_rows(cache)
+    return cache
 
 
 @pytest.mark.parametrize("layers,heads", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
@@ -553,20 +565,23 @@ def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
 def test_memo_rows_match_memo_less_and_per_prefix_decoding(layers, heads, source):
     # the decode cache that replaced the per-search memo: one context here
     model = tiny_model(vocab_size=11, seed=layers + heads, layers=layers, heads=heads)
-    cache, rows = grow_through_cache(model, [model.encode(source)], random.Random(10 * layers + heads))
-    # a row keeps its inputs at the layers after the first; layer 0's are kept
-    # once per (token, depth) in the table, which a row names by its entry
-    assert cache.inputs.shape[0] == layers - 1 and cache.inputs.shape[2] == 16
+    ctx = model.encode(source)
+    cache = grow_through_cache(model, [ctx], random.Random(10 * layers + heads))
+    nodes = {pair: cache.node_of[pair] for pair in cache.decoded()}
+    # a node keeps its inputs at the layers after the first; layer 0's are
+    # kept once per (token, depth) in the table, which a node names by its entry
+    assert cache.inputs.shape[1:] == (layers - 1, 16)
     assert cache.layer0.shape[0] >= len(cache.entry_of) and cache.layer0.shape[1] == 16
     assert sorted(cache.entry_of.values()) == list(range(len(cache.entry_of)))
-    assert set(cache.entry_of) == {(prefix[-1] if prefix else PAD_ID, len(prefix)) for _, prefix in rows}
-    for (_, prefix), row in rows.items():
-        assert cache.entry[row] == cache.entry_of[prefix[-1] if prefix else PAD_ID, len(prefix)]
-    for (_, prefix), row in rows.items():  # each row's parent chain is as long as its prefix
+    assert set(cache.entry_of) == {(prefix[-1] if prefix else PAD_ID, len(prefix)) for _, prefix in nodes}
+    for (_, prefix), node in nodes.items():
+        assert cache.entry[node] == cache.entry_of[prefix[-1] if prefix else PAD_ID, len(prefix)]
+        assert cache.contexts[cache.context[node]] is ctx
+    for (_, prefix), node in nodes.items():  # each node's parent chain is as long as its prefix
         for _ in prefix:
-            row = cache.parent[row]
-            assert row >= 0
-        assert cache.parent[row] == -1
+            node = cache.parent[node]
+            assert node >= 0
+        assert cache.parent[node] == -1
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -599,95 +614,92 @@ def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
 def test_layer0_table_holds_the_inputs_a_memo_less_pass_computes(layers):
     model = tiny_model(vocab_size=11, seed=3 + layers, layers=layers, heads=2)
     contexts = [model.encode([3, 4, 5]), model.encode([6]), model.encode([])]
-    cache, _ = grow_through_cache(model, contexts, random.Random(20 + layers))
+    cache = grow_through_cache(model, contexts, random.Random(20 + layers))
     assert len(cache.entry_of) > 10
     assert_table_holds_memo_less_inputs(model, cache, contexts[0])
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
-    # only asked rows' logits go out; a one-layer model decodes an ancestor
-    # the cache adds only when it is the first of a new (token, depth) pair,
-    # and later rows attend through it all the same
+    # random prefixes lack ancestors, which a call refuses: their ancestors
+    # are asked for first, in calls whose logits go unused, and then a call
+    # decodes exactly the rows it is asked for, each attending through its
+    # ancestors' kept state
     model = tiny_model(vocab_size=11, seed=7, layers=layers)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
-    cache, rng = decode_cache(contexts), random.Random(layers)
-    skipped = 0
+    cache, rng = NamedTrie(contexts), random.Random(layers)
     for _ in range(4):
         asked = sorted({(c, tuple(rng.randrange(11) for _ in range(rng.randint(1, 5))))
                         for c in (0, 1) for _ in range(4)})
-        before, entries, got = cache.size, len(cache.entry_of), {}
+        got = {}
 
         def on_pass(indices, logits):
             assert not set(indices.tolist()) & set(got)
             got.update(zip(indices.tolist(), logits))
 
+        with pytest.raises(ValueError, match="not decoded"):
+            model.wave_logits(cache, cache.nodes(asked), on_pass)
+        decode_ancestors(model, cache, asked)
         decoder_calls.clear()
-        model.wave_logits(cache, cache.trie.requests(asked), on_pass)
-        decoded, added = sum(decoder_calls), cache.size - before
-        assert added > len(asked)  # random prefixes lack ancestors
-        if layers == 1:
-            assert len(asked) <= decoded <= len(asked) + len(cache.entry_of) - entries
-        else:
-            assert decoded == added
-        skipped += added - decoded
+        model.wave_logits(cache, cache.nodes(asked), on_pass)
+        assert sum(decoder_calls) == len(asked)
         assert sorted(got) == list(range(len(asked)))
         for k, row in got.items():
             c, prefix = asked[k]
             assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
-    assert (skipped > 0) == (layers == 1)
     assert_table_holds_memo_less_inputs(model, cache, contexts[0])
 
 
 def test_a_one_layer_cache_keeps_no_float_per_row():
     model = tiny_model(vocab_size=11, seed=2, layers=1)
-    cache, _ = grow_through_cache(model, [model.encode([3, 4]), model.encode([5])], random.Random(4))
-    assert cache.inputs.nbytes == 0 and cache.size > len(cache.entry_of)
+    cache = grow_through_cache(model, [model.encode([3, 4]), model.encode([5])], random.Random(4))
+    assert cache.inputs.nbytes == 0 and len(cache.decoded()) > len(cache.entry_of)
     assert cache.parent.dtype == cache.entry.dtype == np.int64
-    assert model_module.DecodeCache.row_bytes(model.config) == 16  # its parent and its entry
-    assert model_module.DecodeCache.row_bytes(tiny_model(vocab_size=11, layers=3).config) == 16 + 2 * 16 * 8
 
 
 def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
     # a wave pass holds at most `_WAVE_ROWS` rows of one depth; each tree is
-    # asked for ancestors first, so the cache adds no row of its own
+    # asked for one depth per call, shallowest first
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 4)
     model = tiny_model(vocab_size=11, seed=5, layers=2)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
-    cache = decode_cache(contexts)
+    cache = NamedTrie(contexts)
     requests = [(c, p) for c in (0, 1) for p in sorted(random_prefix_tree(random.Random(2 + c), 11, 8, 5))]
-    logits = wave_rows(model, cache, requests)
+    logits = wave_rows_by_depth(model, cache, requests)
     depths = Counter(len(p) for _, p in requests)
     assert decoder_calls == [min(4, n - lo) for _, n in sorted(depths.items()) for lo in range(0, n, 4)]
-    assert cache.passes == len(decoder_calls) > len(depths) and cache.size == len(requests)
+    assert cache.passes == len(decoder_calls) > len(depths) and len(cache.decoded()) == len(requests)
     for (c, prefix), row in zip(requests, logits):
         assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
 
 
 def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
-    # two layers: a row keeps layer 1's input, the table layer 0's
+    # two layers: a node keeps layer 1's input, the table layer 0's
     monkeypatch.setattr(model_module, "_WAVE_ROWS", 2)
     model = tiny_model(vocab_size=12, max_tgt_len=4, layers=2)
     contexts = [model.encode([3]), model.encode([4, 5])]
-    cache = decode_cache(contexts)
-    wave_rows(model, cache, [(0, (6,)), (1, (6, 7))])
-    size, passes, entries, held = cache.size, cache.passes, dict(cache.entry_of), held_rows(cache)
-    arrays = inputs, parent, entry, layer0 = cache.inputs, cache.parent, cache.entry, cache.layer0
-    stored = inputs[:, :size].copy(), parent[:size].copy(), entry[:size].copy(), layer0[:len(entries)].copy()
+    cache = NamedTrie(contexts)
+    wave_rows_by_depth(model, cache, [(0, ()), (1, ()), (0, (6,)), (1, (6,)), (1, (6, 7)), (1, (6, 7, 1))])
+    too_deep = [(0, (6, 1)), (1, (6, 7, 1, 2))]
+    requests = [(0, (6, 1)), (1, (6, 7, 2)), (1, (8,)), (0, (9,))]
+    cache.nodes(too_deep + requests + [(0, (9, 2))])  # named up front, so no call below grows the trie
+    size, passes, entries, held = cache.size, cache.passes, dict(cache.entry_of), cache.decoded()
+    kept = [cache.node_of[pair] for pair in held]
+    arrays = inputs, entry, layer0 = cache.inputs, cache.entry, cache.layer0
+    stored = inputs[kept].copy(), entry.copy(), layer0[:len(entries)].copy()
 
     def unchanged():
-        assert (cache.size, cache.passes, cache.entry_of, held_rows(cache)) == (size, passes, entries, held)
-        assert all(a is b for a, b in zip((cache.inputs, cache.parent, cache.entry, cache.layer0), arrays))
-        now = inputs[:, :size], parent[:size], entry[:size], layer0[:len(entries)]
+        assert (cache.size, cache.passes, cache.entry_of, cache.decoded()) == (size, passes, entries, held)
+        assert all(a is b for a, b in zip((cache.inputs, cache.entry, cache.layer0), arrays))
+        now = inputs[kept], entry, layer0[:len(entries)]
         assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(now, stored))
 
     decoder_calls.clear()
     with pytest.raises(SequenceTooLong):  # checked before any pass
-        wave_rows(model, cache, [(0, (6, 1)), (1, (6, 7, 1, 2))])
+        wave_rows(model, cache, too_deep)
     assert decoder_calls == []
     unchanged()
-    # a pass that raises after the first one has stored its rows, among them
-    # an ancestor that no request names
+    # a pass that raises after the first one has run two rows
     original = SequenceModel.decoder_all_logits
 
     def second_pass_fails(self, *args, **kwargs):
@@ -696,15 +708,45 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", second_pass_fails)
-    requests = [(0, (6, 1)), (1, (6, 7, 2)), (1, (8,)), (0, (9, 2))]
     with pytest.raises(RuntimeError):
         wave_rows(model, cache, requests)
-    assert decoder_calls == [2]  # (8,) and the ancestor (9,)
+    assert decoder_calls == [2]  # (9,) and (8,)
+    unchanged()
+    # the failed call left (9,) undecoded, so its child is refused
+    with pytest.raises(ValueError, match="not decoded"):
+        wave_rows(model, cache, [(0, (9, 2))])
     unchanged()
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", original)
-    for (c, prefix), row in zip(requests, wave_rows(model, cache, requests)):
+    for (c, prefix), row in zip(requests + [(0, (9, 2))], np.concatenate(
+            [wave_rows(model, cache, requests), wave_rows(model, cache, [(0, (9, 2))])])):
         assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
-    assert (0, (9,)) in held_rows(cache)
+    assert cache.decoded() == held | set(requests) | {(0, (9, 2))}
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_a_node_whose_parent_is_not_decoded_is_refused(layers, decoder_calls):
+    # refused before any pass, the store left byte for byte as it was; so is
+    # an array that is not 1-D or not of the cache's node ids
+    model = tiny_model(vocab_size=11, seed=3, layers=layers)
+    cache = NamedTrie([model.encode([3, 4]), model.encode([5])])
+    wave_rows_by_depth(model, cache, [(0, ()), (1, ()), (0, (6,)), (1, (7,))])
+    orphans = [[(0, (6, 2)), (1, (7, 8, 9))], [(0, (6, 2, 2))], [(1, (8, 1))]]
+    for requests in orphans:
+        cache.nodes(requests)
+
+    def store():
+        return (cache.size, cache.passes, dict(cache.entry_of), cache.layer0.tobytes(),
+                *(getattr(cache, name).tobytes() for name in cache._NODE_ARRAYS))
+
+    before = store()
+    decoder_calls.clear()
+    for requests in orphans:
+        with pytest.raises(ValueError, match="not decoded"):
+            wave_rows(model, cache, requests)
+    for nodes in (cache.nodes(orphans[0])[:, None], [cache.size], [-1]):
+        with pytest.raises(ValueError, match="1-D array"):
+            model.wave_logits(cache, nodes, lambda *_: None)
+    assert decoder_calls == [] and store() == before
 
 
 # -- the head slot: memo-less calls reuse the user-independent head -------------
@@ -850,7 +892,7 @@ def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
     rows = model.prefix_logits(ctx, prefixes)
     slot = model._head_slot
     for twin in (model, tiny_model(vocab_size=11, seed=6, layers=2)):
-        wave = wave_rows(twin, decode_cache([ctx]), [(0, p) for p in prefixes])
+        wave = wave_rows_by_depth(twin, NamedTrie([ctx]), [(0, p) for p in prefixes])
         assert np.max(np.abs(wave - rows)) < 1e-12
     assert model._head_slot is slot
     assert twin._head_slot is None
