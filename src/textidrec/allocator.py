@@ -33,7 +33,7 @@ it. (Stopping there, as a walk down the list would, keeps the same picks.)
 
 Searches run as waves. A wave is one search over each of a list of tries
 of one logprob cache, all with one set of settings (groups, beams per
-group, lam, lengths), advancing in lockstep (`_Lane`). A wave holds its
+group, lam, lengths), advancing in lockstep (`_Wave`). A wave holds its
 beams as (searches, groups, beams_per_group) arrays of nodes, totals,
 liveness and each beam's lexicographic rank in its group. A step asks one
 `wave_logits` call for the live nodes the logprob cache has not ranked,
@@ -114,7 +114,7 @@ _MAX_BEAMS = 1000
 
 
 class IdSpaceExhausted(RuntimeError):
-    """No unique ID could be produced even by the ordinal fallback."""
+    """A search found no decodable token: the vocabulary has no usable entry."""
 
 
 @dataclass(frozen=True)
@@ -382,7 +382,7 @@ class Candidates(list):
     penalty_free = False
 
 
-class _Lane:
+class _Wave:
     """The diverse beam searches of one wave, one over the trie under each
     of `roots` in the logprob cache `cache`, with one set of settings, run in
     lockstep as arrays (module doc). Beam b of group g of search s is
@@ -527,15 +527,15 @@ def _run_wave(model, cache: LogprobCache, roots: list[int], vocab: Vocabulary,
               **settings) -> tuple[list[Candidates], WaveStats]:
     """Run a search over the trie under each of `roots` of `cache`, all with
     `settings` (groups, beams_per_group, lam, max_len, min_len), as one wave
-    in lockstep (`_Lane`). Returns each search's candidates and what the
+    in lockstep (`_Wave`). Returns each search's candidates and what the
     wave ran. A wave that raises leaves the logprob cache as it was."""
     if len(set(roots)) < len(roots):
         raise ValueError("the searches of one wave need distinct tries")
-    lane = _Lane(cache, roots, vocab_size=model.config.vocab_size, **settings)
+    wave = _Wave(cache, roots, vocab_size=model.config.vocab_size, **settings)
     mark, passes = cache.mark(), cache.passes
     try:
-        lane.run(model)
-        return lane.results(vocab), WaveStats(cache.passes - passes, len(cache.entry_of) - mark[2])
+        wave.run(model)
+        return wave.results(vocab), WaveStats(cache.passes - passes, len(cache.entry_of) - mark[2])
     except BaseException:
         cache.rollback(mark)
         raise
@@ -673,9 +673,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
             attempt = 0
             while True:
                 suffix = _ordinal_tokens(position + attempt * len(items), vocab.size)
-                if len(suffix) > capacity:
-                    raise IdSpaceExhausted(f"cannot disambiguate item {key!r} within "
-                                           f"decoder capacity {capacity}")
+                if len(suffix) > capacity:  # a longer decoder would hold it
+                    raise ValueError(f"config section 'model': max_tgt_len {model.config.max_tgt_len} leaves room "
+                                     f"for {capacity} ID token(s), too few to tell item {key!r} apart "
+                                     f"(raise max_tgt_len)")
                 tokens = base[: capacity - len(suffix)] + suffix
                 if vocab.decode(tokens) not in taken:
                     break

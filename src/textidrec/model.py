@@ -10,53 +10,54 @@ graph node, so a pass builds few nodes whatever the head count.
 
 The decoder runs over a tree of rows: each row sits at position = depth
 and attends only to its ancestors. A chain is causal decoding
-(`sequence_nll`); a prefix tree scores many prefixes in one pass
-(`prefix_logits`) against the context rows that `encode` returns; a wave
-of searches scores each step's new prefixes, every one against its own
-context (`wave_logits`). Callers use five model members: `config`,
+(`sequence_nll`); `prefix_logits` scores every node of a prefix trie
+against the context rows that `encode` returns (ranking); a wave of
+searches scores each step's new nodes, every one against its own context
+(`wave_logits`). Callers use five model members: `config`,
 `encode`, `prefix_logits` (ranking), `wave_logits` (beam search) and
 `param_hash`.
 
-`prefix_logits` decodes a trie: every given prefix and all its ancestors,
-in lexicographic order, in passes of at most `_PREFIX_BLOCK_ROWS` rows,
-each row attending to its ancestors through a dense tree mask, and to its
-ancestors in earlier passes through their kept self-attention inputs (the
-layer-normed `h` of every decoder layer). The context enters the decoder
-only at layer 0's cross-attention, so what a pass computes before it (its
-head: the tree layout, the embeddings and layer 0's self-attention block)
-is the same for every context. Each model keeps one head slot, which
-`prefix_logits` reads or fills and nothing else touches. The slot holds the
-plan of the call that filled it (per pass: token ids, depths, mask and the
-rows of its earlier columns; the row of each prefix), each row's layer-0
-self-attention input and its rows after layer 0's self-attention block. A
-later call reuses it when it is keyed the same, by the config,
-`_PREFIX_BLOCK_ROWS` and the prefixes by value, and when the raw bytes of
-every `_HEAD_PARAMS` array equal the copies the slot holds: its passes then
-start at layer 0's cross-attention, each still one `decoder_all_logits`
-call, and give the same bits. Any other call recomputes and, unless it
-raises, replaces the slot. At the default config a 143-row trie's slot is
-about 0.5 MB.
+A `PrefixTrie` names token prefixes by integer node ids, parents before
+their children. `prefix_logits` decodes the nodes of a `PrefixTrie`, in
+node order, in passes of at most `_PREFIX_BLOCK_ROWS` rows, each row
+attending to its ancestors through a dense tree mask, and to its ancestors
+in earlier passes through their kept self-attention inputs (the layer-normed
+`h` of every decoder layer). The context enters the decoder only at layer
+0's cross-attention, so what a pass computes before it (its head: the tree
+layout, the embeddings and layer 0's self-attention block) is the same for
+every context. Each model keeps one head slot, which `prefix_logits` reads
+or fills and nothing else touches. The slot holds the trie of the call that
+filled it and that call's plan (per pass: token ids, depths, mask and the
+nodes of its earlier columns), each row's layer-0 self-attention input and
+its rows after layer 0's self-attention block. The slot is keyed on the
+trie: a later call reuses it when it is keyed the same, by the config,
+`_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
+appended, so its node count says whether it grew), and when the raw bytes
+of every `_HEAD_PARAMS` array equal the copies the slot holds: its passes
+then start at layer 0's cross-attention, each still one
+`decoder_all_logits` call, and give the same bits. Any other call
+recomputes and, unless it raises, replaces the slot. At the default config
+a 143-node trie's slot is about 0.5 MB.
 
-`wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie`, which
-names each prefix by an integer id and keeps every node's parent, token and
-depth in arrays, whose roots each carry a context and whose nodes keep
-their decoder state for the life of the cache. Searches that advance in
-lockstep ask for their beams' nodes, as an int array, once each node's
-parent is decoded. A decoded node keeps its self-attention input at every
-layer after the first. Layer 0's input is the layer-normed sum of the
-node's token and position embeddings, so it depends only on the node's
-(token, depth): the cache holds it once per pair seen, in its layer-0
-table, and a node keeps only its entry there, so a one-layer model's cache
-keeps no float per node. A call decodes its nodes by depth, in passes of at
-most `_WAVE_ROWS` rows. In a pass a row's self-attention keys are its own
-ancestor chain, gathered from the cache (layer 0's from the table) for that
-pass, and itself: no dense mask over the other rows. Its cross-attention is
-grouped by context: the pass's contexts, padded to the longest, are one
-batch, so a row reads only its own (a row of an empty context reads none).
-A pass thus costs its rows times their depth plus the longest context among
-them, whatever else the cache holds. A row's outputs do not depend on
-which other rows share its pass, so a node decoded by one wave serves every
-later wave of the cache with the same bits.
+`wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
+each carry a context and whose nodes keep their decoder state for the life
+of the cache. Searches that advance in lockstep ask for their beams' nodes,
+as an int array, once each node's parent is decoded. A decoded node keeps
+its self-attention input at every layer after the first. Layer 0's input is
+the layer-normed sum of the node's token and position embeddings, so it
+depends only on the node's (token, depth): the cache holds it once per pair
+seen, in its layer-0 table, and a node keeps only its entry there, so a
+one-layer model's cache keeps no float per node. A call decodes its nodes
+by depth, in passes of at most `_WAVE_ROWS` rows. In a pass a row's
+self-attention keys are its own ancestor chain, gathered from the cache
+(layer 0's from the table) for that pass, and itself: no dense mask over
+the other rows. Its cross-attention is grouped by context: the pass's
+contexts, padded to the longest, are one batch, so a row reads only its own
+(a row of an empty context reads none). A pass thus costs its rows times
+their depth plus the longest context among them, whatever else the cache
+holds. A row's outputs do not depend on which other rows share its pass, so
+a node decoded by one wave serves every later wave of the cache with the
+same bits.
 
 `packed_logits` runs several teacher-forced (source, decoder input) pairs
 as one pass: the sources back to back as segments of one `encode`, each
@@ -249,16 +250,15 @@ _HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_na
 @dataclass
 class _HeadSlot:
     """The user-independent head of one `prefix_logits` call (see the module
-    doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, prefixes); `weights` a
-    copy of each `_HEAD_PARAMS` array as the filling call read it; `passes`
-    the call's plan (`_trie_passes`); `head` the kept `keep[0]` and
-    `keep[layers]` of every row; `pick` the row of each prefix."""
+    doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, trie, its size); `weights`
+    a copy of each `_HEAD_PARAMS` array as the filling call read it;
+    `passes` the call's plan (`_trie_passes`); `head` the kept `keep[0]` and
+    `keep[layers]` of every row."""
 
     key: tuple
     weights: list[np.ndarray]
     passes: list[tuple]
     head: np.ndarray
-    pick: np.ndarray
 
 
 def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,19 +287,18 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth, np.where(allowed, 0.0, -1e30)
 
 
-def _trie_passes(order: list[tuple[int, ...]], parent: np.ndarray) -> list[tuple]:
-    """The passes of a `prefix_logits` call over `order`, prefixes sorted
-    with all their ancestors (`parent` is each one's row, -1 for the empty
-    prefix): per pass of at most `_PREFIX_BLOCK_ROWS` rows, (first row,
-    token ids, depths, mask, rows of its earlier columns or None).
+def _trie_passes(trie: PrefixTrie) -> list[tuple]:
+    """The passes of a `prefix_logits` call over the nodes of `trie`, in
+    node order: per pass of at most `_PREFIX_BLOCK_ROWS` nodes, (first node,
+    token ids, depths, mask, nodes of its earlier columns or None).
 
     A pass row attends to its ancestors in the pass (`_tree_layout`) and,
     through the columns in front of them, to the ancestors of its pass root
-    that earlier passes decoded, in row order."""
+    that earlier passes decoded, in node order."""
+    parent = trie.parent[:trie.size]
     passes = []
-    for lo in range(0, len(order), _PREFIX_BLOCK_ROWS):
-        rows = order[lo:lo + _PREFIX_BLOCK_ROWS]
-        up = parent[lo:lo + len(rows)]
+    for lo in range(0, trie.size, _PREFIX_BLOCK_ROWS):
+        up = parent[lo:lo + _PREFIX_BLOCK_ROWS]
         inner = np.where(up >= lo, up - lo, -1)  # the parent in the pass, or -1
         mask = _tree_layout(inner)[1]
         cols = None
@@ -313,14 +312,14 @@ def _trie_passes(order: list[tuple[int, ...]], parent: np.ndarray) -> list[tuple
             roots, anc = roots[anc >= 0], anc[anc >= 0]
         if seen_rows:
             cols, at = np.unique(np.concatenate(seen_cols), return_inverse=True)
-            seen = np.full((len(rows), len(cols)), -1e30)
+            seen = np.full((len(up), len(cols)), -1e30)
             seen[np.concatenate(seen_rows), at] = 0.0
-            root = np.arange(len(rows))  # each row's pass root, whose earlier rows it sees
+            root = np.arange(len(up))  # each row's pass root, whose earlier rows it sees
             while (inner[root] >= 0).any():
                 root = np.where(inner[root] >= 0, inner[root], root)
             mask = np.concatenate([seen[root], mask], axis=1)
-        ids = [p[-1] if p else PAD_ID for p in rows]
-        passes.append((lo, ids, np.array([len(p) for p in rows]), mask, cols))
+        hi = lo + len(up)
+        passes.append((lo, trie.token[lo:hi].tolist(), trie.depth[lo:hi], mask, cols))
     return passes
 
 
@@ -682,42 +681,29 @@ class SequenceModel:
         x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
         return x @ pt["tok_emb"].T
 
-    def prefix_logits(self, ctx: Tensor, prefixes) -> np.ndarray:
-        """Next-token logits after each prefix, one row per prefix, in order
-        (inference path, frozen parameters). Duplicates and prefixes given
-        without their ancestors are allowed.
+    def prefix_logits(self, ctx: Tensor, trie: PrefixTrie) -> np.ndarray:
+        """Next-token logits after every node of `trie`, one row per node, in
+        node order (inference path, frozen parameters).
 
-        A call decodes the given prefixes and all their ancestors, in
-        lexicographic order (ancestors first, and neighbours share them), in
+        A call decodes the nodes in node order (parents come first), in
         passes of at most `_PREFIX_BLOCK_ROWS` rows (`_trie_passes`). A row
         attends to itself, to its ancestors in the pass, and through their
         kept inputs to its ancestors in earlier passes. The call reuses or
-        refills the model's head slot (module doc).
+        refills the model's head slot (module doc), so nodes may be appended
+        to `trie` between calls but not changed.
         """
         cfg = self.config
-        prefixes = list(map(tuple, prefixes))
         pt = self.frozen()
         slot = self._head_slot
-        # prefixes equal by value to the slot's int tuples convert to them;
+        key = (cfg, _PREFIX_BLOCK_ROWS, trie, trie.size)
         # weights compare as uint64 views, so bytes, not values (0.0 != -0.0)
-        hit = (slot is not None and slot.key == (cfg, _PREFIX_BLOCK_ROWS, prefixes)
+        hit = (slot is not None and slot.key == key
                and all(np.array_equal(kept.view(np.uint64), pt[name].data.view(np.uint64))
                        for name, kept in zip(_HEAD_PARAMS, slot.weights)))
         if not hit:
-            prefixes = [tuple(map(int, p)) for p in prefixes]
-            todo = set(prefixes)
-            for p in prefixes:
-                k = len(p) - 1
-                while k >= 0 and p[:k] not in todo:
-                    todo.add(p[:k])
-                    k -= 1
-            order = sorted(todo)
-            row_of = {p: i for i, p in enumerate(order)}
-            parent = np.array([row_of[p[:-1]] if p else -1 for p in order], dtype=np.int64)
-            slot = _HeadSlot((cfg, _PREFIX_BLOCK_ROWS, prefixes), [pt[name].data.copy() for name in _HEAD_PARAMS],
-                             _trie_passes(order, parent), np.empty((2, len(order), cfg.d_model)),
-                             np.array([row_of[p] for p in prefixes], dtype=np.intp))
-        keep = np.empty((cfg.layers + 1, slot.head.shape[1], cfg.d_model))
+            slot = _HeadSlot(key, [pt[name].data.copy() for name in _HEAD_PARAMS],
+                             _trie_passes(trie), np.empty((2, trie.size, cfg.d_model)))
+        keep = np.empty((cfg.layers + 1, trie.size, cfg.d_model))
         if hit:
             keep[[0, -1]] = slot.head
         logits = [np.empty((0, cfg.vocab_size))]
@@ -729,7 +715,7 @@ class SequenceModel:
         if not hit:
             slot.head[...] = keep[[0, -1]]
             self._head_slot = slot
-        return np.concatenate(logits)[slot.pick]
+        return np.concatenate(logits)
 
     def wave_logits(self, cache: DecodeCache, nodes, on_pass) -> None:
         """Next-token logits after each of `nodes`, a 1-D int array of node

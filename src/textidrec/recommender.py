@@ -6,24 +6,27 @@ a prefix of another remains unambiguous. At each decoding step the model's
 logits are masked to the trie's valid continuations and renormalized over
 that set (renormalization can be disabled for the masked-only variant).
 
-The step distributions of all inner trie nodes come from one table, built by
-one `prefix_logits` call (a single tree-masked decoder pass, the only model
-call besides `encode`); ranking, beam search, candidate scoring and
-single-step distributions all read that table, so their scores agree exactly.
-Every user ranked against the same trie and unchanged weights after the
-first reuses the trie's layout and decoder head (the model's head slot, see
-`model.py`): only the part of the pass that reads the user's prompt runs.
+The catalog trie is a `PrefixTrie` (`model.py`) of its inner nodes
+(`CatalogTrie`). `prefix_logits` decodes the nodes of a PrefixTrie; one
+call (tree-masked decoder passes, the only model call besides `encode`)
+gives the step distribution of every inner node, and from it one
+log-probability per edge. Ranking, beam search, candidate scoring and
+single-step distributions all read that array, so their scores agree
+exactly. The model's head slot is keyed on the trie: every user ranked
+against the same trie and unchanged weights after the first reuses its
+layout and decoder head (see `model.py`), and only the part of the pass
+that reads the user's prompt runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .allocator import IdRegistry, TextualId
-from .tokenizer import EOS_ID
+from .model import PrefixTrie
+from .tokenizer import EOS_ID, PAD_ID
 
 
 class DuplicateId(ValueError):
@@ -44,20 +47,25 @@ class TrieNode:
     def __init__(self) -> None:
         self.children: dict[int, TrieNode] = {}
         self.item_key: str | None = None
-        self.row = -1  # row in the step table; inner nodes only
+        self.row = -1  # the edge into this node (`CatalogTrie`)
 
 
-@dataclass
-class PrefixTrie:
-    """The trie plus its scoring layout: `prefixes[r]` is the prefix of the
-    inner node with row r (depth-first, children in token order), and edge e
-    leaves row `edge_rows[e]` on token `edge_tokens[e]`."""
+class CatalogTrie(PrefixTrie):
+    """The catalog's trie, whose nodes (`PrefixTrie`) are its inner nodes:
+    every proper prefix of a registered ID followed by EOS, numbered
+    depth-first with children in token order, node 0 the empty prefix. Item
+    `keys[i]`'s ID ends at node `ends[i]`, whose EOS step completes it.
+    `root` is the same trie as `TrieNode`s, for lookup by tokens.
 
-    root: TrieNode
-    size: int
-    prefixes: tuple[tuple[int, ...], ...]
-    edge_rows: np.ndarray
-    edge_tokens: np.ndarray
+    Edge k < `size` is the step into node k (edge 0, into the root, takes
+    none) and edge `size + i` is item i's EOS step. A `TrieNode`'s `row` is
+    the edge into it, so an inner node's row is its node id."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = TrieNode()
+        self.keys: list[str] = []
+        self.ends: list[int] = []
 
     def node_at(self, prefix) -> TrieNode | None:
         node = self.root
@@ -68,48 +76,48 @@ class PrefixTrie:
         return node
 
 
-def build_trie(registry: IdRegistry) -> PrefixTrie:
+def build_trie(registry: IdRegistry) -> CatalogTrie:
     """Insert every registered ID's tokens followed by EOS; the node reached
     after EOS is the terminal carrying the item key. Inner nodes are then
-    numbered depth-first for the step table."""
-    root = TrieNode()
-    count = 0
+    added to the `PrefixTrie` depth-first, and the terminals numbered after
+    them."""
+    trie = CatalogTrie()
     for key, tid in registry.ids.items():
-        node = root
+        node = trie.root
         for token in tid.tokens + (EOS_ID,):
             node = node.children.setdefault(int(token), TrieNode())
         if node.item_key is not None:
             raise DuplicateId(f"items {node.item_key!r} and {key!r} share ID {tid.text!r}")
         node.item_key = key
-        count += 1
-    prefixes: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    stack: list[tuple[TrieNode, tuple[int, ...]]] = [(root, ())]
+    terminals: list[TrieNode] = []
+    stack: list[tuple[TrieNode, int, int]] = [(trie.root, -1, PAD_ID)]  # (node, parent id, token)
     while stack:
-        node, prefix = stack.pop()
-        if not node.children:
+        node, up, token = stack.pop()
+        if node.item_key is not None:
+            terminals.append(node)
+            trie.ends.append(up)
             continue
-        node.row = len(prefixes)
-        prefixes.append(prefix)
-        tokens = sorted(node.children)
-        edges += [(node.row, token) for token in tokens]
-        stack += [(node.children[token], prefix + (token,)) for token in reversed(tokens)]
-    edge_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return PrefixTrie(root=root, size=count, prefixes=tuple(prefixes),
-                      edge_rows=edge_array[:, 0], edge_tokens=edge_array[:, 1])
+        node.row = int(trie.add([up], [token])[0])
+        stack += [(node.children[t], node.row, t) for t in sorted(node.children, reverse=True)]
+    for i, node in enumerate(terminals):
+        node.row = trie.size + i
+        trie.keys.append(node.item_key)
+    return trie
 
 
-def valid_next(trie: PrefixTrie, prefix) -> set[int]:
+def valid_next(trie: CatalogTrie, prefix) -> set[int]:
     """Token ids that may follow `prefix`; empty if `prefix` leaves the trie."""
     node = trie.node_at(prefix)
     return set(node.children) if node is not None else set()
 
 
-def _step_table(model, state, trie: PrefixTrie, normalize: bool) -> list[dict[int, float]]:
-    """Log-probability of each valid child token at every inner trie node,
-    indexed by `TrieNode.row`: one `prefix_logits` call over the whole trie."""
-    logits = model.prefix_logits(state, trie.prefixes)
-    rows, tokens = trie.edge_rows, trie.edge_tokens
+def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[float]:
+    """Log-probability of every edge of `trie` (`CatalogTrie`), from one
+    `prefix_logits` call over its nodes, renormalized over each node's
+    valid tokens unless `normalize` is False."""
+    logits = model.prefix_logits(state, trie)
+    rows = np.concatenate([trie.parent[1:trie.size], trie.ends])
+    tokens = np.concatenate([trie.token[1:trie.size], np.full(len(trie.ends), EOS_ID)])
     if normalize:
         scope = np.full_like(logits, -np.inf)
         scope[rows, tokens] = logits[rows, tokens]
@@ -117,24 +125,21 @@ def _step_table(model, state, trie: PrefixTrie, normalize: bool) -> list[dict[in
         scope = logits
     m = scope.max(axis=1, keepdims=True)
     lse = (m + np.log(np.exp(scope - m).sum(axis=1, keepdims=True)))[:, 0]
-    table: list[dict[int, float]] = [{} for _ in trie.prefixes]
-    for row, token, lp in zip(rows.tolist(), tokens.tolist(), (logits[rows, tokens] - lse[rows]).tolist()):
-        table[row][token] = lp
-    return table
+    return [0.0] + (logits[rows, tokens] - lse[rows]).tolist()
 
 
-def constrained_distribution(model, state, prefix, trie: PrefixTrie,
+def constrained_distribution(model, state, prefix, trie: CatalogTrie,
                              normalize: bool = True) -> dict[int, float]:
     """Probability of each valid next token; tokens outside the valid set
     have probability exactly 0 (absent from the map)."""
     node = trie.node_at(prefix)
     if node is None or not node.children:
         raise DeadEnd(f"no valid continuation after prefix {tuple(prefix)!r}")
-    step = _step_table(model, state, trie, normalize)[node.row]
-    return {token: math.exp(lp) for token, lp in step.items()}
+    lp = _edge_logprobs(model, state, trie, normalize)
+    return {token: math.exp(lp[child.row]) for token, child in sorted(node.children.items())}
 
 
-def score_candidate(model, prompt, tid: TextualId, trie: PrefixTrie,
+def score_candidate(model, prompt, tid: TextualId, trie: CatalogTrie,
                     normalize: bool = True, state=None) -> float:
     """Teacher-forced sum of log constrained probabilities along the ID's
     path, including the EOS step."""
@@ -144,44 +149,38 @@ def score_candidate(model, prompt, tid: TextualId, trie: PrefixTrie,
     terminal = trie.node_at(path)
     if terminal is None or terminal.item_key is None:
         raise UnknownId(f"ID {tid.text!r} is not registered")
-    table = _step_table(model, state, trie, normalize)
+    lp = _edge_logprobs(model, state, trie, normalize)
     node = trie.root
     score = 0.0
     for token in path:
-        score += table[node.row][token]
         node = node.children[token]
+        score += lp[node.row]
     return score
 
 
-def rank_all(model, prompt, registry: IdRegistry, trie: PrefixTrie,
+def rank_all(model, prompt, registry: IdRegistry, trie: CatalogTrie,
              normalize: bool = True, state=None) -> list[tuple[str, float]]:
     """Exact full-catalog ranking: every registered item scored, sorted by
     descending log-score with lexicographic item-key tie-break.
 
-    All inner nodes are scored in one tree-masked pass (`_step_table`),
-    then path scores accumulate down the trie; per-step distributions are
-    identical to score_candidate's.
+    All inner nodes are scored in one tree-masked pass (`_edge_logprobs`),
+    then path scores accumulate edge by edge, parents first; per-step
+    distributions are identical to score_candidate's.
     """
     if not registry.ids:
         raise ValueError("registry is empty")
     if state is None:
         state = model.encode(prompt.tokens)
-    table = _step_table(model, state, trie, normalize)
-    results: list[tuple[str, float]] = []
-    stack: list[tuple[TrieNode, float]] = [(trie.root, 0.0)]
-    while stack:
-        node, score = stack.pop()
-        for token, lp in table[node.row].items():
-            child = node.children[token]
-            if token == EOS_ID:
-                results.append((child.item_key, score + lp))
-            else:
-                stack.append((child, score + lp))
+    lp = _edge_logprobs(model, state, trie, normalize)
+    score = lp[:trie.size]  # of each node's prefix
+    for k, up in enumerate(trie.parent[1:trie.size].tolist(), 1):
+        score[k] = score[up] + lp[k]
+    results = [(key, score[end] + step) for key, end, step in zip(trie.keys, trie.ends, lp[trie.size:])]
     results.sort(key=lambda r: (-r[1], r[0]))
     return results
 
 
-def constrained_beam_search(model, prompt, trie: PrefixTrie, beam_width: int,
+def constrained_beam_search(model, prompt, trie: CatalogTrie, beam_width: int,
                             top_n: int, normalize: bool = True,
                             state=None) -> list[tuple[str, float]]:
     """Beam search where each expansion is restricted to the trie's valid
@@ -189,16 +188,18 @@ def constrained_beam_search(model, prompt, trie: PrefixTrie, beam_width: int,
     completed items by score, ties broken by item key."""
     if not (beam_width >= top_n >= 1):
         raise ValueError("need beam_width >= top_n >= 1")
+    if not trie.keys:  # its root has no valid token to normalize over
+        return []
     if state is None:
         state = model.encode(prompt.tokens)
-    table = _step_table(model, state, trie, normalize)
+    lp = _edge_logprobs(model, state, trie, normalize)
     beams: list[tuple[tuple[int, ...], float, TrieNode]] = [((), 0.0, trie.root)]
     completed: list[tuple[str, float]] = []
     while beams:
         candidates: list[tuple[float, tuple[int, ...], int, TrieNode]] = []
         for prefix, score, node in beams:
-            for token, lp in table[node.row].items():
-                candidates.append((score + lp, prefix, token, node.children[token]))
+            for token, child in node.children.items():
+                candidates.append((score + lp[child.row], prefix, token, child))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         beams = []
         for total, prefix, token, child in candidates[:beam_width]:

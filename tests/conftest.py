@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from textidrec.autograd import Tensor
-from textidrec.model import ModelConfig, SequenceModel, log_softmax_rows
-from textidrec.tokenizer import Vocabulary, build_vocab
+from textidrec.model import ModelConfig, PrefixTrie, SequenceModel, log_softmax_rows
+from textidrec.tokenizer import PAD_ID, Vocabulary, build_vocab
 
 WORDS = ["alfa", "bravo", "coral", "delta", "echos", "fjord", "golfe", "hotel",
          "india", "julep", "kilos", "limes", "mango", "novas", "oscar", "papas"]
@@ -34,6 +34,25 @@ def cold_copy(model: SequenceModel) -> SequenceModel:
     slot is empty: its first memo-less `prefix_logits` call decodes every
     pass from the embeddings."""
     return SequenceModel(model.config, {name: array.copy() for name, array in model.params.items()})
+
+
+def trie_of(prefixes) -> tuple[PrefixTrie, list[int]]:
+    """A `PrefixTrie` of `prefixes` and all their ancestors, in
+    lexicographic order (parents first, siblings in token order), and the
+    node of each prefix."""
+    prefixes = [tuple(map(int, p)) for p in prefixes]
+    trie, node_of = PrefixTrie(), {}
+    for p in sorted({p[:k] for p in prefixes for k in range(len(p) + 1)}):
+        node_of[p] = int(trie.add([node_of[p[:-1]] if p else -1], [p[-1] if p else PAD_ID])[0])
+    return trie, [node_of[p] for p in prefixes]
+
+
+def prefix_logits(model, ctx, prefixes) -> np.ndarray:
+    """Next-token logits after each of `prefixes`, in order (duplicates and
+    prefixes without their ancestors allowed): one `model.prefix_logits`
+    call over `trie_of(prefixes)`."""
+    trie, nodes = trie_of(prefixes)
+    return model.prefix_logits(ctx, trie)[nodes]
 
 
 class ScriptedState:
@@ -74,8 +93,8 @@ class ScriptedModel:
         """Next-token logits after one prefix; stubs override this hook."""
         return np.log(self._probs(prefix))
 
-    def prefix_logits(self, state, prefixes) -> np.ndarray:
-        return np.array([self.logits(state, p) for p in prefixes]).reshape(-1, self.vocab_size)
+    def prefix_logits(self, state, trie) -> np.ndarray:
+        return np.array([self.logits(state, p) for p in trie.prefixes(range(trie.size))]).reshape(-1, self.vocab_size)
 
     def wave_logits(self, cache, nodes, on_pass) -> None:
         on_pass(np.arange(len(nodes)),
@@ -99,7 +118,7 @@ def vanilla_beam_search(model, src_ids, vocab, beam_width: int, max_len: int,
             break
         candidates = []
         for seq, score in beams:
-            logp = log_softmax_rows(model.prefix_logits(state, [seq]))[0]
+            logp = log_softmax_rows(prefix_logits(model, state, [seq]))[0]
             for token in range(len(logp)):
                 if token in (PAD_ID, UNK_ID):
                     continue

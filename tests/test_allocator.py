@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import WORDS, ScriptedModel, make_vocab, tiny_model, vanilla_beam_search
+from conftest import WORDS, ScriptedModel, make_vocab, prefix_logits, tiny_model, vanilla_beam_search
 from textidrec import allocator, corpus, prompting, synth, tokenizer, training
 from textidrec.allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all,
                                  diverse_beam_search, generate_user_id)
@@ -90,7 +90,7 @@ def sequential_dbs(model, state, *, groups, beams_per_group, lam, max_len, min_l
             if not beams:
                 break
             candidates = []
-            step = log_softmax_rows(model.prefix_logits(state, [seq for seq, _ in beams]))
+            step = log_softmax_rows(prefix_logits(model, state, [seq for seq, _ in beams]))
             for (seq, score), logprobs in zip(beams, step):
                 adjusted = logprobs.copy()
                 adjusted[PAD_ID] = -np.inf
@@ -123,7 +123,7 @@ def _reference_step_logprobs(model, state, prefixes, cache):
     cache = {} if cache is None else cache
     missing = list(dict.fromkeys(p for p in prefixes if p not in cache))
     if missing:
-        block = log_softmax_rows(model.prefix_logits(state, missing))
+        block = log_softmax_rows(prefix_logits(model, state, missing))
         cache.update((p, (block, row)) for row, p in enumerate(missing))
     return np.stack([block[row] for block, row in map(cache.__getitem__, prefixes)])
 
@@ -230,11 +230,11 @@ def test_lockstep_dbs_equals_reference_on_exact_ties(groups, beams_per_group):
 
 class ReferenceSearch:
     """One diverse beam search stepped the way `allocator` did before its
-    step ran as array operations over a lane: each beam walks its ranked
+    step ran as array operations over a wave: each beam walks its ranked
     list in Python, with a penalty dict and tuple sort keys, and stops once
     it has seen `beams_per_group` unpenalized tokens. A beam is (prefix,
     score). `cache` maps a prefix to ((log-probs, ids, kept), row) of a
-    ranked block. The reference `_Lane.step` must equal."""
+    ranked block. The reference `_Wave.step` must equal."""
 
     def __init__(self, cache: dict, *, groups, beams_per_group, lam, max_len, min_len, vocab_size):
         self.cache = cache
@@ -307,13 +307,13 @@ def random_ranked_row(rng: random.Random, vocab_size: int, width: int) -> tuple[
     return row[order], order.astype(np.int32)
 
 
-def assert_lane_steps_like_the_reference(block_of, searches, **kwargs):
-    """Step a `_Lane` of `searches` searches and as many `ReferenceSearch`es
+def assert_wave_steps_like_the_reference(block_of, searches, **kwargs):
+    """Step a `_Wave` of `searches` searches and as many `ReferenceSearch`es
     on the ranked rows `block_of(search, prefix)` gives, and compare after
     every step: each group's beams and completions (prefixes, and totals as
     bits) and `penalty_free`."""
     cache = allocator.LogprobCache()
-    lane = allocator._Lane(cache, [cache.new_root(None) for _ in range(searches)], **kwargs)
+    wave = allocator._Wave(cache, [cache.new_root(None) for _ in range(searches)], **kwargs)
     references = [ReferenceSearch({}, **kwargs) for _ in range(searches)]
     blocks = {}
 
@@ -322,26 +322,26 @@ def assert_lane_steps_like_the_reference(block_of, searches, **kwargs):
             blocks[s, prefix] = block_of(s, prefix)
         return blocks[s, prefix]
 
-    while lane.t < lane.max_len and lane.live.any():
-        nodes = lane.missing()
+    while wave.t < wave.max_len and wave.live.any():
+        nodes = wave.missing()
         ranked = [block(s, prefix) for s, prefix in zip(cache.context[nodes].tolist(), cache.prefixes(nodes))]
         if ranked:
             cache.store(nodes, np.stack([v for v, _ in ranked]), np.stack([t for _, t in ranked]))
-        lane.step()
+        wave.step()
         for s, reference in enumerate(references):
             if reference.live():
                 for prefix in reference.missing():
                     values, tokens = block(s, prefix)
                     reference.cache[prefix] = ((values.tolist(), tokens.tolist(), len(values)), 0)
                 reference.step()
-        groups, beams = lane.node.shape[1:]
+        groups, beams = wave.node.shape[1:]
         for s, reference in enumerate(references):
-            assert bool(lane.penalty_free[s]) == reference.penalty_free, kwargs
+            assert bool(wave.penalty_free[s]) == reference.penalty_free, kwargs
             for g in range(groups):
-                live = [b for b in range(beams) if lane.live[s, g, b]]
-                got = list(zip(cache.prefixes(lane.node[s, g, live]), [x.hex() for x in lane.score[s, g, live]]))
+                live = [b for b in range(beams) if wave.live[s, g, b]]
+                got = list(zip(cache.prefixes(wave.node[s, g, live]), [x.hex() for x in wave.score[s, g, live]]))
                 assert got == [(seq, score.hex()) for seq, score in reference.beams[g]], kwargs
-                done = [(float(total).hex(), prefix) for searched, group, totals, nodes in lane.done if group == g
+                done = [(float(total).hex(), prefix) for searched, group, totals, nodes in wave.done if group == g
                         for total, prefix in zip(totals[searched == s], cache.prefixes(nodes[searched == s]))]
                 assert done == [(score.hex(), seq) for score, seq in reference.completed[g]], kwargs
     assert not any(reference.live() for reference in references)
@@ -355,7 +355,7 @@ def test_the_array_step_equals_the_reference_step_on_random_ranked_rows(seed):
     for _ in range(30):
         vocab_size, groups, beams_per_group = rng.randint(5, 12), rng.randint(1, 4), rng.randint(1, 3)
         width = min(vocab_size, groups * beams_per_group + 1)
-        assert_lane_steps_like_the_reference(
+        assert_wave_steps_like_the_reference(
             lambda s, prefix: random_ranked_row(rng, vocab_size, width), rng.randint(1, 3), groups=groups,
             beams_per_group=beams_per_group, lam=rng.choice([0.0, 0.5, 1.0, 3.0]), max_len=rng.randint(1, 5),
             min_len=rng.randint(1, 3), vocab_size=vocab_size)
@@ -373,7 +373,7 @@ def test_the_array_step_equals_the_reference_step_on_exact_ties(groups):
     for beams_per_group in (1, 2, 3):
         width = min(vocab.size, groups * beams_per_group + 1)
         for lam, min_len in ((0.0, 1), (1.0, 2), (5.0, 1)):
-            assert_lane_steps_like_the_reference(
+            assert_wave_steps_like_the_reference(
                 lambda s, prefix: tuple(a[0] for a in allocator._ranked(model.logits(None, prefix)[None], width)),
                 2, groups=groups, beams_per_group=beams_per_group, lam=lam, max_len=4, min_len=min_len,
                 vocab_size=vocab.size)

@@ -204,12 +204,14 @@ def _capped_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def allocate_capped(tmp_path: Path, config: dict) -> subprocess.CompletedProcess:
-    """`allocate` on a small synth set with `config`, in a subprocess under
-    a memory cap and a timeout, so a loop that does not end or a run that
-    eats memory fails the test instead of the machine."""
-    raw = tmp_path / "raw"
-    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0
+def allocate_capped(tmp_path: Path, config: dict, raw: Path | None = None) -> subprocess.CompletedProcess:
+    """`allocate` on the raw dataset `raw` (by default a small synth set)
+    with `config`, in a subprocess under a memory cap and a timeout, so a
+    loop that does not end or a run that eats memory fails the test instead
+    of the machine."""
+    if raw is None:
+        raw = tmp_path / "raw"
+        assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     env = dict(os.environ, PYTHONPATH=str(Path(textidrec.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
@@ -225,6 +227,23 @@ def test_allocate_with_under_two_usable_tokens_exits_2(tmp_path, max_size):
     done = allocate_capped(tmp_path, {**TINY_CONFIG, "vocab": {"max_size": max_size}})
     assert done.returncode == 2, done.stderr
     assert len(done.stderr.splitlines()) == 1 and "config section 'vocab': " in done.stderr
+    assert not (tmp_path / "ids.tsv").exists()
+
+
+def test_allocate_with_too_short_ids_for_the_catalog_exits_2(tmp_path):
+    # 300 items share 3 texts, and max_tgt_len 2 leaves one token per ID: the
+    # ordinal fallback runs out of one-token IDs, which used to exit 4 as an
+    # internal error
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    texts = ["red hat", "blue shoe", "green sock"]
+    (raw / "items.jsonl").write_text("".join(
+        json.dumps({"item": f"i{j}", "metadata": {"title": texts[j % 3]}}) + "\n" for j in range(300)))
+    (raw / "interactions.jsonl").write_text(json.dumps({"user": "u0", "items": ["i0", "i1", "i2"]}) + "\n")
+    done = allocate_capped(tmp_path, {"model": {"max_tgt_len": 2}, "vocab": {"min_freq": 1}}, raw)
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: config section 'model': ")
+    assert "max_tgt_len" in done.stderr
     assert not (tmp_path / "ids.tsv").exists()
 
 

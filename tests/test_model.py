@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import cold_copy, tiny_model
+from conftest import cold_copy, prefix_logits, tiny_model, trie_of
 from textidrec import model as model_module
 from textidrec.autograd import Tensor, concat, stack_rows
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
@@ -98,7 +98,7 @@ def test_encode_embeddings_input_gradient_matches_fd():
 def test_prefix_logits_shape_and_normalization():
     model = tiny_model(vocab_size=17)
     state = model.encode([3, 4, 5])
-    row = model.prefix_logits(state, [[6]])[0]
+    row = prefix_logits(model, state, [[6]])[0]
     assert row.shape == (17,)
     assert np.all(np.isfinite(row))
     z = row - row.max()
@@ -109,10 +109,10 @@ def test_prefix_logits_shape_and_normalization():
 def test_decoder_prefix_sensitivity_and_capacity():
     model = tiny_model(vocab_size=12, max_tgt_len=4)
     state = model.encode([3])
-    empty, extended = model.prefix_logits(state, [[], [5]])
+    empty, extended = prefix_logits(model, state, [[], [5]])
     assert not np.allclose(empty, extended)
     with pytest.raises(SequenceTooLong):
-        model.prefix_logits(state, [[5, 5, 5, 5]])
+        prefix_logits(model, state, [[5, 5, 5, 5]])
 
 
 def test_explicit_chain_parents_equal_causal_decoding():
@@ -429,7 +429,7 @@ def random_prefix_tree(rng: random.Random, vocab_size: int, n_seqs: int,
 
 
 def assert_rows_match_per_prefix(model, state, prefixes, rows=None) -> None:
-    rows = model.prefix_logits(state, prefixes) if rows is None else rows
+    rows = prefix_logits(model, state, prefixes) if rows is None else rows
     assert rows.shape == (len(prefixes), model.config.vocab_size)
     for prefix, row in zip(prefixes, rows):
         causal = model.decoder_all_logits(state, (PAD_ID, *prefix)).data[-1]
@@ -451,22 +451,12 @@ def test_prefix_logits_with_empty_encoder_state():
     assert_rows_match_per_prefix(model, state, random_prefix_tree(random.Random(1), 11, 6, 5))
 
 
-def test_prefix_logits_unordered_duplicated_and_without_ancestors():
-    model = tiny_model(vocab_size=11, seed=4)
-    state = model.encode([3, 7])
-    prefixes = [(5, 6, 7), (3,), (5, 6, 7), (), (8, 2), (3,)]
-    assert_rows_match_per_prefix(model, state, prefixes)
-    rows = model.prefix_logits(state, prefixes)
-    assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[1], rows[5])
-    assert model.prefix_logits(state, []).shape == (0, 11)
-
-
 def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 8)
     model = tiny_model(vocab_size=11, seed=5, layers=2)
     state = model.encode([3, 4])
     prefixes = random_prefix_tree(random.Random(2), 11, 15, 6)
-    model.prefix_logits(state, prefixes)
+    prefix_logits(model, state, prefixes)
     tree_passes = list(decoder_calls)
     assert len(tree_passes) > 1 and max(tree_passes) <= 8
     assert_rows_match_per_prefix(model, state, prefixes)
@@ -555,7 +545,7 @@ def grow_through_cache(model, contexts, rng: random.Random, steps: int = 5):
         assert not np.isnan(logits).any()
         for (c, prefix), row in zip(requests, logits):
             ctx = contexts[c]
-            assert np.max(np.abs(row - model.prefix_logits(ctx, [prefix])[0])) < 1e-12
+            assert np.max(np.abs(row - prefix_logits(model, ctx, [prefix])[0])) < 1e-12
             assert_rows_match_per_prefix(model, ctx, [prefix], row[None])
     return cache
 
@@ -602,10 +592,9 @@ def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
     pairs = list(cache.entry_of)
     # a prefix per (token, depth) pair: depth - 1 filler tokens, then the token
     prefixes = [(3,) * (depth - 1) + (token,) if depth else () for token, depth in pairs]
-    twin = cold_copy(model)
-    twin.prefix_logits(ctx, prefixes)
-    slot = twin._head_slot  # its kept `keep[0]`: every trie row's layer-0 input
-    kept = slot.head[0][slot.pick]
+    twin, (trie, nodes) = cold_copy(model), trie_of(prefixes)
+    twin.prefix_logits(ctx, trie)
+    kept = twin._head_slot.head[0][nodes]  # its kept `keep[0]`: every trie row's layer-0 input
     table = cache.layer0[[cache.entry_of[pair] for pair in pairs]]
     assert np.array_equal(table.view(np.uint64), kept.view(np.uint64))
 
@@ -646,7 +635,7 @@ def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
         assert sorted(got) == list(range(len(asked)))
         for k, row in got.items():
             c, prefix = asked[k]
-            assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
+            assert np.max(np.abs(row - prefix_logits(model, contexts[c], [prefix])[0])) < 1e-12
     assert_table_holds_memo_less_inputs(model, cache, contexts[0])
 
 
@@ -670,7 +659,7 @@ def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
     assert decoder_calls == [min(4, n - lo) for _, n in sorted(depths.items()) for lo in range(0, n, 4)]
     assert cache.passes == len(decoder_calls) > len(depths) and len(cache.decoded()) == len(requests)
     for (c, prefix), row in zip(requests, logits):
-        assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
+        assert np.max(np.abs(row - prefix_logits(model, contexts[c], [prefix])[0])) < 1e-12
 
 
 def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
@@ -719,7 +708,7 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
     monkeypatch.setattr(SequenceModel, "decoder_all_logits", original)
     for (c, prefix), row in zip(requests + [(0, (9, 2))], np.concatenate(
             [wave_rows(model, cache, requests), wave_rows(model, cache, [(0, (9, 2))])])):
-        assert np.max(np.abs(row - model.prefix_logits(contexts[c], [prefix])[0])) < 1e-12
+        assert np.max(np.abs(row - prefix_logits(model, contexts[c], [prefix])[0])) < 1e-12
     assert cache.decoded() == held | set(requests) | {(0, (9, 2))}
 
 
@@ -749,33 +738,33 @@ def test_a_node_whose_parent_is_not_decoded_is_refused(layers, decoder_calls):
     assert decoder_calls == [] and store() == before
 
 
-# -- the head slot: memo-less calls reuse the user-independent head -------------
+# -- the head slot: calls on one trie reuse the user-independent head -----------
 
 
-def cold_logits(model, ctx, prefixes) -> np.ndarray:
+def cold_logits(model, ctx, trie) -> np.ndarray:
     twin = cold_copy(model)
     assert twin._head_slot is None
-    return twin.prefix_logits(ctx, prefixes)
+    return twin.prefix_logits(ctx, trie)
 
 
 def slot_model_and_tree(layers: int = 2, seed: int = 6):
     model = tiny_model(vocab_size=11, seed=seed, layers=layers)
-    return model, random_prefix_tree(random.Random(seed), 11, 12, 6)
+    return model, trie_of(random_prefix_tree(random.Random(seed), 11, 12, 6))[0]
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_head_slot_serves_other_contexts_with_the_cold_bits(layers, autograd_ops):
-    model, prefixes = slot_model_and_tree(layers)
+    model, trie = slot_model_and_tree(layers)
     contexts = [model.encode(src) for src in ([3, 4, 5], [7], [], [9, 9, 2, 5, 6])]
-    model.prefix_logits(contexts[0], prefixes)
+    model.prefix_logits(contexts[0], trie)
     slot = model._head_slot
     for ctx in contexts + contexts[::-1]:
         autograd_ops[0] = 0
-        rows = model.prefix_logits(ctx, prefixes)
+        rows = model.prefix_logits(ctx, trie)
         hit_ops = autograd_ops[0]
         assert model._head_slot is slot
         autograd_ops[0] = 0
-        assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+        assert np.array_equal(rows, cold_logits(model, ctx, trie))
         # a hit skips the head's ops: two lookups and their sum, then layer
         # 0's layer norm, self-attention and residual sum
         assert autograd_ops[0] - hit_ops == 6
@@ -784,73 +773,75 @@ def test_head_slot_serves_other_contexts_with_the_cold_bits(layers, autograd_ops
 @pytest.mark.parametrize("name", ["tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", "dec0_self_wq",
                                   "dec0_self_wk", "dec0_self_wv", "dec0_self_wo"])
 def test_an_in_place_change_to_a_head_array_forces_a_recompute(name):
-    model, prefixes = slot_model_and_tree()
+    model, trie = slot_model_and_tree()
     ctx = model.encode([3, 4, 5])
-    model.prefix_logits(ctx, prefixes)
+    model.prefix_logits(ctx, trie)
     slot = model._head_slot
     model.params[name].reshape(-1)[1] += 0.25
-    rows = model.prefix_logits(ctx, prefixes)
+    rows = model.prefix_logits(ctx, trie)
     assert model._head_slot is not slot
-    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+    assert np.array_equal(rows, cold_logits(model, ctx, trie))
     # bytes, not values: -0.0 == 0.0, yet the slot is refilled
     model.params[name].reshape(-1)[1] = 0.0
-    model.prefix_logits(ctx, prefixes)
+    model.prefix_logits(ctx, trie)
     slot = model._head_slot
     model.params[name].reshape(-1)[1] = -0.0
-    rows = model.prefix_logits(ctx, prefixes)
+    rows = model.prefix_logits(ctx, trie)
     assert model._head_slot is not slot
-    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+    assert np.array_equal(rows, cold_logits(model, ctx, trie))
 
 
 @pytest.mark.parametrize("name", ["dec0_cross_wq", "dec0_cross_wo", "dec0_ln2_g", "dec0_ln3_b",
                                   "dec0_ff_w1", "dec1_ln1_g", "dec1_self_wk", "dec1_cross_wv",
                                   "dec1_ff_b2", "dec_ln_g", "dec_ln_b"])
 def test_an_in_place_change_to_a_tail_array_is_seen_at_once(name):
-    model, prefixes = slot_model_and_tree()
+    model, trie = slot_model_and_tree()
     ctx = model.encode([3, 4, 5])
-    before = model.prefix_logits(ctx, prefixes)
+    before = model.prefix_logits(ctx, trie)
     slot = model._head_slot
     model.params[name].reshape(-1)[1] += 0.25
-    rows = model.prefix_logits(ctx, prefixes)
+    rows = model.prefix_logits(ctx, trie)
     assert model._head_slot is slot
     assert not np.array_equal(rows, before)
-    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
+    assert np.array_equal(rows, cold_logits(model, ctx, trie))
 
 
-def test_head_slot_keys_prefixes_by_value():
+def test_head_slot_keys_the_trie():
     model, _ = slot_model_and_tree()
     ctx = model.encode([3, 4])
-    prefixes = [[5, 6, 7], [3], [], [8, 2, 2]]
-    first = model.prefix_logits(ctx, prefixes)
+    prefixes = [(5, 6, 7), (3,), (), (8, 2, 2)]
+    trie = trie_of(prefixes)[0]
+    first = model.prefix_logits(ctx, trie)
     slot = model._head_slot
-    # equal prefixes as a new object, as tuples and as numpy ints hit the slot
-    for same in ([list(p) for p in prefixes], [tuple(p) for p in prefixes],
-                 [np.array(p, dtype=np.int64) for p in prefixes]):
-        assert np.array_equal(model.prefix_logits(ctx, same), first)
-        assert model._head_slot is slot
-    # the list passed once and then mutated is not a stale hit
-    prefixes[0][2] = 4
-    prefixes[3].append(9)
-    rows = model.prefix_logits(ctx, prefixes)
-    assert model._head_slot is not slot
-    assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
-    assert np.array_equal(rows[1:3], first[1:3]) and not np.array_equal(rows[0], first[0])
+    assert np.array_equal(model.prefix_logits(ctx, trie), first) and model._head_slot is slot
+    # a second trie with the same nodes misses, and refills with the same bits
+    twin = trie_of(prefixes)[0]
+    rows = model.prefix_logits(ctx, twin)
+    assert model._head_slot is not slot and model._head_slot.key[2] is twin
+    assert np.array_equal(rows, first)
+    # nodes appended after a call make the next call miss
+    slot = model._head_slot
+    twin.add([1, 0], [9, 4])
+    rows = model.prefix_logits(ctx, twin)
+    assert model._head_slot is not slot and len(rows) == twin.size == len(first) + 2
+    assert np.array_equal(rows, cold_logits(model, ctx, twin))
 
 
 def test_a_too_deep_prefix_leaves_the_head_slot_usable(monkeypatch):
     model = tiny_model(vocab_size=12, max_tgt_len=4)
     ctx = model.encode([3])
-    prefixes = [(5, 5), (6,), (7, 1, 2)]
-    model.prefix_logits(ctx, prefixes)
+    trie = trie_of([(5, 5), (6,), (7, 1, 2)])[0]
+    model.prefix_logits(ctx, trie)
     slot = model._head_slot
+    too_deep = trie_of([(5, 5, 5, 5), (7,)])[0]
     for block_rows in (512, 2):
         monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
         with pytest.raises(SequenceTooLong):
-            model.prefix_logits(ctx, [(5, 5, 5, 5), (7,)])
+            model.prefix_logits(ctx, too_deep)
         assert model._head_slot is slot
     monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 512)
     other = model.encode([4, 8])
-    assert np.array_equal(model.prefix_logits(other, prefixes), cold_logits(model, other, prefixes))
+    assert np.array_equal(model.prefix_logits(other, trie), cold_logits(model, other, trie))
     assert model._head_slot is slot
 
 
@@ -859,37 +850,40 @@ def test_head_slot_covers_tries_larger_than_one_pass(monkeypatch, decoder_calls,
     monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 8)
     model, _ = slot_model_and_tree(layers)
     prefixes = random_prefix_tree(random.Random(3), 11, 15, 6)
+    trie, nodes = trie_of(prefixes)
     contexts = [model.encode(src) for src in ([3, 4], [5, 6, 7], [])]
-    model.prefix_logits(contexts[0], prefixes)
+    model.prefix_logits(contexts[0], trie)
     slot, cold_passes = model._head_slot, list(decoder_calls)
     assert len(cold_passes) > 2 and len(slot.passes) == len(cold_passes)
     for ctx in contexts:
         decoder_calls.clear()
-        rows = model.prefix_logits(ctx, prefixes)
+        rows = model.prefix_logits(ctx, trie)
         assert model._head_slot is slot and decoder_calls == cold_passes
-        assert np.array_equal(rows, cold_logits(model, ctx, prefixes))
-        assert_rows_match_per_prefix(model, ctx, prefixes, rows)
+        assert np.array_equal(rows, cold_logits(model, ctx, trie))
+        assert_rows_match_per_prefix(model, ctx, prefixes, rows[nodes])
     # the plan depends on the pass size, so another size refills the slot
     monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 5)
-    rows = model.prefix_logits(contexts[1], prefixes)
+    rows = model.prefix_logits(contexts[1], trie)
     assert model._head_slot is not slot
-    assert np.array_equal(rows, cold_logits(model, contexts[1], prefixes))
+    assert np.array_equal(rows, cold_logits(model, contexts[1], trie))
 
 
 def test_head_slot_with_no_prefixes():
     model, _ = slot_model_and_tree()
     ctx = model.encode([3])
-    assert model.prefix_logits(ctx, []).shape == (0, 11)
+    trie = model_module.PrefixTrie()
+    assert model.prefix_logits(ctx, trie).shape == (0, 11)
     slot = model._head_slot
-    assert model.prefix_logits(ctx, []).shape == (0, 11)
+    assert model.prefix_logits(ctx, trie).shape == (0, 11)
     assert model._head_slot is slot
 
 
 def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
     # wave calls, which replaced the memo calls, leave the slot alone
-    model, prefixes = slot_model_and_tree()
+    model, trie = slot_model_and_tree()
+    prefixes = trie.prefixes(range(trie.size))
     ctx = model.encode([3, 4])
-    rows = model.prefix_logits(ctx, prefixes)
+    rows = model.prefix_logits(ctx, trie)
     slot = model._head_slot
     for twin in (model, tiny_model(vocab_size=11, seed=6, layers=2)):
         wave = wave_rows_by_depth(twin, NamedTrie([ctx]), [(0, p) for p in prefixes])
@@ -901,9 +895,9 @@ def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():
 def test_prefix_logits_capacity():
     model = tiny_model(vocab_size=12, max_tgt_len=4)
     state = model.encode([3])
-    model.prefix_logits(state, [(5, 5, 5)])
+    prefix_logits(model, state, [(5, 5, 5)])
     with pytest.raises(SequenceTooLong):
-        model.prefix_logits(state, [(5,), (5, 5, 5, 5)])
+        prefix_logits(model, state, [(5,), (5, 5, 5, 5)])
 
 
 def test_sequence_nll_uniform_zero_weights():
@@ -923,7 +917,7 @@ def test_sequence_nll_equals_product_of_step_probs():
     nll = model.sequence_nll(state, target).data.item()
     logp = 0.0
     for i, tok in enumerate(target):
-        step = log_softmax_rows(model.prefix_logits(state, [target[:i]]))[0]
+        step = log_softmax_rows(prefix_logits(model, state, [target[:i]]))[0]
         logp += step[tok]
     assert abs(math.exp(-nll) - math.exp(logp)) < 1e-12
 
@@ -957,7 +951,7 @@ def test_exhaustive_sequence_mass_is_one():
     for body in itertools.product(non_eos, repeat=capacity):
         logp = 0.0
         for i, tok in enumerate(body):
-            logp += log_softmax_rows(model.prefix_logits(state, [body[:i]]))[0][tok]
+            logp += log_softmax_rows(prefix_logits(model, state, [body[:i]]))[0][tok]
         total += math.exp(logp)
     assert abs(total - 1.0) < 1e-9
 

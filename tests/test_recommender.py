@@ -1,10 +1,15 @@
+import hashlib
+import importlib.util
 import math
 import random
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import WORDS, ScriptedModel, cold_copy, make_vocab, tiny_model
+from textidrec import model as model_module
 from textidrec.allocator import IdRegistry, TextualId
 from textidrec.prompting import Prompt
 from textidrec.recommender import (DeadEnd, UnknownId, build_trie, constrained_beam_search,
@@ -31,7 +36,10 @@ def test_trie_structure():
     assert valid_next(trie, []) == {red, blue}
     assert valid_next(trie, [red]) == {hat, shoe}
     assert valid_next(trie, [vocab.token_to_id["shoe"]]) == set()
-    assert trie.size == 3
+    # inner nodes: the empty prefix, red, red hat, red shoe, blue, blue hat
+    assert trie.size == 6 and sorted(trie.keys) == ["a", "b", "c"]
+    assert trie.prefixes(trie.ends) == [reg.ids[key].tokens for key in trie.keys]
+    assert [trie.node_at(p).row for p in trie.prefixes(range(trie.size))] == list(range(trie.size))
 
 
 def test_trie_prefix_ids_coexist():
@@ -189,6 +197,13 @@ def test_beam_search_tie_break_and_bounds():
         constrained_beam_search(model, empty_prompt(), trie, beam_width=1, top_n=2)
 
 
+def test_beam_search_over_an_empty_catalog_finds_nothing():
+    model = tiny_model(vocab_size=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert constrained_beam_search(model, empty_prompt(), build_trie(IdRegistry(ids={}, rows=())), 2, 1) == []
+
+
 def reference_rank(model, state, trie):
     """Per-node walk: one causal decoder pass per inner trie node, the
     constrained distribution renormalized over the node's children."""
@@ -238,8 +253,8 @@ def test_rank_all_is_one_decoder_pass(decoder_calls):
     state = model.encode([3, 4])
     decoder_calls.clear()
     rank_all(model, empty_prompt(), reg, trie, state=state)
-    assert len(trie.prefixes) > 20
-    assert decoder_calls == [len(trie.prefixes)]
+    assert trie.size > 20
+    assert decoder_calls == [trie.size]
 
 
 def test_scorers_after_rank_all_equal_their_cold_results():
@@ -289,3 +304,63 @@ def test_constrained_sampling_soundness():
                     break
                 prefix.append(pick)
             assert vocab.decode(prefix) in {t.text for t in reg.ids.values()}
+
+
+# Recorded before the catalog trie became a node-id `PrefixTrie`, so that a
+# last-bit change in ranking fails here and not only in the benchmark's
+# digests: per (generator layers, rows per `prefix_logits` pass), a digest
+# of `rank_all` (keys and score bytes) for three prompts, a beam search,
+# every item's `score_candidate` and the distributions at the root and one
+# inner node, with and without renormalization, on one small catalog. Eight
+# rows per pass split its trie into several passes.
+PINNED_RANKINGS = {
+    (1, 512): "99665d3cdb912f9075db159a06d3de179706028b8ce9d812612ead2427e4989e",
+    (2, 512): "99a0d5694eec78545ad6ecb16ac04d11df43c2dba9f18e7a70fabc2adbac688d",
+    (1, 8): "99665d3cdb912f9075db159a06d3de179706028b8ce9d812612ead2427e4989e",
+    (2, 8): "99a0d5694eec78545ad6ecb16ac04d11df43c2dba9f18e7a70fabc2adbac688d",
+}
+
+
+@pytest.mark.parametrize("layers,block_rows", list(PINNED_RANKINGS))
+def test_ranking_keeps_its_pinned_bits(monkeypatch, layers, block_rows):
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=7, layers=layers)
+    rng = random.Random(11)
+    texts = {" ".join(rng.choice(WORDS[:10]) for _ in range(rng.randint(1, 4))) for _ in range(14)}
+    reg = registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))})
+    trie = build_trie(reg)
+    inner = reg.ids["k0"].tokens[:1]
+    digest = hashlib.sha256()
+
+    def feed(value) -> None:
+        digest.update(repr(value).encode())
+
+    for prompt in (Prompt(tokens=(3, 5, 7), spans=()), Prompt(tokens=(4, 4), spans=()), empty_prompt()):
+        state = model.encode(prompt.tokens)
+        for normalize in (True, False):
+            feed([(key, score.hex()) for key, score in rank_all(model, prompt, reg, trie, normalize, state)])
+            feed([(key, score.hex()) for key, score in
+                  constrained_beam_search(model, prompt, trie, 4, 3, normalize, state)])
+            feed([score_candidate(model, prompt, tid, trie, normalize, state).hex() for tid in reg.ids.values()])
+            for prefix in ((), inner):
+                feed(sorted((token, p.hex()) for token, p in
+                            constrained_distribution(model, state, prefix, trie, normalize).items()))
+    assert digest.hexdigest() == PINNED_RANKINGS[layers, block_rows]
+
+
+def test_perfbench_counts_the_catalog_tries_nodes():
+    # perfbench's traced mode reports `recommender.trie_inner_nodes` by
+    # walking `trie.root` (`inner_nodes` in perfbench/tracing.py)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    vocab = make_vocab(WORDS[:10])
+    rng = random.Random(12)
+    for n_items in (1, 5, 30):
+        texts = set()
+        while len(texts) < n_items:
+            texts.add(" ".join(rng.choice(WORDS[:10]) for _ in range(rng.randint(1, 5))))
+        trie = build_trie(registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))}))
+        assert tracing.inner_nodes(trie) == trie.size
