@@ -33,12 +33,21 @@ _F64 = np.dtype(np.float64)
 def gelu(x: np.ndarray):
     """GELU (tanh form) of `x` and the map from an upstream gradient to the
     gradient with respect to `x`."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    # in place on two temporaries, in the order of
+    # `t = tanh(C * (x + A * (x * x * x)))` and `0.5 * x * (1.0 + t)`
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
 
     def vjp(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner)
-    return 0.5 * x * (1.0 + t), vjp
+    return out, vjp
 
 
 def softmax(x: np.ndarray, axis: int = -1):
@@ -241,13 +250,18 @@ class Tensor:
     def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-6) -> "Tensor":
         """(x - mean) / sqrt(var + eps) * gain + bias over the last axis, as
         one op; `gain` and `bias` have the width of that axis."""
-        # np.add.reduce(...) / n is what ndarray.mean computes, without its wrapper
+        # np.add.reduce(...) / n is what ndarray.mean computes, without its
+        # wrapper; the rest runs in place on two temporaries, `normed` (first
+        # x - mean) and `out` (first its square), in the expressions' order
         x = self.data
         n = x.shape[-1]
-        centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+        normed = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        out = normed * normed
+        var = np.add.reduce(out, axis=-1, keepdims=True) / n
         std = (var + eps) ** 0.5
-        normed = centered / std
+        normed /= std
+        np.multiply(normed, gain.data, out=out)
+        out += bias.data
 
         def bw(g, a=self, w=gain, b=bias):
             if w.requires_grad:
@@ -258,7 +272,7 @@ class Tensor:
                 gn = g * w.data
                 a._accum((gn - np.add.reduce(gn, axis=-1, keepdims=True) / n
                           - normed * (np.add.reduce(gn * normed, axis=-1, keepdims=True) / n)) / std)
-        return Tensor._op(normed * gain.data + bias.data, (self, gain, bias), bw)
+        return Tensor._op(out, (self, gain, bias), bw)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         y, vjp = softmax(self.data, axis)

@@ -20,16 +20,25 @@ searches scores each step's new nodes, every one against its own context
 A `PrefixTrie` names token prefixes by integer node ids, parents before
 their children. `prefix_logits` decodes the nodes of a `PrefixTrie`, in
 node order, in passes of at most `_PREFIX_BLOCK_ROWS` rows, each row
-attending to its ancestors through a dense tree mask, and to its ancestors
-in earlier passes through their kept self-attention inputs (the layer-normed
-`h` of every decoder layer). The context enters the decoder only at layer
-0's cross-attention, so what a pass computes before it (its head: the tree
-layout, the embeddings and layer 0's self-attention block) is the same for
-every context. Each model keeps one head slot, which `prefix_logits` reads
-or fills and nothing else touches. The slot holds the trie of the call that
-filled it and that call's plan (per pass: token ids, depths, mask and the
-nodes of its earlier columns), each row's layer-0 self-attention input and
-its rows after layer 0's self-attention block. The slot is keyed on the
+attending to its ancestors through a tree mask, and to its ancestors in
+earlier passes through their kept self-attention inputs (the layer-normed
+`h` of every decoder layer). A pass's tree mask is kept in sparse form
+(`_TreeMask`): the flat indices of the scores it allows, a few per row, so
+a self-attention softmax gathers, exponentiates and normalizes only those
+and scatters them into zeros. It gives the dense additive mask's bits: a
+masked entry is +0.0 either way (exp of -1e30 less the row max
+underflows), a max is exact, every allowed entry takes the same operations
+in the same order, and the row sums and both products run dense over the
+same arrays. Masks that are not trees (causal chains, packed spans, the
+padding of grouped contexts) stay dense. The context enters the decoder
+only at layer 0's cross-attention, so what a pass computes before it (its
+head: the tree layout, the embeddings and layer 0's self-attention block)
+is the same for every context. Each model keeps one head slot, which
+`prefix_logits` reads or fills and nothing else touches. The slot holds the
+trie of the call that filled it and that call's plan (per pass: token ids,
+depths, sparse mask and the nodes of its earlier columns), each row's
+layer-0 self-attention input and its rows after layer 0's self-attention
+block. The slot is keyed on the
 trie: a later call reuses it when it is keyed the same, by the config,
 `_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
 appended, so its node count says whether it grew), and when the raw bytes
@@ -37,7 +46,7 @@ of every `_HEAD_PARAMS` array equal the copies the slot holds: its passes
 then start at layer 0's cross-attention, each still one
 `decoder_all_logits` call, and give the same bits. Any other call
 recomputes and, unless it raises, replaces the slot. At the default config
-a 143-node trie's slot is about 0.5 MB.
+a 143-node trie's slot is about 0.4 MB.
 
 `wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
 each carry a context and whose nodes keep their decoder state for the life
@@ -153,19 +162,64 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
+class _TreeMask:
+    """The sparse form of a 0/-1e30 additive (rows, keys) mask, for
+    `_attention` over `heads` heads without leading batch axes: `flat`, the
+    flat indices of the entries it allows in the (heads, rows, keys) scores,
+    ordered by (head, row); `starts`, where each (head, row) run begins in
+    `flat`; and `run`, the run of each index. Every row must allow a key: a
+    dense softmax gives a fully masked row a uniform distribution, where
+    this one would divide 0 by 0, so such a mask is a ValueError."""
+
+    __slots__ = ("shape", "flat", "starts", "run")
+
+    def __init__(self, mask: np.ndarray, heads: int):
+        allowed = mask == 0.0
+        blind = np.flatnonzero(~allowed.any(axis=1))
+        if blind.size:
+            raise ValueError(f"mask row {blind[0]} allows no key")
+        self.shape = (heads, *allowed.shape)
+        self.flat = (np.arange(heads)[:, None] * allowed.size + np.flatnonzero(allowed)).reshape(-1)
+        counts = np.tile(np.count_nonzero(allowed, axis=1), heads)
+        self.starts = np.cumsum(counts) - counts
+        self.run = np.repeat(np.arange(len(counts)), counts)
+
+    def softmax(self, scores: np.ndarray, scale: float) -> np.ndarray:
+        """The softmax over the last axis of `scores * scale` plus the mask,
+        written over `scores` (heads, rows, keys), with the bits of the dense
+        path: an allowed entry goes through the same operations in the same
+        order (a max is exact), a masked one is +0.0 either way (exp of -1e30
+        less the max underflows), and the row sums are the same dense reduce
+        over the same array. Only the allowed entries are exponentiated."""
+        if scores.shape != self.shape:
+            raise ValueError(f"mask for {self.shape} scores, got {scores.shape}")
+        flat = scores.reshape(-1)
+        picked = flat[self.flat]
+        picked *= scale
+        picked -= np.maximum.reduceat(picked, self.starts)[self.run]
+        np.exp(picked, out=picked)
+        flat.fill(0.0)
+        flat[self.flat] = picked
+        picked /= scores.sum(axis=-1).reshape(-1)[self.run]
+        flat[self.flat] = picked
+        return scores
+
+
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
-               heads: int, mask: np.ndarray | None = None) -> Tensor:
+               heads: int, mask: np.ndarray | _TreeMask | None = None) -> Tensor:
     """Multi-head attention as one graph node, all heads in one batched
     matmul over (heads, rows, dh) views of the projections. Inputs may carry
     leading batch axes, (..., rows, d) and (..., keys, d): each batch entry
     attends only to its own keys, and `mask` broadcasts onto the
-    (..., heads, rows, keys) scores.
+    (..., heads, rows, keys) scores. A `_TreeMask` (no batch axes) gives the
+    same bits as its dense mask, exponentiating only the scores it allows.
 
     Forward and backward run the numpy expressions, array layouts and
     requires_grad skips of the op chain it stands for (projections, scaled
     per-head scores plus mask, softmax, weighted values, output
-    projection), so values and gradients are that chain's bits. The inputs
-    get their contributions in the chain's order: Q, then K, then V."""
+    projection), so values and gradients are that chain's bits; the softmax
+    runs in place on the one scores array. The inputs get their
+    contributions in the chain's order: Q, then K, then V."""
     wq, wk, wv, wo = (pt[name] for name in _attention_names(prefix))
     *lead, rows, _ = q_in.data.shape
     width = wq.data.shape[1]
@@ -174,10 +228,16 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
     q = (q_in.data @ wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
     k_t = (kv_in.data @ wk.data).swapaxes(-1, -2).reshape(*lead, heads, dh, keys)
     v = (kv_in.data @ wv.data).reshape(*lead, keys, heads, dh).swapaxes(-2, -3)
-    scores = (q @ k_t) * scale
-    if mask is not None:
-        scores = scores + mask
-    probs, softmax_vjp = softmax(scores)
+    probs = q @ k_t
+    if isinstance(mask, _TreeMask):
+        mask.softmax(probs, scale)
+    else:  # `autograd.softmax` of `scores * scale + mask`, in place
+        probs *= scale
+        if mask is not None:
+            probs += mask
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
     joined = (probs @ v).swapaxes(-2, -3).reshape(*lead, rows, width)
 
     def bw(g):
@@ -190,7 +250,8 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
             return
         g_heads = (g @ wo.data.swapaxes(-1, -2)).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
         if need_q or need_k:
-            g_scores = softmax_vjp(g_heads @ v.swapaxes(-1, -2)) * scale
+            g_probs = g_heads @ v.swapaxes(-1, -2)  # through `autograd.softmax`'s VJP
+            g_scores = (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
         if need_q:
             g_q = (g_scores @ k_t.swapaxes(-1, -2)).swapaxes(-2, -3).reshape(*lead, rows, width)
             if q_in.requires_grad:
@@ -216,7 +277,9 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     """`gelu(x @ w1 + b1) @ w2 + b2` as one graph node that runs the numpy
     expressions of that op chain, forward and backward."""
     w1, b1, w2, b2 = (pt[f"{prefix}_{name}"] for name in ("w1", "b1", "w2", "b2"))
-    hidden, gelu_vjp = gelu(x.data @ w1.data + b1.data)
+    pre = x.data @ w1.data
+    pre += b1.data
+    hidden, gelu_vjp = gelu(pre)
 
     def bw(g):
         if b2.requires_grad:
@@ -232,7 +295,9 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
             x._accum(g_pre @ w1.data.swapaxes(-1, -2))
         if w1.requires_grad:
             w1._accum(x.data.swapaxes(-1, -2) @ g_pre)
-    return Tensor._op(hidden @ w2.data + b2.data, (x, w1, b1, w2, b2), bw)
+    out = hidden @ w2.data
+    out += b2.data
+    return Tensor._op(out, (x, w1, b1, w2, b2), bw)
 
 
 # Rows per decoder pass in `prefix_logits`: bounds the (rows x rows)
@@ -287,10 +352,11 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth, np.where(allowed, 0.0, -1e30)
 
 
-def _trie_passes(trie: PrefixTrie) -> list[tuple]:
+def _trie_passes(trie: PrefixTrie, heads: int) -> list[tuple]:
     """The passes of a `prefix_logits` call over the nodes of `trie`, in
     node order: per pass of at most `_PREFIX_BLOCK_ROWS` nodes, (first node,
-    token ids, depths, mask, nodes of its earlier columns or None).
+    token ids, depths, mask as a `_TreeMask` over `heads` heads, nodes of
+    its earlier columns or None).
 
     A pass row attends to its ancestors in the pass (`_tree_layout`) and,
     through the columns in front of them, to the ancestors of its pass root
@@ -319,7 +385,7 @@ def _trie_passes(trie: PrefixTrie) -> list[tuple]:
                 root = np.where(inner[root] >= 0, inner[root], root)
             mask = np.concatenate([seen[root], mask], axis=1)
         hi = lo + len(up)
-        passes.append((lo, trie.token[lo:hi].tolist(), trie.depth[lo:hi], mask, cols))
+        passes.append((lo, trie.token[lo:hi].tolist(), trie.depth[lo:hi], _TreeMask(mask, heads), cols))
     return passes
 
 
@@ -379,15 +445,16 @@ class PrefixTrie:
             for name in self._NODE_ARRAYS:
                 setattr(self, name, _grown(getattr(self, name), room, self.size))
 
-    def add(self, parents, tokens) -> np.ndarray:
+    def add(self, parents, tokens, depths=None) -> np.ndarray:
         """A new node per (parent, token), parent -1 (token PAD) for a root;
-        returns their ids."""
+        returns their ids. A parent added by the same call needs `depths`,
+        each node's depth, from the caller."""
         parents = np.asarray(parents, dtype=np.int64)
         ids = np.arange(self.size, self.size + len(parents))
         self._reserve(self.size + len(ids))
         self.parent[ids] = parents
         self.token[ids] = tokens
-        self.depth[ids] = np.where(parents >= 0, self.depth[parents] + 1, 0)
+        self.depth[ids] = np.where(parents >= 0, self.depth[parents] + 1, 0) if depths is None else depths
         self.size += len(ids)
         return ids
 
@@ -608,8 +675,9 @@ class SequenceModel:
 
         `past = (depth, mask, earlier)` lays the rows out as a tree
         (`prefix_logits`) or a forest (`packed_logits`): row i sits at
-        position `depth[i]`, and the additive (rows, m + rows) `mask` says
-        which of m earlier rows and of the pass's own rows it attends to.
+        position `depth[i]`, and the additive (rows, m + rows) `mask`, or
+        its `_TreeMask`, says which of m earlier rows and of the pass's own
+        rows it attends to.
         `earlier` is None (m = 0) or a (layers, m, d_model) array of rows
         that earlier passes decoded: their self-attention inputs, which go in
         front of the pass's own as the keys and values of each layer's
@@ -702,7 +770,7 @@ class SequenceModel:
                        for name, kept in zip(_HEAD_PARAMS, slot.weights)))
         if not hit:
             slot = _HeadSlot(key, [pt[name].data.copy() for name in _HEAD_PARAMS],
-                             _trie_passes(trie), np.empty((2, trie.size, cfg.d_model)))
+                             _trie_passes(trie, cfg.heads), np.empty((2, trie.size, cfg.d_model)))
         keep = np.empty((cfg.layers + 1, trie.size, cfg.d_model))
         if hit:
             keep[[0, -1]] = slot.head

@@ -79,8 +79,8 @@ class CatalogTrie(PrefixTrie):
 def build_trie(registry: IdRegistry) -> CatalogTrie:
     """Insert every registered ID's tokens followed by EOS; the node reached
     after EOS is the terminal carrying the item key. Inner nodes are then
-    added to the `PrefixTrie` depth-first, and the terminals numbered after
-    them."""
+    added to the `PrefixTrie` depth-first, in one call, and the terminals
+    numbered after them."""
     trie = CatalogTrie()
     for key, tid in registry.ids.items():
         node = trie.root
@@ -90,15 +90,20 @@ def build_trie(registry: IdRegistry) -> CatalogTrie:
             raise DuplicateId(f"items {node.item_key!r} and {key!r} share ID {tid.text!r}")
         node.item_key = key
     terminals: list[TrieNode] = []
-    stack: list[tuple[TrieNode, int, int]] = [(trie.root, -1, PAD_ID)]  # (node, parent id, token)
+    parents, tokens, depths = [], [], []  # of the inner nodes, in node order
+    stack: list[tuple[TrieNode, int, int, int]] = [(trie.root, -1, PAD_ID, 0)]  # (node, parent id, token, depth)
     while stack:
-        node, up, token = stack.pop()
+        node, up, token, depth = stack.pop()
         if node.item_key is not None:
             terminals.append(node)
             trie.ends.append(up)
             continue
-        node.row = int(trie.add([up], [token])[0])
-        stack += [(node.children[t], node.row, t) for t in sorted(node.children, reverse=True)]
+        node.row = len(parents)
+        parents.append(up)
+        tokens.append(token)
+        depths.append(depth)
+        stack += [(node.children[t], node.row, t, depth + 1) for t in sorted(node.children, reverse=True)]
+    trie.add(parents, tokens, depths)
     for i, node in enumerate(terminals):
         node.row = trie.size + i
         trie.keys.append(node.item_key)
@@ -118,14 +123,20 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[flo
     logits = model.prefix_logits(state, trie)
     rows = np.concatenate([trie.parent[1:trie.size], trie.ends])
     tokens = np.concatenate([trie.token[1:trie.size], np.full(len(trie.ends), EOS_ID)])
+    picked = logits[rows, tokens]
     if normalize:
-        scope = np.full_like(logits, -np.inf)
-        scope[rows, tokens] = logits[rows, tokens]
+        # the log-sum-exp of each row masked to its valid tokens (the others
+        # -inf), exponentiating only those: exp(-inf) is +0.0, so the dense
+        # row sums are the same bits
+        m = np.full(len(logits), -np.inf)
+        np.maximum.at(m, rows, picked)
+        e = np.zeros_like(logits)
+        e[rows, tokens] = np.exp(picked - m[rows])
+        lse = m + np.log(e.sum(axis=1))
     else:
-        scope = logits
-    m = scope.max(axis=1, keepdims=True)
-    lse = (m + np.log(np.exp(scope - m).sum(axis=1, keepdims=True)))[:, 0]
-    return [0.0] + (logits[rows, tokens] - lse[rows]).tolist()
+        m = logits.max(axis=1, keepdims=True)
+        lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
+    return [0.0] + (picked - lse[rows]).tolist()
 
 
 def constrained_distribution(model, state, prefix, trie: CatalogTrie,

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from textidrec.autograd import Tensor, concat, stack_rows
+from textidrec.autograd import Tensor, concat, gelu, stack_rows
 from textidrec.model import _attention, _chain_layout, _feed_forward, expected_embedding_rows
 
 
@@ -111,6 +113,18 @@ def test_layer_norm_equals_composite(shape):
     assert np.array_equal(fused, reference)
     for got, want in zip(fused_grads, reference_grads):
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 8), (2, 3, 8)])
+def test_gelu_keeps_the_bits_of_its_expression(shape):
+    # `gelu` runs in place on its temporaries; its input is left as it was
+    x = np.random.default_rng(len(shape)).normal(size=shape) * 3.0
+    before = x.copy()
+    out, _ = gelu(x)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    want = 0.5 * x * (1.0 + np.tanh(c * (x + a * (x * x * x))))
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
 
 def test_broadcast_operand_gets_grad_of_its_own_shape():

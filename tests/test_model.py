@@ -462,6 +462,89 @@ def test_prefix_logits_across_row_blocks(monkeypatch, decoder_calls):
     assert_rows_match_per_prefix(model, state, prefixes)
 
 
+class DenseTreeMask:
+    """Stands in for `_TreeMask` in `_trie_passes`: each pass keeps its dense
+    additive mask, so `_attention` runs the dense softmax (the reference)."""
+
+    def __new__(cls, mask, heads):
+        return mask
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+SPARSE_TRIES = {
+    "random": lambda rng: random_prefix_tree(rng, 11, 15, 6),
+    "chain": lambda rng: [(*range(1, 11), 3)],  # 12 nodes, as deep as max_tgt_len allows
+    "star": lambda rng: [(t,) for t in range(11)],
+    "one_row": lambda rng: [()],
+}
+
+
+@pytest.mark.parametrize("shape", list(SPARSE_TRIES))
+@pytest.mark.parametrize("block_rows", [512, 8])
+@pytest.mark.parametrize("layers,heads", [(1, 1), (2, 2), (2, 4)])
+def test_sparse_tree_masks_give_the_dense_masks_bits(monkeypatch, shape, block_rows, layers, heads):
+    # eight rows per pass give every trie but the one-row one earlier columns
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+    model = tiny_model(vocab_size=11, seed=layers + heads, layers=layers, heads=heads)
+    trie, _ = trie_of(SPARSE_TRIES[shape](random.Random(len(shape) + block_rows)))
+    contexts = [model.encode([3, 4, 5]), model.encode([6]), model.encode([])]
+    sparse = cold_copy(model)
+    got = [sparse.prefix_logits(ctx, trie) for ctx in contexts]  # a slot miss, then hits
+    passes = sparse._head_slot.passes
+    assert all(isinstance(mask, model_module._TreeMask) for _, _, _, mask, _ in passes)
+    assert (len(passes) > 1 and passes[-1][4] is not None) == (block_rows == 8 and shape != "one_row")
+    monkeypatch.setattr(model_module, "_TreeMask", DenseTreeMask)
+    dense = cold_copy(model)
+    for ctx, rows in zip(contexts, got):
+        assert same_bits(rows, dense.prefix_logits(ctx, trie))
+    assert all(isinstance(mask, np.ndarray) for _, _, _, mask, _ in dense._head_slot.passes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 100])
+@pytest.mark.parametrize("p_chain", [0.0, 0.6, 0.9])
+@pytest.mark.parametrize("trainable", ["all", "none"])
+def test_sparse_tree_mask_attention_equals_dense(n, p_chain, trainable):
+    # a random forest of rows, behind earlier columns that each row may see
+    rng = np.random.default_rng(n * 10 + int(p_chain * 10))
+    d, heads, earlier = 8, 4, 3
+    _, mask = model_module._tree_layout(random_forest(rng, n, p_chain))
+    seen = np.where(rng.random((n, earlier)) < 0.5, 0.0, -1e30)
+    mask = np.concatenate([seen, mask], axis=1)
+    arrays = {f"att_w{x}": rng.normal(size=(d, d)) for x in "qkvo"}
+    arrays["q_in"] = rng.normal(size=(n, d)) * 3.0
+    arrays["kv_in"] = rng.normal(size=(earlier + n, d)) * 3.0
+
+    def call(dense_or_sparse):
+        def run(block, pt):
+            return block(pt, "att", pt["q_in"], pt["kv_in"], heads, mask=dense_or_sparse)
+        return run
+
+    upstream = rng.normal(size=(n, d)), rng.normal(size=(d, n))
+    sparse_run = run_block(model_module._attention, arrays, trainable,
+                           call(model_module._TreeMask(mask, heads)), upstream)
+    dense_run = run_block(model_module._attention, arrays, trainable, call(mask), upstream)
+    assert same_bits(sparse_run[0].data, dense_run[0].data)
+    for name, want in dense_run[1].items():
+        got = sparse_run[1][name]
+        assert (got is None) == (want is None), name
+        assert want is None or same_bits(got, want), name
+
+
+def test_sparse_tree_mask_refuses_a_row_that_sees_nothing():
+    # the dense softmax gives such a row a uniform distribution; the sparse
+    # one would divide 0 by 0
+    mask = np.where(np.eye(3, dtype=bool), 0.0, -1e30)
+    mask[1, 1] = -1e30
+    with pytest.raises(ValueError, match="row 1"):
+        model_module._TreeMask(mask, 2)
+    sparse = model_module._TreeMask(mask[[0, 2]], 2)
+    with pytest.raises(ValueError):
+        sparse.softmax(np.zeros((2, 3, 3)), 1.0)
+
+
 class NamedTrie(model_module.DecodeCache):
     """A decode cache that names each (context, prefix) pair by a node, each
     context's prefixes under a root of their own, which carries the

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import WORDS, ScriptedModel, cold_copy, make_vocab, tiny_model
 from textidrec import model as model_module
+from textidrec import recommender as recommender_module
 from textidrec.allocator import IdRegistry, TextualId
 from textidrec.prompting import Prompt
 from textidrec.recommender import (DeadEnd, UnknownId, build_trie, constrained_beam_search,
@@ -40,6 +41,8 @@ def test_trie_structure():
     assert trie.size == 6 and sorted(trie.keys) == ["a", "b", "c"]
     assert trie.prefixes(trie.ends) == [reg.ids[key].tokens for key in trie.keys]
     assert [trie.node_at(p).row for p in trie.prefixes(range(trie.size))] == list(range(trie.size))
+    up = trie.parent[1:trie.size]
+    assert trie.depth[0] == 0 and np.array_equal(trie.depth[1:trie.size], trie.depth[up] + 1)
 
 
 def test_trie_prefix_ids_coexist():
@@ -241,6 +244,36 @@ def test_rank_all_matches_per_node_reference(layers, heads):
     reference = reference_rank(model, state, trie)
     assert [k for k, _ in ranked] == [k for k, _ in reference]
     assert max(abs(a - b) for (_, a), (_, b) in zip(ranked, reference)) < 1e-12
+
+
+def dense_edge_logprobs(model, state, trie, normalize):
+    """The per-edge log-probabilities with every row's log-sum-exp taken over
+    the whole row, invalid tokens set to -inf: the reference for the bits of
+    `_edge_logprobs`, which exponentiates only the valid entries."""
+    logits = model.prefix_logits(state, trie)
+    rows = np.concatenate([trie.parent[1:trie.size], trie.ends])
+    tokens = np.concatenate([trie.token[1:trie.size], np.full(len(trie.ends), EOS_ID)])
+    scope = logits
+    if normalize:
+        scope = np.full_like(logits, -np.inf)
+        scope[rows, tokens] = logits[rows, tokens]
+    m = scope.max(axis=1, keepdims=True)
+    lse = (m + np.log(np.exp(scope - m).sum(axis=1, keepdims=True)))[:, 0]
+    return [0.0] + (logits[rows, tokens] - lse[rows]).tolist()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_edge_logprobs_keep_the_dense_bits(normalize):
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=8, layers=2)
+    rng = random.Random(9)
+    texts = {" ".join(rng.choice(WORDS[:10]) for _ in range(rng.randint(1, 4))) for _ in range(25)}
+    trie = build_trie(registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))}))
+    for source in ([3, 5, 7], []):
+        state = model.encode(source)
+        got = recommender_module._edge_logprobs(model, state, trie, normalize)
+        want = dense_edge_logprobs(model, state, trie, normalize)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_rank_all_is_one_decoder_pass(decoder_calls):
