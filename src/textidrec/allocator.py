@@ -117,7 +117,7 @@ class IdSpaceExhausted(RuntimeError):
     """A search found no decodable token: the vocabulary has no usable entry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextualId:
     """A short token sequence (EOS-stripped) plus its decoded text."""
 
@@ -172,7 +172,7 @@ class AllocatorConfig:
         return lams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationRow:
     """Per-item escalation record: the penalty and length range in force when
     the ID was accepted. range_index -1 marks the ordinal fallback."""

@@ -51,22 +51,47 @@ a 143-node trie's slot is about 0.4 MB.
 `wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
 each carry a context and whose nodes keep their decoder state for the life
 of the cache. Searches that advance in lockstep ask for their beams' nodes,
-as an int array, once each node's parent is decoded. A decoded node keeps
-its self-attention input at every layer after the first. Layer 0's input is
-the layer-normed sum of the node's token and position embeddings, so it
-depends only on the node's (token, depth): the cache holds it once per pair
-seen, in its layer-0 table, and a node keeps only its entry there, so a
-one-layer model's cache keeps no float per node. A call decodes its nodes
-by depth, in passes of at most `_WAVE_ROWS` rows. In a pass a row's
-self-attention keys are its own ancestor chain, gathered from the cache
-(layer 0's from the table) for that pass, and itself: no dense mask over
-the other rows. Its cross-attention is grouped by context: the pass's
-contexts, padded to the longest, are one batch, so a row reads only its own
-(a row of an empty context reads none). A pass thus costs its rows times
-their depth plus the longest context among them, whatever else the cache
-holds. A row's outputs do not depend on which other rows share its pass, so
-a node decoded by one wave serves every later wave of the cache with the
-same bits.
+as an int array, once each node's parent is decoded. The cache keeps what
+a pass would otherwise project again, as incremental decoders keep the
+keys and values of the prefix already decoded (arXiv:1911.02150):
+- per (token, depth) pair, in its layer-0 table: the layer-0 self-attention
+  input, the layer-normed sum of the pair's token and position embeddings
+  (it depends on nothing else), and its keys and values;
+- per decoded node: its self-attention keys and values at every layer after
+  the first (none for a one-layer model);
+- per root context: its cross-attention keys and values at every layer.
+A call first computes the table entries and the context keys and values it
+lacks, then decodes its nodes by depth, in passes of at most
+`_WAVE_KEY_FLOATS` gathered key floats (rows times depth + 1 times
+d_model). In a pass a row's self-attention keys and values are those of its
+ancestor chain, gathered from the cache one layer at a time, and its own:
+no dense mask over the other rows. Its cross-attention is grouped by
+context: the pass's contexts' keys and values, padded to the longest, are
+one batch, so a row reads only its own (a row of an empty context reads
+none). A pass thus costs its rows times their depth plus the longest
+context among them, whatever else the cache holds.
+
+The kept keys and values have the bits a pass's own products would give. In
+a GEMM of two or more rows (or each matrix of a batched one) the BLAS gives
+a row the same bits whatever the other rows, while a one-row product runs
+another kernel and rounds otherwise. So each is projected once in a product
+of at least two rows (`_projected` pads a lone row), as every ancestor
+chain of two or more rows was; a depth-0 row, whose chain is itself alone,
+attends through one-row products of its input, and so does a pass whose
+contexts have at most one token.
+
+Which other rows share a pass does move a row's bits, in the last place,
+through three figures of the pass: whether it has one row (the
+feed-forward blocks and the output projection are then one-row products),
+whether some context has two or more of its rows (if none, the
+cross-attention's query and output products are one-row products), and its
+longest context (a shorter context is padded to it, and scores, sums and
+products over more keys round otherwise; a one-token context is projected
+by one-row products when no context in the pass is longer). Passes that
+agree on all three give a row the same bits. A node keeps the state of the
+pass that first decoded it, so a later wave reads the same state whatever
+it decodes; but a node's bits, and so a search's, can depend on which wave
+decoded it first.
 
 `packed_logits` runs several teacher-forced (source, decoder input) pairs
 as one pass: the sources back to back as segments of one `encode`, each
@@ -89,6 +114,7 @@ import zipfile
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,7 +231,8 @@ class _TreeMask:
         return scores
 
 
-def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
+def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
+               kv_in: Tensor | tuple[np.ndarray, np.ndarray],
                heads: int, mask: np.ndarray | _TreeMask | None = None) -> Tensor:
     """Multi-head attention as one graph node, all heads in one batched
     matmul over (heads, rows, dh) views of the projections. Inputs may carry
@@ -213,6 +240,10 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
     attends only to its own keys, and `mask` broadcasts onto the
     (..., heads, rows, keys) scores. A `_TreeMask` (no batch axes) gives the
     same bits as its dense mask, exponentiating only the scores it allows.
+    `kv_in` may instead be the (keys, values) pair it projects to, two
+    C-contiguous (..., keys, d) arrays, whose products are then skipped
+    (inference only: a gradient cannot reach them, so no input or weight
+    may require one).
 
     Forward and backward run the numpy expressions, array layouts and
     requires_grad skips of the op chain it stands for (projections, scaled
@@ -223,11 +254,18 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor,
     wq, wk, wv, wo = (pt[name] for name in _attention_names(prefix))
     *lead, rows, _ = q_in.data.shape
     width = wq.data.shape[1]
-    keys, dh = kv_in.data.shape[-2], width // heads
+    if isinstance(kv_in, tuple):
+        if q_in.requires_grad or any(w.requires_grad for w in (wq, wk, wv, wo)):
+            raise ValueError("projected keys and values carry no gradient")
+        k_proj, v_proj = kv_in
+        kv_in = q_in  # a stand-in parent: nothing here requires a gradient
+    else:
+        k_proj, v_proj = kv_in.data @ wk.data, kv_in.data @ wv.data
+    keys, dh = k_proj.shape[-2], width // heads
     scale = 1.0 / math.sqrt(dh)
     q = (q_in.data @ wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
-    k_t = (kv_in.data @ wk.data).swapaxes(-1, -2).reshape(*lead, heads, dh, keys)
-    v = (kv_in.data @ wv.data).reshape(*lead, keys, heads, dh).swapaxes(-2, -3)
+    k_t = k_proj.swapaxes(-1, -2).reshape(*lead, heads, dh, keys)
+    v = v_proj.reshape(*lead, keys, heads, dh).swapaxes(-2, -3)
     probs = q @ k_t
     if isinstance(mask, _TreeMask):
         mask.softmax(probs, scale)
@@ -304,9 +342,17 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 # attention matrices while large tries still take few passes.
 _PREFIX_BLOCK_ROWS = 512
 
-# Rows per decoder pass in `wave_logits`: bounds each pass's gathered
-# ancestor chains and padded contexts, which set the peak memory of a wave.
-_WAVE_ROWS = 128
+# Gathered self-attention key floats per decoder pass in `wave_logits`:
+# rows times (depth + 1) times d_model. A layer's keys and values then take
+# at most 1.5 MiB at any depth: at d_model 32, 128 rows at the deepest
+# position of the default max_tgt_len (24), and many more at shallow depths.
+# With `_WAVE_LOGITS` it bounds the arrays a pass gathers and returns, which
+# set the peak memory of a wave.
+_WAVE_KEY_FLOATS = 128 * 24 * 32
+
+# Logits per decoder pass in `wave_logits`, rows times vocabulary size: at
+# the default maximum vocabulary (8192) a pass keeps 128 rows at any depth.
+_WAVE_LOGITS = 128 * 8192
 
 # The parameters a decoder pass reads before layer 0's cross-attention.
 _HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_names("dec0_self"))
@@ -389,29 +435,92 @@ def _trie_passes(trie: PrefixTrie, heads: int) -> list[tuple]:
     return passes
 
 
-def _grouped_contexts(contexts: list[Tensor], counts, d_model: int):
-    """Cross-attention inputs for rows that sit back to back by context,
-    `counts[c]` rows for context c: the contexts stacked into one (contexts,
-    keys, d_model) batch padded to the longest, the additive mask that hides
-    the padding (None without any), the index that lays the rows out as
-    (contexts, slots) queries padded to the most rows any context has, the
-    slot of each row in that layout flattened, and whether each row's
-    context has rows (a row of an empty context gets no cross-attention)."""
-    counts = np.asarray(counts)
-    lengths = np.array([c.data.shape[0] for c in contexts])
-    keys, slots = lengths.max(), counts.max()
+def _projected(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """`rows @ weight` as a product of at least two rows, a lone row padded
+    with a copy of itself. In such a product (2-D, or each matrix of a
+    batched 3-D one) the BLAS gives a row the same bits whatever the other
+    rows are and however many; a one-row product runs another kernel and
+    rounds otherwise."""
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ weight)[:1]
+    return rows @ weight
+
+
+class _Cross(NamedTuple):
+    """The cross-attention inputs of a `wave_logits` pass whose rows sit
+    back to back by context (`_wave_cross`): the contexts' keys and values
+    padded to the pass's longest context (`keys` rows), which `kv` gathers
+    per layer, rows `at` of the context stack `stack` (row 0 is zeros), or,
+    with `at` None, the contexts themselves as one (contexts, 1, d_model)
+    Tensor `stack`; the additive mask that hides the padding (None without
+    any); the index that lays the rows out as (contexts, slots) queries
+    padded to the most rows any context has; the slot of each row in that
+    layout, flattened; and whether each row's context has rows (a row of an
+    empty context gets no cross-attention)."""
+
+    stack: np.ndarray | Tensor
+    at: np.ndarray | None
+    keys: int
+    mask: np.ndarray | None
+    queries: np.ndarray
+    slot_of: np.ndarray
+    sees: np.ndarray
+
+    def kv(self, layer: int):
+        """What `_attention` takes as the keys and values of `layer`."""
+        if self.at is None:
+            return self.stack
+        return self.stack[self.at, layer, 0], self.stack[self.at, layer, 1]
+
+
+def _wave_cross(cache: DecodeCache, groups: np.ndarray, counts: np.ndarray, spans: np.ndarray,
+                ctx_kv: np.ndarray) -> _Cross:
+    """The `_Cross` of a pass over `counts[c]` rows of context `groups[c]`
+    of `cache`, each context's keys and values rows `spans[g]`, a (first
+    row, rows) pair, of `ctx_kv`. When the longest context has one token
+    the pass gets the contexts themselves, which `_attention` projects as
+    one-row products, as the pass's own projection of them always did."""
+    first, lengths = spans[groups].T
+    keys, slots = int(lengths.max()), counts.max()
     used = np.arange(slots) < counts[:, None]
     queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
-    pieces = []
-    for c, length in zip(contexts, lengths):
-        pieces.append(c)
-        if length < keys:
-            pieces.append(Tensor(np.zeros((keys - length, d_model))))
-    batch = concat(pieces).reshape(len(contexts), keys, d_model)
-    mask = None
-    if (lengths < keys).any():
-        mask = np.where(np.arange(keys) < lengths[:, None], 0.0, -1e30)[:, None, None, :]
-    return batch, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None]
+    inside = np.arange(keys) < lengths[:, None]
+    if keys == 1:
+        stack, at = np.zeros((len(groups), 1, ctx_kv.shape[-1])), None
+        stack[inside[:, 0], 0] = [cache.contexts[c].data[0] for c in groups[inside[:, 0]].tolist()]
+        stack = Tensor(stack)
+    else:
+        stack, at = ctx_kv, np.where(inside, first[:, None] + np.arange(keys), 0)
+    mask = None if inside.all() else np.where(inside, 0.0, -1e30)[:, None, None, :]
+    return _Cross(stack, at, keys, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None])
+
+
+class _Chains:
+    """The self-attention state of a `wave_logits` pass over rows at one
+    depth k, read from a `DecodeCache` one layer at a time. `chain` holds
+    each row's chain of nodes, root first and the row's own last, and `at`
+    their layer-0 table entries. `inputs` are the rows' layer-0 inputs;
+    `kv(i, h, pt)` gives layer i's keys and values of every chain as two
+    (rows, k + 1, d_model) arrays: layer 0's from the table, a later layer's
+    ancestors' from the node store `store` and each row's own projected from
+    its input `h` (`_projected`), which the store keeps for the rows that
+    `first` marks, the nodes the call decodes first."""
+
+    def __init__(self, table: np.ndarray, at: np.ndarray, store: np.ndarray, chain: np.ndarray,
+                 first: np.ndarray):
+        self.table, self.at, self.store, self.chain, self.first = table, at, store, chain, first
+        self.inputs = table[at[:, -1], 0]
+
+    def kv(self, i: int, h: np.ndarray, pt: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+        if i == 0:
+            return self.table[self.at, 1], self.table[self.at, 2]
+        rows, k = self.chain.shape[0], self.chain.shape[1] - 1
+        pair = np.empty((2, rows, k + 1, h.shape[-1]))
+        for j, name in enumerate(("wk", "wv")):
+            pair[j, :, :k] = self.store[self.chain[:, :k], i - 1, j]
+            pair[j, :, k] = _projected(h, pt[f"dec{i}_self_{name}"].data)
+            self.store[self.chain[self.first, k], i - 1, j] = pair[j, self.first, k]
+        return pair[0], pair[1]
 
 
 def _grown(array: np.ndarray, room: int, used: int) -> np.ndarray:
@@ -477,26 +586,37 @@ class DecodeCache(PrefixTrie):
     was made with (`new_root`), and so does every node under it:
     `context[k]` indexes `contexts`.
 
-    A decoded node keeps its entry in the layer-0 table (`entry[k]`, -1
-    until decoded) and its self-attention input at every decoder layer after
-    the first (`inputs[k]`, (layers - 1, d_model)), which its descendants
-    attend to. The layer-0 table holds one self-attention input per (token,
-    depth) pair seen, taken from a pass that decoded the pair; `entry_of`
-    maps a pair to its entry. The state is valid for unchanged
-    parameters and lasts as long as the cache: only `wave_logits` fills it,
-    and a call that raises leaves it as it was. `passes` counts the decoder
-    passes run."""
+    The state, kept as the products that a pass would otherwise compute
+    (module doc):
+    - the layer-0 table, one entry per (token, depth) pair seen, which
+      `entry_of` maps to its entry: `layer0[e]` holds the pair's layer-0
+      self-attention input (the layer-normed sum of its token and position
+      embeddings), then its keys and values, as (3, d_model);
+    - per decoded node: its entry (`entry[k]`, -1 until decoded), and its
+      self-attention keys and values at every layer after the first,
+      `kv[k]` as (layers - 1, 2, d_model), which its descendants attend to;
+      a one-layer model's cache keeps no float per node;
+    - per root context: its cross-attention keys and values at every layer,
+      rows `ctx_span[c]` (first row, rows; -1 until a call first decodes
+      one of its nodes) of `ctx_kv` ((rows, layers, 2, d_model), whose row
+      0 is zeros: the padding a pass gathers).
 
-    _NODE_ARRAYS = PrefixTrie._NODE_ARRAYS + ("context", "entry", "inputs")
+    The state is valid for unchanged parameters and lasts as long as the
+    cache: only `wave_logits` fills it, and a call that raises leaves it as
+    it was. `passes` counts the decoder passes run."""
+
+    _NODE_ARRAYS = PrefixTrie._NODE_ARRAYS + ("context", "entry", "kv")
 
     def __init__(self):
         super().__init__()
         self.contexts: list[Tensor] = []
         self.context = np.empty(0, dtype=np.int64)
         self.entry = np.empty(0, dtype=np.int64)
-        self.inputs = np.empty((0, 0, 0))  # (nodes, layers - 1, d_model) from the first call on
+        self.kv = np.empty((0, 0, 2, 0))  # (nodes, layers - 1, 2, d_model) from the first call on
         self.entry_of: dict[tuple[int, int], int] = {}  # (token, depth) -> its entry
-        self.layer0: np.ndarray | None = None  # (entries, d_model), past len(entry_of) unused
+        self.layer0: np.ndarray | None = None  # (entries, 3, d_model), past len(entry_of) unused
+        self.ctx_span = np.empty((0, 2), dtype=np.int64)  # past len(contexts) unused
+        self.ctx_kv: np.ndarray | None = None  # (rows, layers, 2, d_model) from the first call on
         self.passes = 0
 
     def add(self, parents, tokens) -> np.ndarray:
@@ -509,9 +629,18 @@ class DecodeCache(PrefixTrie):
     def new_root(self, context: Tensor) -> int:
         """A root whose nodes decode against `context` (from `encode`)."""
         root = int(self.add([-1], [PAD_ID])[0])
-        self.context[root] = len(self.contexts)
+        c = len(self.contexts)
+        if c == len(self.ctx_span):
+            self.ctx_span = _grown(self.ctx_span, max(1, 2 * c), c)
+        self.ctx_span[c] = -1
+        self.context[root] = c
         self.contexts.append(context)
         return root
+
+
+def _embedded(pt: dict[str, Tensor], ids: np.ndarray, depth: np.ndarray) -> Tensor:
+    """The token plus position embeddings of decoder rows."""
+    return pt["tok_emb"][ids] + pt["tgt_pos"][depth]
 
 
 def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -666,7 +795,7 @@ class SequenceModel:
                            params: dict[str, Tensor] | None = None,
                            past=None, keep: np.ndarray | None = None,
                            head: np.ndarray | None = None,
-                           ctx_mask: np.ndarray | None = None, ctx_rows=None) -> Tensor:
+                           ctx_mask: np.ndarray | None = None) -> Tensor:
         """Next-token logits at every decoder row.
 
         Without `past` the rows are a chain: causal decoding of the shifted
@@ -681,10 +810,15 @@ class SequenceModel:
         `earlier` is None (m = 0) or a (layers, m, d_model) array of rows
         that earlier passes decoded: their self-attention inputs, which go in
         front of the pass's own as the keys and values of each layer's
-        self-attention. With `mask` None, `earlier` instead holds per layer
-        a (rows, k, d_model) array of each row's own k ancestors, root first
-        (`wave_logits`): a row attends to them and itself, and to no other
-        row of the pass.
+        self-attention.
+
+        With `mask` None the rows are `wave_logits` rows, all at one depth k:
+        a row attends to its own k ancestors and itself, and to no other row
+        of the pass. `earlier` is then a `_Chains`: the rows' layer-0
+        self-attention inputs, which the pass takes in place of its layer-0
+        layer norm, and each layer's keys and values of the rows' chains,
+        read one layer at a time. A row at depth 0 attends through one-row
+        products of its input, as a one-key chain always did.
 
         `keep`, if given, receives the pass's own rows' self-attention input
         at every layer in `keep[:layers]` (the `earlier` of later passes). A
@@ -701,10 +835,9 @@ class SequenceModel:
         cross-attention (`packed_logits`). A row it lets see no context row
         gets no cross-attention, as every row does when `ctx` has no rows.
 
-        `ctx_rows`, if given, makes `ctx` a list of contexts and says how many
-        rows, back to back in order, attend to each (`wave_logits`): the
-        cross-attention runs as one batch over the contexts, so a row reads
-        only its own context (`_grouped_contexts`).
+        `ctx` may instead be a `_Cross` (`wave_logits`): the cross-attention
+        runs as one batch over the pass's contexts, so a row reads only its
+        own context.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
@@ -716,32 +849,38 @@ class SequenceModel:
             depth, mask, earlier = past
         if rows and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
-        queries = slot_of = None
-        if ctx_rows is None:
-            sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
+        if isinstance(ctx, _Cross):
+            ctx_mask, queries, slot_of, sees, ctx_keys = ctx.mask, ctx.queries, ctx.slot_of, ctx.sees, ctx.keys
         else:
-            ctx, ctx_mask, queries, slot_of, sees = _grouped_contexts(ctx, ctx_rows, cfg.d_model)
-        x = pt["tok_emb"][ids] + pt["tgt_pos"][depth] if head is None else Tensor(head)
+            queries = slot_of = None
+            sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
+            ctx_keys = ctx.data.shape[-2]
+        x = _embedded(pt, ids, depth) if head is None else Tensor(head)
         for i in range(cfg.layers):
             if i or head is None:
-                h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
+                if mask is None and i == 0:
+                    h = Tensor(earlier.inputs)
+                else:
+                    h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
                 if keep is not None:
                     keep[i] = h.data
                 if mask is None:  # each row's own chain, a batch of one query per row
+                    keys, values = earlier.kv(i, h.data, pt)
                     q = h.reshape(rows, 1, cfg.d_model)
-                    kv = concat([Tensor(earlier[i]), q], axis=1)
+                    kv = q if keys.shape[1] == 1 else (keys, values)
                     x = x + _attention(pt, f"dec{i}_self", q, kv, cfg.heads).reshape(rows, cfg.d_model)
+                    del keys, values, kv  # a pass's largest arrays: one layer's are held at a time
                 else:
                     kv = h if earlier is None else concat([Tensor(earlier[i]), h])
                     x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
                 if i == 0 and keep is not None and len(keep) > cfg.layers:
                     keep[cfg.layers] = x.data
-            if ctx.data.shape[-2] > 0:
+            if ctx_keys > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
                 if queries is None:
                     cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask)
                 else:
-                    cross = _attention(pt, f"dec{i}_cross", h[queries], ctx, cfg.heads, mask=ctx_mask)
+                    cross = _attention(pt, f"dec{i}_cross", h[queries], ctx.kv(i), cfg.heads, mask=ctx_mask)
                     cross = cross.reshape(-1, cfg.d_model)[slot_of]
                 x = x + (cross if sees is None or sees.all() else cross * sees)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
@@ -791,20 +930,23 @@ class SequenceModel:
         root's context. Every node's parent must be decoded already: anything
         else is a ValueError, raised before any pass.
 
-        The nodes are decoded by depth in passes of at most `_WAVE_ROWS` rows
-        of one depth, grouped by context, each row reading only its own
-        ancestor chain and context (module doc); rows of one depth and
-        context keep the given order. A (token, depth) pair new to the cache
-        gets a layer-0 table entry, written by the passes that decode it (a
-        row's outputs do not depend on its pass, so they write the same
-        bits). The head slot is neither read nor written.
+        The call first fills what its passes read and the cache lacks: a
+        layer-0 table entry for each (token, depth) pair new to the cache,
+        and the keys and values of each context new to it. It then decodes
+        the nodes by depth, in passes of at most `_WAVE_KEY_FLOATS` gathered
+        key floats (rows times depth + 1 times d_model) and `_WAVE_LOGITS`
+        logits, grouped by
+        context, each row reading only its own ancestors' keys and values
+        and its own context (module doc); rows of one depth and context keep
+        the given order. The head slot is neither read nor written.
 
         Each pass's logits go to `on_pass(indices, logits)` as the pass
         returns, `indices` the positions in `nodes` its rows answer, one
         logits row each: the (n, V) array of a whole call is never built.
-        The cache takes the nodes' state only once every pass has run.
+        The cache takes the new state only once every pass has run.
         """
-        cfg = self.config
+        cfg, pt = self.config, self.frozen()
+        d, layers = cfg.d_model, cfg.layers
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.ndim != 1 or ((nodes < 0) | (nodes >= cache.size)).any():
             raise ValueError("nodes must be a 1-D array of the cache's node ids")
@@ -819,48 +961,66 @@ class SequenceModel:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         order = np.lexsort((context, depth))  # by depth, then context, then given order
         # each node's table entry; a (token, depth) pair new to the cache gets the next one
-        keys, key_of = np.unique(depth * cfg.vocab_size + ids, return_inverse=True)
+        pairs, pair_of = np.unique(depth * cfg.vocab_size + ids, return_inverse=True)
         known, fresh = len(cache.entry_of), {}
-        slots = np.empty(len(keys), dtype=np.int64)
-        for u, key in enumerate(keys.tolist()):
+        slots = np.empty(len(pairs), dtype=np.int64)
+        for u, key in enumerate(pairs.tolist()):
             pair = (key % cfg.vocab_size, key // cfg.vocab_size)
             slot = cache.entry_of.get(pair)
             if slot is None:
                 slot = fresh[pair] = known + len(fresh)
             slots[u] = slot
-        entry = slots[key_of]
-        # table entries past what the cache holds, and the inputs of undecoded
-        # nodes, stay unseen until the call returns (a decoded node asked for
-        # again is rewritten with the same bits); a table that is too small, and
-        # the input store at the first call, are new arrays
-        table, inputs = cache.layer0, cache.inputs
-        if fresh and (table is None or known + len(fresh) > len(table)):
-            table = np.empty((max(known + len(fresh), 2 * known), cfg.d_model))
-            if known:
-                table[:known] = cache.layer0[:known]
-        if inputs.shape[1:] != (cfg.layers - 1, cfg.d_model):
-            inputs = np.empty((len(cache.parent), cfg.layers - 1, cfg.d_model))
+        entry = slots[pair_of]
+        # what the call adds stays unseen until it returns: table entries past
+        # those the cache holds, the keys and values of undecoded nodes; a
+        # table that is too small, the context stack and the node store at the
+        # first call are new arrays
+        table, kv, ctx_kv = cache.layer0, cache.kv, cache.ctx_kv
+        spans = cache.ctx_span[:len(cache.contexts)]
+        if fresh:
+            if table is None or known + len(fresh) > len(table):
+                table = _grown(np.empty((0, 3, d)) if table is None else table,
+                               max(known + len(fresh), 2 * known), known)
+            tokens, depths = np.array(list(fresh), dtype=np.int64).T
+            h = _embedded(pt, tokens, depths).layer_norm(pt["dec0_ln1_g"], pt["dec0_ln1_b"]).data
+            table[known:known + len(fresh)] = np.stack(
+                [h, _projected(h, pt["dec0_self_wk"].data), _projected(h, pt["dec0_self_wv"].data)], axis=1)
+        if kv.shape[1:] != (layers - 1, 2, d):
+            kv = np.empty((len(cache.parent), layers - 1, 2, d))
+        unseen = np.unique(context)
+        unseen = unseen[spans[unseen, 0] < 0]
+        if unseen.size:  # contexts this cache has not projected: each root's first call
+            rows = [cache.contexts[c].data for c in unseen.tolist()]
+            lengths = np.array([len(r) for r in rows])
+            prior = np.zeros((1, layers, 2, d)) if ctx_kv is None else ctx_kv
+            ctx_kv = _grown(prior, len(prior) + lengths.sum(), len(prior))
+            spans = spans.copy()
+            spans[unseen] = np.stack([len(prior) + np.cumsum(lengths) - lengths, lengths], axis=1)
+            flat = np.concatenate(rows)
+            for i in range(layers):
+                for j, name in enumerate(("wk", "wv")):
+                    ctx_kv[len(prior):, i, j] = _projected(flat, pt[f"dec{i}_cross_{name}"].data)
         passes = 0
         for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
             k = depth[level[0]]
-            for lo in range(0, len(level), _WAVE_ROWS):
-                sel = level[lo:lo + _WAVE_ROWS]
-                chain = np.empty((len(sel), k), dtype=np.int64)  # each row's ancestors, root first
-                up = cache.parent[nodes[sel]]
+            step = max(1, min(_WAVE_KEY_FLOATS // ((k + 1) * d), _WAVE_LOGITS // cfg.vocab_size))
+            for lo in range(0, len(level), step):
+                sel = level[lo:lo + step]
+                chain = np.empty((len(sel), k + 1), dtype=np.int64)  # each row's chain, root first
+                chain[:, k] = nodes[sel]
                 for j in range(k - 1, -1, -1):
-                    chain[:, j] = up
-                    up = cache.parent[up]
+                    chain[:, j] = cache.parent[chain[:, j + 1]]
+                at = cache.entry[chain]
+                at[:, k] = entry[sel]
+                chains = _Chains(table, at, kv, chain, cache.entry[nodes[sel]] < 0)
                 groups, counts = np.unique(context[sel], return_counts=True)
-                keep = np.empty((cfg.layers, len(sel), cfg.d_model))
-                earlier = [table[cache.entry[chain]], *np.moveaxis(inputs[chain], 2, 0)]
-                out = self.decoder_all_logits([cache.contexts[c] for c in groups], ids[sel],
-                                              past=(depth[sel], None, earlier), keep=keep, ctx_rows=counts)
-                new = entry[sel] >= known  # rows of pairs this call adds write their entry
-                table[entry[sel[new]]] = keep[0, new]
-                inputs[nodes[sel]] = np.moveaxis(keep[1:], 0, 1)
+                out = self.decoder_all_logits(_wave_cross(cache, groups, counts, spans, ctx_kv), ids[sel],
+                                              past=(depth[sel], None, chains))
                 on_pass(sel, out.data)
                 passes += 1
-        cache.layer0, cache.inputs = table, inputs
+        cache.layer0, cache.kv, cache.ctx_kv = table, kv, ctx_kv
+        if unseen.size:
+            cache.ctx_span = spans
         cache.entry[nodes] = entry
         cache.entry_of.update(fresh)
         cache.passes += passes

@@ -16,6 +16,7 @@ from typing import Iterable
 PAD_ID, EOS_ID, UNK_ID = 0, 1, 2
 PAD_TOKEN, EOS_TOKEN, UNK_TOKEN = "<pad>", "<eos>", "<unk>"
 SPECIAL_TOKENS = (PAD_TOKEN, EOS_TOKEN, UNK_TOKEN)
+_UNSPOKEN = frozenset((PAD_ID, EOS_ID))  # ids `Vocabulary.decode` skips
 
 # Word runs and digit runs stay whole; punctuation splits into single-char
 # tokens. The special surface forms are recognized atomically so that
@@ -55,16 +56,15 @@ class Vocabulary:
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
-        """Join tokens with single spaces, skipping PAD and EOS."""
-        words = []
-        for i in ids:
-            i = int(i)
-            if i >= self.size or i < 0:
-                raise InvalidTokenId(f"token id {i} outside vocabulary of size {self.size}")
-            if i in (PAD_ID, EOS_ID):
-                continue
-            words.append(self.id_to_token[i])
-        return " ".join(words)
+        """Join tokens with single spaces, skipping PAD and EOS. The first id
+        outside the vocabulary, in order, is an InvalidTokenId."""
+        tokens = self.id_to_token
+        size = len(tokens)
+        ints = [int(i) for i in ids]
+        if ints and (min(ints) < 0 or max(ints) >= size):
+            bad = next(i for i in ints if not 0 <= i < size)
+            raise InvalidTokenId(f"token id {bad} outside vocabulary of size {size}")
+        return " ".join([tokens[i] for i in ints if i not in _UNSPOKEN])
 
     def save_tsv(self, path: str | Path) -> None:
         lines = [f"{tok}\t{i}" for i, tok in enumerate(self.id_to_token)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import shutil
 from dataclasses import dataclass
@@ -70,6 +71,9 @@ class TrainConfig:
         for name in ("iterations", "rec_epochs_per_iter", "idgen_epochs_per_iter", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # NaN <= 0 is false, so finiteness is checked first
+        if not (math.isfinite(self.lr_rec) and math.isfinite(self.lr_idgen)):
+            raise ValueError("learning rates must be finite")
         if self.lr_rec <= 0 or self.lr_idgen <= 0:
             raise ValueError("learning rates must be positive")
 

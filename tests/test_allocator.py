@@ -768,8 +768,8 @@ def test_the_row_bound_changes_the_passes_not_the_results(monkeypatch):
     states = [model.encode(src) for src in ([3, 4], [5], [6, 7, 8, 9], [])]
     kwargs = dict(groups=3, beams_per_group=2, lam=1.0, max_len=6, min_len=2)
     found, passes = run_wave(model, vocab, states, **kwargs)
-    for bound in (1, 7):
-        monkeypatch.setattr(model_module, "_WAVE_ROWS", bound)
+    for bound in (1, 7):  # key rows per pass at d_model 16: one row, or 7 // (depth + 1) rows
+        monkeypatch.setattr(model_module, "_WAVE_KEY_FLOATS", bound * 16)
         again, more = run_wave(model, vocab, states, **kwargs)
         assert again == found and [c.penalty_free for c in again] == [c.penalty_free for c in found]
         assert more.passes > passes.passes

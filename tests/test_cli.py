@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -422,6 +423,9 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     # 100 000 beams per search ran past a minute; a billion ran out of memory
     ({"allocator": {"groups": 100000}}, "allocator"),
     ({"allocator": {"groups": 1000000000}}, "allocator"),
+    # NaN <= 0 is false: a NaN learning rate trained NaN parameters and exited 0
+    ({"train": {"lr_rec": math.nan}}, "train"),
+    ({"train": {"lr_idgen": math.inf}}, "train"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"

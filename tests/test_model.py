@@ -641,10 +641,11 @@ def test_memo_rows_match_memo_less_and_per_prefix_decoding(layers, heads, source
     ctx = model.encode(source)
     cache = grow_through_cache(model, [ctx], random.Random(10 * layers + heads))
     nodes = {pair: cache.node_of[pair] for pair in cache.decoded()}
-    # a node keeps its inputs at the layers after the first; layer 0's are
-    # kept once per (token, depth) in the table, which a node names by its entry
-    assert cache.inputs.shape[1:] == (layers - 1, 16)
-    assert cache.layer0.shape[0] >= len(cache.entry_of) and cache.layer0.shape[1] == 16
+    # a node keeps its keys and values at the layers after the first; layer
+    # 0's are kept once per (token, depth) in the table, with the pair's
+    # input, and a node names its entry there
+    assert cache.kv.shape[1:] == (layers - 1, 2, 16)
+    assert cache.layer0.shape[0] >= len(cache.entry_of) and cache.layer0.shape[1:] == (3, 16)
     assert sorted(cache.entry_of.values()) == list(range(len(cache.entry_of)))
     assert set(cache.entry_of) == {(prefix[-1] if prefix else PAD_ID, len(prefix)) for _, prefix in nodes}
     for (_, prefix), node in nodes.items():
@@ -670,15 +671,15 @@ def test_wave_rows_match_memo_less_decoding_over_several_contexts(layers, source
 
 
 def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
-    """Each layer-0 table entry, as uint64, equals the layer-0 input that a
-    memo-less `prefix_logits` pass computes for its (token, depth)."""
+    """Each layer-0 table entry's input, as uint64, equals the layer-0 input
+    that a memo-less `prefix_logits` pass computes for its (token, depth)."""
     pairs = list(cache.entry_of)
     # a prefix per (token, depth) pair: depth - 1 filler tokens, then the token
     prefixes = [(3,) * (depth - 1) + (token,) if depth else () for token, depth in pairs]
     twin, (trie, nodes) = cold_copy(model), trie_of(prefixes)
     twin.prefix_logits(ctx, trie)
     kept = twin._head_slot.head[0][nodes]  # its kept `keep[0]`: every trie row's layer-0 input
-    table = cache.layer0[[cache.entry_of[pair] for pair in pairs]]
+    table = cache.layer0[[cache.entry_of[pair] for pair in pairs], 0]
     assert np.array_equal(table.view(np.uint64), kept.view(np.uint64))
 
 
@@ -725,29 +726,33 @@ def test_rows_whose_logits_are_not_wanted(layers, decoder_calls):
 def test_a_one_layer_cache_keeps_no_float_per_row():
     model = tiny_model(vocab_size=11, seed=2, layers=1)
     cache = grow_through_cache(model, [model.encode([3, 4]), model.encode([5])], random.Random(4))
-    assert cache.inputs.nbytes == 0 and len(cache.decoded()) > len(cache.entry_of)
+    assert cache.kv.nbytes == 0 and len(cache.decoded()) > len(cache.entry_of)
     assert cache.parent.dtype == cache.entry.dtype == np.int64
 
 
 def test_memo_passes_split_across_row_blocks(monkeypatch, decoder_calls):
-    # a wave pass holds at most `_WAVE_ROWS` rows of one depth; each tree is
-    # asked for one depth per call, shallowest first
-    monkeypatch.setattr(model_module, "_WAVE_ROWS", 4)
+    # a wave pass holds rows of one depth k, at most `_WAVE_KEY_FLOATS` //
+    # ((k + 1) * d_model) of them (at least one), here 8 // (k + 1); each
+    # tree is asked for one depth per call, shallowest first
+    monkeypatch.setattr(model_module, "_WAVE_KEY_FLOATS", 8 * 16)
     model = tiny_model(vocab_size=11, seed=5, layers=2)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7])]
     cache = NamedTrie(contexts)
     requests = [(c, p) for c in (0, 1) for p in sorted(random_prefix_tree(random.Random(2 + c), 11, 8, 5))]
     logits = wave_rows_by_depth(model, cache, requests)
     depths = Counter(len(p) for _, p in requests)
-    assert decoder_calls == [min(4, n - lo) for _, n in sorted(depths.items()) for lo in range(0, n, 4)]
+    steps = {k: max(1, 8 // (k + 1)) for k in depths}
+    assert decoder_calls == [min(steps[k], n - lo) for k, n in sorted(depths.items()) for lo in range(0, n, steps[k])]
+    assert max(decoder_calls) == 4 and decoder_calls[-1] == 1  # 4 rows at depth 1, 1 at depth 5
     assert cache.passes == len(decoder_calls) > len(depths) and len(cache.decoded()) == len(requests)
     for (c, prefix), row in zip(requests, logits):
         assert np.max(np.abs(row - prefix_logits(model, contexts[c], [prefix])[0])) < 1e-12
 
 
 def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
-    # two layers: a node keeps layer 1's input, the table layer 0's
-    monkeypatch.setattr(model_module, "_WAVE_ROWS", 2)
+    # two layers: a node keeps layer 1's keys and values, the table layer 0's;
+    # a budget of 4 key rows (at d_model 16) runs 2 rows per pass at depth 1
+    monkeypatch.setattr(model_module, "_WAVE_KEY_FLOATS", 4 * 16)
     model = tiny_model(vocab_size=12, max_tgt_len=4, layers=2)
     contexts = [model.encode([3]), model.encode([4, 5])]
     cache = NamedTrie(contexts)
@@ -757,13 +762,13 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
     cache.nodes(too_deep + requests + [(0, (9, 2))])  # named up front, so no call below grows the trie
     size, passes, entries, held = cache.size, cache.passes, dict(cache.entry_of), cache.decoded()
     kept = [cache.node_of[pair] for pair in held]
-    arrays = inputs, entry, layer0 = cache.inputs, cache.entry, cache.layer0
-    stored = inputs[kept].copy(), entry.copy(), layer0[:len(entries)].copy()
+    arrays = kv, entry, layer0, ctx_kv = cache.kv, cache.entry, cache.layer0, cache.ctx_kv
+    stored = kv[kept].copy(), entry.copy(), layer0[:len(entries)].copy(), ctx_kv.copy()
 
     def unchanged():
         assert (cache.size, cache.passes, cache.entry_of, cache.decoded()) == (size, passes, entries, held)
-        assert all(a is b for a, b in zip((cache.inputs, cache.entry, cache.layer0), arrays))
-        now = inputs[kept], entry, layer0[:len(entries)]
+        assert all(a is b for a, b in zip((cache.kv, cache.entry, cache.layer0, cache.ctx_kv), arrays))
+        now = kv[kept], entry, layer0[:len(entries)], ctx_kv
         assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(now, stored))
 
     decoder_calls.clear()
@@ -807,7 +812,8 @@ def test_a_node_whose_parent_is_not_decoded_is_refused(layers, decoder_calls):
         cache.nodes(requests)
 
     def store():
-        return (cache.size, cache.passes, dict(cache.entry_of), cache.layer0.tobytes(),
+        return (cache.size, cache.passes, dict(cache.entry_of), cache.layer0.tobytes(), cache.ctx_kv.tobytes(),
+                cache.ctx_span[:len(cache.contexts)].tobytes(),
                 *(getattr(cache, name).tobytes() for name in cache._NODE_ARRAYS))
 
     before = store()
@@ -819,6 +825,212 @@ def test_a_node_whose_parent_is_not_decoded_is_refused(layers, decoder_calls):
         with pytest.raises(ValueError, match="1-D array"):
             model.wave_logits(cache, nodes, lambda *_: None)
     assert decoder_calls == [] and store() == before
+
+
+# -- kept keys and values give the bits of the chain-input passes -------------
+
+
+def chain_input_contexts(contexts, counts, d_model):
+    """The cross-attention inputs a wave pass built for itself before
+    contexts kept their keys and values: the raw contexts, padded with zero
+    rows to the longest, which the pass projects; the padding mask; the
+    query layout; each row's slot in it; whether each row's context has
+    rows."""
+    counts = np.asarray(counts)
+    lengths = np.array([c.data.shape[0] for c in contexts])
+    keys, slots = lengths.max(), counts.max()
+    used = np.arange(slots) < counts[:, None]
+    queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
+    pieces = []
+    for c, length in zip(contexts, lengths):
+        pieces.append(c)
+        if length < keys:
+            pieces.append(Tensor(np.zeros((keys - length, d_model))))
+    batch = concat(pieces).reshape(len(contexts), keys, d_model)
+    mask = None
+    if (lengths < keys).any():
+        mask = np.where(np.arange(keys) < lengths[:, None], 0.0, -1e30)[:, None, None, :]
+    return batch, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None]
+
+
+class ChainInputReference:
+    """The wave pass that kept self-attention inputs, not keys and values:
+    each layer projects every row's whole ancestor chain of kept inputs and
+    its own, and each pass projects its contexts. `run` decodes one pass of a
+    `wave_logits` call, as that call split them, and keeps the inputs of the
+    nodes not decoded before the call (a later pass wins)."""
+
+    def __init__(self, model, cache):
+        self.model, self.cache, self.inputs = model, cache, {}
+
+    def run(self, nodes: np.ndarray, decoded_before: set) -> np.ndarray:
+        cache, cfg, pt = self.cache, self.model.config, self.model.frozen()
+        d, n, k = cfg.d_model, len(nodes), int(cache.depth[nodes[0]])
+        chains = np.empty((n, k), dtype=np.int64)  # root first
+        up = cache.parent[nodes]
+        for j in range(k - 1, -1, -1):
+            chains[:, j] = up
+            up = cache.parent[up]
+        groups, counts = np.unique(cache.context[nodes], return_counts=True)
+        ctx, ctx_mask, queries, slot_of, sees = chain_input_contexts([cache.contexts[c] for c in groups], counts, d)
+        x = pt["tok_emb"][cache.token[nodes]] + pt["tgt_pos"][cache.depth[nodes]]
+        kept = np.empty((n, cfg.layers, d))
+        for i in range(cfg.layers):
+            h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
+            kept[:, i] = h.data
+            q = h.reshape(n, 1, d)
+            earlier = np.array([[self.inputs[a][i] for a in chain] for chain in chains.tolist()]).reshape(n, k, d)
+            kv = concat([Tensor(earlier), q], axis=1)
+            x = x + model_module._attention(pt, f"dec{i}_self", q, kv, cfg.heads).reshape(n, d)
+            if ctx.data.shape[-2] > 0:
+                h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
+                cross = model_module._attention(pt, f"dec{i}_cross", h[queries], ctx, cfg.heads, mask=ctx_mask)
+                cross = cross.reshape(-1, d)[slot_of]
+                x = x + (cross if sees.all() else cross * sees)
+            h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
+            x = x + model_module._feed_forward(pt, f"dec{i}_ff", h)
+        x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
+        for node, row in zip(nodes.tolist(), kept):
+            if node not in decoded_before:
+                self.inputs[node] = row
+        return (x @ pt["tok_emb"].T).data
+
+
+def random_calls(rng: random.Random, contexts: int, vocab_size: int, steps: int = 6) -> list[list]:
+    """(context, prefix) requests for a call per step that grow random tries
+    under each context: first the roots, then in each call children of
+    nodes decoded before it, two nodes decoded before it, and a duplicate."""
+    held = [(c, ()) for c in range(contexts)]
+    calls = [list(held)]
+    for _ in range(steps):
+        asked = [(c, p + (rng.randrange(vocab_size),)) for c, p in rng.sample(held, min(len(held), 9))]
+        asked += rng.sample(held, min(len(held), 2)) + asked[:1]
+        rng.shuffle(asked)
+        calls.append(asked)
+        held += sorted(set(asked) - set(held))
+    return calls
+
+
+def same_bits_as_chain_inputs(model, cache, calls) -> ChainInputReference:
+    """Runs each list of requests as one `wave_logits` call, and each of its
+    passes through the chain-input reference: every row must be the same
+    bits. Returns the reference."""
+    reference = ChainInputReference(model, cache)
+    for requests in calls:
+        nodes = cache.nodes(requests)
+        decoded = set(np.flatnonzero(cache.entry[:cache.size] >= 0).tolist())
+        passes = []
+        model.wave_logits(cache, nodes, lambda indices, logits: passes.append((indices.copy(), logits.copy())))
+        assert sorted(np.concatenate([i for i, _ in passes]).tolist()) == list(range(len(nodes)))
+        for indices, logits in passes:
+            assert same_bits(logits, reference.run(nodes[indices], decoded))
+    return reference
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("sources", [[[3, 4, 5, 6]], [[3], [], [7]],
+                                     [[9, 2], [], [5, 5, 5, 5, 5, 6], [7]]])
+@pytest.mark.parametrize("key_rows", [None, 3])
+def test_kept_keys_and_values_give_the_chain_input_bits(monkeypatch, layers, sources, key_rows):
+    # contexts of 0, 1 and several tokens (only one-token and empty ones in
+    # the second set, whose passes project them as one-row products); rows
+    # at depth 0; 3 key rows per pass split every level past depth 0 into
+    # one-row passes, whose keys and values a lone-row product pads
+    if key_rows is not None:
+        monkeypatch.setattr(model_module, "_WAVE_KEY_FLOATS", key_rows * 16)
+    model = tiny_model(vocab_size=11, seed=layers + len(sources), layers=layers, heads=2)
+    cache = NamedTrie([model.encode(src) for src in sources])
+    calls = random_calls(random.Random(len(sources) + 10 * layers), len(sources), 11)
+    reference = same_bits_as_chain_inputs(model, cache, calls)
+    # what the cache keeps: a two-row product of the inputs the reference kept
+    pt = model.frozen()
+
+    def product(row, name):
+        return (np.stack([row, row]) @ pt[name].data)[0]
+
+    for node, inputs in reference.inputs.items():
+        entry = cache.layer0[cache.entry[node]]
+        assert same_bits(entry, np.stack([inputs[0], product(inputs[0], "dec0_self_wk"),
+                                          product(inputs[0], "dec0_self_wv")]))
+        for i in range(1, layers):
+            assert same_bits(cache.kv[node, i - 1], np.stack([product(inputs[i], f"dec{i}_self_wk"),
+                                                              product(inputs[i], f"dec{i}_self_wv")]))
+    for c, ctx in enumerate(cache.contexts):
+        first, rows = cache.ctx_span[c]
+        assert rows == len(ctx.data)
+        for i in range(layers):
+            for j, name in enumerate(("wk", "wv")):
+                if rows:
+                    want = np.concatenate([ctx.data, ctx.data]) @ pt[f"dec{i}_cross_{name}"].data
+                    assert same_bits(cache.ctx_kv[first:first + rows, i, j], want[:rows])
+    assert not cache.ctx_kv[0].any()  # the padding row
+
+
+def test_a_call_that_raises_leaves_the_kept_keys_values_and_context_stack(monkeypatch, decoder_calls):
+    # the failing call's first pass ran after the call had made new table
+    # entries and projected two contexts new to the cache
+    model = tiny_model(vocab_size=12, layers=2)
+    contexts = [model.encode([3, 4]), model.encode([5, 6, 7]), model.encode([8])]
+    cache = NamedTrie(contexts)
+    wave_rows_by_depth(model, cache, [(0, ()), (0, (6,)), (0, (6, 7))])
+    requests = [(1, ()), (2, ()), (0, (6, 7, 1)), (0, (9,))]
+    cache.nodes(requests)
+
+    def state():
+        entries = len(cache.entry_of)
+        return (cache.size, cache.passes, list(cache.entry_of.items()), cache.decoded(),
+                cache.ctx_span[:len(cache.contexts)].tobytes(), cache.layer0[:entries].tobytes(), cache.ctx_kv.tobytes(),
+                *(getattr(cache, name)[:cache.size].tobytes() for name in cache._NODE_ARRAYS if name != "kv"),
+                cache.kv[[cache.node_of[pair] for pair in cache.decoded()]].tobytes())
+
+    before = state()
+    original = SequenceModel.decoder_all_logits
+
+    def second_pass_fails(self, *args, **kwargs):
+        if decoder_calls:
+            raise RuntimeError("pass failed")
+        return original(self, *args, **kwargs)
+
+    decoder_calls.clear()
+    monkeypatch.setattr(SequenceModel, "decoder_all_logits", second_pass_fails)
+    with pytest.raises(RuntimeError):
+        wave_rows(model, cache, requests)
+    assert decoder_calls == [2] and state() == before  # the roots' pass ran
+    monkeypatch.setattr(SequenceModel, "decoder_all_logits", original)
+    got = wave_rows(model, cache, requests)
+    fresh = NamedTrie(contexts)
+    wave_rows_by_depth(model, fresh, [(0, ()), (0, (6,)), (0, (6, 7))])
+    assert same_bits(got, wave_rows(model, fresh, requests))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_when_a_row_gets_the_same_bits_in_any_pass(layers):
+    # a row's bits depend on its pass through three figures alone (module
+    # doc): whether the pass has one row, whether some context has two or
+    # more of its rows, and its longest context. Each case decodes every
+    # root, then the same nodes of context 0 in one pass with others.
+    model = tiny_model(vocab_size=11, seed=8, layers=layers, heads=2)
+    contexts = [model.encode(src) for src in ([3, 4, 5, 6], [7, 8], [9, 3, 4], [5] * 9, [6])]
+
+    def rows_of(targets, others):
+        cache = NamedTrie(contexts)
+        wave_rows(model, cache, [(c, ()) for c in range(len(contexts))])
+        return wave_rows(model, cache, targets + others)[:len(targets)]
+
+    two, one = [(0, (4,)), (0, (5,))], [(0, (4,))]
+    # the same figures: same bits. Several rows, context 0 with two of them,
+    # 4 tokens the longest context; then context 0 with the only row of its
+    # context beside others
+    for targets, cases in ((two, ([(1, (3,))], [(2, (3,)), (2, (6,)), (1, (7,))], [(4, (3,))])),
+                           (one, ([(2, (3,)), (4, (5,))], [(4, (3,))]))):
+        want = rows_of(targets, cases[-1])
+        for others in cases:
+            assert same_bits(rows_of(targets, others), want), others
+    # other figures may give other bits, within a few units in the last place:
+    # a longer context pads context 0; a lone row; two rows of one context
+    for targets, others, base in ((two, [(3, (3,))], []), (one, [], [(1, (3,))]),
+                                  (one, [(1, (3,)), (1, (4,))], [(1, (3,))])):
+        assert np.max(np.abs(rows_of(targets, others) - rows_of(targets, base))) < 1e-12
 
 
 # -- the head slot: calls on one trie reuse the user-independent head -----------

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from textidrec.tokenizer import (EOS_ID, PAD_ID, UNK_ID, InvalidTokenId, Vocabulary,
@@ -58,6 +59,37 @@ def test_decode_skips_pad_eos_and_validates():
     with pytest.raises(InvalidTokenId):
         vocab.decode([vocab.size])
 
+
+def reference_decode(vocab: Vocabulary, ids) -> str:
+    """`Vocabulary.decode` as a plain per-token loop."""
+    words = []
+    for i in ids:
+        i = int(i)
+        if i >= vocab.size or i < 0:
+            raise InvalidTokenId(f"token id {i} outside vocabulary of size {vocab.size}")
+        if i not in (PAD_ID, EOS_ID):
+            words.append(vocab.id_to_token[i])
+    return " ".join(words)
+
+
+def test_decode_matches_a_per_token_loop_on_every_id():
+    vocab = build_vocab(["red hat red hat ; 4 blue blue"])
+    rng = random.Random(5)
+    outside = [-1, -vocab.size, vocab.size, vocab.size + 7]
+    cases = [[i] for i in range(vocab.size)] + [list(range(vocab.size)), [], range(vocab.size)]
+    cases += [[rng.randrange(vocab.size) for _ in range(rng.randint(0, 9))] for _ in range(200)]
+    # an id outside the vocabulary anywhere in the ids, numpy ints among them
+    cases += [rng.sample(range(vocab.size), 3)[:k] + [bad] + [PAD_ID, bad + 1] for k in range(3) for bad in outside]
+    cases += [np.array([3, vocab.size, -1]), np.array([EOS_ID, 4, PAD_ID], dtype=np.int32)]
+    for ids in cases:
+        try:
+            want = reference_decode(vocab, ids)
+        except InvalidTokenId as exc:
+            with pytest.raises(InvalidTokenId) as got:
+                vocab.decode(ids)
+            assert str(got.value) == str(exc)
+        else:
+            assert vocab.decode(ids) == want
 
 def test_round_trip_random_in_vocab_strings():
     words = ["red", "blue", "hat", "shoe", ";", ":", "4"]
