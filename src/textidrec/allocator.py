@@ -286,11 +286,16 @@ def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, Allo
 def _ranked(logits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's `width` best next tokens, best first, equal log-probs in
     token order, PAD and UNK ranked as -inf: (rows, width) float64 log-probs
-    and int32 token ids, ranked by one stable argsort."""
+    and int32 token ids, ranked by one stable argsort. A NaN or +inf logit
+    makes its row's log-softmax NaN, which the ranked block then holds: that
+    is a ValueError, as no search can rank NaN scores."""
     block = log_softmax_rows(logits)
     block[:, [PAD_ID, UNK_ID]] = -np.inf
     order = (-block).argsort(axis=1, kind="stable")[:, :width]
-    return np.take_along_axis(block, order, axis=1), order.astype(np.int32)
+    ranked = np.take_along_axis(block, order, axis=1)
+    if np.isnan(ranked).any():
+        raise ValueError("the ID generator's next-token logits are not finite: its parameters hold NaN or overflow")
+    return ranked, order.astype(np.int32)
 
 
 class LogprobCache(DecodeCache):

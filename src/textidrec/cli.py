@@ -16,6 +16,8 @@ import typing
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus, evaluation, synth
 from .allocator import AllocatorConfig, IdSpaceExhausted, allocate_all
 from .corpus import DataFormatError, EmptyAfterFiltering, HistoryTooShort
@@ -381,7 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # training, ranking and allocation refuse a diverged model's non-finite
+        # values in one line; numpy's overflow warnings before that are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (VocabularyMismatch, StaleRegistry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE

@@ -155,4 +155,4 @@ def save_report(report: EvalReport, path: str | Path) -> None:
     for k in sorted(report.hr):
         payload[f"hr@{k}"] = report.hr[k]
         payload[f"ndcg@{k}"] = report.ndcg[k]
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")

@@ -36,17 +36,16 @@ head: the tree layout, the embeddings and layer 0's self-attention block)
 is the same for every context. Each model keeps one head slot, which
 `prefix_logits` reads or fills and nothing else touches. The slot holds the
 trie of the call that filled it and that call's plan (per pass: token ids,
-depths, sparse mask and the nodes of its earlier columns), each row's
-layer-0 self-attention input and its rows after layer 0's self-attention
-block. The slot is keyed on the
-trie: a later call reuses it when it is keyed the same, by the config,
+depths, sparse mask and the nodes of its earlier columns) and each row
+after layer 0's self-attention block. The slot is keyed on the trie: a
+later call reuses it when it is keyed the same, by the config,
 `_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
 appended, so its node count says whether it grew), and when the raw bytes
 of every `_HEAD_PARAMS` array equal the copies the slot holds: its passes
 then start at layer 0's cross-attention, each still one
 `decoder_all_logits` call, and give the same bits. Any other call
 recomputes and, unless it raises, replaces the slot. At the default config
-a 143-node trie's slot is about 0.4 MB.
+a 143-node trie's slot is about 0.3 MB.
 
 `wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
 each carry a context and whose nodes keep their decoder state for the life
@@ -58,18 +57,17 @@ keys and values of the prefix already decoded (arXiv:1911.02150):
   input, the layer-normed sum of the pair's token and position embeddings
   (it depends on nothing else), and its keys and values;
 - per decoded node: its self-attention keys and values at every layer after
-  the first (none for a one-layer model);
-- per root context: its cross-attention keys and values at every layer.
-A call first computes the table entries and the context keys and values it
-lacks, then decodes its nodes by depth, in passes of at most
-`_WAVE_KEY_FLOATS` gathered key floats (rows times depth + 1 times
-d_model). In a pass a row's self-attention keys and values are those of its
-ancestor chain, gathered from the cache one layer at a time, and its own:
-no dense mask over the other rows. Its cross-attention is grouped by
-context: the pass's contexts' keys and values, padded to the longest, are
-one batch, so a row reads only its own (a row of an empty context reads
-none). A pass thus costs its rows times their depth plus the longest
-context among them, whatever else the cache holds.
+  the first (none for a one-layer model).
+A call first computes the table entries it lacks, then decodes its nodes by
+depth, in passes of at most `_WAVE_KEY_FLOATS` gathered key floats (rows
+times depth + 1 times d_model). In a pass a row's self-attention keys and
+values are those of its ancestor chain, gathered from the cache one layer
+at a time, and its own: no dense mask over the other rows. Its
+cross-attention is grouped by context: the pass's contexts, padded to the
+longest, are one batch that the pass projects, so a row reads only its own
+context (a row of an empty context reads none). A pass thus costs its rows
+times their depth plus the longest context among them, whatever else the
+cache holds.
 
 The kept keys and values have the bits a pass's own products would give. In
 a GEMM of two or more rows (or each matrix of a batched one) the BLAS gives
@@ -77,8 +75,7 @@ a row the same bits whatever the other rows, while a one-row product runs
 another kernel and rounds otherwise. So each is projected once in a product
 of at least two rows (`_projected` pads a lone row), as every ancestor
 chain of two or more rows was; a depth-0 row, whose chain is itself alone,
-attends through one-row products of its input, and so does a pass whose
-contexts have at most one token.
+attends through one-row products of its input.
 
 Which other rows share a pass does move a row's bits, in the last place,
 through three figures of the pass: whether it has one row (the
@@ -86,12 +83,12 @@ feed-forward blocks and the output projection are then one-row products),
 whether some context has two or more of its rows (if none, the
 cross-attention's query and output products are one-row products), and its
 longest context (a shorter context is padded to it, and scores, sums and
-products over more keys round otherwise; a one-token context is projected
-by one-row products when no context in the pass is longer). Passes that
-agree on all three give a row the same bits. A node keeps the state of the
-pass that first decoded it, so a later wave reads the same state whatever
-it decodes; but a node's bits, and so a search's, can depend on which wave
-decoded it first.
+products over more keys round otherwise; contexts of one token are
+projected by one-row products when no context in the pass is longer).
+Passes that agree on all three give a row the same bits. A node keeps the
+state of the pass that first decoded it, so a later wave reads the same
+state whatever it decodes; but a node's bits, and so a search's, can depend
+on which wave decoded it first.
 
 `packed_logits` runs several teacher-forced (source, decoder input) pairs
 as one pass: the sources back to back as segments of one `encode`, each
@@ -363,8 +360,9 @@ class _HeadSlot:
     """The user-independent head of one `prefix_logits` call (see the module
     doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, trie, its size); `weights`
     a copy of each `_HEAD_PARAMS` array as the filling call read it;
-    `passes` the call's plan (`_trie_passes`); `head` the kept `keep[0]` and
-    `keep[layers]` of every row."""
+    `passes` the call's plan (`_trie_passes`); `head` the kept `keep[layers]`
+    of every row, (rows, d_model): a pass that starts from it skips layer 0's
+    self-attention, so it reads no `keep[0]`."""
 
     key: tuple
     weights: list[np.ndarray]
@@ -448,51 +446,35 @@ def _projected(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 class _Cross(NamedTuple):
     """The cross-attention inputs of a `wave_logits` pass whose rows sit
-    back to back by context (`_wave_cross`): the contexts' keys and values
-    padded to the pass's longest context (`keys` rows), which `kv` gathers
-    per layer, rows `at` of the context stack `stack` (row 0 is zeros), or,
-    with `at` None, the contexts themselves as one (contexts, 1, d_model)
-    Tensor `stack`; the additive mask that hides the padding (None without
-    any); the index that lays the rows out as (contexts, slots) queries
-    padded to the most rows any context has; the slot of each row in that
-    layout, flattened; and whether each row's context has rows (a row of an
-    empty context gets no cross-attention)."""
+    back to back by context (`_wave_cross`): the contexts as one (contexts,
+    keys, d_model) batch padded with zero rows to the longest; the additive
+    mask that hides the padding (None without any); the index that lays the
+    rows out as (contexts, slots) queries padded to the most rows any
+    context has; the slot of each row in that layout, flattened; and whether
+    each row's context has rows (a row of an empty context gets no
+    cross-attention)."""
 
-    stack: np.ndarray | Tensor
-    at: np.ndarray | None
-    keys: int
+    batch: Tensor
     mask: np.ndarray | None
     queries: np.ndarray
     slot_of: np.ndarray
     sees: np.ndarray
 
-    def kv(self, layer: int):
-        """What `_attention` takes as the keys and values of `layer`."""
-        if self.at is None:
-            return self.stack
-        return self.stack[self.at, layer, 0], self.stack[self.at, layer, 1]
 
-
-def _wave_cross(cache: DecodeCache, groups: np.ndarray, counts: np.ndarray, spans: np.ndarray,
-                ctx_kv: np.ndarray) -> _Cross:
-    """The `_Cross` of a pass over `counts[c]` rows of context `groups[c]`
-    of `cache`, each context's keys and values rows `spans[g]`, a (first
-    row, rows) pair, of `ctx_kv`. When the longest context has one token
-    the pass gets the contexts themselves, which `_attention` projects as
-    one-row products, as the pass's own projection of them always did."""
-    first, lengths = spans[groups].T
-    keys, slots = int(lengths.max()), counts.max()
+def _wave_cross(contexts: list[Tensor], groups: np.ndarray, counts: np.ndarray) -> _Cross:
+    """The `_Cross` of a pass over `counts[c]` rows of context
+    `contexts[groups[c]]`, its batch gathered in one step from the contexts
+    laid back to back behind one zero row."""
+    rows = [contexts[c].data for c in groups.tolist()]
+    lengths = np.array([len(r) for r in rows])
+    keys, slots = lengths.max(), counts.max()
     used = np.arange(slots) < counts[:, None]
     queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
     inside = np.arange(keys) < lengths[:, None]
-    if keys == 1:
-        stack, at = np.zeros((len(groups), 1, ctx_kv.shape[-1])), None
-        stack[inside[:, 0], 0] = [cache.contexts[c].data[0] for c in groups[inside[:, 0]].tolist()]
-        stack = Tensor(stack)
-    else:
-        stack, at = ctx_kv, np.where(inside, first[:, None] + np.arange(keys), 0)
+    flat = np.concatenate([np.zeros((1, rows[0].shape[-1])), *rows])
+    batch = Tensor(flat[np.where(inside, (np.cumsum(lengths) - lengths + 1)[:, None] + np.arange(keys), 0)])
     mask = None if inside.all() else np.where(inside, 0.0, -1e30)[:, None, None, :]
-    return _Cross(stack, at, keys, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None])
+    return _Cross(batch, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None])
 
 
 class _Chains:
@@ -595,11 +577,7 @@ class DecodeCache(PrefixTrie):
     - per decoded node: its entry (`entry[k]`, -1 until decoded), and its
       self-attention keys and values at every layer after the first,
       `kv[k]` as (layers - 1, 2, d_model), which its descendants attend to;
-      a one-layer model's cache keeps no float per node;
-    - per root context: its cross-attention keys and values at every layer,
-      rows `ctx_span[c]` (first row, rows; -1 until a call first decodes
-      one of its nodes) of `ctx_kv` ((rows, layers, 2, d_model), whose row
-      0 is zeros: the padding a pass gathers).
+      a one-layer model's cache keeps no float per node.
 
     The state is valid for unchanged parameters and lasts as long as the
     cache: only `wave_logits` fills it, and a call that raises leaves it as
@@ -615,8 +593,6 @@ class DecodeCache(PrefixTrie):
         self.kv = np.empty((0, 0, 2, 0))  # (nodes, layers - 1, 2, d_model) from the first call on
         self.entry_of: dict[tuple[int, int], int] = {}  # (token, depth) -> its entry
         self.layer0: np.ndarray | None = None  # (entries, 3, d_model), past len(entry_of) unused
-        self.ctx_span = np.empty((0, 2), dtype=np.int64)  # past len(contexts) unused
-        self.ctx_kv: np.ndarray | None = None  # (rows, layers, 2, d_model) from the first call on
         self.passes = 0
 
     def add(self, parents, tokens) -> np.ndarray:
@@ -629,11 +605,7 @@ class DecodeCache(PrefixTrie):
     def new_root(self, context: Tensor) -> int:
         """A root whose nodes decode against `context` (from `encode`)."""
         root = int(self.add([-1], [PAD_ID])[0])
-        c = len(self.contexts)
-        if c == len(self.ctx_span):
-            self.ctx_span = _grown(self.ctx_span, max(1, 2 * c), c)
-        self.ctx_span[c] = -1
-        self.context[root] = c
+        self.context[root] = len(self.contexts)
         self.contexts.append(context)
         return root
 
@@ -850,11 +822,10 @@ class SequenceModel:
         if rows and depth.max() >= cfg.max_tgt_len:
             raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
         if isinstance(ctx, _Cross):
-            ctx_mask, queries, slot_of, sees, ctx_keys = ctx.mask, ctx.queries, ctx.slot_of, ctx.sees, ctx.keys
+            ctx, ctx_mask, queries, slot_of, sees = ctx
         else:
             queries = slot_of = None
             sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
-            ctx_keys = ctx.data.shape[-2]
         x = _embedded(pt, ids, depth) if head is None else Tensor(head)
         for i in range(cfg.layers):
             if i or head is None:
@@ -875,12 +846,12 @@ class SequenceModel:
                     x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
                 if i == 0 and keep is not None and len(keep) > cfg.layers:
                     keep[cfg.layers] = x.data
-            if ctx_keys > 0:
+            if ctx.data.shape[-2] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
                 if queries is None:
                     cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask)
                 else:
-                    cross = _attention(pt, f"dec{i}_cross", h[queries], ctx.kv(i), cfg.heads, mask=ctx_mask)
+                    cross = _attention(pt, f"dec{i}_cross", h[queries], ctx, cfg.heads, mask=ctx_mask)
                     cross = cross.reshape(-1, cfg.d_model)[slot_of]
                 x = x + (cross if sees is None or sees.all() else cross * sees)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
@@ -909,10 +880,10 @@ class SequenceModel:
                        for name, kept in zip(_HEAD_PARAMS, slot.weights)))
         if not hit:
             slot = _HeadSlot(key, [pt[name].data.copy() for name in _HEAD_PARAMS],
-                             _trie_passes(trie, cfg.heads), np.empty((2, trie.size, cfg.d_model)))
+                             _trie_passes(trie, cfg.heads), np.empty((trie.size, cfg.d_model)))
         keep = np.empty((cfg.layers + 1, trie.size, cfg.d_model))
         if hit:
-            keep[[0, -1]] = slot.head
+            keep[-1] = slot.head
         logits = [np.empty((0, cfg.vocab_size))]
         for lo, ids, depth, mask, cols in slot.passes:
             block = keep[:, lo:lo + len(ids)]
@@ -920,7 +891,7 @@ class SequenceModel:
             logits.append(self.decoder_all_logits(ctx, ids, past=(depth, mask, earlier), keep=block,
                                                   head=block[-1] if hit else None).data)
         if not hit:
-            slot.head[...] = keep[[0, -1]]
+            slot.head[...] = keep[-1]
             self._head_slot = slot
         return np.concatenate(logits)
 
@@ -931,14 +902,13 @@ class SequenceModel:
         else is a ValueError, raised before any pass.
 
         The call first fills what its passes read and the cache lacks: a
-        layer-0 table entry for each (token, depth) pair new to the cache,
-        and the keys and values of each context new to it. It then decodes
-        the nodes by depth, in passes of at most `_WAVE_KEY_FLOATS` gathered
-        key floats (rows times depth + 1 times d_model) and `_WAVE_LOGITS`
-        logits, grouped by
-        context, each row reading only its own ancestors' keys and values
-        and its own context (module doc); rows of one depth and context keep
-        the given order. The head slot is neither read nor written.
+        layer-0 table entry for each (token, depth) pair new to the cache.
+        It then decodes the nodes by depth, in passes of at most
+        `_WAVE_KEY_FLOATS` gathered key floats (rows times depth + 1 times
+        d_model) and `_WAVE_LOGITS` logits, grouped by context, each row
+        reading only its own ancestors' keys and values and its own context
+        (module doc); rows of one depth and context keep the given order.
+        The head slot is neither read nor written.
 
         Each pass's logits go to `on_pass(indices, logits)` as the pass
         returns, `indices` the positions in `nodes` its rows answer, one
@@ -973,10 +943,9 @@ class SequenceModel:
         entry = slots[pair_of]
         # what the call adds stays unseen until it returns: table entries past
         # those the cache holds, the keys and values of undecoded nodes; a
-        # table that is too small, the context stack and the node store at the
-        # first call are new arrays
-        table, kv, ctx_kv = cache.layer0, cache.kv, cache.ctx_kv
-        spans = cache.ctx_span[:len(cache.contexts)]
+        # table that is too small and the node store at the first call are
+        # new arrays
+        table, kv = cache.layer0, cache.kv
         if fresh:
             if table is None or known + len(fresh) > len(table):
                 table = _grown(np.empty((0, 3, d)) if table is None else table,
@@ -987,19 +956,6 @@ class SequenceModel:
                 [h, _projected(h, pt["dec0_self_wk"].data), _projected(h, pt["dec0_self_wv"].data)], axis=1)
         if kv.shape[1:] != (layers - 1, 2, d):
             kv = np.empty((len(cache.parent), layers - 1, 2, d))
-        unseen = np.unique(context)
-        unseen = unseen[spans[unseen, 0] < 0]
-        if unseen.size:  # contexts this cache has not projected: each root's first call
-            rows = [cache.contexts[c].data for c in unseen.tolist()]
-            lengths = np.array([len(r) for r in rows])
-            prior = np.zeros((1, layers, 2, d)) if ctx_kv is None else ctx_kv
-            ctx_kv = _grown(prior, len(prior) + lengths.sum(), len(prior))
-            spans = spans.copy()
-            spans[unseen] = np.stack([len(prior) + np.cumsum(lengths) - lengths, lengths], axis=1)
-            flat = np.concatenate(rows)
-            for i in range(layers):
-                for j, name in enumerate(("wk", "wv")):
-                    ctx_kv[len(prior):, i, j] = _projected(flat, pt[f"dec{i}_cross_{name}"].data)
         passes = 0
         for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
             k = depth[level[0]]
@@ -1014,13 +970,11 @@ class SequenceModel:
                 at[:, k] = entry[sel]
                 chains = _Chains(table, at, kv, chain, cache.entry[nodes[sel]] < 0)
                 groups, counts = np.unique(context[sel], return_counts=True)
-                out = self.decoder_all_logits(_wave_cross(cache, groups, counts, spans, ctx_kv), ids[sel],
+                out = self.decoder_all_logits(_wave_cross(cache.contexts, groups, counts), ids[sel],
                                               past=(depth[sel], None, chains))
                 on_pass(sel, out.data)
                 passes += 1
-        cache.layer0, cache.kv, cache.ctx_kv = table, kv, ctx_kv
-        if unseen.size:
-            cache.ctx_span = spans
+        cache.layer0, cache.kv = table, kv
         cache.entry[nodes] = entry
         cache.entry_of.update(fresh)
         cache.passes += passes

@@ -119,7 +119,8 @@ def valid_next(trie: CatalogTrie, prefix) -> set[int]:
 def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[float]:
     """Log-probability of every edge of `trie` (`CatalogTrie`), from one
     `prefix_logits` call over its nodes, renormalized over each node's
-    valid tokens unless `normalize` is False."""
+    valid tokens unless `normalize` is False. A log-probability that is not
+    finite is a ValueError: no ranking can order NaN scores."""
     logits = model.prefix_logits(state, trie)
     rows = np.concatenate([trie.parent[1:trie.size], trie.ends])
     tokens = np.concatenate([trie.token[1:trie.size], np.full(len(trie.ends), EOS_ID)])
@@ -127,16 +128,20 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[flo
     if normalize:
         # the log-sum-exp of each row masked to its valid tokens (the others
         # -inf), exponentiating only those: exp(-inf) is +0.0, so the dense
-        # row sums are the same bits
+        # row sums are the same bits; fmax skips a NaN edge without a warning
+        # and leaves it to the check below
         m = np.full(len(logits), -np.inf)
-        np.maximum.at(m, rows, picked)
+        np.fmax.at(m, rows, picked)
         e = np.zeros_like(logits)
         e[rows, tokens] = np.exp(picked - m[rows])
         lse = m + np.log(e.sum(axis=1))
     else:
         m = logits.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
-    return [0.0] + (picked - lse[rows]).tolist()
+    lp = picked - lse[rows]
+    if not np.isfinite(lp).all():
+        raise ValueError("the recommender's edge log-probabilities are not finite: its parameters hold NaN or overflow")
+    return [0.0] + lp.tolist()
 
 
 def constrained_distribution(model, state, prefix, trie: CatalogTrie,

@@ -231,7 +231,9 @@ def _train_epochs(bundle: CheckpointBundle, split: corpus.SplitDataset, cfg: Tra
     user_id)`; then one backward through the summed losses and one Adam step
     with the batch's mean gradient. A short last batch is applied at the end
     of its epoch. Records each epoch's mean loss. Only `model`'s parameters
-    change."""
+    change. A loss that is not finite stops training with a ValueError
+    naming the phase, the epoch and the learning rate: a diverged model
+    would only hand NaN to every later phase."""
     _check_registry(bundle)
     registry = bundle.registry
     examples = build_train_examples(split)
@@ -253,7 +255,11 @@ def _train_epochs(bundle: CheckpointBundle, split: corpus.SplitDataset, cfg: Tra
                                        vocab, max_src_len=bundle.rec.config.max_src_len)
                 target = list(registry.ids[ex.target].tokens) + [EOS_ID]
                 loss = example_loss(pt, prompt, target, ex, uid)
-                total_nll += loss.data.item()
+                value = loss.data.item()
+                if not math.isfinite(value):
+                    raise ValueError(f"{label} phase, epoch {epoch + 1}: loss is {value} at learning rate "
+                                     f"{lr:g}; a smaller one in config section 'train' may train")
+                total_nll += value
                 batch_loss = loss if batch_loss is None else batch_loss + loss
             batch_loss.backward()
             grads = {name: t.grad for name, t in pt.items()}
@@ -421,6 +427,6 @@ def alternate_train(split: corpus.SplitDataset, vocab: Vocabulary,
                 "valid_hr10": valid_report.hr[10],
             }
             (iter_dir / "metrics.json").write_text(
-                json.dumps(metrics, sort_keys=True) + "\n", encoding="utf-8"
+                json.dumps(metrics, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
             )
     return bundle

@@ -914,6 +914,16 @@ def test_a_repeated_item_key_is_refused_before_any_search(decoder_calls):
     assert decoder_calls == []
 
 
+def test_allocation_refuses_a_generator_whose_parameter_holds_nan():
+    # its NaN logits ranked no token, which blamed the vocabulary
+    vocab = make_vocab(WORDS[:8])
+    model = tiny_model(vocab_size=vocab.size, seed=2)
+    model.params["dec_ln_g"][0] = np.nan
+    items = [("a", "alfa bravo"), ("b", "coral delta")]
+    with pytest.raises(ValueError, match="not finite"):
+        allocate_all(model, items, vocab, AllocatorConfig(groups=2))
+
+
 def test_allocate_output_is_unique_and_complete():
     vocab = make_vocab(WORDS[:16])
     model = tiny_model(vocab_size=vocab.size, seed=11, max_tgt_len=12)

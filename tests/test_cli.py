@@ -426,6 +426,10 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     # NaN <= 0 is false: a NaN learning rate trained NaN parameters and exited 0
     ({"train": {"lr_rec": math.nan}}, "train"),
     ({"train": {"lr_idgen": math.inf}}, "train"),
+    # a finite rate that diverges: lr_rec trained NaN parameters and exited 0,
+    # lr_idgen exited 4 blaming the vocabulary
+    ({"train": {"lr_rec": 1e300}}, "train"),
+    ({"train": {"lr_idgen": 1e300}}, "train"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"
@@ -461,6 +465,21 @@ def test_eval_with_checkpoint_missing_a_parameter_exits_2(tmp_path, capsys):
     assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
     err = one_line_error(capsys)
     assert str(path) in err and "dec_ln_g" in err
+
+
+def test_eval_of_a_bundle_with_a_nan_parameter_exits_2(tmp_path, capsys):
+    # it ranked NaN scores, exited 0 and reported them as hit rates
+    split_dir, final = untrained_bundle(tmp_path)
+    path = final / "rec.ckpt"
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["p:dec_ln_g"][0] = np.nan
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    out = tmp_path / "m.json"
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", out) == 2
+    assert "not finite" in one_line_error(capsys) and not out.exists()
 
 
 def test_eval_with_bad_checkpoint_meta_exits_2(tmp_path, capsys):

@@ -672,13 +672,15 @@ def test_wave_rows_match_memo_less_decoding_over_several_contexts(layers, source
 
 def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
     """Each layer-0 table entry's input, as uint64, equals the layer-0 input
-    that a memo-less `prefix_logits` pass computes for its (token, depth)."""
+    that a memo-less tree pass computes for its (token, depth)."""
     pairs = list(cache.entry_of)
     # a prefix per (token, depth) pair: depth - 1 filler tokens, then the token
     prefixes = [(3,) * (depth - 1) + (token,) if depth else () for token, depth in pairs]
-    twin, (trie, nodes) = cold_copy(model), trie_of(prefixes)
-    twin.prefix_logits(ctx, trie)
-    kept = twin._head_slot.head[0][nodes]  # its kept `keep[0]`: every trie row's layer-0 input
+    trie, nodes = trie_of(prefixes)
+    keep = np.empty((model.config.layers, trie.size, model.config.d_model))
+    model.decoder_all_logits(ctx, trie.token[:trie.size], keep=keep,
+                             past=(*model_module._tree_layout(trie.parent[:trie.size]), None))
+    kept = keep[0][nodes]  # every trie row's layer-0 input
     table = cache.layer0[[cache.entry_of[pair] for pair in pairs], 0]
     assert np.array_equal(table.view(np.uint64), kept.view(np.uint64))
 
@@ -762,13 +764,13 @@ def test_memo_is_unchanged_when_a_call_raises(monkeypatch, decoder_calls):
     cache.nodes(too_deep + requests + [(0, (9, 2))])  # named up front, so no call below grows the trie
     size, passes, entries, held = cache.size, cache.passes, dict(cache.entry_of), cache.decoded()
     kept = [cache.node_of[pair] for pair in held]
-    arrays = kv, entry, layer0, ctx_kv = cache.kv, cache.entry, cache.layer0, cache.ctx_kv
-    stored = kv[kept].copy(), entry.copy(), layer0[:len(entries)].copy(), ctx_kv.copy()
+    arrays = kv, entry, layer0 = cache.kv, cache.entry, cache.layer0
+    stored = kv[kept].copy(), entry.copy(), layer0[:len(entries)].copy()
 
     def unchanged():
         assert (cache.size, cache.passes, cache.entry_of, cache.decoded()) == (size, passes, entries, held)
-        assert all(a is b for a, b in zip((cache.kv, cache.entry, cache.layer0, cache.ctx_kv), arrays))
-        now = kv[kept], entry, layer0[:len(entries)], ctx_kv
+        assert all(a is b for a, b in zip((cache.kv, cache.entry, cache.layer0), arrays))
+        now = kv[kept], entry, layer0[:len(entries)]
         assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(now, stored))
 
     decoder_calls.clear()
@@ -812,8 +814,7 @@ def test_a_node_whose_parent_is_not_decoded_is_refused(layers, decoder_calls):
         cache.nodes(requests)
 
     def store():
-        return (cache.size, cache.passes, dict(cache.entry_of), cache.layer0.tobytes(), cache.ctx_kv.tobytes(),
-                cache.ctx_span[:len(cache.contexts)].tobytes(),
+        return (cache.size, cache.passes, dict(cache.entry_of), cache.layer0.tobytes(),
                 *(getattr(cache, name).tobytes() for name in cache._NODE_ARRAYS))
 
     before = store()
@@ -831,11 +832,10 @@ def test_a_node_whose_parent_is_not_decoded_is_refused(layers, decoder_calls):
 
 
 def chain_input_contexts(contexts, counts, d_model):
-    """The cross-attention inputs a wave pass built for itself before
-    contexts kept their keys and values: the raw contexts, padded with zero
-    rows to the longest, which the pass projects; the padding mask; the
-    query layout; each row's slot in it; whether each row's context has
-    rows."""
+    """The cross-attention inputs of a wave pass, built context by context:
+    the raw contexts, padded with zero rows to the longest, which the pass
+    projects; the padding mask; the query layout; each row's slot in it;
+    whether each row's context has rows."""
     counts = np.asarray(counts)
     lengths = np.array([c.data.shape[0] for c in contexts])
     keys, slots = lengths.max(), counts.max()
@@ -955,20 +955,11 @@ def test_kept_keys_and_values_give_the_chain_input_bits(monkeypatch, layers, sou
         for i in range(1, layers):
             assert same_bits(cache.kv[node, i - 1], np.stack([product(inputs[i], f"dec{i}_self_wk"),
                                                               product(inputs[i], f"dec{i}_self_wv")]))
-    for c, ctx in enumerate(cache.contexts):
-        first, rows = cache.ctx_span[c]
-        assert rows == len(ctx.data)
-        for i in range(layers):
-            for j, name in enumerate(("wk", "wv")):
-                if rows:
-                    want = np.concatenate([ctx.data, ctx.data]) @ pt[f"dec{i}_cross_{name}"].data
-                    assert same_bits(cache.ctx_kv[first:first + rows, i, j], want[:rows])
-    assert not cache.ctx_kv[0].any()  # the padding row
 
 
 def test_a_call_that_raises_leaves_the_kept_keys_values_and_context_stack(monkeypatch, decoder_calls):
     # the failing call's first pass ran after the call had made new table
-    # entries and projected two contexts new to the cache
+    # entries; two of its contexts are new to the cache
     model = tiny_model(vocab_size=12, layers=2)
     contexts = [model.encode([3, 4]), model.encode([5, 6, 7]), model.encode([8])]
     cache = NamedTrie(contexts)
@@ -979,7 +970,7 @@ def test_a_call_that_raises_leaves_the_kept_keys_values_and_context_stack(monkey
     def state():
         entries = len(cache.entry_of)
         return (cache.size, cache.passes, list(cache.entry_of.items()), cache.decoded(),
-                cache.ctx_span[:len(cache.contexts)].tobytes(), cache.layer0[:entries].tobytes(), cache.ctx_kv.tobytes(),
+                cache.layer0[:entries].tobytes(),
                 *(getattr(cache, name)[:cache.size].tobytes() for name in cache._NODE_ARRAYS if name != "kv"),
                 cache.kv[[cache.node_of[pair] for pair in cache.decoded()]].tobytes())
 

@@ -169,6 +169,23 @@ def test_rank_all_is_total_and_deterministic():
     assert scores == sorted(scores, reverse=True)
 
 
+def test_rank_all_refuses_scores_that_are_not_finite():
+    vocab = make_vocab(["red", "blue", "hat", "cold"])
+    reg = registry_from(vocab, {"a": "red", "b": "blue", "c": "hat"})
+    trie = build_trie(reg)
+    model = tiny_model(vocab_size=vocab.size, seed=6)
+    clean = rank_all(model, empty_prompt(), reg, trie)
+    # a NaN in the output embedding of a token no ID uses: only the
+    # unnormalized scores sum over it
+    model.params["tok_emb"][vocab.encode("cold")[0], 0] = np.nan
+    assert rank_all(model, empty_prompt(), reg, trie) == clean
+    with pytest.raises(ValueError, match="not finite"):
+        rank_all(model, empty_prompt(), reg, trie, normalize=False)
+    model.params["dec_ln_g"][0] = np.nan  # every logit
+    with pytest.raises(ValueError, match="not finite"):
+        rank_all(model, empty_prompt(), reg, trie)
+
+
 def test_rank_is_invariant_to_monotone_score_transform():
     # ranking depends only on score order; shifting all logits by a constant
     # (a monotone transform of the underlying scores) keeps the order
