@@ -19,10 +19,18 @@ searches scores each step's new nodes, every one against its own context
 
 A `PrefixTrie` names token prefixes by integer node ids, parents before
 their children. `prefix_logits` decodes the nodes of a `PrefixTrie`, in
-node order, in passes of at most `_PREFIX_BLOCK_ROWS` rows, each row
-attending to its ancestors through a tree mask, and to its ancestors in
-earlier passes through their kept self-attention inputs (the layer-normed
-`h` of every decoder layer). A pass's tree mask is kept in sparse form
+node order, in passes over blocks of at most `_PREFIX_BLOCK_ROWS` nodes,
+each row attending to its ancestors through a tree mask, and to its
+ancestors in earlier passes through their kept self-attention inputs (the
+layer-normed `h` of every decoder layer). Given `rows`, node ids that
+include each one's parent, it decodes only those, with the bits the call
+over every node gives them; a block without a given row runs no pass, and
+one given more than half its rows decodes them all. A pass over some rows
+of its block keeps the block's layout: each row keeps its place, the other
+rows are zero, masked as self-attention keys, and every product of the
+rows runs at the block's row count (see below); row-wise work (layer
+norms, softmax rows, GELU, residual sums) runs on the given rows only. A
+pass's tree mask is kept in sparse form
 (`_TreeMask`): the flat indices of the scores it allows, a few per row, so
 a self-attention softmax gathers, exponentiates and normalizes only those
 and scatters them into zeros. It gives the dense additive mask's bits: a
@@ -35,17 +43,19 @@ only at layer 0's cross-attention, so what a pass computes before it (its
 head: the tree layout, the embeddings and layer 0's self-attention block)
 is the same for every context. Each model keeps one head slot, which
 `prefix_logits` reads or fills and nothing else touches. The slot holds the
-trie of the call that filled it and that call's plan (per pass: token ids,
-depths, sparse mask and the nodes of its earlier columns) and each row
-after layer 0's self-attention block. The slot is keyed on the trie: a
-later call reuses it when it is keyed the same, by the config,
-`_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
-appended, so its node count says whether it grew), and when the raw bytes
-of every `_HEAD_PARAMS` array equal the copies the slot holds: its passes
-then start at layer 0's cross-attention, each still one
-`decoder_all_logits` call, and give the same bits. Any other call
-recomputes and, unless it raises, replaces the slot. At the default config
-a 143-node trie's slot is about 0.3 MB.
+trie of the call that filled it and that call's plan (per pass: the rows it
+decodes, their token ids, depths and sparse mask, and the places of its
+earlier columns) and each decoded row after layer 0's self-attention block.
+The slot is keyed on the trie and the rows: a later call reuses it when it
+is keyed the same, by the config, `_PREFIX_BLOCK_ROWS`, the trie itself (by
+identity; nodes are only appended, so its node count says whether it grew),
+the bytes of `rows` (None for every node), and when the raw bytes of every
+`_HEAD_PARAMS` array equal the copies the slot holds: its passes then start
+at layer 0's cross-attention, each still one `decoder_all_logits` call, and
+give the same bits. Any other call recomputes and, unless it raises,
+replaces the slot. At the default config a 143-node trie's slot is about
+0.3 MB, and that of its 23 fork rows (ranking; `recommender.py`) about
+0.18 MB, most of it the copied head weights.
 
 `wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
 each carry a context and whose nodes keep their decoder state for the life
@@ -69,13 +79,38 @@ context (a row of an empty context reads none). A pass thus costs its rows
 times their depth plus the longest context among them, whatever else the
 cache holds.
 
-The kept keys and values have the bits a pass's own products would give. In
-a GEMM of two or more rows (or each matrix of a batched one) the BLAS gives
-a row the same bits whatever the other rows, while a one-row product runs
-another kernel and rounds otherwise. So each is projected once in a product
-of at least two rows (`_projected` pads a lone row), as every ancestor
-chain of two or more rows was; a depth-0 row, whose chain is itself alone,
-attends through one-row products of its input.
+Whether a product's rows get the same bits whatever the other rows depends
+on the BLAS and on the product's shape. Measured with OpenBLAS 0.3.31
+(SkylakeX kernels) and numpy 2.4.6:
+- a 2-D product of two or more rows whose C-contiguous right operand is a
+  multiple of 8 wide gives a row the same bits whatever the other rows and
+  however many: no mismatch in 4 000 random row subsets (up to 520 rows,
+  inner sizes up to 300, widths up to 312);
+- widths 1 to 3 past a multiple of 8 do not (311 to 434 mismatches in about
+  750 random shapes each; 4 to 7 past, none in about 700 each);
+- batched products do not: the scores against `k_t` and `probs @ v`
+  mismatched in about 40% of 5 000 random shapes, `probs @ v` in most at
+  2-wide heads, and both in about 1% even where the width is a multiple
+  of 8;
+- `y @ tok_emb.T`, whose right operand is transposed, does not: 2 to 23 of
+  143 rows mismatched at a vocabulary of 48, and up to 100 rows at 500;
+- a one-row product runs another kernel and rounds otherwise.
+Zero rows in the other places of a product of the same shape give a row
+the same bits in every case measured, and that rests on no kernel's
+rounding: the padded product has the all-rows product's shape, so the BLAS
+runs the same code on the same values in the row's place. So a pass over
+some rows of a block (`_Spread`) pads every product of its rows to the
+block's rows, whatever the shape. Running the 2-D products of the first
+case on the rows alone would save about a fifth of the fork-rows call
+(`recommender.py`) but rests on the kernels measured here; numpy's
+OpenBLAS picks its kernels from the CPU at run time.
+
+The kept keys and values of `wave_logits` have the bits a pass's own
+products would give where the first case holds (at a `d_model` that is a
+multiple of 8). Each is projected once in a product of at least two rows
+(`_projected` pads a lone row), as every ancestor chain of two or more rows
+was; a depth-0 row, whose chain is itself alone, attends through one-row
+products of its input.
 
 Which other rows share a pass does move a row's bits, in the last place,
 through three figures of the pass: whether it has one row (the
@@ -107,6 +142,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import zipfile
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -230,7 +266,8 @@ class _TreeMask:
 
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
                kv_in: Tensor | tuple[np.ndarray, np.ndarray],
-               heads: int, mask: np.ndarray | _TreeMask | None = None) -> Tensor:
+               heads: int, mask: np.ndarray | _TreeMask | None = None,
+               spread: _Spread | None = None) -> Tensor:
     """Multi-head attention as one graph node, all heads in one batched
     matmul over (heads, rows, dh) views of the projections. Inputs may carry
     leading batch axes, (..., rows, d) and (..., keys, d): each batch entry
@@ -240,7 +277,9 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
     `kv_in` may instead be the (keys, values) pair it projects to, two
     C-contiguous (..., keys, d) arrays, whose products are then skipped
     (inference only: a gradient cannot reach them, so no input or weight
-    may require one).
+    may require one). With `spread` the query rows are some rows of a
+    `prefix_logits` block (`_Spread`), and every product of the query rows
+    runs at the block's row count.
 
     Forward and backward run the numpy expressions, array layouts and
     requires_grad skips of the op chain it stands for (projections, scaled
@@ -258,12 +297,13 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
         kv_in = q_in  # a stand-in parent: nothing here requires a gradient
     else:
         k_proj, v_proj = kv_in.data @ wk.data, kv_in.data @ wv.data
+    mm = operator.matmul if spread is None else spread.product  # of the query rows
     keys, dh = k_proj.shape[-2], width // heads
     scale = 1.0 / math.sqrt(dh)
-    q = (q_in.data @ wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
+    q = mm(q_in.data, wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
     k_t = k_proj.swapaxes(-1, -2).reshape(*lead, heads, dh, keys)
     v = v_proj.reshape(*lead, keys, heads, dh).swapaxes(-2, -3)
-    probs = q @ k_t
+    probs = mm(q, k_t)
     if isinstance(mask, _TreeMask):
         mask.softmax(probs, scale)
     else:  # `autograd.softmax` of `scores * scale + mask`, in place
@@ -273,7 +313,7 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-    joined = (probs @ v).swapaxes(-2, -3).reshape(*lead, rows, width)
+    joined = mm(probs, v).swapaxes(-2, -3).reshape(*lead, rows, width)
 
     def bw(g):
         need_q = q_in.requires_grad or wq.requires_grad
@@ -305,14 +345,17 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
                 kv_in._accum(g_v @ wv.data.swapaxes(-1, -2))
             if wv.requires_grad:
                 wv._accum(kv_in.data.swapaxes(-1, -2) @ g_v)
-    return Tensor._op(joined @ wo.data, (q_in, kv_in, wq, wk, wv, wo), bw)
+    return Tensor._op(mm(joined, wo.data), (q_in, kv_in, wq, wk, wv, wo), bw)
 
 
-def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor, spread: _Spread | None = None) -> Tensor:
     """`gelu(x @ w1 + b1) @ w2 + b2` as one graph node that runs the numpy
-    expressions of that op chain, forward and backward."""
+    expressions of that op chain, forward and backward. With `spread` the
+    rows are some rows of a `prefix_logits` block (`_Spread`), and both
+    products run at the block's row count."""
     w1, b1, w2, b2 = (pt[f"{prefix}_{name}"] for name in ("w1", "b1", "w2", "b2"))
-    pre = x.data @ w1.data
+    mm = operator.matmul if spread is None else spread.product
+    pre = mm(x.data, w1.data)
     pre += b1.data
     hidden, gelu_vjp = gelu(pre)
 
@@ -330,7 +373,7 @@ def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
             x._accum(g_pre @ w1.data.swapaxes(-1, -2))
         if w1.requires_grad:
             w1._accum(x.data.swapaxes(-1, -2) @ g_pre)
-    out = hidden @ w2.data
+    out = mm(hidden, w2.data)
     out += b2.data
     return Tensor._op(out, (x, w1, b1, w2, b2), bw)
 
@@ -358,15 +401,19 @@ _HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_na
 @dataclass
 class _HeadSlot:
     """The user-independent head of one `prefix_logits` call (see the module
-    doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, trie, its size); `weights`
-    a copy of each `_HEAD_PARAMS` array as the filling call read it;
-    `passes` the call's plan (`_trie_passes`); `head` the kept `keep[layers]`
-    of every row, (rows, d_model): a pass that starts from it skips layer 0's
-    self-attention, so it reads no `keep[0]`."""
+    doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, trie, its size, the bytes
+    of the nodes it decodes or None for all); `weights` a copy of each
+    `_HEAD_PARAMS` array as the filling call read it; `passes` the call's
+    plan (`_trie_passes`); `order` the place of each given node among the
+    decoded ones, in node order (None for all); `head` the kept
+    `keep[layers]` of every node it decodes, (nodes, d_model): a pass that
+    starts from it skips layer 0's self-attention, so it reads no
+    `keep[0]`."""
 
     key: tuple
     weights: list[np.ndarray]
-    passes: list[tuple]
+    passes: list[_Pass]
+    order: np.ndarray | None
     head: np.ndarray
 
 
@@ -396,19 +443,65 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth, np.where(allowed, 0.0, -1e30)
 
 
-def _trie_passes(trie: PrefixTrie, heads: int) -> list[tuple]:
-    """The passes of a `prefix_logits` call over the nodes of `trie`, in
-    node order: per pass of at most `_PREFIX_BLOCK_ROWS` nodes, (first node,
-    token ids, depths, mask as a `_TreeMask` over `heads` heads, nodes of
-    its earlier columns or None).
+class _Spread(NamedTuple):
+    """The rows that a `prefix_logits` pass decodes when it decodes only
+    some of its block's `n` rows: call row j is row `at[j]` of the block,
+    and a lone row is decoded twice. Every product of the rows runs at the
+    block's row count, the other rows zero (`product`; module doc)."""
 
-    A pass row attends to its ancestors in the pass (`_tree_layout`) and,
-    through the columns in front of them, to the ancestors of its pass root
-    that earlier passes decoded, in node order."""
+    at: np.ndarray
+    n: int
+
+    def padded(self, a: np.ndarray) -> np.ndarray:
+        """(..., rows, c) `a` laid out as (..., n, c): its rows at `at`, the
+        others zero."""
+        out = np.zeros(a.shape[:-2] + (self.n, a.shape[-1]))
+        out[..., self.at, :] = a
+        return out
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """`a @ b` as the rows at `at` of `padded(a) @ b`, C-contiguous: a
+        product of the block's shape, which the BLAS runs as it runs the
+        block's own (module doc)."""
+        return np.take(self.padded(a) @ b, self.at, axis=-2)
+
+
+class _Pass(NamedTuple):
+    """One pass of a `prefix_logits` call (`_trie_passes`). `kept` are the
+    places of its rows among the rows the call decodes, a slice when it
+    decodes its whole block; `ids` and `depth` their tokens and depths;
+    `mask` their `_TreeMask` over the block's columns; `cols` the places of
+    its earlier columns among the call's rows, or None; `spread` None, or
+    where the rows sit in the block when the pass decodes only some."""
+
+    kept: slice | np.ndarray
+    ids: list[int]
+    depth: np.ndarray
+    mask: _TreeMask
+    cols: np.ndarray | None
+    spread: _Spread | None
+
+
+def _trie_passes(trie: PrefixTrie, heads: int, kept: np.ndarray) -> list[_Pass]:
+    """The passes of a `prefix_logits` call over the nodes `kept` of `trie`
+    (sorted), in node order; a kept node whose ancestors are all kept gets
+    the bits of the call over every node. The nodes are cut into
+    blocks of at most `_PREFIX_BLOCK_ROWS`; a block holding a kept node is a
+    pass, with a `_TreeMask` over `heads` heads. A column (a self-attention
+    key) that the call does not decode reads the zero row at `len(kept)`.
+
+    A block row attends to its ancestors in the block (`_tree_layout`) and,
+    through the columns in front of them, to the ancestors of its block root
+    that earlier blocks hold, in node order."""
     parent = trie.parent[:trie.size]
+    place = np.full(trie.size, len(kept))  # of each node among the kept, or the zero row
+    place[kept] = np.arange(len(kept))
     passes = []
     for lo in range(0, trie.size, _PREFIX_BLOCK_ROWS):
         up = parent[lo:lo + _PREFIX_BLOCK_ROWS]
+        at = np.flatnonzero(place[lo:lo + len(up)] < len(kept))
+        if not at.size:
+            continue
         inner = np.where(up >= lo, up - lo, -1)  # the parent in the pass, or -1
         mask = _tree_layout(inner)[1]
         cols = None
@@ -421,24 +514,32 @@ def _trie_passes(trie: PrefixTrie, heads: int) -> list[tuple]:
             anc = parent[anc]
             roots, anc = roots[anc >= 0], anc[anc >= 0]
         if seen_rows:
-            cols, at = np.unique(np.concatenate(seen_cols), return_inverse=True)
+            cols, col_of = np.unique(np.concatenate(seen_cols), return_inverse=True)
             seen = np.full((len(up), len(cols)), -1e30)
-            seen[np.concatenate(seen_rows), at] = 0.0
+            seen[np.concatenate(seen_rows), col_of] = 0.0
             root = np.arange(len(up))  # each row's pass root, whose earlier rows it sees
             while (inner[root] >= 0).any():
                 root = np.where(inner[root] >= 0, inner[root], root)
             mask = np.concatenate([seen[root], mask], axis=1)
-        hi = lo + len(up)
-        passes.append((lo, trie.token[lo:hi].tolist(), trie.depth[lo:hi], _TreeMask(mask, heads), cols))
+        cols = None if cols is None else place[cols]
+        if len(at) == len(up):
+            hi = lo + len(up)
+            first = int(place[lo])
+            passes.append(_Pass(slice(first, first + len(up)), trie.token[lo:hi].tolist(),
+                                trie.depth[lo:hi], _TreeMask(mask, heads), cols, None))
+        else:
+            at = at.repeat(2) if len(at) == 1 else at
+            passes.append(_Pass(place[lo + at], trie.token[lo + at].tolist(), trie.depth[lo + at],
+                                _TreeMask(mask[at], heads), cols, _Spread(at, len(up))))
     return passes
 
 
 def _projected(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """`rows @ weight` as a product of at least two rows, a lone row padded
-    with a copy of itself. In such a product (2-D, or each matrix of a
-    batched 3-D one) the BLAS gives a row the same bits whatever the other
-    rows are and however many; a one-row product runs another kernel and
-    rounds otherwise."""
+    with a copy of itself. In such a product, where `weight` is a multiple
+    of 8 wide, the BLAS gives a row the same bits whatever the other rows
+    are and however many; a one-row product runs another kernel and rounds
+    otherwise (module doc)."""
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ weight)[:1]
     return rows @ weight
@@ -767,7 +868,8 @@ class SequenceModel:
                            params: dict[str, Tensor] | None = None,
                            past=None, keep: np.ndarray | None = None,
                            head: np.ndarray | None = None,
-                           ctx_mask: np.ndarray | None = None) -> Tensor:
+                           ctx_mask: np.ndarray | None = None,
+                           spread: _Spread | None = None) -> Tensor:
         """Next-token logits at every decoder row.
 
         Without `past` the rows are a chain: causal decoding of the shifted
@@ -810,6 +912,15 @@ class SequenceModel:
         `ctx` may instead be a `_Cross` (`wave_logits`): the cross-attention
         runs as one batch over the pass's contexts, so a row reads only its
         own context.
+
+        `spread`, if given, says that the rows are some rows of a tree
+        pass's block (`prefix_logits` with `rows`): `mask` has one row per
+        given row over all the block's columns, and `earlier` holds every
+        earlier column (zero where not decoded). Row-wise work runs on the
+        given rows only. The block's other rows are zero self-attention keys,
+        masked, and zero rows in the products of the rows that
+        `_Spread.product` runs at the block's row count. A given row thus
+        gets the bits the whole block gives it.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
@@ -842,58 +953,95 @@ class SequenceModel:
                     x = x + _attention(pt, f"dec{i}_self", q, kv, cfg.heads).reshape(rows, cfg.d_model)
                     del keys, values, kv  # a pass's largest arrays: one layer's are held at a time
                 else:
-                    kv = h if earlier is None else concat([Tensor(earlier[i]), h])
-                    x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask)
+                    kv = h if spread is None else Tensor(spread.padded(h.data))
+                    kv = kv if earlier is None else concat([Tensor(earlier[i]), kv])
+                    x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask, spread=spread)
                 if i == 0 and keep is not None and len(keep) > cfg.layers:
                     keep[cfg.layers] = x.data
             if ctx.data.shape[-2] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
                 if queries is None:
-                    cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask)
+                    cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask, spread=spread)
                 else:
                     cross = _attention(pt, f"dec{i}_cross", h[queries], ctx, cfg.heads, mask=ctx_mask)
                     cross = cross.reshape(-1, cfg.d_model)[slot_of]
                 x = x + (cross if sees is None or sees.all() else cross * sees)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
-            x = x + _feed_forward(pt, f"dec{i}_ff", h)
+            x = x + _feed_forward(pt, f"dec{i}_ff", h, spread)
         x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
+        if spread is not None:
+            return Tensor(spread.product(x.data, pt["tok_emb"].data.T))
         return x @ pt["tok_emb"].T
 
-    def prefix_logits(self, ctx: Tensor, trie: PrefixTrie) -> np.ndarray:
+    def prefix_logits(self, ctx: Tensor, trie: PrefixTrie, rows=None) -> np.ndarray:
         """Next-token logits after every node of `trie`, one row per node, in
-        node order (inference path, frozen parameters).
+        node order (inference path, frozen parameters); or, given `rows`,
+        node ids that include each one's parent, after those nodes only: what
+        the call without `rows` gives them, bit for bit, one row per id in
+        the given order.
 
         A call decodes the nodes in node order (parents come first), in
-        passes of at most `_PREFIX_BLOCK_ROWS` rows (`_trie_passes`). A row
-        attends to itself, to its ancestors in the pass, and through their
-        kept inputs to its ancestors in earlier passes. The call reuses or
-        refills the model's head slot (module doc), so nodes may be appended
-        to `trie` between calls but not changed.
+        passes over blocks of at most `_PREFIX_BLOCK_ROWS` nodes
+        (`_trie_passes`). A row attends to itself, to its ancestors in the
+        pass, and through their kept inputs to its ancestors in earlier
+        passes. With `rows`, a block without a given node runs no pass, a
+        block given more than half its nodes decodes them all, and any other
+        pass computes only the block's given rows (`decoder_all_logits`'s
+        `spread`). The call reuses or refills the model's head slot (module
+        doc), so nodes may be appended to `trie` between calls but not
+        changed.
         """
         cfg = self.config
         pt = self.frozen()
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1:
+                raise ValueError("rows must be a 1-D array of the trie's node ids")
         slot = self._head_slot
-        key = (cfg, _PREFIX_BLOCK_ROWS, trie, trie.size)
+        key = (cfg, _PREFIX_BLOCK_ROWS, trie, trie.size, None if rows is None else rows.tobytes())
         # weights compare as uint64 views, so bytes, not values (0.0 != -0.0)
         hit = (slot is not None and slot.key == key
                and all(np.array_equal(kept.view(np.uint64), pt[name].data.view(np.uint64))
                        for name, kept in zip(_HEAD_PARAMS, slot.weights)))
         if not hit:
+            nodes, order = np.arange(trie.size), None
+            if rows is not None:
+                if ((rows < 0) | (rows >= trie.size)).any():
+                    raise ValueError("rows must be a 1-D array of the trie's node ids")
+                nodes = np.unique(rows)
+                up = trie.parent[nodes]
+                orphan = (up >= 0) & ~np.isin(up, nodes)
+                if orphan.any():
+                    raise ValueError(f"rows hold node {nodes[orphan][0]} but not its parent {up[orphan][0]}")
+                # a block given more than half its nodes decodes them all: a
+                # pass over some rows pads every product, and there that costs
+                # more than the row-wise work it saves (ROADMAP item 7)
+                given = np.zeros(trie.size, dtype=bool)
+                given[nodes] = True
+                block = np.arange(trie.size) // _PREFIX_BLOCK_ROWS
+                nodes = np.flatnonzero(given | (2 * np.bincount(block, weights=given) > np.bincount(block))[block])
+                order = np.searchsorted(nodes, rows)
             slot = _HeadSlot(key, [pt[name].data.copy() for name in _HEAD_PARAMS],
-                             _trie_passes(trie, cfg.heads), np.empty((trie.size, cfg.d_model)))
-        keep = np.empty((cfg.layers + 1, trie.size, cfg.d_model))
+                             _trie_passes(trie, cfg.heads, nodes), order, np.empty((len(nodes), cfg.d_model)))
+        # the kept state of each node the call decodes, in node order, then a
+        # zero row that stands for the block columns it does not decode
+        width = len(slot.head)
+        keep = np.empty((cfg.layers + 1, width + 1, cfg.d_model))
+        keep[:, -1] = 0.0
         if hit:
-            keep[-1] = slot.head
-        logits = [np.empty((0, cfg.vocab_size))]
-        for lo, ids, depth, mask, cols in slot.passes:
-            block = keep[:, lo:lo + len(ids)]
-            earlier = None if cols is None else keep[:cfg.layers, cols]
-            logits.append(self.decoder_all_logits(ctx, ids, past=(depth, mask, earlier), keep=block,
-                                                  head=block[-1] if hit else None).data)
+            keep[-1, :-1] = slot.head
+        logits = np.empty((width, cfg.vocab_size))
+        for p in slot.passes:
+            block = keep[:, p.kept]  # a view when the pass decodes its whole block
+            earlier = None if p.cols is None else keep[:cfg.layers, p.cols]
+            logits[p.kept] = self.decoder_all_logits(ctx, p.ids, past=(p.depth, p.mask, earlier), keep=block,
+                                                     head=block[-1] if hit else None, spread=p.spread).data
+            if p.spread is not None:
+                keep[:, p.kept] = block
         if not hit:
-            slot.head[...] = keep[-1]
+            slot.head[...] = keep[-1, :-1]
             self._head_slot = slot
-        return np.concatenate(logits)
+        return logits if slot.order is None else logits[slot.order]
 
     def wave_logits(self, cache: DecodeCache, nodes, on_pass) -> None:
         """Next-token logits after each of `nodes`, a 1-D int array of node

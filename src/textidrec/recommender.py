@@ -9,13 +9,16 @@ that set (renormalization can be disabled for the masked-only variant).
 The catalog trie is a `PrefixTrie` (`model.py`) of its inner nodes
 (`CatalogTrie`). `prefix_logits` decodes the nodes of a PrefixTrie; one
 call (tree-masked decoder passes, the only model call besides `encode`)
-gives the step distribution of every inner node, and from it one
-log-probability per edge. Ranking, beam search, candidate scoring and
-single-step distributions all read that array, so their scores agree
-exactly. The model's head slot is keyed on the trie: every user ranked
-against the same trie and unchanged weights after the first reuses its
-layout and decoder head (see `model.py`), and only the part of the pass
-that reads the user's prompt runs.
+gives the step distribution of inner nodes, and from it one
+log-probability per edge. Under renormalization a node with a single
+continuation gives its edge log-probability exactly 0.0 whatever its
+logits, so that call decodes only the trie's fork rows (`CatalogTrie`);
+without renormalization it decodes every inner node. Ranking, beam search,
+candidate scoring and single-step distributions all read that array, so
+their scores agree exactly. The model's head slot is keyed on the trie and
+the rows: every user ranked against the same trie and unchanged weights
+after the first reuses its layout and decoder head (see `model.py`), and
+only the part of the pass that reads the user's prompt runs.
 """
 
 from __future__ import annotations
@@ -59,13 +62,19 @@ class CatalogTrie(PrefixTrie):
 
     Edge k < `size` is the step into node k (edge 0, into the root, takes
     none) and edge `size + i` is item i's EOS step. A `TrieNode`'s `row` is
-    the edge into it, so an inner node's row is its node id."""
+    the edge into it, so an inner node's row is its node id.
+
+    `forks` are the nodes whose steps renormalized ranking decodes, in node
+    order: every node with two or more continuations (child tokens, or EOS
+    where an ID ends), their ancestors, and always the root, so that
+    parameters that make every logit NaN are still seen."""
 
     def __init__(self) -> None:
         super().__init__()
         self.root = TrieNode()
         self.keys: list[str] = []
         self.ends: list[int] = []
+        self.forks = np.empty(0, dtype=np.int64)
 
     def node_at(self, prefix) -> TrieNode | None:
         node = self.root
@@ -107,6 +116,17 @@ def build_trie(registry: IdRegistry) -> CatalogTrie:
     for i, node in enumerate(terminals):
         node.row = trie.size + i
         trie.keys.append(node.item_key)
+    parent = trie.parent[:trie.size]
+    continuations = (np.bincount(parent[1:], minlength=trie.size)
+                     + np.bincount(np.asarray(trie.ends, dtype=np.int64), minlength=trie.size))
+    fork = np.zeros(trie.size, dtype=bool)
+    fork[0] = True
+    up = np.flatnonzero(continuations[1:] >= 2) + 1
+    while up.size:  # from the forks up, one level per step, to a marked node (the root is)
+        fork[up] = True
+        up = parent[up]
+        up = up[~fork[up]]
+    trie.forks = np.flatnonzero(fork)
     return trie
 
 
@@ -118,12 +138,30 @@ def valid_next(trie: CatalogTrie, prefix) -> set[int]:
 
 def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[float]:
     """Log-probability of every edge of `trie` (`CatalogTrie`), from one
-    `prefix_logits` call over its nodes, renormalized over each node's
-    valid tokens unless `normalize` is False. A log-probability that is not
-    finite is a ValueError: no ranking can order NaN scores."""
-    logits = model.prefix_logits(state, trie)
-    rows = np.concatenate([trie.parent[1:trie.size], trie.ends])
+    `prefix_logits` call, renormalized over each node's valid tokens unless
+    `normalize` is False. A log-probability of an edge out of a decoded
+    node that is not finite is a ValueError: no ranking can order NaN
+    scores.
+
+    Renormalized, a node's only continuation has log-probability exactly
+    0.0: its logit less its logit plus log(1.0). So the call decodes only
+    the fork rows (`CatalogTrie.forks`), and every edge out of another node
+    is 0.0, the bits a decoded row gives it when its logit is finite. Such
+    an edge's logit is not looked at: an overflowed one ranks as 0.0, while
+    the all-rows call would give NaN. The root is always decoded, so
+    parameters that make every logit NaN are still refused. Unnormalized,
+    the call decodes every node, and every edge is checked."""
+    up = np.concatenate([trie.parent[1:trie.size], trie.ends])  # each edge's node
     tokens = np.concatenate([trie.token[1:trie.size], np.full(len(trie.ends), EOS_ID)])
+    if normalize:
+        row_of = np.full(trie.size, -1)
+        row_of[trie.forks] = np.arange(len(trie.forks))
+        edges = np.flatnonzero(row_of[up] >= 0)  # out of a decoded node
+        rows, tokens = row_of[up[edges]], tokens[edges]
+        logits = model.prefix_logits(state, trie, trie.forks)
+    else:
+        edges, rows = slice(None), up
+        logits = model.prefix_logits(state, trie)
     picked = logits[rows, tokens]
     if normalize:
         # the log-sum-exp of each row masked to its valid tokens (the others
@@ -138,9 +176,11 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[flo
     else:
         m = logits.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
-    lp = picked - lse[rows]
+    lp = np.zeros(len(up))
+    lp[edges] = picked - lse[rows]
     if not np.isfinite(lp).all():
-        raise ValueError("the recommender's edge log-probabilities are not finite: its parameters hold NaN or overflow")
+        raise ValueError("the recommender's edge log-probabilities at its decoded trie nodes are not finite: "
+                         "its parameters hold NaN or overflow")
     return [0.0] + lp.tolist()
 
 
@@ -179,9 +219,10 @@ def rank_all(model, prompt, registry: IdRegistry, trie: CatalogTrie,
     """Exact full-catalog ranking: every registered item scored, sorted by
     descending log-score with lexicographic item-key tie-break.
 
-    All inner nodes are scored in one tree-masked pass (`_edge_logprobs`),
-    then path scores accumulate edge by edge, parents first; per-step
-    distributions are identical to score_candidate's.
+    Every edge's log-probability comes from one `prefix_logits` call
+    (`_edge_logprobs`: the fork rows when renormalized, every inner node
+    otherwise), then path scores accumulate edge by edge, parents first;
+    per-step distributions are identical to score_candidate's.
     """
     if not registry.ids:
         raise ValueError("registry is empty")

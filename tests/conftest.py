@@ -93,8 +93,9 @@ class ScriptedModel:
         """Next-token logits after one prefix; stubs override this hook."""
         return np.log(self._probs(prefix))
 
-    def prefix_logits(self, state, trie) -> np.ndarray:
-        return np.array([self.logits(state, p) for p in trie.prefixes(range(trie.size))]).reshape(-1, self.vocab_size)
+    def prefix_logits(self, state, trie, rows=None) -> np.ndarray:
+        nodes = range(trie.size) if rows is None else rows
+        return np.array([self.logits(state, p) for p in trie.prefixes(nodes)]).reshape(-1, self.vocab_size)
 
     def wave_logits(self, cache, nodes, on_pass) -> None:
         on_pass(np.arange(len(nodes)),

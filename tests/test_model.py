@@ -9,11 +9,13 @@ import pytest
 
 from conftest import cold_copy, prefix_logits, tiny_model, trie_of
 from textidrec import model as model_module
+from textidrec.allocator import IdRegistry, TextualId
 from textidrec.autograd import Tensor, concat, stack_rows
 from textidrec.model import (AdamState, ModelConfig, SequenceModel, SequenceTooLong,
                              ShapeMismatch, VocabularyMismatch, apply_update,
                              expected_embedding, expected_embedding_rows, load_checkpoint,
                              log_softmax_rows, save_checkpoint)
+from textidrec.recommender import build_trie
 from textidrec.tokenizer import EOS_ID, PAD_ID
 
 
@@ -272,9 +274,10 @@ def test_attention_over_leading_axes_equals_one_call_per_entry(trainable):
             assert np.max(np.abs(grad - want)) < 1e-12, name
 
 
-def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None):
+def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None, spread=None):
     """Attention as the 17-op chain `_attention` fuses into one node: the
-    reference for its bits."""
+    reference for its bits (of a pass over whole rows: `spread` None)."""
+    assert spread is None
     rows, width = q_in.data.shape[0], pt[f"{prefix}_wq"].data.shape[1]
     keys, dh = kv_in.data.shape[0], width // heads
     q = (q_in @ pt[f"{prefix}_wq"]).reshape(rows, heads, dh).swapaxes(0, 1)
@@ -287,9 +290,10 @@ def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None):
     return heads_out.swapaxes(0, 1).reshape(rows, width) @ pt[f"{prefix}_wo"]
 
 
-def chain_feed_forward(pt, prefix, x):
+def chain_feed_forward(pt, prefix, x, spread=None):
     """The 5-op chain `_feed_forward` fuses into one node: the reference for
-    its bits."""
+    its bits (of a pass over whole rows: `spread` None)."""
+    assert spread is None
     return (x @ pt[f"{prefix}_w1"] + pt[f"{prefix}_b1"]).gelu() @ pt[f"{prefix}_w2"] + pt[f"{prefix}_b2"]
 
 
@@ -494,13 +498,13 @@ def test_sparse_tree_masks_give_the_dense_masks_bits(monkeypatch, shape, block_r
     sparse = cold_copy(model)
     got = [sparse.prefix_logits(ctx, trie) for ctx in contexts]  # a slot miss, then hits
     passes = sparse._head_slot.passes
-    assert all(isinstance(mask, model_module._TreeMask) for _, _, _, mask, _ in passes)
-    assert (len(passes) > 1 and passes[-1][4] is not None) == (block_rows == 8 and shape != "one_row")
+    assert all(isinstance(p.mask, model_module._TreeMask) for p in passes)
+    assert (len(passes) > 1 and passes[-1].cols is not None) == (block_rows == 8 and shape != "one_row")
     monkeypatch.setattr(model_module, "_TreeMask", DenseTreeMask)
     dense = cold_copy(model)
     for ctx, rows in zip(contexts, got):
         assert same_bits(rows, dense.prefix_logits(ctx, trie))
-    assert all(isinstance(mask, np.ndarray) for _, _, _, mask, _ in dense._head_slot.passes)
+    assert all(isinstance(p.mask, np.ndarray) for p in dense._head_slot.passes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 100])
@@ -1162,6 +1166,100 @@ def test_head_slot_with_no_prefixes():
     slot = model._head_slot
     assert model.prefix_logits(ctx, trie).shape == (0, 11)
     assert model._head_slot is slot
+
+
+# -- some rows: `prefix_logits(ctx, trie, rows)` -------------------------------
+
+
+def catalog_trie(rng: np.random.Generator, vocab_size: int, items: int):
+    """The catalog trie (`build_trie`) of `items` distinct random IDs of one
+    to five tokens."""
+    ids: dict[tuple[int, ...], None] = {}
+    while len(ids) < items:
+        ids[tuple(int(t) for t in rng.integers(4, vocab_size, size=rng.integers(1, 6)))] = None
+    return build_trie(IdRegistry(ids={f"k{i}": TextualId(tokens=tid, text=repr(tid))
+                                      for i, tid in enumerate(ids)}, rows=()))
+
+
+def with_ancestors(trie, nodes) -> np.ndarray:
+    """`nodes` and every ancestor of theirs, sorted."""
+    picked = np.zeros(trie.size, dtype=bool)
+    for node in np.asarray(nodes, dtype=np.int64).tolist():
+        while node >= 0 and not picked[node]:
+            picked[node] = True
+            node = int(trie.parent[node])
+    return np.flatnonzero(picked)
+
+
+@pytest.mark.parametrize("block_rows", [512, 8])
+def test_prefix_logits_of_some_rows_are_the_all_rows_bits(monkeypatch, block_rows):
+    # random configs, catalogs and row sets: a call that decodes some rows
+    # gives each the bits of the call that decodes all, on a slot miss (the
+    # first context) and on hits (the others); a block given more than half
+    # its rows decodes them all
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    lone_passes = filled = 0
+    for case in range(40):
+        heads = int(rng.choice([1, 2, 4]))
+        d_model = heads * int(rng.integers(max(1, 8 // heads), 64 // heads + 1))
+        model = tiny_model(vocab_size=23, seed=case, d_model=d_model, layers=int(rng.integers(1, 3)),
+                           heads=heads, ff_dim=int(rng.integers(4, 65)), max_src_len=64)
+        trie = catalog_trie(rng, 23, 1 if case % 8 == 0 else int(rng.integers(1, 61)))
+        if case % 2:
+            rows = trie.forks
+        else:  # random nodes with their ancestors, in a random order, one twice
+            rows = rng.permutation(with_ancestors(trie, rng.choice(trie.size, size=rng.integers(1, 4))))
+            rows = np.append(rows, rows[0])
+        contexts = [model.encode(rng.integers(3, 23, size=n)) for n in (rng.integers(1, 64), 0, rng.integers(1, 64))]
+        some, every = cold_copy(model), cold_copy(model)
+        for ctx in contexts:
+            got = some.prefix_logits(ctx, trie, rows)
+            assert same_bits(got, every.prefix_logits(ctx, trie)[rows])
+        lone_passes += sum(p.spread is not None and p.spread.at[0] == p.spread.at[-1] for p in some._head_slot.passes)
+        filled += len(some._head_slot.head) > len(np.unique(rows))
+    assert block_rows == 512 or lone_passes > 0  # a pass that decodes one row of its block
+    assert filled > 0
+
+
+def test_prefix_logits_of_some_rows_refill_the_head_slot_per_row_set():
+    model = tiny_model(vocab_size=23, seed=4, layers=2)
+    trie = catalog_trie(np.random.default_rng(4), 23, 30)
+    ctx = model.encode([3, 5, 7])
+    every = model.prefix_logits(ctx, trie)
+    for rows in (trie.forks, [0], with_ancestors(trie, [trie.size - 1]), trie.forks, None):
+        slot = model._head_slot
+        got = model.prefix_logits(ctx, trie, rows)
+        assert model._head_slot is not slot  # the key holds the rows
+        assert same_bits(got, every if rows is None else every[rows])
+        slot = model._head_slot
+        assert same_bits(model.prefix_logits(ctx, trie, rows), got) and model._head_slot is slot
+        assert len(slot.head) == (trie.size if rows is None else len(np.unique(rows)))
+    assert model.prefix_logits(ctx, trie, []).shape == (0, 23)
+
+
+def test_prefix_logits_refuse_rows_without_their_ancestors():
+    model = tiny_model(vocab_size=11, seed=3)
+    trie, nodes = trie_of([(5, 6, 7), (3,), (8, 2)])
+    ctx = model.encode([3, 4])
+    for rows in ([0, nodes[0]], [nodes[1]], [trie.size], [-1], [[0]]):
+        with pytest.raises(ValueError):
+            model.prefix_logits(ctx, trie, rows)
+    assert model._head_slot is None
+
+
+def test_a_block_without_given_rows_runs_no_pass(monkeypatch, decoder_calls):
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 8)
+    model = tiny_model(vocab_size=11, seed=5, layers=2)
+    trie, _ = trie_of(random_prefix_tree(random.Random(2), 11, 15, 6))
+    ctx = model.encode([3, 4])
+    assert trie.size > 24
+    for nodes in ([0], [trie.size - 1], [9, trie.size - 1], range(trie.size)):
+        rows = with_ancestors(trie, nodes)
+        decoder_calls.clear()
+        got = model.prefix_logits(ctx, trie, rows)
+        assert len(decoder_calls) == len(np.unique(rows // 8))
+        assert same_bits(got, cold_copy(model).prefix_logits(ctx, trie)[rows])
 
 
 def test_calls_with_a_memo_neither_read_nor_write_the_head_slot():

@@ -293,6 +293,110 @@ def test_edge_logprobs_keep_the_dense_bits(normalize):
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+def test_trie_fork_rows():
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red, hat = vocab.token_to_id["red"], vocab.token_to_id["hat"]
+    # the root and "red" have two continuations each; "red hat" has EOS and "shoe"
+    trie = build_trie(registry_from(vocab, {"a": "red hat", "b": "red shoe", "c": "blue hat shoe",
+                                            "d": "red hat shoe"}))
+    assert [trie.prefixes([node])[0] for node in trie.forks] == [(), (red,), (red, hat)]
+    # an ID that ends where another goes on makes a fork; one item makes none but the root
+    trie = build_trie(registry_from(vocab, {"a": "red", "b": "red hat shoe"}))
+    assert [trie.prefixes([node])[0] for node in trie.forks] == [(), (red,)]
+    assert build_trie(registry_from(vocab, {"a": "red hat shoe"})).forks.tolist() == [0]
+    assert build_trie(IdRegistry(ids={}, rows=())).forks.tolist() == [0]
+
+
+def catalog_of(vocab, rng: random.Random, n_items: int) -> IdRegistry:
+    texts = set()
+    while len(texts) < n_items:
+        texts.add(" ".join(rng.choice(WORDS[:10]) for _ in range(rng.randint(1, 4))))
+    return registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))})
+
+
+@pytest.mark.parametrize("layers,n_items,block_rows", [(1, 1, 512), (2, 12, 512), (1, 40, 512), (2, 40, 8)])
+def test_renormalized_scorers_give_the_all_rows_bytes(monkeypatch, layers, n_items, block_rows):
+    # every scorer reads the fork rows only; with `_edge_logprobs` swapped
+    # for the reference that decodes every row, the bytes are the same
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=layers + n_items, layers=layers)
+    reg = catalog_of(vocab, random.Random(n_items), n_items)
+    trie = build_trie(reg)
+    assert len(trie.forks) < trie.size
+
+    def outputs() -> str:
+        out = []
+        for prompt in (Prompt(tokens=(3, 5, 7), spans=()), empty_prompt()):
+            state = model.encode(prompt.tokens)
+            out.append(rank_all(model, prompt, reg, trie, state=state))
+            out.append([score_candidate(model, prompt, tid, trie, state=state) for tid in reg.ids.values()])
+            out += [constrained_distribution(model, state, tid.tokens[:k], trie)
+                    for tid in reg.ids.values() for k in range(len(tid.tokens) + 1)]
+            out.append(constrained_beam_search(model, prompt, trie, 4, 3, state=state))
+        return repr(out)  # a float's repr round-trips its bits
+
+    got = outputs()
+    monkeypatch.setattr(recommender_module, "_edge_logprobs",
+                        lambda m, state, trie, normalize: dense_edge_logprobs(m, state, trie, normalize))
+    assert got == outputs()
+
+
+def test_an_only_continuation_has_log_probability_zero_in_the_all_rows_path():
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=2, layers=2)
+    rng = random.Random(3)
+    for n_items in (1, 2, 15, 40):
+        trie = build_trie(catalog_of(vocab, rng, n_items))
+        up = np.concatenate([trie.parent[1:trie.size], trie.ends])  # each edge's node
+        continuations = np.bincount(up, minlength=trie.size)
+        assert not np.isin(np.flatnonzero(continuations >= 2), trie.forks, invert=True).any()
+        only = np.flatnonzero(continuations[up] == 1)
+        assert len(only)
+        for source in ([3, 5, 7], []):
+            lp = dense_edge_logprobs(model, model.encode(source), trie, True)[1:]
+            assert {lp[e].hex() for e in only} == {(0.0).hex()}
+
+
+def test_an_overflowed_logit_on_an_only_continuation_is_not_looked_at_renormalized():
+    # renormalized, an edge out of a node with one continuation is 0.0
+    # without its logits being decoded; unnormalized, every edge is checked
+    vocab = make_vocab(["red", "blue", "hat"])
+    reg = registry_from(vocab, {"a": "red hat", "b": "blue"})
+    trie = build_trie(reg)
+    red, hat = vocab.encode("red")[0], vocab.encode("hat")[0]
+    assert trie.node_at((red,)).row not in trie.forks
+
+    class Overflowed(ScriptedModel):
+        def logits(self, state, prefix):
+            out = super().logits(state, prefix)
+            if tuple(prefix) == (red,):
+                out[hat] = np.inf
+            return out
+
+    ranked = rank_all(Overflowed(vocab.size, {}), empty_prompt(), reg, trie)
+    assert ranked == rank_all(ScriptedModel(vocab.size, {}), empty_prompt(), reg, trie)
+    with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
+        rank_all(Overflowed(vocab.size, {}), empty_prompt(), reg, trie, normalize=False)
+
+
+@pytest.mark.parametrize("name", ["dec_ln_g", "dec0_ff_w1", "enc0_self_wq"])
+def test_a_one_item_catalog_still_refuses_nan_parameters(name):
+    vocab = make_vocab(["red", "hat", "shoe"])
+    reg = registry_from(vocab, {"a": "red hat shoe"})
+    trie = build_trie(reg)
+    model = tiny_model(vocab_size=vocab.size, seed=4)
+    prompt = Prompt(tokens=(3, 4), spans=())
+    assert rank_all(model, prompt, reg, trie) == [("a", 0.0)]
+    model.params[name].reshape(-1)[0] = np.nan
+    for score in (lambda: rank_all(model, prompt, reg, trie),
+                  lambda: score_candidate(model, prompt, reg.ids["a"], trie),
+                  lambda: constrained_distribution(model, model.encode(prompt.tokens), (), trie),
+                  lambda: constrained_beam_search(model, prompt, trie, 2, 1)):
+        with pytest.raises(ValueError, match="not finite"):
+            score()
+
+
 def test_rank_all_is_one_decoder_pass(decoder_calls):
     vocab = make_vocab(WORDS[:10])
     model = tiny_model(vocab_size=vocab.size, seed=3)
@@ -303,7 +407,10 @@ def test_rank_all_is_one_decoder_pass(decoder_calls):
     state = model.encode([3, 4])
     decoder_calls.clear()
     rank_all(model, empty_prompt(), reg, trie, state=state)
-    assert trie.size > 20
+    assert trie.size > 20 and 1 < len(trie.forks) < trie.size
+    assert decoder_calls == [len(trie.forks)]  # renormalized: the fork rows only
+    decoder_calls.clear()
+    rank_all(model, empty_prompt(), reg, trie, normalize=False, state=state)
     assert decoder_calls == [trie.size]
 
 
