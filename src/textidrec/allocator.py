@@ -98,7 +98,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecodeCache, _grown, log_softmax_rows
+from .model import DecodeCache, NotFinite, _grown, log_softmax_rows
 from .tokenizer import EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -288,13 +288,13 @@ def _ranked(logits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     token order, PAD and UNK ranked as -inf: (rows, width) float64 log-probs
     and int32 token ids, ranked by one stable argsort. A NaN or +inf logit
     makes its row's log-softmax NaN, which the ranked block then holds: that
-    is a ValueError, as no search can rank NaN scores."""
+    is a `NotFinite` error, as no search can rank NaN scores."""
     block = log_softmax_rows(logits)
     block[:, [PAD_ID, UNK_ID]] = -np.inf
     order = (-block).argsort(axis=1, kind="stable")[:, :width]
     ranked = np.take_along_axis(block, order, axis=1)
     if np.isnan(ranked).any():
-        raise ValueError("the ID generator's next-token logits are not finite: its parameters hold NaN or overflow")
+        raise NotFinite("the ID generator's next-token logits are not finite: its parameters hold NaN or overflow")
     return ranked, order.astype(np.int32)
 
 
@@ -584,6 +584,19 @@ def _ordinal_tokens(position: int, vocab_size: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def usable_vocabulary(vocab: Vocabulary, where: str) -> Vocabulary:
+    """`vocab`, if it has the two usable (non-special) tokens that ID
+    allocation needs, since the ordinal fallback counts in base (usable
+    tokens); fewer is a ValueError naming `where`. The CLI checks the
+    vocabulary it builds, a bundle the one it loads, and `allocate_all`
+    every one it is given."""
+    usable = vocab.size - len(SPECIAL_TOKENS)
+    if usable < 2:
+        raise ValueError(f"{where}: the vocabulary has {usable} usable tokens and ID allocation needs "
+                         f"at least 2 (raise max_size or lower min_freq)")
+    return vocab
+
+
 def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
                  config: AllocatorConfig) -> IdRegistry:
     """Allocate a unique textual ID for every (item_key, flattened_text).
@@ -600,9 +613,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     """
     if not items:
         raise ValueError("items must be non-empty")
-    if vocab.size - len(SPECIAL_TOKENS) < 2:  # the ordinal fallback counts in base (usable tokens)
-        raise ValueError(f"config section 'vocab': the vocabulary has {vocab.size - len(SPECIAL_TOKENS)} "
-                         f"usable tokens and ID allocation needs at least 2 (raise max_size or lower min_freq)")
+    usable_vocabulary(vocab, "config section 'vocab'")
     keys: set[str] = set()
     for key, _ in items:
         if key in keys:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, evaluation, synth
-from .allocator import AllocatorConfig, IdSpaceExhausted, allocate_all
+from .allocator import AllocatorConfig, IdSpaceExhausted, allocate_all, usable_vocabulary
 from .corpus import DataFormatError, EmptyAfterFiltering, HistoryTooShort
 from .model import (ModelConfig, SequenceModel, SequenceTooLong, ShapeMismatch,
                     VocabularyMismatch)
@@ -109,8 +109,9 @@ def _config(build, sections: dict[str, dict], section: str, hints: dict | None =
 
 
 def _build_vocab(sections: dict[str, dict], items: dict, bank) -> Vocabulary:
-    return _config(build_vocab, sections, "vocab", {"min_freq": int, "max_size": int},
-                   texts=_vocab_corpus(items, bank))
+    vocab = _config(build_vocab, sections, "vocab", {"min_freq": int, "max_size": int},
+                    texts=_vocab_corpus(items, bank))
+    return usable_vocabulary(vocab, "config section 'vocab'")
 
 
 def _load_configs(args) -> dict[str, dict]:

@@ -167,6 +167,10 @@ class VocabularyMismatch(ValueError):
     """A checkpoint was trained against a different vocabulary."""
 
 
+class NotFinite(ValueError):
+    """A model's scores are not finite: its parameters hold NaN or overflow."""
+
+
 CHECKPOINT_VERSION = 1
 
 

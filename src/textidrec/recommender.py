@@ -6,29 +6,32 @@ a prefix of another remains unambiguous. At each decoding step the model's
 logits are masked to the trie's valid continuations and renormalized over
 that set (renormalization can be disabled for the masked-only variant).
 
-The catalog trie is a `PrefixTrie` (`model.py`) of its inner nodes
-(`CatalogTrie`). `prefix_logits` decodes the nodes of a PrefixTrie; one
-call (tree-masked decoder passes, the only model call besides `encode`)
+The catalog trie (`CatalogTrie`) is one structure: a `PrefixTrie`
+(`model.py`) of its inner nodes, plus its edges and a child index, all
+arrays over integer ids. `prefix_logits` decodes the nodes of a PrefixTrie;
+one call (tree-masked decoder passes, the only model call besides `encode`)
 gives the step distribution of inner nodes, and from it one
 log-probability per edge. Under renormalization a node with a single
 continuation gives its edge log-probability exactly 0.0 whatever its
 logits, so that call decodes only the trie's fork rows (`CatalogTrie`);
 without renormalization it decodes every inner node. Ranking, beam search,
-candidate scoring and single-step distributions all read that array, so
-their scores agree exactly. The model's head slot is keyed on the trie and
-the rows: every user ranked against the same trie and unchanged weights
-after the first reuses its layout and decoder head (see `model.py`), and
-only the part of the pass that reads the user's prompt runs.
+candidate scoring and single-step distributions all read that array (the
+first three as path scores, summed parents first), and walk the trie by
+id through the child index, so their scores agree exactly. The model's head slot is keyed on the trie and the rows: every
+user ranked against the same trie and unchanged weights after the first
+reuses its layout and decoder head (see `model.py`), and only the part of
+the pass that reads the user's prompt runs.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .allocator import IdRegistry, TextualId
-from .model import PrefixTrie
+from .model import NotFinite, PrefixTrie
 from .tokenizer import EOS_ID, PAD_ID
 
 
@@ -44,104 +47,117 @@ class UnknownId(KeyError):
     """The candidate ID is not registered in the trie."""
 
 
-class TrieNode:
-    __slots__ = ("children", "item_key", "row")
-
-    def __init__(self) -> None:
-        self.children: dict[int, TrieNode] = {}
-        self.item_key: str | None = None
-        self.row = -1  # the edge into this node (`CatalogTrie`)
-
-
 class CatalogTrie(PrefixTrie):
-    """The catalog's trie, whose nodes (`PrefixTrie`) are its inner nodes:
-    every proper prefix of a registered ID followed by EOS, numbered
-    depth-first with children in token order, node 0 the empty prefix. Item
-    `keys[i]`'s ID ends at node `ends[i]`, whose EOS step completes it.
-    `root` is the same trie as `TrieNode`s, for lookup by tokens.
+    """The catalog's trie (`build_trie`), whose nodes (`PrefixTrie`) are its
+    inner nodes: every proper prefix of a registered ID followed by EOS,
+    numbered depth-first with children in token order, node 0 the empty
+    prefix. So among prefixes of one length, node order is lexicographic
+    order. Item `keys[i]`'s ID ends at node `ends[i]`, whose EOS step
+    completes it.
 
     Edge k < `size` is the step into node k (edge 0, into the root, takes
-    none) and edge `size + i` is item i's EOS step. A `TrieNode`'s `row` is
-    the edge into it, so an inner node's row is its node id.
+    none) and edge `size + i` is item i's EOS step, so an edge names the
+    node or item it reaches. Edge k leaves node `edge_node[k]` by token
+    `edge_token[k]` (edge 0: -1 and PAD). The child index lists the edges
+    sorted by (node, token): the edges out of node or edge k are
+    `child[first[k]:first[k + 1]]`, none for an item's.
 
     `forks` are the nodes whose steps renormalized ranking decodes, in node
     order: every node with two or more continuations (child tokens, or EOS
     where an ID ends), their ancestors, and always the root, so that
-    parameters that make every logit NaN are still seen."""
+    parameters that make every logit NaN are still seen. The edges out of
+    them are `fork_edges`, in edge order, and `fork_rows` their nodes' rows
+    among the forks.
 
-    def __init__(self) -> None:
+    `root` is a nested view built from these arrays when read, for callers
+    that walk `children` dicts (perfbench's traced node count); the package
+    itself never reads it."""
+
+    def __init__(self, registry: IdRegistry) -> None:
+        """Sort the IDs, each followed by EOS, and add the inner nodes each
+        adds to the ones before it: in sorted order that is depth-first
+        order with children in token order, and items sharing an ID come
+        out side by side. Then record the edges, the child index and the
+        fork rows."""
         super().__init__()
-        self.root = TrieNode()
         self.keys: list[str] = []
         self.ends: list[int] = []
-        self.forks = np.empty(0, dtype=np.int64)
+        parents, tokens, depths = [-1], [PAD_ID], [0]  # of the inner nodes, in node order
+        path, last = [0], ()  # the nodes along the ID before, and its tokens
+        for key, tid in sorted(registry.ids.items(), key=lambda kv: (*kv[1].tokens, EOS_ID)):
+            ids = tuple(map(int, tid.tokens))
+            shared = next((j for j, (a, b) in enumerate(zip(ids, last)) if a != b), min(len(ids), len(last)))
+            del path[shared + 1:]
+            for token in ids[shared:]:
+                parents.append(path[-1])
+                tokens.append(token)
+                depths.append(len(path))
+                path.append(len(parents) - 1)
+            if self.ends and self.ends[-1] == path[-1]:
+                raise DuplicateId(f"items {self.keys[-1]!r} and {key!r} share ID {tid.text!r}")
+            self.keys.append(key)
+            self.ends.append(path[-1])
+            last = ids
+        self.add(parents, tokens, depths)
+        self.edge_node = np.array(parents + self.ends)
+        self.edge_token = np.array(tokens + [EOS_ID] * len(self.ends))
+        self.child = np.lexsort((self.edge_token[1:], self.edge_node[1:])) + 1
+        self.first = np.searchsorted(self.edge_node[self.child], np.arange(len(self.edge_node) + 1))
+        fork = np.zeros(self.size, dtype=bool)
+        fork[0] = True
+        up = np.flatnonzero(np.diff(self.first[1:self.size + 1]) >= 2) + 1
+        while up.size:  # from the forks up, one level per step, to a marked node (the root is)
+            fork[up] = True
+            up = self.edge_node[up]
+            up = up[~fork[up]]
+        self.forks = np.flatnonzero(fork)
+        self.fork_edges = np.flatnonzero(fork[self.edge_node[1:]]) + 1
+        self.fork_rows = np.searchsorted(self.forks, self.edge_node[self.fork_edges])
 
-    def node_at(self, prefix) -> TrieNode | None:
-        node = self.root
+    def edges_from(self, node: int) -> np.ndarray:
+        """The edges out of node (or edge) `node`, in token order."""
+        return self.child[self.first[node]:self.first[node + 1]]
+
+    def node_at(self, prefix) -> int | None:
+        """The edge that `prefix` ends on (its inner node, or `size + i`
+        for item i's ID followed by EOS), or None off the trie."""
+        node = 0
         for token in prefix:
-            node = node.children.get(int(token))
-            if node is None:
+            edges = self.edges_from(node)
+            edges = edges[self.edge_token[edges] == int(token)]
+            if not len(edges):
                 return None
+            node = int(edges[0])
         return node
+
+    @property
+    def root(self) -> SimpleNamespace:
+        """The trie as nested namespaces, each with a `children` dict
+        from token to namespace, built anew on every read."""
+        nodes = [SimpleNamespace(children={}) for _ in self.edge_node]
+        for k, (up, token) in enumerate(zip(self.edge_node[1:].tolist(), self.edge_token[1:].tolist()), 1):
+            nodes[up].children[token] = nodes[k]
+        return nodes[0]
 
 
 def build_trie(registry: IdRegistry) -> CatalogTrie:
-    """Insert every registered ID's tokens followed by EOS; the node reached
-    after EOS is the terminal carrying the item key. Inner nodes are then
-    added to the `PrefixTrie` depth-first, in one call, and the terminals
-    numbered after them."""
-    trie = CatalogTrie()
-    for key, tid in registry.ids.items():
-        node = trie.root
-        for token in tid.tokens + (EOS_ID,):
-            node = node.children.setdefault(int(token), TrieNode())
-        if node.item_key is not None:
-            raise DuplicateId(f"items {node.item_key!r} and {key!r} share ID {tid.text!r}")
-        node.item_key = key
-    terminals: list[TrieNode] = []
-    parents, tokens, depths = [], [], []  # of the inner nodes, in node order
-    stack: list[tuple[TrieNode, int, int, int]] = [(trie.root, -1, PAD_ID, 0)]  # (node, parent id, token, depth)
-    while stack:
-        node, up, token, depth = stack.pop()
-        if node.item_key is not None:
-            terminals.append(node)
-            trie.ends.append(up)
-            continue
-        node.row = len(parents)
-        parents.append(up)
-        tokens.append(token)
-        depths.append(depth)
-        stack += [(node.children[t], node.row, t, depth + 1) for t in sorted(node.children, reverse=True)]
-    trie.add(parents, tokens, depths)
-    for i, node in enumerate(terminals):
-        node.row = trie.size + i
-        trie.keys.append(node.item_key)
-    parent = trie.parent[:trie.size]
-    continuations = (np.bincount(parent[1:], minlength=trie.size)
-                     + np.bincount(np.asarray(trie.ends, dtype=np.int64), minlength=trie.size))
-    fork = np.zeros(trie.size, dtype=bool)
-    fork[0] = True
-    up = np.flatnonzero(continuations[1:] >= 2) + 1
-    while up.size:  # from the forks up, one level per step, to a marked node (the root is)
-        fork[up] = True
-        up = parent[up]
-        up = up[~fork[up]]
-    trie.forks = np.flatnonzero(fork)
-    return trie
+    """The catalog trie of every registered ID (`CatalogTrie`); two items
+    sharing an ID are a `DuplicateId`."""
+    return CatalogTrie(registry)
 
 
 def valid_next(trie: CatalogTrie, prefix) -> set[int]:
     """Token ids that may follow `prefix`; empty if `prefix` leaves the trie."""
     node = trie.node_at(prefix)
-    return set(node.children) if node is not None else set()
+    return set() if node is None else set(trie.edge_token[trie.edges_from(node)].tolist())
 
 
 def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[float]:
     """Log-probability of every edge of `trie` (`CatalogTrie`), from one
     `prefix_logits` call, renormalized over each node's valid tokens unless
     `normalize` is False. A log-probability of an edge out of a decoded
-    node that is not finite is a ValueError: no ranking can order NaN
-    scores.
+    node that is not finite is a `NotFinite` error: no ranking can order
+    NaN scores.
 
     Renormalized, a node's only continuation has log-probability exactly
     0.0: its logit less its logit plus log(1.0). So the call decodes only
@@ -151,17 +167,14 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[flo
     the all-rows call would give NaN. The root is always decoded, so
     parameters that make every logit NaN are still refused. Unnormalized,
     the call decodes every node, and every edge is checked."""
-    up = np.concatenate([trie.parent[1:trie.size], trie.ends])  # each edge's node
-    tokens = np.concatenate([trie.token[1:trie.size], np.full(len(trie.ends), EOS_ID)])
     if normalize:
-        row_of = np.full(trie.size, -1)
-        row_of[trie.forks] = np.arange(len(trie.forks))
-        edges = np.flatnonzero(row_of[up] >= 0)  # out of a decoded node
-        rows, tokens = row_of[up[edges]], tokens[edges]
+        edges, rows = trie.fork_edges, trie.fork_rows
         logits = model.prefix_logits(state, trie, trie.forks)
     else:
-        edges, rows = slice(None), up
+        edges = slice(1, None)
+        rows = trie.edge_node[edges]
         logits = model.prefix_logits(state, trie)
+    tokens = trie.edge_token[edges]
     picked = logits[rows, tokens]
     if normalize:
         # the log-sum-exp of each row masked to its valid tokens (the others
@@ -176,12 +189,12 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[flo
     else:
         m = logits.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
-    lp = np.zeros(len(up))
+    lp = np.zeros(len(trie.edge_node))
     lp[edges] = picked - lse[rows]
     if not np.isfinite(lp).all():
-        raise ValueError("the recommender's edge log-probabilities at its decoded trie nodes are not finite: "
-                         "its parameters hold NaN or overflow")
-    return [0.0] + lp.tolist()
+        raise NotFinite("the recommender's edge log-probabilities at its decoded trie nodes are not finite: "
+                        "its parameters hold NaN or overflow")
+    return lp.tolist()
 
 
 def constrained_distribution(model, state, prefix, trie: CatalogTrie,
@@ -189,10 +202,21 @@ def constrained_distribution(model, state, prefix, trie: CatalogTrie,
     """Probability of each valid next token; tokens outside the valid set
     have probability exactly 0 (absent from the map)."""
     node = trie.node_at(prefix)
-    if node is None or not node.children:
+    edges = [] if node is None else trie.edges_from(node).tolist()
+    if not edges:
         raise DeadEnd(f"no valid continuation after prefix {tuple(prefix)!r}")
     lp = _edge_logprobs(model, state, trie, normalize)
-    return {token: math.exp(lp[child.row]) for token, child in sorted(node.children.items())}
+    return {int(trie.edge_token[k]): math.exp(lp[k]) for k in edges}
+
+
+def _path_scores(trie: CatalogTrie, lp: list[float]) -> list[float]:
+    """The score of every edge's path from the root: the log-probabilities
+    `lp` of its edges summed parents first, the order in which a walk down
+    the path adds them (a parent's edge precedes its children's)."""
+    score = lp[:]
+    for k, up in enumerate(trie.edge_node[1:].tolist(), 1):
+        score[k] = score[up] + lp[k]
+    return score
 
 
 def score_candidate(model, prompt, tid: TextualId, trie: CatalogTrie,
@@ -201,17 +225,10 @@ def score_candidate(model, prompt, tid: TextualId, trie: CatalogTrie,
     path, including the EOS step."""
     if state is None:
         state = model.encode(prompt.tokens)
-    path = tuple(int(t) for t in tid.tokens) + (EOS_ID,)
-    terminal = trie.node_at(path)
-    if terminal is None or terminal.item_key is None:
+    terminal = trie.node_at(tuple(tid.tokens) + (EOS_ID,))
+    if terminal is None or terminal < trie.size:
         raise UnknownId(f"ID {tid.text!r} is not registered")
-    lp = _edge_logprobs(model, state, trie, normalize)
-    node = trie.root
-    score = 0.0
-    for token in path:
-        node = node.children[token]
-        score += lp[node.row]
-    return score
+    return _path_scores(trie, _edge_logprobs(model, state, trie, normalize))[terminal]
 
 
 def rank_all(model, prompt, registry: IdRegistry, trie: CatalogTrie,
@@ -221,20 +238,16 @@ def rank_all(model, prompt, registry: IdRegistry, trie: CatalogTrie,
 
     Every edge's log-probability comes from one `prefix_logits` call
     (`_edge_logprobs`: the fork rows when renormalized, every inner node
-    otherwise), then path scores accumulate edge by edge, parents first;
-    per-step distributions are identical to score_candidate's.
+    otherwise), then path scores accumulate edge by edge, parents first
+    (`_path_scores`); per-step distributions are identical to
+    score_candidate's.
     """
     if not registry.ids:
         raise ValueError("registry is empty")
     if state is None:
         state = model.encode(prompt.tokens)
-    lp = _edge_logprobs(model, state, trie, normalize)
-    score = lp[:trie.size]  # of each node's prefix
-    for k, up in enumerate(trie.parent[1:trie.size].tolist(), 1):
-        score[k] = score[up] + lp[k]
-    results = [(key, score[end] + step) for key, end, step in zip(trie.keys, trie.ends, lp[trie.size:])]
-    results.sort(key=lambda r: (-r[1], r[0]))
-    return results
+    score = _path_scores(trie, _edge_logprobs(model, state, trie, normalize))
+    return sorted(zip(trie.keys, score[trie.size:]), key=lambda r: (-r[1], r[0]))
 
 
 def constrained_beam_search(model, prompt, trie: CatalogTrie, beam_width: int,
@@ -242,27 +255,25 @@ def constrained_beam_search(model, prompt, trie: CatalogTrie, beam_width: int,
                             state=None) -> list[tuple[str, float]]:
     """Beam search where each expansion is restricted to the trie's valid
     continuations; hypotheses complete at EOS terminals. Returns the top_n
-    completed items by score, ties broken by item key."""
+    completed items by score, ties broken by item key.
+
+    Beams are node ids. A beam's score is its path score (`_path_scores`),
+    which is the sum the search would add up step by step, and equal
+    scores are ordered by (node, token): every beam of a step is one depth,
+    where node order is prefix order."""
     if not (beam_width >= top_n >= 1):
         raise ValueError("need beam_width >= top_n >= 1")
     if not trie.keys:  # its root has no valid token to normalize over
         return []
     if state is None:
         state = model.encode(prompt.tokens)
-    lp = _edge_logprobs(model, state, trie, normalize)
-    beams: list[tuple[tuple[int, ...], float, TrieNode]] = [((), 0.0, trie.root)]
-    completed: list[tuple[str, float]] = []
+    score = _path_scores(trie, _edge_logprobs(model, state, trie, normalize))
+    up, tokens = trie.edge_node.tolist(), trie.edge_token.tolist()
+    beams, completed = [0], []
     while beams:
-        candidates: list[tuple[float, tuple[int, ...], int, TrieNode]] = []
-        for prefix, score, node in beams:
-            for token, child in node.children.items():
-                candidates.append((score + lp[child.row], prefix, token, child))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        beams = []
-        for total, prefix, token, child in candidates[:beam_width]:
-            if token == EOS_ID:
-                completed.append((child.item_key, total))
-            else:
-                beams.append((prefix + (token,), total, child))
+        candidates = sorted((k for node in beams for k in trie.edges_from(node).tolist()),
+                            key=lambda k: (-score[k], up[k], tokens[k]))[:beam_width]
+        completed += [(trie.keys[k - trie.size], score[k]) for k in candidates if k >= trie.size]
+        beams = [k for k in candidates if k < trie.size]
     completed.sort(key=lambda r: (-r[1], r[0]))
     return completed[:top_n]

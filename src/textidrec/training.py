@@ -33,6 +33,7 @@ import logging
 import math
 import random
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -42,10 +43,10 @@ import numpy as np
 
 from . import corpus
 from .allocator import (AllocatorConfig, IdRegistry, TextualId, allocate_all, generate_user_ids,
-                        profile_source)
+                        profile_source, usable_vocabulary)
 from .autograd import Tensor, concat, stack_rows
-from .model import (AdamState, SequenceModel, apply_update, expected_embedding_rows, load_checkpoint,
-                    save_checkpoint)
+from .model import (AdamState, NotFinite, SequenceModel, apply_update, expected_embedding_rows,
+                    load_checkpoint, save_checkpoint)
 from .prompting import Prompt, Template, render_prompt, sample_template
 from .tokenizer import EOS_ID, PAD_ID, Vocabulary
 
@@ -140,7 +141,7 @@ class CheckpointBundle:
         vocab_path = directory / "vocab.tsv"
         if not vocab_path.exists():
             raise FileNotFoundError(f"missing input file: {vocab_path}")
-        vocab = Vocabulary.load_tsv(vocab_path)
+        vocab = usable_vocabulary(Vocabulary.load_tsv(vocab_path), str(vocab_path))
         expected = vocab.content_hash()
         rec, rec_opt, _ = load_checkpoint(directory / "rec.ckpt", expected_vocab_hash=expected)
         idgen, idgen_opt, _ = load_checkpoint(directory / "idgen.ckpt", expected_vocab_hash=expected)
@@ -271,6 +272,19 @@ def _train_epochs(bundle: CheckpointBundle, split: corpus.SplitDataset, cfg: Tra
     return epoch_losses
 
 
+@contextmanager
+def _after_phase(label: str, lr: float):
+    """The step that follows a phase (re-allocation, user-ID snapshot or
+    validation eval). A model it finds not finite (`NotFinite`) diverged in
+    the phase's last steps, where no loss saw it, so the error names the
+    phase and its learning rate."""
+    try:
+        yield
+    except NotFinite as exc:
+        raise NotFinite(f"{label} phase at learning rate {lr:g} diverged: {exc}; "
+                        f"a smaller one in config section 'train' may train") from exc
+
+
 def train_recommender_phase(bundle: CheckpointBundle, split: corpus.SplitDataset,
                             cfg: TrainConfig, vocab: Vocabulary,
                             bank: tuple[Template, ...], alloc_cfg: AllocatorConfig,
@@ -380,7 +394,8 @@ def train_idgen_phase(bundle: CheckpointBundle, split: corpus.SplitDataset,
                                  idgen, bundle.idgen_opt, cfg.lr_idgen, cfg.idgen_epochs_per_iter,
                                  example_loss, "id-generator")
     # asynchronous refresh: IDs are re-allocated with the updated generator
-    bundle.registry = allocate_all(idgen, items, vocab, alloc_cfg)
+    with _after_phase("id-generator", cfg.lr_idgen):
+        bundle.registry = allocate_all(idgen, items, vocab, alloc_cfg)
     return epoch_losses
 
 
@@ -408,14 +423,16 @@ def alternate_train(split: corpus.SplitDataset, vocab: Vocabulary,
         idgen_losses = train_idgen_phase(bundle, split, cfg, vocab, bank, alloc_cfg, rng,
                                          user_ids=user_ids)
         if cfg.use_user_id:
-            user_ids = snapshot_user_ids(idgen, examples, item_text, vocab, alloc_cfg)
+            with _after_phase("id-generator", cfg.lr_idgen):
+                user_ids = snapshot_user_ids(idgen, examples, item_text, vocab, alloc_cfg)
         rec_losses = train_recommender_phase(bundle, split, cfg, vocab, bank, alloc_cfg, rng,
                                              user_ids=user_ids)
         bundle.iteration = iteration
         from .evaluation import evaluate  # local import, avoids a module cycle
 
-        valid_report = evaluate(bundle, split, ks=(10,), vocab=vocab, bank=bank, which="valid",
-                                alloc_cfg=alloc_cfg)
+        with _after_phase("recommender", cfg.lr_rec):
+            valid_report = evaluate(bundle, split, ks=(10,), vocab=vocab, bank=bank, which="valid",
+                                    alloc_cfg=alloc_cfg)
         log.info("iteration %d: valid HR@10 %.4f", iteration, valid_report.hr[10])
         if out_dir is not None:
             iter_dir = Path(out_dir) / f"iter_{iteration}"

@@ -430,6 +430,12 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     # lr_idgen exited 4 blaming the vocabulary
     ({"train": {"lr_rec": 1e300}}, "train"),
     ({"train": {"lr_idgen": 1e300}}, "train"),
+    # one step per phase: the phase's last step diverges, and only the step
+    # after the phase sees it; the message named neither phase nor rate
+    ({"train": {"lr_idgen": 1e300, "iterations": 1, "rec_epochs_per_iter": 1, "idgen_epochs_per_iter": 1,
+                "batch_size": 1000}}, "train"),
+    ({"train": {"lr_rec": 1e300, "iterations": 1, "rec_epochs_per_iter": 1, "idgen_epochs_per_iter": 1,
+                "batch_size": 1000}}, "train"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"
@@ -440,6 +446,21 @@ def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, conf
     capsys.readouterr()
     assert run("train", "--data", split, "--out", tmp_path / "r", "--config", cfg) == 2
     assert f"'{section}'" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_train_with_under_two_usable_tokens_exits_2_before_writing(tmp_path, capsys, max_size):
+    # refused where the vocabulary is built: the first allocation refused it
+    # after `train` had written the run directory
+    raw, split, out = tmp_path / "raw", tmp_path / "split", tmp_path / "r"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    assert run("ingest", "--data", raw, "--out", split, "--k", 3) == 0
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "vocab": {"max_size": max_size}}))
+    capsys.readouterr()
+    assert run("train", "--data", split, "--out", out, "--config", cfg) == 2
+    assert f"config section 'vocab': the vocabulary has {max_size - 3} usable tokens" in one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", ["verbose", "10"])
@@ -505,6 +526,17 @@ def test_eval_with_bad_bundle_record_exits_2(tmp_path, capsys, record):
     capsys.readouterr()
     assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
     assert str(final / "bundle.json") in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("words", [[], ["hat"]])
+def test_eval_of_a_bundle_with_under_two_usable_tokens_exits_2(tmp_path, capsys, words):
+    # refused where the bundle is loaded, naming the file: it used to reach
+    # the checkpoints' vocabulary check and exit 3
+    split_dir, final = untrained_bundle(tmp_path)
+    build_vocab([" ".join(words)] * 2).save_tsv(final / "vocab.tsv")
+    capsys.readouterr()
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 2
+    assert f"{final / 'vocab.tsv'}: the vocabulary has {len(words)} usable tokens" in one_line_error(capsys)
 
 
 def duplicate_first_row(lines: list[str]) -> list[str]:

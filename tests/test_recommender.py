@@ -13,7 +13,7 @@ from textidrec import model as model_module
 from textidrec import recommender as recommender_module
 from textidrec.allocator import IdRegistry, TextualId
 from textidrec.prompting import Prompt
-from textidrec.recommender import (DeadEnd, UnknownId, build_trie, constrained_beam_search,
+from textidrec.recommender import (DeadEnd, DuplicateId, UnknownId, build_trie, constrained_beam_search,
                                    constrained_distribution, rank_all, score_candidate,
                                    valid_next)
 from textidrec.tokenizer import EOS_ID, PAD_ID
@@ -28,6 +28,116 @@ def empty_prompt():
     return Prompt(tokens=(3,), spans=())
 
 
+class TrieNode:
+    __slots__ = ("children", "item_key", "row")
+
+    def __init__(self) -> None:
+        self.children: dict[int, TrieNode] = {}
+        self.item_key: str | None = None
+        self.row = -1  # the edge into this node (`CatalogTrie`)
+
+
+def reference_trie(registry: IdRegistry) -> model_module.PrefixTrie:
+    """The catalog trie as `build_trie` built it while it kept a `TrieNode`
+    dict tree beside the arrays, and the reference for them: insert every
+    ID's tokens followed by EOS, then flatten the tree depth-first into the
+    node arrays, the terminals numbered after the inner nodes. `root` is
+    the tree, and a node's `row` the edge into it."""
+    trie = model_module.PrefixTrie()
+    trie.root, trie.keys, trie.ends = TrieNode(), [], []
+    for key, tid in registry.ids.items():
+        node = trie.root
+        for token in tid.tokens + (EOS_ID,):
+            node = node.children.setdefault(int(token), TrieNode())
+        if node.item_key is not None:
+            raise DuplicateId(f"items {node.item_key!r} and {key!r} share ID {tid.text!r}")
+        node.item_key = key
+    terminals: list[TrieNode] = []
+    parents, tokens, depths = [], [], []
+    stack: list[tuple[TrieNode, int, int, int]] = [(trie.root, -1, PAD_ID, 0)]  # (node, parent id, token, depth)
+    while stack:
+        node, up, token, depth = stack.pop()
+        if node.item_key is not None:
+            terminals.append(node)
+            trie.ends.append(up)
+            continue
+        node.row = len(parents)
+        parents.append(up)
+        tokens.append(token)
+        depths.append(depth)
+        stack += [(node.children[t], node.row, t, depth + 1) for t in sorted(node.children, reverse=True)]
+    trie.add(parents, tokens, depths)
+    for i, node in enumerate(terminals):
+        node.row = trie.size + i
+        trie.keys.append(node.item_key)
+    parent = trie.parent[:trie.size]
+    continuations = (np.bincount(parent[1:], minlength=trie.size)
+                     + np.bincount(np.asarray(trie.ends, dtype=np.int64), minlength=trie.size))
+    fork = np.zeros(trie.size, dtype=bool)
+    fork[0] = True
+    up = np.flatnonzero(continuations[1:] >= 2) + 1
+    while up.size:
+        fork[up] = True
+        up = parent[up]
+        up = up[~fork[up]]
+    trie.forks = np.flatnonzero(fork)
+    return trie
+
+
+def random_catalog(rng: random.Random, tokens: list[int], n_items: int) -> IdRegistry:
+    """`n_items` distinct IDs of one to four of `tokens`, drawn so that some
+    are prefixes of others, under keys in random order. Every count up to
+    `len(tokens) ** 4` can be drawn."""
+    ids: dict[tuple[int, ...], None] = {}
+    while len(ids) < n_items:
+        tid = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 4)))
+        ids[tid[:rng.randint(1, len(tid))] if ids and rng.random() < 0.3 else tid] = None
+    keys = [f"k{i}" for i in range(n_items)]
+    rng.shuffle(keys)
+    return IdRegistry(ids={key: TextualId(tokens=tid, text=repr(tid)) for key, tid in zip(keys, ids)}, rows=())
+
+
+def test_build_trie_equals_the_dict_tree_reference():
+    rng = random.Random(21)
+    for trial in range(200):
+        tokens = rng.sample(range(3, 40), rng.randint(1, 5))
+        n_items = min(rng.choice([1, 1, 2, 5, 12, 30]), len(tokens) ** 4) if trial else 0
+        registry = random_catalog(rng, tokens, n_items)
+        trie, want = build_trie(registry), reference_trie(registry)
+        assert trie.size == want.size and (trie.keys, trie.ends) == (want.keys, want.ends)
+        for name in ("parent", "token", "depth"):
+            assert np.array_equal(getattr(trie, name)[:trie.size], getattr(want, name)[:want.size]), name
+        assert np.array_equal(trie.forks, want.forks)
+        # the child index reaches every node and terminal by tokens, as the tree does
+        stack = [(want.root, ())]
+        while stack:
+            node, prefix = stack.pop()
+            assert trie.node_at(prefix) == node.row
+            assert valid_next(trie, prefix) == set(node.children)
+            stack += [(child, prefix + (token,)) for token, child in node.children.items()]
+        assert trie.node_at((1, 1)) is None and trie.node_at((2,)) is None
+
+
+def test_root_view_is_the_dict_tree():
+    rng = random.Random(22)
+    for n_items in (0, 1, 7, 25):
+        registry = random_catalog(rng, [5, 6, 7], n_items)
+        pairs = [(build_trie(registry).root, reference_trie(registry).root)]
+        while pairs:
+            view, node = pairs.pop()
+            assert sorted(view.children) == sorted(node.children)
+            pairs += [(view.children[t], node.children[t]) for t in node.children]
+
+
+def test_a_duplicate_id_names_both_keys():
+    vocab = make_vocab(["red", "blue", "hat"])
+    reg = registry_from(vocab, {"a": "red hat", "b": "blue", "c": "red", "d": "red hat", "e": "red hat"})
+    with pytest.raises(DuplicateId, match="items 'a' and 'd' share ID 'red hat'"):
+        build_trie(reg)
+    with pytest.raises(DuplicateId, match="items 'a' and 'd' share ID 'red hat'"):
+        reference_trie(reg)
+
+
 def test_trie_structure():
     vocab = make_vocab(["red", "blue", "hat", "shoe"])
     reg = registry_from(vocab, {"a": "red hat", "b": "red shoe", "c": "blue hat"})
@@ -40,7 +150,7 @@ def test_trie_structure():
     # inner nodes: the empty prefix, red, red hat, red shoe, blue, blue hat
     assert trie.size == 6 and sorted(trie.keys) == ["a", "b", "c"]
     assert trie.prefixes(trie.ends) == [reg.ids[key].tokens for key in trie.keys]
-    assert [trie.node_at(p).row for p in trie.prefixes(range(trie.size))] == list(range(trie.size))
+    assert [trie.node_at(p) for p in trie.prefixes(range(trie.size))] == list(range(trie.size))
     up = trie.parent[1:trie.size]
     assert trie.depth[0] == 0 and np.array_equal(trie.depth[1:trie.size], trie.depth[up] + 1)
 
@@ -51,8 +161,7 @@ def test_trie_prefix_ids_coexist():
     trie = build_trie(reg)
     red, hat = vocab.token_to_id["red"], vocab.token_to_id["hat"]
     assert valid_next(trie, [red]) == {EOS_ID, hat}
-    node = trie.node_at([red, EOS_ID])
-    assert node.item_key == "short"
+    assert trie.keys[trie.node_at([red, EOS_ID]) - trie.size] == "short"
 
 
 def test_constrained_distribution_uniform_and_single():
@@ -224,11 +333,69 @@ def test_beam_search_over_an_empty_catalog_finds_nothing():
         assert constrained_beam_search(model, empty_prompt(), build_trie(IdRegistry(ids={}, rows=())), 2, 1) == []
 
 
-def reference_rank(model, state, trie):
-    """Per-node walk: one causal decoder pass per inner trie node, the
-    constrained distribution renormalized over the node's children."""
+def prefix_order_beam_search(lp, registry, beam_width, top_n):
+    """`constrained_beam_search` over the edge log-probabilities `lp` as it
+    ran on the `TrieNode` tree (`reference_trie`): beams hold their
+    prefixes, and equal scores are ordered by (prefix, token)."""
+    beams = [((), 0.0, reference_trie(registry).root)]
+    completed = []
+    while beams:
+        candidates = []
+        for prefix, score, node in beams:
+            for token, child in node.children.items():
+                candidates.append((score + lp[child.row], prefix, token, child))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        beams = []
+        for total, prefix, token, child in candidates[:beam_width]:
+            if token == EOS_ID:
+                completed.append((child.item_key, total))
+            else:
+                beams.append((prefix + (token,), total, child))
+    completed.sort(key=lambda r: (-r[1], r[0]))
+    return completed[:top_n]
+
+
+class RoundedLogits(ScriptedModel):
+    """Random logits per prefix, seeded by it, rounded to halves so that
+    many candidates tie exactly."""
+
+    def logits(self, state, prefix):
+        return np.round(2 * np.random.default_rng([*map(int, prefix), 7]).normal(size=self.vocab_size)) / 2
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_beam_search_by_node_id_breaks_ties_as_prefix_order_does(normalize):
+    # nodes are numbered depth-first with children in token order, so among
+    # the beams of one step node order is prefix order
+    vocab = make_vocab(["red", "blue", "hat", "shoe"])
+    red, blue = vocab.token_to_id["red"], vocab.token_to_id["blue"]
+    exact_ties = ScriptedModel(vocab.size, {
+        (): {red: 0.3, blue: 0.3, EOS_ID: 0.3},
+        (red,): {EOS_ID: 0.5, blue: 0.5},
+        (blue, red): {EOS_ID: 1.0},
+    })
+    rng = random.Random(23)
+    tokens = [vocab.token_to_id[w] for w in ("red", "blue", "hat", "shoe")]
+    compared = 0
+    for model in (exact_ties, RoundedLogits(vocab.size, {})):
+        for n_items in (1, 2, 6, 15, 40):
+            registry = random_catalog(rng, tokens, n_items)
+            trie = build_trie(registry)
+            lp = recommender_module._edge_logprobs(model, model.encode([3]), trie, normalize)
+            for beam_width in sorted({1, 2, 3, n_items // 2 + 1, n_items}):
+                got = constrained_beam_search(model, empty_prompt(), trie, beam_width, beam_width, normalize)
+                want = prefix_order_beam_search(lp, registry, beam_width, beam_width)
+                assert [(key, score.hex()) for key, score in got] == [(key, score.hex()) for key, score in want]
+                compared += 1
+    assert compared > 30
+
+
+def reference_rank(model, state, registry):
+    """Per-node walk of the reference tree (`reference_trie`): one causal
+    decoder pass per inner trie node, the constrained distribution
+    renormalized over the node's children."""
     results = []
-    stack = [(trie.root, (), 0.0)]
+    stack = [(reference_trie(registry).root, (), 0.0)]
     while stack:
         node, prefix, score = stack.pop()
         logits = model.decoder_all_logits(state, (PAD_ID, *prefix)).data[-1]
@@ -258,7 +425,7 @@ def test_rank_all_matches_per_node_reference(layers, heads):
     prompt = Prompt(tokens=(3, 5, 7), spans=())
     state = model.encode(prompt.tokens)
     ranked = rank_all(model, prompt, reg, trie, state=state)
-    reference = reference_rank(model, state, trie)
+    reference = reference_rank(model, state, reg)
     assert [k for k, _ in ranked] == [k for k, _ in reference]
     assert max(abs(a - b) for (_, a), (_, b) in zip(ranked, reference)) < 1e-12
 
@@ -365,7 +532,7 @@ def test_an_overflowed_logit_on_an_only_continuation_is_not_looked_at_renormaliz
     reg = registry_from(vocab, {"a": "red hat", "b": "blue"})
     trie = build_trie(reg)
     red, hat = vocab.encode("red")[0], vocab.encode("hat")[0]
-    assert trie.node_at((red,)).row not in trie.forks
+    assert trie.node_at((red,)) not in trie.forks
 
     class Overflowed(ScriptedModel):
         def logits(self, state, prefix):
