@@ -15,13 +15,14 @@ scorer) and `param_hash`.
 Prefixes are node ids. The logprob cache (`LogprobCache`) is a decode
 cache (`DecodeCache`, see `model.py`) with a root per text or history,
 holding its encoder state: a node is its parent node plus one token, and
-keeps its decoder state once decoded. Each scored node is ranked once: the
-cache keeps, per node, its `width = min(V, groups * beams_per_group + 1)`
-best next tokens (log-probs as float64, ids as int32), best first, equal
-log-probs in token order, PAD and UNK ranked as -inf, as rows of (nodes,
-width) arrays, and beside them the child node each ranked token leads to,
-made when a beam first picks it. A beam is a (node, total) pair, so no
-prefix tuple is built while a search runs.
+keeps its decoder state once decoded. Each decoded node is ranked once:
+the cache keeps, per node, its `width = min(V, groups * beams_per_group +
+1)` best next tokens (log-probs as float64, ids as int32), best first,
+equal log-probs in token order, PAD and UNK ranked as -inf, and the child
+node each ranked token leads to, made when a beam first picks it. These
+are (nodes, width) arrays indexed by node id like the trie's own, so there
+is one id space. A beam is a (node, total) pair, so no prefix tuple is
+built while a search runs.
 
 A beam keeps the best `beams_per_group` of its `width` ranked tokens by
 (-penalized value, token). That equals a stable argsort of the whole
@@ -98,7 +99,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DecodeCache, NotFinite, _grown, log_softmax_rows
+from .model import DecodeCache, NotFinite, log_softmax_rows
 from .tokenizer import EOS_ID, PAD_ID, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -303,80 +304,59 @@ class LogprobCache(DecodeCache):
     searched, each under its own root with its encoder state, whose nodes
     keep their decoder state (`DecodeCache`), and the ranked next tokens of
     every node a search has scored, each ranked once and shared by every
-    search of its text. Ranked node k is row `row[k]` (-1 until ranked) of
-    `values` and `tokens`, its `width` best next tokens as `_ranked` gives
-    them (`width` is set by the first search); `child[row[k], j]` is the
-    node that extends k by `tokens[row[k], j]` (-1 until a beam picks it),
-    so a beam's pick names its node without a lookup by prefix."""
+    search of its text. `values`, `tokens` and `child` are node arrays like
+    the trie's own: node k's row holds its `width` best next tokens as
+    `_ranked` gives them (`width` is set by the first search), valid once k
+    is decoded (`entry[k] >= 0`), since a wave ranks every node it decodes;
+    `child[k, j]` is the node that extends k by `tokens[k, j]` (-1 until a
+    beam picks it), so a beam's pick names its node without a lookup by
+    prefix."""
 
-    _NODE_ARRAYS = DecodeCache._NODE_ARRAYS + ("row",)
+    _NODE_ARRAYS = DecodeCache._NODE_ARRAYS + ("values", "tokens", "child")
 
     def __init__(self):
         super().__init__()
         self.width: int | None = None
-        self.rows = 0
-        self.row = np.empty(0, dtype=np.int64)
+        self.values, self.tokens, self.child = np.empty((0, 0)), np.empty((0, 0), np.int32), np.empty((0, 0), np.int32)
 
     def fit(self, width: int) -> None:
         """Make sure the rows rank at least `width` tokens: the first search
         sets the width."""
         if self.width is None:
-            self.width = width
-            self.values = np.empty((0, width))
-            self.tokens = np.empty((0, width), dtype=np.int32)
-            self.child = np.empty((0, width), dtype=np.int32)
+            self.width, room = width, len(self.parent)
+            self.values = np.empty((room, width))
+            self.tokens, self.child = np.empty((room, width), np.int32), np.empty((room, width), np.int32)
         elif self.width < width:
             raise ValueError(f"logprob_cache holds the {self.width} best tokens per prefix; "
                              f"this search needs {width}")
 
-    def add(self, parents, tokens) -> np.ndarray:
-        ids = super().add(parents, tokens)
-        self.row[ids] = -1
-        return ids
-
-    def reserve(self, rows: int) -> None:
-        """Room for `rows` ranked rows: a wave reserves what it may add up
-        front, so the row store is not copied while the wave grows it."""
-        if rows > len(self.values):
-            room = max(rows, 2 * len(self.values))
-            self.values, self.tokens, self.child = (_grown(a, room, self.rows)
-                                                    for a in (self.values, self.tokens, self.child))
-
     def store(self, nodes: np.ndarray, values: np.ndarray, tokens: np.ndarray) -> None:
         """Keep the ranked rows `values`, `tokens` as those of `nodes`."""
-        rows = np.arange(self.rows, self.rows + len(nodes))
-        self.reserve(self.rows + len(nodes))
-        self.values[rows], self.tokens[rows], self.child[rows] = values, tokens, -1
-        self.row[nodes] = rows
-        self.rows += len(nodes)
+        self.values[nodes], self.tokens[nodes], self.child[nodes] = values, tokens, -1
 
     def children(self, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
         """The node that extends each of `nodes` (ranked, and each (node, at)
         pair distinct) by its ranked token at position `at`, added if new."""
-        rows = self.row[nodes]
-        found = self.child[rows, at]
+        found = self.child[nodes, at]
         new = found < 0
         if new.any():
-            rows, at = rows[new], at[new]
-            found[new] = self.child[rows, at] = self.add(nodes[new], self.tokens[rows, at])
+            nodes, at = nodes[new], at[new]
+            found[new] = self.child[nodes, at] = self.add(nodes, self.tokens[nodes, at])
         return found
 
-    def mark(self) -> tuple[int, int, int]:
-        return self.size, self.rows, len(self.entry_of)
+    def mark(self) -> tuple[int, np.ndarray, int]:
+        return self.size, np.flatnonzero(self.entry[:self.size] < 0), len(self.entry_of)
 
-    def rollback(self, mark: tuple[int, int, int]) -> None:
-        """Forget every node, ranked row and table entry added since `mark`
-        was taken, and the decoder state of the nodes ranked since: a wave
-        ranks every node it decodes."""
-        size, rows, entries = mark
-        ranked = self.row[:size]
-        undone = ranked >= rows
-        ranked[undone] = -1
-        self.entry[:size][undone] = -1
-        children = self.child[:rows]
+    def rollback(self, mark: tuple[int, np.ndarray, int]) -> None:
+        """Forget every node and table entry added since `mark` was taken,
+        and the decoder state and ranked row of the nodes decoded since: the
+        nodes undecoded at the mark."""
+        size, undecoded, entries = mark
+        self.entry[undecoded] = -1
+        children = self.child[:size]
         children[children >= size] = -1
         self.entry_of = dict(list(self.entry_of.items())[:entries])
-        self.size, self.rows = size, rows
+        self.size = size
 
 
 class Candidates(list):
@@ -421,7 +401,7 @@ class _Wave:
         once, in beam order."""
         nodes = self.node[self.live]
         nodes = nodes[np.sort(np.unique(nodes, return_index=True)[1])]
-        return nodes[self.cache.row[nodes] < 0]
+        return nodes[self.cache.entry[nodes] < 0]
 
     def step(self) -> None:
         """Step t: every group picks its beams, in group order, from the
@@ -430,8 +410,9 @@ class _Wave:
         searches, groups, beams = self.node.shape
         k = min(beams, self.width)
         s3, b3, s2 = np.arange(searches)[:, None, None], np.arange(beams)[:, None], np.arange(searches)[:, None]
-        rows = np.where(self.live, cache.row[self.node], 0)
-        values, tokens = cache.values[rows, :self.width], cache.tokens[rows, :self.width]
+        # a beam that is not live holds its root or a node a live beam held
+        # before, so every beam's node is ranked
+        values, tokens = cache.values[self.node, :self.width], cache.tokens[self.node, :self.width]
         # per search: picks at step t by the groups done so far, lam times that count
         # (the penalty), and the penalty set; EOS is banned while every live beam is short
         counts = np.zeros((searches, self.vocab_size))
@@ -476,8 +457,8 @@ class _Wave:
         pass's rows into the cache as its logits return."""
         cache = self.cache
         searches, groups, beams = self.node.shape
-        # the rows the searches rank at most: one per beam and step, and each root
-        cache.reserve(cache.rows + searches * (1 + groups * beams * (self.max_len - 1)))
+        # the nodes the searches add at most: one per beam and step
+        cache.reserve(cache.size + searches * groups * beams * self.max_len)
         while self.t < self.max_len and self.live.any():
             nodes = self.missing()
 
@@ -627,9 +608,9 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         if lo <= max_len:
             rungs += [(range_index, lo, max_len, lam) for lam in config.penalties()]
     if not rungs:
-        raise ValueError(
-            f"no length range fits the decoder capacity {capacity}: {config.length_ranges}"
-        )
+        raise ValueError(f"config section 'model': max_tgt_len {model.config.max_tgt_len} leaves room for "
+                         f"{capacity} ID token(s), too few for the length ranges {config.length_ranges} "
+                         f"of config section 'allocator'")
     first_rung = {}  # range_index -> its first rung
     for rung, (range_index, *_) in enumerate(rungs):
         first_rung.setdefault(range_index, rung)

@@ -240,7 +240,10 @@ def load_dataset(directory: str | Path, name: str | None = None) -> Dataset:
     """Load `items.jsonl` + `interactions.jsonl` from a directory.
 
     Metadata field order in the file defines flattening order; logs without
-    timestamps keep file order as chronology.
+    timestamps keep file order as chronology. An interactions row needs a
+    non-empty string `user`, a non-empty `items` list and, if it has them,
+    `timestamps` as a list of integers, one per item: anything else is a
+    DataFormatError naming the file.
     """
     directory = Path(directory)
     items_path = directory / "items.jsonl"
@@ -252,22 +255,17 @@ def load_dataset(directory: str | Path, name: str | None = None) -> Dataset:
     logs = []
     for row in _read_jsonl(inter_path):
         user, seq = (row.get("user"), row.get("items")) if isinstance(row, dict) else (None, None)
-        if not user or not isinstance(seq, list) or not seq:
-            raise DataFormatError(f"{inter_path}: row needs 'user' and non-empty 'items': {row!r}")
+        if not user or not isinstance(user, str) or not isinstance(seq, list) or not seq:
+            raise DataFormatError(f"{inter_path}: row needs a string 'user' and non-empty 'items': {row!r}")
         ts = row.get("timestamps")
         if ts is not None:
-            if len(ts) != len(seq):
-                raise DataFormatError(f"{inter_path}: timestamps length mismatch for user {user!r}")
+            if not (isinstance(ts, list) and len(ts) == len(seq) and all(type(t) is int for t in ts)):
+                raise DataFormatError(f"{inter_path}: user {user!r} needs 'timestamps' as a list of "
+                                      f"{len(seq)} integers, one per item: {ts!r}")
             order = sorted(range(len(seq)), key=lambda i: (ts[i], i))
             seq = [seq[i] for i in order]
-            ts = [ts[i] for i in order]
-        logs.append(
-            InteractionLog(
-                user=user,
-                items=tuple(seq),
-                timestamps=None if ts is None else tuple(int(t) for t in ts),
-            )
-        )
+            ts = tuple(ts[i] for i in order)
+        logs.append(InteractionLog(user=user, items=tuple(seq), timestamps=ts))
     dataset = Dataset(name=name or directory.name, items=items, logs=tuple(logs))
     dataset.validate()
     return dataset
@@ -323,6 +321,17 @@ def _split_rows(path: Path, *fields: str) -> list[dict]:
     return rows
 
 
+def _split_name(path: Path) -> str:
+    """The name in a split's `dataset.json`: an object with a string `name`."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
+        raise DataFormatError(f"{path}: expected an object with a string 'name', got {meta!r}")
+    return meta["name"]
+
+
 def load_split(directory: str | Path) -> SplitDataset:
     directory = Path(directory)
     for fname in ("items.jsonl", "train.jsonl", "valid.jsonl", "test.jsonl"):
@@ -340,7 +349,7 @@ def load_split(directory: str | Path) -> SplitDataset:
             for row in _split_rows(directory / f"{fname}.jsonl", "history", "target")
         )
     meta_path = directory / "dataset.json"
-    name = json.loads(meta_path.read_text())["name"] if meta_path.exists() else directory.name
+    name = _split_name(meta_path) if meta_path.exists() else directory.name
     split = SplitDataset(name=name, items=items, train=train, valid=pairs["valid"], test=pairs["test"])
     split.validate()
     return split

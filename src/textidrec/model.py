@@ -186,11 +186,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_model % self.heads != 0:
-            raise ValueError("d_model must be divisible by heads")
         for name in ("vocab_size", "d_model", "layers", "heads", "ff_dim", "max_src_len", "max_tgt_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.heads != 0:
+            raise ValueError("d_model must be divisible by heads")
         if self.seed < 0:  # numpy's generator rejects it, without naming the input
             raise ValueError("seed must be >= 0")
 
@@ -634,8 +634,9 @@ class PrefixTrie:
         self.token = np.empty(0, dtype=np.int64)
         self.depth = np.empty(0, dtype=np.int64)
 
-    def _reserve(self, size: int) -> None:
-        """Room for `size` nodes: the node arrays grow by doubling."""
+    def reserve(self, size: int) -> None:
+        """Room for `size` nodes: the node arrays grow by doubling, so a
+        caller that will add many nodes can reserve them up front."""
         if size > len(self.parent):
             room = max(size, 2 * len(self.parent))
             for name in self._NODE_ARRAYS:
@@ -647,7 +648,7 @@ class PrefixTrie:
         each node's depth, from the caller."""
         parents = np.asarray(parents, dtype=np.int64)
         ids = np.arange(self.size, self.size + len(parents))
-        self._reserve(self.size + len(ids))
+        self.reserve(self.size + len(ids))
         self.parent[ids] = parents
         self.token[ids] = tokens
         self.depth[ids] = np.where(parents >= 0, self.depth[parents] + 1, 0) if depths is None else depths

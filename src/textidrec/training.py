@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError("learning rates must be finite")
         if self.lr_rec <= 0 or self.lr_idgen <= 0:
             raise ValueError("learning rates must be positive")
+        if self.seed < 0:  # the models' seeds default to it
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

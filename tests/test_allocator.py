@@ -56,10 +56,13 @@ def test_each_dbs_step_is_at_most_one_decoder_pass(decoder_calls):
     assert 0 < len(decoder_calls) <= max_len
     decoder_calls.clear()
     cache = allocator.LogprobCache()
+    stored, store = [], cache.store
+    cache.store = lambda nodes, *ranked: (stored.extend(nodes.tolist()), store(nodes, *ranked))
     assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
     assert len(decoder_calls) <= max_len
-    # the cache ranks each decoded row once, into its one row store
-    assert cache.rows == sum(decoder_calls)
+    # the cache ranks each decoded node once, into that node's row
+    assert sorted(stored) == np.flatnonzero(cache.entry[:cache.size] >= 0).tolist()
+    assert len(stored) == sum(decoder_calls)
     decoder_calls.clear()
     assert diverse_beam_search(model, None, vocab, logprob_cache=cache, **kwargs) == uncached
     assert decoder_calls == []
@@ -806,25 +809,37 @@ def test_a_second_wave_decodes_only_the_nodes_it_asks_for(layers, decoder_calls)
 
 def test_a_wave_that_raises_leaves_every_logprob_cache_as_it_was():
     vocab = make_vocab(WORDS[:8])
-    model = tiny_model(vocab_size=vocab.size, seed=2, max_tgt_len=5)
+    model = tiny_model(vocab_size=vocab.size, seed=2, layers=2, max_tgt_len=5)
     states = [model.encode(src) for src in ([3, 4], [5, 6, 7])]
-    kwargs = dict(groups=2, beams_per_group=2, lam=1.0)
     cache = allocator.LogprobCache()
-    run_wave(model, vocab, states, cache, max_len=3, min_len=1, **kwargs)
+    run_wave(model, vocab, states, cache, groups=2, beams_per_group=2, lam=1.0, max_len=3, min_len=1)
 
     def held():
-        size, rows, entries = cache.mark()
-        return (size, rows, list(cache.entry_of.items()), cache.layer0[:entries].tobytes(),
-                *(a[:size].tobytes() for a in (cache.parent, cache.token, cache.depth, cache.row, cache.context,
-                                               cache.entry)),
-                *(a[:rows].tobytes() for a in (cache.values, cache.tokens, cache.child)))
+        size, entries = cache.size, len(cache.entry_of)
+        decoded = np.flatnonzero(cache.entry[:size] >= 0)
+        return (size, decoded.tolist(), list(cache.entry_of.items()), cache.layer0[:entries].tobytes(),
+                *(a[:size].tobytes() for a in (cache.parent, cache.token, cache.depth, cache.context, cache.entry)),
+                *(a[decoded].tobytes() for a in (cache.kv, cache.values, cache.tokens, cache.child)))
 
     before = held()
-    assert before[1] > 0
-    # EOS banned to the end: the beams reach the decoder's capacity
+    assert before[1]
+    # what the raising wave changed before it raised: the nodes it decoded
+    # that were undecoded at the mark, and its links out of decoded nodes
+    changed, rollback = [], cache.rollback
+
+    def undo(mark):
+        size, decoded = before[0], before[1]
+        changed.append((np.count_nonzero(cache.entry[:size] >= 0) - len(decoded),
+                        np.count_nonzero(cache.child[decoded] >= size)))
+        rollback(mark)
+
+    cache.rollback = undo
+    # EOS banned to the end: the beams reach the decoder's capacity; one
+    # group of four beams picks children the earlier wave did not
     with pytest.raises(SequenceTooLong):
-        run_wave(model, vocab, states, cache, max_len=7, min_len=7, **kwargs)
+        run_wave(model, vocab, states, cache, max_len=7, min_len=7, groups=1, beams_per_group=4, lam=1.0)
     assert held() == before
+    assert changed[0][0] > 0 and changed[0][1] > 0
 
 
 def test_single_group_equals_vanilla_beam_search():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,11 +13,12 @@ import pytest
 import textidrec
 from textidrec import corpus, evaluation
 from textidrec.allocator import AllocatorConfig, allocate_all
-from textidrec.cli import _vocab_corpus, main
+from textidrec.cli import _config, _vocab_corpus, main
+from textidrec.corpus import DataFormatError
 from textidrec.model import AdamState, ModelConfig, SequenceModel
 from textidrec.prompting import default_bank
 from textidrec.tokenizer import build_vocab
-from textidrec.training import CheckpointBundle
+from textidrec.training import CheckpointBundle, TrainConfig
 
 TINY_CONFIG = {
     "train": {"iterations": 1, "rec_epochs_per_iter": 2, "idgen_epochs_per_iter": 1},
@@ -81,6 +83,29 @@ def test_ingest_non_object_interaction_row_exits_2(tmp_path, capsys):
     assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
     with (raw / "interactions.jsonl").open("a") as fh:
         fh.write('["u", "a"]\n')
+    capsys.readouterr()
+    assert run("ingest", "--data", raw, "--out", tmp_path / "split", "--k", 3) == 2
+    assert "interactions.jsonl" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("fields", [
+    # each exited 4: unhashable user, len() of an int, a sort comparing None
+    # or a string with numbers
+    {"user": {"id": 1}},
+    {"timestamps": 5},
+    {"timestamps": [1, None]},
+    {"timestamps": [1.5, "2"]},
+    # exited 2 without naming the file
+    {"timestamps": "ab"},
+    # read as six per-character timestamps, reordering the user's items
+    {"items": [f"toy_item_00{i}" for i in range(6)], "timestamps": "210012"},
+], ids=["object-user", "int-timestamps", "null-timestamp", "float-and-string-timestamps", "string-timestamps",
+        "digit-string-timestamps"])
+def test_ingest_bad_interaction_fields_exit_2_naming_the_file(tmp_path, capsys, fields):
+    raw = tmp_path / "raw"
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    with (raw / "interactions.jsonl").open("a") as fh:
+        fh.write(json.dumps({"user": "u", "items": ["toy_item_000", "toy_item_001"], **fields}) + "\n")
     capsys.readouterr()
     assert run("ingest", "--data", raw, "--out", tmp_path / "split", "--k", 3) == 2
     assert "interactions.jsonl" in one_line_error(capsys)
@@ -205,20 +230,24 @@ def _capped_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def run_capped(*argv, timeout: float = 120) -> subprocess.CompletedProcess:
+    """The CLI with `argv`, in a subprocess under a memory cap and a
+    timeout, so a loop that does not end or a run that eats memory fails the
+    test instead of the machine."""
+    env = dict(os.environ, PYTHONPATH=str(Path(textidrec.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "textidrec", *map(str, argv)], capture_output=True, text=True,
+                          timeout=timeout, env=env, preexec_fn=_capped_memory)
+
+
 def allocate_capped(tmp_path: Path, config: dict, raw: Path | None = None) -> subprocess.CompletedProcess:
     """`allocate` on the raw dataset `raw` (by default a small synth set)
-    with `config`, in a subprocess under a memory cap and a timeout, so a
-    loop that does not end or a run that eats memory fails the test instead
-    of the machine."""
+    with `config`, under `run_capped`."""
     if raw is None:
         raw = tmp_path / "raw"
         assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 4) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    env = dict(os.environ, PYTHONPATH=str(Path(textidrec.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "textidrec", "allocate", "--data", str(raw),
-                           "--out", str(tmp_path / "ids.tsv"), "--config", str(cfg)],
-                          capture_output=True, text=True, timeout=120, env=env, preexec_fn=_capped_memory)
+    return run_capped("allocate", "--data", raw, "--out", tmp_path / "ids.tsv", "--config", cfg)
 
 
 @pytest.mark.parametrize("max_size", [3, 4])
@@ -336,6 +365,13 @@ def retarget_first_test_pair(split_dir: Path) -> None:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
+def write_dataset_json(text: str):
+    def corrupt(split_dir: Path) -> None:
+        (split_dir / "dataset.json").write_text(text)
+    corrupt.__name__ = f"dataset_json_{text}"
+    return corrupt
+
+
 def drop_field(fname: str, field: str):
     def corrupt(split_dir: Path) -> None:
         path = split_dir / f"{fname}.jsonl"
@@ -353,6 +389,12 @@ def drop_field(fname: str, field: str):
     (drop_field("train", "user"), "train.jsonl"),
     (drop_field("valid", "history"), "valid.jsonl"),
     (drop_field("test", "target"), "test.jsonl"),
+    # a list, a missing name and an int name exited 4, 4 and 0; invalid JSON
+    # exited 2 without naming the file
+    (write_dataset_json("[]"), "dataset.json"),
+    (write_dataset_json('{"nam": 1}'), "dataset.json"),
+    (write_dataset_json('{"name": 5}'), "dataset.json"),
+    (write_dataset_json('{"name": "raw"'), "dataset.json"),
 ])
 def test_eval_with_bad_split_exits_2(tmp_path, capsys, corrupt, expected):
     split_dir, final = untrained_bundle(tmp_path)
@@ -436,6 +478,8 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
                 "batch_size": 1000}}, "train"),
     ({"train": {"lr_rec": 1e300, "iterations": 1, "rec_epochs_per_iter": 1, "idgen_epochs_per_iter": 1,
                 "batch_size": 1000}}, "train"),
+    # d_model % heads ran before the size checks: a traceback, exit 4
+    ({"model": {"heads": 0}}, "model"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"
@@ -446,6 +490,54 @@ def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, conf
     capsys.readouterr()
     assert run("train", "--data", split, "--out", tmp_path / "r", "--config", cfg) == 2
     assert f"'{section}'" in one_line_error(capsys)
+
+
+# every field of every --config section, each with the edges of its type
+# and a wrong type; a new field is swept without a change here
+SWEPT_FIELDS = {section: [field.name for field in dataclasses.fields(build)]
+                for section, build in (("train", TrainConfig), ("model", ModelConfig),
+                                       ("allocator", AllocatorConfig))}
+SWEPT_FIELDS["vocab"] = ["min_freq", "max_size"]
+SWEPT_VALUES = [0, -1, 1, 1e-300, 1e300, math.inf, math.nan, "1"]
+# work-size fields are checked for acceptance only: a large one is a long
+# job, not a fault (a million iterations, epochs or layers ran past 40 s)
+WORK_SIZE = {"train": ("iterations", "rec_epochs_per_iter", "idgen_epochs_per_iter"), "model": ("layers",)}
+SWEEP_CONFIG = {**TINY_CONFIG, "train": {"iterations": 1, "rec_epochs_per_iter": 1, "idgen_epochs_per_iter": 1}}
+
+
+@pytest.fixture(scope="module")
+def sweep_data(tmp_path_factory) -> tuple[Path, Path]:
+    """A raw 6-item synth set and its split."""
+    raw, split = (tmp_path_factory.mktemp("sweep") / name for name in ("raw", "split"))
+    assert run("synth", "--out", raw, "--users", 10, "--items", 6, "--seed", 3) == 0
+    assert run("ingest", "--data", raw, "--out", split, "--k", 3) == 0
+    return raw, split
+
+
+@pytest.mark.parametrize("section,field,value", [
+    pytest.param(section, field, value, id=f"{section}.{field}={value!r}")
+    for section, fields in SWEPT_FIELDS.items() for field in fields for value in SWEPT_VALUES])
+def test_config_sweep_exits_0_or_2_naming_the_section(sweep_data, tmp_path, section, field, value):
+    # `model.heads: 0` divided by zero before the size checks (exit 4);
+    # `train.seed: -1` named section 'model' and `model.max_tgt_len: 1` none
+    config = {**SWEEP_CONFIG, section: {**SWEEP_CONFIG.get(section, {}), field: value}}
+    if field in WORK_SIZE.get(section, ()):
+        build, fixed = {"train": (TrainConfig, {}), "model": (ModelConfig, {"vocab_size": 20})}[section]
+        try:
+            _config(build, {s: config.get(s, {}) for s in SWEPT_FIELDS}, section, **fixed)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"config section '{section}': ")
+        return
+    raw, split = sweep_data
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    if section == "train":
+        done = run_capped("train", "--data", split, "--out", tmp_path / "run", "--config", cfg, timeout=60)
+    else:
+        done = run_capped("allocate", "--data", raw, "--out", tmp_path / "ids.tsv", "--config", cfg, timeout=60)
+    assert done.returncode in (0, 2) and "Traceback" not in done.stderr, done.stderr
+    if done.returncode == 2:
+        assert len(done.stderr.splitlines()) == 1 and f"'{section}'" in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("max_size", [3, 4])
