@@ -87,21 +87,24 @@ def _typed(value, hint):
 
 
 def _config(build, sections: dict[str, dict], section: str, hints: dict | None = None, **fixed):
-    """Call `build` with one config section's values plus `fixed` (which take
-    precedence), typed by `hints` (default: `build`'s annotations). An unknown
-    key, a wrong-typed value or a value `build` rejects is a DataFormatError
-    naming the section."""
+    """Call `build` with one config section's values plus `fixed`, typed by
+    `hints` (default: `build`'s annotations). An unknown key, a key that
+    `fixed` sets, a wrong-typed value or a value `build` rejects is a
+    DataFormatError naming the section."""
     hints = hints or typing.get_type_hints(build)
     kwargs = dict(fixed)
     for key, value in sections[section].items():
         if key not in hints:
             raise DataFormatError(f"config section {section!r}: unknown key {key!r}")
+        if key in fixed:
+            raise DataFormatError(f"config section {section!r}: {key} is fixed by the input data "
+                                  f"({fixed[key]!r}); a config cannot set it")
         hint = hints[key]
         typed = _typed(value, hint)
         if typed is None:
             raise DataFormatError(f"config section {section!r}: {key} must be "
                                   f"{hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
-        kwargs.setdefault(key, typed)
+        kwargs[key] = typed
     try:
         return build(**kwargs)
     except ValueError as exc:

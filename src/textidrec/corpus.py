@@ -306,18 +306,20 @@ def save_split(split: SplitDataset, directory: str | Path) -> None:
     (directory / "dataset.json").write_text(json.dumps({"name": split.name}) + "\n", encoding="utf-8")
 
 
-_SPLIT_FIELD_TYPES = {"items": list, "history": list, "target": str}
+_SPLIT_FIELD_TYPES = {"user": str, "items": list, "history": list, "target": str}
 
 
 def _split_rows(path: Path, *fields: str) -> list[dict]:
-    """The rows of a split file: JSON objects with a non-empty `user` and
-    each of `fields` (`items` and `history` lists, `target` a string)."""
+    """The rows of a split file: JSON objects with `user` and each of
+    `fields`, all non-empty (`user` and `target` strings, `items` and
+    `history` lists)."""
     rows = _read_jsonl(path)
+    fields = ("user", *fields)
     for row in rows:
-        if not (isinstance(row, dict) and row.get("user")
-                and all(isinstance(row.get(f), _SPLIT_FIELD_TYPES[f]) for f in fields)):
-            wanted = ", ".join(map(repr, ("user", *fields)))
-            raise DataFormatError(f"{path}: row needs {wanted}: {row!r}")
+        if not (isinstance(row, dict) and all(isinstance(row.get(f), _SPLIT_FIELD_TYPES[f]) and row[f]
+                                              for f in fields)):
+            wanted = ", ".join(f"{f!r} ({_SPLIT_FIELD_TYPES[f].__name__})" for f in fields)
+            raise DataFormatError(f"{path}: row needs non-empty {wanted}: {row!r}")
     return rows
 
 

@@ -8,12 +8,17 @@ forward code runs training (trainable parameter wrappers) and inference
 in one batched matmul), each feed-forward block and each layer norm is one
 graph node, so a pass builds few nodes whatever the head count.
 
-The decoder runs over a tree of rows: each row sits at position = depth
-and attends only to its ancestors. A chain is causal decoding
-(`sequence_nll`); `prefix_logits` scores every node of a prefix trie
-against the context rows that `encode` returns (ranking); a wave of
-searches scores each step's new nodes, every one against its own context
-(`wave_logits`). Callers use five model members: `config`,
+The decoder runs over a forest of rows: each row sits at position = depth
+and attends only to its ancestors. One core, `decoder_all_logits`, runs
+every decoder pass: embeddings, then per layer three pre-norm blocks
+(self-attention, cross-attention, feed-forward), then the tied projection.
+What depends on how the rows are laid out it asks of a layout object,
+defined beside the code that owns it, which states its own contract:
+`_Forest` for teacher forcing (`sequence_nll`, `packed_logits`),
+`_TriePass` for a block of a prefix trie scored against the context rows
+that `encode` returns (`prefix_logits`, ranking), and `_WavePass` for the
+new nodes of searches that advance in lockstep, each against its own
+context (`wave_logits`). Callers use five model members: `config`,
 `encode`, `prefix_logits` (ranking), `wave_logits` (beam search) and
 `param_hash`.
 
@@ -24,13 +29,9 @@ each row attending to its ancestors through a tree mask, and to its
 ancestors in earlier passes through their kept self-attention inputs (the
 layer-normed `h` of every decoder layer). Given `rows`, node ids that
 include each one's parent, it decodes only those, with the bits the call
-over every node gives them; a block without a given row runs no pass, and
-one given more than half its rows decodes them all. A pass over some rows
-of its block keeps the block's layout: each row keeps its place, the other
-rows are zero, masked as self-attention keys, and every product of the
-rows runs at the block's row count (see below); row-wise work (layer
-norms, softmax rows, GELU, residual sums) runs on the given rows only. A
-pass's tree mask is kept in sparse form
+over every node gives them; a block without a given row runs no pass, one
+given more than half its rows decodes them all, and any other keeps the
+block's layout (`_TriePass`). A pass's tree mask is kept in sparse form
 (`_TreeMask`): the flat indices of the scores it allows, a few per row, so
 a self-attention softmax gathers, exponentiates and normalizes only those
 and scatters them into zeros. It gives the dense additive mask's bits: a
@@ -51,9 +52,8 @@ is keyed the same, by the config, `_PREFIX_BLOCK_ROWS`, the trie itself (by
 identity; nodes are only appended, so its node count says whether it grew),
 the bytes of `rows` (None for every node), and when the raw bytes of every
 `_HEAD_PARAMS` array equal the copies the slot holds: its passes then start
-at layer 0's cross-attention, each still one `decoder_all_logits` call, and
-give the same bits. Any other call recomputes and, unless it raises,
-replaces the slot. At the default config a 143-node trie's slot is about
+at layer 0's cross-attention and give the same bits. Any other call
+recomputes and, unless it raises, replaces the slot. At the default config a 143-node trie's slot is about
 0.3 MB, and that of its 23 fork rows (ranking; `recommender.py`) about
 0.18 MB, most of it the copied head weights.
 
@@ -70,14 +70,11 @@ keys and values of the prefix already decoded (arXiv:1911.02150):
   the first (none for a one-layer model).
 A call first computes the table entries it lacks, then decodes its nodes by
 depth, in passes of at most `_WAVE_KEY_FLOATS` gathered key floats (rows
-times depth + 1 times d_model). In a pass a row's self-attention keys and
-values are those of its ancestor chain, gathered from the cache one layer
-at a time, and its own: no dense mask over the other rows. Its
-cross-attention is grouped by context: the pass's contexts, padded to the
-longest, are one batch that the pass projects, so a row reads only its own
-context (a row of an empty context reads none). A pass thus costs its rows
-times their depth plus the longest context among them, whatever else the
-cache holds.
+times depth + 1 times d_model). A row of a pass (`_WavePass`) attends to
+its ancestor chain, whose keys and values come from the cache, and to its
+own context, in one batch of the pass's contexts padded to the longest. A
+pass thus costs its rows times their depth plus the longest context among
+them, whatever else the cache holds.
 
 Whether a product's rows get the same bits whatever the other rows depends
 on the BLAS and on the product's shape. Measured with OpenBLAS 0.3.31
@@ -99,7 +96,7 @@ Zero rows in the other places of a product of the same shape give a row
 the same bits in every case measured, and that rests on no kernel's
 rounding: the padded product has the all-rows product's shape, so the BLAS
 runs the same code on the same values in the row's place. So a pass over
-some rows of a block (`_Spread`) pads every product of its rows to the
+some rows of a block (`_TriePass`) pads every product of its rows to the
 block's rows, whatever the shape. Running the 2-D products of the first
 case on the rows alone would save about a fifth of the fork-rows call
 (`recommender.py`) but rests on the kernels measured here; numpy's
@@ -129,7 +126,7 @@ on which wave decoded it first.
 as one pass: the sources back to back as segments of one `encode`, each
 restarting at position 0 and attending only within itself, and the decoder
 inputs as a forest of chains whose cross-attention is masked to their own
-segment (`ctx_mask`). The generator phase of training runs every ID span
+segment (`_Forest`). The generator phase of training runs every ID span
 of an example that way.
 
 There is one parameter layout: `_views` lays a model's parameters out back
@@ -270,8 +267,7 @@ class _TreeMask:
 
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
                kv_in: Tensor | tuple[np.ndarray, np.ndarray],
-               heads: int, mask: np.ndarray | _TreeMask | None = None,
-               spread: _Spread | None = None) -> Tensor:
+               heads: int, mask: np.ndarray | _TreeMask | None = None, mm=operator.matmul) -> Tensor:
     """Multi-head attention as one graph node, all heads in one batched
     matmul over (heads, rows, dh) views of the projections. Inputs may carry
     leading batch axes, (..., rows, d) and (..., keys, d): each batch entry
@@ -281,9 +277,8 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
     `kv_in` may instead be the (keys, values) pair it projects to, two
     C-contiguous (..., keys, d) arrays, whose products are then skipped
     (inference only: a gradient cannot reach them, so no input or weight
-    may require one). With `spread` the query rows are some rows of a
-    `prefix_logits` block (`_Spread`), and every product of the query rows
-    runs at the block's row count.
+    may require one). `mm` runs every product of the query rows: a layout's
+    `product` (`_TriePass`), or matmul.
 
     Forward and backward run the numpy expressions, array layouts and
     requires_grad skips of the op chain it stands for (projections, scaled
@@ -301,7 +296,6 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
         kv_in = q_in  # a stand-in parent: nothing here requires a gradient
     else:
         k_proj, v_proj = kv_in.data @ wk.data, kv_in.data @ wv.data
-    mm = operator.matmul if spread is None else spread.product  # of the query rows
     keys, dh = k_proj.shape[-2], width // heads
     scale = 1.0 / math.sqrt(dh)
     q = mm(q_in.data, wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
@@ -352,13 +346,11 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
     return Tensor._op(mm(joined, wo.data), (q_in, kv_in, wq, wk, wv, wo), bw)
 
 
-def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor, spread: _Spread | None = None) -> Tensor:
+def _feed_forward(pt: dict[str, Tensor], prefix: str, x: Tensor, mm=operator.matmul) -> Tensor:
     """`gelu(x @ w1 + b1) @ w2 + b2` as one graph node that runs the numpy
-    expressions of that op chain, forward and backward. With `spread` the
-    rows are some rows of a `prefix_logits` block (`_Spread`), and both
-    products run at the block's row count."""
+    expressions of that op chain, forward and backward; `mm` runs both
+    products of the rows, as in `_attention`."""
     w1, b1, w2, b2 = (pt[f"{prefix}_{name}"] for name in ("w1", "b1", "w2", "b2"))
-    mm = operator.matmul if spread is None else spread.product
     pre = mm(x.data, w1.data)
     pre += b1.data
     hidden, gelu_vjp = gelu(pre)
@@ -409,14 +401,12 @@ class _HeadSlot:
     of the nodes it decodes or None for all); `weights` a copy of each
     `_HEAD_PARAMS` array as the filling call read it; `passes` the call's
     plan (`_trie_passes`); `order` the place of each given node among the
-    decoded ones, in node order (None for all); `head` the kept
-    `keep[layers]` of every node it decodes, (nodes, d_model): a pass that
-    starts from it skips layer 0's self-attention, so it reads no
-    `keep[0]`."""
+    decoded ones, in node order (None for all); `head` every node it decodes
+    after layer 0's self-attention block, (nodes, d_model)."""
 
     key: tuple
     weights: list[np.ndarray]
-    passes: list[_Pass]
+    passes: list[_TriePass]
     order: np.ndarray | None
     head: np.ndarray
 
@@ -447,14 +437,64 @@ def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return depth, np.where(allowed, 0.0, -1e30)
 
 
-class _Spread(NamedTuple):
-    """The rows that a `prefix_logits` pass decodes when it decodes only
-    some of its block's `n` rows: call row j is row `at[j]` of the block,
-    and a lone row is decoded twice. Every product of the rows runs at the
-    block's row count, the other rows zero (`product`; module doc)."""
+class _TriePass(NamedTuple):
+    """The layout of one `prefix_logits` pass (`_trie_passes`): the nodes
+    that a call decodes in one block of at most `_PREFIX_BLOCK_ROWS` trie
+    nodes. `kept` are their places among the call's decoded nodes (a slice
+    when it decodes the whole block), `ids` and `depth` their tokens and
+    depths; `mask` is their `_TreeMask` over the block's columns, after the
+    earlier columns `cols`: the places of their ancestors in earlier passes,
+    or None. A row attends to its ancestors in the block and, through those
+    columns' kept self-attention inputs, in earlier passes.
 
-    at: np.ndarray
+    A pass over only some of the block's `n` rows has them at `at` in the
+    block, a lone row twice (`at` is None for the whole block). Row-wise
+    work (layer norms, softmax rows, GELU, residual sums) runs on those rows
+    only. The block's other rows are zero self-attention keys, masked, and
+    zero rows in every product of the rows, which `product` runs at the
+    block's row count, so a row gets the bits the whole block gives it
+    (module doc).
+
+    Each call binds the pass to its state (`_replace`). `keep`, (layers,
+    decoded nodes + 1, d_model), receives each row's self-attention input at
+    layer i in `keep[i]`, at the row's place; its last row is the zero row
+    that a column the call does not decode reads. `head` receives the rows
+    after layer 0's self-attention block, which depend on the rows and
+    `_HEAD_PARAMS` but not on the context; with `hit` the pass starts from
+    it instead, skipping what comes before."""
+
+    kept: slice | np.ndarray
+    ids: np.ndarray
+    depth: np.ndarray
+    mask: _TreeMask
+    cols: np.ndarray | None
+    at: np.ndarray | None
     n: int
+    keep: np.ndarray | None = None
+    head: np.ndarray | None = None
+    hit: bool = False
+
+    def embedded(self, pt: dict[str, Tensor], ids: np.ndarray) -> Tensor:
+        return Tensor(self.head[self.kept]) if self.hit else _embedded(pt, ids, self.depth)
+
+    def self_block(self, i: int, x: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
+        if self.hit and i == 0:
+            return x  # the head
+        h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
+        self.keep[i, self.kept] = h.data
+        kv = h.data if self.at is None else self.padded(h.data)
+        if self.cols is not None:
+            kv = np.concatenate([self.keep[i, self.cols], kv])
+        x = x + _attention(pt, f"dec{i}_self", h, Tensor(kv), heads, self.mask, self.product)
+        if i == 0:
+            self.head[self.kept] = x.data
+        return x
+
+    def cross(self, i: int, h: Tensor, ctx: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
+        return _attention(pt, f"dec{i}_cross", h, ctx, heads, mm=self.product)
+
+    def logits(self, x: Tensor, pt: dict[str, Tensor]) -> Tensor:
+        return Tensor(self.product(x.data, pt["tok_emb"].data.T))
 
     def padded(self, a: np.ndarray) -> np.ndarray:
         """(..., rows, c) `a` laid out as (..., n, c): its rows at `at`, the
@@ -464,29 +504,15 @@ class _Spread(NamedTuple):
         return out
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """`a @ b` as the rows at `at` of `padded(a) @ b`, C-contiguous: a
-        product of the block's shape, which the BLAS runs as it runs the
-        block's own (module doc)."""
+        """`a @ b` of the pass's rows; with `at`, the rows at `at` of
+        `padded(a) @ b`, C-contiguous: a product of the block's shape, which
+        the BLAS runs as it runs the block's own (module doc)."""
+        if self.at is None:
+            return a @ b
         return np.take(self.padded(a) @ b, self.at, axis=-2)
 
 
-class _Pass(NamedTuple):
-    """One pass of a `prefix_logits` call (`_trie_passes`). `kept` are the
-    places of its rows among the rows the call decodes, a slice when it
-    decodes its whole block; `ids` and `depth` their tokens and depths;
-    `mask` their `_TreeMask` over the block's columns; `cols` the places of
-    its earlier columns among the call's rows, or None; `spread` None, or
-    where the rows sit in the block when the pass decodes only some."""
-
-    kept: slice | np.ndarray
-    ids: list[int]
-    depth: np.ndarray
-    mask: _TreeMask
-    cols: np.ndarray | None
-    spread: _Spread | None
-
-
-def _trie_passes(trie: PrefixTrie, heads: int, kept: np.ndarray) -> list[_Pass]:
+def _trie_passes(trie: PrefixTrie, heads: int, kept: np.ndarray) -> list[_TriePass]:
     """The passes of a `prefix_logits` call over the nodes `kept` of `trie`
     (sorted), in node order; a kept node whose ancestors are all kept gets
     the bits of the call over every node. The nodes are cut into
@@ -529,12 +555,12 @@ def _trie_passes(trie: PrefixTrie, heads: int, kept: np.ndarray) -> list[_Pass]:
         if len(at) == len(up):
             hi = lo + len(up)
             first = int(place[lo])
-            passes.append(_Pass(slice(first, first + len(up)), trie.token[lo:hi].tolist(),
-                                trie.depth[lo:hi], _TreeMask(mask, heads), cols, None))
+            passes.append(_TriePass(slice(first, first + len(up)), trie.token[lo:hi], trie.depth[lo:hi],
+                                    _TreeMask(mask, heads), cols, None, len(up)))
         else:
             at = at.repeat(2) if len(at) == 1 else at
-            passes.append(_Pass(place[lo + at], trie.token[lo + at].tolist(), trie.depth[lo + at],
-                                _TreeMask(mask[at], heads), cols, _Spread(at, len(up))))
+            passes.append(_TriePass(place[lo + at], trie.token[lo + at], trie.depth[lo + at],
+                                    _TreeMask(mask[at], heads), cols, at, len(up)))
     return passes
 
 
@@ -549,65 +575,85 @@ def _projected(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return rows @ weight
 
 
-class _Cross(NamedTuple):
-    """The cross-attention inputs of a `wave_logits` pass whose rows sit
-    back to back by context (`_wave_cross`): the contexts as one (contexts,
-    keys, d_model) batch padded with zero rows to the longest; the additive
-    mask that hides the padding (None without any); the index that lays the
-    rows out as (contexts, slots) queries padded to the most rows any
-    context has; the slot of each row in that layout, flattened; and whether
-    each row's context has rows (a row of an empty context gets no
-    cross-attention)."""
+class _WavePass:
+    """The layout of one `wave_logits` pass: `nodes` of a `DecodeCache`, all
+    at one depth k and back to back by context, whose parents are decoded;
+    `entry` are their entries in the layer-0 `table` and `store` is the node
+    store, the call's arrays, which may hold what the call adds.
 
-    batch: Tensor
-    mask: np.ndarray | None
-    queries: np.ndarray
-    slot_of: np.ndarray
-    sees: np.ndarray
+    Self-attention: a row is a batch of one query over its chain, root first
+    and itself last (`chain`, whose table entries are `at`), with no mask
+    and no other row of the pass. Layer 0 takes the rows' inputs and every
+    chain's keys and values from the table, in place of its layer norm and
+    projections. A later layer reads the ancestors' keys and values from the
+    store and projects each row's own from its input (`_projected`), which
+    the store keeps for the rows that `first` marks, the nodes the call
+    decodes first. A row at depth 0 attends through one-row products of its
+    input, as a one-key chain always did.
 
+    Cross-attention is grouped by context: `batch`, the pass's `ctx`, holds
+    its contexts as one (contexts, keys, d_model) batch padded with zero
+    rows to the longest, gathered in one step from the contexts laid back to
+    back behind one zero row; `mask` hides the padding (None without any).
+    `queries` lays the rows out as (contexts, slots) queries padded to the
+    most rows any context has, and `slot_of` is each row's slot in that
+    layout, flattened. So a row reads only its own context, and a row of an
+    empty context none (`sees`, None when every row sees one). Nothing here
+    builds a graph node but the blocks' own."""
 
-def _wave_cross(contexts: list[Tensor], groups: np.ndarray, counts: np.ndarray) -> _Cross:
-    """The `_Cross` of a pass over `counts[c]` rows of context
-    `contexts[groups[c]]`, its batch gathered in one step from the contexts
-    laid back to back behind one zero row."""
-    rows = [contexts[c].data for c in groups.tolist()]
-    lengths = np.array([len(r) for r in rows])
-    keys, slots = lengths.max(), counts.max()
-    used = np.arange(slots) < counts[:, None]
-    queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
-    inside = np.arange(keys) < lengths[:, None]
-    flat = np.concatenate([np.zeros((1, rows[0].shape[-1])), *rows])
-    batch = Tensor(flat[np.where(inside, (np.cumsum(lengths) - lengths + 1)[:, None] + np.arange(keys), 0)])
-    mask = None if inside.all() else np.where(inside, 0.0, -1e30)[:, None, None, :]
-    return _Cross(batch, mask, queries, np.flatnonzero(used), np.repeat(lengths > 0, counts)[:, None])
+    product = staticmethod(operator.matmul)
 
+    def __init__(self, cache: DecodeCache, table: np.ndarray, store: np.ndarray, nodes: np.ndarray,
+                 entry: np.ndarray):
+        self.depth = cache.depth[nodes]
+        k = self.depth[0]
+        chain = np.empty((len(nodes), k + 1), dtype=np.int64)
+        chain[:, k] = nodes
+        for j in range(k - 1, -1, -1):
+            chain[:, j] = cache.parent[chain[:, j + 1]]
+        self.at = cache.entry[chain]
+        self.at[:, k] = entry
+        self.table, self.store, self.chain, self.first = table, store, chain, cache.entry[nodes] < 0
+        groups, counts = np.unique(cache.context[nodes], return_counts=True)
+        rows = [cache.contexts[c].data for c in groups.tolist()]
+        lengths = np.array([len(r) for r in rows])
+        keys, slots = lengths.max(), counts.max()
+        used = np.arange(slots) < counts[:, None]
+        self.queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
+        self.slot_of = np.flatnonzero(used)
+        inside = np.arange(keys) < lengths[:, None]
+        flat = np.concatenate([np.zeros((1, rows[0].shape[-1])), *rows])
+        self.batch = Tensor(flat[np.where(inside, (np.cumsum(lengths) - lengths + 1)[:, None] + np.arange(keys), 0)])
+        self.mask = None if inside.all() else np.where(inside, 0.0, -1e30)[:, None, None, :]
+        sees = np.repeat(lengths > 0, counts)[:, None]
+        self.sees = None if sees.all() else sees
 
-class _Chains:
-    """The self-attention state of a `wave_logits` pass over rows at one
-    depth k, read from a `DecodeCache` one layer at a time. `chain` holds
-    each row's chain of nodes, root first and the row's own last, and `at`
-    their layer-0 table entries. `inputs` are the rows' layer-0 inputs;
-    `kv(i, h, pt)` gives layer i's keys and values of every chain as two
-    (rows, k + 1, d_model) arrays: layer 0's from the table, a later layer's
-    ancestors' from the node store `store` and each row's own projected from
-    its input `h` (`_projected`), which the store keeps for the rows that
-    `first` marks, the nodes the call decodes first."""
+    def embedded(self, pt: dict[str, Tensor], ids: np.ndarray) -> Tensor:
+        return _embedded(pt, ids, self.depth)
 
-    def __init__(self, table: np.ndarray, at: np.ndarray, store: np.ndarray, chain: np.ndarray,
-                 first: np.ndarray):
-        self.table, self.at, self.store, self.chain, self.first = table, at, store, chain, first
-        self.inputs = table[at[:, -1], 0]
-
-    def kv(self, i: int, h: np.ndarray, pt: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    def self_block(self, i: int, x: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
+        rows, k, d = len(self.chain), self.chain.shape[1] - 1, x.data.shape[-1]
         if i == 0:
-            return self.table[self.at, 1], self.table[self.at, 2]
-        rows, k = self.chain.shape[0], self.chain.shape[1] - 1
-        pair = np.empty((2, rows, k + 1, h.shape[-1]))
-        for j, name in enumerate(("wk", "wv")):
-            pair[j, :, :k] = self.store[self.chain[:, :k], i - 1, j]
-            pair[j, :, k] = _projected(h, pt[f"dec{i}_self_{name}"].data)
-            self.store[self.chain[self.first, k], i - 1, j] = pair[j, self.first, k]
-        return pair[0], pair[1]
+            h = self.table[self.at[:, -1], 0]
+            keys, values = self.table[self.at, 1], self.table[self.at, 2]
+        else:
+            h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"]).data
+            keys, values = pair = np.empty((2, rows, k + 1, d))
+            for j, name in enumerate(("wk", "wv")):
+                pair[j, :, :k] = self.store[self.chain[:, :k], i - 1, j]
+                pair[j, :, k] = _projected(h, pt[f"dec{i}_self_{name}"].data)
+                self.store[self.chain[self.first, k], i - 1, j] = pair[j, self.first, k]
+        q = Tensor(h.reshape(rows, 1, d))
+        out = _attention(pt, f"dec{i}_self", q, q if k == 0 else (keys, values), heads)
+        return x + Tensor(out.data.reshape(rows, d))
+
+    def cross(self, i: int, h: Tensor, ctx: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
+        out = _attention(pt, f"dec{i}_cross", Tensor(h.data[self.queries]), ctx, heads, self.mask)
+        out = out.data.reshape(-1, h.data.shape[-1])[self.slot_of]
+        return Tensor(out if self.sees is None else out * self.sees)
+
+    def logits(self, x: Tensor, pt: dict[str, Tensor]) -> Tensor:
+        return x @ pt["tok_emb"].T
 
 
 def _grown(array: np.ndarray, room: int, used: int) -> np.ndarray:
@@ -741,6 +787,37 @@ def _chain_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), np.where(np.tri(n, dtype=bool), 0.0, -1e30)
 
 
+class _Forest:
+    """The layout of teacher-forced rows (`sequence_nll`, `packed_logits`),
+    and the default one: row i sits at position `depth[i]` and attends to
+    what the additive (rows, rows) self-attention `mask` allows; a chain's
+    (`_chain_layout`) is causal decoding. `ctx_mask`, if given, is an
+    additive (rows, context rows) mask on the cross-attention, and a row it
+    lets see no context row gets no cross-attention (`sees`, None when every
+    row sees one). Every block is a graph node, so gradients flow."""
+
+    product = staticmethod(operator.matmul)
+
+    def __init__(self, depth: np.ndarray, mask: np.ndarray, ctx_mask: np.ndarray | None = None):
+        self.depth, self.mask, self.ctx_mask = depth, mask, ctx_mask
+        sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
+        self.sees = None if sees is None or sees.all() else sees
+
+    def embedded(self, pt: dict[str, Tensor], ids: np.ndarray) -> Tensor:
+        return _embedded(pt, ids, self.depth)
+
+    def self_block(self, i: int, x: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
+        h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
+        return x + _attention(pt, f"dec{i}_self", h, h, heads, self.mask)
+
+    def cross(self, i: int, h: Tensor, ctx: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
+        out = _attention(pt, f"dec{i}_cross", h, ctx, heads, self.ctx_mask)
+        return out if self.sees is None else out * self.sees
+
+    def logits(self, x: Tensor, pt: dict[str, Tensor]) -> Tensor:
+        return x @ pt["tok_emb"].T
+
+
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -869,114 +946,39 @@ class SequenceModel:
             x = x + _feed_forward(pt, f"enc{i}_ff", h)
         return x.layer_norm(pt["enc_ln_g"], pt["enc_ln_b"])
 
-    def decoder_all_logits(self, ctx, dec_input_ids,
-                           params: dict[str, Tensor] | None = None,
-                           past=None, keep: np.ndarray | None = None,
-                           head: np.ndarray | None = None,
-                           ctx_mask: np.ndarray | None = None,
-                           spread: _Spread | None = None) -> Tensor:
-        """Next-token logits at every decoder row.
+    def decoder_all_logits(self, ctx: Tensor, ids, params: dict[str, Tensor] | None = None,
+                           layout: _Forest | _TriePass | _WavePass | None = None) -> Tensor:
+        """Next-token logits at each decoder row, one per token id of `ids`
+        (an int array or a list of ints), against the context rows `ctx`
+        (from `encode`).
 
-        Without `past` the rows are a chain: causal decoding of the shifted
-        target, start symbol (PAD) followed by the previous gold tokens. Every
-        row attends to the context rows `ctx` (from `encode`).
-
-        `past = (depth, mask, earlier)` lays the rows out as a tree
-        (`prefix_logits`) or a forest (`packed_logits`): row i sits at
-        position `depth[i]`, and the additive (rows, m + rows) `mask`, or
-        its `_TreeMask`, says which of m earlier rows and of the pass's own
-        rows it attends to.
-        `earlier` is None (m = 0) or a (layers, m, d_model) array of rows
-        that earlier passes decoded: their self-attention inputs, which go in
-        front of the pass's own as the keys and values of each layer's
-        self-attention.
-
-        With `mask` None the rows are `wave_logits` rows, all at one depth k:
-        a row attends to its own k ancestors and itself, and to no other row
-        of the pass. `earlier` is then a `_Chains`: the rows' layer-0
-        self-attention inputs, which the pass takes in place of its layer-0
-        layer norm, and each layer's keys and values of the rows' chains,
-        read one layer at a time. A row at depth 0 attends through one-row
-        products of its input, as a one-key chain always did.
-
-        `keep`, if given, receives the pass's own rows' self-attention input
-        at every layer in `keep[:layers]` (the `earlier` of later passes). A
-        (layers + 1, rows, d_model) `keep` also receives in `keep[layers]`
-        the rows after layer 0's self-attention block: the pass's head, which
-        depends on the rows, `past` and the embedding and layer-0
-        self-attention parameters, but not on `ctx`.
-
-        `head`, if given, is the kept head of a pass over the same rows and
-        `past` under the same such parameters: the pass starts at layer 0's
-        cross-attention, and `keep[0]` and `keep[layers]` are left as they are.
-
-        `ctx_mask`, if given, is an additive (rows, context rows) mask on the
-        cross-attention (`packed_logits`). A row it lets see no context row
-        gets no cross-attention, as every row does when `ctx` has no rows.
-
-        `ctx` may instead be a `_Cross` (`wave_logits`): the cross-attention
-        runs as one batch over the pass's contexts, so a row reads only its
-        own context.
-
-        `spread`, if given, says that the rows are some rows of a tree
-        pass's block (`prefix_logits` with `rows`): `mask` has one row per
-        given row over all the block's columns, and `earlier` holds every
-        earlier column (zero where not decoded). Row-wise work runs on the
-        given rows only. The block's other rows are zero self-attention keys,
-        masked, and zero rows in the products of the rows that
-        `_Spread.product` runs at the block's row count. A given row thus
-        gets the bits the whole block gives it.
+        The rows are laid out by `layout`, by default `_Forest` over one
+        chain: causal decoding of a shifted target, the start symbol (PAD)
+        followed by the previous gold tokens. The loop is the model's:
+        embeddings, then per layer three pre-norm blocks (self-attention,
+        cross-attention, feed-forward), then the projection tied to the token
+        embeddings. It asks the layout for each row's position (`depth`), the
+        embeddings, each layer's self-attention block, the cross-attention of
+        the normed rows, the products of the rows (`product`) and the
+        projection; each layout (`_Forest`, `_TriePass`, `_WavePass`) states
+        its contract. When `ctx` has no rows, no row gets cross-attention.
         """
         pt = params if params is not None else self.frozen()
         cfg = self.config
-        ids = np.array([int(t) for t in dec_input_ids], dtype=np.int64)
-        rows = len(ids)
-        if past is None:
-            (depth, mask), earlier = _chain_layout(rows), None
-        else:
-            depth, mask, earlier = past
-        if rows and depth.max() >= cfg.max_tgt_len:
-            raise SequenceTooLong(f"target length {depth.max() + 1} > max_tgt_len {cfg.max_tgt_len}")
-        if isinstance(ctx, _Cross):
-            ctx, ctx_mask, queries, slot_of, sees = ctx
-        else:
-            queries = slot_of = None
-            sees = None if ctx_mask is None else (ctx_mask == 0.0).any(axis=1, keepdims=True)
-        x = _embedded(pt, ids, depth) if head is None else Tensor(head)
+        ids = np.asarray(ids, dtype=np.int64)
+        layout = _Forest(*_chain_layout(len(ids))) if layout is None else layout
+        deepest = layout.depth.max(initial=-1)
+        if deepest >= cfg.max_tgt_len:
+            raise SequenceTooLong(f"target length {deepest + 1} > max_tgt_len {cfg.max_tgt_len}")
+        x = layout.embedded(pt, ids)
         for i in range(cfg.layers):
-            if i or head is None:
-                if mask is None and i == 0:
-                    h = Tensor(earlier.inputs)
-                else:
-                    h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
-                if keep is not None:
-                    keep[i] = h.data
-                if mask is None:  # each row's own chain, a batch of one query per row
-                    keys, values = earlier.kv(i, h.data, pt)
-                    q = h.reshape(rows, 1, cfg.d_model)
-                    kv = q if keys.shape[1] == 1 else (keys, values)
-                    x = x + _attention(pt, f"dec{i}_self", q, kv, cfg.heads).reshape(rows, cfg.d_model)
-                    del keys, values, kv  # a pass's largest arrays: one layer's are held at a time
-                else:
-                    kv = h if spread is None else Tensor(spread.padded(h.data))
-                    kv = kv if earlier is None else concat([Tensor(earlier[i]), kv])
-                    x = x + _attention(pt, f"dec{i}_self", h, kv, cfg.heads, mask=mask, spread=spread)
-                if i == 0 and keep is not None and len(keep) > cfg.layers:
-                    keep[cfg.layers] = x.data
+            x = layout.self_block(i, x, pt, cfg.heads)
             if ctx.data.shape[-2] > 0:
                 h = x.layer_norm(pt[f"dec{i}_ln2_g"], pt[f"dec{i}_ln2_b"])
-                if queries is None:
-                    cross = _attention(pt, f"dec{i}_cross", h, ctx, cfg.heads, mask=ctx_mask, spread=spread)
-                else:
-                    cross = _attention(pt, f"dec{i}_cross", h[queries], ctx, cfg.heads, mask=ctx_mask)
-                    cross = cross.reshape(-1, cfg.d_model)[slot_of]
-                x = x + (cross if sees is None or sees.all() else cross * sees)
+                x = x + layout.cross(i, h, ctx, pt, cfg.heads)
             h = x.layer_norm(pt[f"dec{i}_ln3_g"], pt[f"dec{i}_ln3_b"])
-            x = x + _feed_forward(pt, f"dec{i}_ff", h, spread)
-        x = x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"])
-        if spread is not None:
-            return Tensor(spread.product(x.data, pt["tok_emb"].data.T))
-        return x @ pt["tok_emb"].T
+            x = x + _feed_forward(pt, f"dec{i}_ff", h, layout.product)
+        return layout.logits(x.layer_norm(pt["dec_ln_g"], pt["dec_ln_b"]), pt)
 
     def prefix_logits(self, ctx: Tensor, trie: PrefixTrie, rows=None) -> np.ndarray:
         """Next-token logits after every node of `trie`, one row per node, in
@@ -991,8 +993,8 @@ class SequenceModel:
         pass, and through their kept inputs to its ancestors in earlier
         passes. With `rows`, a block without a given node runs no pass, a
         block given more than half its nodes decodes them all, and any other
-        pass computes only the block's given rows (`decoder_all_logits`'s
-        `spread`). The call reuses or refills the model's head slot (module
+        pass computes only the block's given rows (`_TriePass`). The call
+        reuses or refills the model's head slot (module
         doc), so nodes may be appended to `trie` between calls but not
         changed.
         """
@@ -1031,20 +1033,13 @@ class SequenceModel:
         # the kept state of each node the call decodes, in node order, then a
         # zero row that stands for the block columns it does not decode
         width = len(slot.head)
-        keep = np.empty((cfg.layers + 1, width + 1, cfg.d_model))
+        keep = np.empty((cfg.layers, width + 1, cfg.d_model))
         keep[:, -1] = 0.0
-        if hit:
-            keep[-1, :-1] = slot.head
         logits = np.empty((width, cfg.vocab_size))
         for p in slot.passes:
-            block = keep[:, p.kept]  # a view when the pass decodes its whole block
-            earlier = None if p.cols is None else keep[:cfg.layers, p.cols]
-            logits[p.kept] = self.decoder_all_logits(ctx, p.ids, past=(p.depth, p.mask, earlier), keep=block,
-                                                     head=block[-1] if hit else None, spread=p.spread).data
-            if p.spread is not None:
-                keep[:, p.kept] = block
+            layout = p._replace(keep=keep, head=slot.head, hit=hit)
+            logits[p.kept] = self.decoder_all_logits(ctx, p.ids, layout=layout).data
         if not hit:
-            slot.head[...] = keep[-1, :-1]
             self._head_slot = slot
         return logits if slot.order is None else logits[slot.order]
 
@@ -1115,17 +1110,8 @@ class SequenceModel:
             step = max(1, min(_WAVE_KEY_FLOATS // ((k + 1) * d), _WAVE_LOGITS // cfg.vocab_size))
             for lo in range(0, len(level), step):
                 sel = level[lo:lo + step]
-                chain = np.empty((len(sel), k + 1), dtype=np.int64)  # each row's chain, root first
-                chain[:, k] = nodes[sel]
-                for j in range(k - 1, -1, -1):
-                    chain[:, j] = cache.parent[chain[:, j + 1]]
-                at = cache.entry[chain]
-                at[:, k] = entry[sel]
-                chains = _Chains(table, at, kv, chain, cache.entry[nodes[sel]] < 0)
-                groups, counts = np.unique(context[sel], return_counts=True)
-                out = self.decoder_all_logits(_wave_cross(cache.contexts, groups, counts), ids[sel],
-                                              past=(depth[sel], None, chains))
-                on_pass(sel, out.data)
+                layout = _WavePass(cache, table, kv, nodes[sel], entry[sel])
+                on_pass(sel, self.decoder_all_logits(layout.batch, ids[sel], layout=layout).data)
                 passes += 1
         cache.layer0, cache.kv = table, kv
         cache.entry[nodes] = entry
@@ -1174,9 +1160,8 @@ class SequenceModel:
             depth, seg = _segments([len(dec) for _, dec in pack])
             mask = np.where((seg[:, None] == seg) & np.tri(len(seg), dtype=bool), 0.0, -1e30)
             ctx = self.encode([t for src, _ in pack for t in src], pt, segments=src_lengths)
-            logits.append(self.decoder_all_logits(
-                ctx, [t for _, dec in pack for t in dec], pt, past=(depth, mask, None),
-                ctx_mask=_same_segment(seg, _segments(src_lengths)[1])))
+            layout = _Forest(depth, mask, _same_segment(seg, _segments(src_lengths)[1]))
+            logits.append(self.decoder_all_logits(ctx, [t for _, dec in pack for t in dec], pt, layout))
         return logits[0] if len(logits) == 1 else concat(logits)
 
 

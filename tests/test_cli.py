@@ -372,6 +372,16 @@ def write_dataset_json(text: str):
     return corrupt
 
 
+def set_field(fname: str, field: str, value):
+    def corrupt(split_dir: Path) -> None:
+        path = split_dir / f"{fname}.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0][field] = value
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    corrupt.__name__ = f"set_{fname}_{field}"
+    return corrupt
+
+
 def drop_field(fname: str, field: str):
     def corrupt(split_dir: Path) -> None:
         path = split_dir / f"{fname}.jsonl"
@@ -395,6 +405,11 @@ def drop_field(fname: str, field: str):
     (write_dataset_json('{"nam": 1}'), "dataset.json"),
     (write_dataset_json('{"name": 5}'), "dataset.json"),
     (write_dataset_json('{"name": "raw"'), "dataset.json"),
+    # an object user trained and exited 0; an empty history exited 2 naming
+    # no file
+    (set_field("train", "user", {"id": 1}), "train.jsonl"),
+    (set_field("valid", "history", []), "valid.jsonl"),
+    (set_field("train", "items", []), "train.jsonl"),
 ])
 def test_eval_with_bad_split_exits_2(tmp_path, capsys, corrupt, expected):
     split_dir, final = untrained_bundle(tmp_path)
@@ -480,6 +495,8 @@ def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
                 "batch_size": 1000}}, "train"),
     # d_model % heads ran before the size checks: a traceback, exit 4
     ({"model": {"heads": 0}}, "model"),
+    # the built vocabulary's size silently won over it: exit 0
+    ({"model": {"vocab_size": 1}}, "model"),
 ])
 def test_train_with_bad_config_exits_2_naming_the_section(tmp_path, capsys, config, section):
     raw, split = tmp_path / "raw", tmp_path / "split"

@@ -204,6 +204,22 @@ def test_load_split_rejects_rows_missing_a_field(tmp_path, fname, field):
         load_split(tmp_path)
 
 
+# an object or int user was read as a user key, and an empty history
+# reached the prompt renderer, whose message named no file
+@pytest.mark.parametrize("fname,field,value", [
+    ("train", "user", {"id": 1}), ("train", "user", 5), ("valid", "user", ""), ("test", "user", ["u0"]),
+    ("train", "items", []), ("valid", "history", []), ("test", "history", []), ("test", "target", ""),
+])
+def test_load_split_rejects_empty_or_wrong_typed_fields(tmp_path, fname, field, value):
+    save_split(leave_one_out_split(make_dataset({"u0": ["a", "b", "c", "d"]})), tmp_path)
+    path = tmp_path / f"{fname}.jsonl"
+    row = json.loads(path.read_text())
+    row[field] = value
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(DataFormatError, match=f"{fname}.jsonl: row needs non-empty .*'{field}'"):
+        load_split(tmp_path)
+
+
 @pytest.mark.parametrize("fname,field", [("train", "items"), ("valid", "history")])
 def test_load_split_rejects_non_string_references(tmp_path, fname, field):
     save_split(leave_one_out_split(make_dataset({"u0": ["a", "b", "c", "d"]})), tmp_path)

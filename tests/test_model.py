@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 from collections import Counter
 
@@ -123,7 +124,7 @@ def test_explicit_chain_parents_equal_causal_decoding():
     ids = [0, 5, 6, 7]
     causal = model.decoder_all_logits(state, ids).data
     depth, mask = model_module._tree_layout(np.array([-1, 0, 1, 2]))
-    chain = model.decoder_all_logits(state, ids, past=(depth, mask, None)).data
+    chain = model.decoder_all_logits(state, ids, layout=model_module._Forest(depth, mask)).data
     assert np.array_equal(causal, chain)
     with pytest.raises(ValueError):
         model_module._tree_layout(np.array([-1, 2, 1, 2]))
@@ -274,10 +275,10 @@ def test_attention_over_leading_axes_equals_one_call_per_entry(trainable):
             assert np.max(np.abs(grad - want)) < 1e-12, name
 
 
-def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None, spread=None):
+def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None, mm=operator.matmul):
     """Attention as the 17-op chain `_attention` fuses into one node: the
-    reference for its bits (of a pass over whole rows: `spread` None)."""
-    assert spread is None
+    reference for its bits (of a pass whose products are plain matmul)."""
+    assert mm is operator.matmul
     rows, width = q_in.data.shape[0], pt[f"{prefix}_wq"].data.shape[1]
     keys, dh = kv_in.data.shape[0], width // heads
     q = (q_in @ pt[f"{prefix}_wq"]).reshape(rows, heads, dh).swapaxes(0, 1)
@@ -290,10 +291,10 @@ def chain_attention(pt, prefix, q_in, kv_in, heads, mask=None, spread=None):
     return heads_out.swapaxes(0, 1).reshape(rows, width) @ pt[f"{prefix}_wo"]
 
 
-def chain_feed_forward(pt, prefix, x, spread=None):
+def chain_feed_forward(pt, prefix, x, mm=operator.matmul):
     """The 5-op chain `_feed_forward` fuses into one node: the reference for
-    its bits (of a pass over whole rows: `spread` None)."""
-    assert spread is None
+    its bits (of a pass whose products are plain matmul)."""
+    assert mm is operator.matmul
     return (x @ pt[f"{prefix}_w1"] + pt[f"{prefix}_b1"]).gelu() @ pt[f"{prefix}_w2"] + pt[f"{prefix}_b2"]
 
 
@@ -407,11 +408,12 @@ def test_fused_blocks_match_op_chains_over_sequence_nll(monkeypatch, phase):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def test_forward_pass_op_counts(autograd_ops):
+def test_forward_pass_op_counts(autograd_ops, monkeypatch):
     """Guards the per-pass op budget at the default config: each attention
     block, feed-forward block and layer norm is one op, so an encode builds
-    16 and a two-layer decoder pass 24; splitting any block back into its op
-    chain would break these bounds."""
+    16 and a two-layer chain pass 24, and a pass under any other layout no
+    more (a layout adds no op); splitting any block back into its op chain
+    would break these bounds."""
     model = SequenceModel.init(ModelConfig(vocab_size=20))
     for params in (None, model.trainable()):
         autograd_ops[0] = 0
@@ -419,7 +421,33 @@ def test_forward_pass_op_counts(autograd_ops):
         assert autograd_ops[0] <= 20
         autograd_ops[0] = 0
         model.decoder_all_logits(state, [0, 5, 6], params)
-        assert autograd_ops[0] <= 30
+        assert autograd_ops[0] <= 24
+    ops = {}  # per layout, the ops of each decoder pass
+    original = SequenceModel.decoder_all_logits
+
+    def counted(self, ctx, ids, params=None, layout=None):
+        before = autograd_ops[0]
+        out = original(self, ctx, ids, params, layout)
+        ops.setdefault(type(layout).__name__, []).append(autograd_ops[0] - before)
+        return out
+
+    monkeypatch.setattr(SequenceModel, "decoder_all_logits", counted)
+    # a forest of three chains, each against its own source (a row that sees
+    # no context would cost one op more: its cross-attention is zeroed)
+    for params in (None, model.trainable()):
+        model.packed_logits([([3, 4], [0, 5, 6]), ([7], [0, 8]), ([5, 5, 9], [0])], params)
+    # trie passes: every node, a head-slot hit, and some rows of a block
+    trie, _ = trie_of([(5, 6, 7), (5, 8), (9,), (9, 4, 4)])
+    for rows in (None, None, [0, 5]):
+        model.prefix_logits(state, trie, rows)
+    # wave passes over three contexts, one of them empty
+    cache = NamedTrie([state, model.encode([6]), model.encode([])])
+    for depth in range(3):
+        pairs = [(c, (5, 6, 7)[:depth]) for c in range(3)]
+        model.wave_logits(cache, cache.nodes(pairs), lambda indices, logits: None)
+    assert set(ops) == {"_Forest", "_TriePass", "_WavePass"}
+    assert len(ops["_TriePass"]) == 3 and len(ops["_WavePass"]) == 3
+    assert all(0 < n <= 24 for runs in ops.values() for n in runs), ops
 
 
 def random_prefix_tree(rng: random.Random, vocab_size: int, n_seqs: int,
@@ -681,9 +709,10 @@ def assert_table_holds_memo_less_inputs(model, cache, ctx) -> None:
     # a prefix per (token, depth) pair: depth - 1 filler tokens, then the token
     prefixes = [(3,) * (depth - 1) + (token,) if depth else () for token, depth in pairs]
     trie, nodes = trie_of(prefixes)
-    keep = np.empty((model.config.layers, trie.size, model.config.d_model))
-    model.decoder_all_logits(ctx, trie.token[:trie.size], keep=keep,
-                             past=(*model_module._tree_layout(trie.parent[:trie.size]), None))
+    (one_pass,) = model_module._trie_passes(trie, model.config.heads, np.arange(trie.size))
+    keep = np.empty((model.config.layers, trie.size + 1, model.config.d_model))
+    head = np.empty((trie.size, model.config.d_model))
+    model.decoder_all_logits(ctx, one_pass.ids, layout=one_pass._replace(keep=keep, head=head))
     kept = keep[0][nodes]  # every trie row's layer-0 input
     table = cache.layer0[[cache.entry_of[pair] for pair in pairs], 0]
     assert np.array_equal(table.view(np.uint64), kept.view(np.uint64))
@@ -1216,7 +1245,7 @@ def test_prefix_logits_of_some_rows_are_the_all_rows_bits(monkeypatch, block_row
         for ctx in contexts:
             got = some.prefix_logits(ctx, trie, rows)
             assert same_bits(got, every.prefix_logits(ctx, trie)[rows])
-        lone_passes += sum(p.spread is not None and p.spread.at[0] == p.spread.at[-1] for p in some._head_slot.passes)
+        lone_passes += sum(p.at is not None and p.at[0] == p.at[-1] for p in some._head_slot.passes)
         filled += len(some._head_slot.head) > len(np.unique(rows))
     assert block_rows == 512 or lone_passes > 0  # a pass that decodes one row of its block
     assert filled > 0
