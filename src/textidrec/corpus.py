@@ -335,6 +335,11 @@ def _split_name(path: Path) -> str:
 
 
 def load_split(directory: str | Path) -> SplitDataset:
+    """The split in `directory`: its items, `train.jsonl` logs and
+    `valid.jsonl` and `test.jsonl` pairs (`_split_rows`), each item key
+    checked against the items. A pair's user need not have a train log:
+    evaluation ranks a pair from its own history, as zero-shot evaluation
+    ranks users that no model has seen."""
     directory = Path(directory)
     for fname in ("items.jsonl", "train.jsonl", "valid.jsonl", "test.jsonl"):
         if not (directory / fname).exists():

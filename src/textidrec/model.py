@@ -24,38 +24,36 @@ context (`wave_logits`). Callers use five model members: `config`,
 
 A `PrefixTrie` names token prefixes by integer node ids, parents before
 their children. `prefix_logits` decodes the nodes of a `PrefixTrie`, in
-node order, in passes over blocks of at most `_PREFIX_BLOCK_ROWS` nodes,
-each row attending to its ancestors through a tree mask, and to its
-ancestors in earlier passes through their kept self-attention inputs (the
-layer-normed `h` of every decoder layer). Given `rows`, node ids that
-include each one's parent, it decodes only those, with the bits the call
-over every node gives them; a block without a given row runs no pass, one
-given more than half its rows decodes them all, and any other keeps the
-block's layout (`_TriePass`). A pass's tree mask is kept in sparse form
-(`_TreeMask`): the flat indices of the scores it allows, a few per row, so
-a self-attention softmax gathers, exponentiates and normalizes only those
-and scatters them into zeros. It gives the dense additive mask's bits: a
-masked entry is +0.0 either way (exp of -1e30 less the row max
-underflows), a max is exact, every allowed entry takes the same operations
-in the same order, and the row sums and both products run dense over the
-same arrays. Masks that are not trees (causal chains, packed spans, the
-padding of grouped contexts) stay dense. The context enters the decoder
+node order, in passes over blocks of at most `_PREFIX_BLOCK_ROWS` node ids
+(`_TriePass`); given `rows`, node ids that include each one's parent, it
+decodes only those, and a block without one runs no pass. A row attends to
+itself and its ancestors, whose self-attention keys and values each pass
+leaves in a store of the call's. The trie layout is batch-invariant: a
+row's logits depend only on its prefix, the context and the parameters,
+not on which other rows share its call, its pass or its block. So the
+call over some rows gives each the bits of the call over every node.
+Every product of rows is a stack of one-row products, self-attention
+scores, normalizes and sums only each row's own (row, ancestor) pairs,
+root first, and everything else is row-wise; a row's bits thus rest on
+numpy running a one-row product, a reduction over a row's last axis and a
+`reduceat` run the same way whatever their neighbours, which the tests
+check on random configs, tries and row sets. The context enters the decoder
 only at layer 0's cross-attention, so what a pass computes before it (its
-head: the tree layout, the embeddings and layer 0's self-attention block)
-is the same for every context. Each model keeps one head slot, which
-`prefix_logits` reads or fills and nothing else touches. The slot holds the
-trie of the call that filled it and that call's plan (per pass: the rows it
-decodes, their token ids, depths and sparse mask, and the places of its
-earlier columns) and each decoded row after layer 0's self-attention block.
-The slot is keyed on the trie and the rows: a later call reuses it when it
-is keyed the same, by the config, `_PREFIX_BLOCK_ROWS`, the trie itself (by
-identity; nodes are only appended, so its node count says whether it grew),
-the bytes of `rows` (None for every node), and when the raw bytes of every
-`_HEAD_PARAMS` array equal the copies the slot holds: its passes then start
-at layer 0's cross-attention and give the same bits. Any other call
-recomputes and, unless it raises, replaces the slot. At the default config a 143-node trie's slot is about
-0.3 MB, and that of its 23 fork rows (ranking; `recommender.py`) about
-0.18 MB, most of it the copied head weights.
+head: the embeddings and layer 0's self-attention block) is the same for
+every context. Each model keeps one head slot, which `prefix_logits` reads
+or fills and nothing else touches. The slot holds the trie of the call
+that filled it and that call's plan (per pass: the rows it decodes, their
+token ids and depths, and each row's (row, ancestor) pairs) and each
+decoded row after layer 0's self-attention block. The slot is keyed on the
+trie and the rows: a later call reuses it when it is keyed the same, by the
+config, `_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
+appended, so its node count says whether it grew), the bytes of `rows`
+(None for every node), and when the raw bytes of every `_HEAD_PARAMS` array
+equal the copies the slot holds: its passes then start at layer 0's
+cross-attention and give the same bits. Any other call recomputes and,
+unless it raises, replaces the slot. At the default config a 143-node
+trie's slot is about 0.26 MB, and that of its 23 fork rows (ranking;
+`recommender.py`) about 0.18 MB, most of it the copied head weights.
 
 `wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
 each carry a context and whose nodes keep their decoder state for the life
@@ -76,41 +74,24 @@ own context, in one batch of the pass's contexts padded to the longest. A
 pass thus costs its rows times their depth plus the longest context among
 them, whatever else the cache holds.
 
-Whether a product's rows get the same bits whatever the other rows depends
-on the BLAS and on the product's shape. Measured with OpenBLAS 0.3.31
-(SkylakeX kernels) and numpy 2.4.6:
-- a 2-D product of two or more rows whose C-contiguous right operand is a
-  multiple of 8 wide gives a row the same bits whatever the other rows and
-  however many: no mismatch in 4 000 random row subsets (up to 520 rows,
-  inner sizes up to 300, widths up to 312);
-- widths 1 to 3 past a multiple of 8 do not (311 to 434 mismatches in about
-  750 random shapes each; 4 to 7 past, none in about 700 each);
-- batched products do not: the scores against `k_t` and `probs @ v`
-  mismatched in about 40% of 5 000 random shapes, `probs @ v` in most at
-  2-wide heads, and both in about 1% even where the width is a multiple
-  of 8;
-- `y @ tok_emb.T`, whose right operand is transposed, does not: 2 to 23 of
-  143 rows mismatched at a vocabulary of 48, and up to 100 rows at 500;
-- a one-row product runs another kernel and rounds otherwise.
-Zero rows in the other places of a product of the same shape give a row
-the same bits in every case measured, and that rests on no kernel's
-rounding: the padded product has the all-rows product's shape, so the BLAS
-runs the same code on the same values in the row's place. So a pass over
-some rows of a block (`_TriePass`) pads every product of its rows to the
-block's rows, whatever the shape. Running the 2-D products of the first
-case on the rows alone would save about a fifth of the fork-rows call
-(`recommender.py`) but rests on the kernels measured here; numpy's
-OpenBLAS picks its kernels from the CPU at run time.
+Outside the trie layout, whether a product's rows get the same bits
+whatever the other rows depends on the BLAS and on the product's shape.
+Measured with OpenBLAS 0.3.31 (SkylakeX kernels) and numpy 2.4.6, a 2-D
+product of two or more rows whose C-contiguous right operand is a multiple
+of 8 wide gives a row the same bits whatever the other rows and however
+many (no mismatch in 4 000 random row subsets, up to 520 rows); widths 1 to
+3 past a multiple of 8, batched products and a transposed right operand do
+not, and a one-row product runs another kernel and rounds otherwise.
 
 The kept keys and values of `wave_logits` have the bits a pass's own
-products would give where the first case holds (at a `d_model` that is a
-multiple of 8). Each is projected once in a product of at least two rows
+products would give where the 2-D case above holds (at a `d_model` that
+is a multiple of 8). Each is projected once in a product of at least two rows
 (`_projected` pads a lone row), as every ancestor chain of two or more rows
 was; a depth-0 row, whose chain is itself alone, attends through one-row
 products of its input.
 
-Which other rows share a pass does move a row's bits, in the last place,
-through three figures of the pass: whether it has one row (the
+Which other rows share a wave pass does move a row's bits, in the last
+place, through three figures of the pass: whether it has one row (the
 feed-forward blocks and the output projection are then one-row products),
 whether some context has two or more of its rows (if none, the
 cross-attention's query and output products are one-row products), and its
@@ -222,62 +203,17 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-class _TreeMask:
-    """The sparse form of a 0/-1e30 additive (rows, keys) mask, for
-    `_attention` over `heads` heads without leading batch axes: `flat`, the
-    flat indices of the entries it allows in the (heads, rows, keys) scores,
-    ordered by (head, row); `starts`, where each (head, row) run begins in
-    `flat`; and `run`, the run of each index. Every row must allow a key: a
-    dense softmax gives a fully masked row a uniform distribution, where
-    this one would divide 0 by 0, so such a mask is a ValueError."""
-
-    __slots__ = ("shape", "flat", "starts", "run")
-
-    def __init__(self, mask: np.ndarray, heads: int):
-        allowed = mask == 0.0
-        blind = np.flatnonzero(~allowed.any(axis=1))
-        if blind.size:
-            raise ValueError(f"mask row {blind[0]} allows no key")
-        self.shape = (heads, *allowed.shape)
-        self.flat = (np.arange(heads)[:, None] * allowed.size + np.flatnonzero(allowed)).reshape(-1)
-        counts = np.tile(np.count_nonzero(allowed, axis=1), heads)
-        self.starts = np.cumsum(counts) - counts
-        self.run = np.repeat(np.arange(len(counts)), counts)
-
-    def softmax(self, scores: np.ndarray, scale: float) -> np.ndarray:
-        """The softmax over the last axis of `scores * scale` plus the mask,
-        written over `scores` (heads, rows, keys), with the bits of the dense
-        path: an allowed entry goes through the same operations in the same
-        order (a max is exact), a masked one is +0.0 either way (exp of -1e30
-        less the max underflows), and the row sums are the same dense reduce
-        over the same array. Only the allowed entries are exponentiated."""
-        if scores.shape != self.shape:
-            raise ValueError(f"mask for {self.shape} scores, got {scores.shape}")
-        flat = scores.reshape(-1)
-        picked = flat[self.flat]
-        picked *= scale
-        picked -= np.maximum.reduceat(picked, self.starts)[self.run]
-        np.exp(picked, out=picked)
-        flat.fill(0.0)
-        flat[self.flat] = picked
-        picked /= scores.sum(axis=-1).reshape(-1)[self.run]
-        flat[self.flat] = picked
-        return scores
-
-
 def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
                kv_in: Tensor | tuple[np.ndarray, np.ndarray],
-               heads: int, mask: np.ndarray | _TreeMask | None = None, mm=operator.matmul) -> Tensor:
+               heads: int, mask: np.ndarray | None = None, mm=operator.matmul) -> Tensor:
     """Multi-head attention as one graph node, all heads in one batched
     matmul over (heads, rows, dh) views of the projections. Inputs may carry
     leading batch axes, (..., rows, d) and (..., keys, d): each batch entry
     attends only to its own keys, and `mask` broadcasts onto the
-    (..., heads, rows, keys) scores. A `_TreeMask` (no batch axes) gives the
-    same bits as its dense mask, exponentiating only the scores it allows.
-    `kv_in` may instead be the (keys, values) pair it projects to, two
-    C-contiguous (..., keys, d) arrays, whose products are then skipped
-    (inference only: a gradient cannot reach them, so no input or weight
-    may require one). `mm` runs every product of the query rows: a layout's
+    (..., heads, rows, keys) scores. `kv_in` may instead be the (keys,
+    values) pair it projects to, two C-contiguous (..., keys, d) arrays,
+    whose products are then skipped (inference only: a gradient cannot
+    reach them, so no input or weight may require one). `mm` runs every product of the query rows: a layout's
     `product` (`_TriePass`), or matmul.
 
     Forward and backward run the numpy expressions, array layouts and
@@ -301,16 +237,13 @@ def _attention(pt: dict[str, Tensor], prefix: str, q_in: Tensor,
     q = mm(q_in.data, wq.data).reshape(*lead, rows, heads, dh).swapaxes(-2, -3)
     k_t = k_proj.swapaxes(-1, -2).reshape(*lead, heads, dh, keys)
     v = v_proj.reshape(*lead, keys, heads, dh).swapaxes(-2, -3)
-    probs = mm(q, k_t)
-    if isinstance(mask, _TreeMask):
-        mask.softmax(probs, scale)
-    else:  # `autograd.softmax` of `scores * scale + mask`, in place
-        probs *= scale
-        if mask is not None:
-            probs += mask
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+    probs = mm(q, k_t)  # then `autograd.softmax` of `scores * scale + mask`, in place
+    probs *= scale
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     joined = mm(probs, v).swapaxes(-2, -3).reshape(*lead, rows, width)
 
     def bw(g):
@@ -411,66 +344,37 @@ class _HeadSlot:
     head: np.ndarray
 
 
-def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Depth of every row and the additive self-attention mask that lets a
-    row see only itself and its ancestors. Parents precede their children;
-    a root has a negative parent. `prefix_logits` lays out each pass's own
-    rows with it (a row whose parent is in an earlier pass is a root here).
-
-    Every row climbs its ancestor chain one level per numpy pass, so a tree
-    takes as many passes as it is deep."""
-    n = len(parents)
-    late = np.flatnonzero(parents >= np.arange(n))
-    if late.size:
-        i = late[0]
-        raise ValueError(f"row {i} has parent {parents[i]}; parents must precede their children")
-    depth = np.zeros(n, dtype=np.int64)
-    allowed = np.eye(n, dtype=bool)
-    rows = np.flatnonzero(parents >= 0)
-    anc = parents[rows]
-    while rows.size:
-        allowed[rows, anc] = True
-        depth[rows] += 1
-        anc = parents[anc]
-        climbing = anc >= 0
-        rows, anc = rows[climbing], anc[climbing]
-    return depth, np.where(allowed, 0.0, -1e30)
-
-
 class _TriePass(NamedTuple):
     """The layout of one `prefix_logits` pass (`_trie_passes`): the nodes
     that a call decodes in one block of at most `_PREFIX_BLOCK_ROWS` trie
-    nodes. `kept` are their places among the call's decoded nodes (a slice
-    when it decodes the whole block), `ids` and `depth` their tokens and
-    depths; `mask` is their `_TreeMask` over the block's columns, after the
-    earlier columns `cols`: the places of their ancestors in earlier passes,
-    or None. A row attends to its ancestors in the block and, through those
-    columns' kept self-attention inputs, in earlier passes.
+    nodes. `kept` is their slice of the call's decoded nodes, `ids` and
+    `depth` their tokens and depths. `pair_key` lists each row's
+    self-attention keys, back to back: its ancestors root first, then
+    itself, as places among the decoded nodes; `pair_row` is the row of
+    each, and `starts` where each row's run begins.
 
-    A pass over only some of the block's `n` rows has them at `at` in the
-    block, a lone row twice (`at` is None for the whole block). Row-wise
-    work (layer norms, softmax rows, GELU, residual sums) runs on those rows
-    only. The block's other rows are zero self-attention keys, masked, and
-    zero rows in every product of the rows, which `product` runs at the
-    block's row count, so a row gets the bits the whole block gives it
-    (module doc).
+    A row's logits are the same bits whatever other rows share its call
+    (batch invariance): every product of rows is a stack of one-row
+    products (`product`), self-attention scores, normalizes and sums only
+    the row's own (row, key) pairs, in root-first order, and the rest is
+    row-wise (layer norms, cross-attention softmax rows, GELU, residual
+    sums).
 
-    Each call binds the pass to its state (`_replace`). `keep`, (layers,
-    decoded nodes + 1, d_model), receives each row's self-attention input at
-    layer i in `keep[i]`, at the row's place; its last row is the zero row
-    that a column the call does not decode reads. `head` receives the rows
-    after layer 0's self-attention block, which depend on the rows and
+    Each call binds the pass to its state (`_replace`). `kv`, (layers, 2,
+    decoded nodes, d_model), receives each row's self-attention keys and
+    values at layer i in `kv[i]`, at the row's place, where its
+    descendants in this and later passes read them. `head` receives the
+    rows after layer 0's self-attention block, which depend on the rows and
     `_HEAD_PARAMS` but not on the context; with `hit` the pass starts from
     it instead, skipping what comes before."""
 
-    kept: slice | np.ndarray
+    kept: slice
     ids: np.ndarray
     depth: np.ndarray
-    mask: _TreeMask
-    cols: np.ndarray | None
-    at: np.ndarray | None
-    n: int
-    keep: np.ndarray | None = None
+    pair_key: np.ndarray
+    pair_row: np.ndarray
+    starts: np.ndarray
+    kv: np.ndarray | None = None
     head: np.ndarray | None = None
     hit: bool = False
 
@@ -480,12 +384,21 @@ class _TriePass(NamedTuple):
     def self_block(self, i: int, x: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
         if self.hit and i == 0:
             return x  # the head
-        h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"])
-        self.keep[i, self.kept] = h.data
-        kv = h.data if self.at is None else self.padded(h.data)
-        if self.cols is not None:
-            kv = np.concatenate([self.keep[i, self.cols], kv])
-        x = x + _attention(pt, f"dec{i}_self", h, Tensor(kv), heads, self.mask, self.product)
+        h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"]).data
+        wq, wk, wv, wo = (pt[name].data for name in _attention_names(f"dec{i}_self"))
+        self.kv[i, 0, self.kept] = self.product(h, wk)
+        self.kv[i, 1, self.kept] = self.product(h, wv)
+        rows, d = h.shape
+        dh = d // heads
+        q = self.product(h, wq).reshape(rows, heads, dh)[self.pair_row]
+        k, v = self.kv[i][:, self.pair_key].reshape(2, -1, heads, dh)
+        scores = np.multiply(q, k).sum(axis=-1)  # (pairs, heads), each a dot product of its own
+        scores *= 1.0 / math.sqrt(dh)
+        scores -= np.maximum.reduceat(scores, self.starts)[self.pair_row]
+        np.exp(scores, out=scores)
+        scores /= np.add.reduceat(scores, self.starts)[self.pair_row]
+        joined = np.add.reduceat(scores[..., None] * v, self.starts).reshape(rows, d)
+        x = x + Tensor(self.product(joined, wo))
         if i == 0:
             self.head[self.kept] = x.data
         return x
@@ -496,71 +409,37 @@ class _TriePass(NamedTuple):
     def logits(self, x: Tensor, pt: dict[str, Tensor]) -> Tensor:
         return Tensor(self.product(x.data, pt["tok_emb"].data.T))
 
-    def padded(self, a: np.ndarray) -> np.ndarray:
-        """(..., rows, c) `a` laid out as (..., n, c): its rows at `at`, the
-        others zero."""
-        out = np.zeros(a.shape[:-2] + (self.n, a.shape[-1]))
-        out[..., self.at, :] = a
-        return out
-
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """`a @ b` of the pass's rows; with `at`, the rows at `at` of
-        `padded(a) @ b`, C-contiguous: a product of the block's shape, which
-        the BLAS runs as it runs the block's own (module doc)."""
-        if self.at is None:
-            return a @ b
-        return np.take(self.padded(a) @ b, self.at, axis=-2)
+    @staticmethod
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """`a @ b` over leading batch axes as one product per row of `a`:
+        the BLAS runs each on the row alone, so its bits do not depend on
+        the other rows or on how many there are."""
+        return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
 
 
-def _trie_passes(trie: PrefixTrie, heads: int, kept: np.ndarray) -> list[_TriePass]:
+def _trie_passes(trie: PrefixTrie, kept: np.ndarray) -> list[_TriePass]:
     """The passes of a `prefix_logits` call over the nodes `kept` of `trie`
-    (sorted), in node order; a kept node whose ancestors are all kept gets
-    the bits of the call over every node. The nodes are cut into
-    blocks of at most `_PREFIX_BLOCK_ROWS`; a block holding a kept node is a
-    pass, with a `_TreeMask` over `heads` heads. A column (a self-attention
-    key) that the call does not decode reads the zero row at `len(kept)`.
-
-    A block row attends to its ancestors in the block (`_tree_layout`) and,
-    through the columns in front of them, to the ancestors of its block root
-    that earlier blocks hold, in node order."""
-    parent = trie.parent[:trie.size]
-    place = np.full(trie.size, len(kept))  # of each node among the kept, or the zero row
+    (sorted, each with its parent): the nodes cut into blocks of at most
+    `_PREFIX_BLOCK_ROWS` node ids, one pass per block that holds a kept
+    node, in node order."""
+    depth = trie.depth[:trie.size]
+    place = np.empty(trie.size, dtype=np.int64)  # of each kept node among the kept
     place[kept] = np.arange(len(kept))
     passes = []
-    for lo in range(0, trie.size, _PREFIX_BLOCK_ROWS):
-        up = parent[lo:lo + _PREFIX_BLOCK_ROWS]
-        at = np.flatnonzero(place[lo:lo + len(up)] < len(kept))
+    for at in np.split(np.arange(len(kept)), np.flatnonzero(np.diff(kept // _PREFIX_BLOCK_ROWS)) + 1):
         if not at.size:
             continue
-        inner = np.where(up >= lo, up - lo, -1)  # the parent in the pass, or -1
-        mask = _tree_layout(inner)[1]
-        cols = None
-        seen_rows, seen_cols = [], []
-        roots = np.flatnonzero((inner < 0) & (up >= 0))  # pass roots with earlier ancestors
-        anc = up[roots]
-        while roots.size:
-            seen_rows.append(roots)
-            seen_cols.append(anc)
-            anc = parent[anc]
-            roots, anc = roots[anc >= 0], anc[anc >= 0]
-        if seen_rows:
-            cols, col_of = np.unique(np.concatenate(seen_cols), return_inverse=True)
-            seen = np.full((len(up), len(cols)), -1e30)
-            seen[np.concatenate(seen_rows), col_of] = 0.0
-            root = np.arange(len(up))  # each row's pass root, whose earlier rows it sees
-            while (inner[root] >= 0).any():
-                root = np.where(inner[root] >= 0, inner[root], root)
-            mask = np.concatenate([seen[root], mask], axis=1)
-        cols = None if cols is None else place[cols]
-        if len(at) == len(up):
-            hi = lo + len(up)
-            first = int(place[lo])
-            passes.append(_TriePass(slice(first, first + len(up)), trie.token[lo:hi], trie.depth[lo:hi],
-                                    _TreeMask(mask, heads), cols, None, len(up)))
-        else:
-            at = at.repeat(2) if len(at) == 1 else at
-            passes.append(_TriePass(place[lo + at], trie.token[lo + at], trie.depth[lo + at],
-                                    _TreeMask(mask[at], heads), cols, at, len(up)))
+        nodes = kept[at]
+        run = depth[nodes] + 1
+        starts = np.cumsum(run) - run
+        pair_key = np.empty(run.sum(), dtype=np.int64)
+        base, up = starts, nodes
+        while up.size:  # an ancestor at depth j is key j of its descendant's run
+            pair_key[base + depth[up]] = place[up]
+            climbing = trie.parent[up] >= 0
+            base, up = base[climbing], trie.parent[up[climbing]]
+        passes.append(_TriePass(slice(at[0], at[-1] + 1), trie.token[nodes], depth[nodes], pair_key,
+                                np.repeat(np.arange(len(nodes)), run), starts))
     return passes
 
 
@@ -781,6 +660,32 @@ def _same_segment(q_seg: np.ndarray, k_seg: np.ndarray) -> np.ndarray:
     return np.where(q_seg[:, None] == k_seg, 0.0, -1e30)
 
 
+def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth of every row and the additive self-attention mask that lets a
+    row see only itself and its ancestors: a `_Forest` over rows given by
+    their parents, which precede their children (a root has a negative
+    parent).
+
+    Every row climbs its ancestor chain one level per numpy pass, so a tree
+    takes as many passes as it is deep."""
+    n = len(parents)
+    late = np.flatnonzero(parents >= np.arange(n))
+    if late.size:
+        i = late[0]
+        raise ValueError(f"row {i} has parent {parents[i]}; parents must precede their children")
+    depth = np.zeros(n, dtype=np.int64)
+    allowed = np.eye(n, dtype=bool)
+    rows = np.flatnonzero(parents >= 0)
+    anc = parents[rows]
+    while rows.size:
+        allowed[rows, anc] = True
+        depth[rows] += 1
+        anc = parents[anc]
+        climbing = anc >= 0
+        rows, anc = rows[climbing], anc[climbing]
+    return depth, np.where(allowed, 0.0, -1e30)
+
+
 def _chain_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """`_tree_layout` of the chain parents[i] = i-1: the causal mask, built
     directly (the walk is slower on a chain than this)."""
@@ -988,15 +893,14 @@ class SequenceModel:
         the given order.
 
         A call decodes the nodes in node order (parents come first), in
-        passes over blocks of at most `_PREFIX_BLOCK_ROWS` nodes
-        (`_trie_passes`). A row attends to itself, to its ancestors in the
-        pass, and through their kept inputs to its ancestors in earlier
-        passes. With `rows`, a block without a given node runs no pass, a
-        block given more than half its nodes decodes them all, and any other
-        pass computes only the block's given rows (`_TriePass`). The call
-        reuses or refills the model's head slot (module
-        doc), so nodes may be appended to `trie` between calls but not
-        changed.
+        passes over blocks of at most `_PREFIX_BLOCK_ROWS` node ids
+        (`_trie_passes`); with `rows`, only the given nodes, and a block
+        without one runs no pass. A row attends to itself and its
+        ancestors, whose keys and values the passes keep for the call. A
+        row's bits do not depend on the other rows of the call
+        (`_TriePass`). The call reuses or refills the model's head slot
+        (module doc), so nodes may be appended to `trie` between calls but
+        not changed.
         """
         cfg = self.config
         pt = self.frozen()
@@ -1020,24 +924,15 @@ class SequenceModel:
                 orphan = (up >= 0) & ~np.isin(up, nodes)
                 if orphan.any():
                     raise ValueError(f"rows hold node {nodes[orphan][0]} but not its parent {up[orphan][0]}")
-                # a block given more than half its nodes decodes them all: a
-                # pass over some rows pads every product, and there that costs
-                # more than the row-wise work it saves (ROADMAP item 7)
-                given = np.zeros(trie.size, dtype=bool)
-                given[nodes] = True
-                block = np.arange(trie.size) // _PREFIX_BLOCK_ROWS
-                nodes = np.flatnonzero(given | (2 * np.bincount(block, weights=given) > np.bincount(block))[block])
                 order = np.searchsorted(nodes, rows)
             slot = _HeadSlot(key, [pt[name].data.copy() for name in _HEAD_PARAMS],
-                             _trie_passes(trie, cfg.heads, nodes), order, np.empty((len(nodes), cfg.d_model)))
-        # the kept state of each node the call decodes, in node order, then a
-        # zero row that stands for the block columns it does not decode
+                             _trie_passes(trie, nodes), order, np.empty((len(nodes), cfg.d_model)))
+        # each decoded node's self-attention keys and values, in node order
         width = len(slot.head)
-        keep = np.empty((cfg.layers, width + 1, cfg.d_model))
-        keep[:, -1] = 0.0
+        kv = np.empty((cfg.layers, 2, width, cfg.d_model))
         logits = np.empty((width, cfg.vocab_size))
         for p in slot.passes:
-            layout = p._replace(keep=keep, head=slot.head, hit=hit)
+            layout = p._replace(kv=kv, head=slot.head, hit=hit)
             logits[p.kept] = self.decoder_all_logits(ctx, p.ids, layout=layout).data
         if not hit:
             self._head_slot = slot

@@ -9,18 +9,22 @@ that set (renormalization can be disabled for the masked-only variant).
 The catalog trie (`CatalogTrie`) is one structure: a `PrefixTrie`
 (`model.py`) of its inner nodes, plus its edges and a child index, all
 arrays over integer ids. `prefix_logits` decodes the nodes of a PrefixTrie;
-one call (tree-masked decoder passes, the only model call besides `encode`)
+one call (trie decoder passes, the only model call besides `encode`)
 gives the step distribution of inner nodes, and from it one
 log-probability per edge. Under renormalization a node with a single
 continuation gives its edge log-probability exactly 0.0 whatever its
 logits, so that call decodes only the trie's fork rows (`CatalogTrie`);
-without renormalization it decodes every inner node. Ranking, beam search,
-candidate scoring and single-step distributions all read that array (the
-first three as path scores, summed parents first), and walk the trie by
-id through the child index, so their scores agree exactly. The model's head slot is keyed on the trie and the rows: every
-user ranked against the same trie and unchanged weights after the first
-reuses its layout and decoder head (see `model.py`), and only the part of
-the pass that reads the user's prompt runs.
+without renormalization it decodes every inner node. The model's trie
+passes are batch-invariant, so a fork row has the bits the all-rows call
+gives it, and the call costs what its fork rows cost, not the trie's other
+nodes. Ranking, beam search, candidate scoring and single-step
+distributions all read that array (the first three as path scores, summed
+parents first, one depth at a time), and walk the trie by id through the
+child index, so their scores agree exactly. The model's head slot is
+keyed on the trie and the rows: every user ranked against the same trie
+and unchanged weights after the first reuses its layout and decoder head
+(see `model.py`), and only the part of the pass that reads the user's
+prompt runs.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ class CatalogTrie(PrefixTrie):
     where an ID ends), their ancestors, and always the root, so that
     parameters that make every logit NaN are still seen. The edges out of
     them are `fork_edges`, in edge order, and `fork_rows` their nodes' rows
-    among the forks.
+    among the forks. `levels` holds the edges by depth, one array per depth
+    from 1 down, each in edge order.
 
     `root` is a nested view built from these arrays when read, for callers
     that walk `children` dicts (perfbench's traced node count); the package
@@ -113,6 +118,9 @@ class CatalogTrie(PrefixTrie):
         self.forks = np.flatnonzero(fork)
         self.fork_edges = np.flatnonzero(fork[self.edge_node[1:]]) + 1
         self.fork_rows = np.searchsorted(self.forks, self.edge_node[self.fork_edges])
+        depth = np.append(self.depth[:self.size], self.depth[self.ends] + 1)
+        by_depth = np.argsort(depth[1:], kind="stable") + 1
+        self.levels = np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1)
 
     def edges_from(self, node: int) -> np.ndarray:
         """The edges out of node (or edge) `node`, in token order."""
@@ -152,7 +160,7 @@ def valid_next(trie: CatalogTrie, prefix) -> set[int]:
     return set() if node is None else set(trie.edge_token[trie.edges_from(node)].tolist())
 
 
-def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[float]:
+def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> np.ndarray:
     """Log-probability of every edge of `trie` (`CatalogTrie`), from one
     `prefix_logits` call, renormalized over each node's valid tokens unless
     `normalize` is False. A log-probability of an edge out of a decoded
@@ -194,7 +202,7 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> list[flo
     if not np.isfinite(lp).all():
         raise NotFinite("the recommender's edge log-probabilities at its decoded trie nodes are not finite: "
                         "its parameters hold NaN or overflow")
-    return lp.tolist()
+    return lp
 
 
 def constrained_distribution(model, state, prefix, trie: CatalogTrie,
@@ -209,14 +217,16 @@ def constrained_distribution(model, state, prefix, trie: CatalogTrie,
     return {int(trie.edge_token[k]): math.exp(lp[k]) for k in edges}
 
 
-def _path_scores(trie: CatalogTrie, lp: list[float]) -> list[float]:
-    """The score of every edge's path from the root: the log-probabilities
-    `lp` of its edges summed parents first, the order in which a walk down
-    the path adds them (a parent's edge precedes its children's)."""
-    score = lp[:]
-    for k, up in enumerate(trie.edge_node[1:].tolist(), 1):
-        score[k] = score[up] + lp[k]
-    return score
+def _path_scores(trie: CatalogTrie, lp) -> list[float]:
+    """The score of every edge's path from the root, as Python floats: the
+    log-probabilities `lp` of its edges summed parents first, the order in
+    which a walk down the path adds them. Each depth is one add over its
+    edges, after the depth above."""
+    lp = np.asarray(lp)
+    score = lp.copy()
+    for edges in trie.levels:
+        score[edges] = score[trie.edge_node[edges]] + lp[edges]
+    return score.tolist()
 
 
 def score_candidate(model, prompt, tid: TextualId, trie: CatalogTrie,
@@ -238,7 +248,7 @@ def rank_all(model, prompt, registry: IdRegistry, trie: CatalogTrie,
 
     Every edge's log-probability comes from one `prefix_logits` call
     (`_edge_logprobs`: the fork rows when renormalized, every inner node
-    otherwise), then path scores accumulate edge by edge, parents first
+    otherwise), then path scores accumulate depth by depth, parents first
     (`_path_scores`); per-step distributions are identical to
     score_candidate's.
     """

@@ -449,6 +449,19 @@ def test_eval_with_registry_from_another_generator_exits_3(tmp_path, capsys):
     assert "ids.tsv" in one_line_error(capsys)
 
 
+def test_eval_ranks_a_pair_whose_user_has_no_train_log(tmp_path, capsys):
+    # a split may name a user that train.jsonl does not: the pair is ranked
+    # from its own history
+    split_dir, final = untrained_bundle(tmp_path)
+    set_field("test", "user", "newcomer")(split_dir)
+    split = corpus.load_split(split_dir)
+    assert "newcomer" not in {log.user for log in split.train}
+    assert run("eval", "--bundle", final, "--data", split_dir, "--out", tmp_path / "m.json") == 0
+    ranks = json.loads((tmp_path / "m.json").read_text())["ranks"]
+    user, target, rank = ranks[0]
+    assert (user, target) == ("newcomer", split.test[0].target) and 1 <= rank <= len(split.items)
+
+
 def test_eval_uses_the_config_allocator_section(tmp_path, monkeypatch):
     split_dir, final = untrained_bundle(tmp_path)
     seen = {}

@@ -630,18 +630,18 @@ def test_constrained_sampling_soundness():
             assert vocab.decode(prefix) in {t.text for t in reg.ids.values()}
 
 
-# Recorded before the catalog trie became a node-id `PrefixTrie`, so that a
-# last-bit change in ranking fails here and not only in the benchmark's
-# digests: per (generator layers, rows per `prefix_logits` pass), a digest
-# of `rank_all` (keys and score bytes) for three prompts, a beam search,
-# every item's `score_candidate` and the distributions at the root and one
-# inner node, with and without renormalization, on one small catalog. Eight
-# rows per pass split its trie into several passes.
+# Recorded when trie passes became batch-invariant, so that a last-bit
+# change in ranking fails here and not only in the benchmark's digests: per
+# (generator layers, rows per `prefix_logits` pass), a digest of `rank_all`
+# (keys and score bytes) for three prompts, a beam search, every item's
+# `score_candidate` and the distributions at the root and one inner node,
+# with and without renormalization, on one small catalog. Eight rows per
+# pass split its trie into several passes.
 PINNED_RANKINGS = {
-    (1, 512): "99665d3cdb912f9075db159a06d3de179706028b8ce9d812612ead2427e4989e",
-    (2, 512): "99a0d5694eec78545ad6ecb16ac04d11df43c2dba9f18e7a70fabc2adbac688d",
-    (1, 8): "99665d3cdb912f9075db159a06d3de179706028b8ce9d812612ead2427e4989e",
-    (2, 8): "99a0d5694eec78545ad6ecb16ac04d11df43c2dba9f18e7a70fabc2adbac688d",
+    (1, 512): "817bfc63ff72908b60f5e4eb45b80365f5243c0885e3e12209c23884ffeb156a",
+    (2, 512): "c22f59dde5a49f0921082abea85ef4a98bf37cf840cc88d05ca3de0c28296f4c",
+    (1, 8): "817bfc63ff72908b60f5e4eb45b80365f5243c0885e3e12209c23884ffeb156a",
+    (2, 8): "c22f59dde5a49f0921082abea85ef4a98bf37cf840cc88d05ca3de0c28296f4c",
 }
 
 
