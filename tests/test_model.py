@@ -498,6 +498,38 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [1, 2, 17, 100])
+@pytest.mark.parametrize("p_chain", [0.0, 0.6, 0.9])
+@pytest.mark.parametrize("earlier", ["all", "none"])
+def test_sparse_tree_mask_attention_equals_dense(monkeypatch, n, p_chain, earlier):
+    # a random forest of trie rows: the trie passes' self-attention over each
+    # row's (row, ancestor) pairs against `_attention` under the forest's
+    # dense tree mask; with "all", a pass per row, so every ancestor's keys
+    # and values come from an earlier pass, with "none" one pass for all
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", 1 if earlier == "all" else 512)
+    rng = np.random.default_rng(n * 10 + int(p_chain * 10))
+    d, heads = 8, 4
+    parents = random_forest(rng, n, p_chain)
+    depth, mask = model_module._tree_layout(parents)
+    trie = model_module.PrefixTrie()
+    trie.add(parents, rng.integers(3, 11, size=n), depth)
+    pt = {f"dec0_self_w{x}": Tensor(rng.normal(size=(d, d))) for x in "qkvo"}
+    pt["dec0_ln1_g"], pt["dec0_ln1_b"] = Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d))
+    x = rng.normal(size=(n, d)) * 3.0
+
+    passes = model_module._trie_passes(trie, np.arange(n))
+    assert len(passes) == (n if earlier == "all" else 1)
+    kv, head = np.empty((1, 2, n, d)), np.empty((n, d))
+    got = np.concatenate([p._replace(kv=kv, head=head).self_block(0, Tensor(x[p.kept]), pt, heads).data
+                          for p in passes])
+    assert same_bits(head, got)  # layer 0's rows, kept for a later context
+    want = model_module._Forest(depth, mask).self_block(0, Tensor(x), pt, heads).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    h = Tensor(x).layer_norm(pt["dec0_ln1_g"], pt["dec0_ln1_b"]).data
+    np.testing.assert_allclose(kv[0], [h @ pt["dec0_self_wk"].data, h @ pt["dec0_self_wv"].data],
+                               rtol=1e-12, atol=1e-12)
+
+
 class NamedTrie(model_module.DecodeCache):
     """A decode cache that names each (context, prefix) pair by a node, each
     context's prefixes under a root of their own, which carries the
