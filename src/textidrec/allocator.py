@@ -22,15 +22,19 @@ equal log-probs in token order, PAD and UNK ranked as -inf, and the child
 node each ranked token leads to, made when a beam first picks it. These
 are (nodes, width) arrays indexed by node id like the trie's own, so there
 is one id space. A beam is a (node, total) pair, so no prefix tuple is
-built while a search runs.
+built while a search runs. A block is ranked as a stable argsort would
+rank it, by numpy's default sort and a stable sort of only the rows whose
+first `width + 1` keys hold a tie (`_ranked`).
 
-A beam keeps the best `beams_per_group` of its `width` ranked tokens by
-(-penalized value, token). That equals a stable argsort of the whole
-penalized row: at most `beams_per_group * (groups - 1)` tokens carry a
-penalty and EOS may be banned, so the list holds `beams_per_group`
-unpenalized tokens, and a token past the last of them has a value no
-higher, a larger token on an equal value, and a penalty that only lowers
-it. (Stopping there, as a walk down the list would, keeps the same picks.)
+A beam of group g (from 0) keeps the best `beams_per_group` of the first
+`min(width, beams_per_group * (g + 1) + banned)` of its ranked tokens by
+(-penalized value, token), where `banned` is 1 while EOS is banned. That
+equals a stable argsort of the whole penalized row: the groups before g
+penalize at most `beams_per_group * g` tokens, so those columns hold
+`beams_per_group` unpenalized tokens, and a token past the last of them
+has a value no higher, a larger token on an equal value, and a penalty
+that only lowers it. (Stopping there, as a walk down the list would, keeps
+the same picks.) The last group may reach every column, hence `width`.
 
 Searches run as waves. A wave is one search over each of a list of tries
 of one logprob cache, all with one set of settings (groups, beams per
@@ -41,7 +45,8 @@ liveness and each beam's lexicographic rank in its group. A step asks one
 and ranks each pass's rows into the cache as its logits return. Then each
 group, in group order, picks for every search of the wave at once, in a
 few array operations:
-- gather its beams' ranked values and tokens, (searches, beams, width);
+- gather the ranked values and tokens of its beams' columns that its
+  penalties can reach (above), (searches, beams, columns);
 - subtract the penalties gathered at those tokens, from a (searches, V)
   array of lam times the picks of the groups before it, EOS at +inf while
   t < min_len;
@@ -51,7 +56,10 @@ few array operations:
   its beam's rank, and a new beam's rank follows from its parent's rank and
   its token;
 - count the picks into the penalties; an EOS pick completes its beam.
-Absent or finished beams are masked. A node the logprob cache already
+Absent or finished beams are masked. After the last group, one call names
+the nodes of every group's new beams, in group order, each (node, token)
+pair made once, at its first pick: the ids that a call per group gives,
+since no group reads another's nodes. A node the logprob cache already
 ranked is not asked for, and a node asked for has a ranked parent: the
 cache decoded that parent, in this wave or an earlier one, and kept its
 state, so a wave decodes only the nodes it ranks. `diverse_beam_search` is
@@ -68,7 +76,9 @@ that result has candidates not yet taken: `taken` only grows, and each
 item of u accepts at most one of those candidates, so by pigeonhole some
 item of u falls through to rung r. Every other search runs on demand as a
 wave of one. The log line counts the waves, their sizes and the on-demand
-searches.
+searches. An item starts at its text's floor, the rung at which the text's
+last item was accepted (past the last rung after a fallback): every
+candidate of a rung below it was taken then, and `taken` only grows.
 
 A search that kept no penalized token answers every higher penalty of its
 length range. Call a search penalty-free when, in every beam of every group
@@ -287,16 +297,30 @@ def _registry_row(fields: list[str], vocab: Vocabulary) -> tuple[TextualId, Allo
 def _ranked(logits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's `width` best next tokens, best first, equal log-probs in
     token order, PAD and UNK ranked as -inf: (rows, width) float64 log-probs
-    and int32 token ids, ranked by one stable argsort. A NaN or +inf logit
-    makes its row's log-softmax NaN, which the ranked block then holds: that
-    is a `NotFinite` error, as no search can rank NaN scores."""
-    block = log_softmax_rows(logits)
-    block[:, [PAD_ID, UNK_ID]] = -np.inf
-    order = (-block).argsort(axis=1, kind="stable")[:, :width]
-    ranked = np.take_along_axis(block, order, axis=1)
+    and int32 token ids, the first `width` of a stable argsort of the
+    negated row. A NaN or +inf logit makes its row's log-softmax NaN, which
+    the ranked block then holds: that is a `NotFinite` error, as no search
+    can rank NaN scores.
+
+    The block is argsorted by numpy's default, unstable sort, keeping
+    `width + 1` columns. A row whose kept keys strictly increase has no
+    other order of equal keys among its `width` best, so they are the
+    stable sort's; only the rows where two adjacent kept keys are equal are
+    sorted again, stably."""
+    keyed = log_softmax_rows(logits)
+    keyed[:, [PAD_ID, UNK_ID]] = -np.inf
+    np.negative(keyed, out=keyed)
+    order = keyed.argsort(axis=1)[:, :width + 1]
+    keys = keyed[np.arange(len(keyed))[:, None], order]
+    tied = np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+    if tied.size:
+        rows = keyed[tied]
+        order[tied] = again = rows.argsort(axis=1, kind="stable")[:, :width + 1]
+        keys[tied] = rows[np.arange(len(rows))[:, None], again]
+    ranked = -keys[:, :width]
     if np.isnan(ranked).any():
         raise NotFinite("the ID generator's next-token logits are not finite: its parameters hold NaN or overflow")
-    return ranked, order.astype(np.int32)
+    return ranked, order[:, :width].astype(np.int32)
 
 
 class LogprobCache(DecodeCache):
@@ -335,13 +359,18 @@ class LogprobCache(DecodeCache):
         self.values[nodes], self.tokens[nodes], self.child[nodes] = values, tokens, -1
 
     def children(self, nodes: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The node that extends each of `nodes` (ranked, and each (node, at)
-        pair distinct) by its ranked token at position `at`, added if new."""
+        """The node that extends each of `nodes` (ranked) by its ranked token
+        at position `at`, added if new. A pair (node, at) may repeat: a new
+        one is added once, at its first occurrence, so new nodes get the ids
+        that calls over the pairs one at a time would give them."""
         found = self.child[nodes, at]
         new = found < 0
         if new.any():
             nodes, at = nodes[new], at[new]
-            found[new] = self.child[nodes, at] = self.add(nodes, self.tokens[nodes, at])
+            first = np.sort(np.unique(nodes * self.width + at, return_index=True)[1])
+            adding, adding_at = nodes[first], at[first]
+            self.child[adding, adding_at] = self.add(adding, self.tokens[adding, adding_at])
+            found[new] = self.child[nodes, at]
         return found
 
     def mark(self) -> tuple[int, np.ndarray, int]:
@@ -405,50 +434,60 @@ class _Wave:
 
     def step(self) -> None:
         """Step t: every group picks its beams, in group order, from the
-        ranked rows of its beams' nodes, all searches at once."""
-        cache, lam = self.cache, self.lam
+        ranked columns of its beams' nodes that its penalties can reach, all
+        searches at once; then one `LogprobCache.children` call names the
+        nodes of every group's new beams, in group order (module doc)."""
+        cache, lam, vocab_size = self.cache, self.lam, self.vocab_size
         searches, groups, beams = self.node.shape
         k = min(beams, self.width)
-        s3, b3, s2 = np.arange(searches)[:, None, None], np.arange(beams)[:, None], np.arange(searches)[:, None]
-        # a beam that is not live holds its root or a node a live beam held
-        # before, so every beam's node is ranked
-        values, tokens = cache.values[self.node, :self.width], cache.tokens[self.node, :self.width]
-        # per search: picks at step t by the groups done so far, lam times that count
-        # (the penalty), and the penalty set; EOS is banned while every live beam is short
-        counts = np.zeros((searches, self.vocab_size))
-        penalty = np.zeros((searches, self.vocab_size))
-        marked = np.zeros((searches, self.vocab_size), dtype=bool)
-        if self.t < self.min_len:
-            penalty[:, EOS_ID], marked[:, EOS_ID] = np.inf, True
-        for g in np.flatnonzero(self.live.any(axis=(0, 2))).tolist():
-            live = self.live[:, g]
-            # each beam's best k by (-penalized value, token)
-            token = tokens[:, g]
-            value = values[:, g] - penalty[s3, token]
+        banned = int(self.t < self.min_len)
+        s2, b3 = np.arange(searches)[:, None], np.arange(beams)[:, None]
+        s3, row = s2[..., None], s2 * vocab_size  # row: each search's offset in the flat arrays below
+        # per search, flat (searches * V): picks at step t by the groups done so far, lam
+        # times that count (the penalty), and the penalty set; EOS is banned while every
+        # live beam is short
+        counts = np.zeros(searches * vocab_size, dtype=np.int64)
+        penalty = np.zeros(searches * vocab_size)
+        marked = np.zeros(searches * vocab_size, dtype=bool)
+        if banned:
+            penalty[EOS_ID::vocab_size], marked[EOS_ID::vocab_size] = np.inf, True
+        stepped = np.flatnonzero(self.live.any(axis=(0, 2)))
+        parents, picked_at = np.empty((2, len(stepped), searches, beams), dtype=np.int64)
+        for i, g in enumerate(stepped.tolist()):
+            live, node, rank = self.live[:, g], self.node[:, g], self.rank[:, g]
+            # each beam's best k by (-penalized value, token): earlier groups penalize
+            # at most beams * g tokens, so they lie in its first k + beams * g ranked
+            # columns, one more while EOS is banned (module doc). A beam that is not
+            # live holds its root or a node a live beam held before, so it is ranked
+            columns = min(self.width, k + beams * g + banned)
+            token = cache.tokens[node, :columns]
+            value = cache.values[node, :columns] - penalty[row[..., None] + token]
             at = np.lexsort((token, -value))[..., :k]
             value, token = value[s3, b3, at], token[s3, b3, at]
             if self.penalty_free.any():
-                self.penalty_free &= ~(marked[s3, token] & live[..., None]).any(axis=(1, 2))
+                self.penalty_free &= ~(marked[row[..., None] + token] & live[..., None]).any(axis=(1, 2))
             # the group's best beams_per_group by (-total, prefix, token)
             total = (self.score[:, g, :, None] + value).reshape(searches, -1)
             finite = (live[..., None] & np.isfinite(value)).reshape(searches, -1)
             token, at = token.reshape(searches, -1), at.reshape(searches, -1)
-            pick = np.lexsort((token, np.repeat(self.rank[:, g], k, axis=1),
-                               np.where(finite, -total, np.inf)))[:, :beams]
+            pick = np.lexsort((token, np.repeat(rank, k, axis=1), np.where(finite, -total, np.inf)))[:, :beams]
             ok, token, total, at, beam = finite[s2, pick], token[s2, pick], total[s2, pick], at[s2, pick], pick // k
-            parent = self.node[s2, g, beam]
-            chosen, token_of = np.nonzero(ok)[0], token[ok]
-            np.add.at(counts, (chosen, token_of), 1)
-            penalty[chosen, token_of] = lam * counts[chosen, token_of]
-            marked[chosen, token_of] = True
+            chosen = (row + token)[ok]
+            counts += np.bincount(chosen, minlength=len(counts))
+            penalty[chosen] = lam * counts[chosen]
+            marked[chosen] = True
+            parents[i], picked_at[i] = node[s2, beam], at
             ended = ok & (token == EOS_ID)
-            if EOS_ID in token_of:
-                self.done.append((np.nonzero(ended)[0], g, total[ended], parent[ended]))
+            if ended.any():
+                self.done.append((np.nonzero(ended)[0], g, total[ended], parents[i][ended]))
             grows = ok ^ ended
-            parent[grows] = cache.children(parent[grows], at[grows])
             # the new beams' lexicographic order: by their parents', then by token
-            self.rank[s2, g, np.lexsort((token, self.rank[s2, g, beam], ~grows))] = np.arange(beams)
-            self.node[:, g], self.score[:, g], self.live[:, g] = parent, total, grows
+            rank[s2, np.lexsort((token, rank[s2, beam], ~grows))] = np.arange(beams)
+            self.score[:, g], self.live[:, g] = total, grows
+        # every group's new beams name their nodes in one call, in group order
+        grows = self.live[:, stepped].swapaxes(0, 1)
+        parents[grows] = cache.children(parents[grows], picked_at[grows])
+        self.node[:, stepped] = parents.swapaxes(0, 1)
         self.t += 1
 
     def run(self, model) -> None:
@@ -638,10 +677,14 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         return stats
 
     waves.append((len(per_text), search(list(per_text), 0)))
+    # per text: the rung its last item was accepted at (all rungs after a fallback);
+    # the rungs below hold only taken candidates, and `taken` only grows
+    floor = dict.fromkeys(per_text, 0)
     for position, (key, text) in enumerate(items):
         left[text] -= 1
         by_rung = per_text[text][1]
-        for rung, (range_index, lo, max_len, lam) in enumerate(rungs):
+        for rung in range(floor[text], len(rungs)):
+            range_index, lo, max_len, lam = rungs[rung]
             if rung not in by_rung:
                 # items climb the ladder in order, so the rung below was reached
                 below = by_rung[rung - 1]
@@ -666,7 +709,8 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
                 row = AllocationRow(key=key, lam=lam, range_index=range_index)
                 break
         else:
-            base = by_rung[len(rungs) - 1][0].tokens
+            rung = len(rungs)
+            base = by_rung[rung - 1][0].tokens
             attempt = 0
             while True:
                 suffix = _ordinal_tokens(position + attempt * len(items), vocab.size)
@@ -685,6 +729,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         ids[key] = accepted
         taken.add(accepted.text)
         rows.append(row)
+        floor[text] = rung
 
     registry = IdRegistry(ids=ids, rows=tuple(rows), generator_hash=model.param_hash())
     stats = registry.stats(lam_init=config.lam_init)

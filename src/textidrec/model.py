@@ -72,7 +72,11 @@ times depth + 1 times d_model). A row of a pass (`_WavePass`) attends to
 its ancestor chain, whose keys and values come from the cache, and to its
 own context, in one batch of the pass's contexts padded to the longest. A
 pass thus costs its rows times their depth plus the longest context among
-them, whatever else the cache holds.
+them, whatever else the cache holds. What passes share is laid out once:
+per depth level, its rows' ancestor chains and their table entries; per
+call, its contexts back to back behind one zero row. A pass takes its
+slices of these and finds its contexts as runs of its rows, which are
+sorted by context.
 
 Outside the trie layout, whether a product's rows get the same bits
 whatever the other rows depends on the BLAS and on the product's shape.
@@ -455,25 +459,30 @@ def _projected(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 class _WavePass:
-    """The layout of one `wave_logits` pass: `nodes` of a `DecodeCache`, all
-    at one depth k and back to back by context, whose parents are decoded;
-    `entry` are their entries in the layer-0 `table` and `store` is the node
-    store, the call's arrays, which may hold what the call adds.
+    """The layout of one `wave_logits` pass: rows of a `DecodeCache`, all at
+    one depth k, whose parents are decoded. `table` (the layer-0 table) and
+    `store` (the node store) are the call's arrays, which may hold what the
+    call adds. The pass takes its rows' slices of what the call lays out
+    once per depth level: `chain`, each row's ancestor chain, root first and
+    itself last, as node ids; `at`, the chain's layer-0 table entries;
+    `first`, whether the call decodes the row's node first; and `context`,
+    its context, in ascending order. `flat` holds the call's contexts back
+    to back behind one zero row, context c's `length[c]` rows from
+    `start[c]`.
 
-    Self-attention: a row is a batch of one query over its chain, root first
-    and itself last (`chain`, whose table entries are `at`), with no mask
-    and no other row of the pass. Layer 0 takes the rows' inputs and every
-    chain's keys and values from the table, in place of its layer norm and
-    projections. A later layer reads the ancestors' keys and values from the
-    store and projects each row's own from its input (`_projected`), which
-    the store keeps for the rows that `first` marks, the nodes the call
-    decodes first. A row at depth 0 attends through one-row products of its
-    input, as a one-key chain always did.
+    Self-attention: a row is a batch of one query over its chain, with no
+    mask and no other row of the pass. Layer 0 takes the rows' inputs and
+    every chain's keys and values from the table, in place of its layer norm
+    and projections. A later layer reads the ancestors' keys and values from
+    the store and projects each row's own from its input (`_projected`),
+    which the store keeps for the rows that `first` marks. A row at depth 0
+    attends through one-row products of its input, as a one-key chain
+    always did.
 
-    Cross-attention is grouped by context: `batch`, the pass's `ctx`, holds
-    its contexts as one (contexts, keys, d_model) batch padded with zero
-    rows to the longest, gathered in one step from the contexts laid back to
-    back behind one zero row; `mask` hides the padding (None without any).
+    Cross-attention is grouped by context, each group a run of the rows:
+    `batch`, the pass's `ctx`, holds its contexts as one (contexts, keys,
+    d_model) batch padded with zero rows to the longest, gathered in one
+    step from `flat`; `mask` hides the padding (None without any).
     `queries` lays the rows out as (contexts, slots) queries padded to the
     most rows any context has, and `slot_of` is each row's slot in that
     layout, flattened. So a row reads only its own context, and a row of an
@@ -482,27 +491,21 @@ class _WavePass:
 
     product = staticmethod(operator.matmul)
 
-    def __init__(self, cache: DecodeCache, table: np.ndarray, store: np.ndarray, nodes: np.ndarray,
-                 entry: np.ndarray):
-        self.depth = cache.depth[nodes]
-        k = self.depth[0]
-        chain = np.empty((len(nodes), k + 1), dtype=np.int64)
-        chain[:, k] = nodes
-        for j in range(k - 1, -1, -1):
-            chain[:, j] = cache.parent[chain[:, j + 1]]
-        self.at = cache.entry[chain]
-        self.at[:, k] = entry
-        self.table, self.store, self.chain, self.first = table, store, chain, cache.entry[nodes] < 0
-        groups, counts = np.unique(cache.context[nodes], return_counts=True)
-        rows = [cache.contexts[c].data for c in groups.tolist()]
-        lengths = np.array([len(r) for r in rows])
+    def __init__(self, table: np.ndarray, store: np.ndarray, chain: np.ndarray, at: np.ndarray,
+                 first: np.ndarray, context: np.ndarray, flat: np.ndarray, start: np.ndarray,
+                 length: np.ndarray):
+        self.table, self.store, self.chain, self.at, self.first = table, store, chain, at, first
+        self.depth = np.full(len(chain), chain.shape[1] - 1)
+        runs = np.flatnonzero(np.diff(context, prepend=-1))
+        counts = np.diff(runs, append=len(context))
+        groups = context[runs]
+        lengths = length[groups]
         keys, slots = lengths.max(), counts.max()
         used = np.arange(slots) < counts[:, None]
-        self.queries = np.where(used, (np.cumsum(counts) - counts)[:, None] + np.arange(slots), 0)
+        self.queries = np.where(used, runs[:, None] + np.arange(slots), 0)
         self.slot_of = np.flatnonzero(used)
         inside = np.arange(keys) < lengths[:, None]
-        flat = np.concatenate([np.zeros((1, rows[0].shape[-1])), *rows])
-        self.batch = Tensor(flat[np.where(inside, (np.cumsum(lengths) - lengths + 1)[:, None] + np.arange(keys), 0)])
+        self.batch = Tensor(flat[np.where(inside, start[groups][:, None] + np.arange(keys), 0)])
         self.mask = None if inside.all() else np.where(inside, 0.0, -1e30)[:, None, None, :]
         sees = np.repeat(lengths > 0, counts)[:, None]
         self.sees = None if sees.all() else sees
@@ -660,35 +663,10 @@ def _same_segment(q_seg: np.ndarray, k_seg: np.ndarray) -> np.ndarray:
     return np.where(q_seg[:, None] == k_seg, 0.0, -1e30)
 
 
-def _tree_layout(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Depth of every row and the additive self-attention mask that lets a
-    row see only itself and its ancestors: a `_Forest` over rows given by
-    their parents, which precede their children (a root has a negative
-    parent).
-
-    Every row climbs its ancestor chain one level per numpy pass, so a tree
-    takes as many passes as it is deep."""
-    n = len(parents)
-    late = np.flatnonzero(parents >= np.arange(n))
-    if late.size:
-        i = late[0]
-        raise ValueError(f"row {i} has parent {parents[i]}; parents must precede their children")
-    depth = np.zeros(n, dtype=np.int64)
-    allowed = np.eye(n, dtype=bool)
-    rows = np.flatnonzero(parents >= 0)
-    anc = parents[rows]
-    while rows.size:
-        allowed[rows, anc] = True
-        depth[rows] += 1
-        anc = parents[anc]
-        climbing = anc >= 0
-        rows, anc = rows[climbing], anc[climbing]
-    return depth, np.where(allowed, 0.0, -1e30)
-
-
 def _chain_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_tree_layout` of the chain parents[i] = i-1: the causal mask, built
-    directly (the walk is slower on a chain than this)."""
+    """The depth of each of `n` rows of one chain (row i's parent is row
+    i - 1) and the additive causal self-attention mask that lets a row see
+    only itself and the rows before it."""
     return np.arange(n), np.where(np.tri(n, dtype=bool), 0.0, -1e30)
 
 
@@ -999,13 +977,28 @@ class SequenceModel:
                 [h, _projected(h, pt["dec0_self_wk"].data), _projected(h, pt["dec0_self_wv"].data)], axis=1)
         if kv.shape[1:] != (layers - 1, 2, d):
             kv = np.empty((len(cache.parent), layers - 1, 2, d))
+        # the call's contexts back to back behind one zero row, context c's rows from start[c]
+        used = np.unique(context)
+        rows = [cache.contexts[c].data for c in used.tolist()]
+        length = np.zeros(len(cache.contexts), dtype=np.int64)
+        length[used] = [len(r) for r in rows]
+        start = np.cumsum(length) - length + 1
+        flat = np.concatenate([np.zeros((1, d)), *rows])
+        first = cache.entry[nodes] < 0
         passes = 0
         for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
             k = depth[level[0]]
+            chain = np.empty((len(level), k + 1), dtype=np.int64)
+            chain[:, k] = nodes[level]
+            for j in range(k - 1, -1, -1):
+                chain[:, j] = cache.parent[chain[:, j + 1]]
+            at = cache.entry[chain]
+            at[:, k] = entry[level]
             step = max(1, min(_WAVE_KEY_FLOATS // ((k + 1) * d), _WAVE_LOGITS // cfg.vocab_size))
             for lo in range(0, len(level), step):
                 sel = level[lo:lo + step]
-                layout = _WavePass(cache, table, kv, nodes[sel], entry[sel])
+                layout = _WavePass(table, kv, chain[lo:lo + step], at[lo:lo + step], first[sel], context[sel], flat,
+                                   start, length)
                 on_pass(sel, self.decoder_all_logits(layout.batch, ids[sel], layout=layout).data)
                 passes += 1
         cache.layer0, cache.kv = table, kv

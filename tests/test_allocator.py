@@ -402,6 +402,92 @@ def test_every_ranked_token_gives_the_picks_of_the_walk():
         assert sorted(picks)[:beams_per_group] == every[:beams_per_group]
 
 
+def stable_ranked(logits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """`allocator._ranked` by one stable argsort of every row: the reference
+    for its unstable sort and tie repair."""
+    block = log_softmax_rows(logits)
+    block[:, [PAD_ID, UNK_ID]] = -np.inf
+    order = (-block).argsort(axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(block, order, axis=1), order.astype(np.int32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ranked_gives_the_stable_sorts_bytes(seed):
+    # logits drawn from a few levels, so that exact ties fall inside the kept
+    # columns and across the width boundary, with runs of -inf, at widths up
+    # to V, where PAD and UNK always tie
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        vocab_size = int(rng.integers(5, 200))
+        width = int(rng.choice([1, 2, rng.integers(1, vocab_size + 1), vocab_size - 1, vocab_size]))
+        levels = rng.normal(size=int(rng.integers(1, 12)))
+        logits = rng.choice(levels, size=(int(rng.integers(1, 60)), vocab_size))
+        logits[rng.random(logits.shape) < rng.choice([0.0, 0.3, 0.9])] = -np.inf
+        logits[:, vocab_size - 1] = levels[0]  # a row of -inf logits is not finite
+        logits[rng.random(len(logits)) < 0.2] = rng.normal(size=vocab_size)  # rows without ties
+        got, want = allocator._ranked(logits, width), stable_ranked(logits, width)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ranked_refuses_a_row_that_is_not_finite(bad):
+    rng = np.random.default_rng(0)
+    logits = rng.normal(size=(6, 30))
+    logits[3, 7] = bad
+    with np.errstate(invalid="ignore"):
+        for width in (3, 30):
+            with pytest.raises(model_module.NotFinite):
+                allocator._ranked(logits, width)
+        logits[3] = np.nan
+        with pytest.raises(model_module.NotFinite):
+            allocator._ranked(logits, 3)
+
+
+@pytest.mark.parametrize("groups, beams_per_group", [(2, 1), (3, 2), (4, 3), (6, 1)])
+def test_each_group_sorts_the_columns_its_penalties_can_reach(groups, beams_per_group):
+    # every ranked row puts EOS first, banned at both steps, then the words in
+    # order: at step 0 group g's penalty set is EOS and the beams_per_group * g
+    # words earlier groups picked, all in the first columns, so its picks end
+    # at the last column it sorts
+    vocab_size = groups * beams_per_group + 5
+    width = min(vocab_size, groups * beams_per_group + 1)
+    tokens = np.array([EOS_ID] + list(range(3, vocab_size)) + [PAD_ID, UNK_ID], dtype=np.int32)[:width]
+    values = -0.01 * np.arange(1, width + 1)
+    assert_wave_steps_like_the_reference(lambda s, prefix: (values, tokens), 1, groups=groups,
+                                         beams_per_group=beams_per_group, lam=10.0, max_len=2, min_len=2,
+                                         vocab_size=vocab_size)
+
+
+def test_a_pair_that_two_groups_pick_in_one_step_makes_one_node():
+    # lam 0: every group picks the same two words from the root in one step
+    def ranked_cache():
+        cache = allocator.LogprobCache()
+        cache.fit(7)
+        cache.reserve(16)
+        root = cache.new_root(None)
+        cache.store(np.array([root]), -np.array([[0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]),
+                    np.array([[5, 3, 4, 6, 7, 8, EOS_ID]], np.int32))
+        return cache, root
+
+    cache, root = ranked_cache()
+    wave = allocator._Wave(cache, [root], groups=3, beams_per_group=2, lam=0.0, max_len=2, min_len=1,
+                           vocab_size=9)
+    wave.step()
+    assert cache.size == 3 and (wave.node == wave.node[:, :1]).all()
+    assert cache.prefixes(wave.node[0, 0]) == [(5,), (3,)]
+    # one call over repeated pairs gives the ids of one call per pair
+    nodes, at = np.array([root] * 6), np.array([2, 0, 2, 3, 0, 1])
+    one_call, root = ranked_cache()
+    got = one_call.children(nodes, at)
+    one_at_a_time, root = ranked_cache()
+    want = [int(one_at_a_time.children(nodes[i:i + 1], at[i:i + 1])[0]) for i in range(len(at))]
+    assert got.tolist() == want == [1, 2, 1, 3, 2, 4]
+    for name in ("parent", "token", "depth"):
+        assert np.array_equal(getattr(one_call, name)[:5], getattr(one_at_a_time, name)[:5])
+    assert np.array_equal(one_call.child[root], one_at_a_time.child[root])
+
+
 @pytest.mark.parametrize("groups", [1, 4])
 def test_ranked_dbs_equals_reference_with_fewer_finite_tokens_than_beams(groups):
     # every prefix allows one word and EOS: with EOS banned (min_len 3) a

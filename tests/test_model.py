@@ -123,15 +123,16 @@ def test_explicit_chain_parents_equal_causal_decoding():
     state = model.encode([3, 4])
     ids = [0, 5, 6, 7]
     causal = model.decoder_all_logits(state, ids).data
-    depth, mask = model_module._tree_layout(np.array([-1, 0, 1, 2]))
+    depth, mask = loop_tree_layout([-1, 0, 1, 2])
     chain = model.decoder_all_logits(state, ids, layout=model_module._Forest(depth, mask)).data
     assert np.array_equal(causal, chain)
-    with pytest.raises(ValueError):
-        model_module._tree_layout(np.array([-1, 2, 1, 2]))
 
 
 def loop_tree_layout(parents):
-    """The row loop `_tree_layout` replaced: the reference for its depth and mask."""
+    """The depth of each row of a forest given by its parents (which precede
+    their children; a root's is negative) and the additive self-attention
+    mask that lets a row see only itself and its ancestors, one row at a
+    time: the dense tree layout the tests compare against."""
     n = len(parents)
     depth = np.zeros(n, dtype=np.int64)
     allowed = np.eye(n, dtype=bool)
@@ -157,43 +158,22 @@ def random_forest(rng, n: int, p_chain: float) -> np.ndarray:
     return parents
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 333, 512])
-@pytest.mark.parametrize("p_chain", [0.0, 0.6, 0.9])
-def test_tree_layout_matches_row_loop(n, p_chain):
-    rng = np.random.default_rng(n)
-    for _ in range(3):
-        parents = random_forest(rng, n, p_chain)
-        depth, mask = model_module._tree_layout(parents)
-        want_depth, want_mask = loop_tree_layout(parents)
-        assert np.array_equal(depth, want_depth)
-        assert np.array_equal(mask, want_mask)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 24])
 def test_chain_layout_is_the_tree_layout_of_a_chain(n):
-    chain = np.arange(n) - 1
-    for depth, mask in (model_module._chain_layout(n), model_module._tree_layout(chain)):
-        want_depth, want_mask = loop_tree_layout(chain)
-        assert np.array_equal(depth, want_depth)
-        assert np.array_equal(mask, want_mask)
+    depth, mask = model_module._chain_layout(n)
+    want_depth, want_mask = loop_tree_layout(np.arange(n) - 1)
+    assert np.array_equal(depth, want_depth)
+    assert np.array_equal(mask, want_mask)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 24])
 def test_roots_mask_is_the_tree_layout_mask_of_roots(n):
-    # a pass of roots only: each row sees itself alone
-    roots = np.full(n, -1)
-    want_mask = loop_tree_layout(roots)[1]
-    assert np.array_equal(model_module._tree_layout(roots)[1], want_mask)
+    # n one-row segments are a forest of roots: each row sees itself alone
+    depth, seg = model_module._segments(np.ones(n, dtype=np.int64))
+    want_depth, want_mask = loop_tree_layout(np.full(n, -1))
+    assert np.array_equal(depth, want_depth)
+    assert np.array_equal(model_module._same_segment(seg, seg), want_mask)
     assert np.array_equal(want_mask, np.where(np.eye(n, dtype=bool), 0.0, -1e30))
-
-
-@pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 0, 3, 1], [-1, 2, 1, 2]])
-def test_tree_layout_rejects_parent_after_child(parents):
-    with pytest.raises(ValueError) as want:
-        loop_tree_layout(parents)
-    with pytest.raises(ValueError) as got:
-        model_module._tree_layout(np.array(parents))
-    assert str(got.value) == str(want.value)
 
 
 def per_head_attention(pt, prefix, q_in, kv_in, heads, mask=None):
@@ -224,7 +204,7 @@ def test_batched_attention_matches_per_head_loop(heads, kind):
     arrays["kv_in"] = arrays["q_in"] if kind == "masked_self" else rng.normal(size=(keys, d))
     mask = None
     if kind == "masked_self":
-        _, mask = model_module._tree_layout(np.array([-1, 0, 1, 0, 3]))
+        _, mask = loop_tree_layout([-1, 0, 1, 0, 3])
     weights = rng.normal(size=(rows, d))
     results = []
     for attention in (model_module._attention, per_head_attention):
@@ -346,7 +326,7 @@ def test_fused_attention_equals_op_chain(heads, kind, trainable):
     if kind == "cross":
         arrays["kv_in"] = rng.normal(size=(keys, d))
     mask = {"self": None, "cross": None, "causal": model_module._chain_layout(rows)[1],
-            "tree": model_module._tree_layout(np.array([-1, 0, 1, 0, 3]))[1]}[kind]
+            "tree": loop_tree_layout([-1, 0, 1, 0, 3])[1]}[kind]
 
     def call(block, pt):
         kv_in = pt["kv_in"] if kind == "cross" else pt["q_in"]
@@ -510,7 +490,7 @@ def test_sparse_tree_mask_attention_equals_dense(monkeypatch, n, p_chain, earlie
     rng = np.random.default_rng(n * 10 + int(p_chain * 10))
     d, heads = 8, 4
     parents = random_forest(rng, n, p_chain)
-    depth, mask = model_module._tree_layout(parents)
+    depth, mask = loop_tree_layout(parents)
     trie = model_module.PrefixTrie()
     trie.add(parents, rng.integers(3, 11, size=n), depth)
     pt = {f"dec0_self_w{x}": Tensor(rng.normal(size=(d, d))) for x in "qkvo"}
