@@ -67,18 +67,20 @@ a wave of one search, so there is one search loop.
 
 `allocate_all` forms waves only of searches it will certainly run, so each
 text's searches, their order and their count are those of the one-item-
-at-a-time ladder. Before the first item, one wave runs the first rung of
-every distinct text, which the text's first item needs. When an item needs
-the first rung of a later length range r, one wave runs it for that item's
-text and for every other text u that has not run it, whose range below r
-was answered by one penalty-free result, and that has more items left than
-that result has candidates not yet taken: `taken` only grows, and each
-item of u accepts at most one of those candidates, so by pigeonhole some
-item of u falls through to rung r. Every other search runs on demand as a
-wave of one. The log line counts the waves, their sizes and the on-demand
-searches. An item starts at its text's floor, the rung at which the text's
-last item was accepted (past the last rung after a fallback): every
-candidate of a rung below it was taken then, and `taken` only grows.
+at-a-time ladder. An item starts at its text's floor, the rung at which
+the text's last item was accepted (past the last rung after a fallback):
+every candidate of a rung below it was taken then, and `taken` only grows.
+A rung is known to a text that searched it, or whose penalty-free search
+below it in its length range answers it (below). When an item reaches a
+rung its text does not know, one wave runs that rung for every text u
+that will certainly reach it: every rung from u's floor up to it is
+known to u, and u has more items left than those rungs have candidates
+not yet taken. Each item of u accepts at most one of those candidates,
+so by pigeonhole some item of u reaches the rung. The item's own text is
+such a u, as its item found no untaken candidate on the way; at the
+first rung, before the first item, every text is one, so the first wave
+holds every distinct text. The log line counts the waves and their
+sizes.
 
 A search that kept no penalized token answers every higher penalty of its
 length range. Call a search penalty-free when, in every beam of every group
@@ -624,11 +626,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     Items are processed in input order; each starts at (lam_init, first
     length range) and escalates on full duplication. A rung whose previous
     rung of the same length range was answered by a `penalty_free` search
-    takes that search's candidates instead of searching again. Searches
-    whose need is certain run together as waves (module doc): the first
-    rung of every distinct text before the first item, and the first rung
-    of a later range for every text the pigeonhole rule says will need it;
-    any other search runs on demand as a wave of one. The ordinal fallback
+    takes that search's candidates instead of searching again. When an
+    item reaches a rung its text does not know, one wave runs that rung
+    for every text that will certainly reach it (module doc): the first
+    wave holds every distinct text's first rung. The ordinal fallback
     is recorded per item and logged, never silent.
     """
     if not items:
@@ -650,9 +651,6 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         raise ValueError(f"config section 'model': max_tgt_len {model.config.max_tgt_len} leaves room for "
                          f"{capacity} ID token(s), too few for the length ranges {config.length_ranges} "
                          f"of config section 'allocator'")
-    first_rung = {}  # range_index -> its first rung
-    for rung, (range_index, *_) in enumerate(rungs):
-        first_rung.setdefault(range_index, rung)
     ids: dict[str, TextualId] = {}
     rows: list[AllocationRow] = []
     taken: set[str] = set()
@@ -663,47 +661,53 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
     for _, text in items:
         if text not in per_text:
             per_text[text] = (cache.new_root(model.encode(vocab.encode(text, model.config.max_src_len))), {})
-    left = Counter(text for _, text in items)  # items not yet processed, per text
+    left = Counter(text for _, text in items)  # items not yet accepted, per text
     waves: list[tuple[int, WaveStats]] = []  # (searches, what it ran) per wave
-    on_demand = answered = 0  # searches run alone; rungs answered by a penalty-free search
-
-    def search(texts: list[str], rung: int) -> WaveStats:
-        """Run `rung` for each of `texts` as one wave."""
-        _, lo, max_len, lam = rungs[rung]
-        found, stats = _run_wave(model, cache, [per_text[text][0] for text in texts], vocab, groups=config.groups,
-                                 beams_per_group=config.beams_per_group, lam=lam, max_len=max_len, min_len=lo)
-        for text, candidates in zip(texts, found):
-            per_text[text][1][rung] = candidates
-        return stats
-
-    waves.append((len(per_text), search(list(per_text), 0)))
+    answered = 0  # rungs answered by a penalty-free search
     # per text: the rung its last item was accepted at (all rungs after a fallback);
     # the rungs below hold only taken candidates, and `taken` only grows
     floor = dict.fromkeys(per_text, 0)
+
+    def answer(got: dict[int, Candidates], rung: int) -> Candidates | None:
+        """What `rung` holds for a text whose known rungs are `got`: its own
+        search, or a penalty-free search below it in its length range; None
+        while the rung is unknown."""
+        below = rung
+        while below not in got and below and rungs[below - 1][0] == rungs[below][0]:
+            below -= 1
+        found = got.get(below)
+        return found if found is not None and (below == rung or found.penalty_free) else None
+
+    def needs(text: str, rung: int) -> bool:
+        """Whether an item of `text` will certainly reach `rung`, a rung the
+        text does not know: every rung from its floor up to `rung` is known,
+        and it has more items left than those rungs have untaken candidates
+        (module doc)."""
+        got, untaken = per_text[text][1], set()
+        for known in range(floor[text], rung):
+            found = answer(got, known)
+            if found is None:
+                return False
+            untaken.update(c.text for c in found)
+        return answer(got, rung) is None and left[text] > len(untaken - taken)
+
     for position, (key, text) in enumerate(items):
-        left[text] -= 1
         by_rung = per_text[text][1]
         for rung in range(floor[text], len(rungs)):
             range_index, lo, max_len, lam = rungs[rung]
             if rung not in by_rung:
-                # items climb the ladder in order, so the rung below was reached
-                below = by_rung[rung - 1]
-                if below.penalty_free and rungs[rung - 1][0] == range_index:
-                    by_rung[rung] = below
+                found = answer(by_rung, rung)
+                if found is not None:
+                    by_rung[rung] = found
                     answered += 1
-                elif rung == first_rung[range_index]:
-                    # a text whose range below was answered by one penalty-free search
-                    # with fewer untaken candidates than items left will need this rung
-                    below_first = first_rung[rungs[rung - 1][0]]
-                    wave = [text] + [
-                        other for other, (_, got) in per_text.items()
-                        if other != text and rung not in got and below_first in got
-                        and got[below_first].penalty_free
-                        and left[other] > len({c.text for c in got[below_first]} - taken)]
-                    waves.append((len(wave), search(wave, rung)))
                 else:
-                    search([text], rung)
-                    on_demand += 1
+                    wave = [other for other in per_text if needs(other, rung)]
+                    results, ran = _run_wave(model, cache, [per_text[other][0] for other in wave], vocab,
+                                             groups=config.groups, beams_per_group=config.beams_per_group,
+                                             lam=lam, max_len=max_len, min_len=lo)
+                    for other, candidates in zip(wave, results):
+                        per_text[other][1][rung] = candidates
+                    waves.append((len(wave), ran))
             accepted = next((c for c in by_rung[rung] if c.text not in taken), None)
             if accepted is not None:
                 row = AllocationRow(key=key, lam=lam, range_index=range_index)
@@ -730,6 +734,7 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         taken.add(accepted.text)
         rows.append(row)
         floor[text] = rung
+        left[text] -= 1
 
     registry = IdRegistry(ids=ids, rows=tuple(rows), generator_hash=model.param_hash())
     stats = registry.stats(lam_init=config.lam_init)
@@ -740,10 +745,10 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
 
     log.info("allocated %d ids: %.2f%% needed lambda escalation, %.2f%% needed length extension; "
              "%d searches, %d rungs answered by a penalty-free search; %d waves of %s searches, "
-             "%s decoder passes, %s new layer-0 table entries; %d searches on demand",
+             "%s decoder passes, %s new layer-0 table entries",
              len(ids), 100 * stats["fraction_lambda_escalated"], 100 * stats["fraction_length_extended"],
-             sum(n for n, _ in waves) + on_demand, answered, len(waves), per_wave(n for n, _ in waves),
-             per_wave(ran.passes for _, ran in waves), per_wave(ran.entries for _, ran in waves), on_demand)
+             sum(n for n, _ in waves), answered, len(waves), per_wave(n for n, _ in waves),
+             per_wave(ran.passes for _, ran in waves), per_wave(ran.entries for _, ran in waves))
     return registry
 
 

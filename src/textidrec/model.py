@@ -348,6 +348,13 @@ class _HeadSlot:
     head: np.ndarray
 
 
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` over leading batch axes as one product per row of `a`: the
+    BLAS runs each on the row alone, so its bits do not depend on the other
+    rows or on how many there are."""
+    return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
+
+
 class _TriePass(NamedTuple):
     """The layout of one `prefix_logits` pass (`_trie_passes`): the nodes
     that a call decodes in one block of at most `_PREFIX_BLOCK_ROWS` trie
@@ -359,7 +366,7 @@ class _TriePass(NamedTuple):
 
     A row's logits are the same bits whatever other rows share its call
     (batch invariance): every product of rows is a stack of one-row
-    products (`product`), self-attention scores, normalizes and sums only
+    products (`_rowwise`), self-attention scores, normalizes and sums only
     the row's own (row, key) pairs, in root-first order, and the rest is
     row-wise (layer norms, cross-attention softmax rows, GELU, residual
     sums).
@@ -381,6 +388,8 @@ class _TriePass(NamedTuple):
     kv: np.ndarray | None = None
     head: np.ndarray | None = None
     hit: bool = False
+
+    product = staticmethod(_rowwise)
 
     def embedded(self, pt: dict[str, Tensor], ids: np.ndarray) -> Tensor:
         return Tensor(self.head[self.kept]) if self.hit else _embedded(pt, ids, self.depth)
@@ -412,13 +421,6 @@ class _TriePass(NamedTuple):
 
     def logits(self, x: Tensor, pt: dict[str, Tensor]) -> Tensor:
         return Tensor(self.product(x.data, pt["tok_emb"].data.T))
-
-    @staticmethod
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """`a @ b` over leading batch axes as one product per row of `a`:
-        the BLAS runs each on the row alone, so its bits do not depend on
-        the other rows or on how many there are."""
-        return (a[..., :, None, :] @ b[..., None, :, :])[..., 0, :]
 
 
 def _trie_passes(trie: PrefixTrie, kept: np.ndarray) -> list[_TriePass]:
@@ -1064,26 +1066,23 @@ def expected_embedding_rows(logits: Tensor, emb: Tensor) -> Tensor:
     """`expected_embedding` of every row of (L, V) logits, stacked to (L, d),
     as one graph node.
 
-    Row by row it runs the numpy expressions of the per-row op chain, so its
-    values and gradients equal `stack_rows` over per-row `expected_embedding`
-    bit for bit; one (L, V) @ (V, d) product would not, as BLAS sums it in
-    another order."""
+    Its values and gradients equal `stack_rows` over per-row
+    `expected_embedding` bit for bit: the softmax and its gradient run along
+    each row's last axis, and every product of rows is a stack of one-row
+    products (`_rowwise`); one (L, V) @ (V, d) product would not be, as BLAS
+    sums it in another order. `emb`'s gradient sums one product per row, in
+    row order (training passes a frozen table, so it never runs there)."""
     table = emb.data
-    probs = [softmax(row.reshape(1, -1)) for row in logits.data]
-    out = np.concatenate([y @ table for y, _ in probs], axis=0)
+    probs, vjp = softmax(np.ascontiguousarray(logits.data))
 
     def bw(g, a=logits, b=emb):
         g = np.ascontiguousarray(g)
-        g_logits = np.empty(a.data.shape)
-        for i, (y, vjp) in enumerate(probs):
-            g_row = g[i:i + 1]
-            if a.requires_grad:
-                g_logits[i] = vjp(g_row @ table.swapaxes(-1, -2))
-            if b.requires_grad:
-                b._accum(y.swapaxes(-1, -2) @ g_row)
+        if b.requires_grad:
+            for i in range(len(g)):
+                b._accum(probs[i:i + 1].swapaxes(-1, -2) @ g[i:i + 1])
         if a.requires_grad:
-            a._accum(g_logits)
-    return Tensor._op(out, (logits, emb), bw)
+            a._accum(vjp(_rowwise(g, table.swapaxes(-1, -2))))
+    return Tensor._op(_rowwise(probs, table), (logits, emb), bw)
 
 
 # -- optimizer -----------------------------------------------------------------

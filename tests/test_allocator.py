@@ -755,8 +755,8 @@ def test_duplicated_texts_search_each_length_range_reached_once(monkeypatch, cap
 
 def test_allocation_runs_the_searches_of_the_sequential_ladder(monkeypatch, caplog):
     # four texts of eight items each over three length ranges: the first
-    # wave holds every text's first rung, and a later range's wave holds
-    # every text the pigeonhole rule says will need it
+    # wave holds every text's first rung, and a later wave every text that
+    # has more items left than its known rungs have untaken candidates
     vocab = make_vocab(WORDS[:6])
     model = tiny_model(vocab_size=vocab.size, seed=3)
     cfg = AllocatorConfig(groups=3, beams_per_group=2, lam_max=2.0,
@@ -771,13 +771,13 @@ def test_allocation_runs_the_searches_of_the_sequential_ladder(monkeypatch, capl
     assert_searches_follow_the_ladder(rungs_searched(waves, cfg, model), ladder)
     assert [text for text, *_ in waves[0]] == texts
     assert any(len(wave) > 1 for wave in waves[1:])
-    sizes = "/".join(str(len(wave)) for wave in waves if len(wave) > 1 or wave is waves[0])
-    assert f"waves of {sizes} searches" in caplog.text
+    sizes = "/".join(str(len(wave)) for wave in waves)
+    assert f"{len(waves)} waves of {sizes} searches" in caplog.text
 
 
 def test_allocation_follows_the_ladder_when_the_first_rung_keeps_a_penalty(monkeypatch):
     # every text's first rung keeps a penalized token, so its second rung is
-    # searched on demand, one text at a time, as the ladder does
+    # searched, like every later rung, only once each text's need is certain
     vocab = make_vocab(["red", "blue", "hat", "shoe"])
     red, blue, hat = token(vocab, "red"), token(vocab, "blue"), token(vocab, "hat")
     model = ScriptedModel(vocab.size, {
@@ -794,6 +794,51 @@ def test_allocation_follows_the_ladder_when_the_first_rung_keeps_a_penalty(monke
     assert not any(c.penalty_free for *_, c in waves[0])
     assert registry.ids == reference.ids and registry.rows == reference.rows
     assert_searches_follow_the_ladder(rungs_searched(waves, cfg, model), ladder)
+
+
+def ladder_case(case):
+    """A random three-range allocation: a tiny generator, two to four texts
+    of one to twelve items each, shuffled."""
+    rng = random.Random(case)
+    nw = rng.randint(4, 7)
+    vocab = make_vocab(WORDS[:nw])
+    model = tiny_model(vocab.size, seed=rng.randint(0, 50), layers=rng.choice([1, 2]))
+    los = sorted(rng.sample(range(1, 8), 3))
+    ranges = tuple(zip(los, los[1:] + [los[-1] + rng.randint(1, 2)]))
+    cfg = AllocatorConfig(groups=rng.randint(1, 3), beams_per_group=rng.randint(1, 2),
+                          lam_max=rng.choice([1.0, 2.0]), length_ranges=ranges)
+    items = []
+    for i in range(rng.randint(2, 4)):
+        items += [(f"k{i}_{j}", f"{WORDS[i]} {WORDS[(i + 1) % nw]}") for j in range(rng.randint(1, 12))]
+    rng.shuffle(items)
+    return model, items, vocab, cfg
+
+
+# in cases 41, 54 and 237 a text's items all accept at rungs of earlier
+# ranges, though counting only the range just below a later range's first
+# rung says some item reaches it
+@pytest.mark.parametrize("case", sorted({41, 54, 237, *range(60)}))
+def test_allocation_runs_the_ladder_searches_on_random_ladders(monkeypatch, case):
+    model, items, vocab, cfg = ladder_case(case)
+    reference, ladder = reference_ladder(model, items, vocab, cfg)
+    waves = recorded_waves(monkeypatch, items)
+    registry = allocate_all(model, items, vocab, cfg)
+    assert_searches_follow_the_ladder(rungs_searched(waves, cfg, model), ladder)
+    assert registry.ids == reference.ids and registry.rows == reference.rows
+
+
+def test_escalating_texts_search_each_rung_in_one_wave(caplog):
+    # the pinned seed-1, one-layer allocation: each text's items escalate
+    # one at a time, and the four texts reach every rung together
+    items = synth.duplicated_metadata_items(n_items=40, n_distinct=4)
+    random.Random(1).shuffle(items)
+    vocab = tokenizer.build_vocab([text for _, text in items])
+    model = SequenceModel.init(ModelConfig(vocab_size=vocab.size, d_model=32, layers=1, heads=2, ff_dim=64,
+                                           max_src_len=64, max_tgt_len=24, seed=5))
+    with caplog.at_level("INFO", logger="textidrec.allocator"):
+        allocate_all(model, items, vocab, AllocatorConfig())
+    assert (f"44 searches, 0 rungs answered by a penalty-free search; 11 waves of {'/'.join(['4'] * 11)} "
+            f"searches,") in caplog.text
 
 
 def run_wave(model, vocab, states, cache=None, **kwargs):

@@ -1389,6 +1389,22 @@ def test_expected_embedding_rows_equals_per_row_chain(length, vocab_size):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def test_expected_embedding_rows_equals_per_row_chain_on_column_major_logits():
+    # each row's softmax sums the row as one run, as a per-row chain does,
+    # also when the block arrives column-major
+    rng = np.random.default_rng(7)
+    logits = np.asfortranarray(rng.normal(size=(9, 38)) * 4.0)
+    emb = rng.normal(size=(38, 16))
+    results = []
+    for build in (expected_embedding_rows, per_row_expected_embeddings):
+        t_logits = Tensor(logits, requires_grad=True)
+        out = build(t_logits, Tensor(emb))
+        (out * emb[:9]).sum().backward()
+        results.append((out.data, t_logits.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def reference_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The per-parameter Adam step `apply_update` replaced: the reference for
     its bits. `state` holds plain `m`/`v` dicts and `step`."""
