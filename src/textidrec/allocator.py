@@ -683,6 +683,8 @@ def allocate_all(model, items: list[tuple[str, str]], vocab: Vocabulary,
         text does not know: every rung from its floor up to `rung` is known,
         and it has more items left than those rungs have untaken candidates
         (module doc)."""
+        if not left[text]:
+            return False
         got, untaken = per_text[text][1], set()
         for known in range(floor[text], rung):
             found = answer(got, known)

@@ -25,13 +25,17 @@ context (`wave_logits`). Callers use five model members: `config`,
 A `PrefixTrie` names token prefixes by integer node ids, parents before
 their children. `prefix_logits` decodes the nodes of a `PrefixTrie`, in
 node order, in passes over blocks of at most `_PREFIX_BLOCK_ROWS` node ids
-(`_TriePass`); given `rows`, node ids that include each one's parent, it
-decodes only those, and a block without one runs no pass. A row attends to
-itself and its ancestors, whose self-attention keys and values each pass
-leaves in a store of the call's. The trie layout is batch-invariant: a
-row's logits depend only on its prefix, the context and the parameters,
-not on which other rows share its call, its pass or its block. So the
-call over some rows gives each the bits of the call over every node.
+(`_TriePass`); given `rows`, the nodes whose logits the caller reads, it
+decodes only those and their ancestors, and a block without one runs no
+pass. A row attends to itself and its ancestors, whose self-attention keys
+and values each pass leaves in a store of the call's. So an ancestor that
+is not given runs only as far as those keys and values: the layers before
+the last in full, then the last layer's layer norm and key and value
+products, as an incremental decoder keeps of a prefix only its keys and
+values (arXiv:1911.02150). The trie layout is batch-invariant: a row's
+logits depend only on its prefix, the context and the parameters, not on
+which other rows share its call, its pass or its block. So the call over
+some rows gives each the bits of the call over every node.
 Every product of rows is a stack of one-row products, self-attention
 scores, normalizes and sums only each row's own (row, ancestor) pairs,
 root first, and everything else is row-wise; a row's bits thus rest on
@@ -41,19 +45,22 @@ check on random configs, tries and row sets. The context enters the decoder
 only at layer 0's cross-attention, so what a pass computes before it (its
 head: the embeddings and layer 0's self-attention block) is the same for
 every context. Each model keeps one head slot, which `prefix_logits` reads
-or fills and nothing else touches. The slot holds the trie of the call
-that filled it and that call's plan (per pass: the rows it decodes, their
-token ids and depths, and each row's (row, ancestor) pairs) and each
-decoded row after layer 0's self-attention block. The slot is keyed on the
-trie and the rows: a later call reuses it when it is keyed the same, by the
-config, `_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
+or fills and nothing else touches. The slot holds the trie of the call that
+filled it and that call's plan (per pass: the rows it decodes, their token
+ids and depths, each row's (row, ancestor) pairs, and which rows it
+returns, with their pairs alone) and each decoded row after layer 0's
+self-attention block (at one layer, each given row: a hit then runs nothing
+for the other rows). The slot is keyed on the trie and the rows: a later
+call reuses it when it is keyed the same, by the config,
+`_PREFIX_BLOCK_ROWS`, the trie itself (by identity; nodes are only
 appended, so its node count says whether it grew), the bytes of `rows`
 (None for every node), and when the raw bytes of every `_HEAD_PARAMS` array
-equal the copies the slot holds: its passes then start at layer 0's
+equal the bytes the slot keeps of them: its passes then start at layer 0's
 cross-attention and give the same bits. Any other call recomputes and,
 unless it raises, replaces the slot. At the default config a 143-node
-trie's slot is about 0.26 MB, and that of its 23 fork rows (ranking;
-`recommender.py`) about 0.18 MB, most of it the copied head weights.
+trie's slot is about 0.26 MB, and that of its 10 fork rows (ranking;
+`recommender.py`), whose passes decode 23 rows, about 0.18 MB, most of it
+the kept head weights.
 
 `wave_logits` decodes nodes of a `DecodeCache`: a `PrefixTrie` whose roots
 each carry a context and whose nodes keep their decoder state for the life
@@ -335,14 +342,15 @@ _HEAD_PARAMS = ("tok_emb", "tgt_pos", "dec0_ln1_g", "dec0_ln1_b", *_attention_na
 class _HeadSlot:
     """The user-independent head of one `prefix_logits` call (see the module
     doc). `key` is (config, `_PREFIX_BLOCK_ROWS`, trie, its size, the bytes
-    of the nodes it decodes or None for all); `weights` a copy of each
+    of the given nodes or None for all); `weights` the bytes of each
     `_HEAD_PARAMS` array as the filling call read it; `passes` the call's
     plan (`_trie_passes`); `order` the place of each given node among the
-    decoded ones, in node order (None for all); `head` every node it decodes
-    after layer 0's self-attention block, (nodes, d_model)."""
+    wanted ones, in node order (None for all); `head` every node it decodes
+    after layer 0's self-attention block, (nodes, d_model) (at one layer,
+    only the wanted nodes' rows are set)."""
 
     key: tuple
-    weights: list[np.ndarray]
+    weights: list[bytes]
     passes: list[_TriePass]
     order: np.ndarray | None
     head: np.ndarray
@@ -359,32 +367,44 @@ class _TriePass(NamedTuple):
     """The layout of one `prefix_logits` pass (`_trie_passes`): the nodes
     that a call decodes in one block of at most `_PREFIX_BLOCK_ROWS` trie
     nodes. `kept` is their slice of the call's decoded nodes, `ids` and
-    `depth` their tokens and depths. `pair_key` lists each row's
-    self-attention keys, back to back: its ancestors root first, then
-    itself, as places among the decoded nodes; `pair_row` is the row of
-    each, and `starts` where each row's run begins.
+    `depth` their tokens and depths. `pairs` lists each row's
+    self-attention keys as (key, row, starts): back to back, its ancestors
+    root first, then itself, as places among the decoded nodes (`key`),
+    the row of each, and where each row's run begins. `wanted` are the
+    rows whose logits the call returns, as places among the pass's rows,
+    `answers` their slice of those the call returns, and `wanted_pairs`
+    their runs alone, laid out as `pairs`.
+
+    Only the last layer tells the rows apart. Every row runs the layers
+    before it in full, and there its layer norm and key and value products,
+    which its descendants read; the rest of the last layer (queries,
+    self-attention, cross-attention, feed-forward), the final layer norm
+    and the projection run over the wanted rows alone. The other rows are
+    ancestors of wanted ones, which need only their keys and values.
 
     A row's logits are the same bits whatever other rows share its call
     (batch invariance): every product of rows is a stack of one-row
     products (`_rowwise`), self-attention scores, normalizes and sums only
     the row's own (row, key) pairs, in root-first order, and the rest is
     row-wise (layer norms, cross-attention softmax rows, GELU, residual
-    sums).
+    sums). So dropping rows at the last layer leaves the others' bits.
 
     Each call binds the pass to its state (`_replace`). `kv`, (layers, 2,
     decoded nodes, d_model), receives each row's self-attention keys and
     values at layer i in `kv[i]`, at the row's place, where its
     descendants in this and later passes read them. `head` receives the
-    rows after layer 0's self-attention block, which depend on the rows and
-    `_HEAD_PARAMS` but not on the context; with `hit` the pass starts from
-    it instead, skipping what comes before."""
+    rows after layer 0's self-attention block (at one layer, the wanted
+    rows only), which depend on the rows and `_HEAD_PARAMS` but not on the
+    context; with `hit` the pass starts from it instead, skipping what
+    comes before."""
 
     kept: slice
     ids: np.ndarray
     depth: np.ndarray
-    pair_key: np.ndarray
-    pair_row: np.ndarray
-    starts: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    wanted: np.ndarray
+    answers: slice
+    wanted_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
     kv: np.ndarray | None = None
     head: np.ndarray | None = None
     hit: bool = False
@@ -392,28 +412,36 @@ class _TriePass(NamedTuple):
     product = staticmethod(_rowwise)
 
     def embedded(self, pt: dict[str, Tensor], ids: np.ndarray) -> Tensor:
-        return Tensor(self.head[self.kept]) if self.hit else _embedded(pt, ids, self.depth)
+        if not self.hit:
+            return _embedded(pt, ids, self.depth)
+        head = self.head[self.kept]
+        return Tensor(head if len(self.kv) > 1 else head[self.wanted])  # one layer: the wanted rows' only
 
     def self_block(self, i: int, x: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
         if self.hit and i == 0:
             return x  # the head
+        last = i == len(self.kv) - 1
         h = x.layer_norm(pt[f"dec{i}_ln1_g"], pt[f"dec{i}_ln1_b"]).data
         wq, wk, wv, wo = (pt[name].data for name in _attention_names(f"dec{i}_self"))
         self.kv[i, 0, self.kept] = self.product(h, wk)
         self.kv[i, 1, self.kept] = self.product(h, wv)
+        key, row, starts = self.pairs
+        if last:  # no later layer reads a row's state: the wanted rows go on alone
+            x, h = Tensor(x.data[self.wanted]), h[self.wanted]
+            key, row, starts = self.wanted_pairs
         rows, d = h.shape
         dh = d // heads
-        q = self.product(h, wq).reshape(rows, heads, dh)[self.pair_row]
-        k, v = self.kv[i][:, self.pair_key].reshape(2, -1, heads, dh)
+        q = self.product(h, wq).reshape(rows, heads, dh)[row]
+        k, v = self.kv[i][:, key].reshape(2, -1, heads, dh)
         scores = np.multiply(q, k).sum(axis=-1)  # (pairs, heads), each a dot product of its own
         scores *= 1.0 / math.sqrt(dh)
-        scores -= np.maximum.reduceat(scores, self.starts)[self.pair_row]
+        scores -= np.maximum.reduceat(scores, starts)[row]
         np.exp(scores, out=scores)
-        scores /= np.add.reduceat(scores, self.starts)[self.pair_row]
-        joined = np.add.reduceat(scores[..., None] * v, self.starts).reshape(rows, d)
+        scores /= np.add.reduceat(scores, starts)[row]
+        joined = np.add.reduceat(scores[..., None] * v, starts).reshape(rows, d)
         x = x + Tensor(self.product(joined, wo))
         if i == 0:
-            self.head[self.kept] = x.data
+            self.head[self.kept][self.wanted if last else slice(None)] = x.data
         return x
 
     def cross(self, i: int, h: Tensor, ctx: Tensor, pt: dict[str, Tensor], heads: int) -> Tensor:
@@ -423,15 +451,25 @@ class _TriePass(NamedTuple):
         return Tensor(self.product(x.data, pt["tok_emb"].data.T))
 
 
-def _trie_passes(trie: PrefixTrie, kept: np.ndarray) -> list[_TriePass]:
-    """The passes of a `prefix_logits` call over the nodes `kept` of `trie`
-    (sorted, each with its parent): the nodes cut into blocks of at most
-    `_PREFIX_BLOCK_ROWS` node ids, one pass per block that holds a kept
-    node, in node order."""
+def _trie_passes(trie: PrefixTrie, wanted: np.ndarray) -> list[_TriePass]:
+    """The passes of a `prefix_logits` call that returns the logits of the
+    nodes `wanted` of `trie` (sorted, distinct): it decodes them and their
+    ancestors, cut into blocks of at most `_PREFIX_BLOCK_ROWS` node ids,
+    one pass per block that holds a decoded node, in node order."""
     depth = trie.depth[:trie.size]
-    place = np.empty(trie.size, dtype=np.int64)  # of each kept node among the kept
+    is_wanted = np.zeros(trie.size, dtype=bool)
+    is_wanted[wanted] = True
+    decoded = is_wanted.copy()
+    up = trie.parent[wanted]
+    while up.size:  # from the wanted nodes up, one level per step, to a decoded node or past a root
+        up = up[up >= 0]
+        up = up[~decoded[up]]
+        decoded[up] = True
+        up = trie.parent[up]
+    kept = np.flatnonzero(decoded)
+    place = np.empty(trie.size, dtype=np.int64)  # of each decoded node among the decoded
     place[kept] = np.arange(len(kept))
-    passes = []
+    passes, answered = [], 0
     for at in np.split(np.arange(len(kept)), np.flatnonzero(np.diff(kept // _PREFIX_BLOCK_ROWS)) + 1):
         if not at.size:
             continue
@@ -444,8 +482,16 @@ def _trie_passes(trie: PrefixTrie, kept: np.ndarray) -> list[_TriePass]:
             pair_key[base + depth[up]] = place[up]
             climbing = trie.parent[up] >= 0
             base, up = base[climbing], trie.parent[up[climbing]]
-        passes.append(_TriePass(slice(at[0], at[-1] + 1), trie.token[nodes], depth[nodes], pair_key,
-                                np.repeat(np.arange(len(nodes)), run), starts))
+        row = np.repeat(np.arange(len(nodes)), run)
+        given = is_wanted[nodes]
+        pairs = wanted_pairs = (pair_key, row, starts)
+        if not given.all():  # the wanted rows' runs alone
+            run = run[given]
+            wanted_pairs = (pair_key[given[row]], np.repeat(np.arange(len(run)), run), np.cumsum(run) - run)
+        rows = np.flatnonzero(given)
+        passes.append(_TriePass(slice(at[0], at[-1] + 1), trie.token[nodes], depth[nodes], pairs, rows,
+                                slice(answered, answered + len(rows)), wanted_pairs))
+        answered += len(rows)
     return passes
 
 
@@ -868,19 +914,19 @@ class SequenceModel:
     def prefix_logits(self, ctx: Tensor, trie: PrefixTrie, rows=None) -> np.ndarray:
         """Next-token logits after every node of `trie`, one row per node, in
         node order (inference path, frozen parameters); or, given `rows`,
-        node ids that include each one's parent, after those nodes only: what
-        the call without `rows` gives them, bit for bit, one row per id in
-        the given order.
+        node ids in any order and with or without their ancestors, after
+        those nodes only: what the call without `rows` gives them, bit for
+        bit, one row per id in the given order.
 
-        A call decodes the nodes in node order (parents come first), in
-        passes over blocks of at most `_PREFIX_BLOCK_ROWS` node ids
-        (`_trie_passes`); with `rows`, only the given nodes, and a block
-        without one runs no pass. A row attends to itself and its
-        ancestors, whose keys and values the passes keep for the call. A
-        row's bits do not depend on the other rows of the call
-        (`_TriePass`). The call reuses or refills the model's head slot
-        (module doc), so nodes may be appended to `trie` between calls but
-        not changed.
+        A call decodes the given nodes and their ancestors in node order
+        (parents come first), in passes over blocks of at most
+        `_PREFIX_BLOCK_ROWS` node ids (`_trie_passes`), and a block without
+        one runs no pass. A row attends to itself and its ancestors, whose
+        keys and values the passes keep for the call. An ancestor that is
+        not given runs only as far as those keys and values (`_TriePass`).
+        A row's bits do not depend on the other rows of the call. The call
+        reuses or refills the model's head slot (module doc), so nodes may
+        be appended to `trie` between calls but not changed.
         """
         cfg = self.config
         pt = self.frozen()
@@ -890,30 +936,27 @@ class SequenceModel:
                 raise ValueError("rows must be a 1-D array of the trie's node ids")
         slot = self._head_slot
         key = (cfg, _PREFIX_BLOCK_ROWS, trie, trie.size, None if rows is None else rows.tobytes())
-        # weights compare as uint64 views, so bytes, not values (0.0 != -0.0)
+        # weights compare as bytes, not values (0.0 != -0.0)
         hit = (slot is not None and slot.key == key
-               and all(np.array_equal(kept.view(np.uint64), pt[name].data.view(np.uint64))
-                       for name, kept in zip(_HEAD_PARAMS, slot.weights)))
+               and all(pt[name].data.tobytes() == kept for name, kept in zip(_HEAD_PARAMS, slot.weights)))
         if not hit:
-            nodes, order = np.arange(trie.size), None
+            wanted, order = np.arange(trie.size), None
             if rows is not None:
                 if ((rows < 0) | (rows >= trie.size)).any():
                     raise ValueError("rows must be a 1-D array of the trie's node ids")
-                nodes = np.unique(rows)
-                up = trie.parent[nodes]
-                orphan = (up >= 0) & ~np.isin(up, nodes)
-                if orphan.any():
-                    raise ValueError(f"rows hold node {nodes[orphan][0]} but not its parent {up[orphan][0]}")
-                order = np.searchsorted(nodes, rows)
-            slot = _HeadSlot(key, [pt[name].data.copy() for name in _HEAD_PARAMS],
-                             _trie_passes(trie, nodes), order, np.empty((len(nodes), cfg.d_model)))
+                wanted = np.unique(rows)
+                order = np.searchsorted(wanted, rows)
+            passes = _trie_passes(trie, wanted)
+            slot = _HeadSlot(key, [pt[name].data.tobytes() for name in _HEAD_PARAMS], passes, order,
+                             np.empty((passes[-1].kept.stop if passes else 0, cfg.d_model)))
         # each decoded node's self-attention keys and values, in node order
-        width = len(slot.head)
-        kv = np.empty((cfg.layers, 2, width, cfg.d_model))
-        logits = np.empty((width, cfg.vocab_size))
+        kv = np.empty((cfg.layers, 2, len(slot.head), cfg.d_model))
+        logits = np.empty((slot.passes[-1].answers.stop if slot.passes else 0, cfg.vocab_size))
         for p in slot.passes:
+            if hit and cfg.layers == 1 and not len(p.wanted):
+                continue  # a one-layer hit runs nothing for rows it does not return
             layout = p._replace(kv=kv, head=slot.head, hit=hit)
-            logits[p.kept] = self.decoder_all_logits(ctx, p.ids, layout=layout).data
+            logits[p.answers] = self.decoder_all_logits(ctx, p.ids, layout=layout).data
         if not hit:
             self._head_slot = slot
         return logits if slot.order is None else logits[slot.order]

@@ -13,10 +13,12 @@ one call (trie decoder passes, the only model call besides `encode`)
 gives the step distribution of inner nodes, and from it one
 log-probability per edge. Under renormalization a node with a single
 continuation gives its edge log-probability exactly 0.0 whatever its
-logits, so that call decodes only the trie's fork rows (`CatalogTrie`);
-without renormalization it decodes every inner node. The model's trie
-passes are batch-invariant, so a fork row has the bits the all-rows call
-gives it, and the call costs what its fork rows cost, not the trie's other
+logits, so that call asks only for the logits of the trie's fork rows
+(`CatalogTrie`); their other ancestors run only as far as the keys and
+values the forks read (`model.py`). Without renormalization it decodes
+every inner node. The model's trie passes are batch-invariant, so a fork
+row has the bits the all-rows call gives it, and the call costs what its
+fork rows and their ancestors' keys and values cost, not the trie's other
 nodes. Ranking, beam search, candidate scoring and single-step
 distributions all read that array (the first three as path scores, summed
 parents first, one depth at a time), and walk the trie by id through the
@@ -66,10 +68,10 @@ class CatalogTrie(PrefixTrie):
     sorted by (node, token): the edges out of node or edge k are
     `child[first[k]:first[k + 1]]`, none for an item's.
 
-    `forks` are the nodes whose steps renormalized ranking decodes, in node
-    order: every node with two or more continuations (child tokens, or EOS
-    where an ID ends), their ancestors, and always the root, so that
-    parameters that make every logit NaN are still seen. The edges out of
+    `forks` are the nodes whose step logits renormalized ranking reads, in
+    node order: every node with two or more continuations (child tokens, or
+    EOS where an ID ends), and always the root, so that parameters that
+    make every logit NaN are still seen. The edges out of
     them are `fork_edges`, in edge order, and `fork_rows` their nodes' rows
     among the forks. `levels` holds the edges by depth, one array per depth
     from 1 down, each in edge order.
@@ -108,13 +110,8 @@ class CatalogTrie(PrefixTrie):
         self.edge_token = np.array(tokens + [EOS_ID] * len(self.ends))
         self.child = np.lexsort((self.edge_token[1:], self.edge_node[1:])) + 1
         self.first = np.searchsorted(self.edge_node[self.child], np.arange(len(self.edge_node) + 1))
-        fork = np.zeros(self.size, dtype=bool)
+        fork = np.diff(self.first[:self.size + 1]) >= 2
         fork[0] = True
-        up = np.flatnonzero(np.diff(self.first[1:self.size + 1]) >= 2) + 1
-        while up.size:  # from the forks up, one level per step, to a marked node (the root is)
-            fork[up] = True
-            up = self.edge_node[up]
-            up = up[~fork[up]]
         self.forks = np.flatnonzero(fork)
         self.fork_edges = np.flatnonzero(fork[self.edge_node[1:]]) + 1
         self.fork_rows = np.searchsorted(self.forks, self.edge_node[self.fork_edges])
@@ -168,13 +165,16 @@ def _edge_logprobs(model, state, trie: CatalogTrie, normalize: bool) -> np.ndarr
     NaN scores.
 
     Renormalized, a node's only continuation has log-probability exactly
-    0.0: its logit less its logit plus log(1.0). So the call decodes only
-    the fork rows (`CatalogTrie.forks`), and every edge out of another node
-    is 0.0, the bits a decoded row gives it when its logit is finite. Such
-    an edge's logit is not looked at: an overflowed one ranks as 0.0, while
-    the all-rows call would give NaN. The root is always decoded, so
-    parameters that make every logit NaN are still refused. Unnormalized,
-    the call decodes every node, and every edge is checked."""
+    0.0: its logit less its logit plus log(1.0). So the call asks only for
+    the fork rows' logits (`CatalogTrie.forks`); their other ancestors run
+    only as far as their keys and values (`SequenceModel.prefix_logits`).
+    Every edge out of a node that is not a fork is 0.0, the bits a decoded
+    row gives it when its logit is finite. Such an edge's logit is not
+    looked at, whether or not the node is an ancestor of a fork: an
+    overflowed one ranks as 0.0, while the all-rows call would give NaN.
+    The root's logits are always read, so parameters that make every logit
+    NaN are still refused. Unnormalized, the call decodes every node, and
+    every edge is checked."""
     if normalize:
         edges, rows = trie.fork_edges, trie.fork_rows
         logits = model.prefix_logits(state, trie, trie.forks)

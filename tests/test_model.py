@@ -1209,6 +1209,32 @@ def test_a_rows_logits_do_not_depend_on_the_rows_beside_it(monkeypatch, block_ro
             assert same_bits(cold_copy(model).prefix_logits(ctx, trie, rows), every[rows])
 
 
+@pytest.mark.parametrize("block_rows", [512, 8])
+def test_rows_without_their_ancestors_get_the_all_rows_bytes(monkeypatch, block_rows):
+    # random configs (one to three layers, widths that are not multiples of
+    # 8 among them), catalogs and row sets that leave out ancestors: the
+    # call decodes the ancestors only as far as their keys and values, and
+    # each given row has the bytes of the all-rows call, on a slot miss and
+    # then on hits, empty contexts among them
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(200 + block_rows)
+    open_sets = 0
+    for case in range(30):
+        heads = int(rng.choice([1, 2, 4]))
+        model = tiny_model(vocab_size=19, seed=case, d_model=heads * int(rng.integers(1, 17)),
+                           layers=int(rng.integers(1, 4)), heads=heads, ff_dim=int(rng.integers(4, 49)))
+        trie = catalog_trie(rng, 19, int(rng.integers(1, 41)))
+        rows = rng.choice(trie.size, size=rng.integers(1, min(trie.size, 6) + 1), replace=False)
+        rows = np.append(rows, rows[0])  # one twice
+        open_sets += len(with_ancestors(trie, rows)) > len(np.unique(rows))
+        some = cold_copy(model)
+        for n in (rng.integers(1, 30), 0, rng.integers(1, 30)):
+            ctx = model.encode(rng.integers(3, 19, size=n))
+            assert same_bits(some.prefix_logits(ctx, trie, rows), cold_copy(model).prefix_logits(ctx, trie)[rows])
+        assert len(some._head_slot.head) == len(with_ancestors(trie, rows))
+    assert open_sets > 20
+
+
 def test_prefix_logits_of_some_rows_refill_the_head_slot_per_row_set():
     model = tiny_model(vocab_size=23, seed=4, layers=2)
     trie = catalog_trie(np.random.default_rng(4), 23, 30)
@@ -1221,15 +1247,20 @@ def test_prefix_logits_of_some_rows_refill_the_head_slot_per_row_set():
         assert same_bits(got, every if rows is None else every[rows])
         slot = model._head_slot
         assert same_bits(model.prefix_logits(ctx, trie, rows), got) and model._head_slot is slot
-        assert len(slot.head) == (trie.size if rows is None else len(np.unique(rows)))
+        assert len(slot.head) == (trie.size if rows is None else len(with_ancestors(trie, rows)))
     assert model.prefix_logits(ctx, trie, []).shape == (0, 23)
 
 
-def test_prefix_logits_refuse_rows_without_their_ancestors():
+def test_prefix_logits_refuse_rows_that_are_not_node_ids():
+    # rows without their ancestors are taken, with the all-rows bits; ids
+    # out of range and arrays that are not 1-D raise, with the slot untouched
     model = tiny_model(vocab_size=11, seed=3)
     trie, nodes = trie_of([(5, 6, 7), (3,), (8, 2)])
     ctx = model.encode([3, 4])
-    for rows in ([0, nodes[0]], [nodes[1]], [trie.size], [-1], [[0]]):
+    every = cold_copy(model).prefix_logits(ctx, trie)
+    for rows in ([0, nodes[0]], [nodes[1]]):
+        assert same_bits(cold_copy(model).prefix_logits(ctx, trie, rows), every[rows])
+    for rows in ([trie.size], [-1], [[0]]):
         with pytest.raises(ValueError):
             model.prefix_logits(ctx, trie, rows)
     assert model._head_slot is None

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import random
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +74,8 @@ def reference_trie(registry: IdRegistry) -> model_module.PrefixTrie:
     parent = trie.parent[:trie.size]
     continuations = (np.bincount(parent[1:], minlength=trie.size)
                      + np.bincount(np.asarray(trie.ends, dtype=np.int64), minlength=trie.size))
-    fork = np.zeros(trie.size, dtype=bool)
+    fork = continuations >= 2
     fork[0] = True
-    up = np.flatnonzero(continuations[1:] >= 2) + 1
-    while up.size:
-        fork[up] = True
-        up = parent[up]
-        up = up[~fork[up]]
     trie.forks = np.flatnonzero(fork)
     return trie
 
@@ -579,6 +575,57 @@ def test_rank_all_is_one_decoder_pass(decoder_calls):
     decoder_calls.clear()
     rank_all(model, empty_prompt(), reg, trie, normalize=False, state=state)
     assert decoder_calls == [trie.size]
+
+
+@pytest.mark.parametrize("layers,block_rows", [(1, 512), (2, 512), (1, 8), (2, 8)])
+def test_ranking_runs_ancestor_only_rows_only_to_their_keys_and_values(monkeypatch, layers, block_rows):
+    # renormalized ranking returns the root's and the forks' logits; their
+    # other ancestors run only the products their descendants read: at the
+    # last layer, the self-attention keys and values
+    monkeypatch.setattr(model_module, "_PREFIX_BLOCK_ROWS", block_rows)
+    vocab = make_vocab(WORDS[:10])
+    model = tiny_model(vocab_size=vocab.size, seed=8, layers=layers)
+    rng = random.Random(9)
+    texts = {" ".join(rng.choice(WORDS[:4]) for _ in range(3)) + " " + rng.choice(WORDS[4:10]) for _ in range(12)}
+    texts |= {" ".join([WORDS[9]] * 8 + [end]) for end in WORDS[:2]}  # seven ancestor-only nodes in a row
+    reg = registry_from(vocab, {f"k{i}": t for i, t in enumerate(sorted(texts))})
+    trie = build_trie(reg)
+    continuations = np.bincount(np.concatenate([trie.parent[1:trie.size], trie.ends]), minlength=trie.size)
+    wanted = np.union1d([0], np.flatnonzero(continuations >= 2))
+    decoded = np.zeros(trie.size, dtype=bool)
+    for node in wanted.tolist():
+        while node >= 0:
+            decoded[node], node = True, int(trie.parent[node])
+    assert np.array_equal(trie.forks, wanted) and len(wanted) < decoded.sum() < trie.size
+    name_at = {array.ctypes.data: name for name, array in model.params.items()}
+    seen: list[tuple[str | None, int]] = []  # (weight, rows) of every product of a trie pass
+
+    def product(a, b):
+        seen.append((name_at.get(b.ctypes.data), a.shape[-2]))
+        return model_module._rowwise(a, b)
+
+    monkeypatch.setattr(model_module._TriePass, "product", staticmethod(product))
+    last = f"dec{layers - 1}"
+    keys_and_values = (f"{last}_self_wk", f"{last}_self_wv")
+
+    def rows_of(name: str) -> int:  # every decoded row before the last layer and in its keys and values
+        return decoded.sum() if not name.startswith((last, "tok_emb")) or name in keys_and_values else len(wanted)
+
+    for src, hit in (([3, 4], False), ([5], True), ([], True)):
+        seen.clear()
+        state = model.encode(src)
+        ranked = rank_all(model, empty_prompt(), reg, trie, state=state)
+        rows = Counter()
+        for name, n in seen:
+            rows[name] += n
+        del rows[None]
+        assert rows == {name: rows_of(name) for name in rows}
+        assert f"{last}_cross_wq" in rows or not src
+        assert rows["tok_emb"] == len(wanted) and len(model._head_slot.head) == decoded.sum()
+        if hit and layers == 1:  # of an ancestor-only row only the head was kept, and nothing runs
+            assert "dec0_self_wk" not in rows and 0 not in {n for _, n in seen}
+        assert ranked == rank_all(cold_copy(model), empty_prompt(), reg, trie, state=state)
+    assert block_rows > 8 or any(not len(p.wanted) for p in model._head_slot.passes)
 
 
 def test_scorers_after_rank_all_equal_their_cold_results():
